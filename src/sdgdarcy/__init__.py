@@ -67,7 +67,7 @@ from .io import (
     write_history_csv,
 )
 from .problem import DIRICHLET, NEUMANN, BoundaryRule, ProblemSpec, constant, everywhere
-from .solve import SolveReport, solve_sparse, solve_system
+from .solve import SolveReport, solve_system
 from .spaces import SpaceConfig, build_S_h, build_V_h, build_W_h
 
 __all__ = [
@@ -131,7 +131,6 @@ __all__ = [
     "constant",
     "everywhere",
     "SolveReport",
-    "solve_sparse",
     "solve_system",
     "SpaceConfig",
     "build_S_h",

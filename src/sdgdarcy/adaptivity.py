@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_system
+from .assembly import assemble_system, build_spaces, free_unknowns
 from .errors import AllZeroIndicators, ConfigError, SingularSystem
 from .estimator import EstimatorBreakdown, compute_estimator, true_error
 from .geometry import PolygonalMesh, refine
@@ -130,22 +130,26 @@ def amr_loop(
     """Run solve / estimate / mark / refine until a stopping rule fires.
 
     Stops on max_iterations, on a refinement that would exceed max_dofs
-    (the over-budget mesh is not solved), or on all-zero indicators.  A
-    singular system is recorded in `failure` and halts the loop.  When
-    given, callback(record, mesh, sol, breakdown, system) runs after each
-    record is appended; exporters hook in here.
+    (counted from the spaces, so the over-budget mesh is neither assembled
+    nor solved), or on all-zero indicators.  A singular system is recorded
+    in `failure` and halts the loop.  When given, callback(record, mesh,
+    sol, breakdown, system) runs after each record is appended; exporters
+    hook in here.
     """
     history = ConvergenceHistory(config=config)
     nan = float("nan")
+    space_config = SpaceConfig(config.k)
     for it in range(config.max_iterations):
-        system = assemble_system(mesh, spec, SpaceConfig(config.k))
-        if system.n > config.max_dofs:
+        spaces = build_spaces(mesh, spec, space_config)
+        n = free_unknowns(spaces)
+        if n > config.max_dofs:
             if it == 0:
                 raise ConfigError(
-                    f"initial problem has {system.n} unknowns, above "
+                    f"initial problem has {n} unknowns, above "
                     f"max_dofs={config.max_dofs}"
                 )
             break
+        system = assemble_system(mesh, spec, space_config, spaces=spaces)
         t0 = time.perf_counter()
         try:
             sol, _ = solve_system(system)

@@ -421,12 +421,27 @@ class DiscreteSolution:
         )
 
 
-def assemble_system(mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig) -> LinearSystem:
-    sub = mesh.subdivision
-    table = spec.boundary_table(sub)
+def build_spaces(mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig):
+    """The (S_h, V_h, W_h) spaces of one problem, with its constraints."""
+    table = spec.boundary_table(mesh.subdivision)
     S = build_S_h(mesh, config, dirichlet_edges=table.dirichlet_edges)
     V = build_V_h(mesh, config)
     W = build_W_h(mesh, config, dirichlet_tips=spec.dirichlet_tips())
+    return S, V, W
+
+
+def free_unknowns(spaces) -> int:
+    """Size of the reduced system over the given (S_h, V_h, W_h)."""
+    S, V, W = spaces
+    return V.ndof + S.n_free + W.n_free
+
+
+def assemble_system(
+    mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, spaces=None
+) -> LinearSystem:
+    """Reduced (u, p, p_gamma) system; `spaces` reuses a `build_spaces` result."""
+    sub = mesh.subdivision
+    S, V, W = build_spaces(mesh, spec, config) if spaces is None else spaces
 
     K_elem = spec.permeability(mesh.element_centroids)
     M = assemble_mass(sub, V, K_elem)

@@ -177,7 +177,7 @@ def _cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="sdg-darcy",
+        prog="sdg",
         description="Staggered DG solver for Darcy flow in fractured media",
     )
     subs = p.add_subparsers(dest="command", required=True)
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         const=True,
         default=None,
         dest="dump_system",
-        help="write the reduced sparse system per iteration",
+        help="write the full (u, p, p_gamma) system over free dofs per iteration",
     )
     run.set_defaults(func=_cmd_run)
 

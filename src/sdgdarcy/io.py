@@ -217,9 +217,18 @@ def export_solution(mesh: PolygonalMesh, sol, prefix) -> list:
 # -------------------------------------------------------------- system dump
 
 def dump_system(system, path) -> None:
-    """Reduced matrix as `row col value` triplets, then the right-hand side."""
+    """Reduced matrix as `row col value` triplets, then the right-hand side.
+
+    The matrix is the full (u, p, p_gamma) saddle system over free dofs, not
+    the condensed matrix the solver factors; the header says so, gives the
+    block offsets and ends with `n <n> nnz <nnz>`.
+    """
     A = system.A.tocoo()
-    lines = [f"# sdgdarcy linear system: n {system.n} nnz {A.nnz}"]
+    offsets = " ".join(str(o) for o in system.offsets)
+    lines = [
+        "# sdgdarcy linear system: n free dofs of the full (u, p, p_gamma) "
+        f"saddle system, block offsets {offsets}; n {system.n} nnz {A.nnz}"
+    ]
     lines += [f"{r} {c} {_f(v)}" for r, c, v in zip(A.row, A.col, A.data)]
     lines.append("# rhs")
     lines += [_f(v) for v in system.rhs]

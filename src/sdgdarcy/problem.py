@@ -95,7 +95,7 @@ class ProblemSpec:
     # -- coefficients -----------------------------------------------------
 
     def permeability(self, centroids: np.ndarray) -> np.ndarray:
-        """Per-element K as (n, 2, 2); raises SingularK unless SPD."""
+        """Per-element K as (n, 2, 2); raises SingularK unless finite and SPD."""
         n = centroids.shape[0]
         K = self.K
         if callable(K):
@@ -106,6 +106,12 @@ class ProblemSpec:
             out = np.einsum("n,ij->nij", np.asarray(K, dtype=float), np.eye(2))
         else:
             out = np.array(K, dtype=float).reshape(n, 2, 2)
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+        if bad.size:
+            raise SingularK(
+                f"permeability K is not finite on {bad.size} element(s), first "
+                f"at centroid {np.asarray(centroids)[bad[0]].tolist()}"
+            )
         if np.max(np.abs(out[:, 0, 1] - out[:, 1, 0])) > 0:
             raise SingularK("permeability tensor not symmetric")
         det = out[:, 0, 0] * out[:, 1, 1] - out[:, 0, 1] * out[:, 1, 0]

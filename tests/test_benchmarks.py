@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdgdarcy.assembly import assemble_system
 from sdgdarcy.benchmarks import (
     BENCHMARKS,
     case1,
@@ -19,6 +20,7 @@ from sdgdarcy.problem import (
     ProblemSpec,
     constant,
 )
+from sdgdarcy.spaces import SpaceConfig
 
 
 def test_registry_names():
@@ -207,6 +209,31 @@ def test_permeability_forms():
 
     with pytest.raises(SingularK):
         ProblemSpec(domain=spec.domain, boundary=spec.boundary, K=asym).permeability(c)
+
+
+def _nan_off_diagonal(p):
+    out = np.tile(np.eye(2), (p.shape[0], 1, 1))
+    out[:, 0, 1] = out[:, 1, 0] = np.nan
+    return out
+
+
+@pytest.mark.parametrize(
+    "K",
+    [np.nan, lambda p: np.where(p[:, 0] > 0.5, np.inf, 1.0), _nan_off_diagonal],
+    ids=["nan", "inf-on-one-element", "nan-off-diagonal"],
+)
+def test_nonfinite_permeability_rejected(K):
+    """A NaN slips past the SPD checks, since comparisons with NaN are
+    false; non-finite K must fail at evaluation, naming the permeability,
+    before it can reach the assembled system."""
+    spec, _ = linear_patch()
+    bad = ProblemSpec(domain=spec.domain, boundary=spec.boundary, K=K)
+    c = np.array([[0.5, 0.5], [1.5, 0.5]])
+    with pytest.raises(SingularK, match="permeability K is not finite"):
+        bad.permeability(c)
+    mesh = build_initial_mesh(spec.domain, 0.5)
+    with pytest.raises(SingularK, match="permeability"):
+        assemble_system(mesh, bad, SpaceConfig(1))
 
 
 def test_boundary_table_requires_total_cover():

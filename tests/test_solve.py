@@ -1,12 +1,17 @@
 """Solver oracles: recovery of known coefficient vectors, report accuracy,
-failure modes, and exact reproduction of the linear patch solution."""
+failure modes, exact reproduction of the linear patch solution, and
+agreement of the flux-condensed solve with a direct LU of the full
+saddle system."""
+
+import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from sdgdarcy.adaptivity import AmrConfig, amr_loop
 from sdgdarcy.assembly import assemble_system
-from sdgdarcy.benchmarks import linear_patch
+from sdgdarcy.benchmarks import get_benchmark, linear_patch
 from sdgdarcy.errors import NonFinite, SingularSystem
 from sdgdarcy.geometry import build_initial_mesh
 from sdgdarcy.problem import (
@@ -17,7 +22,7 @@ from sdgdarcy.problem import (
     constant,
     everywhere,
 )
-from sdgdarcy.solve import solve_sparse, solve_system
+from sdgdarcy.solve import solve_system
 from sdgdarcy.spaces import SpaceConfig
 
 from test_assembly import exact_free_vector
@@ -34,19 +39,27 @@ def _patch(h):
     return spec, exact, build_initial_mesh(spec.domain, h)
 
 
+def _solve_vector(sys, rhs):
+    """solve_system on `sys` with another right-hand side; returns the
+    solution as one vector over the free dofs, and the report."""
+    sol, report = solve_system(dataclasses.replace(sys, rhs=rhs))
+    x = np.concatenate([sol.u, sol.p[sys.s_free], sol.p_gamma[sys.w_free]])
+    return x, report
+
+
 def test_recovers_random_vectors(patch_system):
     sys, exact = patch_system
     rng = np.random.default_rng(42)
     for _ in range(20):
         x0 = rng.standard_normal(sys.n)
-        x, report = solve_sparse(sys.A, sys.A @ x0)
+        x, report = _solve_vector(sys, sys.A @ x0)
         assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
         assert report.residual <= 1e-13
 
 
 def test_report_matches_recomputation(patch_system):
     sys, exact = patch_system
-    x, report = solve_sparse(sys.A, sys.rhs)
+    x, report = _solve_vector(sys, sys.rhs)
     r = sys.A @ x - sys.rhs
     denom = np.linalg.norm(np.abs(sys.A) @ np.abs(x) + np.abs(sys.rhs), np.inf)
     recomputed = np.linalg.norm(r, np.inf) / denom
@@ -54,12 +67,26 @@ def test_report_matches_recomputation(patch_system):
     assert report.n == sys.n
     assert report.nnz == sys.A.nnz
     assert report.t_ms > 0
+    assert report.fill > 0
 
 
 def test_singular_matrix_raises():
-    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(SingularSystem):
-        solve_sparse(A, np.array([1.0, 1.0]))
+    """With Neumann data on the whole boundary and free fracture tips the
+    pressure is fixed only up to a constant."""
+    spec0, exact, mesh = _patch(0.5)
+    spec = dataclasses.replace(
+        spec0,
+        boundary=(BoundaryRule(NEUMANN, everywhere),),
+        fracture_tips=((None, None),),
+    )
+    sys = assemble_system(mesh, spec, SpaceConfig(1))
+    assert sys.s_free.size == sys.S.ndof and sys.w_free.size == sys.W.ndof
+    with pytest.raises(SingularSystem, match="constant pressure"):
+        solve_system(sys)
+    # one constrained fracture tip removes the nullspace
+    tip = dataclasses.replace(spec, fracture_tips=((0.0, None),))
+    sol, report = solve_system(assemble_system(mesh, tip, SpaceConfig(1)))
+    assert report.residual <= 1e-13
 
 
 def test_nonfinite_rhs_raises(patch_system):
@@ -67,7 +94,32 @@ def test_nonfinite_rhs_raises(patch_system):
     bad = sys.rhs.copy()
     bad[0] = np.nan
     with pytest.raises(NonFinite):
-        solve_sparse(sys.A, bad)
+        _solve_vector(sys, bad)
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [("patch", 1), ("patch", 2), ("case1-a0.1", 1), ("case2", 1), ("multifrac", 1)],
+)
+def test_condensed_solve_matches_saddle_lu(name, k):
+    """Oracle: a COLAMD LU of the full (u, p, p_gamma) saddle matrix."""
+    spec, exact, h0 = get_benchmark(name)
+    sys = assemble_system(build_initial_mesh(spec.domain, h0), spec, SpaceConfig(k))
+    x_ref = spla.splu(sys.A.tocsc(), permc_spec="COLAMD").solve(sys.rhs)
+    x, report = _solve_vector(sys, sys.rhs)
+    assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+    assert report.residual <= 1e-13
+    assert report.n == sys.n and report.nnz == sys.A.nnz
+
+
+def test_case2_k2_passes_the_old_pivot_failure():
+    """case2 at k=2 used to halt at N = 20,839, where a pivot-ratio
+    heuristic rejected a system its factorization solved."""
+    spec, exact, h0 = get_benchmark("case2")
+    cfg = AmrConfig(max_dofs=25_000, max_iterations=30, k=2)
+    hist = amr_loop(build_initial_mesh(spec.domain, h0), spec, cfg)
+    assert hist.failure is None
+    assert hist.column("N")[-1] >= 20_839
 
 
 @pytest.mark.parametrize("k", [1, 2])
