@@ -30,7 +30,6 @@ from .errors import (
     NoExactSolution,
     NonFinite,
     NotStarShaped,
-    OrientationUnset,
     SingularK,
     SingularSystem,
     SolverError,
@@ -40,7 +39,6 @@ from .estimator import (
     EstimatorBreakdown,
     compute_estimator,
     data_oscillation,
-    localize,
     true_error,
 )
 from .geometry import (
@@ -95,7 +93,6 @@ __all__ = [
     "NoExactSolution",
     "NonFinite",
     "NotStarShaped",
-    "OrientationUnset",
     "SingularK",
     "SingularSystem",
     "SolverError",
@@ -103,7 +100,6 @@ __all__ = [
     "EstimatorBreakdown",
     "compute_estimator",
     "data_oscillation",
-    "localize",
     "true_error",
     "BOUNDARY",
     "DUAL",

@@ -6,9 +6,8 @@ moves Dirichlet data to the right-hand side.  The flux equation pairs the
 flux mass matrix with the transposed pressure-gradient form applied to the
 full pressure vector, so interpolated Dirichlet values enter it naturally;
 the pressure equation enforces prescribed Neumann fluxes weakly through a
-boundary load.  ``assemble_bh_star`` provides the facewise adjoint form on
-its own; it agrees with B^T on pressures with zero boundary trace, which the
-tests use as a cross-check of the two assembly paths.
+boundary load.  B^T agrees with the facewise adjoint form on pressures with
+zero boundary trace.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import DUAL, FRACTURE, INTERIOR, PolygonalMesh, Subdivision
+from .geometry import DUAL, PolygonalMesh, Subdivision, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, triangle_rule
 from .spaces import (
@@ -48,20 +47,6 @@ def _block(dofs_i, dofs_j, local):
     return rows, cols, local
 
 
-def _edge_points(sub: Subdivision, edges: np.ndarray, ts: np.ndarray):
-    """Quadrature points along edges in canonical (low to high id) direction."""
-    ev = sub.edge_vertices[edges]
-    lo = sub.vertices[ev.min(axis=1)]
-    hi = sub.vertices[ev.max(axis=1)]
-    return lo[:, None, :] + ts[None, :, None] * (hi - lo)[:, None, :]
-
-
-def _s_traces(space: PressureSpace, tris: np.ndarray, pts: np.ndarray):
-    """Pressure basis values of given triangles at physical points."""
-    ref = space.sub.reference_coords(tris, pts)
-    return space.eval_ref(ref)
-
-
 def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray) -> sp.csr_matrix:
     """Flux mass matrix weighted by the inverse permeability."""
     k = V.k
@@ -69,14 +54,7 @@ def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray) -> sp.csr_
     qp, qw = map_to_triangles(rule, sub.tri_coords)
     tris = np.arange(sub.n_triangles)
     basis = V.basis_values(tris, qp)  # (nt, nq, nloc, 2)
-    K = K_elem[sub.tri_polygon]
-    det = K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] * K[:, 1, 0]
-    Kinv = np.empty_like(K)
-    Kinv[:, 0, 0] = K[:, 1, 1]
-    Kinv[:, 1, 1] = K[:, 0, 0]
-    Kinv[:, 0, 1] = -K[:, 0, 1]
-    Kinv[:, 1, 0] = -K[:, 1, 0]
-    Kinv /= det[:, None, None]
+    Kinv = inv_2x2(K_elem[sub.tri_polygon])
     kb = np.einsum("tcd,tqld->tqlc", Kinv, basis)
     local = np.einsum("tq,tqlc,tqmc->tlm", qw, basis, kb)
     r, c, v = _block(V.tri_dofs, V.tri_dofs, local)
@@ -105,68 +83,18 @@ def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> sp.csr_matr
     ts, ws = erule.points, erule.weights
     duals = sub.edges_of_kind(DUAL)
     if duals.size:
-        pts = _edge_points(sub, duals, ts)
+        pts = sub.edge_points(duals, ts)
         L = V.edge_trace_matrix(ts)  # (nq, k+1)
         wl = sub.edge_length[duals]
         vdofs = V.edge_side_dofs[duals, 0]  # shared on dual edges
         for side, sign in ((0, 1.0), (1, -1.0)):
             t = sub.edge_tris[duals, side]
-            sb = _s_traces(S, t, pts)  # (ne, nq, ns)
+            sb = S.basis_values(t, pts)  # (ne, nq, ns)
             local = -sign * np.einsum("q,e,qj,eqs->esj", ws, wl, L, sb)
             r, c, v = _block(S.tri_dofs[t], vdofs, local)
             rows.append(r), cols.append(c), vals.append(v)
 
     return _coo(rows, cols, vals, (S.ndof, V.ndof))
-
-
-def assemble_bh_star(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> sp.csr_matrix:
-    """Adjoint pressure-gradient form; rows flux dofs, columns pressure dofs.
-
-    b_h*(p, v) = sum_{interior e} <p, [v.n]>_e - sum_tau (p, div v)_tau
-               + sum_{fracture e} (<[p], {v.n}>_e + <{p}, [v.n]>_e).
-    """
-    k = V.k
-    rows, cols, vals = [], [], []
-
-    rule = triangle_rule(2 * k + 2)
-    qp, qw = map_to_triangles(rule, sub.tri_coords)
-    tris = np.arange(sub.n_triangles)
-    div = V.basis_divergence(tris, qp)  # (nt, nq, nv)
-    sv = S.eval_ref(rule.points)  # (nq, ns)
-    local = -np.einsum("tq,tqv,qs->tvs", qw, div, sv)
-    r, c, v = _block(V.tri_dofs, S.tri_dofs, local)
-    rows.append(r), cols.append(c), vals.append(v)
-
-    erule = edge_rule(2 * k + 2)
-    ts, ws = erule.points, erule.weights
-    L = V.edge_trace_matrix(ts)
-    # interior primal edges carry <p, [v.n]>; p is single valued across them
-    # but each side's triangle expands it in its own local dofs, so both the
-    # trial traces and the test dofs are taken per side.  Fracture edges use
-    # the same per-side pairing: the combination of jump and average terms
-    # collapses to <p1, v1.n> - <p2, v2.n>.
-    for kind in (INTERIOR, FRACTURE):
-        edges = sub.edges_of_kind(kind)
-        if edges.size == 0:
-            continue
-        pts = _edge_points(sub, edges, ts)
-        wl = sub.edge_length[edges]
-        for side, sign in ((0, 1.0), (1, -1.0)):
-            t = sub.edge_tris[edges, side]
-            sb = _s_traces(S, t, pts)
-            local = sign * np.einsum("q,e,qj,eqs->ejs", ws, wl, L, sb)
-            r, c, v = _block(V.edge_side_dofs[edges, side], S.tri_dofs[t], local)
-            rows.append(r), cols.append(c), vals.append(v)
-
-    return _coo(rows, cols, vals, (V.ndof, S.ndof))
-
-
-def _fracture_edge_frame(sub: Subdivision, fi: int):
-    """Per fracture edge: global id, endpoints in polyline direction, length."""
-    fm = sub.fracture_meshes[fi]
-    a = sub.vertices[fm.vertex_ids[:-1]]
-    b = sub.vertices[fm.vertex_ids[1:]]
-    return fm, a, b
 
 
 def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSpace, spec: ProblemSpec):
@@ -184,17 +112,17 @@ def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSp
     rows_ww, cols_ww, vals_ww = [], [], []
 
     for fi, fr in enumerate(sub.mesh.fractures):
-        fm, a, b = _fracture_edge_frame(sub, fi)
+        fm = sub.fracture_meshes[fi]
         if fm.n_edges == 0:
             continue
         eta = fr.normal_resistance[fm.edge_segment]
         alpha = spec.exchange_resistance(fi)[fm.edge_segment]
-        pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+        pts, _ = sub.fracture_points(fi, ts)
         wl = fm.edge_length
         t1 = sub.edge_tris[fm.edge_ids, 0]
         t2 = sub.edge_tris[fm.edge_ids, 1]
-        s1 = _s_traces(S, t1, pts)  # (ne, nq, ns)
-        s2 = _s_traces(S, t2, pts)
+        s1 = S.basis_values(t1, pts)  # (ne, nq, ns)
+        s2 = S.basis_values(t2, pts)
         wb = W.eval_ref(ts)  # (nq, k+1)
         d1 = S.tri_dofs[t1]
         d2 = S.tri_dofs[t2]
@@ -233,7 +161,7 @@ def assemble_fracture_stiffness(sub: Subdivision, W: FracturePressureSpace, spec
     ts, ws = erule.points, erule.weights
     rows, cols, vals = [], [], []
     for fi, fr in enumerate(sub.mesh.fractures):
-        fm, _, _ = _fracture_edge_frame(sub, fi)
+        fm = sub.fracture_meshes[fi]
         if fm.n_edges == 0:
             continue
         Kg = fr.tangential_conductivity[fm.edge_segment]
@@ -272,28 +200,21 @@ def assemble_rhs(sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureS
     ts, ws = erule.points, erule.weights
     neu = table.neumann_edges
     if neu.size:
-        rule_of = dict(zip(table.edges.tolist(), table.rule_index.tolist()))
-        pts = _edge_points(sub, neu, ts)
+        pts = sub.edge_points(neu, ts)
         t1 = sub.edge_tris[neu, 0]
-        sb = _s_traces(S, t1, pts)
+        sb = S.basis_values(t1, pts)
         wl = sub.edge_length[neu]
-        mids = sub.edge_midpoint[neu]
-        g = np.empty((neu.size, ts.size))
-        for i, e in enumerate(neu):
-            rule_fn = spec.boundary[rule_of[int(e)]].value
-            g[i] = np.asarray(
-                rule_fn(pts[i], np.tile(mids[i], (ts.size, 1))), dtype=float
-            )
+        g = spec.boundary_values(
+            sub, np.repeat(neu, ts.size), pts.reshape(-1, 2)
+        ).reshape(neu.size, ts.size)
         local = -np.einsum("q,e,eq,eqs->es", ws, wl, g, sb)
         np.add.at(sview, S.tri_dofs[t1], local)
 
     for fi, fr in enumerate(sub.mesh.fractures):
-        fm, a, b = _fracture_edge_frame(sub, fi)
+        fm = sub.fracture_meshes[fi]
         if fm.n_edges == 0:
             continue
-        pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
-        vparam = np.concatenate([[0.0], np.cumsum(fm.edge_length)])
-        par = vparam[:-1, None] + ts[None, :] * fm.edge_length[:, None]
+        pts, par = sub.fracture_points(fi, ts)
         ne = fm.n_edges
         fg = spec.fracture_source(
             pts.reshape(-1, 2), par.reshape(-1), np.full(ne * ts.size, fi)
@@ -310,16 +231,9 @@ def assemble_rhs(sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureS
 def dirichlet_values(sub: Subdivision, spec: ProblemSpec, S: PressureSpace, W: FracturePressureSpace):
     """Full-length (p, p_gamma) vectors holding boundary data on constrained dofs."""
     p_dir = np.zeros(S.ndof)
-    table = spec.boundary_table(sub)
-    rule_of = dict(zip(table.edges.tolist(), table.rule_index.tolist()))
     dofs = np.flatnonzero(S.dirichlet_mask)
     if dofs.size:
-        edges = S.dof_edge[dofs]
-        for e in np.unique(edges):
-            sel = dofs[edges == e]
-            fn = spec.boundary[rule_of[int(e)]].value
-            mids = np.tile(sub.edge_midpoint[e], (sel.size, 1))
-            p_dir[sel] = np.asarray(fn(S.node_coords[sel], mids), dtype=float)
+        p_dir[dofs] = spec.boundary_values(sub, S.dof_edge[dofs], S.node_coords[dofs])
 
     w_dir = np.zeros(W.ndof)
     for fi, end in spec.dirichlet_tips():
@@ -383,7 +297,7 @@ class DiscreteSolution:
         return self.V.ndof + self.S.ndof + self.W.ndof
 
     def p_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        vals = _s_traces(self.S, tris, pts)
+        vals = self.S.basis_values(tris, pts)
         return np.einsum("eqs,es->eq", vals, self.p[self.S.tri_dofs[tris]])
 
     def grad_p_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ _CONFIG_TYPES = {
     "out": str,
     "export_fields": bool,
     "dump_system": bool,
-    "seed": int,
 }
 
 
@@ -60,7 +59,6 @@ class RunConfig:
     out: str = "out"
     export_fields: bool = False
     dump_system: bool = False
-    seed: int = 0  # reserved for test utilities
 
 
 def load_config(path) -> dict:

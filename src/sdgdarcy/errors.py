@@ -17,10 +17,6 @@ class NotStarShaped(MeshError):
     """A polygon is not star-shaped with respect to its centroid."""
 
 
-class OrientationUnset(MeshError):
-    """An edge trace operation needs a side assignment that is missing."""
-
-
 class SingularK(ValueError):
     """Permeability tensor is not symmetric positive definite."""
 

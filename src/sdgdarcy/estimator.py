@@ -22,37 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoExactSolution
-from .geometry import DUAL, INTERIOR, PolygonalMesh
+from .geometry import DUAL, INTERIOR, PolygonalMesh, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, triangle_rule
 from .spaces import _monomial_exponents
-
-
-def _inv_spd_2x2(K):
-    det = K[..., 0, 0] * K[..., 1, 1] - K[..., 0, 1] * K[..., 1, 0]
-    out = np.empty_like(K)
-    out[..., 0, 0] = K[..., 1, 1]
-    out[..., 1, 1] = K[..., 0, 0]
-    out[..., 0, 1] = -K[..., 0, 1]
-    out[..., 1, 0] = -K[..., 1, 0]
-    return out / det[..., None, None]
-
-
-def _edge_points(sub, edges, ts):
-    ev = sub.edge_vertices[edges]
-    lo = sub.vertices[ev.min(axis=1)]
-    hi = sub.vertices[ev.max(axis=1)]
-    return lo[:, None, :] + ts[None, :, None] * (hi - lo)[:, None, :]
-
-
-def _fracture_points(sub, fm, ts):
-    """Quadrature points and arclength parameters in polyline direction."""
-    a = sub.vertices[fm.vertex_ids[:-1]]
-    b = sub.vertices[fm.vertex_ids[1:]]
-    pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
-    vparam = np.concatenate([[0.0], np.cumsum(fm.edge_length)])
-    par = vparam[:-1, None] + ts[None, :] * fm.edge_length[:, None]
-    return pts, par
 
 
 def _deriv2_ref(nodes, ts):
@@ -94,7 +67,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
     sub = mesh.subdivision
     k = sol.S.k
     K_elem = spec.permeability(mesh.element_centroids)
-    Kinv_elem = _inv_spd_2x2(K_elem)
+    Kinv_elem = inv_2x2(K_elem)
 
     rule = triangle_rule(2 * k + 2)
     qp, qw = map_to_triangles(rule, sub.tri_coords)
@@ -123,7 +96,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
     duals = sub.edges_of_kind(DUAL)
     dual_sq = np.zeros(duals.size)
     if duals.size:
-        pts = _edge_points(sub, duals, ts)
+        pts = sub.edge_points(duals, ts)
         jump = sol.p_at(sub.edge_tris[duals, 0], pts) - sol.p_at(
             sub.edge_tris[duals, 1], pts
         )
@@ -133,7 +106,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
     inner = sub.edges_of_kind(INTERIOR)
     interior_sq = np.zeros(inner.size)
     if inner.size:
-        pts = _edge_points(sub, inner, ts)
+        pts = sub.edge_points(inner, ts)
         n = sub.edge_normal[inner]
         u1 = np.einsum("eqc,ec->eq", sol.u_at(sub.edge_tris[inner, 0], pts), n)
         u2 = np.einsum("eqc,ec->eq", sol.u_at(sub.edge_tris[inner, 1], pts), n)
@@ -156,7 +129,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
         alpha_e = spec.exchange_resistance(fi)[fm.edge_segment]
         Kg = fr.tangential_conductivity[fm.edge_segment]
         le = fm.edge_length
-        pts, par = _fracture_points(sub, fm, ts)
+        pts, par = sub.fracture_points(fi, ts)
         edges = fm.edge_ids
         n = sub.edge_normal[edges]
         t1s = sub.edge_tris[edges, 0]
@@ -229,7 +202,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
     )
 
 
-def localize(bd: EstimatorBreakdown, mesh: PolygonalMesh) -> np.ndarray:
+def _localize_raw(mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq):
     """Distribute squared residual contributions onto primal elements.
 
     Volume and dual-edge terms go to the owning element, interior-edge and
@@ -238,12 +211,6 @@ def localize(bd: EstimatorBreakdown, mesh: PolygonalMesh) -> np.ndarray:
     to its two fracture edges.  The result sums to the sum of squared family
     values.
     """
-    return _localize_raw(
-        mesh, bd.tri_sq, bd.dual_sq, bd.interior_sq, bd.fracture_sq, bd.vertex_sq
-    )
-
-
-def _localize_raw(mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq):
     sub = mesh.subdivision
     out = np.zeros(mesh.n_elements)
     np.add.at(out, sub.tri_polygon, tri_sq.sum(axis=1))
@@ -311,7 +278,7 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int) -> float:
         fm = sub.fracture_meshes[fi]
         if fm.n_edges == 0:
             continue
-        pts, par = _fracture_points(sub, fm, ts)
+        pts, par = sub.fracture_points(fi, ts)
         ne = fm.n_edges
         fg = spec.fracture_source(
             pts.reshape(-1, 2), par.reshape(-1), np.full(ne * ts.size, fi)
@@ -364,7 +331,7 @@ def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> 
     sub = mesh.subdivision
     k = sol.S.k
     K_elem = spec.permeability(mesh.element_centroids)
-    Kinv_elem = _inv_spd_2x2(K_elem)
+    Kinv_elem = inv_2x2(K_elem)
 
     rule = triangle_rule(2 * k + 4)
     qp, qw = map_to_triangles(rule, sub.tri_coords)
@@ -395,7 +362,7 @@ def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> 
         alpha_e = spec.exchange_resistance(fi)[fm.edge_segment]
         Kg = fr.tangential_conductivity[fm.edge_segment]
         le = fm.edge_length
-        pts, par = _fracture_points(sub, fm, ts)
+        pts, par = sub.fracture_points(fi, ts)
         flatp = pts.reshape(-1, 2)
         edges = fm.edge_ids
         n = sub.edge_normal[edges]

@@ -294,6 +294,7 @@ class FractureLineMesh:
     edge_segment: np.ndarray  # (ne,) fracture segment index per edge
     edge_tangent: np.ndarray  # (ne, 2) unit tangent in polyline direction
     edge_length: np.ndarray  # (ne,)
+    vertex_arclength: np.ndarray  # (ne+1,) arclength at vertex_ids, 0 at the start tip
 
     @property
     def n_edges(self) -> int:
@@ -326,7 +327,7 @@ class Subdivision:
     edge_normal: np.ndarray  # (ne, 2) unit; points from side 1 into side 2
     edge_length: np.ndarray
     edge_midpoint: np.ndarray
-    tri_primal_edge: np.ndarray  # (nt,) the one non-dual edge of each triangle
+    tri_edges: np.ndarray  # (nt, 3) side l runs tri_vertices[l] -> [(l+1) % 3]; side 0 primal
     fracture_meshes: tuple
     edge_fracture: np.ndarray  # (ne,) fracture index or -1
     poly_tri_ranges: np.ndarray = field(repr=False, default=None)  # (np, 2) start/stop
@@ -354,19 +355,42 @@ class Subdivision:
 
     @cached_property
     def tri_jacobian_inv(self) -> np.ndarray:
-        J = self.tri_jacobian
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        inv = np.empty_like(J)
-        inv[:, 0, 0] = J[:, 1, 1]
-        inv[:, 0, 1] = -J[:, 0, 1]
-        inv[:, 1, 0] = -J[:, 1, 0]
-        inv[:, 1, 1] = J[:, 0, 0]
-        return inv / det[:, None, None]
+        return inv_2x2(self.tri_jacobian)
 
     def reference_coords(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Pull physical points (n, k, 2) on given triangles back to the reference."""
         v0 = self.tri_coords[tris][:, 0, :]
         return np.einsum("nij,nkj->nki", self.tri_jacobian_inv[tris], pts - v0[:, None, :])
+
+    def edge_points(self, edges: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Points at parameters ts along edges, from the lower vertex id to
+        the higher one; (ne, nq, 2).  Flux dofs and shared pressure nodes
+        follow this direction."""
+        ev = self.edge_vertices[edges]
+        lo = self.vertices[ev.min(axis=1)]
+        hi = self.vertices[ev.max(axis=1)]
+        return lo[:, None, :] + ts[None, :, None] * (hi - lo)[:, None, :]
+
+    def fracture_points(self, fi: int, ts: np.ndarray):
+        """Points (ne, nq, 2) and arclength parameters (ne, nq) at parameters
+        ts along each edge of fracture fi, in polyline direction."""
+        fm = self.fracture_meshes[fi]
+        a = self.vertices[fm.vertex_ids[:-1]]
+        b = self.vertices[fm.vertex_ids[1:]]
+        pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+        par = fm.vertex_arclength[:-1, None] + ts[None, :] * fm.edge_length[:, None]
+        return pts, par
+
+
+def inv_2x2(A: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 2x2 matrices (..., 2, 2) by the adjugate."""
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    inv = np.empty_like(A)
+    inv[..., 0, 0] = A[..., 1, 1]
+    inv[..., 0, 1] = -A[..., 0, 1]
+    inv[..., 1, 0] = -A[..., 1, 0]
+    inv[..., 1, 1] = A[..., 0, 0]
+    return inv / det[..., None, None]
 
 
 def build_initial_mesh(domain: DomainSpec, target_h: float) -> PolygonalMesh:
@@ -472,6 +496,7 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
 
     tri_v = []
     tri_poly = []
+    tri_primal = []
     poly_ranges = np.empty((npoly, 2), dtype=int)
     primal = {}  # sorted vertex pair -> [edge slot]
     primal_adj = {}  # sorted vertex pair -> list of tri ids
@@ -493,7 +518,7 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
             tri_v.append((a, b, nu))
             tri_poly.append(p)
             key = (a, b) if a < b else (b, a)
-            primal.setdefault(key, len(primal))
+            tri_primal.append(primal.setdefault(key, len(primal)))
             primal_adj.setdefault(key, []).append(t)
         poly_ranges[p, 1] = len(tri_v)
 
@@ -533,16 +558,16 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
         else:
             raise MeshError("an edge is shared by more than two polygons")
 
-    # dual edges: (cycle vertex, centroid), shared by the two triangles that
-    # meet there within the polygon
-    for p, cyc in enumerate(mesh.polygons):
-        n = len(cyc)
-        start = poly_ranges[p, 0]
-        for i in range(n):
-            eid = n_primal + start + i
-            edge_v[eid] = (cyc[i], nv + p)
-            edge_kind[eid] = DUAL
-            edge_tris[eid] = (start + (i - 1) % n, start + i)
+    # dual edge n_primal + t joins cycle vertex i of triangle t = start + i
+    # to the centroid, shared with the polygon's previous triangle
+    tris = np.arange(nt)
+    start = poly_ranges[tri_poly, 0]
+    n_cyc = poly_ranges[tri_poly, 1] - start
+    local = tris - start
+    duals = n_primal + tris
+    edge_v[duals] = tri_v[:, [0, 2]]
+    edge_kind[duals] = DUAL
+    edge_tris[duals] = np.column_stack([start + (local - 1) % n_cyc, tris])
 
     # fracture classification of interior primal edges
     va = all_vertices[edge_v[:n_primal, 0]]
@@ -595,11 +620,9 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
         raise MeshError("fracture normal orientation lost")
     edge_normal[flip_normal] *= -1.0
 
-    # primal edge of each triangle is its (a, b) cycle edge
-    tri_primal = np.empty(nt, dtype=int)
-    for key, eid in primal.items():
-        for t in primal_adj[key]:
-            tri_primal[t] = eid
+    # side 0 of a triangle is its cycle edge (a, b), side 1 the dual edge at
+    # b (the next triangle's), side 2 its own dual edge at a
+    tri_edges = np.column_stack([tri_primal, n_primal + start + (local + 1) % n_cyc, duals])
 
     fr_meshes = _build_fracture_meshes(mesh, all_vertices, edge_v, edge_kind, edge_frac, edge_seg, edge_len)
 
@@ -617,7 +640,7 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
         edge_normal=edge_normal,
         edge_length=edge_len,
         edge_midpoint=edge_mid,
-        tri_primal_edge=tri_primal,
+        tri_edges=tri_edges,
         fracture_meshes=fr_meshes,
         edge_fracture=edge_frac,
         poly_tri_ranges=poly_ranges,
@@ -658,6 +681,7 @@ def _build_fracture_meshes(mesh, all_vertices, edge_v, edge_kind, edge_frac, edg
                 edge_segment=edge_seg[ids],
                 edge_tangent=fr.seg_tangents[edge_seg[ids]],
                 edge_length=edge_len[ids],
+                vertex_arclength=np.concatenate([[0.0], np.cumsum(edge_len[ids])]),
             )
         )
     return tuple(out)

@@ -129,12 +129,12 @@ class ProblemSpec:
     def bulk_source(self, pts: np.ndarray, region: np.ndarray) -> np.ndarray:
         if self.f is None:
             return np.zeros(pts.shape[0])
-        return np.asarray(self.f(pts, region), dtype=float)
+        return _finite(self.f(pts, region), "source f", pts)
 
     def fracture_source(self, pts, param, fracture) -> np.ndarray:
         if self.f_gamma is None:
             return np.zeros(np.asarray(pts).shape[0])
-        return np.asarray(self.f_gamma(pts, param, fracture), dtype=float)
+        return _finite(self.f_gamma(pts, param, fracture), "fracture source f_gamma", pts)
 
     # -- boundary and tips ------------------------------------------------
 
@@ -155,6 +155,23 @@ class ProblemSpec:
         )
         return BoundaryTable(edges=edges, rule_index=rule_index, is_dirichlet=is_dir)
 
+    def boundary_values(self, sub: Subdivision, edges: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Boundary data at points pts (n, 2) lying on boundary edges (n,).
+
+        Each point is evaluated by the rule of its edge, with that edge's
+        midpoint alongside.
+        """
+        table = self.boundary_table(sub)
+        rule = table.rule_index[np.searchsorted(table.edges, edges)]
+        mids = sub.edge_midpoint[edges]
+        out = np.empty(len(edges))
+        for i in np.unique(rule):
+            sel = rule == i
+            out[sel] = _finite(
+                self.boundary[i].value(pts[sel], mids[sel]), f"boundary rule {i} value", pts[sel]
+            )
+        return out
+
     def dirichlet_tips(self):
         return [
             (fi, end)
@@ -165,6 +182,18 @@ class ProblemSpec:
 
     def tip_value(self, fi: int, end: int) -> float:
         return float(self.fracture_tips[fi][end])
+
+
+def _finite(values, what: str, pts) -> np.ndarray:
+    """values as floats; raises ConfigError naming `what` unless all are finite."""
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(
+            f"{what} is not finite at {bad.size} point(s), first at "
+            f"{np.asarray(pts)[bad[0]].tolist()}"
+        )
+    return values
 
 
 @dataclass(frozen=True)

@@ -75,15 +75,3 @@ def map_to_triangles(rule: QuadratureRule, coords: np.ndarray):
     wts = np.abs(det)[:, None] * rule.weights[None, :]
     return pts, wts
 
-
-def map_to_segments(rule: QuadratureRule, a: np.ndarray, b: np.ndarray):
-    """Push the interval rule to segments a->b.
-
-    a, b: (ne, 2) endpoints. Returns (points, weights) of shapes
-    (ne, nq, 2) and (ne, nq); weights include the segment length.
-    """
-    d = b - a
-    pts = a[:, None, :] + rule.points[None, :, None] * d[:, None, :]
-    lengths = np.hypot(d[:, 0], d[:, 1])
-    wts = lengths[:, None] * rule.weights[None, :]
-    return pts, wts

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import ConfigError, OrientationUnset
-from .geometry import DUAL, INTERIOR, BOUNDARY, PolygonalMesh, Subdivision
+from .errors import ConfigError
+from .geometry import BOUNDARY, INTERIOR, PolygonalMesh, Subdivision
 from .quadrature import triangle_rule, map_to_triangles
 
 
@@ -110,36 +110,6 @@ def lagrange_1d_deriv(nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def jump_and_average(q1, q2=None):
-    """Return ([q], {q}) from one-sided traces; one-sided edges give q1 twice.
-
-    Side 1 is the side the edge normal points away from; for fracture edges
-    that is the side the fracture normal leaves.
-    """
-    q1 = np.asarray(q1, dtype=float)
-    if q2 is None:
-        return q1.copy(), q1.copy()
-    q2 = np.asarray(q2, dtype=float)
-    return q1 - q2, 0.5 * (q1 + q2)
-
-
-def edge_sides(sub: Subdivision, edge_id: int) -> tuple:
-    """Adjacent (side-1, side-2) triangles of an edge; -1 marks one-sided.
-
-    Raises OrientationUnset when the stored adjacency cannot orient the
-    jump (no side-1 triangle).
-    """
-    t1, t2 = sub.edge_tris[edge_id]
-    if t1 < 0:
-        raise OrientationUnset(f"edge {edge_id} has no side-1 triangle")
-    return int(t1), int(t2)
-
-
-def _edge_lookup(sub: Subdivision) -> dict:
-    ev = sub.edge_vertices
-    return {(min(a, b), max(a, b)): e for e, (a, b) in enumerate(ev)}
-
-
 # ---------------------------------------------------------------------------
 # pressure space S_h
 
@@ -176,6 +146,10 @@ class PressureSpace:
         g = _monomial_gradients(self._exps, ref_pts)
         return np.einsum("...mc,ml->...lc", g, self._coeff)
 
+    def basis_values(self, tris, pts) -> np.ndarray:
+        """Basis values at physical points; (n, nq, 2) -> (n, nq, nloc)."""
+        return self.eval_ref(self.sub.reference_coords(tris, pts))
+
     def interpolate(self, fn) -> np.ndarray:
         """Nodal interpolation; fn(points (n,2), triangles (n,)) -> values."""
         nt, nloc = self.tri_dofs.shape
@@ -188,58 +162,57 @@ class PressureSpace:
 
 
 def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
+    """Number the pressure nodes in triangle order.
+
+    Each triangle numbers its new nodes in turn: first the k+1 nodes of its
+    primal edge (side 0), then its remaining nodes in local order.  On an
+    interior primal edge the lower-numbered triangle creates the shared
+    nodes, ordered from the lower vertex id; the other triangle reuses them.
+    """
     sub = mesh.subdivision if isinstance(mesh, PolygonalMesh) else mesh
     k = config.k
+    k1 = k + 1
     ref_nodes = _lattice_nodes(k)
     nloc = ref_nodes.shape[0]
     edge_locals = _primal_edge_nodes(k)
+    rest_locals = [l for l in range(nloc) if l not in edge_locals]
     nt = sub.n_triangles
 
     dirichlet_edges = np.asarray(sorted(set(int(e) for e in dirichlet_edges)), dtype=int)
     for e in dirichlet_edges:
         if sub.edge_kind[e] != BOUNDARY:
             raise ConfigError(f"Dirichlet edge {e} is not a boundary edge")
-    dir_set = set(dirichlet_edges.tolist())
 
-    tri_dofs = np.full((nt, nloc), -1, dtype=int)
-    coords = []
-    dof_edge = []
-    dir_flags = []
-    # shared slots on interior primal edges, ordered from the lower vertex id
-    interior_slots = {}
+    tris = np.arange(nt)
+    e = sub.tri_edges[:, 0]
+    interior = sub.edge_kind[e] == INTERIOR
+    owner = np.where(interior, sub.edge_tris[e].min(axis=1), tris)
+    own = owner == tris  # the triangle creates its primal-edge nodes
+    n_edge = np.where(own, k1, 0)
+    count = n_edge + len(rest_locals)
+    first = np.cumsum(count) - count
+    ndof = int(count.sum())
 
-    def new_dof(xy, edge=-1, is_dir=False):
-        coords.append(xy)
-        dof_edge.append(edge)
-        dir_flags.append(is_dir)
-        return len(coords) - 1
+    v0, v1 = sub.tri_vertices[:, 0], sub.tri_vertices[:, 1]
+    j = np.arange(k1)
+    along = np.where((interior & (v0 > v1))[:, None], k - j, j)
+    tri_dofs = np.empty((nt, nloc), dtype=int)
+    tri_dofs[:, edge_locals] = first[owner][:, None] + along
+    rest = first[:, None] + n_edge[:, None] + np.arange(len(rest_locals))
+    tri_dofs[:, rest_locals] = rest
 
     tc = sub.tri_coords
-    for t in range(nt):
-        e = int(sub.tri_primal_edge[t])
-        kind = sub.edge_kind[e]
-        v0, v1 = int(sub.tri_vertices[t, 0]), int(sub.tri_vertices[t, 1])
-        p0 = tc[t, 0]
-        nodes_xy = p0 + ref_nodes @ np.stack([tc[t, 1] - p0, tc[t, 2] - p0])
-        if kind == INTERIOR:
-            if e not in interior_slots:
-                lo = min(v0, v1)
-                a = sub.vertices[lo]
-                b = sub.vertices[v0 + v1 - lo]
-                fr = np.linspace(0.0, 1.0, k + 1)
-                ids = [new_dof(a + f * (b - a)) for f in fr]
-                interior_slots[e] = ids
-            slots = interior_slots[e]
-            order = slots if v0 < v1 else slots[::-1]
-            for j, loc in enumerate(edge_locals):
-                tri_dofs[t, loc] = order[j]
-        else:
-            is_dir = e in dir_set
-            for loc in edge_locals:
-                tri_dofs[t, loc] = new_dof(nodes_xy[loc], edge=e if is_dir else -1, is_dir=is_dir)
-        for loc in range(nloc):
-            if tri_dofs[t, loc] < 0:
-                tri_dofs[t, loc] = new_dof(nodes_xy[loc])
+    nodes_xy = tc[:, :1, :] + np.einsum("lj,tjc->tlc", ref_nodes, tc[:, 1:, :] - tc[:, :1, :])
+    coords = np.empty((ndof, 2))
+    coords[rest] = nodes_xy[:, rest_locals]
+    alone = own & ~interior
+    coords[first[alone][:, None] + j] = nodes_xy[alone][:, edge_locals]
+    shared = own & interior
+    coords[first[shared][:, None] + j] = sub.edge_points(e[shared], np.linspace(0.0, 1.0, k1))
+
+    dof_edge = np.full(ndof, -1, dtype=int)
+    on_dir = own & np.isin(e, dirichlet_edges)
+    dof_edge[first[on_dir][:, None] + j] = e[on_dir][:, None]
 
     exps = _monomial_exponents(k)
     vand = _monomial_values(exps, ref_nodes)
@@ -248,11 +221,11 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     return PressureSpace(
         sub=sub,
         k=k,
-        ndof=len(coords),
+        ndof=ndof,
         tri_dofs=tri_dofs,
-        dirichlet_mask=np.array(dir_flags, dtype=bool),
-        dof_edge=np.array(dof_edge, dtype=int),
-        node_coords=np.array(coords, dtype=float),
+        dirichlet_mask=dof_edge >= 0,
+        dof_edge=dof_edge,
+        node_coords=coords,
         ref_nodes=ref_nodes,
         _coeff=coeff,
         _exps=exps,
@@ -325,17 +298,14 @@ class FluxSpace:
         """Dof-functional interpolation of a vector field fn(pts (...,2)) -> (...,2)."""
         sub = self.sub
         out = np.zeros(self.ndof)
-        pts, _ = _edge_dof_geometry(sub, self.gauss_ts)
         k1 = self.gauss_ts.shape[0]
         nt = sub.n_triangles
-        lookup = _edge_lookup(sub)
-        for t in range(nt):
-            for l in range(3):
-                a = int(sub.tri_vertices[t, l])
-                b = int(sub.tri_vertices[t, (l + 1) % 3])
-                e = lookup[(min(a, b), max(a, b))]
-                vals = np.asarray(fn(pts[e])) @ sub.edge_normal[e]
-                out[self.tri_dofs[t, l * k1 : (l + 1) * k1]] = vals
+        for l in range(3):
+            e = sub.tri_edges[:, l]
+            vals = np.asarray(fn(sub.edge_points(e, self.gauss_ts)))
+            out[self.tri_dofs[:, l * k1 : (l + 1) * k1]] = np.einsum(
+                "tqc,tc->tq", vals, sub.edge_normal[e]
+            )
         if self.k == 2:
             rule = triangle_rule(2 * self.k + 2)
             qp, qw = map_to_triangles(rule, sub.tri_coords)
@@ -351,15 +321,6 @@ class FluxSpace:
             out[self.tri_dofs[:, base + 1]] = mean[:, 1]
             out[self.tri_dofs[:, base + 2]] = mom
         return out
-
-
-def _edge_dof_geometry(sub: Subdivision, ts: np.ndarray):
-    """Physical dof points per edge (ne, k+1, 2), ordered from lower vertex id."""
-    ev = sub.edge_vertices
-    lo = sub.vertices[ev.min(axis=1)]
-    hi = sub.vertices[ev.max(axis=1)]
-    pts = lo[:, None, :] + ts[None, :, None] * (hi - lo)[:, None, :]
-    return pts, sub.edge_normal
 
 
 def _bubble_curl(sub: Subdivision, phys_pts: np.ndarray) -> np.ndarray:
@@ -385,34 +346,21 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
     n_int = 3 if k == 2 else 0
     nloc = 3 * k1 + n_int
     nt = sub.n_triangles
-    ne = sub.n_edges
-    lookup = _edge_lookup(sub)
+    n_primal = sub.n_edges - nt  # one dual edge per triangle, numbered last
 
-    dual_ids = sub.edges_of_kind(DUAL)
-    dual_base = {int(e): i * k1 for i, e in enumerate(dual_ids)}
-    counter = len(dual_ids) * k1
+    # dual edge e owns k1 shared dofs at (e - n_primal) * k1; then each
+    # triangle in turn numbers the k1 dofs of its primal side and its
+    # interior moments
+    own = nt * k1 + (k1 + n_int) * np.arange(nt)[:, None]
+    tri_dofs = np.empty((nt, nloc), dtype=int)
+    tri_dofs[:, :k1] = own + np.arange(k1)
+    for l in (1, 2):
+        tri_dofs[:, l * k1 : (l + 1) * k1] = (
+            (sub.tri_edges[:, l, None] - n_primal) * k1 + np.arange(k1)
+        )
+    tri_dofs[:, 3 * k1 :] = own + k1 + np.arange(n_int)
+    ndof = nt * (2 * k1 + n_int)
 
-    tri_dofs = np.full((nt, nloc), -1, dtype=int)
-    edge_side_dofs = np.full((ne, 2, k1), -1, dtype=int)
-
-    for t in range(nt):
-        for l in range(3):
-            a = int(sub.tri_vertices[t, l])
-            b = int(sub.tri_vertices[t, (l + 1) % 3])
-            e = lookup[(min(a, b), max(a, b))]
-            if sub.edge_kind[e] == DUAL:
-                ids = np.arange(dual_base[e], dual_base[e] + k1)
-            else:
-                ids = np.arange(counter, counter + k1)
-                counter += k1
-            tri_dofs[t, l * k1 : (l + 1) * k1] = ids
-            side = 0 if sub.edge_tris[e, 0] == t else 1
-            edge_side_dofs[e, side] = ids
-        if n_int:
-            tri_dofs[t, 3 * k1 :] = np.arange(counter, counter + n_int)
-            counter += n_int
-
-    ndof = counter
     exps = _monomial_exponents(k)
     s = exps.shape[0]
     centers = sub.tri_centroid
@@ -420,15 +368,13 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
 
     # dof-functional matrix G per triangle: rows functionals, cols monomials
     G = np.zeros((nt, nloc, 2 * s))
-    pts, _ = _edge_dof_geometry(sub, ts)
+    edge_side_dofs = np.full((sub.n_edges, 2, k1), -1, dtype=int)
     for l in range(3):
-        va = sub.tri_vertices[:, l]
-        vb = sub.tri_vertices[:, (l + 1) % 3]
-        eids = np.array(
-            [lookup[(min(int(a), int(b)), max(int(a), int(b)))] for a, b in zip(va, vb)]
-        )
-        p = pts[eids]  # (nt, k1, 2)
-        nrm = sub.edge_normal[eids]  # (nt, 2)
+        e = sub.tri_edges[:, l]
+        side = (sub.edge_tris[e, 0] != np.arange(nt)).astype(int)
+        edge_side_dofs[e, side] = tri_dofs[:, l * k1 : (l + 1) * k1]
+        p = sub.edge_points(e, ts)  # (nt, k1, 2)
+        nrm = sub.edge_normal[e]  # (nt, 2)
         scaled = (p - centers[:, None, :]) / scales[:, None, None]
         m = _monomial_values(exps, scaled)  # (nt, k1, s)
         rows = np.zeros((nt, k1, 2 * s))
@@ -520,14 +466,11 @@ def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureS
     for fi, fm in enumerate(sub.fracture_meshes):
         ne = fm.n_edges
         nv = ne + 1
-        vcoords = sub.vertices[fm.vertex_ids]
-        seglen = fm.edge_length
-        vparam = np.concatenate([[0.0], np.cumsum(seglen)])
         ed = np.zeros((ne, k + 1), dtype=int)
         ed[:, 0] = offset + np.arange(ne)
         ed[:, k] = offset + np.arange(1, ne + 1)
-        coords.extend(vcoords.tolist())
-        params.extend(vparam.tolist())
+        coords.extend(sub.vertices[fm.vertex_ids].tolist())
+        params.extend(fm.vertex_arclength.tolist())
         fracs.extend([fi] * nv)
         vmask = [False] * nv
         if (fi, 0) in tips:
@@ -536,12 +479,11 @@ def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureS
             vmask[-1] = True
         mask.extend(vmask)
         nxt = offset + nv
+        mid, mid_par = sub.fracture_points(fi, ref[1:k])
         for j in range(1, k):
             ed[:, j] = nxt + np.arange(ne)
-            f = ref[j]
-            mid = vcoords[:-1] + f * (vcoords[1:] - vcoords[:-1])
-            coords.extend(mid.tolist())
-            params.extend((vparam[:-1] + f * seglen).tolist())
+            coords.extend(mid[:, j - 1].tolist())
+            params.extend(mid_par[:, j - 1].tolist())
             fracs.extend([fi] * ne)
             mask.extend([False] * ne)
             nxt += ne

@@ -26,7 +26,6 @@ from sdgdarcy.adaptivity import (
 from sdgdarcy.assembly import (
     DiscreteSolution,
     assemble_bh,
-    assemble_bh_star,
     assemble_system,
 )
 from sdgdarcy.benchmarks import case1, get_benchmark, linear_patch, verify_interface
@@ -43,6 +42,8 @@ from sdgdarcy.problem import DIRICHLET, BoundaryRule, ProblemSpec, constant, eve
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 from sdgdarcy.spaces import SpaceConfig, build_S_h, build_V_h, build_W_h
 from sdgdarcy.solve import solve_system
+
+from conftest import assemble_bh_star
 
 RATE_TOL = 0.15  # slope window around the target -k/2
 # T2 and T4 (0-based columns of `terms`): the two parts of the discrete

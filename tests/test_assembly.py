@@ -7,7 +7,6 @@ import pytest
 
 from sdgdarcy.assembly import (
     assemble_bh,
-    assemble_bh_star,
     assemble_fracture_stiffness,
     assemble_interface,
     assemble_mass,
@@ -32,6 +31,8 @@ from sdgdarcy.problem import (
     everywhere,
 )
 from sdgdarcy.spaces import SpaceConfig, build_S_h, build_V_h, build_W_h
+
+from conftest import assemble_bh_star
 
 
 def unit_square_mesh(h=1.0):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from sdgdarcy.problem import (
     BoundaryRule,
     ProblemSpec,
     constant,
+    everywhere,
 )
 from sdgdarcy.spaces import SpaceConfig
 
@@ -233,6 +236,34 @@ def test_nonfinite_permeability_rejected(K):
         bad.permeability(c)
     mesh = build_initial_mesh(spec.domain, 0.5)
     with pytest.raises(SingularK, match="permeability"):
+        assemble_system(mesh, bad, SpaceConfig(1))
+
+
+@pytest.mark.parametrize(
+    "field,data",
+    [
+        ("source f", dict(f=lambda pts, region: np.full(len(pts), np.nan))),
+        (
+            "fracture source f_gamma",
+            dict(f_gamma=lambda pts, par, fr: np.where(par > 0.5, np.inf, 0.0)),
+        ),
+        (
+            "boundary rule 0 value",
+            dict(boundary=(BoundaryRule(
+                DIRICHLET, everywhere, lambda pts, mids: np.where(pts[:, 1] > 0.9, -np.inf, 0.0)
+            ),)),
+        ),
+    ],
+    ids=["nan-f", "inf-f-gamma", "inf-boundary-value"],
+)
+def test_nonfinite_data_rejected(field, data):
+    """Non-finite sources and boundary values fail where they are evaluated,
+    naming the field, instead of surfacing as a non-finite right-hand side
+    at the solve."""
+    spec, _, h0 = get_benchmark("case1-a0.1")
+    bad = replace(spec, **data)
+    mesh = build_initial_mesh(spec.domain, h0)
+    with pytest.raises(ConfigError, match=f"^{field} is not finite"):
         assemble_system(mesh, bad, SpaceConfig(1))
 
 

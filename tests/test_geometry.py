@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.errors import EmptyDomain, FractureNotAligned, NotStarShaped
 from sdgdarcy.geometry import (
     BOUNDARY,
@@ -243,3 +245,45 @@ def test_random_refinement_invariants():
         # edges while staying unrefined); the 0.2 floor for adaptive runs
         # is audited in test_adaptivity.py
         assert mesh.rho_E > 0.15
+
+
+def _check_incidence_and_irregularity(mesh):
+    sub = mesh.subdivision
+    tv = sub.tri_vertices
+    # side l of triangle t is the edge between its vertices l and l+1
+    sides = np.stack([tv, np.roll(tv, -1, axis=1)], axis=-1)
+    assert np.array_equal(
+        np.sort(sub.edge_vertices[sub.tri_edges], axis=-1), np.sort(sides, axis=-1)
+    )
+    tris = np.arange(sub.n_triangles)[:, None, None]
+    assert np.all((sub.edge_tris[sub.tri_edges] == tris).any(axis=-1))
+    assert np.all(sub.edge_kind[sub.tri_edges[:, 0]] != DUAL)
+    assert np.all(sub.edge_kind[sub.tri_edges[:, 1:]] == DUAL)
+    # 1-irregularity: at most one hanging node per original side, and it
+    # sits at the midpoint of the two corners around it
+    for cyc, hang in zip(mesh.polygons, mesh.hanging):
+        n = len(cyc)
+        for i, v in enumerate(cyc):
+            if v not in hang:
+                continue
+            prev, nxt = cyc[i - 1], cyc[(i + 1) % n]
+            assert prev not in hang and nxt not in hang
+            mid = 0.5 * (mesh.vertices[prev] + mesh.vertices[nxt])
+            assert np.allclose(mesh.vertices[v], mid, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_incidence_table_under_doerfler_refinement(data):
+    dom = DomainSpec(
+        rectangles=[(0.0, 0.0, 2.0, 1.0)],
+        fractures=[make_fracture([[1.0, 0.0], [1.0, 1.0]])],
+    )
+    mesh = build_initial_mesh(dom, 0.5)
+    _check_incidence_and_irregularity(mesh)
+    for _ in range(3):
+        n = mesh.n_elements
+        ind = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        theta = data.draw(st.floats(0.1, 0.9))
+        mesh = refine(mesh, dorfler_mark(np.array(ind) ** 4, theta))
+        _check_incidence_and_irregularity(mesh)

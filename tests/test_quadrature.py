@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sdgdarcy.quadrature import edge_rule, map_to_segments, map_to_triangles, triangle_rule
+from sdgdarcy.geometry import DomainSpec, build_initial_mesh
+from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 
 
 def tri_monomial_integral(a, b):
@@ -66,11 +67,23 @@ def test_map_to_triangles_area_and_moment():
     assert abs(val - 1.0 * (2.0 / 3.0)) < 1e-14
 
 
-def test_map_to_segments_length_and_moment():
-    a = np.array([[0.0, 0.0], [1.0, 1.0]])
-    b = np.array([[2.0, 0.0], [1.0, 4.0]])
-    pts, wts = map_to_segments(edge_rule(3), a, b)
-    assert np.allclose(wts.sum(axis=1), [2.0, 3.0])
-    # int over first segment of x^2 ds = int_0^2 x^2 dx = 8/3
-    val = np.sum(wts[0] * pts[0, :, 0] ** 2)
-    assert abs(val - 8.0 / 3.0) < 1e-14
+def test_edge_points_length_and_moment():
+    # a 2x1 mesh of unit squares: its edge (0,0)-(1,0) and its subdivision
+    # edge from (2,1) to the centroid (1.5,0.5) of the second square
+    sub = build_initial_mesh(DomainSpec(rectangles=[(0.0, 0.0, 2.0, 1.0)]), 1.0).subdivision
+    ends = np.sort(sub.vertices[sub.edge_vertices], axis=1)  # both ends ordered in x and y
+    edges = np.concatenate([
+        np.flatnonzero(np.all(np.isclose(ends, box), axis=(1, 2)))
+        for box in ([[0.0, 0.0], [1.0, 0.0]], [[1.5, 0.5], [2.0, 1.0]])
+    ])
+    assert edges.size == 2
+    rule = edge_rule(3)
+    pts = sub.edge_points(edges, rule.points)
+    wts = sub.edge_length[edges, None] * rule.weights[None, :]
+    assert np.allclose(wts.sum(axis=1), [1.0, np.sqrt(0.5)])
+    # int over the bottom edge of x^2 ds = 1/3
+    assert abs(np.sum(wts[0] * pts[0, :, 0] ** 2) - 1.0 / 3.0) < 1e-14
+    # points run from the lower vertex id to the higher one
+    lo = sub.vertices[sub.edge_vertices[edges].min(axis=1)]
+    hi = sub.vertices[sub.edge_vertices[edges].max(axis=1)]
+    assert np.allclose(sub.edge_points(edges, np.array([0.0, 1.0])), np.stack([lo, hi], axis=1))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sdgdarcy.errors import ConfigError, OrientationUnset
+from sdgdarcy.errors import ConfigError
 from sdgdarcy.geometry import (
     BOUNDARY,
     DUAL,
     INTERIOR,
     DomainSpec,
     build_initial_mesh,
+    refine,
 )
 from sdgdarcy.quadrature import edge_rule, triangle_rule
 from sdgdarcy.spaces import (
@@ -15,8 +16,6 @@ from sdgdarcy.spaces import (
     build_S_h,
     build_V_h,
     build_W_h,
-    edge_sides,
-    jump_and_average,
 )
 
 from conftest import make_fracture
@@ -104,31 +103,15 @@ def test_W_rejects_bad_tip_spec(two_square_fractured):
 
 
 # ---------------------------------------------------------------------------
-# jump / average
-
-
-def test_jump_and_average_values():
-    j, a = jump_and_average(3.0, 1.0)
-    assert j == 2.0 and a == 2.0
-    j, a = jump_and_average(np.array([4.0, 4.0]), np.array([4.0, 4.0]))
-    assert np.all(j == 0.0) and np.all(a == 4.0)
-    j, a = jump_and_average(5.0)
-    assert j == 5.0 and a == 5.0
+# edge orientation
 
 
 def test_edge_sides_orientation(two_square_fractured):
     sub = two_square_fractured.subdivision
-    for e in range(sub.n_edges):
-        t1, t2 = edge_sides(sub, e)
-        assert t1 >= 0
-        if sub.edge_kind[e] == BOUNDARY:
-            assert t2 == -1
-
-    class Stub:
-        edge_tris = np.array([[-1, 3]])
-
-    with pytest.raises(OrientationUnset):
-        edge_sides(Stub(), 0)
+    t1, t2 = sub.edge_tris.T
+    assert np.all(t1 >= 0)
+    assert np.all(t2[sub.edge_kind == BOUNDARY] == -1)
+    assert np.all(t2[sub.edge_kind != BOUNDARY] >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +304,95 @@ def test_dirichlet_rejects_interior_edge(two_square_plain):
     inner = sub.edges_of_kind(INTERIOR)
     with pytest.raises(ConfigError):
         build_S_h(two_square_plain, SpaceConfig(k=1), dirichlet_edges=[int(inner[0])])
+
+
+# ---------------------------------------------------------------------------
+# dof numbering against a per-triangle reference
+
+
+def _reference_S_numbering(sub, k, dirichlet_edges):
+    """Pressure node numbering by a walk over the triangles: each triangle
+    numbers its new nodes in turn, primal-edge nodes first (the first
+    triangle on an interior edge creates them from the lower vertex id)."""
+    edge_of = {tuple(sorted(ev)): e for e, ev in enumerate(sub.edge_vertices.tolist())}
+    edge_locals = [0, 1] if k == 1 else [0, 3, 1]
+    nloc = 3 if k == 1 else 6
+    tri_dofs = np.full((sub.n_triangles, nloc), -1, dtype=int)
+    dof_edge = []
+    shared = {}
+    for t, (v0, v1, _) in enumerate(sub.tri_vertices.tolist()):
+        e = edge_of[tuple(sorted((v0, v1)))]
+        if sub.edge_kind[e] == INTERIOR:
+            if e not in shared:
+                shared[e] = list(range(len(dof_edge), len(dof_edge) + k + 1))
+                dof_edge += [-1] * (k + 1)
+            slots = shared[e] if v0 < v1 else shared[e][::-1]
+            tri_dofs[t, edge_locals] = slots
+        else:
+            for loc in edge_locals:
+                tri_dofs[t, loc] = len(dof_edge)
+                dof_edge.append(e if e in dirichlet_edges else -1)
+        for loc in range(nloc):
+            if tri_dofs[t, loc] < 0:
+                tri_dofs[t, loc] = len(dof_edge)
+                dof_edge.append(-1)
+    return tri_dofs, np.array(dof_edge)
+
+
+def _reference_V_numbering(sub, k):
+    """Flux dof numbering: k+1 shared dofs per dual edge in edge order, then
+    per triangle the dofs of its non-dual sides and its interior moments."""
+    edge_of = {tuple(sorted(ev)): e for e, ev in enumerate(sub.edge_vertices.tolist())}
+    k1, n_int = k + 1, (3 if k == 2 else 0)
+    duals = sub.edges_of_kind(DUAL)
+    base = {int(e): i * k1 for i, e in enumerate(duals)}
+    counter = duals.size * k1
+    tri_dofs = np.full((sub.n_triangles, 3 * k1 + n_int), -1, dtype=int)
+    edge_side_dofs = np.full((sub.n_edges, 2, k1), -1, dtype=int)
+    for t, tv in enumerate(sub.tri_vertices.tolist()):
+        for l in range(3):
+            e = edge_of[tuple(sorted((tv[l], tv[(l + 1) % 3])))]
+            if sub.edge_kind[e] == DUAL:
+                ids = np.arange(base[e], base[e] + k1)
+            else:
+                ids = np.arange(counter, counter + k1)
+                counter += k1
+            tri_dofs[t, l * k1 : (l + 1) * k1] = ids
+            edge_side_dofs[e, 0 if sub.edge_tris[e, 0] == t else 1] = ids
+        tri_dofs[t, 3 * k1 :] = np.arange(counter, counter + n_int)
+        counter += n_int
+    return tri_dofs, edge_side_dofs, counter
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_numbering_matches_triangle_walk(k):
+    dom = DomainSpec(
+        rectangles=[(0.0, 0.0, 2.0, 1.0)],
+        fractures=[make_fracture([[1.0, 0.0], [1.0, 1.0]])],
+    )
+    mesh = build_initial_mesh(dom, 0.5)
+    rng = np.random.default_rng(7)
+    for _ in range(3):  # hanging nodes, fracture, interior and boundary edges
+        mesh = refine(mesh, rng.choice(mesh.n_elements, mesh.n_elements // 3, replace=False))
+    sub = mesh.subdivision
+    bnd = sub.edges_of_kind(BOUNDARY)
+    dirichlet = set(bnd[sub.edge_midpoint[bnd, 0] < 1.0].tolist())
+
+    S = build_S_h(mesh, SpaceConfig(k), dirichlet_edges=dirichlet)
+    tri_dofs, dof_edge = _reference_S_numbering(sub, k, dirichlet)
+    assert np.array_equal(S.tri_dofs, tri_dofs)
+    assert np.array_equal(S.dof_edge, dof_edge)
+    assert np.array_equal(S.dirichlet_mask, dof_edge >= 0)
+    assert S.ndof == dof_edge.size
+    # every node of a triangle sits at its lattice point
+    ref = S.node_coords[S.tri_dofs]
+    lattice = sub.tri_coords[:, :1] + np.einsum(
+        "lj,tjc->tlc", S.ref_nodes, sub.tri_coords[:, 1:] - sub.tri_coords[:, :1]
+    )
+    assert np.allclose(ref, lattice, atol=1e-14)
+
+    V = build_V_h(mesh, SpaceConfig(k))
+    tri_dofs, edge_side_dofs, ndof = _reference_V_numbering(sub, k)
+    assert np.array_equal(V.tri_dofs, tri_dofs)
+    assert np.array_equal(V.edge_side_dofs, edge_side_dofs)
+    assert V.ndof == ndof
