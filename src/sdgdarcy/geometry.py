@@ -13,7 +13,7 @@ original edge (closure marks the neighbour otherwise).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -201,6 +201,27 @@ class DomainSpec:
         return 1e-10 * self.diameter
 
 
+@dataclass(frozen=True)
+class CycleTable:
+    """The polygon cycles flattened into slots, in CSR form.
+
+    Polygon p owns slots offsets[p]:offsets[p+1] in cycle order; slot s
+    holds cycle vertex `vertex[s]`, and `next[s]` is the slot of the
+    following cycle vertex.  Slot s is also subdivision triangle s, the one
+    on cycle edge (vertex[s], vertex[next[s]]).
+    """
+
+    offsets: np.ndarray  # (np+1,)
+    vertex: np.ndarray  # (ns,) vertex id per slot
+    next: np.ndarray  # (ns,) slot of the next cycle vertex
+    polygon: np.ndarray  # (ns,) owning polygon per slot
+    hanging: np.ndarray  # (ns,) bool: vertex[s] is an absorbed hanging node of polygon[s]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+
 class PolygonalMesh:
     """Immutable star-shaped polygon mesh; refinement returns a new mesh.
 
@@ -223,40 +244,64 @@ class PolygonalMesh:
             raise EmptyDomain("mesh has no elements")
         if len(self.hanging) != len(self.polygons):
             raise MeshError("hanging bookkeeping out of sync with polygons")
+        self.cycles  # validates the cycles
 
     @property
     def n_elements(self) -> int:
         return len(self.polygons)
 
     @cached_property
+    def cycles(self) -> CycleTable:
+        """The flat cycle table; rejects a polygon whose cycle has fewer than
+        3 vertices or a vertex id out of range."""
+        nv = self.vertices.shape[0]
+        lengths = np.array([len(cyc) for cyc in self.polygons])
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        vertex = np.array([v for cyc in self.polygons for v in cyc], dtype=int)
+        polygon = np.repeat(np.arange(self.n_elements), lengths)
+        bad = np.union1d(np.flatnonzero(lengths < 3), polygon[(vertex < 0) | (vertex >= nv)])
+        if bad.size:
+            p = bad[0]
+            raise MeshError(f"polygon {p} has cycle {self.polygons[p]}, not 3+ vertex ids in 0..{nv - 1}")
+        hanging = np.array(
+            [v in h for cyc, h in zip(self.polygons, self.hanging) for v in cyc], dtype=bool
+        )
+        nxt = np.arange(1, offsets[-1] + 1)
+        nxt[offsets[1:] - 1] = offsets[:-1]
+        return CycleTable(offsets=offsets, vertex=vertex, next=nxt, polygon=polygon, hanging=hanging)
+
+    @cached_property
     def element_centroids(self) -> np.ndarray:
         """Arithmetic mean of each polygon's cycle vertices (subdivision point)."""
-        out = np.empty((self.n_elements, 2))
-        for i, cyc in enumerate(self.polygons):
-            out[i] = self.vertices[list(cyc)].mean(axis=0)
+        cyc = self.cycles
+        out = np.add.reduceat(self.vertices[cyc.vertex], cyc.offsets[:-1], axis=0)
+        out /= cyc.lengths[:, None]
         out.setflags(write=False)
         return out
 
     @cached_property
     def element_diameters(self) -> np.ndarray:
-        out = np.empty(self.n_elements)
-        for i, cyc in enumerate(self.polygons):
-            pts = self.vertices[list(cyc)]
-            d = pts[:, None, :] - pts[None, :, :]
-            out[i] = np.sqrt((d * d).sum(-1).max())
+        """Largest distance between two cycle vertices of each polygon."""
+        cyc = self.cycles
+        n = cyc.lengths[:, None]
+        # row p runs through p's cycle (repeated) up to the longest length,
+        # so a roll along it pairs two vertices of p
+        pts = self.vertices[cyc.vertex[cyc.offsets[:-1, None] + np.arange(n.max()) % n]]
+        sq = np.zeros(pts.shape[:2])
+        for shift in range(1, n.max()):
+            d = np.roll(pts, shift, axis=1) - pts
+            sq = np.maximum(sq, (d * d).sum(-1))
+        out = np.sqrt(sq.max(axis=1))
         out.setflags(write=False)
         return out
 
     @cached_property
     def rho_E(self) -> float:
         """min over elements of (shortest cycle edge) / (element diameter)."""
-        worst = np.inf
-        for i, cyc in enumerate(self.polygons):
-            pts = self.vertices[list(cyc)]
-            e = np.roll(pts, -1, axis=0) - pts
-            lmin = np.hypot(e[:, 0], e[:, 1]).min()
-            worst = min(worst, lmin / self.element_diameters[i])
-        return float(worst)
+        cyc = self.cycles
+        e = self.vertices[cyc.vertex[cyc.next]] - self.vertices[cyc.vertex]
+        lmin = np.minimum.reduceat(np.hypot(e[:, 0], e[:, 1]), cyc.offsets[:-1])
+        return float((lmin / self.element_diameters).min())
 
     @cached_property
     def element_regions(self) -> np.ndarray:
@@ -330,7 +375,6 @@ class Subdivision:
     tri_edges: np.ndarray  # (nt, 3) side l runs tri_vertices[l] -> [(l+1) % 3]; side 0 primal
     fracture_meshes: tuple
     edge_fracture: np.ndarray  # (ne,) fracture index or -1
-    poly_tri_ranges: np.ndarray = field(repr=False, default=None)  # (np, 2) start/stop
 
     @property
     def n_triangles(self) -> int:
@@ -488,43 +532,26 @@ def _snap_fracture(fr: Fracture, h, ox, oy, tol, cells) -> Fracture:
 
 
 def subdivide(mesh: PolygonalMesh) -> Subdivision:
-    """Triangulate every polygon from its vertex centroid and classify edges."""
+    """Triangulate every polygon from its vertex centroid and classify edges.
+
+    Triangle t is cycle slot t of `mesh.cycles`.  Primal edges are numbered
+    in order of their first cycle slot, dual edge n_primal + t joins slot
+    t's vertex to the centroid.
+    """
     nv = mesh.vertices.shape[0]
-    npoly = mesh.n_elements
+    cyc = mesh.cycles
     centroids = mesh.element_centroids
     all_vertices = np.vstack([mesh.vertices, centroids])
+    tris = np.arange(cyc.vertex.size)
+    a, b = cyc.vertex, cyc.vertex[cyc.next]
 
-    tri_v = []
-    tri_poly = []
-    tri_primal = []
-    poly_ranges = np.empty((npoly, 2), dtype=int)
-    primal = {}  # sorted vertex pair -> [edge slot]
-    primal_adj = {}  # sorted vertex pair -> list of tri ids
-    for p, cyc in enumerate(mesh.polygons):
-        n = len(cyc)
-        nu = nv + p
-        poly_ranges[p, 0] = len(tri_v)
-        pts = mesh.vertices[list(cyc)]
-        nxt = np.roll(pts, -1, axis=0)
-        cross = (nxt[:, 0] - pts[:, 0]) * (centroids[p, 1] - pts[:, 1]) - (
-            nxt[:, 1] - pts[:, 1]
-        ) * (centroids[p, 0] - pts[:, 0])
-        elen = np.hypot(nxt[:, 0] - pts[:, 0], nxt[:, 1] - pts[:, 1])
-        if np.any(cross <= mesh.tolerance * elen):
-            raise NotStarShaped(f"polygon {p} is not star-shaped about its vertex centroid")
-        for i in range(n):
-            a, b = cyc[i], cyc[(i + 1) % n]
-            t = len(tri_v)
-            tri_v.append((a, b, nu))
-            tri_poly.append(p)
-            key = (a, b) if a < b else (b, a)
-            tri_primal.append(primal.setdefault(key, len(primal)))
-            primal_adj.setdefault(key, []).append(t)
-        poly_ranges[p, 1] = len(tri_v)
-
-    tri_v = np.array(tri_v, dtype=int)
-    tri_poly = np.array(tri_poly, dtype=int)
-    nt = tri_v.shape[0]
+    p0, p1, c = mesh.vertices[a], mesh.vertices[b], centroids[cyc.polygon]
+    cross = (p1[:, 0] - p0[:, 0]) * (c[:, 1] - p0[:, 1]) - (p1[:, 1] - p0[:, 1]) * (c[:, 0] - p0[:, 0])
+    elen = np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
+    bad = np.flatnonzero(cross <= mesh.tolerance * elen)
+    if bad.size:
+        raise NotStarShaped(f"polygon {cyc.polygon[bad[0]]} is not star-shaped about its vertex centroid")
+    tri_v = np.column_stack([a, b, nv + cyc.polygon])
 
     coords = all_vertices[tri_v]
     e01 = coords[:, 1] - coords[:, 0]
@@ -537,76 +564,62 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
     )
     tri_centroid = coords.mean(axis=1)
 
-    n_primal = len(primal)
-    n_dual = nt  # one dual edge per (polygon, cycle vertex) == one per triangle
-    ne = n_primal + n_dual
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
+    tri_primal = np.argsort(np.argsort(first))[inverse]  # ranks of the first slots
+    n_primal = first.size
+    count = np.bincount(tri_primal)
+    if count.max() > 2:
+        raise MeshError("an edge is shared by more than two polygons")
+
+    ne = n_primal + tris.size  # one dual edge per (polygon, cycle vertex) == one per triangle
     edge_v = np.empty((ne, 2), dtype=int)
     edge_kind = np.empty(ne, dtype=int)
     edge_tris = np.full((ne, 2), -1, dtype=int)
     edge_frac = np.full(ne, -1, dtype=int)
     edge_seg = np.full(ne, -1, dtype=int)
 
-    for key, eid in primal.items():
-        edge_v[eid] = key
-        adj = primal_adj[key]
-        if len(adj) == 1:
-            edge_kind[eid] = BOUNDARY
-            edge_tris[eid, 0] = adj[0]
-        elif len(adj) == 2:
-            edge_kind[eid] = INTERIOR  # may be reclassified as FRACTURE below
-            edge_tris[eid] = adj
-        else:
-            raise MeshError("an edge is shared by more than two polygons")
+    # the slots of each primal edge in slot order; INTERIOR edges may be
+    # reclassified as FRACTURE below
+    by_edge = np.argsort(tri_primal, kind="stable")
+    head = np.cumsum(count) - count
+    edge_tris[:n_primal, 0] = by_edge[head]
+    edge_tris[:n_primal, 1] = np.where(count == 2, by_edge[np.minimum(head + 1, tris.size - 1)], -1)
+    edge_v[:n_primal] = np.column_stack([lo, hi])[by_edge[head]]
+    edge_kind[:n_primal] = np.where(count == 1, BOUNDARY, INTERIOR)
 
-    # dual edge n_primal + t joins cycle vertex i of triangle t = start + i
-    # to the centroid, shared with the polygon's previous triangle
-    tris = np.arange(nt)
-    start = poly_ranges[tri_poly, 0]
-    n_cyc = poly_ranges[tri_poly, 1] - start
-    local = tris - start
+    # the dual edge of slot t is shared with the polygon's previous slot
+    prev = np.empty_like(cyc.next)
+    prev[cyc.next] = tris
     duals = n_primal + tris
     edge_v[duals] = tri_v[:, [0, 2]]
     edge_kind[duals] = DUAL
-    edge_tris[duals] = np.column_stack([start + (local - 1) % n_cyc, tris])
+    edge_tris[duals] = np.column_stack([prev, tris])
 
-    # fracture classification of interior primal edges
-    va = all_vertices[edge_v[:n_primal, 0]]
-    vb = all_vertices[edge_v[:n_primal, 1]]
-    tol = mesh.tolerance
-    for fi, fr in enumerate(mesh.fractures):
-        for s in range(fr.n_segments):
-            a = fr.points[s]
-            t = fr.seg_tangents[s]
-            L = fr.seg_lengths[s]
-            da, db = va - a, vb - a
-            off_a = np.abs(da[:, 0] * t[1] - da[:, 1] * t[0])
-            off_b = np.abs(db[:, 0] * t[1] - db[:, 1] * t[0])
-            pa, pb = da @ t, db @ t
-            on_seg = (
-                (off_a <= tol)
-                & (off_b <= tol)
-                & (pa >= -tol)
-                & (pa <= L + tol)
-                & (pb >= -tol)
-                & (pb <= L + tol)
-            )
-            ids = np.flatnonzero(on_seg)
-            for eid in ids:
-                if edge_kind[eid] == BOUNDARY:
-                    raise FractureNotAligned("fracture edge lacks a bulk element on one side")
-                edge_kind[eid] = FRACTURE
-                edge_frac[eid] = fi
-                edge_seg[eid] = s
-
-    # geometry and orientation
+    # geometry
     delta = all_vertices[edge_v[:, 1]] - all_vertices[edge_v[:, 0]]
     edge_len = np.hypot(delta[:, 0], delta[:, 1])
     edge_mid = 0.5 * (all_vertices[edge_v[:, 0]] + all_vertices[edge_v[:, 1]])
     edge_normal = np.column_stack([delta[:, 1], -delta[:, 0]]) / edge_len[:, None]
 
-    frac_ids = np.flatnonzero(edge_kind == FRACTURE)
-    for eid in frac_ids:
-        edge_normal[eid] = mesh.fractures[edge_frac[eid]].seg_normals[edge_seg[eid]]
+    # fracture classification of interior primal edges; a fracture edge
+    # takes its segment's normal
+    ends = all_vertices[edge_v[:n_primal].T]  # (2, n_primal, 2)
+    tol = mesh.tolerance
+    for fi, fr in enumerate(mesh.fractures):
+        for s in range(fr.n_segments):
+            t = fr.seg_tangents[s]
+            d = ends - fr.points[s]
+            off = np.abs(d[..., 0] * t[1] - d[..., 1] * t[0])
+            par = d @ t
+            on_seg = (off <= tol) & (par >= -tol) & (par <= fr.seg_lengths[s] + tol)
+            ids = np.flatnonzero(on_seg.all(axis=0))
+            if np.any(edge_kind[ids] == BOUNDARY):
+                raise FractureNotAligned("fracture edge lacks a bulk element on one side")
+            edge_kind[ids] = FRACTURE
+            edge_frac[ids] = fi
+            edge_seg[ids] = s
+            edge_normal[ids] = fr.seg_normals[s]
 
     # side 1 = the side the normal points away from
     t0 = edge_tris[:, 0]
@@ -615,14 +628,13 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
     flip_pair = two & (side > 0)
     edge_tris[flip_pair] = edge_tris[flip_pair][:, ::-1]
     flip_normal = (~two) & (side > 0)  # boundary normal points outward
-    is_frac = edge_kind == FRACTURE
-    if np.any(flip_normal & is_frac):
+    if np.any(flip_normal & (edge_kind == FRACTURE)):
         raise MeshError("fracture normal orientation lost")
     edge_normal[flip_normal] *= -1.0
 
     # side 0 of a triangle is its cycle edge (a, b), side 1 the dual edge at
     # b (the next triangle's), side 2 its own dual edge at a
-    tri_edges = np.column_stack([tri_primal, n_primal + start + (local + 1) % n_cyc, duals])
+    tri_edges = np.column_stack([tri_primal, n_primal + cyc.next, duals])
 
     fr_meshes = _build_fracture_meshes(mesh, all_vertices, edge_v, edge_kind, edge_frac, edge_seg, edge_len)
 
@@ -630,7 +642,7 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
         mesh=mesh,
         vertices=all_vertices,
         tri_vertices=tri_v,
-        tri_polygon=tri_poly,
+        tri_polygon=cyc.polygon,
         tri_area=area,
         tri_centroid=tri_centroid,
         tri_diameter=tri_diam,
@@ -643,7 +655,6 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
         tri_edges=tri_edges,
         fracture_meshes=fr_meshes,
         edge_fracture=edge_frac,
-        poly_tri_ranges=poly_ranges,
     )
 
 
@@ -653,21 +664,15 @@ def _build_fracture_meshes(mesh, all_vertices, edge_v, edge_kind, edge_frac, edg
         ids = np.flatnonzero((edge_kind == FRACTURE) & (edge_frac == fi))
         if ids.size == 0:
             raise FractureNotAligned(f"fracture {fi} is not covered by any mesh edge")
-        mids = 0.5 * (all_vertices[edge_v[ids, 0]] + all_vertices[edge_v[ids, 1]])
-        order = np.argsort(fr.param_of(mids), kind="stable")
-        ids = ids[order]
-        # orient each edge's vertex pair along the polyline and chain them
-        verts = []
-        for k, eid in enumerate(ids):
-            a, b = edge_v[eid]
-            pa, pb = fr.param_of(all_vertices[[a, b]])
-            lo, hi = (a, b) if pa <= pb else (b, a)
-            if k == 0:
-                verts.append(lo)
-            elif verts[-1] != lo:
-                raise FractureNotAligned(f"fracture {fi} mesh edges do not chain contiguously")
-            verts.append(hi)
-        vids = np.array(verts, dtype=int)
+        par = fr.param_of(all_vertices[edge_v[ids].ravel()]).reshape(-1, 2)
+        # order the edges along the polyline, orient each one along it and
+        # chain them
+        order = np.argsort(par.sum(axis=1), kind="stable")
+        ids, par = ids[order], par[order]
+        lo, hi = np.take_along_axis(edge_v[ids], np.argsort(par, axis=1), axis=1).T
+        if np.any(lo[1:] != hi[:-1]):
+            raise FractureNotAligned(f"fracture {fi} mesh edges do not chain contiguously")
+        vids = np.concatenate([lo[:1], hi])
         if (
             np.hypot(*(all_vertices[vids[0]] - fr.points[0])) > mesh.tolerance
             or np.hypot(*(all_vertices[vids[-1]] - fr.points[-1])) > mesh.tolerance
@@ -706,31 +711,7 @@ def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:
             raise ValueError(f"marked element {m} out of range")
     if not marked:
         return mesh
-
-    adj = {}
-    for p, cyc in enumerate(mesh.polygons):
-        n = len(cyc)
-        for i in range(n):
-            a, b = cyc[i], cyc[(i + 1) % n]
-            key = (a, b) if a < b else (b, a)
-            adj.setdefault(key, []).append(p)
-
-    work = sorted(marked)
-    while work:
-        nxt = []
-        for p in work:
-            cyc = mesh.polygons[p]
-            n = len(cyc)
-            for i in range(n):
-                a, b = cyc[i], cyc[(i + 1) % n]
-                key = (a, b) if a < b else (b, a)
-                for q in adj[key]:
-                    if q == p or q in marked:
-                        continue
-                    if a in mesh.hanging[q] or b in mesh.hanging[q]:
-                        marked.add(q)
-                        nxt.append(q)
-        work = sorted(set(nxt))
+    closed = _closure(mesh, list(marked))
 
     coords = [tuple(xy) for xy in mesh.vertices]
     midpoint = {}
@@ -749,7 +730,7 @@ def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:
 
     # create all fresh side midpoints of marked polygons first; cycle edges
     # touching an absorbed vertex are halves of a side that splits there
-    for p in sorted(marked):
+    for p in np.flatnonzero(closed).tolist():
         cyc = mesh.polygons[p]
         n = len(cyc)
         hang = mesh.hanging[p]
@@ -762,7 +743,7 @@ def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:
     new_hang = []
     for p, cyc in enumerate(mesh.polygons):
         n = len(cyc)
-        if p not in marked:
+        if not closed[p]:
             out = []
             extra = set(mesh.hanging[p])
             for i in range(n):
@@ -828,6 +809,26 @@ def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:
     )
 
 
+def _closure(mesh: PolygonalMesh, marked) -> np.ndarray:
+    """Least superset of `marked` (as a mask over polygons) in which no
+    unmarked polygon has a marked neighbour across a cycle edge that ends
+    at one of its own hanging nodes; refining that neighbour would put a
+    second hanging node on the side."""
+    sub = mesh.subdivision
+    cyc = mesh.cycles
+    pairs = sub.edge_tris[(sub.edge_kind == INTERIOR) | (sub.edge_kind == FRACTURE)]
+    side_hangs = (cyc.hanging | cyc.hanging[cyc.next])[pairs]
+    poly = sub.tri_polygon[pairs]
+    src, dst = poly[:, ::-1][side_hangs], poly[side_hangs]
+    closed = np.zeros(mesh.n_elements, dtype=bool)
+    closed[marked] = True
+    while True:
+        new = dst[closed[src] & ~closed[dst]]
+        if new.size == 0:
+            return closed
+        closed[new] = True
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     """Shape-regularity summary of a polygonal mesh."""
@@ -843,18 +844,14 @@ class RegularityReport:
 
 def check_regularity(mesh: PolygonalMesh) -> RegularityReport:
     """Exact regularity minima over all elements (deterministic)."""
-    rho_s = np.inf
-    rho_e = np.inf
     diam = mesh.element_diameters
-    for p, cyc in enumerate(mesh.polygons):
-        pts = mesh.vertices[list(cyc)]
-        r = _inscribed_radius(pts, mesh.tolerance)
-        rho_s = min(rho_s, r / diam[p])
-        e = np.roll(pts, -1, axis=0) - pts
-        rho_e = min(rho_e, np.hypot(e[:, 0], e[:, 1]).min() / diam[p])
+    rho_s = min(
+        _inscribed_radius(mesh.vertices[list(cyc)], mesh.tolerance) / d
+        for cyc, d in zip(mesh.polygons, diam)
+    )
     return RegularityReport(
         rho_S=float(rho_s),
-        rho_E=float(rho_e),
+        rho_E=mesh.rho_E,
         h_max=float(diam.max()),
         h_min=float(diam.min()),
     )

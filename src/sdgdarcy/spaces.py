@@ -43,19 +43,28 @@ def _monomial_exponents(k: int) -> np.ndarray:
     return np.array(exps, dtype=int)
 
 
+def _powers(x: np.ndarray, k: int) -> np.ndarray:
+    """x**0 .. x**k on a new last axis, by repeated products (an
+    array-valued ** runs a general pow that is slower and less accurate)."""
+    out = [np.ones_like(x), x]
+    for _ in range(k - 1):
+        out.append(out[-1] * x)
+    return np.stack(out[: k + 1], axis=-1)
+
+
 def _monomial_values(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    x = pts[..., 0, None]
-    y = pts[..., 1, None]
-    return x ** exps[:, 0] * y ** exps[:, 1]
+    xp = _powers(pts[..., 0], exps.max())
+    yp = _powers(pts[..., 1], exps.max())
+    return xp[..., exps[:, 0]] * yp[..., exps[:, 1]]
 
 
 def _monomial_gradients(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    x = pts[..., 0, None]
-    y = pts[..., 1, None]
+    xp = _powers(pts[..., 0], exps.max())
+    yp = _powers(pts[..., 1], exps.max())
     a = exps[:, 0]
     b = exps[:, 1]
-    gx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y**b, 0.0)
-    gy = np.where(b > 0, b * x**a * y ** np.maximum(b - 1, 0), 0.0)
+    gx = np.where(a > 0, a * xp[..., np.maximum(a - 1, 0)] * yp[..., b], 0.0)
+    gy = np.where(b > 0, b * xp[..., a] * yp[..., np.maximum(b - 1, 0)], 0.0)
     return np.stack([gx, gy], axis=-1)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdgdarcy.adaptivity import dorfler_mark
-from sdgdarcy.errors import EmptyDomain, FractureNotAligned, NotStarShaped
+from sdgdarcy.errors import EmptyDomain, FractureNotAligned, MeshError, NotStarShaped
 from sdgdarcy.geometry import (
     BOUNDARY,
     DUAL,
@@ -13,6 +13,7 @@ from sdgdarcy.geometry import (
     INTERIOR,
     DomainSpec,
     PolygonalMesh,
+    _closure,
     build_initial_mesh,
     check_regularity,
     refine,
@@ -272,18 +273,225 @@ def _check_incidence_and_irregularity(mesh):
             assert np.allclose(mesh.vertices[v], mid, atol=1e-12)
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(st.data())
-def test_incidence_table_under_doerfler_refinement(data):
+def _doerfler_refinements(data):
+    """Yield (mesh, marked) along three Doerfler refinements of the
+    fractured 2x1 mesh, with drawn indicators and theta, then the last
+    mesh with marked None."""
     dom = DomainSpec(
         rectangles=[(0.0, 0.0, 2.0, 1.0)],
         fractures=[make_fracture([[1.0, 0.0], [1.0, 1.0]])],
     )
     mesh = build_initial_mesh(dom, 0.5)
-    _check_incidence_and_irregularity(mesh)
     for _ in range(3):
         n = mesh.n_elements
         ind = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
         theta = data.draw(st.floats(0.1, 0.9))
-        mesh = refine(mesh, dorfler_mark(np.array(ind) ** 4, theta))
+        marked = dorfler_mark(np.array(ind) ** 4, theta)
+        yield mesh, marked
+        mesh = refine(mesh, marked)
+    yield mesh, None
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_incidence_table_under_doerfler_refinement(data):
+    for mesh, _ in _doerfler_refinements(data):
         _check_incidence_and_irregularity(mesh)
+
+
+def _reference_measures(mesh):
+    """Per-polygon walk: vertex centroids, diameters and rho_E."""
+    centroids = np.empty((mesh.n_elements, 2))
+    diam = np.empty(mesh.n_elements)
+    rho_e = np.inf
+    for i, cyc in enumerate(mesh.polygons):
+        pts = mesh.vertices[list(cyc)]
+        centroids[i] = pts.mean(axis=0)
+        d = pts[:, None, :] - pts[None, :, :]
+        diam[i] = np.sqrt((d * d).sum(-1).max())
+        e = np.roll(pts, -1, axis=0) - pts
+        rho_e = min(rho_e, np.hypot(e[:, 0], e[:, 1]).min() / diam[i])
+    return centroids, diam, float(rho_e)
+
+
+def _reference_subdivide(mesh):
+    """Vertex-pair dict walk over the polygons: every Subdivision array and
+    the fields of each FractureLineMesh, by name."""
+    nv = mesh.vertices.shape[0]
+    centroids = _reference_measures(mesh)[0]
+    all_vertices = np.vstack([mesh.vertices, centroids])
+    tri_v, tri_poly, tri_primal, ranges = [], [], [], []
+    primal = {}  # sorted vertex pair -> edge id
+    primal_adj = {}  # sorted vertex pair -> triangles
+    for p, cyc in enumerate(mesh.polygons):
+        start = len(tri_v)
+        for i in range(len(cyc)):
+            a, b = cyc[i], cyc[(i + 1) % len(cyc)]
+            key = (min(a, b), max(a, b))
+            primal_adj.setdefault(key, []).append(len(tri_v))
+            tri_primal.append(primal.setdefault(key, len(primal)))
+            tri_v.append((a, b, nv + p))
+            tri_poly.append(p)
+        ranges += [(start, len(tri_v))] * len(cyc)
+    tri_v = np.array(tri_v)
+    coords = all_vertices[tri_v]
+    e01, e02, e12 = (coords[:, j] - coords[:, i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    out = {
+        "vertices": all_vertices,
+        "tri_vertices": tri_v,
+        "tri_polygon": np.array(tri_poly),
+        "tri_area": 0.5 * (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0]),
+        "tri_centroid": coords.mean(axis=1),
+        "tri_diameter": np.maximum(
+            np.hypot(e01[:, 0], e01[:, 1]),
+            np.maximum(np.hypot(e02[:, 0], e02[:, 1]), np.hypot(e12[:, 0], e12[:, 1])),
+        ),
+    }
+
+    n_primal, nt = len(primal), len(tri_v)
+    edge_v = np.empty((n_primal + nt, 2), dtype=int)
+    edge_kind = np.full(n_primal + nt, DUAL)
+    edge_tris = np.full((n_primal + nt, 2), -1)
+    edge_frac = np.full(n_primal + nt, -1)
+    edge_seg = np.full(n_primal + nt, -1)
+    for key, eid in primal.items():
+        edge_v[eid] = key
+        adj = primal_adj[key]
+        edge_kind[eid] = BOUNDARY if len(adj) == 1 else INTERIOR
+        edge_tris[eid, : len(adj)] = adj
+    nxt = []
+    for t, (start, stop) in enumerate(ranges):
+        n = stop - start
+        edge_v[n_primal + t] = tri_v[t, [0, 2]]
+        edge_tris[n_primal + t] = (start + (t - start - 1) % n, t)
+        nxt.append(start + (t - start + 1) % n)
+    for eid in range(n_primal):
+        va, vb = all_vertices[edge_v[eid]]
+        for fi, fr in enumerate(mesh.fractures):
+            for s in range(fr.n_segments):
+                a, t, L, tol = fr.points[s], fr.seg_tangents[s], fr.seg_lengths[s], mesh.tolerance
+                da, db = va - a, vb - a
+                if (
+                    abs(da[0] * t[1] - da[1] * t[0]) <= tol
+                    and abs(db[0] * t[1] - db[1] * t[0]) <= tol
+                    and -tol <= da @ t <= L + tol
+                    and -tol <= db @ t <= L + tol
+                ):
+                    edge_kind[eid], edge_frac[eid], edge_seg[eid] = FRACTURE, fi, s
+    delta = all_vertices[edge_v[:, 1]] - all_vertices[edge_v[:, 0]]
+    edge_len = np.hypot(delta[:, 0], delta[:, 1])
+    edge_mid = 0.5 * (all_vertices[edge_v[:, 0]] + all_vertices[edge_v[:, 1]])
+    edge_normal = np.column_stack([delta[:, 1], -delta[:, 0]]) / edge_len[:, None]
+    for eid in np.flatnonzero(edge_kind == FRACTURE):
+        edge_normal[eid] = mesh.fractures[edge_frac[eid]].seg_normals[edge_seg[eid]]
+    for eid in range(edge_v.shape[0]):
+        t1, t2 = edge_tris[eid]
+        if (out["tri_centroid"][t1] - edge_mid[eid]) @ edge_normal[eid] > 0:
+            if t2 >= 0:
+                edge_tris[eid] = (t2, t1)
+            else:
+                edge_normal[eid] *= -1.0
+    out.update(
+        edge_vertices=edge_v,
+        edge_kind=edge_kind,
+        edge_tris=edge_tris,
+        edge_normal=edge_normal,
+        edge_length=edge_len,
+        edge_midpoint=edge_mid,
+        tri_edges=np.column_stack([tri_primal, n_primal + np.array(nxt), n_primal + np.arange(nt)]),
+        edge_fracture=edge_frac,
+    )
+
+    for fi, fr in enumerate(mesh.fractures):
+        ids = np.flatnonzero(edge_frac == fi)
+        mids = 0.5 * (all_vertices[edge_v[ids, 0]] + all_vertices[edge_v[ids, 1]])
+        ids = ids[np.argsort(fr.param_of(mids), kind="stable")]
+        verts = []
+        for eid in ids:
+            a, b = edge_v[eid]
+            pa, pb = fr.param_of(all_vertices[[a, b]])
+            lo, hi = (a, b) if pa <= pb else (b, a)
+            assert not verts or verts[-1] == lo
+            verts += [lo, hi] if not verts else [hi]
+        out[f"fracture {fi}"] = dict(
+            fracture_index=fi,
+            edge_ids=ids,
+            vertex_ids=np.array(verts),
+            edge_segment=edge_seg[ids],
+            edge_tangent=fr.seg_tangents[edge_seg[ids]],
+            edge_length=edge_len[ids],
+            vertex_arclength=np.concatenate([[0.0], np.cumsum(edge_len[ids])]),
+        )
+    return out
+
+
+def _reference_closure(mesh, marked):
+    """Worklist over a vertex-pair adjacency dict: the marked set grown
+    until no unmarked neighbour keeps a hanging node on a shared edge."""
+    adj = {}
+    for p, cyc in enumerate(mesh.polygons):
+        for i in range(len(cyc)):
+            a, b = cyc[i], cyc[(i + 1) % len(cyc)]
+            adj.setdefault((min(a, b), max(a, b)), []).append(p)
+    marked = set(int(m) for m in marked)
+    work = sorted(marked)
+    while work:
+        nxt = []
+        for p in work:
+            cyc = mesh.polygons[p]
+            for i in range(len(cyc)):
+                a, b = cyc[i], cyc[(i + 1) % len(cyc)]
+                for q in adj[(min(a, b), max(a, b))]:
+                    if q != p and q not in marked and (a in mesh.hanging[q] or b in mesh.hanging[q]):
+                        marked.add(q)
+                        nxt.append(q)
+        work = sorted(set(nxt))
+    return sorted(marked)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_geometry_matches_polygon_walk(data):
+    """The cycle-table geometry equals the per-polygon walks bit for bit;
+    refine is compared with the walk's closed set through its unchanged
+    child construction."""
+    for mesh, marked in _doerfler_refinements(data):
+        fresh = PolygonalMesh(mesh.vertices, mesh.polygons, mesh.hanging, mesh.fractures, mesh.tolerance)
+        centroids, diam, rho_e = _reference_measures(fresh)
+        assert np.array_equal(fresh.element_centroids, centroids)
+        assert np.array_equal(fresh.element_diameters, diam)
+        assert fresh.rho_E == rho_e
+        assert check_regularity(fresh).rho_E == rho_e
+
+        sub = subdivide(fresh)
+        for name, ref in _reference_subdivide(fresh).items():
+            if name.startswith("fracture"):
+                fm = sub.fracture_meshes[ref["fracture_index"]]
+                for field, value in ref.items():
+                    assert np.array_equal(getattr(fm, field), value), (name, field)
+            else:
+                assert np.array_equal(getattr(sub, name), ref), name
+
+        if marked is None:
+            continue
+        closed = _reference_closure(mesh, marked)
+        assert np.array_equal(np.flatnonzero(_closure(mesh, marked)), closed)
+        got, ref = refine(mesh, marked), refine(mesh, closed)
+        assert np.array_equal(got.vertices, ref.vertices)
+        assert got.polygons == ref.polygons
+        assert got.hanging == ref.hanging
+
+
+@pytest.mark.parametrize(
+    "cycle", [(0, 1, 7), (0, 1, -1), (0, 1)], ids=["id-too-large", "negative-id", "two-vertices"]
+)
+def test_malformed_cycle_rejected(cycle):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="polygon 1 "):
+        PolygonalMesh(
+            vertices=verts,
+            polygons=[(0, 1, 2, 3), cycle],
+            hanging=[frozenset(), frozenset()],
+            fractures=(),
+            tolerance=1e-10,
+        )
