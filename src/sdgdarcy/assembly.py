@@ -13,6 +13,7 @@ zero boundary trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,15 +49,22 @@ def _block(dofs_i, dofs_j, local):
 
 
 def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray) -> sp.csr_matrix:
-    """Flux mass matrix weighted by the inverse permeability."""
-    k = V.k
-    rule = triangle_rule(2 * k + 2)
-    qp, qw = map_to_triangles(rule, sub.tri_coords)
-    tris = np.arange(sub.n_triangles)
-    basis = V.basis_values(tris, qp)  # (nt, nq, nloc, 2)
+    """Flux mass matrix weighted by the inverse permeability.
+
+    On triangle t the block is C_t^T (M^ (x) G_t) C_t: M^ is the reference
+    mass matrix of the scalar monomials and G_t = J^T K^-1 J / det J, the
+    Piola map's weight on the two vector components.
+    """
+    rule = triangle_rule(2 * V.k + 2)
+    m = V.ref_monomials(rule.points)  # (nq, s)
+    mhat = m.T @ (rule.weights[:, None] * m)
+    J = sub.tri_jacobian
     Kinv = inv_2x2(K_elem[sub.tri_polygon])
-    kb = np.einsum("tcd,tqld->tqlc", Kinv, basis)
-    local = np.einsum("tq,tqlc,tqmc->tlm", qw, basis, kb)
+    G = np.swapaxes(J, 1, 2) @ Kinv @ J / (2.0 * sub.tri_area)[:, None, None]
+    nt, s = G.shape[0], mhat.shape[0]
+    inner = (mhat[None, :, None, :, None] * G[:, None, :, None, :]).reshape(nt, 2 * s, 2 * s)
+    C = V.ref_coeff
+    local = np.swapaxes(C, 1, 2) @ inner @ C
     r, c, v = _block(V.tri_dofs, V.tri_dofs, local)
     return _coo([r], [c], [v], (V.ndof, V.ndof))
 
@@ -69,13 +77,13 @@ def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> sp.csr_matr
     k = V.k
     rows, cols, vals = [], [], []
 
+    # grad q . J phi / det J = grad^ q . phi / det J, so the volume term is
+    # one reference matrix times C_t
     rule = triangle_rule(2 * k + 2)
-    qp, qw = map_to_triangles(rule, sub.tri_coords)
-    tris = np.arange(sub.n_triangles)
-    vb = V.basis_values(tris, qp)  # (nt, nq, nv, 2)
     gref = S.grad_ref(rule.points)  # (nq, ns, 2)
-    gphys = np.einsum("qsr,trc->tqsc", gref, sub.tri_jacobian_inv)
-    local = np.einsum("tq,tqsc,tqvc->tsv", qw, gphys, vb)
+    m = V.ref_monomials(rule.points)  # (nq, s)
+    bhat = np.einsum("q,qsc,qi->sic", rule.weights, gref, m).reshape(S.nloc, -1)
+    local = bhat @ V.ref_coeff
     r, c, v = _block(S.tri_dofs, V.tri_dofs, local)
     rows.append(r), cols.append(c), vals.append(v)
 
@@ -296,24 +304,42 @@ class DiscreteSolution:
         """Total dofs of the discrete spaces (constraints included)."""
         return self.V.ndof + self.S.ndof + self.W.ndof
 
+    @cached_property
+    def _u_hat(self) -> np.ndarray:
+        """C_t u_t: the pulled-back flux in the reference monomials, (nt, 2s)."""
+        return (self.V.ref_coeff @ self.u[self.V.tri_dofs][..., None])[..., 0]
+
     def p_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         vals = self.S.basis_values(tris, pts)
         return np.einsum("eqs,es->eq", vals, self.p[self.S.tri_dofs[tris]])
 
     def grad_p_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        sub = self.sub
-        ref = sub.reference_coords(tris, pts)
-        gref = self.S.grad_ref(ref)  # (e, q, s, 2)
-        g = np.einsum("eqsr,erc->eqsc", gref, sub.tri_jacobian_inv[tris])
-        return np.einsum("eqsc,es->eqc", g, self.p[self.S.tri_dofs[tris]])
+        return self.grad_p_at_ref(self.sub.reference_coords(tris, pts), tris)
 
     def u_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        basis = self.V.basis_values(tris, pts)
-        return np.einsum("eqlc,el->eqc", basis, self.u[self.V.tri_dofs[tris]])
+        return self.u_at_ref(self.sub.reference_coords(tris, pts), tris)
 
     def div_u_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        div = self.V.basis_divergence(tris, pts)
-        return np.einsum("eql,el->eq", div, self.u[self.V.tri_dofs[tris]])
+        return self.div_u_at_ref(self.sub.reference_coords(tris, pts), tris)
+
+    # The *_at_ref evaluators take reference points, (nq, 2) shared by all
+    # triangles in tris or (n, nq, 2) per triangle, and return the field at
+    # their images.
+
+    def grad_p_at_ref(self, ref_pts: np.ndarray, tris=slice(None)) -> np.ndarray:
+        gref = self.S.grad_ref(ref_pts)  # (..., ns, 2)
+        p = self.p[self.S.tri_dofs[tris]]
+        ghat = np.einsum("...sr,...s->...r", gref, p[:, None, :])
+        return ghat @ self.sub.tri_jacobian_inv[tris]
+
+    def u_at_ref(self, ref_pts: np.ndarray, tris=slice(None)) -> np.ndarray:
+        a = self._u_hat[tris]
+        uhat = self.V.ref_monomials(ref_pts) @ a.reshape(a.shape[0], -1, 2)
+        return self.V.piola(tris, uhat)
+
+    def div_u_at_ref(self, ref_pts: np.ndarray, tris=slice(None)) -> np.ndarray:
+        div = self.V.ref_divergence(ref_pts) @ self._u_hat[tris][:, :, None]
+        return div[..., 0] / (2.0 * self.sub.tri_area[tris])[:, None]
 
     def u_normal_trace(self, edges: np.ndarray, side: int, ts: np.ndarray) -> np.ndarray:
         """u.n_e along edges at canonical parameters ts; (ne, nq)."""

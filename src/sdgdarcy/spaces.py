@@ -9,8 +9,11 @@ Three spaces enter the mixed formulation:
 * ``FluxSpace``: vector [P^k]^2 per triangle with continuous normal trace
   across dual edges.  Realized with normal point-value dofs at k+1 Gauss
   points per edge (shared on dual edges, one set per side elsewhere) plus,
-  for k=2, three interior moments.  The local dual basis comes from inverting
-  the dof-functional matrix, batched over triangles.
+  for k=2, three interior moments.  [P^k]^2 is invariant under the
+  contravariant Piola map u = J u^ / det J (the subdivision's triangles are
+  counter-clockwise, so det J > 0).  Each triangle stores one transform C_t
+  from its local dofs to the reference vector monomials (see ``build_V_h``),
+  and consumers multiply C_t with reference tables shared by all triangles.
 * ``FracturePressureSpace``: continuous 1D Lagrange P^k along each fracture
   polyline; tip values can be constrained.
 """
@@ -18,13 +21,13 @@ Three spaces enter the mixed formulation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import ConfigError
 from .geometry import BOUNDARY, INTERIOR, PolygonalMesh, Subdivision
-from .quadrature import triangle_rule, map_to_triangles
+from .quadrature import edge_rule, map_to_triangles, triangle_rule
 
 
 @dataclass(frozen=True)
@@ -245,6 +248,52 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
 # flux space V_h
 
 
+def _bubble_curl_ref(pts: np.ndarray) -> np.ndarray:
+    """R grad(l0*l1*l2) at reference points (..., 2), with R(a, b) = (b, -a).
+
+    The physical curl of the bubble is J (R grad b) / det J, because
+    R J^-T = J R / det J."""
+    x, y = pts[..., 0], pts[..., 1]
+    l0 = 1.0 - x - y
+    return np.stack([x * (l0 - y), -y * (l0 - x)], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _reference_flux_dofs(k: int):
+    """The flux dof functionals applied to the reference vector monomials.
+
+    Returns (edge, mean, curl).  ``edge`` (3(k+1), 2s) holds u.nu at the
+    Gauss points of each reference side l, from vertex l to vertex l+1,
+    where nu is that side's outward normal scaled by its length.  For k=2,
+    ``mean`` (2, 2s) holds the reference means and ``curl`` (2, 2, 2s) the
+    integrals of u_a (R grad b)_b over the reference triangle; both are None
+    for k=1.
+    """
+    exps = _monomial_exponents(k)
+    s = exps.shape[0]
+    ts = edge_rule(2 * k + 1).points  # the k+1 Gauss points
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    rows = []
+    for l in range(3):
+        a, b = verts[l], verts[(l + 1) % 3]
+        m = _monomial_values(exps, a + ts[:, None] * (b - a))  # (k+1, s)
+        nu = np.array([b[1] - a[1], a[0] - b[0]])
+        rows.append((m[:, :, None] * nu).reshape(k + 1, 2 * s))
+    edge = np.concatenate(rows)
+    edge.setflags(write=False)
+    if k == 1:
+        return edge, None, None
+    rule = triangle_rule(2 * k + 2)
+    m = _monomial_values(exps, rule.points)  # (nq, s)
+    eye = np.eye(2)
+    mean = np.einsum("ac,i->aic", eye, 2.0 * rule.weights @ m).reshape(2, 2 * s)
+    moment = np.einsum("q,qi,qb->ib", rule.weights, m, _bubble_curl_ref(rule.points))
+    curl = np.einsum("ac,ib->abic", eye, moment).reshape(2, 2, 2 * s)
+    mean.setflags(write=False)
+    curl.setflags(write=False)
+    return edge, mean, curl
+
+
 @dataclass(frozen=True)
 class FluxSpace:
     """Elementwise [P^k]^2 with continuous normal trace across dual edges.
@@ -254,6 +303,10 @@ class FluxSpace:
     is dual, plus for k=2 three interior moments per triangle.  The normal
     trace of a member along an edge is the 1D Lagrange interpolant of its
     edge dof values through the Gauss points.
+
+    Basis function l on triangle t is the Piola map J phi / det J of
+    phi = sum_m ref_coeff[t, m, l] phi_m, where phi_{2i+c} = m_i e_c are the
+    vector monomials of P^k on the reference triangle.
     """
 
     sub: Subdivision
@@ -262,42 +315,41 @@ class FluxSpace:
     tri_dofs: np.ndarray  # (nt, nloc)
     edge_side_dofs: np.ndarray  # (ne, 2, k+1); -1 where side absent
     gauss_ts: np.ndarray  # (k+1,) edge dof parameters in (0,1)
-    _coeff: np.ndarray = field(repr=False, default=None)  # (nt, nloc, nloc)
+    ref_coeff: np.ndarray = field(repr=False, default=None)  # (nt, 2s, nloc)
     _exps: np.ndarray = field(repr=False, default=None)
-    _centers: np.ndarray = field(repr=False, default=None)
-    _scales: np.ndarray = field(repr=False, default=None)
 
     @property
     def nloc(self) -> int:
         return self.tri_dofs.shape[1]
 
-    def _scaled(self, tris, pts):
-        c = self._centers[tris]
-        h = self._scales[tris]
-        return (pts - c[..., None, :]) / h[..., None, None]
+    def ref_monomials(self, ref_pts: np.ndarray) -> np.ndarray:
+        """Scalar monomials m_i at reference points, (..., s)."""
+        return _monomial_values(self._exps, ref_pts)
 
-    def _vector_monomials(self, scaled):
-        m = _monomial_values(self._exps, scaled)  # (..., s)
-        n = m.shape[-1]
-        out = np.zeros(m.shape[:-1] + (2 * n, 2))
-        out[..., 0::2, 0] = m
-        out[..., 1::2, 1] = m
-        return out
+    def ref_divergence(self, ref_pts: np.ndarray) -> np.ndarray:
+        """Reference divergences of phi_{2i+c}, d m_i / d x_c, (..., 2s)."""
+        g = _monomial_gradients(self._exps, ref_pts)
+        return g.reshape(g.shape[:-2] + (-1,))
+
+    def piola(self, tris, vhat: np.ndarray) -> np.ndarray:
+        """J vhat / det J on triangles tris; vhat (n, ..., 2)."""
+        sub = self.sub
+        Jt = np.swapaxes(sub.tri_jacobian[tris], 1, 2) / (2.0 * sub.tri_area[tris])[:, None, None]
+        n = Jt.shape[0]
+        return (vhat.reshape(n, -1, 2) @ Jt).reshape(vhat.shape)
 
     def basis_values(self, tris, pts) -> np.ndarray:
-        """Basis fields at physical points; (nt, nq, 2) -> (nt, nq, nloc, 2)."""
-        vm = self._vector_monomials(self._scaled(tris, pts))
-        return np.einsum("tml,tqmc->tqlc", self._coeff[tris], vm)
+        """Basis fields at physical points; (n, nq, 2) -> (n, nq, nloc, 2)."""
+        m = self.ref_monomials(self.sub.reference_coords(tris, pts))  # (n, nq, s)
+        n, nq, s = m.shape
+        C = self.ref_coeff[tris].reshape(n, s, 2 * self.nloc)
+        vhat = np.swapaxes((m @ C).reshape(n, nq, 2, self.nloc), 2, 3)
+        return self.piola(tris, vhat)
 
     def basis_divergence(self, tris, pts) -> np.ndarray:
-        scaled = self._scaled(tris, pts)
-        g = _monomial_gradients(self._exps, scaled)  # (..., s, 2)
-        n = g.shape[-2]
-        div = np.zeros(scaled.shape[:-1] + (2 * n,))
-        div[..., 0::2] = g[..., 0]
-        div[..., 1::2] = g[..., 1]
-        div = div / self._scales[tris][..., None, None]
-        return np.einsum("tml,tqm->tql", self._coeff[tris], div)
+        """Basis divergences at physical points; (n, nq, 2) -> (n, nq, nloc)."""
+        div = self.ref_divergence(self.sub.reference_coords(tris, pts)) @ self.ref_coeff[tris]
+        return div / (2.0 * self.sub.tri_area[tris])[:, None, None]
 
     def edge_trace_matrix(self, ts: np.ndarray) -> np.ndarray:
         """Normal-trace values at edge parameters ts: (nq, k+1) Lagrange."""
@@ -321,7 +373,9 @@ class FluxSpace:
             fv = np.asarray(fn(qp.reshape(-1, 2))).reshape(nt, -1, 2)
             area = sub.tri_area
             mean = np.einsum("tq,tqc->tc", qw, fv) / area[:, None]
-            curl = _bubble_curl(sub, qp)
+            curl = self.piola(
+                slice(None), np.broadcast_to(_bubble_curl_ref(rule.points), qp.shape)
+            )
             mom = np.einsum("tq,tqc,tqc->t", qw, fv, curl) * (
                 sub.tri_diameter / area
             )
@@ -332,26 +386,22 @@ class FluxSpace:
         return out
 
 
-def _bubble_curl(sub: Subdivision, phys_pts: np.ndarray) -> np.ndarray:
-    """curl(l0*l1*l2) at physical points (nt, nq, 2) -> (nt, nq, 2)."""
-    nt, nq = phys_pts.shape[:2]
-    ref = sub.reference_coords(np.arange(nt), phys_pts)
-    x, y = ref[..., 0], ref[..., 1]
-    l0 = 1.0 - x - y
-    db_dx = y * (l0 - x)
-    db_dy = x * (l0 - y)
-    gref = np.stack([db_dx, db_dy], axis=-1)
-    gphys = np.einsum("tji,tqj->tqi", sub.tri_jacobian_inv, gref)
-    curl = np.stack([gphys[..., 1], -gphys[..., 0]], axis=-1)
-    return curl
-
-
 def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
+    """Number the flux dofs and derive each triangle's transform C_t.
+
+    The dof functionals of triangle t applied to the Piola-mapped reference
+    monomials form D_t = P_t D~_t.  P_t takes each edge dof to its reference
+    Gauss point (reversed where the edge's low-to-high vertex order runs
+    against side l) and scales it by sigma / |e|, sigma = +1 where n_e points
+    out of t.  D~_t is the reference matrix, except that at k=2 the mean rows
+    are J / det J times the reference means and the bubble row is the curl
+    tensor contracted with J^T J and scaled by h / (|T| det J).  Then
+    C_t = D~_t^-1 P_t^-1; at k=1 D~_t is one matrix for all triangles.
+    """
     sub = mesh.subdivision if isinstance(mesh, PolygonalMesh) else mesh
     k = config.k
     k1 = k + 1
-    xs, _ = roots_legendre(k1)
-    ts = 0.5 * (xs + 1.0)
+    ts = edge_rule(2 * k + 1).points  # the k+1 Gauss points
     n_int = 3 if k == 2 else 0
     nloc = 3 * k1 + n_int
     nt = sub.n_triangles
@@ -370,41 +420,39 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
     tri_dofs[:, 3 * k1 :] = own + k1 + np.arange(n_int)
     ndof = nt * (2 * k1 + n_int)
 
-    exps = _monomial_exponents(k)
-    s = exps.shape[0]
-    centers = sub.tri_centroid
-    scales = sub.tri_diameter
-
-    # dof-functional matrix G per triangle: rows functionals, cols monomials
-    G = np.zeros((nt, nloc, 2 * s))
+    # P_t^-1 as a per-triangle column order and scale
+    tris = np.arange(nt)
+    j = np.arange(k1)
+    order = np.tile(np.arange(nloc), (nt, 1))
+    scale = np.ones((nt, nloc))
     edge_side_dofs = np.full((sub.n_edges, 2, k1), -1, dtype=int)
     for l in range(3):
+        cols = slice(l * k1, (l + 1) * k1)
         e = sub.tri_edges[:, l]
-        side = (sub.edge_tris[e, 0] != np.arange(nt)).astype(int)
-        edge_side_dofs[e, side] = tri_dofs[:, l * k1 : (l + 1) * k1]
-        p = sub.edge_points(e, ts)  # (nt, k1, 2)
-        nrm = sub.edge_normal[e]  # (nt, 2)
-        scaled = (p - centers[:, None, :]) / scales[:, None, None]
-        m = _monomial_values(exps, scaled)  # (nt, k1, s)
-        rows = np.zeros((nt, k1, 2 * s))
-        rows[..., 0::2] = m * nrm[:, None, 0, None]
-        rows[..., 1::2] = m * nrm[:, None, 1, None]
-        G[:, l * k1 : (l + 1) * k1, :] = rows
-    if n_int:
-        rule = triangle_rule(2 * k + 2)
-        qp, qw = map_to_triangles(rule, sub.tri_coords)
-        scaled = (qp - centers[:, None, :]) / scales[:, None, None]
-        m = _monomial_values(exps, scaled)  # (nt, nq, s)
-        area = sub.tri_area
-        mx = np.einsum("tq,tqm->tm", qw, m) / area[:, None]
-        G[:, 3 * k1, 0::2] = mx
-        G[:, 3 * k1 + 1, 1::2] = mx
-        curl = _bubble_curl(sub, qp)
-        w = sub.tri_diameter / area
-        G[:, 3 * k1 + 2, 0::2] = np.einsum("tq,tqm,tq->tm", qw, m, curl[..., 0]) * w[:, None]
-        G[:, 3 * k1 + 2, 1::2] = np.einsum("tq,tqm,tq->tm", qw, m, curl[..., 1]) * w[:, None]
+        side = (sub.edge_tris[e, 0] != tris).astype(int)
+        edge_side_dofs[e, side] = tri_dofs[:, cols]
+        a, b = sub.tri_vertices[:, l], sub.tri_vertices[:, (l + 1) % 3]
+        d = sub.vertices[b] - sub.vertices[a]
+        n = sub.edge_normal[e]
+        sigma = np.sign(n[:, 0] * d[:, 1] - n[:, 1] * d[:, 0])
+        order[:, cols] = l * k1 + np.where((a > b)[:, None], k - j, j)
+        scale[:, cols] = (sigma * sub.edge_length[e])[:, None]
 
-    coeff = np.linalg.inv(G)  # (nt, 2s, nloc) since G square: 2s == nloc
+    edge, mean, curl = _reference_flux_dofs(k)
+    if n_int:
+        J = sub.tri_jacobian
+        det = 2.0 * sub.tri_area
+        D = np.empty((nt, nloc, nloc))
+        D[:, : 3 * k1] = edge
+        D[:, 3 * k1 : 3 * k1 + 2] = (J / det[:, None, None]) @ mean
+        JtJ = np.swapaxes(J, 1, 2) @ J
+        D[:, -1] = (sub.tri_diameter / (sub.tri_area * det))[:, None] * (
+            JtJ.reshape(nt, 4) @ curl.reshape(4, nloc)
+        )
+    else:
+        D = edge[None]
+    Dinv = np.broadcast_to(np.linalg.inv(D), (nt, nloc, nloc))
+    coeff = np.take_along_axis(Dinv, order[:, None, :], axis=2) * scale[:, None, :]
 
     return FluxSpace(
         sub=sub,
@@ -413,10 +461,8 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
         tri_dofs=tri_dofs,
         edge_side_dofs=edge_side_dofs,
         gauss_ts=ts,
-        _coeff=coeff,
-        _exps=exps,
-        _centers=centers,
-        _scales=scales,
+        ref_coeff=coeff,
+        _exps=_monomial_exponents(k),
     )
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
-from sdgdarcy.geometry import FRACTURE, INTERIOR, DomainSpec, Fracture, build_initial_mesh
+from sdgdarcy.adaptivity import dorfler_mark
+from sdgdarcy.geometry import FRACTURE, INTERIOR, DomainSpec, Fracture, build_initial_mesh, refine
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 
 
@@ -13,6 +15,19 @@ def make_fracture(points, kappa_n=100.0, kappa_t=100.0, thickness=0.01):
         kappa_t=kappa_t,
         thickness=thickness,
     )
+
+
+def doerfler_refinements(data, mesh):
+    """Yield (mesh, marked) along three Doerfler refinements of mesh, with
+    drawn indicators and theta, then the last mesh with marked None."""
+    for _ in range(3):
+        n = mesh.n_elements
+        ind = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        theta = data.draw(st.floats(0.1, 0.9))
+        marked = dorfler_mark(np.array(ind) ** 4, theta)
+        yield mesh, marked
+        mesh = refine(mesh, marked)
+    yield mesh, None
 
 
 @pytest.fixture

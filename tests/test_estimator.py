@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_fracture
+from conftest import doerfler_refinements, make_fracture
 from sdgdarcy.assembly import DiscreteSolution, assemble_system
 from sdgdarcy.benchmarks import case1, case2, linear_patch
 from sdgdarcy.errors import NoExactSolution
@@ -239,6 +240,21 @@ def test_breakdown_invariants(case1_run):
     fm = mesh.subdivision.fracture_meshes[0]
     assert bd.fracture_edge_sq[0].shape == (fm.n_edges,)
     assert bd.vertex_sq[0].shape == (fm.n_edges - 1,)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.data())
+def test_localized_indicators_sum_to_squared_terms(data):
+    """On drawn Doerfler refinements of the fractured case1 mesh, the
+    localized indicators add up to the sum of squared family values and eta
+    is the sum of the family values."""
+    spec, _ = case1(0.1)
+    k = data.draw(st.sampled_from([1, 2]))
+    for mesh, _ in doerfler_refinements(data, build_initial_mesh(spec.domain, 0.5)):
+        sol, _ = solve_system(assemble_system(mesh, spec, SpaceConfig(k)))
+        bd = compute_estimator(mesh, spec, sol)
+        assert bd.element_sq.sum() == pytest.approx((bd.terms**2).sum(), rel=1e-12)
+        assert bd.eta == pytest.approx(bd.terms.sum())
 
 
 def test_partition_on_case2():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.errors import EmptyDomain, FractureNotAligned, MeshError, NotStarShaped
 from sdgdarcy.geometry import (
     BOUNDARY,
@@ -20,7 +19,7 @@ from sdgdarcy.geometry import (
     subdivide,
 )
 
-from conftest import make_fracture
+from conftest import doerfler_refinements, make_fracture
 
 
 def test_two_square_fracture_counts(two_square_fractured):
@@ -273,29 +272,18 @@ def _check_incidence_and_irregularity(mesh):
             assert np.allclose(mesh.vertices[v], mid, atol=1e-12)
 
 
-def _doerfler_refinements(data):
-    """Yield (mesh, marked) along three Doerfler refinements of the
-    fractured 2x1 mesh, with drawn indicators and theta, then the last
-    mesh with marked None."""
+def _fractured_mesh():
     dom = DomainSpec(
         rectangles=[(0.0, 0.0, 2.0, 1.0)],
         fractures=[make_fracture([[1.0, 0.0], [1.0, 1.0]])],
     )
-    mesh = build_initial_mesh(dom, 0.5)
-    for _ in range(3):
-        n = mesh.n_elements
-        ind = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
-        theta = data.draw(st.floats(0.1, 0.9))
-        marked = dorfler_mark(np.array(ind) ** 4, theta)
-        yield mesh, marked
-        mesh = refine(mesh, marked)
-    yield mesh, None
+    return build_initial_mesh(dom, 0.5)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(st.data())
 def test_incidence_table_under_doerfler_refinement(data):
-    for mesh, _ in _doerfler_refinements(data):
+    for mesh, _ in doerfler_refinements(data, _fractured_mesh()):
         _check_incidence_and_irregularity(mesh)
 
 
@@ -455,7 +443,7 @@ def test_geometry_matches_polygon_walk(data):
     """The cycle-table geometry equals the per-polygon walks bit for bit;
     refine is compared with the walk's closed set through its unchanged
     child construction."""
-    for mesh, marked in _doerfler_refinements(data):
+    for mesh, marked in doerfler_refinements(data, _fractured_mesh()):
         fresh = PolygonalMesh(mesh.vertices, mesh.polygons, mesh.hanging, mesh.fractures, mesh.tolerance)
         centroids, diam, rho_e = _reference_measures(fresh)
         assert np.array_equal(fresh.element_centroids, centroids)

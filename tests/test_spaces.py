@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sdgdarcy.adaptivity import dorfler_mark
+from sdgdarcy.assembly import assemble_mass
 from sdgdarcy.errors import ConfigError
 from sdgdarcy.geometry import (
     BOUNDARY,
     DUAL,
     INTERIOR,
     DomainSpec,
+    PolygonalMesh,
     build_initial_mesh,
     refine,
 )
-from sdgdarcy.quadrature import edge_rule, triangle_rule
+from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 from sdgdarcy.spaces import (
     SpaceConfig,
     build_S_h,
@@ -396,3 +401,152 @@ def test_numbering_matches_triangle_walk(k):
     assert np.array_equal(V.tri_dofs, tri_dofs)
     assert np.array_equal(V.edge_side_dofs, edge_side_dofs)
     assert V.ndof == ndof
+
+
+# ---------------------------------------------------------------------------
+# the Piola-mapped flux basis against the physical dof functionals
+
+
+def _doerfler_fractured_sub():
+    """Three Doerfler refinements of the fractured 2x1 mesh, seeded indicators."""
+    dom = DomainSpec(
+        rectangles=[(0.0, 0.0, 2.0, 1.0)],
+        fractures=[make_fracture([[1.0, 0.0], [1.0, 1.0]])],
+    )
+    mesh = build_initial_mesh(dom, 0.5)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
+    return mesh.subdivision
+
+
+def _sliver_sub():
+    """A 2 x 0.05 strip under a 2 x 0.95 block: the strip's long sides give
+    obtuse slivers.  Vertex ids are reversed, so the polygon centroids come
+    first and every side runs against its edge's low-to-high order where the
+    standard numbering runs with it."""
+    verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 0.05], [0.0, 0.05], [2.0, 1.0], [0.0, 1.0]]
+    mesh = PolygonalMesh(verts, [(0, 1, 2, 3), (3, 2, 4, 5)], [(), ()], [], 1e-9)
+    sub = mesh.subdivision
+    nv = sub.vertices.shape[0]
+    new_id = nv - 1 - np.arange(nv)
+    return replace(
+        sub,
+        vertices=sub.vertices[::-1],
+        tri_vertices=new_id[sub.tri_vertices],
+        edge_vertices=new_id[sub.edge_vertices],
+    )
+
+
+PIOLA_MESHES = {"doerfler": _doerfler_fractured_sub, "sliver": _sliver_sub}
+
+
+def _side_runs_low_to_high(sub):
+    a = sub.tri_vertices
+    return a < np.roll(a, -1, axis=1)  # (nt, 3): side l runs a[l] -> a[l+1]
+
+
+def test_piola_meshes_cover_both_side_orientations():
+    seen = np.concatenate([_side_runs_low_to_high(make()) for make in PIOLA_MESHES.values()])
+    for l in range(3):
+        assert seen[:, l].any() and not seen[:, l].all(), l
+    sliver = _sliver_sub()
+    angles = []
+    for tri in sliver.tri_coords:
+        e = np.roll(tri, -1, axis=0) - tri
+        cos = -np.einsum("ic,ic->i", e, np.roll(e, 1, axis=0))
+        angles.append(np.arccos(cos / np.hypot(*e.T) / np.hypot(*np.roll(e, 1, axis=0).T)).max())
+    assert np.degrees(max(angles)) > 170.0
+
+
+def _apply_flux_dofs(sub, V, fields):
+    """The local dof functionals of every triangle applied to m fields.
+
+    fields(pts (nt, nq, 2)) -> values (nt, nq, m, 2) of each triangle's own
+    fields; returns (nt, nloc, m).  Edge dofs are v.n_e at the Gauss points
+    of each side's edge from its lower vertex id; the k=2 moments are the
+    two means and the h/|T|-weighted integral against curl(l0 l1 l2), with
+    barycentric gradients taken from the physical vertices."""
+    rows = []
+    for l in range(3):
+        e = sub.tri_edges[:, l]
+        vals = fields(sub.edge_points(e, V.gauss_ts))
+        rows.append(np.einsum("tqmc,tc->tqm", vals, sub.edge_normal[e]))
+    if V.k == 2:
+        rule = triangle_rule(6)
+        qp, qw = map_to_triangles(rule, sub.tri_coords)
+        vals = fields(qp)
+        area = sub.tri_area
+        rows.append(np.einsum("tq,tqmc->tcm", qw, vals) / area[:, None, None])
+        x = sub.tri_coords
+        grad_l = np.stack(
+            [
+                np.stack([x[:, (i + 1) % 3, 1] - x[:, (i + 2) % 3, 1],
+                          x[:, (i + 2) % 3, 0] - x[:, (i + 1) % 3, 0]], axis=-1)
+                for i in range(3)
+            ],
+            axis=1,
+        ) / (2.0 * area)[:, None, None]  # (nt, 3, 2)
+        lam = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])  # (nq, 3)
+        grad_b = sum(
+            (lam[:, (i + 1) % 3] * lam[:, (i + 2) % 3])[None, :, None] * grad_l[:, None, i]
+            for i in range(3)
+        )
+        curl = np.stack([grad_b[..., 1], -grad_b[..., 0]], axis=-1)
+        w = sub.tri_diameter / area
+        rows.append(w[:, None, None] * np.einsum("tq,tqmc,tqc->tm", qw, vals, curl)[:, None])
+    return np.concatenate(rows, axis=1)
+
+
+def _physical_dual_basis(sub, V):
+    """Brute-force basis: vector monomials in (x - centroid) / h, per
+    triangle combined by the inverse of their dof matrix.  Returns a
+    function (t, pts (nq, 2)) -> (nq, nloc, 2)."""
+    exps = [(a, d - a) for d in range(V.k + 1) for a in range(d, -1, -1)]
+
+    def monomials(tris, pts):
+        z = (pts - sub.tri_centroid[tris][..., None, :]) / sub.tri_diameter[tris][..., None, None]
+        m = np.stack([z[..., 0] ** a * z[..., 1] ** b for a, b in exps], axis=-1)
+        out = np.zeros(m.shape + (2, 2))
+        out[..., 0, 0] = m
+        out[..., 1, 1] = m
+        return out.reshape(m.shape[:-1] + (-1, 2))  # (..., 2s, 2)
+
+    tris = np.arange(sub.n_triangles)
+    coeff = np.linalg.inv(_apply_flux_dofs(sub, V, lambda pts: monomials(tris, pts)))
+    return lambda t, pts: np.einsum("qmc,ml->qlc", monomials(t, pts), coeff[t])
+
+
+@pytest.mark.parametrize("mesh", sorted(PIOLA_MESHES))
+@pytest.mark.parametrize("k", [1, 2])
+def test_piola_basis_is_dual_to_dofs(k, mesh):
+    sub = PIOLA_MESHES[mesh]()
+    V = build_V_h(sub, SpaceConfig(k))
+    tris = np.arange(sub.n_triangles)
+    D = _apply_flux_dofs(sub, V, lambda pts: V.basis_values(tris, pts))
+    assert np.max(np.abs(D - np.eye(V.nloc))) < 1e-12
+
+
+@pytest.mark.parametrize("mesh", sorted(PIOLA_MESHES))
+@pytest.mark.parametrize("k", [1, 2])
+def test_mass_blocks_match_physical_quadrature(k, mesh):
+    """assemble_mass against quadrature of the brute-force physical basis,
+    one triangle at a time, with an anisotropic K on every element; entries
+    are compared relative to sqrt(M_ii M_jj)."""
+    sub = PIOLA_MESHES[mesh]()
+    V = build_V_h(sub, SpaceConfig(k))
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((sub.mesh.n_elements, 2, 2))
+    K_elem = A @ np.swapaxes(A, 1, 2) + np.eye(2)
+    basis = _physical_dual_basis(sub, V)
+    qp, qw = map_to_triangles(triangle_rule(2 * k + 2), sub.tri_coords)
+    oracle = np.zeros((V.ndof, V.ndof))
+    for t in range(sub.n_triangles):
+        b = basis(t, qp[t])
+        assert np.max(np.abs(V.basis_values([t], qp[t][None])[0] - b)) < 1e-12
+        Kinv = np.linalg.inv(K_elem[sub.tri_polygon[t]])
+        dofs = V.tri_dofs[t]
+        oracle[np.ix_(dofs, dofs)] += np.einsum("q,qlc,cd,qmd->lm", qw[t], b, Kinv, b)
+    M = assemble_mass(sub, V, K_elem).toarray()
+    d = np.sqrt(np.diag(oracle))
+    assert np.max(np.abs(M - oracle) / np.outer(d, d)) < 1e-13
