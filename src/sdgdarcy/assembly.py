@@ -1,8 +1,11 @@
 """Assembly of the coupled saddle-point system.
 
-Unknown blocks are ordered (u, p, p_gamma).  All matrices are assembled over
-the full dof sets; ``assemble_system`` reduces to free dofs in one step and
-moves Dirichlet data to the right-hand side.  The flux equation pairs the
+Unknown blocks are ordered (u, p, p_gamma).  The flux mass and
+pressure-gradient forms come as dense per-triangle blocks, which
+``assemble_system`` gathers into one dense block per polygon; the interface
+and fracture forms are sparse over the full dof sets.  ``assemble_system``
+reduces to free dofs and moves Dirichlet data to the right-hand side.  The
+flux equation pairs the
 flux mass matrix with the transposed pressure-gradient form applied to the
 full pressure vector, so interpolated Dirichlet values enter it naturally;
 the pressure equation enforces prescribed Neumann fluxes weakly through a
@@ -18,7 +21,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import DUAL, PolygonalMesh, Subdivision, inv_2x2
+from .errors import SolverError
+from .geometry import PolygonalMesh, Subdivision, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, triangle_rule
 from .spaces import (
@@ -32,12 +36,11 @@ from .spaces import (
 )
 
 
-def _coo(rows, cols, vals, shape):
-    if not rows:
+def _coo(triplets, shape):
+    """CSR sum of (rows, cols, values) triplets of arrays of one shape each."""
+    if not triplets:
         return sp.csr_matrix(shape)
-    r = np.concatenate([np.asarray(a).ravel() for a in rows])
-    c = np.concatenate([np.asarray(a).ravel() for a in cols])
-    v = np.concatenate([np.asarray(a).ravel() for a in vals])
+    r, c, v = (np.concatenate([np.ravel(a) for a in part]) for part in zip(*triplets))
     return sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
 
 
@@ -48,12 +51,13 @@ def _block(dofs_i, dofs_j, local):
     return rows, cols, local
 
 
-def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray) -> sp.csr_matrix:
-    """Flux mass matrix weighted by the inverse permeability.
+def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray) -> np.ndarray:
+    """Flux mass blocks weighted by the inverse permeability, (nt, nloc, nloc).
 
-    On triangle t the block is C_t^T (M^ (x) G_t) C_t: M^ is the reference
-    mass matrix of the scalar monomials and G_t = J^T K^-1 J / det J, the
-    Piola map's weight on the two vector components.
+    Block t couples the dofs V.tri_dofs[t].  It is C_t^T (M^ (x) G_t) C_t:
+    M^ is the reference mass matrix of the scalar monomials and
+    G_t = J^T K^-1 J / det J, the Piola map's weight on the two vector
+    components.
     """
     rule = triangle_rule(2 * V.k + 2)
     m = V.ref_monomials(rule.points)  # (nq, s)
@@ -64,45 +68,38 @@ def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray) -> sp.csr_
     nt, s = G.shape[0], mhat.shape[0]
     inner = (mhat[None, :, None, :, None] * G[:, None, :, None, :]).reshape(nt, 2 * s, 2 * s)
     C = V.ref_coeff
-    local = np.swapaxes(C, 1, 2) @ inner @ C
-    r, c, v = _block(V.tri_dofs, V.tri_dofs, local)
-    return _coo([r], [c], [v], (V.ndof, V.ndof))
+    return np.swapaxes(C, 1, 2) @ inner @ C
 
 
-def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> sp.csr_matrix:
-    """b_h(u, q) = -sum_{dual e} <u.n, [q]>_e + sum_tau (u, grad q)_tau.
+def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> np.ndarray:
+    """Blocks of b_h(u, q) = -sum_{dual e} <u.n, [q]>_e + sum_tau (u, grad q)_tau.
 
-    Rows are pressure dofs, columns flux dofs: b_h(u, q) = q^T B u.
+    Block t, (nt, ns, nloc), has rows S.tri_dofs[t] and columns
+    V.tri_dofs[t]: b_h(u, q) = q^T B u with B the sum of the blocks.  Sides
+    1 and 2 of every triangle are dual edges, so each dual-edge term lands
+    in the block of the triangle it is taken from.
     """
-    k = V.k
-    rows, cols, vals = [], [], []
-
+    k1 = V.k + 1
     # grad q . J phi / det J = grad^ q . phi / det J, so the volume term is
     # one reference matrix times C_t
-    rule = triangle_rule(2 * k + 2)
+    rule = triangle_rule(2 * V.k + 2)
     gref = S.grad_ref(rule.points)  # (nq, ns, 2)
     m = V.ref_monomials(rule.points)  # (nq, s)
     bhat = np.einsum("q,qsc,qi->sic", rule.weights, gref, m).reshape(S.nloc, -1)
     local = bhat @ V.ref_coeff
-    r, c, v = _block(S.tri_dofs, V.tri_dofs, local)
-    rows.append(r), cols.append(c), vals.append(v)
 
-    erule = edge_rule(2 * k + 2)
+    erule = edge_rule(2 * V.k + 2)
     ts, ws = erule.points, erule.weights
-    duals = sub.edges_of_kind(DUAL)
-    if duals.size:
-        pts = sub.edge_points(duals, ts)
-        L = V.edge_trace_matrix(ts)  # (nq, k+1)
-        wl = sub.edge_length[duals]
-        vdofs = V.edge_side_dofs[duals, 0]  # shared on dual edges
-        for side, sign in ((0, 1.0), (1, -1.0)):
-            t = sub.edge_tris[duals, side]
-            sb = S.basis_values(t, pts)  # (ne, nq, ns)
-            local = -sign * np.einsum("q,e,qj,eqs->esj", ws, wl, L, sb)
-            r, c, v = _block(S.tri_dofs[t], vdofs, local)
-            rows.append(r), cols.append(c), vals.append(v)
-
-    return _coo(rows, cols, vals, (S.ndof, V.ndof))
+    L = V.edge_trace_matrix(ts)  # (nq, k+1)
+    tris = np.arange(sub.n_triangles)
+    for l in (1, 2):
+        e = sub.tri_edges[:, l]
+        sign = np.where(sub.edge_tris[e, 0] == tris, 1.0, -1.0)
+        sb = S.basis_values(tris, sub.edge_points(e, ts))  # (nt, nq, ns)
+        local[:, :, l * k1 : (l + 1) * k1] -= np.einsum(
+            "q,e,qj,eqs->esj", ws, sign * sub.edge_length[e], L, sb
+        )
+    return local
 
 
 def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSpace, spec: ProblemSpec):
@@ -112,13 +109,10 @@ def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSp
     C_pw the -<(1/alpha) p_gamma, {q}> pairing (its transpose enters the
     fracture equation), C_ww the +<(1/alpha) p_gamma, q_gamma> mass.
     """
-    k = S.k
-    erule = edge_rule(2 * k + 2)
+    erule = edge_rule(2 * S.k + 2)
     ts, ws = erule.points, erule.weights
-    rows_pp, cols_pp, vals_pp = [], [], []
-    rows_pw, cols_pw, vals_pw = [], [], []
-    rows_ww, cols_ww, vals_ww = [], [], []
-
+    wb = W.eval_ref(ts)  # (nq, k+1)
+    pp, pw, ww = [], [], []
     for fi, fr in enumerate(sub.mesh.fractures):
         fm = sub.fracture_meshes[fi]
         if fm.n_edges == 0:
@@ -127,57 +121,38 @@ def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSp
         alpha = spec.exchange_resistance(fi)[fm.edge_segment]
         pts, _ = sub.fracture_points(fi, ts)
         wl = fm.edge_length
-        t1 = sub.edge_tris[fm.edge_ids, 0]
-        t2 = sub.edge_tris[fm.edge_ids, 1]
+        t1, t2 = sub.edge_tris[fm.edge_ids].T
         s1 = S.basis_values(t1, pts)  # (ne, nq, ns)
         s2 = S.basis_values(t2, pts)
-        wb = W.eval_ref(ts)  # (nq, k+1)
-        d1 = S.tri_dofs[t1]
-        d2 = S.tri_dofs[t2]
+        # both sides' dofs side by side: average and jump of the traces
+        d = np.hstack([S.tri_dofs[t1], S.tri_dofs[t2]])
+        avg = 0.5 * np.concatenate([s1, s2], axis=2)
+        jmp = np.concatenate([s1, -s2], axis=2)
         wd = W.edge_dofs[fi]
-
-        avg = [(d1, 0.5 * s1), (d2, 0.5 * s2)]
-        jmp = [(d1, s1), (d2, -s2)]
-        for da, sa in avg:
-            for db, sb_ in avg:
-                local = np.einsum("q,e,eqs,eqr->esr", ws, wl / alpha, sa, sb_)
-                r, c, v = _block(da, db, local)
-                rows_pp.append(r), cols_pp.append(c), vals_pp.append(v)
-        for da, sa in jmp:
-            for db, sb_ in jmp:
-                local = np.einsum("q,e,eqs,eqr->esr", ws, wl / eta, sa, sb_)
-                r, c, v = _block(da, db, local)
-                rows_pp.append(r), cols_pp.append(c), vals_pp.append(v)
-        for da, sa in avg:
-            local = -np.einsum("q,e,eqs,qj->esj", ws, wl / alpha, sa, wb)
-            r, c, v = _block(da, wd, local)
-            rows_pw.append(r), cols_pw.append(c), vals_pw.append(v)
-        local = np.einsum("q,e,qi,qj->eij", ws, wl / alpha, wb, wb)
-        r, c, v = _block(wd, wd, local)
-        rows_ww.append(r), cols_ww.append(c), vals_ww.append(v)
-
-    C_pp = _coo(rows_pp, cols_pp, vals_pp, (S.ndof, S.ndof))
-    C_pw = _coo(rows_pw, cols_pw, vals_pw, (S.ndof, W.ndof))
-    C_ww = _coo(rows_ww, cols_ww, vals_ww, (W.ndof, W.ndof))
-    return C_pp, C_pw, C_ww
+        local = np.einsum("q,e,eqs,eqr->esr", ws, wl / alpha, avg, avg)
+        local += np.einsum("q,e,eqs,eqr->esr", ws, wl / eta, jmp, jmp)
+        pp.append(_block(d, d, local))
+        pw.append(_block(d, wd, -np.einsum("q,e,eqs,qj->esj", ws, wl / alpha, avg, wb)))
+        ww.append(_block(wd, wd, np.einsum("q,e,qi,qj->eij", ws, wl / alpha, wb, wb)))
+    return (
+        _coo(pp, (S.ndof, S.ndof)),
+        _coo(pw, (S.ndof, W.ndof)),
+        _coo(ww, (W.ndof, W.ndof)),
+    )
 
 
 def assemble_fracture_stiffness(sub: Subdivision, W: FracturePressureSpace, spec: ProblemSpec) -> sp.csr_matrix:
     """Tangential stiffness <K_gamma dp/dt, dq/dt> along each fracture."""
-    k = W.k
-    erule = edge_rule(max(2 * k - 2, 0))
-    ts, ws = erule.points, erule.weights
-    rows, cols, vals = [], [], []
+    erule = edge_rule(max(2 * W.k - 2, 0))
+    dref = W.deriv_ref(erule.points)  # (nq, k+1)
+    blocks = []
     for fi, fr in enumerate(sub.mesh.fractures):
         fm = sub.fracture_meshes[fi]
-        if fm.n_edges == 0:
-            continue
-        Kg = fr.tangential_conductivity[fm.edge_segment]
-        dref = W.deriv_ref(ts)  # (nq, k+1)
-        local = np.einsum("q,e,qi,qj->eij", ws, Kg / fm.edge_length, dref, dref)
-        r, c, v = _block(W.edge_dofs[fi], W.edge_dofs[fi], local)
-        rows.append(r), cols.append(c), vals.append(v)
-    return _coo(rows, cols, vals, (W.ndof, W.ndof))
+        if fm.n_edges:
+            Kg = fr.tangential_conductivity[fm.edge_segment]
+            local = np.einsum("q,e,qi,qj->eij", erule.weights, Kg / fm.edge_length, dref, dref)
+            blocks.append(_block(W.edge_dofs[fi], W.edge_dofs[fi], local))
+    return _coo(blocks, (W.ndof, W.ndof))
 
 
 def assemble_rhs(sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureSpace, W: FracturePressureSpace) -> np.ndarray:
@@ -192,16 +167,17 @@ def assemble_rhs(sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureS
     sview = rhs[V.ndof : V.ndof + S.ndof]
     wview = rhs[V.ndof + S.ndof :]
 
-    rule = triangle_rule(2 * k + 2)
-    qp, qw = map_to_triangles(rule, sub.tri_coords)
-    region = sub.mesh.element_regions[sub.tri_polygon]
-    nt, nq = qp.shape[:2]
-    fvals = spec.bulk_source(
-        qp.reshape(-1, 2), np.repeat(region, nq)
-    ).reshape(nt, nq)
-    sv = S.eval_ref(rule.points)
-    local = np.einsum("tq,tq,qs->ts", qw, fvals, sv)
-    np.add.at(sview, S.tri_dofs, local)
+    if spec.f is not None:
+        rule = triangle_rule(2 * k + 2)
+        qp, qw = map_to_triangles(rule, sub.tri_coords)
+        region = sub.mesh.element_regions[sub.tri_polygon]
+        nt, nq = qp.shape[:2]
+        fvals = spec.bulk_source(
+            qp.reshape(-1, 2), np.repeat(region, nq)
+        ).reshape(nt, nq)
+        sv = S.eval_ref(rule.points)
+        local = np.einsum("tq,tq,qs->ts", qw, fvals, sv)
+        np.add.at(sview, S.tri_dofs, local)
 
     table = spec.boundary_table(sub)
     erule = edge_rule(2 * k + 2)
@@ -251,10 +227,30 @@ def dirichlet_values(sub: Subdivision, spec: ProblemSpec, S: PressureSpace, W: F
 
 
 @dataclass(frozen=True)
-class LinearSystem:
-    """Reduced sparse system over free dofs, ordered (u, p, p_gamma)."""
+class PolygonBlocks:
+    """Dense flux blocks of the polygons that have n triangles each.
 
-    A: sp.csr_matrix
+    Each polygon has b = n (2k + 2 + n_int) flux dofs and m = n ns local
+    pressures, the pressure dofs of its triangles in order.
+    """
+
+    flux: np.ndarray  # (npoly, b) flux dofs of each polygon, in local order
+    cols: np.ndarray  # (npoly, m) index into y = free (p, p_gamma); ny where constrained
+    M: np.ndarray  # (npoly, b, b) flux mass blocks M_P
+    G: np.ndarray  # (npoly, b, m) G_P = B_P^T, zero in constrained columns
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """Reduced system over free dofs, ordered (u, p, p_gamma).
+
+    With y = (p, p_gamma) it reads [M G; -G^T C] [u; y] = rhs.  M and G are
+    kept as per-polygon dense blocks and C as a sparse matrix; the sparse
+    matrix `A` is built from them only when asked for.
+    """
+
+    blocks: tuple  # PolygonBlocks, one per triangle count
+    C: sp.csr_matrix  # interface and fracture block over free y
     rhs: np.ndarray
     offsets: tuple  # (0, nV, nV + nS_free, n_total)
     V: FluxSpace
@@ -269,7 +265,45 @@ class LinearSystem:
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.offsets[3]
+
+    @property
+    def nnz(self) -> int:
+        """Nonzeros of `A`, counted on the blocks."""
+        blocks = (np.count_nonzero(g.M) + 2 * np.count_nonzero(g.G) for g in self.blocks)
+        return int(np.count_nonzero(self.C.data) + sum(blocks))
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        """The saddle matrix over free dofs, without stored zeros."""
+        nV = self.offsets[1]
+        C = self.C.tocoo()
+        triplets = [(nV + C.row, nV + C.col, C.data)]
+        for g in self.blocks:
+            triplets += [
+                _block(g.flux, g.flux, g.M),
+                _block(g.flux, nV + g.cols, g.G),
+                _block(nV + g.cols, g.flux, -np.swapaxes(g.G, 1, 2)),
+            ]
+        return _coo([(r[v != 0], c[v != 0], v[v != 0]) for r, c, v in triplets], (self.n, self.n))
+
+    def matvec(self, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """A @ x from the blocks; |A| @ x when `absolute`."""
+        nV, ny = self.offsets[1], self.C.shape[0]
+        u, y = x[:nV], x[nV:]
+        C = abs(self.C) if absolute else self.C
+        out = np.empty_like(x, dtype=float)
+        out[nV:] = C @ y
+        y0 = np.append(y, 0.0)  # constrained local pressures read zero
+        for g in self.blocks:
+            M, G = (np.abs(g.M), np.abs(g.G)) if absolute else (g.M, g.G)
+            uP = u[g.flux]
+            out[g.flux] = (M @ uP[..., None] + G @ y0[g.cols][..., None])[..., 0]
+            gtu = (uP[:, None, :] @ G)[:, 0]
+            out[nV:] += (1.0 if absolute else -1.0) * np.bincount(
+                g.cols.ravel(), gtu.ravel(), minlength=ny + 1
+            )[:ny]
+        return out
 
     def expand(self, x: np.ndarray) -> "DiscreteSolution":
         nV = self.offsets[1]
@@ -298,11 +332,6 @@ class DiscreteSolution:
     @property
     def sub(self) -> Subdivision:
         return self.mesh.subdivision
-
-    @property
-    def n_dofs(self) -> int:
-        """Total dofs of the discrete spaces (constraints included)."""
-        return self.V.ndof + self.S.ndof + self.W.ndof
 
     @cached_property
     def _u_hat(self) -> np.ndarray:
@@ -376,6 +405,61 @@ def free_unknowns(spaces) -> int:
     return V.ndof + S.n_free + W.n_free
 
 
+def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, M_t, B_t, ycol):
+    """Gather the triangle blocks into dense polygon blocks, grouped by size.
+
+    Triangle t is cycle slot t, so polygon p owns triangles t0:t1 =
+    offsets[p]:offsets[p+1].  In the numbering of `build_V_h` it then owns
+    the dofs of its dual edges, k1 t0 : k1 t1, and of its triangles,
+    nt k1 + n_own t0 : nt k1 + n_own t1; its local order is the one, then
+    the other.  `ycol` maps pressure dofs to their index in y.
+    """
+    k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
+    n_own = V.nloc - 2 * k1
+    offsets = sub.mesh.cycles.offsets
+    counts = np.diff(offsets)
+    owner = np.empty(V.ndof, dtype=np.int64)
+    local = np.empty(V.ndof, dtype=np.int64)
+    groups = []
+    for n in np.unique(counts):
+        polys = np.flatnonzero(counts == n)
+        t0 = offsets[polys][:, None]
+        flux = np.hstack(
+            [k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)]
+        )
+        owner[flux] = polys[:, None]
+        local[flux] = np.arange(flux.shape[1])
+        groups.append((t0 + np.arange(n), flux))
+    stray = np.flatnonzero(owner[V.tri_dofs] != sub.tri_polygon[:, None])
+    if stray.size:
+        t = stray[0] // V.nloc
+        raise SolverError(
+            f"flux dof {V.tri_dofs.flat[stray[0]]} of triangle {t} leaves "
+            f"its polygon {sub.tri_polygon[t]}"
+        )
+
+    out = []
+    for tris, flux in groups:
+        npoly, b, m = tris.shape[0], flux.shape[1], tris.shape[1] * ns
+        li = local[V.tri_dofs[tris]]  # (npoly, n, nloc)
+        base = np.arange(npoly)[:, None, None, None] * b
+        M = np.bincount(
+            ((base + li[..., :, None]) * b + li[..., None, :]).ravel(),
+            M_t[tris].ravel(),
+            minlength=npoly * b * b,
+        )
+        pcol = np.arange(m).reshape(-1, ns)[:, :, None]  # (n, ns, 1)
+        G = np.bincount(
+            ((base + li[..., None, :]) * m + pcol).ravel(),
+            B_t[tris].ravel(),
+            minlength=npoly * b * m,
+        )
+        pdofs = S.tri_dofs[tris].reshape(npoly, m)
+        G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
+        out.append(PolygonBlocks(flux, ycol[pdofs], M.reshape(npoly, b, b), G))
+    return out
+
+
 def assemble_system(
     mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, spaces=None
 ) -> LinearSystem:
@@ -384,10 +468,22 @@ def assemble_system(
     S, V, W = build_spaces(mesh, spec, config) if spaces is None else spaces
 
     K_elem = spec.permeability(mesh.element_centroids)
-    M = assemble_mass(sub, V, K_elem)
-    B = assemble_bh(sub, V, S)
+    M_t = assemble_mass(sub, V, K_elem)
+    B_t = assemble_bh(sub, V, S)
     C_pp, C_pw, C_ww_cpl = assemble_interface(sub, S, W, spec)
     C_ww = C_ww_cpl + assemble_fracture_stiffness(sub, W, spec)
+    rhs_full = assemble_rhs(sub, spec, V, S, W)
+    p_dir, w_dir = dirichlet_values(sub, spec, S, W)
+
+    # y = (p, p_gamma) over free dofs; constrained ones map to ny
+    nV, nS = V.ndof, S.ndof
+    s_free = np.flatnonzero(~S.dirichlet_mask)
+    w_free = np.flatnonzero(~W.dirichlet_mask)
+    y_free = np.concatenate([s_free, nS + w_free])
+    ny = y_free.size
+    ycol = np.full(nS + W.ndof, ny)
+    ycol[y_free] = np.arange(ny)
+    blocks = _polygon_blocks(sub, V, S, M_t, B_t, ycol)
 
     # The flux row pairs with the full pressure vector through B^T, which
     # equals the facewise adjoint form plus the boundary trace pairing
@@ -396,29 +492,16 @@ def assemble_system(
     # (moved to the rhs below) and keep the Neumann-edge pressure trace
     # coupled, which is what makes interpolated boundary data exactly
     # consistent.
-    nV, nS, nW = V.ndof, S.ndof, W.ndof
-    A_full = sp.bmat(
-        [
-            [M, B.T, None],
-            [-B, C_pp, C_pw],
-            [None, C_pw.T, C_ww],
-        ],
-        format="csr",
-    )
-    rhs_full = assemble_rhs(sub, spec, V, S, W)
-
-    p_dir, w_dir = dirichlet_values(sub, spec, S, W)
-    x_dir = np.concatenate([np.zeros(nV), p_dir, w_dir])
-    s_free = np.flatnonzero(~S.dirichlet_mask)
-    w_free = np.flatnonzero(~W.dirichlet_mask)
-    free = np.concatenate([np.arange(nV), nV + s_free, nV + nS + w_free])
-
-    rhs_lifted = rhs_full - A_full @ x_dir
-    A = A_full[free][:, free].tocsr()
-    rhs = rhs_lifted[free]
-    offsets = (0, nV, nV + s_free.size, nV + s_free.size + w_free.size)
+    rhs = np.empty(nV + ny)
+    lift = (p_dir[S.tri_dofs][:, None, :] @ B_t)[:, 0]  # (nt, nloc)
+    rhs[:nV] = rhs_full[:nV] - np.bincount(V.tri_dofs.ravel(), lift.ravel(), minlength=nV)
+    C_full = sp.bmat([[C_pp, C_pw], [C_pw.T, C_ww]], format="csr")
+    rhs[nV:] = (rhs_full[nV:] - C_full @ np.concatenate([p_dir, w_dir]))[y_free]
+    C = C_full[y_free][:, y_free]
+    offsets = (0, nV, nV + s_free.size, nV + ny)
     return LinearSystem(
-        A=A,
+        blocks=tuple(blocks),
+        C=C,
         rhs=rhs,
         offsets=offsets,
         V=V,

@@ -253,12 +253,12 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int) -> float:
     sub = mesh.subdivision
     total = 0.0
 
-    rule = triangle_rule(2 * k + 12)
-    qp, qw = map_to_triangles(rule, sub.tri_coords)
-    nt, nq = qp.shape[:2]
-    region = mesh.element_regions[sub.tri_polygon]
-    f = spec.bulk_source(qp.reshape(-1, 2), np.repeat(region, nq)).reshape(nt, nq)
-    if np.any(f):
+    if spec.f is not None:
+        rule = triangle_rule(2 * k + 12)
+        qp, qw = map_to_triangles(rule, sub.tri_coords)
+        nt, nq = qp.shape[:2]
+        region = mesh.element_regions[sub.tri_polygon]
+        f = spec.bulk_source(qp.reshape(-1, 2), np.repeat(region, nq)).reshape(nt, nq)
         # P_k is affine invariant: project onto the reference monomials,
         # whose Gram matrix on triangle t is |det J| times the reference one
         mono = _monomial_values(_monomial_exponents(k), rule.points)  # (nq, s)

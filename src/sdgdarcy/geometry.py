@@ -118,12 +118,6 @@ class Fracture:
             par = np.where(better, self.arclength[s] + proj, par)
         return par
 
-    def segment_of(self, pts: np.ndarray) -> np.ndarray:
-        """Index of the segment containing each point (midpoints expected)."""
-        par = self.param_of(pts)
-        idx = np.searchsorted(self.arclength, par, side="right") - 1
-        return np.clip(idx, 0, self.n_segments - 1)
-
 
 def _segments_intersect(p0, p1, q0, q1, tol):
     """True if closed segments [p0,p1] and [q0,q1] intersect beyond shared endpoints."""
@@ -344,10 +338,6 @@ class FractureLineMesh:
     @property
     def n_edges(self) -> int:
         return self.edge_ids.shape[0]
-
-    @property
-    def interior_vertex_ids(self) -> np.ndarray:
-        return self.vertex_ids[1:-1]
 
     @property
     def h_vertex(self) -> np.ndarray:

@@ -70,7 +70,7 @@ def map_to_triangles(rule: QuadratureRule, coords: np.ndarray):
     """
     v0 = coords[:, 0, :]
     J = np.stack([coords[:, 1, :] - v0, coords[:, 2, :] - v0], axis=-1)
-    pts = v0[:, None, :] + np.einsum("tij,qj->tqi", J, rule.points)
+    pts = v0[:, None, :] + rule.points @ np.swapaxes(J, 1, 2)
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     wts = np.abs(det)[:, None] * rule.weights[None, :]
     return pts, wts

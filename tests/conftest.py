@@ -4,6 +4,15 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from sdgdarcy.adaptivity import dorfler_mark
+from sdgdarcy.assembly import (
+    assemble_bh,
+    assemble_fracture_stiffness,
+    assemble_interface,
+    assemble_mass,
+    assemble_rhs,
+    build_spaces,
+    dirichlet_values,
+)
 from sdgdarcy.geometry import FRACTURE, INTERIOR, DomainSpec, Fracture, build_initial_mesh, refine
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 
@@ -91,3 +100,51 @@ def assemble_bh_star(sub, V, S):
 
     r, c, v = (np.concatenate(a) for a in (rows, cols, vals))
     return sp.coo_matrix((v, (r, c)), shape=(V.ndof, S.ndof)).tocsr()
+
+
+def scatter(rows, cols, blocks, shape):
+    """Sum per-element dense blocks (n, ni, nj) at dofs rows (n, ni) and
+    cols (n, nj) into a CSR matrix."""
+    r = np.broadcast_to(rows[:, :, None], blocks.shape).ravel()
+    c = np.broadcast_to(cols[:, None, :], blocks.shape).ravel()
+    return sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def mass_matrix(sub, V, K_elem):
+    """The global flux mass matrix from the `assemble_mass` blocks."""
+    return scatter(V.tri_dofs, V.tri_dofs, assemble_mass(sub, V, K_elem), (V.ndof, V.ndof))
+
+
+def bh_matrix(sub, V, S):
+    """The global b_h matrix (pressure rows, flux columns) from the
+    `assemble_bh` blocks."""
+    return scatter(S.tri_dofs, V.tri_dofs, assemble_bh(sub, V, S), (S.ndof, V.ndof))
+
+
+def saddle_system(mesh, spec, config):
+    """The reduced saddle system assembled globally, the oracle for the
+    polygon blocks of `assemble_system`: [M B^T 0; -B C_pp C_pw; 0 C_pw^T
+    C_ww] over all dofs, Dirichlet values lifted to the right-hand side,
+    then restricted to the free dofs.  Returns (A, rhs)."""
+    sub = mesh.subdivision
+    S, V, W = build_spaces(mesh, spec, config)
+    M = mass_matrix(sub, V, spec.permeability(mesh.element_centroids))
+    B = bh_matrix(sub, V, S)
+    C_pp, C_pw, C_ww = assemble_interface(sub, S, W, spec)
+    C_ww = C_ww + assemble_fracture_stiffness(sub, W, spec)
+    A_full = sp.bmat([[M, B.T, None], [-B, C_pp, C_pw], [None, C_pw.T, C_ww]], format="csr")
+    p_dir, w_dir = dirichlet_values(sub, spec, S, W)
+    x_dir = np.concatenate([np.zeros(V.ndof), p_dir, w_dir])
+    free = np.concatenate([
+        np.arange(V.ndof),
+        V.ndof + np.flatnonzero(~S.dirichlet_mask),
+        V.ndof + S.ndof + np.flatnonzero(~W.dirichlet_mask),
+    ])
+    rhs = assemble_rhs(sub, spec, V, S, W) - A_full @ x_dir
+    return A_full[free][:, free].tocsr(), rhs[free]
+
+
+def saddle_backward_error(A, x, rhs):
+    """||A x - rhs||_inf / || |A| |x| + |rhs| ||_inf on a sparse matrix."""
+    r = A @ x - rhs
+    return np.linalg.norm(r, np.inf) / np.linalg.norm(abs(A) @ np.abs(x) + np.abs(rhs), np.inf)

@@ -25,7 +25,6 @@ from sdgdarcy.adaptivity import (
 )
 from sdgdarcy.assembly import (
     DiscreteSolution,
-    assemble_bh,
     assemble_system,
 )
 from sdgdarcy.benchmarks import case1, get_benchmark, linear_patch, verify_interface
@@ -43,7 +42,7 @@ from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 from sdgdarcy.spaces import SpaceConfig, build_S_h, build_V_h, build_W_h
 from sdgdarcy.solve import solve_system
 
-from conftest import assemble_bh_star
+from conftest import assemble_bh_star, bh_matrix
 
 RATE_TOL = 0.15  # slope window around the target -k/2
 # T2 and T4 (0-based columns of `terms`): the two parts of the discrete
@@ -128,7 +127,7 @@ def test_adjoint_identity():
             V = build_V_h(mesh, SpaceConfig(1))
             S = build_S_h(mesh, SpaceConfig(1),
                           dirichlet_edges=sub.edges_of_kind(BOUNDARY))
-            B = assemble_bh(sub, V, S)
+            B = bh_matrix(sub, V, S)
             Bstar = assemble_bh_star(sub, V, S)
             free = np.flatnonzero(~S.dirichlet_mask)
             diff = (B.T - Bstar).tocsc()[:, free]

@@ -2,19 +2,21 @@
 identity between the two pressure-gradient assembly paths, and exact
 consistency of the reduced system on interpolants of a linear solution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sdgdarcy.assembly import (
-    assemble_bh,
     assemble_fracture_stiffness,
     assemble_interface,
-    assemble_mass,
     assemble_rhs,
     assemble_system,
+    build_spaces,
     dirichlet_values,
 )
-from sdgdarcy.benchmarks import linear_patch
+from sdgdarcy.benchmarks import get_benchmark, linear_patch
+from sdgdarcy.errors import SolverError
 from sdgdarcy.geometry import (
     BOUNDARY,
     DomainSpec,
@@ -32,7 +34,7 @@ from sdgdarcy.problem import (
 )
 from sdgdarcy.spaces import SpaceConfig, build_S_h, build_V_h, build_W_h
 
-from conftest import assemble_bh_star
+from conftest import assemble_bh_star, bh_matrix, mass_matrix, saddle_system
 
 
 def unit_square_mesh(h=1.0):
@@ -67,11 +69,11 @@ def test_mass_constant_flux_energy():
     mesh = unit_square_mesh()
     sub = mesh.subdivision
     V = build_V_h(mesh, SpaceConfig(1))
-    M = assemble_mass(sub, V, identity_K(1))
+    M = mass_matrix(sub, V, identity_K(1))
     u = V.interpolate(lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
     assert abs(u @ (M @ u) - 1.0) < 1e-12
 
-    M4 = assemble_mass(sub, V, 4.0 * identity_K(1))
+    M4 = mass_matrix(sub, V, 4.0 * identity_K(1))
     assert abs((M4 - 0.25 * M).toarray()).max() < 1e-14
 
     u2 = V.interpolate(lambda pts: pts)  # u = (x, y)
@@ -82,7 +84,7 @@ def test_mass_k2_energy():
     mesh = unit_square_mesh()
     sub = mesh.subdivision
     V = build_V_h(mesh, SpaceConfig(2))
-    M = assemble_mass(sub, V, identity_K(1))
+    M = mass_matrix(sub, V, identity_K(1))
     # u = (x^2, x*y): integral of x^4 + x^2 y^2 over the unit square
     u = V.interpolate(
         lambda pts: np.stack([pts[..., 0] ** 2, pts[..., 0] * pts[..., 1]], axis=-1)
@@ -94,7 +96,7 @@ def test_mass_symmetric_positive(two_square_fractured):
     mesh = two_square_fractured
     sub = mesh.subdivision
     V = build_V_h(mesh, SpaceConfig(1))
-    M = assemble_mass(sub, V, identity_K(mesh.n_elements)).toarray()
+    M = mass_matrix(sub, V, identity_K(mesh.n_elements)).toarray()
     assert abs(M - M.T).max() < 1e-12
     w = np.linalg.eigvalsh(M)
     assert w.min() > 0
@@ -108,7 +110,7 @@ def test_bh_vanishes_on_constant_pressure(two_square_fractured):
     sub = mesh.subdivision
     V = build_V_h(mesh, SpaceConfig(1))
     S = build_S_h(mesh, SpaceConfig(1))
-    B = assemble_bh(sub, V, S)
+    B = bh_matrix(sub, V, S)
     ones = np.ones(S.ndof)
     assert abs(ones @ B).max() < 1e-12
 
@@ -119,7 +121,7 @@ def test_bh_volume_oracle():
     sub = mesh.subdivision
     V = build_V_h(mesh, SpaceConfig(1))
     S = build_S_h(mesh, SpaceConfig(1))
-    B = assemble_bh(sub, V, S)
+    B = bh_matrix(sub, V, S)
     u = V.interpolate(lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
     q = S.interpolate(lambda pts, tris: pts[:, 0])
     assert abs(q @ (B @ u) - 1.0) < 1e-12
@@ -132,7 +134,7 @@ def test_adjoint_identity_zero_trace():
     sub = mesh.subdivision
     V = build_V_h(mesh, SpaceConfig(1))
     S = build_S_h(mesh, SpaceConfig(1), dirichlet_edges=sub.edges_of_kind(BOUNDARY))
-    B = assemble_bh(sub, V, S).toarray()
+    B = bh_matrix(sub, V, S).toarray()
     Bstar = assemble_bh_star(sub, V, S).toarray()
     free = np.flatnonzero(~S.dirichlet_mask)
     bnd = np.flatnonzero(S.dirichlet_mask)
@@ -404,3 +406,37 @@ def test_expand_roundtrip():
     assert abs(sol.p - p_I).max() < 1e-12  # boundary values match interpolant
     assert abs(sol.p_gamma - w_I).max() < 1e-12
     assert sol.u.shape == (sys.V.ndof,)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["patch", "case1-a0.1", "case2", "multifrac"])
+def test_system_matches_global_saddle_assembly(name, k):
+    """`A` built from the polygon blocks equals the globally assembled and
+    sliced saddle matrix entrywise, to 1e-14 of each entry, and the lifted
+    right-hand sides agree."""
+    spec, exact, h0 = get_benchmark(name)
+    mesh = build_initial_mesh(spec.domain, h0)
+    sys = assemble_system(mesh, spec, SpaceConfig(k))
+    A_ref, rhs_ref = saddle_system(mesh, spec, SpaceConfig(k))
+    assert (abs(sys.A - A_ref) - 1e-14 * abs(A_ref)).max() <= 0.0
+    assert sys.nnz == sys.A.nnz == np.count_nonzero(A_ref.data)
+    assert np.abs(sys.rhs - rhs_ref).max() <= 1e-14 * np.abs(rhs_ref).max()
+    x = np.random.default_rng(0).standard_normal(sys.n)
+    assert np.abs(sys.matvec(x) - A_ref @ x).max() <= 1e-13 * np.abs(A_ref @ x).max()
+    assert np.abs(sys.matvec(x, absolute=True) - abs(A_ref) @ x).max() <= 1e-13 * (
+        abs(A_ref) @ np.abs(x)
+    ).max()
+
+
+def test_flux_dof_outside_its_polygon_raises():
+    """The polygon blocks rely on build_V_h's numbering; a flux numbering
+    that puts a triangle's dof in another polygon's range is rejected."""
+    spec, exact, mesh = patch_mesh(h=0.5)
+    S, V, W = build_spaces(mesh, spec, SpaceConfig(1))
+    last = V.sub.n_triangles - 1
+    assert V.sub.tri_polygon[0] != V.sub.tri_polygon[last]
+    tri_dofs = V.tri_dofs.copy()
+    tri_dofs[[0, last], 0] = tri_dofs[[last, 0], 0]
+    bad = dataclasses.replace(V, tri_dofs=tri_dofs)
+    with pytest.raises(SolverError, match="leaves its polygon"):
+        assemble_system(mesh, spec, SpaceConfig(1), spaces=(S, bad, W))

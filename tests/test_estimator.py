@@ -315,6 +315,22 @@ def test_oscillation_matches_independent_projection():
     assert abs(osc - ref) <= 1e-8
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_oscillation_same_for_absent_and_zero_source(two_square_fractured, k):
+    """f = None skips the bulk quadrature; an explicit all-zero f runs it.
+    Both give the same value: exactly 0.0 without a fracture source, and
+    the fracture part alone with one."""
+    mesh = two_square_fractured
+    dom = DomainSpec(rectangles=[(0.0, 0.0, 2.0, 1.0)], fractures=list(mesh.fractures))
+    zero = lambda pts, region: np.zeros(len(pts))
+    f_gamma = lambda pts, par, fr: np.sin(3.0 * np.asarray(par))
+    assert data_oscillation(mesh, dirichlet_spec(dom), k) == 0.0
+    assert data_oscillation(mesh, dirichlet_spec(dom, f=zero), k) == 0.0
+    with_fracture = data_oscillation(mesh, dirichlet_spec(dom, f_gamma=f_gamma), k)
+    assert with_fracture > 0.0
+    assert data_oscillation(mesh, dirichlet_spec(dom, f=zero, f_gamma=f_gamma), k) == with_fracture
+
+
 def test_oscillation_decreases_under_refinement():
     dom = DomainSpec(rectangles=[(0.0, 0.0, 1.0, 1.0)])
     spec = dirichlet_spec(dom, f=lambda pts, region: np.sin(np.pi * pts[:, 0]))

@@ -22,9 +22,10 @@ from sdgdarcy.problem import (
     constant,
     everywhere,
 )
-from sdgdarcy.solve import solve_system
+from sdgdarcy.solve import _backward_error, solve_system
 from sdgdarcy.spaces import SpaceConfig
 
+from conftest import saddle_backward_error
 from test_assembly import exact_free_vector
 
 
@@ -165,3 +166,31 @@ def test_case1_coarse_solves():
     assert np.all(np.isfinite(sol.u))
     assert np.all(np.isfinite(sol.p_gamma))
     assert report.residual < 1e-10
+
+
+@pytest.mark.parametrize(
+    "name,k", [("patch", 1), ("case1-a0.1", 2), ("case2", 1), ("multifrac", 2)]
+)
+def test_blockwise_backward_error_matches_sparse(name, k):
+    """The backward error the solver computes on the blocks equals the one
+    computed with the sparse matrix `A`, on the solution and on a perturbed
+    vector."""
+    spec, exact, h0 = get_benchmark(name)
+    sys = assemble_system(build_initial_mesh(spec.domain, h0), spec, SpaceConfig(k))
+    x, report = _solve_vector(sys, sys.rhs)
+    x_bad = x * (1.0 + 1e-6 * np.random.default_rng(1).standard_normal(x.size))
+    for v in (x, x_bad):
+        assert abs(_backward_error(sys, v, sys.rhs) - saddle_backward_error(sys.A, v, sys.rhs)) <= 1e-15
+    assert report.residual == _backward_error(sys, x, sys.rhs)
+
+
+def test_loop_never_builds_the_sparse_matrix():
+    spec, exact, h0 = get_benchmark("case1-a0.1")
+    seen = []
+    amr_loop(
+        build_initial_mesh(spec.domain, h0),
+        spec,
+        AmrConfig(max_dofs=20_000, max_iterations=4, k=1),
+        callback=lambda record, mesh, sol, bd, system: seen.append("A" in vars(system)),
+    )
+    assert seen == [False] * 4

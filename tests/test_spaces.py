@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sdgdarcy.adaptivity import dorfler_mark
-from sdgdarcy.assembly import assemble_mass
 from sdgdarcy.errors import ConfigError
 from sdgdarcy.geometry import (
     BOUNDARY,
@@ -23,7 +22,7 @@ from sdgdarcy.spaces import (
     build_W_h,
 )
 
-from conftest import make_fracture
+from conftest import make_fracture, mass_matrix
 
 
 @pytest.fixture
@@ -547,6 +546,6 @@ def test_mass_blocks_match_physical_quadrature(k, mesh):
         Kinv = np.linalg.inv(K_elem[sub.tri_polygon[t]])
         dofs = V.tri_dofs[t]
         oracle[np.ix_(dofs, dofs)] += np.einsum("q,qlc,cd,qmd->lm", qw[t], b, Kinv, b)
-    M = assemble_mass(sub, V, K_elem).toarray()
+    M = mass_matrix(sub, V, K_elem).toarray()
     d = np.sqrt(np.diag(oracle))
     assert np.max(np.abs(M - oracle) / np.outer(d, d)) < 1e-13
