@@ -46,6 +46,7 @@ from .geometry import (
     DUAL,
     FRACTURE,
     INTERIOR,
+    CycleTable,
     DomainSpec,
     Fracture,
     PolygonalMesh,
@@ -105,6 +106,7 @@ __all__ = [
     "DUAL",
     "FRACTURE",
     "INTERIOR",
+    "CycleTable",
     "DomainSpec",
     "Fracture",
     "PolygonalMesh",

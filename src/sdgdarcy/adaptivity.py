@@ -30,11 +30,15 @@ def dorfler_mark(indicators, theta: float) -> np.ndarray:
 
     Returns ascending element ids.  Candidates are ordered by descending
     indicator with lower ids first among equals, so the marked set is the
-    shortest such prefix; zero-indicator elements are never marked.
+    shortest such prefix; zero-indicator elements are never marked.  A
+    NaN, infinite or negative indicator is a ValueError naming its element.
     """
     if not 0.0 < theta <= 1.0:
         raise ConfigError(f"theta={theta} outside (0, 1]")
     ind = np.asarray(indicators, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(ind) & (ind >= 0.0)))
+    if bad.size:
+        raise ValueError(f"element {bad[0]} has indicator {ind[bad[0]]}, not finite and non-negative")
     total = ind.sum()
     if not total > 0.0:
         raise AllZeroIndicators("all element indicators are zero")

@@ -1,13 +1,15 @@
 """Polygonal meshes aligned with fractures, simplicial subdivision, and
 hanging-node quad refinement.
 
-The primal mesh is a set of star-shaped polygons (CCW vertex cycles).
-Subdivision connects each polygon's vertex centroid to its cycle
-vertices, producing one triangle per cycle edge; the interior
+A mesh is its vertex coordinates and one CycleTable: the CCW vertex
+cycles of its star-shaped polygons flattened into slots, with a hanging
+flag per slot.  Subdivision connects each polygon's vertex centroid to its
+cycle vertices, producing one triangle per slot; the interior
 centroid-to-vertex edges form the dual edge family. Refinement replaces
 a marked polygon by quads (centroid to edge midpoints); midpoints shared
 with unrefined neighbours are absorbed as flat vertices, at most one per
-original edge (closure marks the neighbour otherwise).
+original edge (closure marks the neighbour otherwise). Both are array
+code over the table.
 """
 
 from __future__ import annotations
@@ -129,11 +131,9 @@ def _segments_intersect(p0, p1, q0, q1, tol):
     d2 = orient(q0, q1, p1)
     d3 = orient(p0, p1, q0)
     d4 = orient(p0, p1, q1)
-    if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and (
+    return ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and (
         (d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)
-    ):
-        return True
-    return False
+    )
 
 
 def _polyline_self_intersects(pts: np.ndarray) -> bool:
@@ -200,69 +200,105 @@ class CycleTable:
     """The polygon cycles flattened into slots, in CSR form.
 
     Polygon p owns slots offsets[p]:offsets[p+1] in cycle order; slot s
-    holds cycle vertex `vertex[s]`, and `next[s]` is the slot of the
-    following cycle vertex.  Slot s is also subdivision triangle s, the one
-    on cycle edge (vertex[s], vertex[next[s]]).
+    holds cycle vertex `vertex[s]`, and `hanging[s]` says whether that
+    vertex is a hanging node absorbed as a flat vertex of the polygon.
+    Slot s is also subdivision triangle s, the one on cycle edge
+    (vertex[s], vertex[next[s]]).
     """
 
     offsets: np.ndarray  # (np+1,)
     vertex: np.ndarray  # (ns,) vertex id per slot
-    next: np.ndarray  # (ns,) slot of the next cycle vertex
-    polygon: np.ndarray  # (ns,) owning polygon per slot
-    hanging: np.ndarray  # (ns,) bool: vertex[s] is an absorbed hanging node of polygon[s]
+    hanging: np.ndarray  # (ns,) bool
 
-    @property
+    def __post_init__(self):
+        for name, dtype in (("offsets", int), ("vertex", int), ("hanging", bool)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_polygons(cls, polygons, hanging=None) -> "CycleTable":
+        """Table of vertex-id cycles; hanging[p] holds the vertices of
+        cycle p that are absorbed hanging nodes (none when omitted)."""
+        polygons = [list(cyc) for cyc in polygons]
+        hanging = [()] * len(polygons) if hanging is None else [set(h) for h in hanging]
+        if len(hanging) != len(polygons):
+            raise MeshError("hanging bookkeeping out of sync with polygons")
+        return cls(
+            offsets=np.cumsum([0] + [len(cyc) for cyc in polygons]),
+            vertex=[v for cyc in polygons for v in cyc],
+            hanging=[v in h for cyc, h in zip(polygons, hanging) for v in cyc],
+        )
+
+    @cached_property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @cached_property
+    def polygon(self) -> np.ndarray:
+        """(ns,) owning polygon per slot."""
+        return np.repeat(np.arange(self.lengths.size), self.lengths)
+
+    @cached_property
+    def next(self) -> np.ndarray:
+        """(ns,) slot of the next cycle vertex."""
+        nxt = np.arange(1, self.vertex.size + 1)
+        nxt[self.offsets[1:] - 1] = self.offsets[:-1]
+        return nxt
+
+    @cached_property
+    def prev(self) -> np.ndarray:
+        """(ns,) slot of the previous cycle vertex."""
+        prev = np.empty_like(self.next)
+        prev[self.next] = np.arange(self.vertex.size)
+        return prev
 
 
 class PolygonalMesh:
     """Immutable star-shaped polygon mesh; refinement returns a new mesh.
 
     vertices : (nv, 2) coordinates.
-    polygons : tuple of CCW vertex-index cycles (absorbed hanging nodes
-        appear as flat cycle vertices).
-    hanging : per polygon, the frozenset of cycle vertices absorbed as
-        hanging nodes since the polygon was created.
+    cycles : the CycleTable of CCW vertex cycles, one per polygon
+        (absorbed hanging nodes appear as flat cycle vertices).
     fractures : snapped fracture polylines carried through refinement.
+
+    The vertices and the table are the whole mesh; `polygons` and
+    `hanging` are tuple views of the table, built on first read.
     """
 
-    def __init__(self, vertices, polygons, hanging, fractures, tolerance):
+    def __init__(self, vertices, cycles: CycleTable, fractures, tolerance):
         self.vertices = np.asarray(vertices, dtype=float)
         self.vertices.setflags(write=False)
-        self.polygons = tuple(tuple(int(v) for v in cyc) for cyc in polygons)
-        self.hanging = tuple(frozenset(h) for h in hanging)
+        self.cycles = cycles
         self.fractures = tuple(fractures)
         self.tolerance = float(tolerance)
-        if len(self.polygons) == 0:
+        if cycles.lengths.size == 0:
             raise EmptyDomain("mesh has no elements")
-        if len(self.hanging) != len(self.polygons):
-            raise MeshError("hanging bookkeeping out of sync with polygons")
-        self.cycles  # validates the cycles
-
-    @property
-    def n_elements(self) -> int:
-        return len(self.polygons)
-
-    @cached_property
-    def cycles(self) -> CycleTable:
-        """The flat cycle table; rejects a polygon whose cycle has fewer than
-        3 vertices or a vertex id out of range."""
+        sizes = cycles.offsets[-1], cycles.hanging.size, cycles.vertex.size
+        if cycles.offsets[0] != 0 or np.any(cycles.lengths < 0) or len(set(sizes)) > 1:
+            raise MeshError("cycle offsets, vertex and hanging arrays out of sync")
         nv = self.vertices.shape[0]
-        lengths = np.array([len(cyc) for cyc in self.polygons])
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        vertex = np.array([v for cyc in self.polygons for v in cyc], dtype=int)
-        polygon = np.repeat(np.arange(self.n_elements), lengths)
-        bad = np.union1d(np.flatnonzero(lengths < 3), polygon[(vertex < 0) | (vertex >= nv)])
+        out_of_range = cycles.polygon[(cycles.vertex < 0) | (cycles.vertex >= nv)]
+        bad = np.union1d(np.flatnonzero(cycles.lengths < 3), out_of_range)
         if bad.size:
             p = bad[0]
             raise MeshError(f"polygon {p} has cycle {self.polygons[p]}, not 3+ vertex ids in 0..{nv - 1}")
-        hanging = np.array(
-            [v in h for cyc, h in zip(self.polygons, self.hanging) for v in cyc], dtype=bool
-        )
-        nxt = np.arange(1, offsets[-1] + 1)
-        nxt[offsets[1:] - 1] = offsets[:-1]
-        return CycleTable(offsets=offsets, vertex=vertex, next=nxt, polygon=polygon, hanging=hanging)
+
+    @property
+    def n_elements(self) -> int:
+        return self.cycles.lengths.size
+
+    @cached_property
+    def polygons(self) -> tuple:
+        """Per polygon, the tuple of its cycle's vertex ids."""
+        v, o = self.cycles.vertex.tolist(), self.cycles.offsets.tolist()
+        return tuple(tuple(v[a:b]) for a, b in zip(o[:-1], o[1:]))
+
+    @cached_property
+    def hanging(self) -> tuple:
+        """Per polygon, the frozenset of its absorbed hanging nodes."""
+        v, o, h = self.cycles.vertex.tolist(), self.cycles.offsets.tolist(), self.cycles.hanging.tolist()
+        return tuple(frozenset(itertools.compress(v[a:b], h[a:b])) for a, b in zip(o[:-1], o[1:]))
 
     @cached_property
     def element_centroids(self) -> np.ndarray:
@@ -477,8 +513,7 @@ def build_initial_mesh(domain: DomainSpec, target_h: float) -> PolygonalMesh:
 
     mesh = PolygonalMesh(
         vertices=np.array(coords, dtype=float),
-        polygons=polygons,
-        hanging=[frozenset()] * len(polygons),
+        cycles=CycleTable.from_polygons(polygons),
         fractures=snapped,
         tolerance=tol,
     )
@@ -507,17 +542,11 @@ def _snap_fracture(fr: Fracture, h, ox, oy, tol, cells) -> Fracture:
         i1 = round((pts[s + 1, 0] - ox) / h)
         j1 = round((pts[s + 1, 1] - oy) / h)
         if abs(dx) <= tol:  # vertical
-            for j in range(min(j0, j1), max(j0, j1)):
-                if ((i0 - 1, j) not in cells) or ((i0, j) not in cells):
-                    raise FractureNotAligned(
-                        "fracture segment lies on the domain boundary or outside the domain"
-                    )
+            sides = [((i0 - 1, j), (i0, j)) for j in range(min(j0, j1), max(j0, j1))]
         else:
-            for i in range(min(i0, i1), max(i0, i1)):
-                if ((i, j0 - 1) not in cells) or ((i, j0) not in cells):
-                    raise FractureNotAligned(
-                        "fracture segment lies on the domain boundary or outside the domain"
-                    )
+            sides = [((i, j0 - 1), (i, j0)) for i in range(min(i0, i1), max(i0, i1))]
+        if any(a not in cells or b not in cells for a, b in sides):
+            raise FractureNotAligned("fracture segment lies on the domain boundary or outside the domain")
     return Fracture(points=pts, kappa_n=fr.kappa_n, kappa_t=fr.kappa_t, thickness=fr.thickness)
 
 
@@ -579,12 +608,10 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
     edge_kind[:n_primal] = np.where(count == 1, BOUNDARY, INTERIOR)
 
     # the dual edge of slot t is shared with the polygon's previous slot
-    prev = np.empty_like(cyc.next)
-    prev[cyc.next] = tris
     duals = n_primal + tris
     edge_v[duals] = tri_v[:, [0, 2]]
     edge_kind[duals] = DUAL
-    edge_tris[duals] = np.column_stack([prev, tris])
+    edge_tris[duals] = np.column_stack([cyc.prev, tris])
 
     # geometry
     delta = all_vertices[edge_v[:, 1]] - all_vertices[edge_v[:, 0]]
@@ -693,110 +720,71 @@ def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:
     rectangles and shape regularity does not drift across generations.
 
     Closure extends the marked set so that no original edge of a
-    surviving polygon ever carries two hanging nodes.
+    surviving polygon ever carries two hanging nodes.  `marked` holds
+    integer element ids; a boolean mask or a float id is a ValueError.
     """
-    marked = set(int(m) for m in marked)
-    for m in marked:
-        if not (0 <= m < mesh.n_elements):
-            raise ValueError(f"marked element {m} out of range")
-    if not marked:
+    marked = np.asarray(marked)
+    if marked.size == 0:
         return mesh
-    closed = _closure(mesh, list(marked))
+    if not np.issubdtype(marked.dtype, np.integer):
+        raise ValueError(f"marked entry {marked.flat[0].item()!r} is not an integer element id")
+    out_of_range = marked[(marked < 0) | (marked >= mesh.n_elements)]
+    if out_of_range.size:
+        raise ValueError(f"marked element {out_of_range[0]} out of range")
+    cyc = mesh.cycles
+    closed_polygons = _closure(mesh, marked)
+    closed = closed_polygons[cyc.polygon]
+    hang, nxt, prev = cyc.hanging, cyc.next, cyc.prev
+    edge = mesh.subdivision.tri_edges[:, 0]
+    nv = mesh.vertices.shape[0]
 
-    coords = [tuple(xy) for xy in mesh.vertices]
-    midpoint = {}
+    # one midpoint per split edge, numbered by its first split slot; the
+    # sides of a refined polygon split at their absorbed hanging node if any
+    split = np.flatnonzero(closed & ~hang & ~hang[nxt])
+    split = split[np.sort(np.unique(edge[split], return_index=True)[1])]
+    mid = np.full(edge.max() + 1, -1)
+    mid[edge[split]] = nv + np.arange(split.size)
+    mids = 0.5 * (mesh.vertices[cyc.vertex[split]] + mesh.vertices[cyc.vertex[nxt[split]]])
 
-    def mid_of(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            midpoint[key] = len(coords)
-            coords.append(
-                (
-                    0.5 * (coords[a][0] + coords[b][0]),
-                    0.5 * (coords[a][1] + coords[b][1]),
-                )
-            )
-        return midpoint[key]
+    # area centroids: insensitive to absorbed (flat) cycle vertices, which
+    # keeps child shapes from drifting under repeated hanging node
+    # absorption.  Each cycle sums as one row, in the order (pairwise
+    # beyond 7 terms) of a per-polygon sum.
+    refined = np.flatnonzero(closed_polygons)
+    centroids = np.empty((refined.size, 2))
+    lengths = cyc.lengths[refined]
+    for n in np.unique(lengths):
+        slots = cyc.offsets[refined[lengths == n], None] + np.arange(n)
+        p, q = mesh.vertices[cyc.vertex[slots]], mesh.vertices[cyc.vertex[nxt[slots]]]
+        w = p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1]
+        area6 = 3.0 * w.sum(axis=1)
+        centroids[lengths == n, 0] = ((p[..., 0] + q[..., 0]) * w).sum(axis=1) / area6
+        centroids[lengths == n, 1] = ((p[..., 1] + q[..., 1]) * w).sum(axis=1) / area6
+    centroid = np.full(mesh.n_elements, -1)
+    centroid[refined] = nv + split.size + np.arange(refined.size)
 
-    # create all fresh side midpoints of marked polygons first; cycle edges
-    # touching an absorbed vertex are halves of a side that splits there
-    for p in np.flatnonzero(closed).tolist():
-        cyc = mesh.polygons[p]
-        n = len(cyc)
-        hang = mesh.hanging[p]
-        for i in range(n):
-            a, b = cyc[i], cyc[(i + 1) % n]
-            if a not in hang and b not in hang:
-                mid_of(a, b)
-
-    new_polys = []
-    new_hang = []
-    for p, cyc in enumerate(mesh.polygons):
-        n = len(cyc)
-        if not closed[p]:
-            out = []
-            extra = set(mesh.hanging[p])
-            for i in range(n):
-                a, b = cyc[i], cyc[(i + 1) % n]
-                out.append(a)
-                key = (a, b) if a < b else (b, a)
-                if key in midpoint:
-                    m = midpoint[key]
-                    out.append(m)
-                    extra.add(m)
-            new_polys.append(tuple(out))
-            new_hang.append(frozenset(extra))
-        else:
-            c_id = len(coords)
-            pts = mesh.vertices[list(cyc)]
-            # area centroid: insensitive to absorbed (flat) cycle vertices,
-            # which keeps child shapes from drifting under repeated hanging
-            # node absorption
-            nxt = np.roll(pts, -1, axis=0)
-            w = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
-            area6 = 3.0 * w.sum()
-            coords.append(
-                (
-                    float(((pts[:, 0] + nxt[:, 0]) * w).sum() / area6),
-                    float(((pts[:, 1] + nxt[:, 1]) * w).sum() / area6),
-                )
-            )
-            hang = mesh.hanging[p]
-            corners = [i for i in range(n) if cyc[i] not in hang]
-            m = len(corners)
-            splits = []
-            for idx in range(m):
-                i, j = corners[idx], corners[(idx + 1) % m]
-                between = (i + 1) % n
-                if between == j:
-                    splits.append(mid_of(cyc[i], cyc[j]))
-                else:
-                    splits.append(cyc[between])  # side splits at the absorbed vertex
-            for idx in range(m):
-                v0, v1, v3 = cyc[corners[idx]], splits[idx], splits[idx - 1]
-                child = [v0, v1, c_id, v3]
-                extra = set()
-                # a same-pass neighbor refining across a half side may have
-                # put a midpoint on an outer child edge; absorb it (keys hold
-                # only pre-existing vertex pairs, fresh splits never match)
-                key = (v0, v1) if v0 < v1 else (v1, v0)
-                if key in midpoint:
-                    child.insert(1, midpoint[key])
-                    extra.add(midpoint[key])
-                key = (v3, v0) if v3 < v0 else (v0, v3)
-                if key in midpoint:
-                    child.append(midpoint[key])
-                    extra.add(midpoint[key])
-                new_polys.append(tuple(child))
-                new_hang.append(frozenset(extra))
-
-    return PolygonalMesh(
-        vertices=np.array(coords, dtype=float),
-        polygons=new_polys,
-        hanging=new_hang,
-        fractures=mesh.fractures,
-        tolerance=mesh.tolerance,
-    )
+    # per slot, the candidate entries [v0, absorbed mid, v1, c, v3, absorbed
+    # mid] of the new cycles, which follow the old slot order; an unrefined
+    # slot uses the first two, a corner slot all six (child v0 v1 c v3 with
+    # the midpoints a same-pass neighbour put on its outer half sides), a
+    # hanging refined slot none
+    corner = closed & ~hang
+    side_mid, prev_mid = mid[edge], mid[edge[prev]]
+    v1 = np.where(hang[nxt], cyc.vertex[nxt], side_mid)
+    v3 = np.where(hang[prev], cyc.vertex[prev], prev_mid)
+    entry = np.column_stack([cyc.vertex, side_mid, v1, centroid[cyc.polygon], v3, prev_mid])
+    after_v0 = (side_mid >= 0) & (~closed | corner & hang[nxt])
+    after_v3 = corner & hang[prev] & (prev_mid >= 0)
+    keep = np.column_stack([~closed | corner, after_v0, corner, corner, corner, after_v3])
+    flag = np.zeros_like(keep)
+    flag[:, 0] = hang
+    flag[:, [1, 5]] = True
+    size = keep.sum(axis=1)
+    start = np.cumsum(size) - size
+    # a new cycle starts at each corner slot and each unrefined polygon's first slot
+    first = corner | (~closed & (np.arange(hang.size) == cyc.offsets[cyc.polygon]))
+    cycles = CycleTable(offsets=np.append(start[first], size.sum()), vertex=entry[keep], hanging=flag[keep])
+    return PolygonalMesh(np.vstack([mesh.vertices, mids, centroids]), cycles, mesh.fractures, mesh.tolerance)
 
 
 def _closure(mesh: PolygonalMesh, marked) -> np.ndarray:

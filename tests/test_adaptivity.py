@@ -39,6 +39,17 @@ def test_dorfler_rejects_zero_indicators():
         dorfler_mark(np.zeros(5), 0.5)
 
 
+@pytest.mark.parametrize(
+    "ind, culprit",
+    [([1.0, math.nan, 2.0], 1), ([1.0, -5.0, 2.0], 1), ([math.inf, 1.0], 0), ([0.0, 0.0, -0.0, -1e-300], 3)],
+    ids=["nan", "negative", "inf", "negative-rest-zero"],
+)
+def test_dorfler_rejects_non_finite_or_negative_indicators(ind, culprit):
+    with pytest.raises(ValueError, match=f"element {culprit} ") as exc:
+        dorfler_mark(ind, 0.5)
+    assert type(exc.value) is not AllZeroIndicators
+
+
 @pytest.mark.parametrize("theta", [0.0, -0.25, 1.2])
 def test_dorfler_rejects_bad_theta(theta):
     with pytest.raises(ConfigError):

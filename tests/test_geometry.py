@@ -10,6 +10,7 @@ from sdgdarcy.geometry import (
     DUAL,
     FRACTURE,
     INTERIOR,
+    CycleTable,
     DomainSpec,
     PolygonalMesh,
     _closure,
@@ -151,8 +152,7 @@ def test_sliver_flagged():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.02], [0.0, 0.02]])
     mesh = PolygonalMesh(
         vertices=verts,
-        polygons=[(0, 1, 2, 3)],
-        hanging=[frozenset()],
+        cycles=CycleTable.from_polygons([(0, 1, 2, 3)], [frozenset()]),
         fractures=(),
         tolerance=1e-10,
     )
@@ -197,8 +197,7 @@ def test_not_star_shaped_rejected():
     verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5], [0.0, 2.0]])
     mesh = PolygonalMesh(
         vertices=verts,
-        polygons=[(0, 1, 2, 3)],
-        hanging=[frozenset()],
+        cycles=CycleTable.from_polygons([(0, 1, 2, 3)], [frozenset()]),
         fractures=(),
         tolerance=1e-10,
     )
@@ -437,14 +436,121 @@ def _reference_closure(mesh, marked):
     return sorted(marked)
 
 
+def _reference_refine(mesh, closed):
+    """Vertex-pair dict walk over the polygons: refine the polygons of
+    `closed`, a closure-complete id list, into child quads."""
+    closed = np.isin(np.arange(mesh.n_elements), closed)
+    coords = [tuple(xy) for xy in mesh.vertices]
+    midpoint = {}
+
+    def mid_of(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            midpoint[key] = len(coords)
+            coords.append(
+                (
+                    0.5 * (coords[a][0] + coords[b][0]),
+                    0.5 * (coords[a][1] + coords[b][1]),
+                )
+            )
+        return midpoint[key]
+
+    # create all fresh side midpoints of marked polygons first; cycle edges
+    # touching an absorbed vertex are halves of a side that splits there
+    for p in np.flatnonzero(closed).tolist():
+        cyc = mesh.polygons[p]
+        n = len(cyc)
+        hang = mesh.hanging[p]
+        for i in range(n):
+            a, b = cyc[i], cyc[(i + 1) % n]
+            if a not in hang and b not in hang:
+                mid_of(a, b)
+
+    new_polys = []
+    new_hang = []
+    for p, cyc in enumerate(mesh.polygons):
+        n = len(cyc)
+        if not closed[p]:
+            out = []
+            extra = set(mesh.hanging[p])
+            for i in range(n):
+                a, b = cyc[i], cyc[(i + 1) % n]
+                out.append(a)
+                key = (a, b) if a < b else (b, a)
+                if key in midpoint:
+                    m = midpoint[key]
+                    out.append(m)
+                    extra.add(m)
+            new_polys.append(tuple(out))
+            new_hang.append(frozenset(extra))
+        else:
+            c_id = len(coords)
+            pts = mesh.vertices[list(cyc)]
+            # area centroid: insensitive to absorbed (flat) cycle vertices,
+            # which keeps child shapes from drifting under repeated hanging
+            # node absorption
+            nxt = np.roll(pts, -1, axis=0)
+            w = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
+            area6 = 3.0 * w.sum()
+            coords.append(
+                (
+                    float(((pts[:, 0] + nxt[:, 0]) * w).sum() / area6),
+                    float(((pts[:, 1] + nxt[:, 1]) * w).sum() / area6),
+                )
+            )
+            hang = mesh.hanging[p]
+            corners = [i for i in range(n) if cyc[i] not in hang]
+            m = len(corners)
+            splits = []
+            for idx in range(m):
+                i, j = corners[idx], corners[(idx + 1) % m]
+                between = (i + 1) % n
+                if between == j:
+                    splits.append(mid_of(cyc[i], cyc[j]))
+                else:
+                    splits.append(cyc[between])  # side splits at the absorbed vertex
+            for idx in range(m):
+                v0, v1, v3 = cyc[corners[idx]], splits[idx], splits[idx - 1]
+                child = [v0, v1, c_id, v3]
+                extra = set()
+                # a same-pass neighbor refining across a half side may have
+                # put a midpoint on an outer child edge; absorb it (keys hold
+                # only pre-existing vertex pairs, fresh splits never match)
+                key = (v0, v1) if v0 < v1 else (v1, v0)
+                if key in midpoint:
+                    child.insert(1, midpoint[key])
+                    extra.add(midpoint[key])
+                key = (v3, v0) if v3 < v0 else (v0, v3)
+                if key in midpoint:
+                    child.append(midpoint[key])
+                    extra.add(midpoint[key])
+                new_polys.append(tuple(child))
+                new_hang.append(frozenset(extra))
+
+    return PolygonalMesh(
+        vertices=np.array(coords, dtype=float),
+        cycles=CycleTable.from_polygons(new_polys, new_hang),
+        fractures=mesh.fractures,
+        tolerance=mesh.tolerance,
+    )
+
+
+def _assert_same_mesh(got, ref):
+    assert np.array_equal(got.vertices, ref.vertices)
+    for field in ("offsets", "vertex", "hanging"):
+        assert np.array_equal(getattr(got.cycles, field), getattr(ref.cycles, field)), field
+    assert got.polygons == ref.polygons
+    assert got.hanging == ref.hanging
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(st.data())
 def test_geometry_matches_polygon_walk(data):
-    """The cycle-table geometry equals the per-polygon walks bit for bit;
-    refine is compared with the walk's closed set through its unchanged
-    child construction."""
+    """The cycle-table geometry and refinement equal the per-polygon walks
+    bit for bit."""
     for mesh, marked in doerfler_refinements(data, _fractured_mesh()):
-        fresh = PolygonalMesh(mesh.vertices, mesh.polygons, mesh.hanging, mesh.fractures, mesh.tolerance)
+        cycles = CycleTable.from_polygons(mesh.polygons, mesh.hanging)
+        fresh = PolygonalMesh(mesh.vertices, cycles, mesh.fractures, mesh.tolerance)
         centroids, diam, rho_e = _reference_measures(fresh)
         assert np.array_equal(fresh.element_centroids, centroids)
         assert np.array_equal(fresh.element_diameters, diam)
@@ -464,10 +570,39 @@ def test_geometry_matches_polygon_walk(data):
             continue
         closed = _reference_closure(mesh, marked)
         assert np.array_equal(np.flatnonzero(_closure(mesh, marked)), closed)
-        got, ref = refine(mesh, marked), refine(mesh, closed)
-        assert np.array_equal(got.vertices, ref.vertices)
-        assert got.polygons == ref.polygons
-        assert got.hanging == ref.hanging
+        _assert_same_mesh(refine(mesh, marked), _reference_refine(mesh, closed))
+
+
+def test_refine_eight_vertex_cycle_matches_walk():
+    """Perturbed quads with a hanging midpoint on every side: 8-term
+    centroid sums, which no benchmark cycle reaches, add pairwise."""
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        corners += rng.uniform(-0.2, 0.2, corners.shape)
+        mids = 0.5 * (corners + np.roll(corners, -1, axis=0))
+        mesh = PolygonalMesh(
+            vertices=np.vstack([corners, mids]),
+            cycles=CycleTable.from_polygons([(0, 4, 1, 5, 2, 6, 3, 7)], [{4, 5, 6, 7}]),
+            fractures=(),
+            tolerance=1e-10,
+        )
+        _assert_same_mesh(refine(mesh, [0]), _reference_refine(mesh, [0]))
+
+
+@pytest.mark.parametrize(
+    "marked, culprit",
+    [(np.arange(32) == 5, "False"), ([2.7], "2.7"), ([2.0], "2.0"), ([-1], "-1"), ([32], "32")],
+    ids=["bool-mask", "fractional", "float", "negative", "too-large"],
+)
+def test_refine_rejects_bad_marked_entries(marked, culprit):
+    dom = DomainSpec(
+        rectangles=[(0.0, 0.0, 2.0, 1.0)],
+        fractures=[make_fracture([[1.0, 0.0], [1.0, 1.0]])],
+    )
+    mesh = build_initial_mesh(dom, 0.25)
+    with pytest.raises(ValueError, match=f"marked (entry|element) {culprit} "):
+        refine(mesh, marked)
 
 
 @pytest.mark.parametrize(
@@ -478,8 +613,22 @@ def test_malformed_cycle_rejected(cycle):
     with pytest.raises(MeshError, match="polygon 1 "):
         PolygonalMesh(
             vertices=verts,
-            polygons=[(0, 1, 2, 3), cycle],
-            hanging=[frozenset(), frozenset()],
+            cycles=CycleTable.from_polygons([(0, 1, 2, 3), cycle], [frozenset(), frozenset()]),
             fractures=(),
             tolerance=1e-10,
         )
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        dict(offsets=[0, 4], vertex=[0, 1, 2, 3], hanging=[False] * 3),
+        dict(offsets=[0, 5], vertex=[0, 1, 2, 3], hanging=[False] * 4),
+        dict(offsets=[0, 5, 4], vertex=[0, 1, 2, 3], hanging=[False] * 4),
+    ],
+    ids=["short-hanging", "offsets-past-end", "offsets-decreasing"],
+)
+def test_cycle_table_out_of_sync_rejected(table):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="out of sync"):
+        PolygonalMesh(vertices=verts, cycles=CycleTable(**table), fractures=(), tolerance=1e-10)

@@ -9,6 +9,7 @@ from sdgdarcy.geometry import (
     BOUNDARY,
     DUAL,
     INTERIOR,
+    CycleTable,
     DomainSpec,
     PolygonalMesh,
     build_initial_mesh,
@@ -425,7 +426,7 @@ def _sliver_sub():
     first and every side runs against its edge's low-to-high order where the
     standard numbering runs with it."""
     verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 0.05], [0.0, 0.05], [2.0, 1.0], [0.0, 1.0]]
-    mesh = PolygonalMesh(verts, [(0, 1, 2, 3), (3, 2, 4, 5)], [(), ()], [], 1e-9)
+    mesh = PolygonalMesh(verts, CycleTable.from_polygons([(0, 1, 2, 3), (3, 2, 4, 5)], [(), ()]), [], 1e-9)
     sub = mesh.subdivision
     nv = sub.vertices.shape[0]
     new_id = nv - 1 - np.arange(nv)
