@@ -3,7 +3,11 @@
 Unknown blocks are ordered (u, p, p_gamma).  The flux mass and
 pressure-gradient forms come as dense per-triangle blocks, which
 ``assemble_system`` gathers into one dense block per polygon; the interface
-and fracture forms are sparse over the full dof sets.  ``assemble_system``
+and fracture forms are sparse over the full dof sets.  Every edge integral
+pairs the k+1 dofs that live on one side of the edge: the dual-edge part of
+b_h is one (k+1)x(k+1) reference matrix per side scaled by +-|e|, and the
+interface blocks and the Neumann load are scaled copies of the 1D edge mass
+matrix and Lagrange table.  ``assemble_system``
 reduces to free dofs and moves Dirichlet data to the right-hand side.  The
 flux equation pairs the
 flux mass matrix with the transposed pressure-gradient form applied to the
@@ -33,6 +37,8 @@ from .spaces import (
     build_S_h,
     build_V_h,
     build_W_h,
+    _SIDE_NODES,
+    _tri_sides,
 )
 
 
@@ -88,17 +94,18 @@ def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> np.ndarray:
     bhat = np.einsum("q,qsc,qi->sic", rule.weights, gref, m).reshape(S.nloc, -1)
     local = bhat @ V.ref_coeff
 
+    # <u.n, q> on a side is |e| E between its k+1 pressure side nodes and
+    # its k+1 flux dofs, both listed from the lower vertex id; the sign is
+    # + on the side n_e points out of
     erule = edge_rule(2 * V.k + 2)
     ts, ws = erule.points, erule.weights
-    L = V.edge_trace_matrix(ts)  # (nq, k+1)
-    tris = np.arange(sub.n_triangles)
+    E = S.edge_trace_matrix(ts).T @ (ws[:, None] * V.edge_trace_matrix(ts))
+    side, flip = _tri_sides(sub)
+    nodes = _SIDE_NODES[S.k]
     for l in (1, 2):
-        e = sub.tri_edges[:, l]
-        sign = np.where(sub.edge_tris[e, 0] == tris, 1.0, -1.0)
-        sb = S.basis_values(tris, sub.edge_points(e, ts))  # (nt, nq, ns)
-        local[:, :, l * k1 : (l + 1) * k1] -= np.einsum(
-            "q,e,qj,eqs->esj", ws, sign * sub.edge_length[e], L, sb
-        )
+        scale = (1 - 2 * side[:, l]) * sub.edge_length[sub.tri_edges[:, l]]
+        E_t = np.where(flip[:, l, None, None], E[::-1], E)  # rows in local node order
+        local[:, nodes[l], l * k1 : (l + 1) * k1] -= scale[:, None, None] * E_t
     return local
 
 
@@ -107,33 +114,32 @@ def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSp
 
     C_pp collects <(1/alpha){p},{q}> + <(1/eta)[p],[q]> over fracture edges,
     C_pw the -<(1/alpha) p_gamma, {q}> pairing (its transpose enters the
-    fracture equation), C_ww the +<(1/alpha) p_gamma, q_gamma> mass.
+    fracture equation), C_ww the +<(1/alpha) p_gamma, q_gamma> mass.  The
+    traces of p on the two sides and p_gamma are P^k in their k+1 edge
+    nodes, so every block is a scaled copy of the edge mass matrix
+    Lambda^T diag(w) Lambda on [0, 1].
     """
     erule = edge_rule(2 * S.k + 2)
-    ts, ws = erule.points, erule.weights
-    wb = W.eval_ref(ts)  # (nq, k+1)
+    lam = W.eval_ref(erule.points)  # (nq, k+1)
+    mass = lam.T @ (erule.weights[:, None] * lam)
+    avg, jmp = np.array([0.5, 0.5]), np.array([1.0, -1.0])
     pp, pw, ww = [], [], []
     for fi, fr in enumerate(sub.mesh.fractures):
         fm = sub.fracture_meshes[fi]
-        if fm.n_edges == 0:
-            continue
         eta = fr.normal_resistance[fm.edge_segment]
         alpha = spec.exchange_resistance(fi)[fm.edge_segment]
-        pts, _ = sub.fracture_points(fi, ts)
         wl = fm.edge_length
-        t1, t2 = sub.edge_tris[fm.edge_ids].T
-        s1 = S.basis_values(t1, pts)  # (ne, nq, ns)
-        s2 = S.basis_values(t2, pts)
-        # both sides' dofs side by side: average and jump of the traces
-        d = np.hstack([S.tri_dofs[t1], S.tri_dofs[t2]])
-        avg = 0.5 * np.concatenate([s1, s2], axis=2)
-        jmp = np.concatenate([s1, -s2], axis=2)
+        # the side nodes of both sides, in polyline direction like p_gamma's
+        d = S.edge_side_dofs[fm.edge_ids]  # (ne, 2, k+1)
+        reverse = fm.vertex_ids[:-1] > fm.vertex_ids[1:]
+        d = np.where(reverse[:, None, None], d[..., ::-1], d).reshape(fm.n_edges, -1)
+        sides = np.multiply.outer(wl / alpha, np.outer(avg, avg))
+        sides += np.multiply.outer(wl / eta, np.outer(jmp, jmp))  # (ne, 2, 2)
         wd = W.edge_dofs[fi]
-        local = np.einsum("q,e,eqs,eqr->esr", ws, wl / alpha, avg, avg)
-        local += np.einsum("q,e,eqs,eqr->esr", ws, wl / eta, jmp, jmp)
-        pp.append(_block(d, d, local))
-        pw.append(_block(d, wd, -np.einsum("q,e,eqs,qj->esj", ws, wl / alpha, avg, wb)))
-        ww.append(_block(wd, wd, np.einsum("q,e,qi,qj->eij", ws, wl / alpha, wb, wb)))
+        n = d.shape[1]
+        pp.append(_block(d, d, np.einsum("eab,ij->eaibj", sides, mass).reshape(-1, n, n)))
+        pw.append(_block(d, wd, -np.multiply.outer(wl / alpha, np.kron(avg[:, None], mass))))
+        ww.append(_block(wd, wd, np.multiply.outer(wl / alpha, mass)))
     return (
         _coo(pp, (S.ndof, S.ndof)),
         _coo(pw, (S.ndof, W.ndof)),
@@ -148,10 +154,9 @@ def assemble_fracture_stiffness(sub: Subdivision, W: FracturePressureSpace, spec
     blocks = []
     for fi, fr in enumerate(sub.mesh.fractures):
         fm = sub.fracture_meshes[fi]
-        if fm.n_edges:
-            Kg = fr.tangential_conductivity[fm.edge_segment]
-            local = np.einsum("q,e,qi,qj->eij", erule.weights, Kg / fm.edge_length, dref, dref)
-            blocks.append(_block(W.edge_dofs[fi], W.edge_dofs[fi], local))
+        Kg = fr.tangential_conductivity[fm.edge_segment]
+        local = np.einsum("q,e,qi,qj->eij", erule.weights, Kg / fm.edge_length, dref, dref)
+        blocks.append(_block(W.edge_dofs[fi], W.edge_dofs[fi], local))
     return _coo(blocks, (W.ndof, W.ndof))
 
 
@@ -183,21 +188,13 @@ def assemble_rhs(sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureS
     erule = edge_rule(2 * k + 2)
     ts, ws = erule.points, erule.weights
     neu = table.neumann_edges
-    if neu.size:
-        pts = sub.edge_points(neu, ts)
-        t1 = sub.edge_tris[neu, 0]
-        sb = S.basis_values(t1, pts)
-        wl = sub.edge_length[neu]
-        g = spec.boundary_values(
-            sub, np.repeat(neu, ts.size), pts.reshape(-1, 2)
-        ).reshape(neu.size, ts.size)
-        local = -np.einsum("q,e,eq,eqs->es", ws, wl, g, sb)
-        np.add.at(sview, S.tri_dofs[t1], local)
+    pts = sub.edge_points(neu, ts)
+    g = spec.boundary_values(sub, np.repeat(neu, ts.size), pts.reshape(-1, 2)).reshape(neu.size, ts.size)
+    local = -(sub.edge_length[neu][:, None] * ws * g) @ S.edge_trace_matrix(ts)
+    np.add.at(sview, S.edge_side_dofs[neu, 0], local)
 
     for fi, fr in enumerate(sub.mesh.fractures):
         fm = sub.fracture_meshes[fi]
-        if fm.n_edges == 0:
-            continue
         pts, par = sub.fracture_points(fi, ts)
         ne = fm.n_edges
         fg = spec.fracture_source(
@@ -216,8 +213,7 @@ def dirichlet_values(sub: Subdivision, spec: ProblemSpec, S: PressureSpace, W: F
     """Full-length (p, p_gamma) vectors holding boundary data on constrained dofs."""
     p_dir = np.zeros(S.ndof)
     dofs = np.flatnonzero(S.dirichlet_mask)
-    if dofs.size:
-        p_dir[dofs] = spec.boundary_values(sub, S.dof_edge[dofs], S.node_coords[dofs])
+    p_dir[dofs] = spec.boundary_values(sub, S.dof_edge[dofs], S.node_coords[dofs])
 
     w_dir = np.zeros(W.ndof)
     for fi, end in spec.dirichlet_tips():
@@ -338,18 +334,15 @@ class DiscreteSolution:
         """C_t u_t: the pulled-back flux in the reference monomials, (nt, 2s)."""
         return (self.V.ref_coeff @ self.u[self.V.tri_dofs][..., None])[..., 0]
 
+    # p_at and u_at evaluate at physical points (n, nq, 2) on triangles tris
+    # (n,), pulled back one by one; they serve export and checks
+
     def p_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         vals = self.S.basis_values(tris, pts)
         return np.einsum("eqs,es->eq", vals, self.p[self.S.tri_dofs[tris]])
 
-    def grad_p_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return self.grad_p_at_ref(self.sub.reference_coords(tris, pts), tris)
-
     def u_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return self.u_at_ref(self.sub.reference_coords(tris, pts), tris)
-
-    def div_u_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return self.div_u_at_ref(self.sub.reference_coords(tris, pts), tris)
 
     # The *_at_ref evaluators take reference points, (nq, 2) shared by all
     # triangles in tris or (n, nq, 2) per triangle, and return the field at
@@ -370,11 +363,24 @@ class DiscreteSolution:
         div = self.V.ref_divergence(ref_pts) @ self._u_hat[tris][:, :, None]
         return div[..., 0] / (2.0 * self.sub.tri_area[tris])[:, None]
 
+    def p_trace(self, edges: np.ndarray, side: int, ts: np.ndarray) -> np.ndarray:
+        """p_h on the given side of edges, from the side's k+1 dofs, at
+        parameters ts from the lower vertex id, (nq,) or one row per edge;
+        (ne, nq).  `u_normal_trace` reads u_h.n_e the same way."""
+        L = self.S.edge_trace_matrix(ts)
+        return (L @ self.p[self.S.edge_side_dofs[edges, side]][..., None])[..., 0]
+
     def u_normal_trace(self, edges: np.ndarray, side: int, ts: np.ndarray) -> np.ndarray:
-        """u.n_e along edges at canonical parameters ts; (ne, nq)."""
+        """u_h.n_e on the given side of edges; see `p_trace`."""
         L = self.V.edge_trace_matrix(ts)
-        dofs = self.V.edge_side_dofs[edges, side]
-        return np.einsum("qj,ej->eq", L, self.u[dofs])
+        return (L @ self.u[self.V.edge_side_dofs[edges, side]][..., None])[..., 0]
+
+    def fracture_traces(self, fi: int, ts: np.ndarray):
+        """(p1, p2, un1, un2): p_h and u_h.n_e on sides 0 and 1 of every edge
+        of fracture fi at parameters ts in polyline direction, (ne, nq) each."""
+        fm = self.sub.fracture_meshes[fi]
+        s = np.where((fm.vertex_ids[:-1] > fm.vertex_ids[1:])[:, None], 1.0 - ts, ts)
+        return tuple(tr(fm.edge_ids, side, s) for tr in (self.p_trace, self.u_normal_trace) for side in (0, 1))
 
     def p_gamma_at(self, fi: int, ts: np.ndarray) -> np.ndarray:
         """Fracture pressure on every edge of fracture fi at parameters ts."""

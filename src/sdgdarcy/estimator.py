@@ -13,6 +13,10 @@ residual (T2) and the interior normal-flux jumps (T4) are the two parts of
 the discrete mass-balance residual: the discrete mass equation makes
 (f - div u_h, q) + sum <[u_h.n], q> vanish for every free q in S_h that
 vanishes on the fracture and Neumann edges.
+
+Every edge family reads the traces of p_h and u_h.n_e from the k+1 dofs on
+each side of the edge; physical edge points only carry f_gamma and the
+exact solution.
 """
 
 from __future__ import annotations
@@ -93,25 +97,13 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
     # term 3: pressure jumps across dual edges, weight 1/h_e; the edge
     # length from the norm cancels against the weight
     duals = sub.edges_of_kind(DUAL)
-    dual_sq = np.zeros(duals.size)
-    if duals.size:
-        pts = sub.edge_points(duals, ts)
-        jump = sol.p_at(sub.edge_tris[duals, 0], pts) - sol.p_at(
-            sub.edge_tris[duals, 1], pts
-        )
-        dual_sq = np.einsum("q,eq->e", ws, jump**2)
+    jump = sol.p_trace(duals, 0, ts) - sol.p_trace(duals, 1, ts)
+    dual_sq = np.einsum("q,eq->e", ws, jump**2)
 
     # term 4: normal flux jumps across interior primal edges, weight h_e
     inner = sub.edges_of_kind(INTERIOR)
-    interior_sq = np.zeros(inner.size)
-    if inner.size:
-        pts = sub.edge_points(inner, ts)
-        n = sub.edge_normal[inner]
-        u1 = np.einsum("eqc,ec->eq", sol.u_at(sub.edge_tris[inner, 0], pts), n)
-        u2 = np.einsum("eqc,ec->eq", sol.u_at(sub.edge_tris[inner, 1], pts), n)
-        interior_sq = np.einsum("q,eq->e", ws, (u1 - u2) ** 2) * (
-            sub.edge_length[inner] ** 2
-        )
+    jump = sol.u_normal_trace(inner, 0, ts) - sol.u_normal_trace(inner, 1, ts)
+    interior_sq = np.einsum("q,eq->e", ws, jump**2) * sub.edge_length[inner] ** 2
 
     # fracture families
     fracture_sq = []
@@ -120,23 +112,12 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
         fm = sub.fracture_meshes[fi]
         ne = fm.n_edges
         out = np.zeros((ne, 3))
-        if ne == 0:
-            fracture_sq.append(out)
-            vertex_sq.append(np.zeros(0))
-            continue
         eta_e = fr.normal_resistance[fm.edge_segment]
         alpha_e = spec.exchange_resistance(fi)[fm.edge_segment]
         Kg = fr.tangential_conductivity[fm.edge_segment]
         le = fm.edge_length
         pts, par = sub.fracture_points(fi, ts)
-        edges = fm.edge_ids
-        n = sub.edge_normal[edges]
-        t1s = sub.edge_tris[edges, 0]
-        t2s = sub.edge_tris[edges, 1]
-        un1 = np.einsum("eqc,ec->eq", sol.u_at(t1s, pts), n)
-        un2 = np.einsum("eqc,ec->eq", sol.u_at(t2s, pts), n)
-        p1 = sol.p_at(t1s, pts)
-        p2 = sol.p_at(t2s, pts)
+        p1, p2, un1, un2 = sol.fracture_traces(fi, ts)
         pg = sol.p_gamma_at(fi, ts)
         fg = spec.fracture_source(
             pts.reshape(-1, 2), par.reshape(-1), np.full(ne * ts.size, fi)
@@ -161,15 +142,12 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
         fracture_sq.append(out)
 
         # term 6: vertex jumps of K^(1/2) dp/dt along the polyline
-        if ne > 1:
-            dref = sol.W.deriv_ref(np.array([0.0, 1.0]))  # (2, k+1)
-            coef = sol.p_gamma[sol.W.edge_dofs[fi]]
-            d_ends = np.einsum("qj,ej->eq", dref, coef) / le[:, None]
-            w = np.sqrt(Kg)
-            jumps = w[:-1] * d_ends[:-1, 1] - w[1:] * d_ends[1:, 0]
-            vertex_sq.append(fm.h_vertex * jumps**2)
-        else:
-            vertex_sq.append(np.zeros(0))
+        dref = sol.W.deriv_ref(np.array([0.0, 1.0]))  # (2, k+1)
+        coef = sol.p_gamma[sol.W.edge_dofs[fi]]
+        d_ends = np.einsum("qj,ej->eq", dref, coef) / le[:, None]
+        w = np.sqrt(Kg)
+        jumps = w[:-1] * d_ends[:-1, 1] - w[1:] * d_ends[1:, 0]
+        vertex_sq.append(fm.h_vertex * jumps**2)
 
     tri_sq = np.stack([t1, t2], axis=1)
     sums = np.array(
@@ -215,19 +193,13 @@ def _localize_raw(mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq):
     np.add.at(out, sub.tri_polygon, tri_sq.sum(axis=1))
 
     duals = sub.edges_of_kind(DUAL)
-    if duals.size:
-        own = sub.tri_polygon[sub.edge_tris[duals, 0]]
-        np.add.at(out, own, dual_sq)
+    np.add.at(out, sub.tri_polygon[sub.edge_tris[duals, 0]], dual_sq)
 
     inner = sub.edges_of_kind(INTERIOR)
-    if inner.size:
-        for side in (0, 1):
-            own = sub.tri_polygon[sub.edge_tris[inner, side]]
-            np.add.at(out, own, 0.5 * interior_sq)
+    for side in (0, 1):
+        np.add.at(out, sub.tri_polygon[sub.edge_tris[inner, side]], 0.5 * interior_sq)
 
     for fi, fm in enumerate(sub.fracture_meshes):
-        if fm.n_edges == 0:
-            continue
         edge_sq = fracture_sq[fi].sum(axis=1)
         sides = sub.tri_polygon[sub.edge_tris[fm.edge_ids]]  # (ne, 2)
         for side in (0, 1):
@@ -271,8 +243,6 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int) -> float:
     ts, ws = erule.points, erule.weights
     for fi, fr in enumerate(mesh.fractures):
         fm = sub.fracture_meshes[fi]
-        if fm.n_edges == 0:
-            continue
         pts, par = sub.fracture_points(fi, ts)
         ne = fm.n_edges
         fg = spec.fracture_source(
@@ -350,34 +320,25 @@ def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> 
     for fi, fr in enumerate(mesh.fractures):
         fm = sub.fracture_meshes[fi]
         ne = fm.n_edges
-        if ne == 0:
-            continue
         eta_e = fr.normal_resistance[fm.edge_segment]
         alpha_e = spec.exchange_resistance(fi)[fm.edge_segment]
         Kg = fr.tangential_conductivity[fm.edge_segment]
         le = fm.edge_length
         pts, par = sub.fracture_points(fi, ts)
         flatp = pts.reshape(-1, 2)
-        edges = fm.edge_ids
-        n = sub.edge_normal[edges]
-        t1s, t2s = sub.edge_tris[edges, 0], sub.edge_tris[edges, 1]
+        n = sub.edge_normal[fm.edge_ids]
         reg1 = np.full(ne * ts.size, 1)
         reg2 = np.full(ne * ts.size, 2)
         fidx = np.full(ne * ts.size, fi)
+        p1, p2, un1, un2 = sol.fracture_traces(fi, ts)
 
-        dp1 = np.asarray(exact.p(flatp, reg1)).reshape(ne, -1) - sol.p_at(t1s, pts)
-        dp2 = np.asarray(exact.p(flatp, reg2)).reshape(ne, -1) - sol.p_at(t2s, pts)
+        dp1 = np.asarray(exact.p(flatp, reg1)).reshape(ne, -1) - p1
+        dp2 = np.asarray(exact.p(flatp, reg2)).reshape(ne, -1) - p2
         dpg = np.asarray(exact.p_gamma(flatp, par.reshape(-1), fidx)).reshape(
             ne, -1
         ) - sol.p_gamma_at(fi, ts)
-        dun1 = np.einsum(
-            "eqc,ec->eq",
-            np.asarray(exact.u(flatp, reg1)).reshape(ne, -1, 2), n,
-        ) - np.einsum("eqc,ec->eq", sol.u_at(t1s, pts), n)
-        dun2 = np.einsum(
-            "eqc,ec->eq",
-            np.asarray(exact.u(flatp, reg2)).reshape(ne, -1, 2), n,
-        ) - np.einsum("eqc,ec->eq", sol.u_at(t2s, pts), n)
+        dun1 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg1)).reshape(ne, -1, 2), n) - un1
+        dun2 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg2)).reshape(ne, -1, 2), n) - un2
 
         wl = ws[None, :] * le[:, None]
         v_exch2 += (((dp1 + dp2) / 2.0 - dpg) ** 2 * wl).sum(axis=1) @ (1.0 / alpha_e)

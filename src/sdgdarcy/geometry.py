@@ -254,6 +254,17 @@ class CycleTable:
         return prev
 
 
+def _cycle_blocks(cyc: CycleTable, polys: np.ndarray):
+    """Per cycle length n among `polys`, (sel, slots (m, n)): the slots of
+    polys[sel] as rows.  Summed along axis 1, each row adds in the order of
+    a per-polygon sum: in sequence for (m, n, 2) arrays, as pts.sum(axis=0)
+    does, and pairwise beyond 7 terms for (m, n) ones, as 1D sums do."""
+    lengths = cyc.lengths[polys]
+    for n in np.unique(lengths):
+        sel = lengths == n
+        yield sel, cyc.offsets[polys[sel], None] + np.arange(n)
+
+
 class PolygonalMesh:
     """Immutable star-shaped polygon mesh; refinement returns a new mesh.
 
@@ -304,8 +315,9 @@ class PolygonalMesh:
     def element_centroids(self) -> np.ndarray:
         """Arithmetic mean of each polygon's cycle vertices (subdivision point)."""
         cyc = self.cycles
-        out = np.add.reduceat(self.vertices[cyc.vertex], cyc.offsets[:-1], axis=0)
-        out /= cyc.lengths[:, None]
+        out = np.empty((self.n_elements, 2))
+        for sel, slots in _cycle_blocks(cyc, np.arange(self.n_elements)):
+            out[sel] = self.vertices[cyc.vertex[slots]].sum(axis=1) / slots.shape[1]
         out.setflags(write=False)
         return out
 
@@ -752,14 +764,12 @@ def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:
     # beyond 7 terms) of a per-polygon sum.
     refined = np.flatnonzero(closed_polygons)
     centroids = np.empty((refined.size, 2))
-    lengths = cyc.lengths[refined]
-    for n in np.unique(lengths):
-        slots = cyc.offsets[refined[lengths == n], None] + np.arange(n)
+    for sel, slots in _cycle_blocks(cyc, refined):
         p, q = mesh.vertices[cyc.vertex[slots]], mesh.vertices[cyc.vertex[nxt[slots]]]
         w = p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1]
         area6 = 3.0 * w.sum(axis=1)
-        centroids[lengths == n, 0] = ((p[..., 0] + q[..., 0]) * w).sum(axis=1) / area6
-        centroids[lengths == n, 1] = ((p[..., 1] + q[..., 1]) * w).sum(axis=1) / area6
+        centroids[sel, 0] = ((p[..., 0] + q[..., 0]) * w).sum(axis=1) / area6
+        centroids[sel, 1] = ((p[..., 1] + q[..., 1]) * w).sum(axis=1) / area6
     centroid = np.full(mesh.n_elements, -1)
     centroid[refined] = nv + split.size + np.arange(refined.size)
 

@@ -87,9 +87,25 @@ def _lattice_nodes(k: int) -> np.ndarray:
     )
 
 
-def _primal_edge_nodes(k: int) -> list:
-    """Local node ids on edge (v0, v1), ordered from v0 to v1."""
-    return [0, 1] if k == 1 else [0, 3, 1]
+# per k, the local node ids on each reference side l, from vertex l to l+1
+_SIDE_NODES = {1: np.array([[0, 1], [1, 2], [2, 0]]), 2: np.array([[0, 3, 1], [1, 4, 2], [2, 5, 0]])}
+
+
+def _tri_sides(sub: Subdivision):
+    """(side, flip), both (nt, 3): triangle t lies on side side[t, l] of edge
+    tri_edges[t, l], and its local side l, from tri_vertices[t, l] to
+    tri_vertices[t, (l+1) % 3], runs against the edge's low-to-high vertex
+    order, the order edge dofs are listed in, where flip[t, l]."""
+    tv = sub.tri_vertices
+    side = sub.edge_tris[sub.tri_edges, 0] != np.arange(sub.n_triangles)[:, None]
+    return side.astype(int), tv > np.roll(tv, -1, axis=1)
+
+
+def _edge_side_table(sub: Subdivision, side: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """(ne, 2, k+1) per-side dofs from the triangles' (nt, 3, k+1); -1 where absent."""
+    table = np.full((sub.n_edges, 2, dofs.shape[-1]), -1, dtype=int)
+    table[sub.tri_edges, side] = dofs
+    return table
 
 
 def lagrange_1d(nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -128,12 +144,18 @@ def lagrange_1d_deriv(nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PressureSpace:
-    """Per-triangle Lagrange pressures, continuous across interior edges."""
+    """Per-triangle Lagrange pressures, continuous across interior edges.
+
+    ``edge_side_dofs`` lists the k+1 nodes of each side of an edge from its
+    lower vertex id, as ``FluxSpace.edge_side_dofs`` does; a member's trace
+    is the 1D Lagrange interpolant of their values at 0, 1/k, .., 1.
+    """
 
     sub: Subdivision
     k: int
     ndof: int
     tri_dofs: np.ndarray  # (nt, nloc)
+    edge_side_dofs: np.ndarray  # (ne, 2, k+1); -1 where side absent
     dirichlet_mask: np.ndarray  # (ndof,) bool
     dof_edge: np.ndarray  # (ndof,) boundary edge owning a Dirichlet node, else -1
     node_coords: np.ndarray  # (ndof, 2)
@@ -162,6 +184,10 @@ class PressureSpace:
         """Basis values at physical points; (n, nq, 2) -> (n, nq, nloc)."""
         return self.eval_ref(self.sub.reference_coords(tris, pts))
 
+    def edge_trace_matrix(self, ts: np.ndarray) -> np.ndarray:
+        """Trace values at edge parameters ts: (..., k+1) Lagrange."""
+        return lagrange_1d(np.linspace(0.0, 1.0, self.k + 1), ts)
+
     def interpolate(self, fn) -> np.ndarray:
         """Nodal interpolation; fn(points (n,2), triangles (n,)) -> values."""
         nt, nloc = self.tri_dofs.shape
@@ -186,8 +212,9 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     k1 = k + 1
     ref_nodes = _lattice_nodes(k)
     nloc = ref_nodes.shape[0]
-    edge_locals = _primal_edge_nodes(k)
-    rest_locals = [l for l in range(nloc) if l not in edge_locals]
+    side_nodes = _SIDE_NODES[k]
+    edge_locals = side_nodes[0]
+    rest_locals = np.setdiff1d(np.arange(nloc), edge_locals)
     nt = sub.n_triangles
 
     dirichlet_edges = np.asarray(sorted(set(int(e) for e in dirichlet_edges)), dtype=int)
@@ -205,9 +232,9 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     first = np.cumsum(count) - count
     ndof = int(count.sum())
 
-    v0, v1 = sub.tri_vertices[:, 0], sub.tri_vertices[:, 1]
+    side, flip = _tri_sides(sub)
     j = np.arange(k1)
-    along = np.where((interior & (v0 > v1))[:, None], k - j, j)
+    along = np.where((interior & flip[:, 0])[:, None], k - j, j)
     tri_dofs = np.empty((nt, nloc), dtype=int)
     tri_dofs[:, edge_locals] = first[owner][:, None] + along
     rest = first[:, None] + n_edge[:, None] + np.arange(len(rest_locals))
@@ -222,6 +249,9 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     shared = own & interior
     coords[first[shared][:, None] + j] = sub.edge_points(e[shared], np.linspace(0.0, 1.0, k1))
 
+    on_sides = tri_dofs[:, side_nodes]  # (nt, 3, k1), from vertex l to l+1
+    on_sides = np.where(flip[..., None], on_sides[..., ::-1], on_sides)
+
     dof_edge = np.full(ndof, -1, dtype=int)
     on_dir = own & np.isin(e, dirichlet_edges)
     dof_edge[first[on_dir][:, None] + j] = e[on_dir][:, None]
@@ -235,6 +265,7 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
         k=k,
         ndof=ndof,
         tri_dofs=tri_dofs,
+        edge_side_dofs=_edge_side_table(sub, side, on_sides),
         dirichlet_mask=dof_edge >= 0,
         dof_edge=dof_edge,
         node_coords=coords,
@@ -352,7 +383,7 @@ class FluxSpace:
         return div / (2.0 * self.sub.tri_area[tris])[:, None, None]
 
     def edge_trace_matrix(self, ts: np.ndarray) -> np.ndarray:
-        """Normal-trace values at edge parameters ts: (nq, k+1) Lagrange."""
+        """Normal-trace values at edge parameters ts: (..., k+1) Lagrange."""
         return lagrange_1d(self.gauss_ts, np.asarray(ts, dtype=float))
 
     def interpolate(self, fn) -> np.ndarray:
@@ -420,23 +451,14 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
     tri_dofs[:, 3 * k1 :] = own + k1 + np.arange(n_int)
     ndof = nt * (2 * k1 + n_int)
 
-    # P_t^-1 as a per-triangle column order and scale
-    tris = np.arange(nt)
+    # P_t^-1 as a per-triangle column order and scale; n_e points out of
+    # the triangle on side 0
+    side, flip = _tri_sides(sub)
     j = np.arange(k1)
     order = np.tile(np.arange(nloc), (nt, 1))
+    order[:, : 3 * k1] = (k1 * np.arange(3)[:, None] + np.where(flip[..., None], k - j, j)).reshape(nt, -1)
     scale = np.ones((nt, nloc))
-    edge_side_dofs = np.full((sub.n_edges, 2, k1), -1, dtype=int)
-    for l in range(3):
-        cols = slice(l * k1, (l + 1) * k1)
-        e = sub.tri_edges[:, l]
-        side = (sub.edge_tris[e, 0] != tris).astype(int)
-        edge_side_dofs[e, side] = tri_dofs[:, cols]
-        a, b = sub.tri_vertices[:, l], sub.tri_vertices[:, (l + 1) % 3]
-        d = sub.vertices[b] - sub.vertices[a]
-        n = sub.edge_normal[e]
-        sigma = np.sign(n[:, 0] * d[:, 1] - n[:, 1] * d[:, 0])
-        order[:, cols] = l * k1 + np.where((a > b)[:, None], k - j, j)
-        scale[:, cols] = (sigma * sub.edge_length[e])[:, None]
+    scale[:, : 3 * k1] = np.repeat((1 - 2 * side) * sub.edge_length[sub.tri_edges], k1, axis=1)
 
     edge, mean, curl = _reference_flux_dofs(k)
     if n_int:
@@ -459,7 +481,7 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
         k=k,
         ndof=ndof,
         tri_dofs=tri_dofs,
-        edge_side_dofs=edge_side_dofs,
+        edge_side_dofs=_edge_side_table(sub, side, tri_dofs[:, : 3 * k1].reshape(nt, 3, k1)),
         gauss_ts=ts,
         ref_coeff=coeff,
         _exps=_monomial_exponents(k),

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.assembly import (
+    _block,
+    _coo,
     assemble_bh,
     assemble_fracture_stiffness,
     assemble_interface,
@@ -100,6 +102,69 @@ def assemble_bh_star(sub, V, S):
 
     r, c, v = (np.concatenate(a) for a in (rows, cols, vals))
     return sp.coo_matrix((v, (r, c)), shape=(V.ndof, S.ndof)).tocsr()
+
+
+def assemble_interface_quadrature(sub, S, W, spec):
+    """Interface coupling blocks (C_pp, C_pw, C_ww_coupling) by quadrature
+    at physical fracture points, with the full pressure basis of each side's
+    triangle pulled back: the oracle for `assemble_interface`.
+
+    C_pp collects <(1/alpha){p},{q}> + <(1/eta)[p],[q]> over fracture edges,
+    C_pw the -<(1/alpha) p_gamma, {q}> pairing (its transpose enters the
+    fracture equation), C_ww the +<(1/alpha) p_gamma, q_gamma> mass.
+    """
+    erule = edge_rule(2 * S.k + 2)
+    ts, ws = erule.points, erule.weights
+    wb = W.eval_ref(ts)  # (nq, k+1)
+    pp, pw, ww = [], [], []
+    for fi, fr in enumerate(sub.mesh.fractures):
+        fm = sub.fracture_meshes[fi]
+        if fm.n_edges == 0:
+            continue
+        eta = fr.normal_resistance[fm.edge_segment]
+        alpha = spec.exchange_resistance(fi)[fm.edge_segment]
+        pts, _ = sub.fracture_points(fi, ts)
+        wl = fm.edge_length
+        t1, t2 = sub.edge_tris[fm.edge_ids].T
+        s1 = S.basis_values(t1, pts)  # (ne, nq, ns)
+        s2 = S.basis_values(t2, pts)
+        # both sides' dofs side by side: average and jump of the traces
+        d = np.hstack([S.tri_dofs[t1], S.tri_dofs[t2]])
+        avg = 0.5 * np.concatenate([s1, s2], axis=2)
+        jmp = np.concatenate([s1, -s2], axis=2)
+        wd = W.edge_dofs[fi]
+        local = np.einsum("q,e,eqs,eqr->esr", ws, wl / alpha, avg, avg)
+        local += np.einsum("q,e,eqs,eqr->esr", ws, wl / eta, jmp, jmp)
+        pp.append(_block(d, d, local))
+        pw.append(_block(d, wd, -np.einsum("q,e,eqs,qj->esj", ws, wl / alpha, avg, wb)))
+        ww.append(_block(wd, wd, np.einsum("q,e,qi,qj->eij", ws, wl / alpha, wb, wb)))
+    return (
+        _coo(pp, (S.ndof, S.ndof)),
+        _coo(pw, (S.ndof, W.ndof)),
+        _coo(ww, (W.ndof, W.ndof)),
+    )
+
+
+def neumann_load_quadrature(sub, spec, S):
+    """-<g_N, q> over the Neumann edges by quadrature at physical edge
+    points, with the full pressure basis of each edge's triangle pulled
+    back: the oracle for the Neumann load of `assemble_rhs`, (S.ndof,)."""
+    table = spec.boundary_table(sub)
+    erule = edge_rule(2 * S.k + 2)
+    ts, ws = erule.points, erule.weights
+    sview = np.zeros(S.ndof)
+    neu = table.neumann_edges
+    if neu.size:
+        pts = sub.edge_points(neu, ts)
+        t1 = sub.edge_tris[neu, 0]
+        sb = S.basis_values(t1, pts)
+        wl = sub.edge_length[neu]
+        g = spec.boundary_values(
+            sub, np.repeat(neu, ts.size), pts.reshape(-1, 2)
+        ).reshape(neu.size, ts.size)
+        local = -np.einsum("q,e,eq,eqs->es", ws, wl, g, sb)
+        np.add.at(sview, S.tri_dofs[t1], local)
+    return sview
 
 
 def scatter(rows, cols, blocks, shape):

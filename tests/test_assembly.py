@@ -6,7 +6,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.assembly import (
     assemble_fracture_stiffness,
     assemble_interface,
@@ -34,7 +36,14 @@ from sdgdarcy.problem import (
 )
 from sdgdarcy.spaces import SpaceConfig, build_S_h, build_V_h, build_W_h
 
-from conftest import assemble_bh_star, bh_matrix, mass_matrix, saddle_system
+from conftest import (
+    assemble_bh_star,
+    assemble_interface_quadrature,
+    bh_matrix,
+    mass_matrix,
+    neumann_load_quadrature,
+    saddle_system,
+)
 
 
 def unit_square_mesh(h=1.0):
@@ -426,6 +435,40 @@ def test_system_matches_global_saddle_assembly(name, k):
     assert np.abs(sys.matvec(x, absolute=True) - abs(A_ref) @ x).max() <= 1e-13 * (
         abs(A_ref) @ np.abs(x)
     ).max()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["case1-a0.1", "case2", "multifrac"])
+def test_interface_and_neumann_match_quadrature(name, k):
+    """`assemble_interface` and the Neumann load of `assemble_rhs`, read from
+    the edge dofs, against quadrature at physical edge points with the full
+    pulled-back pressure basis.  Three seeded Doerfler refinements make
+    fracture edges run both ways against their vertex ids, and the Neumann
+    data is nonzero on the whole boundary.  C entries agree to 1e-13 of
+    sqrt(C_ii C_jj), the load to 1e-13 of its largest entry."""
+    spec, exact, h0 = get_benchmark(name)
+    mesh = build_initial_mesh(spec.domain, h0)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
+    sub = mesh.subdivision
+    assert any(np.any(fm.vertex_ids[:-1] > fm.vertex_ids[1:]) for fm in sub.fracture_meshes)
+    S, V, W = build_spaces(mesh, spec, SpaceConfig(k))
+
+    def coupling(pp, pw, ww):
+        return sp.bmat([[pp, pw], [pw.T, ww]], format="csr")
+
+    C = coupling(*assemble_interface(sub, S, W, spec))
+    C_ref = coupling(*assemble_interface_quadrature(sub, S, W, spec))
+    d = np.sqrt(C_ref.diagonal())
+    diff = abs(C - C_ref).tocoo()
+    assert np.all(diff.data <= 1e-13 * d[diff.row] * d[diff.col])
+
+    g = lambda pts, mids: 1.0 + pts[:, 0] - 2.0 * pts[:, 1] ** 2  # noqa: E731
+    neumann = dataclasses.replace(spec, f=None, boundary=(BoundaryRule(NEUMANN, everywhere, g),))
+    load = assemble_rhs(sub, neumann, V, S, W)[V.ndof : V.ndof + S.ndof]
+    load_ref = neumann_load_quadrature(sub, neumann, S)
+    assert np.abs(load - load_ref).max() <= 1e-13 * np.abs(load_ref).max()
 
 
 def test_flux_dof_outside_its_polygon_raises():

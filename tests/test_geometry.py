@@ -575,7 +575,9 @@ def test_geometry_matches_polygon_walk(data):
 
 def test_refine_eight_vertex_cycle_matches_walk():
     """Perturbed quads with a hanging midpoint on every side: 8-term
-    centroid sums, which no benchmark cycle reaches, add pairwise."""
+    centroid sums, which no benchmark cycle reaches.  The area centroids of
+    `refine` add pairwise and the vertex centroids in sequence, as the
+    walks' per-polygon sums do."""
     rng = np.random.default_rng(8)
     for _ in range(20):
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -587,6 +589,7 @@ def test_refine_eight_vertex_cycle_matches_walk():
             fractures=(),
             tolerance=1e-10,
         )
+        assert np.array_equal(mesh.element_centroids, _reference_measures(mesh)[0])
         _assert_same_mesh(refine(mesh, [0]), _reference_refine(mesh, [0]))
 
 

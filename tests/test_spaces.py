@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from sdgdarcy.adaptivity import dorfler_mark
+from sdgdarcy.assembly import DiscreteSolution
 from sdgdarcy.errors import ConfigError
 from sdgdarcy.geometry import (
     BOUNDARY,
     DUAL,
+    FRACTURE,
     INTERIOR,
     CycleTable,
     DomainSpec,
@@ -550,3 +552,48 @@ def test_mass_blocks_match_physical_quadrature(k, mesh):
     M = mass_matrix(sub, V, K_elem).toarray()
     d = np.sqrt(np.diag(oracle))
     assert np.max(np.abs(M - oracle) / np.outer(d, d)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# edge traces read from the edge dofs against point evaluation
+
+
+@pytest.mark.parametrize("mesh", sorted(PIOLA_MESHES))
+@pytest.mark.parametrize("k", [1, 2])
+def test_edge_traces_match_point_evaluation(k, mesh):
+    """p_trace and u_normal_trace, read from the k+1 dofs on one side of an
+    edge, against p_at and u_at . n_e at the edge points, on both sides of
+    every edge kind, and the fracture traces in polyline direction; random
+    coefficients, compared relative to the largest value."""
+    sub = PIOLA_MESHES[mesh]()
+    config = SpaceConfig(k)
+    S, V, W = build_S_h(sub, config), build_V_h(sub, config), build_W_h(sub, config)
+    rng = np.random.default_rng(7)
+    sol = DiscreteSolution(
+        mesh=sub.mesh, V=V, S=S, W=W,
+        u=rng.standard_normal(V.ndof), p=rng.standard_normal(S.ndof), p_gamma=np.zeros(W.ndof),
+    )
+    ts = edge_rule(2 * k + 2).points
+
+    def check(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    for kind in (DUAL, INTERIOR, BOUNDARY) + ((FRACTURE,) if sub.mesh.fractures else ()):
+        edges = sub.edges_of_kind(kind)
+        assert edges.size
+        pts = sub.edge_points(edges, ts)
+        for side in (0,) if kind == BOUNDARY else (0, 1):
+            tris = sub.edge_tris[edges, side]
+            check(sol.p_trace(edges, side, ts), sol.p_at(tris, pts))
+            un = np.einsum("eqc,ec->eq", sol.u_at(tris, pts), sub.edge_normal[edges])
+            check(sol.u_normal_trace(edges, side, ts), un)
+
+    for fi, fm in enumerate(sub.fracture_meshes):
+        reverse = fm.vertex_ids[:-1] > fm.vertex_ids[1:]
+        assert reverse.any() and not reverse.all()
+        pts, _ = sub.fracture_points(fi, ts)
+        p1, p2, un1, un2 = sol.fracture_traces(fi, ts)
+        for side, p, un in ((0, p1, un1), (1, p2, un2)):
+            tris = sub.edge_tris[fm.edge_ids, side]
+            check(p, sol.p_at(tris, pts))
+            check(un, np.einsum("eqc,ec->eq", sol.u_at(tris, pts), sub.edge_normal[fm.edge_ids]))
