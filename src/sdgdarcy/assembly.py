@@ -227,13 +227,16 @@ class PolygonBlocks:
     """Dense flux blocks of the polygons that have n triangles each.
 
     Each polygon has b = n (2k + 2 + n_int) flux dofs and m = n ns local
-    pressures, the pressure dofs of its triangles in order.
+    pressures: first the n_skeleton = n (k+1) nodes on the primal sides
+    (side 0) of its triangles, then the nodes off them, which no other
+    polygon shares; each part in triangle order, local node order within.
     """
 
     flux: np.ndarray  # (npoly, b) flux dofs of each polygon, in local order
     cols: np.ndarray  # (npoly, m) index into y = free (p, p_gamma); ny where constrained
     M: np.ndarray  # (npoly, b, b) flux mass blocks M_P
     G: np.ndarray  # (npoly, b, m) G_P = B_P^T, zero in constrained columns
+    n_skeleton: int  # the primal-side columns come first
 
 
 @dataclass(frozen=True)
@@ -325,9 +328,14 @@ class DiscreteSolution:
     p: np.ndarray
     p_gamma: np.ndarray
 
+    def __post_init__(self):
+        if self.S.sub is not self.V.sub:
+            raise ValueError("the pressure and flux spaces are built on different subdivisions")
+
     @property
     def sub(self) -> Subdivision:
-        return self.mesh.subdivision
+        """The subdivision the spaces are built on."""
+        return self.V.sub
 
     @cached_property
     def _u_hat(self) -> np.ndarray:
@@ -418,10 +426,14 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, M_t, B_t, 
     offsets[p]:offsets[p+1].  In the numbering of `build_V_h` it then owns
     the dofs of its dual edges, k1 t0 : k1 t1, and of its triangles,
     nt k1 + n_own t0 : nt k1 + n_own t1; its local order is the one, then
-    the other.  `ycol` maps pressure dofs to their index in y.
+    the other.  Its local pressures are the primal-side nodes of its
+    triangles, then the rest (see `PolygonBlocks`).  `ycol` maps pressure
+    dofs to their index in y.
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
+    primal = _SIDE_NODES[S.k][0]
+    off = np.setdiff1d(np.arange(ns), primal)
     offsets = sub.mesh.cycles.offsets
     counts = np.diff(offsets)
     owner = np.empty(V.ndof, dtype=np.int64)
@@ -446,7 +458,8 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, M_t, B_t, 
 
     out = []
     for tris, flux in groups:
-        npoly, b, m = tris.shape[0], flux.shape[1], tris.shape[1] * ns
+        (npoly, n), b = tris.shape, flux.shape[1]
+        m = n * ns
         li = local[V.tri_dofs[tris]]  # (npoly, n, nloc)
         base = np.arange(npoly)[:, None, None, None] * b
         M = np.bincount(
@@ -454,15 +467,18 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, M_t, B_t, 
             M_t[tris].ravel(),
             minlength=npoly * b * b,
         )
-        pcol = np.arange(m).reshape(-1, ns)[:, :, None]  # (n, ns, 1)
+        pcol = np.empty((n, ns), dtype=np.int64)  # local column of each node
+        pcol[:, primal] = np.arange(n * k1).reshape(n, k1)
+        pcol[:, off] = n * k1 + np.arange(n * off.size).reshape(n, -1)
         G = np.bincount(
-            ((base + li[..., None, :]) * m + pcol).ravel(),
+            ((base + li[..., None, :]) * m + pcol[:, :, None]).ravel(),
             B_t[tris].ravel(),
             minlength=npoly * b * m,
         )
-        pdofs = S.tri_dofs[tris].reshape(npoly, m)
+        pdofs = np.empty((npoly, m), dtype=np.int64)
+        pdofs[:, pcol] = S.tri_dofs[tris]
         G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
-        out.append(PolygonBlocks(flux, ycol[pdofs], M.reshape(npoly, b, b), G))
+        out.append(PolygonBlocks(flux, ycol[pdofs], M.reshape(npoly, b, b), G, n * k1))
     return out
 
 

@@ -32,17 +32,6 @@ from .quadrature import edge_rule, map_to_triangles, triangle_rule
 from .spaces import _monomial_exponents, _monomial_values
 
 
-def _deriv2_ref(nodes, ts):
-    """Second derivative of the 1D Lagrange basis through ``nodes`` at ts."""
-    n = nodes.size
-    V = np.vander(nodes, n, increasing=True)
-    C = np.linalg.inv(V)  # column j: monomial coefficients of basis j
-    out = np.zeros((ts.size, n))
-    for m in range(2, n):
-        out += m * (m - 1) * ts[:, None] ** (m - 2) * C[m][None, :]
-    return out
-
-
 @dataclass(frozen=True)
 class EstimatorBreakdown:
     """Squared per-entity residual contributions and their aggregates."""
@@ -124,7 +113,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
         ).reshape(ne, ts.size)
 
         # term 5: fracture equation residual; K_gamma is constant per edge
-        d2 = _deriv2_ref(sol.W.ref_nodes, ts)  # (nq, k+1)
+        d2 = sol.W.deriv_ref(ts, order=2)  # (nq, k+1)
         pg2 = (
             np.einsum("qj,ej->eq", d2, sol.p_gamma[sol.W.edge_dofs[fi]])
             / le[:, None] ** 2

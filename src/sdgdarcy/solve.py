@@ -1,4 +1,4 @@
-"""Direct solve of the reduced system by static condensation of the flux.
+"""Direct solve of the reduced system by static condensation per polygon.
 
 The system over free dofs is ordered (u, p, p_gamma) and has the form
 
@@ -10,19 +10,28 @@ the interface and fracture blocks C.  Every flux dof lives inside one
 polygon, so M is block diagonal.  `assemble_system` gathers the dense
 polygon blocks M_P and G_P straight from the triangle blocks, grouped by
 triangle count, and keeps C sparse.  One batched solve per group gives
-M_P^-1 [G_P | f_P], which leaves the symmetric positive definite Schur
-complement
+M_P^-1 [G_P | f_P] and the polygon's symmetric positive definite Schur
+block S_P = G_P^T M_P^-1 G_P.
 
-    S = C + sum_P G_P^T M_P^-1 G_P  over the free (p, p_gamma) dofs.
+Pressure is continuous only across primal edges, so the pressure nodes off
+the primal edge of a triangle (its side 0) belong to one polygon as well,
+and C and the Dirichlet data touch only primal-edge nodes and p_gamma.
+The polygon blocks list the side-0 columns B first and these interior
+columns I after them.  A batched inverse of S_II per group gives
+H = S_II^-1 S_IB and the skeleton block R_P = S_BB - S_BI H, and the
+interior right-hand side z_I enters the skeleton one as -H^T z_I.
+SuperLU factors only the skeleton matrix
 
-SuperLU factors S in symmetric mode (diagonal pivots, minimum-degree
-ordering of S + S^T), and u = M^-1 (f - G y) is recovered polygon by
-polygon.  The backward error is computed blockwise on the full system;
+    R = C + sum_P R_P  over the free primal-edge pressures and p_gamma
+
+in symmetric mode (diagonal pivots, minimum-degree ordering of R + R^T).
+The interior pressures, and then u = M^-1 (f - G y), are recovered polygon
+by polygon.  The backward error is computed blockwise on the full system;
 when the first solve is not at roundoff, up to two steps of iterative
-refinement follow, which solve against the stored M_P again.
+refinement follow, which solve against the stored polygon blocks again.
 
 A system with no constrained pressure dof and no constrained fracture tip
-is singular, since the constant pressure then lies in the nullspace of S;
+is singular, since the constant pressure then lies in the nullspace of R;
 it is rejected before anything is factored.
 """
 
@@ -45,14 +54,16 @@ _MAX_REFINE = 2
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Statistics of one solve; all but `fill` refer to the full system A."""
+    """Statistics of one solve; all but `fill` and `n_factored` refer to
+    the full system A."""
 
     n: int
     nnz: int
     residual: float  # componentwise-normalized backward error
     refinement_steps: int
     t_ms: float
-    fill: int  # L + U nonzeros of the factor of the condensed matrix S
+    fill: int  # L + U nonzeros of the factor of the skeleton matrix R
+    n_factored: int  # order of R: free primal-edge pressures and p_gamma
 
 
 def _backward_error(system: LinearSystem, x, rhs) -> float:
@@ -62,8 +73,13 @@ def _backward_error(system: LinearSystem, x, rhs) -> float:
     return float(np.linalg.norm(r, np.inf) / max(denom, np.finfo(float).tiny))
 
 
+def _sym(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + np.swapaxes(A, 1, 2))
+
+
 class _Condensed:
-    """Factor of the flux-condensed system.
+    """Factor of the skeleton system left by condensing the flux and the
+    polygon-interior pressures.
 
     `x` solves the system for its own right-hand side; `solve` applies A^-1
     to another one.
@@ -71,32 +87,45 @@ class _Condensed:
 
     def __init__(self, system: LinearSystem):
         self.system = system
-        self.nV = system.offsets[1]
-        self.ny = ny = system.n - self.nV
-        f = system.rhs[: self.nV]
-        C = system.C.tocoo()
-        rows, cols, vals = [C.row], [C.col], [C.data]
-        self.W, uf = [], []
+        self.nV = nV = system.offsets[1]
+        self.ny = ny = system.n - nV
+        f = system.rhs[:nV]
+        # the y index of every skeleton unknown, and the skeleton index of
+        # every y index; interior and constrained (y index ny) pressures map
+        # to nsk, and C has no entry there
+        interior = np.zeros(ny + 1, dtype=bool)
         for g in system.blocks:
-            m = g.G.shape[2]
+            interior[g.cols[:, g.n_skeleton :]] = True
+        self.skeleton = np.flatnonzero(~interior[:ny])
+        nsk = self.skeleton.size
+        pos = np.full(ny + 1, nsk)
+        pos[self.skeleton] = np.arange(nsk)
+        C = system.C.tocoo()
+        rows, cols, vals = [pos[C.row]], [pos[C.col]], [C.data]
+        self.parts, uf = [], []  # per group: W = M^-1 G, S_II^-1, H, skeleton columns
+        for g in system.blocks:
+            m, b = g.G.shape[2], g.n_skeleton
             # one batched solve gives W = M^-1 G and M^-1 f
             X = np.linalg.solve(g.M, np.concatenate([g.G, f[g.flux][..., None]], axis=2))
             W = X[..., :m]
-            SP = np.swapaxes(g.G, 1, 2) @ W
-            SP = 0.5 * (SP + np.swapaxes(SP, 1, 2))
-            r = np.broadcast_to(g.cols[:, :, None], SP.shape)
-            c = np.broadcast_to(g.cols[:, None, :], SP.shape)
-            keep = (r < ny) & (c < ny)
-            rows.append(r[keep]), cols.append(c[keep]), vals.append(SP[keep])
-            self.W.append(W)
+            SP = _sym(np.swapaxes(g.G, 1, 2) @ W)
+            S_inv = np.linalg.inv(SP[:, b:, b:])  # S_II^-1
+            H = S_inv @ SP[:, b:, :b]
+            R = _sym(SP[:, :b, :b] - SP[:, :b, b:] @ H)
+            cb = pos[g.cols[:, :b]]
+            r = np.broadcast_to(cb[:, :, None], R.shape)
+            c = np.broadcast_to(cb[:, None, :], R.shape)
+            keep = (r < nsk) & (c < nsk)
+            rows.append(r[keep]), cols.append(c[keep]), vals.append(R[keep])
+            self.parts.append((W, S_inv, H, cb))
             uf.append(X[..., m])
-        S = sp.csc_matrix(
+        R = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(ny, ny),
+            shape=(nsk, nsk),
         )
         try:
             self.lu = spla.splu(
-                S,
+                R,
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
@@ -107,19 +136,28 @@ class _Condensed:
         self.x = self._back(system.rhs, uf)
 
     def _back(self, rhs: np.ndarray, uf: list) -> np.ndarray:
-        """y from S, then u = M^-1 f - W y, given M^-1 f per group."""
-        nV, ny = self.nV, self.ny
-        f = rhs[:nV]
-        z = rhs[nV:].copy()
-        for g, W in zip(self.system.blocks, self.W):
-            wf = (f[g.flux][:, None, :] @ W)[:, 0]
-            z += np.bincount(g.cols.ravel(), wf.ravel(), minlength=ny + 1)[:ny]
-        y = self.lu.solve(z)
-        y0 = np.append(y, 0.0)  # constrained local pressures read zero
+        """Skeleton y from R, then the interior y and u = M^-1 f - W y,
+        given M^-1 f per group."""
+        nV, nsk = self.nV, self.skeleton.size
+        f, z = rhs[:nV], rhs[nV:]
+        zsk = z[self.skeleton].copy()
+        vI = []
+        for g, (W, S_inv, H, cb) in zip(self.system.blocks, self.parts):
+            b = g.n_skeleton
+            wf = (f[g.flux][:, None, :] @ W)[:, 0]  # G^T M^-1 f
+            zI = wf[:, b:] + z[g.cols[:, b:]]
+            # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
+            zb = wf[:, :b] - (zI[:, None, :] @ H)[:, 0]
+            zsk += np.bincount(cb.ravel(), zb.ravel(), minlength=nsk + 1)[:nsk]
+            vI.append((S_inv @ zI[..., None])[..., 0])
+        y0 = np.zeros(self.ny + 1)  # constrained local pressures read zero
+        y0[self.skeleton] = self.lu.solve(zsk)
         u = np.empty(nV)
-        for g, W, ufg in zip(self.system.blocks, self.W, uf):
+        for g, (W, _, H, _), v, ufg in zip(self.system.blocks, self.parts, vI, uf):
+            b = g.n_skeleton
+            y0[g.cols[:, b:]] = v - (H @ y0[g.cols[:, :b]][..., None])[..., 0]
             u[g.flux] = ufg - (W @ y0[g.cols][..., None])[..., 0]
-        return np.concatenate([u, y])
+        return np.concatenate([u, y0[:-1]])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         f = rhs[: self.nV]
@@ -158,5 +196,6 @@ def solve_system(system: LinearSystem):
         refinement_steps=steps,
         t_ms=t_ms,
         fill=factor.fill,
+        n_factored=factor.skeleton.size,
     )
     return system.expand(x), report

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -108,31 +109,23 @@ def _edge_side_table(sub: Subdivision, side: np.ndarray, dofs: np.ndarray) -> np
     return table
 
 
-def lagrange_1d(nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Values of the 1D Lagrange basis through ``nodes`` at parameters ``ts``."""
-    nodes = np.asarray(nodes, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    m = nodes.shape[0]
-    out = np.ones(ts.shape + (m,))
-    for j in range(m):
-        for i in range(m):
-            if i != j:
-                out[..., j] *= (ts - nodes[i]) / (nodes[j] - nodes[i])
-    return out
+def lagrange_1d(nodes: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
+    """Values (order 0) or derivatives of the 1D Lagrange basis through
+    ``nodes`` at parameters ``ts``, shape ts.shape + (len(nodes),).
 
-
-def lagrange_1d_deriv(nodes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    Basis j is the product of (t - x_i) / (x_j - x_i) over i != j; by the
+    product rule, each ordered choice of `order` distinct factors to
+    differentiate adds one term."""
     nodes = np.asarray(nodes, dtype=float)
     ts = np.asarray(ts, dtype=float)
     m = nodes.shape[0]
     out = np.zeros(ts.shape + (m,))
     for j in range(m):
-        for l in range(m):
-            if l == j:
-                continue
-            term = np.ones_like(ts) / (nodes[j] - nodes[l])
-            for i in range(m):
-                if i != j and i != l:
+        others = [i for i in range(m) if i != j]
+        for picked in permutations(others, order):
+            term = np.full(ts.shape, 1.0 / np.prod(nodes[j] - nodes[list(picked)]))
+            for i in others:
+                if i not in picked:
                     term *= (ts - nodes[i]) / (nodes[j] - nodes[i])
             out[..., j] += term
     return out
@@ -325,6 +318,19 @@ def _reference_flux_dofs(k: int):
     return edge, mean, curl
 
 
+@lru_cache(maxsize=None)
+def _edge_pseudoinverse(k: int):
+    """(E^+, N) for the edge rows E of `_reference_flux_dofs`: its
+    pseudoinverse (2s, 3(k+1)) and an orthonormal basis of its null space
+    (2s, 2s - 3(k+1))."""
+    edge = _reference_flux_dofs(k)[0]
+    _, _, vt = np.linalg.svd(edge)
+    out = np.linalg.pinv(edge), vt[edge.shape[0] :].T.copy()
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class FluxSpace:
     """Elementwise [P^k]^2 with continuous normal trace across dual edges.
@@ -427,7 +433,9 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
     out of t.  D~_t is the reference matrix, except that at k=2 the mean rows
     are J / det J times the reference means and the bubble row is the curl
     tensor contracted with J^T J and scaled by h / (|T| det J).  Then
-    C_t = D~_t^-1 P_t^-1; at k=1 D~_t is one matrix for all triangles.
+    C_t = D~_t^-1 P_t^-1; at k=1 D~_t is one matrix for all triangles, and
+    at k=2 only its three interior rows vary, so D~_t^-1 takes one 3x3
+    inverse per triangle.
     """
     sub = mesh.subdivision if isinstance(mesh, PolygonalMesh) else mesh
     k = config.k
@@ -462,18 +470,22 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
 
     edge, mean, curl = _reference_flux_dofs(k)
     if n_int:
+        # D~_t = [E; R_t] with the edge rows E shared by all triangles, so
+        # D~_t^-1 = [(I - N X_t R_t) E^+ | N X_t], N spanning null(E) and
+        # X_t = (R_t N)^-1
         J = sub.tri_jacobian
         det = 2.0 * sub.tri_area
-        D = np.empty((nt, nloc, nloc))
-        D[:, : 3 * k1] = edge
-        D[:, 3 * k1 : 3 * k1 + 2] = (J / det[:, None, None]) @ mean
+        R = np.empty((nt, n_int, nloc))
+        R[:, :2] = (J / det[:, None, None]) @ mean
         JtJ = np.swapaxes(J, 1, 2) @ J
-        D[:, -1] = (sub.tri_diameter / (sub.tri_area * det))[:, None] * (
+        R[:, 2] = (sub.tri_diameter / (sub.tri_area * det))[:, None] * (
             JtJ.reshape(nt, 4) @ curl.reshape(4, nloc)
         )
+        pinv, null = _edge_pseudoinverse(k)
+        NX = null @ np.linalg.inv(R @ null)
+        Dinv = np.concatenate([pinv - NX @ (R @ pinv), NX], axis=2)
     else:
-        D = edge[None]
-    Dinv = np.broadcast_to(np.linalg.inv(D), (nt, nloc, nloc))
+        Dinv = np.broadcast_to(np.linalg.inv(edge), (nt, nloc, nloc))
     coeff = np.take_along_axis(Dinv, order[:, None, :], axis=2) * scale[:, None, :]
 
     return FluxSpace(
@@ -512,8 +524,8 @@ class FracturePressureSpace:
     def eval_ref(self, ts: np.ndarray) -> np.ndarray:
         return lagrange_1d(self.ref_nodes, ts)
 
-    def deriv_ref(self, ts: np.ndarray) -> np.ndarray:
-        return lagrange_1d_deriv(self.ref_nodes, ts)
+    def deriv_ref(self, ts: np.ndarray, order: int = 1) -> np.ndarray:
+        return lagrange_1d(self.ref_nodes, ts, order)
 
     def interpolate(self, fn) -> np.ndarray:
         """fn(points (n,2), params (n,), fracture (n,)) -> nodal values."""

@@ -1,7 +1,7 @@
 """Solver oracles: recovery of known coefficient vectors, report accuracy,
 failure modes, exact reproduction of the linear patch solution, and
-agreement of the flux-condensed solve with a direct LU of the full
-saddle system."""
+agreement of the skeleton solve, which condenses the flux and the
+polygon-interior pressures, with a direct LU of the full saddle system."""
 
 import dataclasses
 
@@ -22,8 +22,8 @@ from sdgdarcy.problem import (
     constant,
     everywhere,
 )
-from sdgdarcy.solve import _backward_error, solve_system
-from sdgdarcy.spaces import SpaceConfig
+from sdgdarcy.solve import _backward_error, _Condensed, solve_system
+from sdgdarcy.spaces import _SIDE_NODES, SpaceConfig
 
 from conftest import saddle_backward_error
 from test_assembly import exact_free_vector
@@ -100,7 +100,16 @@ def test_nonfinite_rhs_raises(patch_system):
 
 @pytest.mark.parametrize(
     "name,k",
-    [("patch", 1), ("patch", 2), ("case1-a0.1", 1), ("case2", 1), ("multifrac", 1)],
+    [
+        ("patch", 1),
+        ("patch", 2),
+        ("case1-a0.1", 1),
+        ("case1-a0.1", 2),
+        ("case2", 1),
+        ("case2", 2),
+        ("multifrac", 1),
+        ("multifrac", 2),
+    ],
 )
 def test_condensed_solve_matches_saddle_lu(name, k):
     """Oracle: a COLAMD LU of the full (u, p, p_gamma) saddle matrix."""
@@ -111,6 +120,33 @@ def test_condensed_solve_matches_saddle_lu(name, k):
     assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
     assert report.residual <= 1e-13
     assert report.n == sys.n and report.nnz == sys.A.nnz
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_refinement_solve_recovers_random_vectors(k):
+    """`_Condensed.solve`, the path iterative refinement takes, applies A^-1
+    to right-hand sides other than the system's own."""
+    spec, exact, h0 = get_benchmark("multifrac")
+    sys = assemble_system(build_initial_mesh(spec.domain, h0), spec, SpaceConfig(k))
+    factor = _Condensed(sys)
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        x0 = rng.standard_normal(sys.n)
+        x = factor.solve(sys.A @ x0)
+        assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize("name,k", [("patch", 1), ("case1-a0.1", 2), ("case2", 1), ("multifrac", 2)])
+def test_factored_order_is_the_skeleton(name, k):
+    """SuperLU factors exactly the free primal-side (side 0) pressure dofs
+    and the free fracture pressures."""
+    spec, exact, h0 = get_benchmark(name)
+    sys = assemble_system(build_initial_mesh(spec.domain, h0), spec, SpaceConfig(k))
+    primal = np.unique(sys.S.tri_dofs[:, _SIDE_NODES[k][0]])
+    n_primal_free = np.count_nonzero(~sys.S.dirichlet_mask[primal])
+    sol, report = solve_system(sys)
+    assert report.n_factored == n_primal_free + sys.w_free.size
+    assert report.n_factored < sys.n - sys.V.ndof
 
 
 def test_case2_k2_passes_the_old_pivot_failure():

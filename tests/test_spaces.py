@@ -23,6 +23,7 @@ from sdgdarcy.spaces import (
     build_S_h,
     build_V_h,
     build_W_h,
+    lagrange_1d,
 )
 
 from conftest import make_fracture, mass_matrix
@@ -597,3 +598,43 @@ def test_edge_traces_match_point_evaluation(k, mesh):
             tris = sub.edge_tris[fm.edge_ids, side]
             check(p, sol.p_at(tris, pts))
             check(un, np.einsum("eqc,ec->eq", sol.u_at(tris, pts), sub.edge_normal[fm.edge_ids]))
+
+
+def test_solution_reads_the_subdivision_of_its_spaces():
+    """A DiscreteSolution on spaces built on the reversed-id sliver takes its
+    subdivision from them, not from its mesh, and its point evaluation
+    agrees with the edge traces there; pressure and flux spaces on two
+    different subdivisions are rejected."""
+    sub = _sliver_sub()
+    assert sub is not sub.mesh.subdivision
+    config = SpaceConfig(2)
+    S, V, W = build_S_h(sub, config), build_V_h(sub, config), build_W_h(sub, config)
+    rng = np.random.default_rng(11)
+    values = dict(u=rng.standard_normal(V.ndof), p=rng.standard_normal(S.ndof), p_gamma=np.zeros(W.ndof))
+    sol = DiscreteSolution(mesh=sub.mesh, V=V, S=S, W=W, **values)
+    assert sol.sub is sub
+    ts = edge_rule(6).points
+    edges = np.arange(sub.n_edges)
+    tris = sub.edge_tris[edges, 0]
+    un = np.einsum("eqc,ec->eq", sol.u_at(tris, sub.edge_points(edges, ts)), sub.edge_normal[edges])
+    assert np.max(np.abs(sol.u_normal_trace(edges, 0, ts) - un)) <= 1e-13 * np.max(np.abs(un))
+
+    other = build_S_h(sub.mesh.subdivision, config)
+    with pytest.raises(ValueError, match="different subdivisions"):
+        DiscreteSolution(mesh=sub.mesh, V=V, S=other, W=W, **values)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lagrange_1d_derivatives_match_monomial_form(k):
+    """Values and first and second derivatives of the 1D Lagrange basis,
+    by the product rule, against the derivatives of its monomial form; the
+    second derivative is 0 at k=1 and exactly (4, -8, 4) at k=2."""
+    P = np.polynomial.polynomial
+    nodes = np.linspace(0.0, 1.0, k + 1)
+    ts = edge_rule(6).points
+    coeff = np.linalg.inv(np.vander(nodes, k + 1, increasing=True))  # column j: basis j
+    for order in range(3):
+        ref = P.polyval(ts, P.polyder(coeff, order)).T
+        assert np.max(np.abs(lagrange_1d(nodes, ts, order) - ref)) <= 1e-12
+    exact = [0.0, 0.0] if k == 1 else [4.0, -8.0, 4.0]
+    assert np.array_equal(lagrange_1d(nodes, ts, 2), np.tile(exact, (ts.size, 1)))
