@@ -4,6 +4,48 @@ Marking uses the standard bulk criterion on squared per-element indicators:
 the minimal set of elements whose squared indicators reach a fraction theta
 of the total, filled greedily from the largest indicator down (ties broken
 by lower element id).  Uniform mode refines every element and ignores theta.
+
+Reuse.  `amr_loop` creates one `BlockCache` and passes it to
+`build_spaces`, `assemble_system`, `solve_system` and `compute_estimator`.
+`refine` copies each polygon that is not marked, not added by closure and
+has no side split into the next mesh unchanged, with the same vertex ids,
+cycle order and hanging flags, and records its old id in `kept_from`.  For
+such a kept polygon the stages take from the cache:
+
+* the flux transforms C_t of its triangles (`build_V_h`);
+* its blocks M_P and G_P, and the Dirichlet lifts p_dir^T B_t of its
+  triangles (`assemble_system`); the triangle blocks M_t and B_t are
+  computed only for the other polygons and are not kept;
+* its whole condensation: M_P^-1 [G_P | f_P], S_II^-1, H and R_P (`solve`);
+* the bulk source at the points of the 2k+2 and 2k+12 rules on its
+  triangles.  The load vector and the estimator share the first; the
+  mapped weights are recomputed, which is as fast as carrying them.
+
+The key is the cycle.  Each carried array depends only on the coordinates
+of the polygon's cycle vertices, the order of their ids (the flip flags),
+the side of each edge its triangles lie on, K and the region at its vertex
+centroid, and the Dirichlet data of its boundary edges.  An unchanged
+cycle fixes all of these: an edge's orientation follows its vertex ids, or
+its fracture segment, so the side a triangle lies on follows from the
+triangle's own position, and boundary rules read edge midpoints.
+
+The result is bit-equal to building every iteration from scratch.  Each
+carried row comes from elementwise arithmetic, a batched matmul, solve or
+inverse, or a bincount within one polygon, whose result for one item does
+not depend on the other items in the batch.  Global sums keep their order.
+Per-triangle arrays are merged back in triangle order.  Per-polygon arrays
+come in two chunks per triangle count, the carried rows and the new ones,
+and every global sum over them still adds one bincount per triangle count;
+a bincount inside one count adds at most two terms per entry, so the order
+of the rows inside a count does not change it (see `LinearSystem.groups`).
+One batched product is not row-independent: a 2-D GEMM gives the columns
+in the tail of its batch other bits.  So the oscillation carries only its
+source values and projects on all triangles at once.
+
+The cache holds the arrays of one mesh.  On its refinement it keeps the
+rows of the kept polygons and drops the others, so it holds at most one
+iteration's blocks.  A stage called without a cache starts from an empty
+one, which computes every row.
 """
 
 from __future__ import annotations
@@ -18,6 +60,7 @@ from .errors import AllZeroIndicators, ConfigError, SingularSystem
 from .estimator import EstimatorBreakdown, compute_estimator, true_error
 from .geometry import PolygonalMesh, refine
 from .problem import ProblemSpec
+from .reuse import BlockCache
 from .solve import solve_system
 from .spaces import SpaceConfig
 
@@ -136,15 +179,17 @@ def amr_loop(
     Stops on max_iterations, on a refinement that would exceed max_dofs
     (counted from the spaces, so the over-budget mesh is neither assembled
     nor solved), or on all-zero indicators.  A singular system is recorded
-    in `failure` and halts the loop.  When given, callback(record, mesh,
+    in `failure` and halts the loop.  One `BlockCache` carries the blocks
+    of the polygons `refine` keeps from each iteration to the next.  When given, callback(record, mesh,
     sol, breakdown, system) runs after each record is appended; exporters
     hook in here.
     """
     history = ConvergenceHistory(config=config)
     nan = float("nan")
     space_config = SpaceConfig(config.k)
+    cache = BlockCache()
     for it in range(config.max_iterations):
-        spaces = build_spaces(mesh, spec, space_config)
+        spaces = build_spaces(mesh, spec, space_config, cache)
         n = free_unknowns(spaces)
         if n > config.max_dofs:
             if it == 0:
@@ -153,17 +198,17 @@ def amr_loop(
                     f"max_dofs={config.max_dofs}"
                 )
             break
-        system = assemble_system(mesh, spec, space_config, spaces=spaces)
+        system = assemble_system(mesh, spec, space_config, spaces=spaces, cache=cache)
         t0 = time.perf_counter()
         try:
-            sol, _ = solve_system(system)
+            sol, _ = solve_system(system, cache)
         except SingularSystem as exc:
             history.failure = str(exc)
             break
         t_solve = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        bd = compute_estimator(mesh, spec, sol)
+        bd = compute_estimator(mesh, spec, sol, cache)
         if exact is not None:
             er = true_error(mesh, spec, sol, exact, eta=bd.eta)
             err_q, err_v, err_sdg, ei = er.err_Q, er.err_V, er.err_sdg, er.EI

@@ -19,6 +19,7 @@ zero boundary trace.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +29,8 @@ import scipy.sparse as sp
 from .errors import SolverError
 from .geometry import PolygonalMesh, Subdivision, inv_2x2
 from .problem import ProblemSpec
-from .quadrature import edge_rule, map_to_triangles, triangle_rule
+from .quadrature import edge_rule, map_to_triangles, mapped_weights, triangle_rule
+from .reuse import BlockCache
 from .spaces import (
     FluxSpace,
     FracturePressureSpace,
@@ -57,8 +59,9 @@ def _block(dofs_i, dofs_j, local):
     return rows, cols, local
 
 
-def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray) -> np.ndarray:
-    """Flux mass blocks weighted by the inverse permeability, (nt, nloc, nloc).
+def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray, tris=slice(None)) -> np.ndarray:
+    """Flux mass blocks weighted by the inverse permeability, (nt, nloc, nloc)
+    over the triangles `tris`.
 
     Block t couples the dofs V.tri_dofs[t].  It is C_t^T (M^ (x) G_t) C_t:
     M^ is the reference mass matrix of the scalar monomials and
@@ -68,17 +71,18 @@ def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray) -> np.ndar
     rule = triangle_rule(2 * V.k + 2)
     m = V.ref_monomials(rule.points)  # (nq, s)
     mhat = m.T @ (rule.weights[:, None] * m)
-    J = sub.tri_jacobian
-    Kinv = inv_2x2(K_elem[sub.tri_polygon])
-    G = np.swapaxes(J, 1, 2) @ Kinv @ J / (2.0 * sub.tri_area)[:, None, None]
+    J = sub.tri_jacobian[tris]
+    Kinv = inv_2x2(K_elem[sub.tri_polygon[tris]])
+    G = np.swapaxes(J, 1, 2) @ Kinv @ J / (2.0 * sub.tri_area[tris])[:, None, None]
     nt, s = G.shape[0], mhat.shape[0]
     inner = (mhat[None, :, None, :, None] * G[:, None, :, None, :]).reshape(nt, 2 * s, 2 * s)
-    C = V.ref_coeff
+    C = V.ref_coeff[tris]
     return np.swapaxes(C, 1, 2) @ inner @ C
 
 
-def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> np.ndarray:
-    """Blocks of b_h(u, q) = -sum_{dual e} <u.n, [q]>_e + sum_tau (u, grad q)_tau.
+def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace, tris=slice(None)) -> np.ndarray:
+    """Blocks of b_h(u, q) = -sum_{dual e} <u.n, [q]>_e + sum_tau (u, grad q)_tau
+    over the triangles `tris`.
 
     Block t, (nt, ns, nloc), has rows S.tri_dofs[t] and columns
     V.tri_dofs[t]: b_h(u, q) = q^T B u with B the sum of the blocks.  Sides
@@ -92,7 +96,7 @@ def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> np.ndarray:
     gref = S.grad_ref(rule.points)  # (nq, ns, 2)
     m = V.ref_monomials(rule.points)  # (nq, s)
     bhat = np.einsum("q,qsc,qi->sic", rule.weights, gref, m).reshape(S.nloc, -1)
-    local = bhat @ V.ref_coeff
+    local = bhat @ V.ref_coeff[tris]
 
     # <u.n, q> on a side is |e| E between its k+1 pressure side nodes and
     # its k+1 flux dofs, both listed from the lower vertex id; the sign is
@@ -100,10 +104,10 @@ def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace) -> np.ndarray:
     erule = edge_rule(2 * V.k + 2)
     ts, ws = erule.points, erule.weights
     E = S.edge_trace_matrix(ts).T @ (ws[:, None] * V.edge_trace_matrix(ts))
-    side, flip = _tri_sides(sub)
+    side, flip = (a[tris] for a in _tri_sides(sub))
     nodes = _SIDE_NODES[S.k]
     for l in (1, 2):
-        scale = (1 - 2 * side[:, l]) * sub.edge_length[sub.tri_edges[:, l]]
+        scale = (1 - 2 * side[:, l]) * sub.edge_length[sub.tri_edges[tris, l]]
         E_t = np.where(flip[:, l, None, None], E[::-1], E)  # rows in local node order
         local[:, nodes[l], l * k1 : (l + 1) * k1] -= scale[:, None, None] * E_t
     return local
@@ -160,7 +164,27 @@ def assemble_fracture_stiffness(sub: Subdivision, W: FracturePressureSpace, spec
     return _coo(blocks, (W.ndof, W.ndof))
 
 
-def assemble_rhs(sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureSpace, W: FracturePressureSpace) -> np.ndarray:
+def source_values(sub: Subdivision, spec: ProblemSpec, degree: int, cache: BlockCache = None):
+    """(qw, f), (nt, nq) each: the weights of the triangle rule of `degree`
+    mapped to every triangle and the bulk source at its points.  The values
+    of f on kept polygons come from `cache`, which also lets the load vector
+    and the estimator share them."""
+    rule = triangle_rule(degree)
+    region = sub.mesh.element_regions[sub.tri_polygon]
+
+    def values(tris):
+        qp = map_to_triangles(rule, sub.tri_coords[tris])[0]
+        nq = rule.weights.size
+        return (spec.bulk_source(qp.reshape(-1, 2), np.repeat(region[tris], nq)).reshape(tris.size, nq),)
+
+    cache = BlockCache() if cache is None else cache
+    (f,) = cache.triangles(sub.mesh, f"bulk source, degree {degree}", values)
+    return mapped_weights(rule, sub.tri_jacobian), f
+
+
+def assemble_rhs(
+    sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureSpace, W: FracturePressureSpace, cache: BlockCache = None
+) -> np.ndarray:
     """Source and Neumann-data vector over the full (u, p, p_gamma) dofs.
 
     The pressure block carries (f, q) - <g_N, q> on Neumann edges; the
@@ -174,12 +198,7 @@ def assemble_rhs(sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureS
 
     if spec.f is not None:
         rule = triangle_rule(2 * k + 2)
-        qp, qw = map_to_triangles(rule, sub.tri_coords)
-        region = sub.mesh.element_regions[sub.tri_polygon]
-        nt, nq = qp.shape[:2]
-        fvals = spec.bulk_source(
-            qp.reshape(-1, 2), np.repeat(region, nq)
-        ).reshape(nt, nq)
+        qw, fvals = source_values(sub, spec, 2 * k + 2, cache)
         sv = S.eval_ref(rule.points)
         local = np.einsum("tq,tq,qs->ts", qw, fvals, sv)
         np.add.at(sview, S.tri_dofs, local)
@@ -224,14 +243,17 @@ def dirichlet_values(sub: Subdivision, spec: ProblemSpec, S: PressureSpace, W: F
 
 @dataclass(frozen=True)
 class PolygonBlocks:
-    """Dense flux blocks of the polygons that have n triangles each.
+    """Dense flux blocks of a chunk of polygons that have n triangles each.
 
+    The polygons of one count come in at most two chunks: those carried
+    from the previous mesh, in the cache's order, and the others, ascending.
     Each polygon has b = n (2k + 2 + n_int) flux dofs and m = n ns local
     pressures: first the n_skeleton = n (k+1) nodes on the primal sides
     (side 0) of its triangles, then the nodes off them, which no other
     polygon shares; each part in triangle order, local node order within.
     """
 
+    polygons: np.ndarray  # (npoly,) polygon ids
     flux: np.ndarray  # (npoly, b) flux dofs of each polygon, in local order
     cols: np.ndarray  # (npoly, m) index into y = free (p, p_gamma); ny where constrained
     M: np.ndarray  # (npoly, b, b) flux mass blocks M_P
@@ -248,7 +270,7 @@ class LinearSystem:
     matrix `A` is built from them only when asked for.
     """
 
-    blocks: tuple  # PolygonBlocks, one per triangle count
+    blocks: tuple  # PolygonBlocks, one or two chunks per triangle count, by count
     C: sp.csr_matrix  # interface and fracture block over free y
     rhs: np.ndarray
     offsets: tuple  # (0, nV, nV + nS_free, n_total)
@@ -265,6 +287,14 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.offsets[3]
+
+    @cached_property
+    def groups(self) -> list:
+        """The blocks by triangle count, each a list of chunks.  Global sums
+        over blocks add one bincount per count, as a single chunk per count
+        would: a pressure dof lies in at most two polygons, so the order of
+        the rows within a count does not change a sum."""
+        return [list(g) for _, g in itertools.groupby(self.blocks, key=lambda g: g.n_skeleton)]
 
     @property
     def nnz(self) -> int:
@@ -294,13 +324,15 @@ class LinearSystem:
         out = np.empty_like(x, dtype=float)
         out[nV:] = C @ y
         y0 = np.append(y, 0.0)  # constrained local pressures read zero
-        for g in self.blocks:
-            M, G = (np.abs(g.M), np.abs(g.G)) if absolute else (g.M, g.G)
-            uP = u[g.flux]
-            out[g.flux] = (M @ uP[..., None] + G @ y0[g.cols][..., None])[..., 0]
-            gtu = (uP[:, None, :] @ G)[:, 0]
+        for group in self.groups:
+            gtu = []
+            for g in group:
+                M, G = (np.abs(g.M), np.abs(g.G)) if absolute else (g.M, g.G)
+                uP = u[g.flux]
+                out[g.flux] = (M @ uP[..., None] + G @ y0[g.cols][..., None])[..., 0]
+                gtu.append((uP[:, None, :] @ G)[:, 0].ravel())
             out[nV:] += (1.0 if absolute else -1.0) * np.bincount(
-                g.cols.ravel(), gtu.ravel(), minlength=ny + 1
+                np.concatenate([g.cols.ravel() for g in group]), np.concatenate(gtu), minlength=ny + 1
             )[:ny]
         return out
 
@@ -404,11 +436,11 @@ class DiscreteSolution:
         )
 
 
-def build_spaces(mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig):
+def build_spaces(mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, cache: BlockCache = None):
     """The (S_h, V_h, W_h) spaces of one problem, with its constraints."""
     table = spec.boundary_table(mesh.subdivision)
     S = build_S_h(mesh, config, dirichlet_edges=table.dirichlet_edges)
-    V = build_V_h(mesh, config)
+    V = build_V_h(mesh, config, cache)
     W = build_W_h(mesh, config, dirichlet_tips=spec.dirichlet_tips())
     return S, V, W
 
@@ -419,8 +451,9 @@ def free_unknowns(spaces) -> int:
     return V.ndof + S.n_free + W.n_free
 
 
-def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, M_t, B_t, ycol):
-    """Gather the triangle blocks into dense polygon blocks, grouped by size.
+def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_dir, ycol, cache: BlockCache):
+    """Dense polygon blocks in chunks by size (see `PolygonBlocks`), and
+    the Dirichlet lifts p_dir^T B_t, (nt, nloc).
 
     Triangle t is cycle slot t, so polygon p owns triangles t0:t1 =
     offsets[p]:offsets[p+1].  In the numbering of `build_V_h` it then owns
@@ -428,7 +461,8 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, M_t, B_t, 
     nt k1 + n_own t0 : nt k1 + n_own t1; its local order is the one, then
     the other.  Its local pressures are the primal-side nodes of its
     triangles, then the rest (see `PolygonBlocks`).  `ycol` maps pressure
-    dofs to their index in y.
+    dofs to their index in y.  The triangle blocks, and from them M_P, G_P
+    and the lifts, are computed only for polygons `cache` does not carry.
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
@@ -440,14 +474,14 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, M_t, B_t, 
     local = np.empty(V.ndof, dtype=np.int64)
     groups = []
     for n in np.unique(counts):
-        polys = np.flatnonzero(counts == n)
-        t0 = offsets[polys][:, None]
-        flux = np.hstack(
-            [k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)]
-        )
-        owner[flux] = polys[:, None]
-        local[flux] = np.arange(flux.shape[1])
-        groups.append((t0 + np.arange(n), flux))
+        for polys in cache.split(sub.mesh, "polygon blocks", np.flatnonzero(counts == n)):
+            t0 = offsets[polys][:, None]
+            flux = np.hstack(
+                [k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)]
+            )
+            owner[flux] = polys[:, None]
+            local[flux] = np.arange(flux.shape[1])
+            groups.append((polys, t0 + np.arange(n), flux))
     stray = np.flatnonzero(owner[V.tri_dofs] != sub.tri_polygon[:, None])
     if stray.size:
         t = stray[0] // V.nloc
@@ -457,44 +491,56 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, M_t, B_t, 
         )
 
     out = []
-    for tris, flux in groups:
-        (npoly, n), b = tris.shape, flux.shape[1]
+    lift = np.empty((nt, V.nloc))
+    for polys, tris, flux in groups:
+        n, b = tris.shape[1], flux.shape[1]
         m = n * ns
-        li = local[V.tri_dofs[tris]]  # (npoly, n, nloc)
-        base = np.arange(npoly)[:, None, None, None] * b
-        M = np.bincount(
-            ((base + li[..., :, None]) * b + li[..., None, :]).ravel(),
-            M_t[tris].ravel(),
-            minlength=npoly * b * b,
-        )
         pcol = np.empty((n, ns), dtype=np.int64)  # local column of each node
         pcol[:, primal] = np.arange(n * k1).reshape(n, k1)
         pcol[:, off] = n * k1 + np.arange(n * off.size).reshape(n, -1)
-        G = np.bincount(
-            ((base + li[..., None, :]) * m + pcol[:, :, None]).ravel(),
-            B_t[tris].ravel(),
-            minlength=npoly * b * m,
-        )
-        pdofs = np.empty((npoly, m), dtype=np.int64)
+        pdofs = np.empty((polys.size, m), dtype=np.int64)
         pdofs[:, pcol] = S.tri_dofs[tris]
-        G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
-        out.append(PolygonBlocks(flux, ycol[pdofs], M.reshape(npoly, b, b), G, n * k1))
-    return out
+
+        def gather():
+            npoly = polys.size
+            M_t = assemble_mass(sub, V, K_elem, tris.ravel())
+            B_t = assemble_bh(sub, V, S, tris.ravel())
+            li = local[V.tri_dofs[tris]]  # (npoly, n, nloc)
+            base = np.arange(npoly)[:, None, None, None] * b
+            M = np.bincount(
+                ((base + li[..., :, None]) * b + li[..., None, :]).ravel(),
+                M_t.ravel(),
+                minlength=npoly * b * b,
+            )
+            G = np.bincount(
+                ((base + li[..., None, :]) * m + pcol[:, :, None]).ravel(),
+                B_t.ravel(),
+                minlength=npoly * b * m,
+            )
+            G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
+            lift_t = (p_dir[S.tri_dofs[tris.ravel()]][:, None, :] @ B_t)[:, 0]
+            return M.reshape(npoly, b, b), G, lift_t.reshape(npoly, n, -1)
+
+        M, G, lift_P = cache.polygons(sub.mesh, "polygon blocks", polys, gather)
+        lift[tris.ravel()] = lift_P.reshape(-1, V.nloc)
+        out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1))
+    return out, lift
 
 
 def assemble_system(
-    mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, spaces=None
+    mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, spaces=None, cache: BlockCache = None
 ) -> LinearSystem:
-    """Reduced (u, p, p_gamma) system; `spaces` reuses a `build_spaces` result."""
+    """Reduced (u, p, p_gamma) system; `spaces` reuses a `build_spaces`
+    result, and `cache` carries the blocks of kept polygons (see
+    `adaptivity`)."""
     sub = mesh.subdivision
-    S, V, W = build_spaces(mesh, spec, config) if spaces is None else spaces
+    cache = BlockCache() if cache is None else cache
+    S, V, W = build_spaces(mesh, spec, config, cache) if spaces is None else spaces
 
     K_elem = spec.permeability(mesh.element_centroids)
-    M_t = assemble_mass(sub, V, K_elem)
-    B_t = assemble_bh(sub, V, S)
     C_pp, C_pw, C_ww_cpl = assemble_interface(sub, S, W, spec)
     C_ww = C_ww_cpl + assemble_fracture_stiffness(sub, W, spec)
-    rhs_full = assemble_rhs(sub, spec, V, S, W)
+    rhs_full = assemble_rhs(sub, spec, V, S, W, cache)
     p_dir, w_dir = dirichlet_values(sub, spec, S, W)
 
     # y = (p, p_gamma) over free dofs; constrained ones map to ny
@@ -505,7 +551,7 @@ def assemble_system(
     ny = y_free.size
     ycol = np.full(nS + W.ndof, ny)
     ycol[y_free] = np.arange(ny)
-    blocks = _polygon_blocks(sub, V, S, M_t, B_t, ycol)
+    blocks, lift = _polygon_blocks(sub, V, S, K_elem, p_dir, ycol, cache)
 
     # The flux row pairs with the full pressure vector through B^T, which
     # equals the facewise adjoint form plus the boundary trace pairing
@@ -515,7 +561,6 @@ def assemble_system(
     # coupled, which is what makes interpolated boundary data exactly
     # consistent.
     rhs = np.empty(nV + ny)
-    lift = (p_dir[S.tri_dofs][:, None, :] @ B_t)[:, 0]  # (nt, nloc)
     rhs[:nV] = rhs_full[:nV] - np.bincount(V.tri_dofs.ravel(), lift.ravel(), minlength=nV)
     C_full = sp.bmat([[C_pp, C_pw], [C_pw.T, C_ww]], format="csr")
     rhs[nV:] = (rhs_full[nV:] - C_full @ np.concatenate([p_dir, w_dir]))[y_free]

@@ -60,6 +60,10 @@ class RunConfig:
     export_fields: bool = False
     dump_system: bool = False
 
+    def __post_init__(self):
+        if self.h0 is not None and not (math.isfinite(self.h0) and self.h0 > 0):
+            raise ConfigError(f"h0={self.h0} is not a positive finite mesh size")
+
 
 def load_config(path) -> dict:
     """Parse a JSON config file; unknown or mistyped keys are rejected."""

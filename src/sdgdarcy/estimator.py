@@ -25,10 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import source_values
 from .errors import NoExactSolution
 from .geometry import DUAL, INTERIOR, PolygonalMesh, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, triangle_rule
+from .reuse import BlockCache
 from .spaces import _monomial_exponents, _monomial_values
 
 
@@ -56,16 +58,18 @@ class EstimatorBreakdown:
         return float((self.terms**2).sum())
 
 
-def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorBreakdown:
+def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockCache = None) -> EstimatorBreakdown:
+    """The eight families and their localization on `sol`; `cache` shares
+    the bulk source values with the assembly and carries the source values
+    of the oscillation on kept polygons (see `adaptivity`)."""
     sub = mesh.subdivision
     k = sol.S.k
+    cache = BlockCache() if cache is None else cache
     K_elem = spec.permeability(mesh.element_centroids)
     Kinv_elem = inv_2x2(K_elem)
 
     rule = triangle_rule(2 * k + 2)
-    qp, qw = map_to_triangles(rule, sub.tri_coords)
-    nt, nq = qp.shape[:2]
-    region = mesh.element_regions[sub.tri_polygon]
+    qw, f = source_values(sub, spec, 2 * k + 2, cache)
 
     # term 1: constitutive residual r = u_h + K grad p_h measured in K^{-1}
     u = sol.u_at_ref(rule.points)
@@ -76,7 +80,6 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
     t1 = np.einsum("tq,tqc,tcd,tqd->t", qw, r, Kinv, r)
 
     # term 2: bulk source residual
-    f = spec.bulk_source(qp.reshape(-1, 2), np.repeat(region, nq)).reshape(nt, nq)
     div = sol.div_u_at_ref(rule.points)
     t2 = sub.tri_diameter**2 * np.einsum("tq,tq->t", qw, (f - div) ** 2)
 
@@ -158,7 +161,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol) -> EstimatorB
     return EstimatorBreakdown(
         terms=terms,
         eta=float(terms.sum()),
-        osc=data_oscillation(mesh, spec, k),
+        osc=data_oscillation(mesh, spec, k, cache),
         element_sq=element_sq,
         tri_sq=tri_sq,
         dual_sq=dual_sq,
@@ -203,23 +206,23 @@ def _monomials_1d(ts, k):
     return np.stack([(ts - 0.5) ** m for m in range(k + 1)], axis=-1)
 
 
-def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int) -> float:
+def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: BlockCache = None) -> float:
     """Weighted distance of the source data to piecewise polynomials.
 
     Bulk source against its elementwise L2 projection onto degree-k
     polynomials per triangle (weighted by the triangle diameter), fracture
     source against per-edge 1D projections (weighted by edge length and the
-    fracture thickness).  Returns the square root of the total.
+    fracture thickness).  Returns the square root of the total.  The source
+    values of kept polygons come from `cache`; the projection runs on all
+    triangles at once, because the bits of a GEMM column depend on where it
+    falls in the batch.
     """
     sub = mesh.subdivision
     total = 0.0
 
     if spec.f is not None:
         rule = triangle_rule(2 * k + 12)
-        qp, qw = map_to_triangles(rule, sub.tri_coords)
-        nt, nq = qp.shape[:2]
-        region = mesh.element_regions[sub.tri_polygon]
-        f = spec.bulk_source(qp.reshape(-1, 2), np.repeat(region, nq)).reshape(nt, nq)
+        qw, f = source_values(sub, spec, 2 * k + 12, cache)
         # P_k is affine invariant: project onto the reference monomials,
         # whose Gram matrix on triangle t is |det J| times the reference one
         mono = _monomial_values(_monomial_exponents(k), rule.points)  # (nq, s)

@@ -15,6 +15,7 @@ code over the table.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -159,6 +160,8 @@ class DomainSpec:
         if not rects:
             raise EmptyDomain("domain outline has no rectangles")
         for r in rects:
+            if not np.all(np.isfinite(r)):
+                raise ValueError(f"rectangle {r!r} has a non-finite coordinate")
             if len(r) != 4 or r[2] <= r[0] or r[3] <= r[1]:
                 raise ValueError(f"malformed rectangle {r!r}; expected (x0, y0, x1, y1)")
         fracs = tuple(self.fractures)
@@ -274,10 +277,12 @@ class PolygonalMesh:
     fractures : snapped fracture polylines carried through refinement.
 
     The vertices and the table are the whole mesh; `polygons` and
-    `hanging` are tuple views of the table, built on first read.
+    `hanging` are tuple views of the table, built on first read.  A mesh
+    made by `refine` also knows its `parent` mesh and, in `kept_from`, the
+    parent id of every polygon it copied unchanged (-1 for the others).
     """
 
-    def __init__(self, vertices, cycles: CycleTable, fractures, tolerance):
+    def __init__(self, vertices, cycles: CycleTable, fractures, tolerance, parent=None, kept_from=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.vertices.setflags(write=False)
         self.cycles = cycles
@@ -285,6 +290,11 @@ class PolygonalMesh:
         self.tolerance = float(tolerance)
         if cycles.lengths.size == 0:
             raise EmptyDomain("mesh has no elements")
+        # a weak reference, so that a chain of refinements does not keep
+        # every earlier mesh alive
+        self._parent = None if parent is None else weakref.ref(parent)
+        self.kept_from = np.full(cycles.lengths.size, -1) if kept_from is None else np.asarray(kept_from)
+        self.kept_from.setflags(write=False)
         sizes = cycles.offsets[-1], cycles.hanging.size, cycles.vertex.size
         if cycles.offsets[0] != 0 or np.any(cycles.lengths < 0) or len(set(sizes)) > 1:
             raise MeshError("cycle offsets, vertex and hanging arrays out of sync")
@@ -298,6 +308,11 @@ class PolygonalMesh:
     @property
     def n_elements(self) -> int:
         return self.cycles.lengths.size
+
+    @property
+    def parent(self):
+        """The mesh `refine` made this one from, while it is alive; else None."""
+        return None if self._parent is None else self._parent()
 
     @cached_property
     def polygons(self) -> tuple:
@@ -734,6 +749,12 @@ def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:
     Closure extends the marked set so that no original edge of a
     surviving polygon ever carries two hanging nodes.  `marked` holds
     integer element ids; a boolean mask or a float id is a ValueError.
+
+    Every other polygon keeps its cycle, with a neighbour's new midpoint
+    absorbed on each split side.  One with no split side is copied
+    unchanged, vertex ids and hanging flags included, and the new mesh's
+    `kept_from` gives its old id.  New cycles follow the old slot order,
+    so the kept polygons keep their relative order.
     """
     marked = np.asarray(marked)
     if marked.size == 0:
@@ -794,7 +815,13 @@ def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:
     # a new cycle starts at each corner slot and each unrefined polygon's first slot
     first = corner | (~closed & (np.arange(hang.size) == cyc.offsets[cyc.polygon]))
     cycles = CycleTable(offsets=np.append(start[first], size.sum()), vertex=entry[keep], hanging=flag[keep])
-    return PolygonalMesh(np.vstack([mesh.vertices, mids, centroids]), cycles, mesh.fractures, mesh.tolerance)
+    split_side = np.bincount(cyc.polygon, side_mid >= 0, minlength=mesh.n_elements) > 0
+    unchanged = np.flatnonzero(~closed_polygons & ~split_side)
+    kept_from = np.full(cycles.lengths.size, -1)
+    kept_from[(np.cumsum(first) - 1)[cyc.offsets[unchanged]]] = unchanged
+    return PolygonalMesh(
+        np.vstack([mesh.vertices, mids, centroids]), cycles, mesh.fractures, mesh.tolerance, mesh, kept_from
+    )
 
 
 def _closure(mesh: PolygonalMesh, marked) -> np.ndarray:

@@ -71,7 +71,12 @@ def map_to_triangles(rule: QuadratureRule, coords: np.ndarray):
     v0 = coords[:, 0, :]
     J = np.stack([coords[:, 1, :] - v0, coords[:, 2, :] - v0], axis=-1)
     pts = v0[:, None, :] + rule.points @ np.swapaxes(J, 1, 2)
+    return pts, mapped_weights(rule, J)
+
+
+def mapped_weights(rule: QuadratureRule, J: np.ndarray) -> np.ndarray:
+    """Weights of a reference rule on triangles with affine Jacobians J
+    (nt, 2, 2), the columns v1 - v0 and v2 - v0: |det J| w, (nt, nq)."""
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    wts = np.abs(det)[:, None] * rule.weights[None, :]
-    return pts, wts
+    return np.abs(det)[:, None] * rule.weights[None, :]
 

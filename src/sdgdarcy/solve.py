@@ -33,6 +33,14 @@ refinement follow, which solve against the stored polygon blocks again.
 A system with no constrained pressure dof and no constrained fracture tip
 is singular, since the constant pressure then lies in the nullspace of R;
 it is rejected before anything is factored.
+
+The condensation of one polygon depends only on its blocks and its flux
+load f_P.  A loop passes its `BlockCache`, so the polygons `refine` kept
+take M_P^-1 [G_P | f_P], S_II^-1, H and R_P from the previous iteration,
+and only the others are solved and inverted.  The chunks of one triangle
+count add into the skeleton right-hand side with a single bincount, as one
+chunk would.  Each entry of R has at most two terms, so the order of the
+chunks does not change the skeleton matrix.  See `adaptivity`.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
 from .errors import NonFinite, SingularSystem, SolverError
+from .reuse import BlockCache
 
 _REFINE_BELOW = 1e-13  # skip refinement once backward error is at roundoff
 _FAIL_ABOVE = 1e-8  # give up if refinement cannot reach this
@@ -85,7 +94,8 @@ class _Condensed:
     to another one.
     """
 
-    def __init__(self, system: LinearSystem):
+    def __init__(self, system: LinearSystem, cache: BlockCache = None):
+        cache = BlockCache() if cache is None else cache
         self.system = system
         self.nV = nV = system.offsets[1]
         self.ny = ny = system.n - nV
@@ -102,23 +112,31 @@ class _Condensed:
         pos[self.skeleton] = np.arange(nsk)
         C = system.C.tocoo()
         rows, cols, vals = [pos[C.row]], [pos[C.col]], [C.data]
-        self.parts, uf = [], []  # per group: W = M^-1 G, S_II^-1, H, skeleton columns
+        self.parts, uf = [], []  # per chunk: W = M^-1 G, S_II^-1, H, skeleton columns
         for g in system.blocks:
             m, b = g.G.shape[2], g.n_skeleton
-            # one batched solve gives W = M^-1 G and M^-1 f
-            X = np.linalg.solve(g.M, np.concatenate([g.G, f[g.flux][..., None]], axis=2))
-            W = X[..., :m]
-            SP = _sym(np.swapaxes(g.G, 1, 2) @ W)
-            S_inv = np.linalg.inv(SP[:, b:, b:])  # S_II^-1
-            H = S_inv @ SP[:, b:, :b]
-            R = _sym(SP[:, :b, :b] - SP[:, :b, b:] @ H)
+
+            def condense():
+                # one batched solve gives W = M^-1 G and M^-1 f
+                X = np.linalg.solve(g.M, np.concatenate([g.G, f[g.flux][..., None]], axis=2))
+                W = X[..., :m]
+                SP = _sym(np.swapaxes(g.G, 1, 2) @ W)
+                S_inv = np.linalg.inv(SP[:, b:, b:])  # S_II^-1
+                H = S_inv @ SP[:, b:, :b]
+                R = _sym(SP[:, :b, :b] - SP[:, :b, b:] @ H)
+                return W, X[..., m], S_inv, H, R
+
+            W, Wf, S_inv, H, R = cache.polygons(system.mesh, "condensation", g.polygons, condense)
+            # an entry of R has at most two terms (the polygons on both sides
+            # of an interior primal edge, or one polygon and C on a fracture
+            # edge), so the order of the chunks does not change its sum
             cb = pos[g.cols[:, :b]]
             r = np.broadcast_to(cb[:, :, None], R.shape)
             c = np.broadcast_to(cb[:, None, :], R.shape)
             keep = (r < nsk) & (c < nsk)
             rows.append(r[keep]), cols.append(c[keep]), vals.append(R[keep])
             self.parts.append((W, S_inv, H, cb))
-            uf.append(X[..., m])
+            uf.append(Wf)
         R = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nsk, nsk),
@@ -142,14 +160,18 @@ class _Condensed:
         f, z = rhs[:nV], rhs[nV:]
         zsk = z[self.skeleton].copy()
         vI = []
-        for g, (W, S_inv, H, cb) in zip(self.system.blocks, self.parts):
-            b = g.n_skeleton
-            wf = (f[g.flux][:, None, :] @ W)[:, 0]  # G^T M^-1 f
-            zI = wf[:, b:] + z[g.cols[:, b:]]
-            # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
-            zb = wf[:, :b] - (zI[:, None, :] @ H)[:, 0]
-            zsk += np.bincount(cb.ravel(), zb.ravel(), minlength=nsk + 1)[:nsk]
-            vI.append((S_inv @ zI[..., None])[..., 0])
+        parts = iter(self.parts)
+        for group in self.system.groups:
+            cbs, zbs = [], []
+            for g, (W, S_inv, H, cb) in zip(group, parts):
+                b = g.n_skeleton
+                wf = (f[g.flux][:, None, :] @ W)[:, 0]  # G^T M^-1 f
+                zI = wf[:, b:] + z[g.cols[:, b:]]
+                # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
+                zbs.append((wf[:, :b] - (zI[:, None, :] @ H)[:, 0]).ravel())
+                cbs.append(cb.ravel())
+                vI.append((S_inv @ zI[..., None])[..., 0])
+            zsk += np.bincount(np.concatenate(cbs), np.concatenate(zbs), minlength=nsk + 1)[:nsk]
         y0 = np.zeros(self.ny + 1)  # constrained local pressures read zero
         y0[self.skeleton] = self.lu.solve(zsk)
         u = np.empty(nV)
@@ -165,8 +187,10 @@ class _Condensed:
         return self._back(rhs, uf)
 
 
-def solve_system(system: LinearSystem):
-    """Solve a reduced system; returns (DiscreteSolution, SolveReport)."""
+def solve_system(system: LinearSystem, cache: BlockCache = None):
+    """Solve a reduced system; returns (DiscreteSolution, SolveReport).
+
+    `cache` carries the condensation of kept polygons (see `adaptivity`)."""
     rhs = np.asarray(system.rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise NonFinite("right-hand side contains non-finite entries")
@@ -176,7 +200,7 @@ def solve_system(system: LinearSystem):
             "constrained, so the constant pressure is in its nullspace"
         )
     t0 = time.perf_counter()
-    factor = _Condensed(system)
+    factor = _Condensed(system, cache)
     x = factor.x
     if not np.all(np.isfinite(x)):
         raise NonFinite("solve produced non-finite values")

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import BOUNDARY, INTERIOR, PolygonalMesh, Subdivision
 from .quadrature import edge_rule, map_to_triangles, triangle_rule
+from .reuse import BlockCache
 
 
 @dataclass(frozen=True)
@@ -423,7 +424,7 @@ class FluxSpace:
         return out
 
 
-def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
+def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
     """Number the flux dofs and derive each triangle's transform C_t.
 
     The dof functionals of triangle t applied to the Piola-mapped reference
@@ -435,9 +436,11 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
     tensor contracted with J^T J and scaled by h / (|T| det J).  Then
     C_t = D~_t^-1 P_t^-1; at k=1 D~_t is one matrix for all triangles, and
     at k=2 only its three interior rows vary, so D~_t^-1 takes one 3x3
-    inverse per triangle.
+    inverse per triangle.  C_t of the triangles of kept polygons comes from
+    `cache`.
     """
     sub = mesh.subdivision if isinstance(mesh, PolygonalMesh) else mesh
+    cache = BlockCache() if cache is None else cache
     k = config.k
     k1 = k + 1
     ts = edge_rule(2 * k + 1).points  # the k+1 Gauss points
@@ -458,35 +461,40 @@ def build_V_h(mesh, config: SpaceConfig) -> FluxSpace:
         )
     tri_dofs[:, 3 * k1 :] = own + k1 + np.arange(n_int)
     ndof = nt * (2 * k1 + n_int)
-
-    # P_t^-1 as a per-triangle column order and scale; n_e points out of
-    # the triangle on side 0
     side, flip = _tri_sides(sub)
-    j = np.arange(k1)
-    order = np.tile(np.arange(nloc), (nt, 1))
-    order[:, : 3 * k1] = (k1 * np.arange(3)[:, None] + np.where(flip[..., None], k - j, j)).reshape(nt, -1)
-    scale = np.ones((nt, nloc))
-    scale[:, : 3 * k1] = np.repeat((1 - 2 * side) * sub.edge_length[sub.tri_edges], k1, axis=1)
 
-    edge, mean, curl = _reference_flux_dofs(k)
-    if n_int:
-        # D~_t = [E; R_t] with the edge rows E shared by all triangles, so
-        # D~_t^-1 = [(I - N X_t R_t) E^+ | N X_t], N spanning null(E) and
-        # X_t = (R_t N)^-1
-        J = sub.tri_jacobian
-        det = 2.0 * sub.tri_area
-        R = np.empty((nt, n_int, nloc))
-        R[:, :2] = (J / det[:, None, None]) @ mean
-        JtJ = np.swapaxes(J, 1, 2) @ J
-        R[:, 2] = (sub.tri_diameter / (sub.tri_area * det))[:, None] * (
-            JtJ.reshape(nt, 4) @ curl.reshape(4, nloc)
-        )
-        pinv, null = _edge_pseudoinverse(k)
-        NX = null @ np.linalg.inv(R @ null)
-        Dinv = np.concatenate([pinv - NX @ (R @ pinv), NX], axis=2)
-    else:
-        Dinv = np.broadcast_to(np.linalg.inv(edge), (nt, nloc, nloc))
-    coeff = np.take_along_axis(Dinv, order[:, None, :], axis=2) * scale[:, None, :]
+    def transforms(tris):
+        # P_t^-1 as a per-triangle column order and scale; n_e points out of
+        # the triangle on side 0
+        m = tris.size
+        j = np.arange(k1)
+        order = np.tile(np.arange(nloc), (m, 1))
+        order[:, : 3 * k1] = (k1 * np.arange(3)[:, None] + np.where(flip[tris, :, None], k - j, j)).reshape(m, -1)
+        scale = np.ones((m, nloc))
+        scale[:, : 3 * k1] = np.repeat((1 - 2 * side[tris]) * sub.edge_length[sub.tri_edges[tris]], k1, axis=1)
+
+        edge, mean, curl = _reference_flux_dofs(k)
+        if n_int:
+            # D~_t = [E; R_t] with the edge rows E shared by all triangles, so
+            # D~_t^-1 = [(I - N X_t R_t) E^+ | N X_t], N spanning null(E) and
+            # X_t = (R_t N)^-1
+            J = sub.tri_jacobian[tris]
+            area = sub.tri_area[tris]
+            det = 2.0 * area
+            R = np.empty((m, n_int, nloc))
+            R[:, :2] = (J / det[:, None, None]) @ mean
+            JtJ = np.swapaxes(J, 1, 2) @ J
+            R[:, 2] = (sub.tri_diameter[tris] / (area * det))[:, None] * (
+                JtJ.reshape(m, 4) @ curl.reshape(4, nloc)
+            )
+            pinv, null = _edge_pseudoinverse(k)
+            NX = null @ np.linalg.inv(R @ null)
+            Dinv = np.concatenate([pinv - NX @ (R @ pinv), NX], axis=2)
+        else:
+            Dinv = np.broadcast_to(np.linalg.inv(edge), (m, nloc, nloc))
+        return (np.take_along_axis(Dinv, order[:, None, :], axis=2) * scale[:, None, :],)
+
+    (coeff,) = cache.triangles(sub.mesh, "flux transforms", transforms)
 
     return FluxSpace(
         sub=sub,

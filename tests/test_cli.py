@@ -130,6 +130,13 @@ def test_bad_theta_flag_exits_2(capsys):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h0", [0, -1, float("nan")], ids=["zero", "negative", "nan"])
+def test_bad_h0_exits_2(tmp_path, capsys, h0):
+    cfg = write_config(tmp_path, benchmark="patch", h0=h0)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "h0" in capsys.readouterr().err
+
+
 def test_load_config_validation(tmp_path):
     cfg = write_config(tmp_path, benchmark="patch", k=2, theta=0.4)
     doc = load_config(cfg)

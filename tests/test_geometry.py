@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.errors import EmptyDomain, FractureNotAligned, MeshError, NotStarShaped
 from sdgdarcy.geometry import (
     BOUNDARY,
@@ -191,6 +193,13 @@ def test_fracture_snapping():
 def test_empty_domain_rejected():
     with pytest.raises(EmptyDomain):
         DomainSpec(rectangles=[])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_rectangle_rejected(bad):
+    rect = (0.0, 0.0, 1.0, bad)
+    with pytest.raises(ValueError, match=f"rectangle {re.escape(repr(rect))} has a non-finite"):
+        DomainSpec(rectangles=[(0.0, 0.0, 2.0, 1.0), rect])
 
 
 def test_not_star_shaped_rejected():
@@ -591,6 +600,62 @@ def test_refine_eight_vertex_cycle_matches_walk():
         )
         assert np.array_equal(mesh.element_centroids, _reference_measures(mesh)[0])
         _assert_same_mesh(refine(mesh, [0]), _reference_refine(mesh, [0]))
+
+
+def _kept_oracle(old, new):
+    """Per new polygon, the id of the old polygon with the same vertex-id
+    cycle, or -1."""
+    ids = {cyc: p for p, cyc in enumerate(old.polygons)}
+    return np.array([ids.get(cyc, -1) for cyc in new.polygons])
+
+
+def _eight_vertex_mesh():
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    mids = 0.5 * (corners + np.roll(corners, -1, axis=0))
+    return PolygonalMesh(
+        vertices=np.vstack([corners, mids]),
+        cycles=CycleTable.from_polygons([(0, 4, 1, 5, 2, 6, 3, 7)], [{4, 5, 6, 7}]),
+        fractures=(),
+        tolerance=1e-10,
+    )
+
+
+@pytest.mark.parametrize("name", ["case1-a0.1", "multifrac", "eight-vertex"])
+def test_refine_kept_map_matches_cycle_oracle(name):
+    """`kept_from` names exactly the polygons whose cycle survives
+    refinement, and a kept polygon keeps its hanging flags.  The marked
+    eight-vertex polygon gains no vertex on its sides, yet is refined."""
+    if name == "eight-vertex":
+        mesh = _eight_vertex_mesh()
+    else:
+        spec, _, h0 = get_benchmark(name)
+        mesh = build_initial_mesh(spec.domain, h0)
+    rng = np.random.default_rng(11)
+    kept_total = 0
+    for _ in range(4):
+        marked = rng.choice(mesh.n_elements, max(1, mesh.n_elements // 5), replace=False)
+        new = refine(mesh, marked)
+        expected = _kept_oracle(mesh, new)
+        assert np.array_equal(new.kept_from, expected)
+        assert new.parent is mesh
+        kept = np.flatnonzero(expected >= 0)
+        assert [new.hanging[p] for p in kept] == [mesh.hanging[q] for q in expected[kept]]
+        kept_total += kept.size
+        mesh = new
+    assert kept_total > 0
+
+
+def test_polygon_gaining_a_hanging_midpoint_is_not_kept(two_square_fractured):
+    """The right square only gains the left square's midpoint on the shared
+    side; its blocks change, so it is not kept."""
+    m2 = refine(two_square_fractured, [0])
+    assert np.all(m2.kept_from == -1)
+    # refining a child of the left square leaves the pentagon alone
+    child = next(p for p, cyc in enumerate(m2.polygons) if 0 in cyc)
+    m3 = refine(m2, [child])
+    penta = next(p for p, cyc in enumerate(m2.polygons) if len(cyc) == 5)
+    assert penta in m3.kept_from
+    assert np.array_equal(m3.kept_from, _kept_oracle(m2, m3))
 
 
 @pytest.mark.parametrize(
