@@ -384,14 +384,16 @@ class DiscreteSolution:
     def u_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return self.u_at_ref(self.sub.reference_coords(tris, pts), tris)
 
-    # The *_at_ref evaluators take reference points, (nq, 2) shared by all
-    # triangles in tris or (n, nq, 2) per triangle, and return the field at
-    # their images.
+    # The *_at_ref evaluators take reference points and return the field at
+    # their images: grad_p_at_ref (nq, 2) points shared by all triangles in
+    # tris; u_at_ref and div_u_at_ref also (n, nq, 2) points per triangle.
 
     def grad_p_at_ref(self, ref_pts: np.ndarray, tris=slice(None)) -> np.ndarray:
-        gref = self.S.grad_ref(ref_pts)  # (..., ns, 2)
-        p = self.p[self.S.tri_dofs[tris]]
-        ghat = np.einsum("...sr,...s->...r", gref, p[:, None, :])
+        gref = self.S.grad_ref(ref_pts)  # (nq, ns, 2)
+        nq = gref.shape[0]
+        # one GEMM of the coefficients (n, ns) against the (ns, nq 2) table
+        table = np.swapaxes(gref, 0, 1).reshape(self.S.nloc, 2 * nq)
+        ghat = (self.p[self.S.tri_dofs[tris]] @ table).reshape(-1, nq, 2)
         return ghat @ self.sub.tri_jacobian_inv[tris]
 
     def u_at_ref(self, ref_pts: np.ndarray, tris=slice(None)) -> np.ndarray:

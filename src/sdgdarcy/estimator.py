@@ -74,10 +74,8 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
     # term 1: constitutive residual r = u_h + K grad p_h measured in K^{-1}
     u = sol.u_at_ref(rule.points)
     gp = sol.grad_p_at_ref(rule.points)
-    K = K_elem[sub.tri_polygon]
-    Kinv = Kinv_elem[sub.tri_polygon]
-    r = u + np.einsum("tcd,tqd->tqc", K, gp)
-    t1 = np.einsum("tq,tqc,tcd,tqd->t", qw, r, Kinv, r)
+    r = u + gp @ np.swapaxes(K_elem, 1, 2)[sub.tri_polygon]
+    t1 = _weighted_sq(qw, r, Kinv_elem[sub.tri_polygon])
 
     # term 2: bulk source residual
     div = sol.div_u_at_ref(rule.points)
@@ -169,6 +167,12 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
         fracture_sq=tuple(fracture_sq),
         vertex_sq=tuple(vertex_sq),
     )
+
+
+def _weighted_sq(qw: np.ndarray, r: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Per triangle, the quadrature of (r A).r: weights qw (nt, nq), a
+    vector field r (nt, nq, 2) and one 2x2 matrix A (nt, 2, 2) each."""
+    return ((r @ A) * r * qw[..., None]).sum(axis=(1, 2))
 
 
 def _localize_raw(mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq):
@@ -297,14 +301,12 @@ def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> 
     flat = qp.reshape(-1, 2)
 
     du = np.asarray(exact.u(flat, region)).reshape(nt, nq, 2) - sol.u_at_ref(rule.points)
-    Kinv = Kinv_elem[sub.tri_polygon]
-    err_Q2 = np.einsum("tq,tqc,tcd,tqd->", qw, du, Kinv, du)
+    err_Q2 = _weighted_sq(qw, du, Kinv_elem[sub.tri_polygon]).sum()
 
     dg = np.asarray(exact.grad_p(flat, region)).reshape(nt, nq, 2) - sol.grad_p_at_ref(
         rule.points
     )
-    K = K_elem[sub.tri_polygon]
-    v_grad2 = np.einsum("tq,tqc,tcd,tqd->", qw, dg, K, dg)
+    v_grad2 = _weighted_sq(qw, dg, K_elem[sub.tri_polygon]).sum()
 
     erule = edge_rule(2 * k + 4)
     ts, ws = erule.points, erule.weights

@@ -46,7 +46,8 @@ chunks does not change the skeleton matrix.  See `adaptivity`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,12 +68,17 @@ class SolveReport:
     the full system A."""
 
     n: int
-    nnz: int
     residual: float  # componentwise-normalized backward error
     refinement_steps: int
     t_ms: float
     fill: int  # L + U nonzeros of the factor of the skeleton matrix R
     n_factored: int  # order of R: free primal-edge pressures and p_gamma
+    system: LinearSystem = field(repr=False, compare=False)
+
+    @cached_property
+    def nnz(self) -> int:
+        """Nonzeros of A, counted on the blocks when first read."""
+        return self.system.nnz
 
 
 def _backward_error(system: LinearSystem, x, rhs) -> float:
@@ -215,11 +221,11 @@ def solve_system(system: LinearSystem, cache: BlockCache = None):
     t_ms = (time.perf_counter() - t0) * 1e3
     report = SolveReport(
         n=system.n,
-        nnz=system.nnz,
         residual=res,
         refinement_steps=steps,
         t_ms=t_ms,
         fill=factor.fill,
         n_factored=factor.skeleton.size,
+        system=system,
     )
     return system.expand(x), report

@@ -112,13 +112,28 @@ def _edge_side_table(sub: Subdivision, side: np.ndarray, dofs: np.ndarray) -> np
 
 def lagrange_1d(nodes: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
     """Values (order 0) or derivatives of the 1D Lagrange basis through
-    ``nodes`` at parameters ``ts``, shape ts.shape + (len(nodes),).
+    ``nodes`` at parameters ``ts``, shape ts.shape + (len(nodes),), read-only.
+
+    The rows come from a table cached on the nodes, the distinct values of
+    ts and the order: callers pass a few quadrature rules, also flipped
+    (1 - ts) per edge."""
+    ts = np.asarray(ts, dtype=float)
+    values = np.unique(ts)
+    table = _lagrange_table(tuple(np.asarray(nodes, dtype=float).tolist()), tuple(values.tolist()), order)
+    out = np.take(table, np.searchsorted(values, ts), axis=0)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=128)
+def _lagrange_table(nodes: tuple, ts: tuple, order: int) -> np.ndarray:
+    """`lagrange_1d` at the values ts, (len(ts), len(nodes)).
 
     Basis j is the product of (t - x_i) / (x_j - x_i) over i != j; by the
     product rule, each ordered choice of `order` distinct factors to
     differentiate adds one term."""
-    nodes = np.asarray(nodes, dtype=float)
-    ts = np.asarray(ts, dtype=float)
+    nodes = np.array(nodes)
+    ts = np.array(ts)
     m = nodes.shape[0]
     out = np.zeros(ts.shape + (m,))
     for j in range(m):
@@ -129,6 +144,7 @@ def lagrange_1d(nodes: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray
                 if i not in picked:
                     term *= (ts - nodes[i]) / (nodes[j] - nodes[i])
             out[..., j] += term
+    out.setflags(write=False)
     return out
 
 

@@ -213,3 +213,40 @@ def saddle_backward_error(A, x, rhs):
     """||A x - rhs||_inf / || |A| |x| + |rhs| ||_inf on a sparse matrix."""
     r = A @ x - rhs
     return np.linalg.norm(r, np.inf) / np.linalg.norm(abs(A) @ np.abs(x) + np.abs(rhs), np.inf)
+
+
+def grad_p_at_ref_einsum(sol, ref_pts, tris=slice(None)):
+    """grad p_h at the images of reference points (nq, 2) by a broadcast
+    einsum against the reference gradients: the oracle for
+    `DiscreteSolution.grad_p_at_ref`, (n, nq, 2)."""
+    gref = sol.S.grad_ref(ref_pts)  # (nq, ns, 2)
+    p = sol.p[sol.S.tri_dofs[tris]]
+    ghat = np.einsum("...sr,...s->...r", gref, p[:, None, :])
+    return ghat @ sol.sub.tri_jacobian_inv[tris]
+
+
+def volume_terms_einsum(mesh, spec, sol, exact):
+    """(t1, err_Q2, v_grad2) by 4-operand einsums: the per-triangle term 1
+    of `compute_estimator`, sum_q w_q r.K^-1 r with r = u_h + K grad p_h,
+    and the volume parts of `true_error`, the K^-1-weighted flux error and
+    the K-weighted pressure gradient error, squared and summed."""
+    sub = mesh.subdivision
+    k = sol.S.k
+    K = spec.permeability(mesh.element_centroids)[sub.tri_polygon]
+    Kinv = np.linalg.inv(K)
+
+    rule = triangle_rule(2 * k + 2)
+    _, qw = map_to_triangles(rule, sub.tri_coords)
+    r = sol.u_at_ref(rule.points) + np.einsum("tcd,tqd->tqc", K, grad_p_at_ref_einsum(sol, rule.points))
+    t1 = np.einsum("tq,tqc,tcd,tqd->t", qw, r, Kinv, r)
+
+    rule = triangle_rule(2 * k + 4)
+    qp, qw = map_to_triangles(rule, sub.tri_coords)
+    nt, nq = qp.shape[:2]
+    flat = qp.reshape(-1, 2)
+    region = np.repeat(mesh.element_regions[sub.tri_polygon], nq)
+    du = exact.u(flat, region).reshape(nt, nq, 2) - sol.u_at_ref(rule.points)
+    dg = exact.grad_p(flat, region).reshape(nt, nq, 2) - grad_p_at_ref_einsum(sol, rule.points)
+    err_Q2 = np.einsum("tq,tqc,tcd,tqd->", qw, du, Kinv, du)
+    v_grad2 = np.einsum("tq,tqc,tcd,tqd->", qw, dg, K, dg)
+    return t1, err_Q2, v_grad2

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import doerfler_refinements, make_fracture
+from conftest import doerfler_refinements, grad_p_at_ref_einsum, make_fracture, volume_terms_einsum
 from sdgdarcy.assembly import DiscreteSolution, assemble_system
 from sdgdarcy.benchmarks import case1, case2, linear_patch
 from sdgdarcy.errors import NoExactSolution
@@ -416,6 +416,38 @@ def test_true_error_on_representable_solution():
         assert part <= 1e-9
     assert math.isnan(er.EI)  # ratio of roundoff over roundoff is guarded
     assert abs(er.err_sdg**2 - er.parts_sq) <= 1e-15
+
+
+def _tilted_K(centroids):
+    """A non-diagonal SPD permeability that changes from element to element."""
+    x, y = centroids[:, 0], centroids[:, 1]
+    off = 0.3 + 0.2 * x * y
+    return np.stack([np.stack([2.0 + x, off], -1), np.stack([off, 1.0 + y], -1)], -2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_volume_terms_match_einsum_oracle(k):
+    """Term 1 of the estimator per triangle, the flux and pressure gradient
+    errors of `true_error`, and grad p_h on all triangles and on a subset,
+    against their broadcast einsum forms to 1e-13 relative.  K is
+    non-diagonal and varies per element, so K or K^-1 taken on its diagonal
+    only, or from the wrong triangles, fails."""
+    spec, exact = case1(0.1)
+    spec = replace(spec, K=_tilted_K)
+    mesh = build_initial_mesh(spec.domain, 0.25)
+    sol, _ = solve_system(assemble_system(mesh, spec, SpaceConfig(k)))
+    t1, err_Q2, v_grad2 = volume_terms_einsum(mesh, spec, sol, exact)
+    bd = compute_estimator(mesh, spec, sol)
+    er = true_error(mesh, spec, sol, exact, eta=bd.eta)
+    assert np.max(np.abs(bd.tri_sq[:, 0] - t1)) <= 1e-13 * np.max(t1)
+    assert abs(er.err_Q**2 - err_Q2) <= 1e-13 * err_Q2
+    assert abs(er.v_grad**2 - v_grad2) <= 1e-13 * v_grad2
+
+    rule = triangle_rule(2 * k + 2)
+    for tris in (slice(None), np.arange(0, mesh.subdivision.n_triangles, 3)):
+        ref = grad_p_at_ref_einsum(sol, rule.points, tris)
+        got = sol.grad_p_at_ref(rule.points, tris)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_true_error_requires_exact_solution(case1_run):

@@ -23,6 +23,7 @@ from sdgdarcy.spaces import (
     build_S_h,
     build_V_h,
     build_W_h,
+    _lagrange_table,
     lagrange_1d,
 )
 
@@ -638,3 +639,50 @@ def test_lagrange_1d_derivatives_match_monomial_form(k):
         assert np.max(np.abs(lagrange_1d(nodes, ts, order) - ref)) <= 1e-12
     exact = [0.0, 0.0] if k == 1 else [4.0, -8.0, 4.0]
     assert np.array_equal(lagrange_1d(nodes, ts, 2), np.tile(exact, (ts.size, 1)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lagrange_1d_cache_is_exact_and_read_only(k):
+    """Tables served from the cache, at shared parameters and at per-edge
+    ones flipped to 1 - t on some edges, are bit-equal to a fresh product
+    rule evaluation on every call, for orders 0-2; writing into one raises."""
+    nodes = np.linspace(0.0, 1.0, k + 1)
+    ts = edge_rule(6).points
+    per_edge = np.where(np.array([[False], [True], [True], [False]]), 1.0 - ts, ts)
+    fresh = _lagrange_table.__wrapped__
+    for order in range(3):
+        for t in (ts, per_edge):
+            ref = fresh(tuple(nodes), tuple(t.ravel()), order).reshape(t.shape + (k + 1,))
+            for _ in range(2):
+                got = lagrange_1d(nodes, t, order)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
+
+
+@pytest.mark.parametrize("mesh", sorted(PIOLA_MESHES))
+def test_grad_p_exact_on_interpolated_quadratic(mesh):
+    """grad_p_at_ref of the k=2 interpolant of a quadratic pressure is the
+    exact gradient at the images of shared reference points, on every
+    triangle and on a subset of them."""
+    sub = PIOLA_MESHES[mesh]()
+    config = SpaceConfig(2)
+    S, V, W = build_S_h(sub, config), build_V_h(sub, config), build_W_h(sub, config)
+
+    def poly(p):
+        x, y = p[..., 0], p[..., 1]
+        return 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * x - x * y + 2.0 * y * y
+
+    def grad(p):
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([2.0 + x - y, -3.0 - x + 4.0 * y], axis=-1)
+
+    sol = DiscreteSolution(
+        mesh=sub.mesh, V=V, S=S, W=W,
+        u=np.zeros(V.ndof), p=S.interpolate(lambda pts, tris: poly(pts)), p_gamma=np.zeros(W.ndof),
+    )
+    rule = triangle_rule(6)
+    exact = grad(map_to_triangles(rule, sub.tri_coords)[0])
+    for tris in (slice(None), np.arange(1, sub.n_triangles, 2)):
+        got = sol.grad_p_at_ref(rule.points, tris)
+        assert np.max(np.abs(got - exact[tris])) <= 1e-12 * np.max(np.abs(exact))
