@@ -201,7 +201,8 @@ def amr_loop(
         system = assemble_system(mesh, spec, space_config, spaces=spaces, cache=cache)
         t0 = time.perf_counter()
         try:
-            sol, _ = solve_system(system, cache)
+            # the report holds the system; keep neither past this iteration
+            sol = solve_system(system, cache)[0]
         except SingularSystem as exc:
             history.failure = str(exc)
             break

@@ -172,7 +172,10 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
 def _weighted_sq(qw: np.ndarray, r: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Per triangle, the quadrature of (r A).r: weights qw (nt, nq), a
     vector field r (nt, nq, 2) and one 2x2 matrix A (nt, 2, 2) each."""
-    return ((r @ A) * r * qw[..., None]).sum(axis=(1, 2))
+    rA = r @ A
+    rA *= r
+    rA *= qw[..., None]
+    return rA.sum(axis=(1, 2))
 
 
 def _localize_raw(mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq):
