@@ -201,7 +201,8 @@ def amr_loop(
         system = assemble_system(mesh, spec, space_config, spaces=spaces, cache=cache)
         t0 = time.perf_counter()
         try:
-            # the report holds the system; keep neither past this iteration
+            # drop the report at once: it holds this system, which would
+            # otherwise stay alive through the next iteration's solve
             sol = solve_system(system, cache)[0]
         except SingularSystem as exc:
             history.failure = str(exc)
