@@ -146,10 +146,6 @@ class ConvergenceHistory:
     final_solution: object = None
     final_breakdown: EstimatorBreakdown = None
 
-    @property
-    def n_iterations(self) -> int:
-        return len(self.records)
-
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
 

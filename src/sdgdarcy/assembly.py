@@ -3,7 +3,9 @@
 Unknown blocks are ordered (u, p, p_gamma).  The flux mass and
 pressure-gradient forms come as dense per-triangle blocks, which
 ``assemble_system`` gathers into one dense block per polygon; the interface
-and fracture forms are sparse over the full dof sets.  Every edge integral
+and fracture forms come as (rows, cols, values) triplets over the stacked
+(p, p_gamma) dofs, which ``assemble_system`` sums into the sparse block C
+over the free ones.  Every edge integral
 pairs the k+1 dofs that live on one side of the edge: the dual-edge part of
 b_h is one (k+1)x(k+1) reference matrix per side scaled by +-|e|, and the
 interface blocks and the Neumann load are scaled copies of the 1D edge mass
@@ -44,11 +46,17 @@ from .spaces import (
 )
 
 
+def _flat(triplets):
+    """One (rows, cols, values) of flat arrays from a list of triplets of
+    arrays of one shape each."""
+    if not triplets:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    return tuple(np.concatenate([np.ravel(a) for a in part]) for part in zip(*triplets))
+
+
 def _coo(triplets, shape):
     """CSR sum of (rows, cols, values) triplets of arrays of one shape each."""
-    if not triplets:
-        return sp.csr_matrix(shape)
-    r, c, v = (np.concatenate([np.ravel(a) for a in part]) for part in zip(*triplets))
+    r, c, v = _flat(triplets)
     return sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
 
 
@@ -114,20 +122,21 @@ def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace, tris=slice(Non
 
 
 def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSpace, spec: ProblemSpec):
-    """Interface coupling blocks (C_pp, C_pw, C_ww_coupling).
+    """Interface coupling triplets (rows, cols, values) over the stacked
+    (p, p_gamma) dofs, p_gamma dof j at S.ndof + j.
 
-    C_pp collects <(1/alpha){p},{q}> + <(1/eta)[p],[q]> over fracture edges,
-    C_pw the -<(1/alpha) p_gamma, {q}> pairing (its transpose enters the
-    fracture equation), C_ww the +<(1/alpha) p_gamma, q_gamma> mass.  The
-    traces of p on the two sides and p_gamma are P^k in their k+1 edge
-    nodes, so every block is a scaled copy of the edge mass matrix
-    Lambda^T diag(w) Lambda on [0, 1].
+    They hold, per fracture, C_pp: <(1/alpha){p},{q}> + <(1/eta)[p],[q]>
+    over its edges; C_pw: the -<(1/alpha) p_gamma, {q}> pairing; its
+    transpose, which enters the fracture equation; and C_ww: the
+    +<(1/alpha) p_gamma, q_gamma> mass.  The traces of p on the two sides
+    and p_gamma are P^k in their k+1 edge nodes, so every block is a scaled
+    copy of the edge mass matrix Lambda^T diag(w) Lambda on [0, 1].
     """
     erule = edge_rule(2 * S.k + 2)
     lam = W.eval_ref(erule.points)  # (nq, k+1)
     mass = lam.T @ (erule.weights[:, None] * lam)
     avg, jmp = np.array([0.5, 0.5]), np.array([1.0, -1.0])
-    pp, pw, ww = [], [], []
+    blocks = []
     for fi, fr in enumerate(sub.mesh.fractures):
         fm = sub.fracture_meshes[fi]
         eta = fr.normal_resistance[fm.edge_segment]
@@ -139,20 +148,21 @@ def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSp
         d = np.where(reverse[:, None, None], d[..., ::-1], d).reshape(fm.n_edges, -1)
         sides = np.multiply.outer(wl / alpha, np.outer(avg, avg))
         sides += np.multiply.outer(wl / eta, np.outer(jmp, jmp))  # (ne, 2, 2)
-        wd = W.edge_dofs[fi]
+        wd = S.ndof + W.edge_dofs[fi]
         n = d.shape[1]
-        pp.append(_block(d, d, np.einsum("eab,ij->eaibj", sides, mass).reshape(-1, n, n)))
-        pw.append(_block(d, wd, -np.multiply.outer(wl / alpha, np.kron(avg[:, None], mass))))
-        ww.append(_block(wd, wd, np.multiply.outer(wl / alpha, mass)))
-    return (
-        _coo(pp, (S.ndof, S.ndof)),
-        _coo(pw, (S.ndof, W.ndof)),
-        _coo(ww, (W.ndof, W.ndof)),
-    )
+        pw = -np.multiply.outer(wl / alpha, np.kron(avg[:, None], mass))
+        blocks += [
+            _block(d, d, np.einsum("eab,ij->eaibj", sides, mass).reshape(-1, n, n)),
+            _block(d, wd, pw),
+            _block(wd, d, np.swapaxes(pw, 1, 2)),
+            _block(wd, wd, np.multiply.outer(wl / alpha, mass)),
+        ]
+    return _flat(blocks)
 
 
-def assemble_fracture_stiffness(sub: Subdivision, W: FracturePressureSpace, spec: ProblemSpec) -> sp.csr_matrix:
-    """Tangential stiffness <K_gamma dp/dt, dq/dt> along each fracture."""
+def assemble_fracture_stiffness(sub: Subdivision, S: PressureSpace, W: FracturePressureSpace, spec: ProblemSpec):
+    """Tangential stiffness <K_gamma dp/dt, dq/dt> along each fracture, as
+    triplets over the stacked dofs of `assemble_interface`."""
     erule = edge_rule(max(2 * W.k - 2, 0))
     dref = W.deriv_ref(erule.points)  # (nq, k+1)
     blocks = []
@@ -160,8 +170,9 @@ def assemble_fracture_stiffness(sub: Subdivision, W: FracturePressureSpace, spec
         fm = sub.fracture_meshes[fi]
         Kg = fr.tangential_conductivity[fm.edge_segment]
         local = np.einsum("q,e,qi,qj->eij", erule.weights, Kg / fm.edge_length, dref, dref)
-        blocks.append(_block(W.edge_dofs[fi], W.edge_dofs[fi], local))
-    return _coo(blocks, (W.ndof, W.ndof))
+        wd = S.ndof + W.edge_dofs[fi]
+        blocks.append(_block(wd, wd, local))
+    return _flat(blocks)
 
 
 def source_values(sub: Subdivision, spec: ProblemSpec, degree: int, cache: BlockCache = None):
@@ -180,6 +191,15 @@ def source_values(sub: Subdivision, spec: ProblemSpec, degree: int, cache: Block
     cache = BlockCache() if cache is None else cache
     (f,) = cache.triangles(sub.mesh, f"bulk source, degree {degree}", values)
     return mapped_weights(rule, sub.tri_jacobian), f
+
+
+def fracture_source_values(sub: Subdivision, spec: ProblemSpec, fi: int, ts: np.ndarray) -> np.ndarray:
+    """The fracture source f_gamma on every edge of fracture fi at edge
+    parameters ts in polyline direction, (ne, nq)."""
+    pts, par = sub.fracture_points(fi, ts)
+    ne = sub.fracture_meshes[fi].n_edges
+    fg = spec.fracture_source(pts.reshape(-1, 2), par.reshape(-1), np.full(ne * ts.size, fi))
+    return fg.reshape(ne, ts.size)
 
 
 def assemble_rhs(
@@ -214,11 +234,7 @@ def assemble_rhs(
 
     for fi, fr in enumerate(sub.mesh.fractures):
         fm = sub.fracture_meshes[fi]
-        pts, par = sub.fracture_points(fi, ts)
-        ne = fm.n_edges
-        fg = spec.fracture_source(
-            pts.reshape(-1, 2), par.reshape(-1), np.full(ne * ts.size, fi)
-        ).reshape(ne, ts.size)
+        fg = fracture_source_values(sub, spec, fi, ts)
         wb = W.eval_ref(ts)
         local = fr.thickness * np.einsum(
             "q,e,eq,qj->ej", ws, fm.edge_length, fg, wb
@@ -461,10 +477,15 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     offsets[p]:offsets[p+1].  In the numbering of `build_V_h` it then owns
     the dofs of its dual edges, k1 t0 : k1 t1, and of its triangles,
     nt k1 + n_own t0 : nt k1 + n_own t1; its local order is the one, then
-    the other.  Its local pressures are the primal-side nodes of its
-    triangles, then the rest (see `PolygonBlocks`).  `ycol` maps pressure
-    dofs to their index in y.  The triangle blocks, and from them M_P, G_P
-    and the lifts, are computed only for polygons `cache` does not carry.
+    the other.  So in an n-triangle polygon, triangle i = t - t0 has the
+    local flux columns, with j < k1 and m < n_own - k1:
+      side 0: n k1 + n_own i + j;  side 1: k1 ((i+1) mod n) + j;
+      side 2: k1 i + j;  interior moments: n k1 + n_own i + k1 + m;
+    one pattern per n, which every triangle's dofs are checked against.
+    Its local pressures are the primal-side nodes of its triangles, then
+    the rest (see `PolygonBlocks`).  `ycol` maps pressure dofs to their
+    index in y.  The triangle blocks, and from them M_P, G_P and the lifts,
+    are computed only for polygons `cache` does not carry.
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
@@ -472,60 +493,48 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     off = np.setdiff1d(np.arange(ns), primal)
     offsets = sub.mesh.cycles.offsets
     counts = np.diff(offsets)
-    owner = np.empty(V.ndof, dtype=np.int64)
-    local = np.empty(V.ndof, dtype=np.int64)
-    groups = []
-    for n in np.unique(counts):
-        for polys in cache.split(sub.mesh, "polygon blocks", np.flatnonzero(counts == n)):
-            t0 = offsets[polys][:, None]
-            flux = np.hstack(
-                [k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)]
-            )
-            owner[flux] = polys[:, None]
-            local[flux] = np.arange(flux.shape[1])
-            groups.append((polys, t0 + np.arange(n), flux))
-    stray = np.flatnonzero(owner[V.tri_dofs] != sub.tri_polygon[:, None])
-    if stray.size:
-        t = stray[0] // V.nloc
-        raise SolverError(
-            f"flux dof {V.tri_dofs.flat[stray[0]]} of triangle {t} leaves "
-            f"its polygon {sub.tri_polygon[t]}"
-        )
-
     out = []
     lift = np.empty((nt, V.nloc))
-    for polys, tris, flux in groups:
-        n, b = tris.shape[1], flux.shape[1]
-        m = n * ns
+    for n in np.unique(counts):
+        i, j = np.arange(n)[:, None], np.arange(k1)
+        own = n * k1 + n_own * i
+        pattern = np.hstack([own + j, k1 * ((i + 1) % n) + j, k1 * i + j, own + k1 + np.arange(n_own - k1)])
+        b, m = n * (k1 + n_own), n * ns
         pcol = np.empty((n, ns), dtype=np.int64)  # local column of each node
         pcol[:, primal] = np.arange(n * k1).reshape(n, k1)
         pcol[:, off] = n * k1 + np.arange(n * off.size).reshape(n, -1)
-        pdofs = np.empty((polys.size, m), dtype=np.int64)
-        pdofs[:, pcol] = S.tri_dofs[tris]
+        # the bincount bins of the triangle blocks within one polygon
+        mbin = pattern[:, :, None] * b + pattern[:, None, :]  # (n, nloc, nloc)
+        gbin = pattern[:, None, :] * m + pcol[:, :, None]  # (n, ns, nloc)
+        for polys in cache.split(sub.mesh, "polygon blocks", np.flatnonzero(counts == n)):
+            t0 = offsets[polys][:, None]
+            tris = t0 + np.arange(n)
+            flux = np.hstack([k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)])
+            got, want = V.tri_dofs[tris], flux[:, pattern]
+            stray = np.flatnonzero(got != want)
+            if stray.size:
+                s, t = stray[0], tris.flat[stray[0] // V.nloc]
+                raise SolverError(
+                    f"flux dof {got.flat[s]} of triangle {t} leaves its polygon "
+                    f"{sub.tri_polygon[t]}'s layout, which puts dof {want.flat[s]} there"
+                )
+            pdofs = np.empty((polys.size, m), dtype=np.int64)
+            pdofs[:, pcol] = S.tri_dofs[tris]
 
-        def gather():
-            npoly = polys.size
-            M_t = assemble_mass(sub, V, K_elem, tris.ravel())
-            B_t = assemble_bh(sub, V, S, tris.ravel())
-            li = local[V.tri_dofs[tris]]  # (npoly, n, nloc)
-            base = np.arange(npoly)[:, None, None, None] * b
-            M = np.bincount(
-                ((base + li[..., :, None]) * b + li[..., None, :]).ravel(),
-                M_t.ravel(),
-                minlength=npoly * b * b,
-            )
-            G = np.bincount(
-                ((base + li[..., None, :]) * m + pcol[:, :, None]).ravel(),
-                B_t.ravel(),
-                minlength=npoly * b * m,
-            )
-            G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
-            lift_t = (p_dir[S.tri_dofs[tris.ravel()]][:, None, :] @ B_t)[:, 0]
-            return M.reshape(npoly, b, b), G, lift_t.reshape(npoly, n, -1)
+            def gather():
+                npoly = polys.size
+                M_t = assemble_mass(sub, V, K_elem, tris.ravel())
+                B_t = assemble_bh(sub, V, S, tris.ravel())
+                base = np.arange(npoly)[:, None, None, None]
+                M = np.bincount((base * (b * b) + mbin).ravel(), M_t.ravel(), minlength=npoly * b * b)
+                G = np.bincount((base * (b * m) + gbin).ravel(), B_t.ravel(), minlength=npoly * b * m)
+                G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
+                lift_t = (p_dir[S.tri_dofs[tris.ravel()]][:, None, :] @ B_t)[:, 0]
+                return M.reshape(npoly, b, b), G, lift_t.reshape(npoly, n, -1)
 
-        M, G, lift_P = cache.polygons(sub.mesh, "polygon blocks", polys, gather)
-        lift[tris.ravel()] = lift_P.reshape(-1, V.nloc)
-        out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1))
+            M, G, lift_P = cache.polygons(sub.mesh, "polygon blocks", polys, gather)
+            lift[tris.ravel()] = lift_P.reshape(-1, V.nloc)
+            out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1))
     return out, lift
 
 
@@ -540,20 +549,31 @@ def assemble_system(
     S, V, W = build_spaces(mesh, spec, config, cache) if spaces is None else spaces
 
     K_elem = spec.permeability(mesh.element_centroids)
-    C_pp, C_pw, C_ww_cpl = assemble_interface(sub, S, W, spec)
-    C_ww = C_ww_cpl + assemble_fracture_stiffness(sub, W, spec)
     rhs_full = assemble_rhs(sub, spec, V, S, W, cache)
     p_dir, w_dir = dirichlet_values(sub, spec, S, W)
 
-    # y = (p, p_gamma) over free dofs; constrained ones map to ny
+    # y = (p, p_gamma) over free dofs; every (p, p_gamma) dof has its index
+    # in y, and the constrained ones follow it, from ny on
     nV, nS = V.ndof, S.ndof
     s_free = np.flatnonzero(~S.dirichlet_mask)
     w_free = np.flatnonzero(~W.dirichlet_mask)
     y_free = np.concatenate([s_free, nS + w_free])
+    y_fixed = np.flatnonzero(np.concatenate([S.dirichlet_mask, W.dirichlet_mask]))
     ny = y_free.size
-    ycol = np.full(nS + W.ndof, ny)
-    ycol[y_free] = np.arange(ny)
-    blocks, lift = _polygon_blocks(sub, V, S, K_elem, p_dir, ycol, cache)
+    ycol = np.empty(nS + W.ndof, dtype=np.int64)
+    ycol[np.concatenate([y_free, y_fixed])] = np.arange(ycol.size)
+    blocks, lift = _polygon_blocks(sub, V, S, K_elem, p_dir, np.minimum(ycol, ny), cache)
+
+    def free_rows(rows, cols, vals):
+        keep = ycol[rows] < ny
+        C = _coo([(ycol[rows[keep]], ycol[cols[keep]], vals[keep])], (ny, ycol.size)).tocoo()
+        return C.row, C.col, C.data
+
+    # summed apart and then together, so that every p_gamma entry is the sum
+    # of its coupling terms plus the sum of its stiffness terms; not with a
+    # CSR +, which drops exact zeros (at xi = 1) that SuperLU's ordering sees
+    parts = [free_rows(*assemble_interface(sub, S, W, spec)), free_rows(*assemble_fracture_stiffness(sub, S, W, spec))]
+    C_y = _coo(parts, (ny, ycol.size))
 
     # The flux row pairs with the full pressure vector through B^T, which
     # equals the facewise adjoint form plus the boundary trace pairing
@@ -564,13 +584,11 @@ def assemble_system(
     # consistent.
     rhs = np.empty(nV + ny)
     rhs[:nV] = rhs_full[:nV] - np.bincount(V.tri_dofs.ravel(), lift.ravel(), minlength=nV)
-    C_full = sp.bmat([[C_pp, C_pw], [C_pw.T, C_ww]], format="csr")
-    rhs[nV:] = (rhs_full[nV:] - C_full @ np.concatenate([p_dir, w_dir]))[y_free]
-    C = C_full[y_free][:, y_free]
+    rhs[nV:] = rhs_full[nV:][y_free] - C_y[:, ny:] @ np.concatenate([p_dir, w_dir])[y_fixed]
     offsets = (0, nV, nV + s_free.size, nV + ny)
     return LinearSystem(
         blocks=tuple(blocks),
-        C=C,
+        C=C_y[:, :ny],
         rhs=rhs,
         offsets=offsets,
         V=V,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import source_values
+from .assembly import fracture_source_values, source_values
 from .errors import NoExactSolution
 from .geometry import DUAL, INTERIOR, PolygonalMesh, inv_2x2
 from .problem import ProblemSpec
@@ -47,15 +47,6 @@ class EstimatorBreakdown:
     interior_sq: np.ndarray  # squared term 4 per interior primal edge
     fracture_sq: tuple  # per fracture: (ne, 3) squared terms 5, 7, 8
     vertex_sq: tuple  # per fracture: (ne-1,) squared term 6
-
-    @property
-    def fracture_edge_sq(self) -> tuple:
-        """Per-fracture-edge squared totals of the three edgewise families."""
-        return tuple(a.sum(axis=1) for a in self.fracture_sq)
-
-    @property
-    def total_sq(self) -> float:
-        return float((self.terms**2).sum())
 
 
 def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockCache = None) -> EstimatorBreakdown:
@@ -106,12 +97,9 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
         alpha_e = spec.exchange_resistance(fi)[fm.edge_segment]
         Kg = fr.tangential_conductivity[fm.edge_segment]
         le = fm.edge_length
-        pts, par = sub.fracture_points(fi, ts)
         p1, p2, un1, un2 = sol.fracture_traces(fi, ts)
         pg = sol.p_gamma_at(fi, ts)
-        fg = spec.fracture_source(
-            pts.reshape(-1, 2), par.reshape(-1), np.full(ne * ts.size, fi)
-        ).reshape(ne, ts.size)
+        fg = fracture_source_values(sub, spec, fi, ts)
 
         # term 5: fracture equation residual; K_gamma is constant per edge
         d2 = sol.W.deriv_ref(ts, order=2)  # (nq, k+1)
@@ -242,11 +230,7 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: Bloc
     ts, ws = erule.points, erule.weights
     for fi, fr in enumerate(mesh.fractures):
         fm = sub.fracture_meshes[fi]
-        pts, par = sub.fracture_points(fi, ts)
-        ne = fm.n_edges
-        fg = spec.fracture_source(
-            pts.reshape(-1, 2), par.reshape(-1), np.full(ne * ts.size, fi)
-        ).reshape(ne, ts.size)
+        fg = fracture_source_values(sub, spec, fi, ts)
         if not np.any(fg):
             continue
         mono = _monomials_1d(ts, k)  # (nq, k+1)
@@ -275,18 +259,6 @@ class ErrorReport:
     err_V: float
     err_sdg: float
     EI: float  # eta / err_sdg; NaN when either input is unavailable
-
-    @property
-    def parts_sq(self) -> float:
-        return (
-            self.err_Q**2
-            + self.v_exchange**2
-            + self.v_jump**2
-            + self.v_grad**2
-            + self.v_fracture**2
-            + self.flux_jump**2
-            + self.flux_avg**2
-        )
 
 
 def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> ErrorReport:

@@ -104,22 +104,28 @@ class Fracture:
         """kappa_t * thickness per segment: effective along-fracture conductivity."""
         return self.kappa_t * self.thickness
 
-    def param_of(self, pts: np.ndarray) -> np.ndarray:
-        """Arc-length parameter of points assumed to lie on the polyline."""
-        pts = np.atleast_2d(pts)
+    def nearest(self, pts: np.ndarray):
+        """(dist, par, offset), (n,) each, of points (n, 2): the distance to
+        the nearest segment, the arclength of the nearest point on it and
+        the offset from that point along the segment's normal.  Among equally
+        near segments the first one wins."""
         best = np.full(pts.shape[0], np.inf)
         par = np.zeros(pts.shape[0])
+        offset = np.zeros(pts.shape[0])
         for s in range(self.n_segments):
-            a = self.points[s]
-            t = self.seg_tangents[s]
-            d = pts - a
-            proj = np.clip(d @ t, 0.0, self.seg_lengths[s])
-            foot = a + proj[:, None] * t
-            dist = np.hypot(*(pts - foot).T)
+            a, t = self.points[s], self.seg_tangents[s]
+            proj = np.clip((pts - a) @ t, 0.0, self.seg_lengths[s])
+            gap = pts - (a + proj[:, None] * t)
+            dist = np.hypot(gap[:, 0], gap[:, 1])
             better = dist < best
             best = np.where(better, dist, best)
             par = np.where(better, self.arclength[s] + proj, par)
-        return par
+            offset = np.where(better, gap @ self.seg_normals[s], offset)
+        return best, par, offset
+
+    def param_of(self, pts: np.ndarray) -> np.ndarray:
+        """Arc-length parameter of points assumed to lie on the polyline."""
+        return self.nearest(np.atleast_2d(pts))[1]
 
 
 def _segments_intersect(p0, p1, q0, q1, tol):
@@ -276,10 +282,9 @@ class PolygonalMesh:
         (absorbed hanging nodes appear as flat cycle vertices).
     fractures : snapped fracture polylines carried through refinement.
 
-    The vertices and the table are the whole mesh; `polygons` and
-    `hanging` are tuple views of the table, built on first read.  A mesh
-    made by `refine` also knows its `parent` mesh and, in `kept_from`, the
-    parent id of every polygon it copied unchanged (-1 for the others).
+    The vertices and the table are the whole mesh.  A mesh made by
+    `refine` also knows its `parent` mesh and, in `kept_from`, the parent
+    id of every polygon it copied unchanged (-1 for the others).
     """
 
     def __init__(self, vertices, cycles: CycleTable, fractures, tolerance, parent=None, kept_from=None):
@@ -303,7 +308,8 @@ class PolygonalMesh:
         bad = np.union1d(np.flatnonzero(cycles.lengths < 3), out_of_range)
         if bad.size:
             p = bad[0]
-            raise MeshError(f"polygon {p} has cycle {self.polygons[p]}, not 3+ vertex ids in 0..{nv - 1}")
+            cycle = tuple(cycles.vertex[cycles.offsets[p] : cycles.offsets[p + 1]].tolist())
+            raise MeshError(f"polygon {p} has cycle {cycle}, not 3+ vertex ids in 0..{nv - 1}")
 
     @property
     def n_elements(self) -> int:
@@ -313,18 +319,6 @@ class PolygonalMesh:
     def parent(self):
         """The mesh `refine` made this one from, while it is alive; else None."""
         return None if self._parent is None else self._parent()
-
-    @cached_property
-    def polygons(self) -> tuple:
-        """Per polygon, the tuple of its cycle's vertex ids."""
-        v, o = self.cycles.vertex.tolist(), self.cycles.offsets.tolist()
-        return tuple(tuple(v[a:b]) for a, b in zip(o[:-1], o[1:]))
-
-    @cached_property
-    def hanging(self) -> tuple:
-        """Per polygon, the frozenset of its absorbed hanging nodes."""
-        v, o, h = self.cycles.vertex.tolist(), self.cycles.offsets.tolist(), self.cycles.hanging.tolist()
-        return tuple(frozenset(itertools.compress(v[a:b], h[a:b])) for a, b in zip(o[:-1], o[1:]))
 
     @cached_property
     def element_centroids(self) -> np.ndarray:
@@ -365,20 +359,13 @@ class PolygonalMesh:
         """Side tag per element: 1 or 2 relative to the nearest fracture, 0 if none."""
         if not self.fractures:
             return np.zeros(self.n_elements, dtype=int)
-        c = self.element_centroids
         best = np.full(self.n_elements, np.inf)
         sign = np.zeros(self.n_elements)
         for fr in self.fractures:
-            for s in range(fr.n_segments):
-                a, t, n = fr.points[s], fr.seg_tangents[s], fr.seg_normals[s]
-                d = c - a
-                proj = np.clip(d @ t, 0.0, fr.seg_lengths[s])
-                foot = a + proj[:, None] * t
-                gap = c - foot
-                dist = np.hypot(gap[:, 0], gap[:, 1])
-                better = dist < best
-                best = np.where(better, dist, best)
-                sign = np.where(better, gap @ n, sign)
+            dist, _, offset = fr.nearest(self.element_centroids)
+            better = dist < best
+            best = np.where(better, dist, best)
+            sign = np.where(better, offset, sign)
         return np.where(sign <= 0, 1, 2)
 
     @cached_property
@@ -860,10 +847,8 @@ class RegularityReport:
 def check_regularity(mesh: PolygonalMesh) -> RegularityReport:
     """Exact regularity minima over all elements (deterministic)."""
     diam = mesh.element_diameters
-    rho_s = min(
-        _inscribed_radius(mesh.vertices[list(cyc)], mesh.tolerance) / d
-        for cyc, d in zip(mesh.polygons, diam)
-    )
+    cycles = np.split(mesh.cycles.vertex, mesh.cycles.offsets[1:-1])
+    rho_s = min(_inscribed_radius(mesh.vertices[cyc], mesh.tolerance) / d for cyc, d in zip(cycles, diam))
     return RegularityReport(
         rho_S=float(rho_s),
         rho_E=mesh.rho_E,

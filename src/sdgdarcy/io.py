@@ -103,13 +103,16 @@ _KIND_NAMES = {
 def export_mesh_json(mesh: PolygonalMesh, path) -> None:
     """Vertices, polygon cycles, and the classified simplicial subdivision."""
     sub = mesh.subdivision
+    cyc = mesh.cycles
+    cycles = np.split(cyc.vertex, cyc.offsets[1:-1])
+    hanging = np.split(cyc.hanging, cyc.offsets[1:-1])
     doc = {
         "format": "sdgdarcy-mesh",
         "version": 1,
         "edge_kinds": _KIND_NAMES,
         "vertices": mesh.vertices.tolist(),
-        "polygons": [list(cyc) for cyc in mesh.polygons],
-        "hanging": [sorted(h) for h in mesh.hanging],
+        "polygons": [c.tolist() for c in cycles],
+        "hanging": [np.sort(c[h]).tolist() for c, h in zip(cycles, hanging)],
         "fractures": [fr.points.tolist() for fr in mesh.fractures],
         "subdivision": {
             "vertices": sub.vertices.tolist(),
@@ -153,12 +156,9 @@ def export_solution(mesh: PolygonalMesh, sol, prefix) -> list:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {3 * nt} double",
     ]
-    for t in range(nt):
-        for c in range(3):
-            lines.append(f"{_f(corners[t, c, 0])} {_f(corners[t, c, 1])} 0.0")
+    lines += _xy_lines(corners.reshape(-1, 2))
     lines.append(f"CELLS {nt} {4 * nt}")
-    for t in range(nt):
-        lines.append(f"3 {3 * t} {3 * t + 1} {3 * t + 2}")
+    lines += [f"3 {a} {a + 1} {a + 2}" for a in range(0, 3 * nt, 3)]
     lines.append(f"CELL_TYPES {nt}")
     lines += ["5"] * nt
     lines += [
@@ -166,30 +166,22 @@ def export_solution(mesh: PolygonalMesh, sol, prefix) -> list:
         "SCALARS pressure double 1",
         "LOOKUP_TABLE default",
     ]
-    for t in range(nt):
-        for c in range(3):
-            lines.append(_f(p_corner[t, c]))
+    lines += map(repr, p_corner.ravel().tolist())
     lines += [f"CELL_DATA {nt}", "VECTORS flux double"]
-    for t in range(nt):
-        lines.append(f"{_f(u_mid[t, 0])} {_f(u_mid[t, 1])} 0.0")
+    lines += _xy_lines(u_mid)
     lines += ["SCALARS polygon int 1", "LOOKUP_TABLE default"]
-    lines += [str(int(p)) for p in sub.tri_polygon]
+    lines += map(str, sub.tri_polygon.tolist())
     bulk_path = f"{prefix}.vtk"
     _write_text(bulk_path, "\n".join(lines) + "\n")
     written = [bulk_path]
 
     if sub.fracture_meshes:
-        ends = np.array([0.0, 1.0])
-        pts, vals, frac_of = [], [], []
-        for fi, fm in enumerate(sub.fracture_meshes):
-            ab = sub.vertices[fm.vertex_ids]  # (ne+1, 2)
-            w = sol.p_gamma_at(fi, ends)  # (ne, 2)
-            for e in range(fm.n_edges):
-                pts.append(ab[e])
-                pts.append(ab[e + 1])
-                vals.extend(w[e])
-                frac_of.append(fi)
-        ne = len(frac_of)
+        fms = sub.fracture_meshes
+        # the two end points of every fracture edge, and p_gamma there
+        ends = np.concatenate([np.stack([fm.vertex_ids[:-1], fm.vertex_ids[1:]], axis=1) for fm in fms])
+        vals = np.concatenate([sol.p_gamma_at(fi, np.array([0.0, 1.0])) for fi in range(len(fms))])
+        frac_of = np.repeat(np.arange(len(fms)), [fm.n_edges for fm in fms])
+        ne = frac_of.size
         lines = [
             "# vtk DataFile Version 3.0",
             "fracture pressure",
@@ -197,21 +189,26 @@ def export_solution(mesh: PolygonalMesh, sol, prefix) -> list:
             "DATASET POLYDATA",
             f"POINTS {2 * ne} double",
         ]
-        lines += [f"{_f(x)} {_f(y)} 0.0" for x, y in pts]
+        lines += _xy_lines(sub.vertices[ends.ravel()])
         lines.append(f"LINES {ne} {3 * ne}")
-        lines += [f"2 {2 * e} {2 * e + 1}" for e in range(ne)]
+        lines += [f"2 {a} {a + 1}" for a in range(0, 2 * ne, 2)]
         lines += [
             f"POINT_DATA {2 * ne}",
             "SCALARS fracture_pressure double 1",
             "LOOKUP_TABLE default",
         ]
-        lines += [_f(v) for v in vals]
+        lines += map(repr, vals.ravel().tolist())
         lines += [f"CELL_DATA {ne}", "SCALARS fracture int 1", "LOOKUP_TABLE default"]
-        lines += [str(fi) for fi in frac_of]
+        lines += map(str, frac_of.tolist())
         frac_path = f"{prefix}_fracture.vtk"
         _write_text(frac_path, "\n".join(lines) + "\n")
         written.append(frac_path)
     return written
+
+
+def _xy_lines(xy: np.ndarray) -> list:
+    """One "x y 0.0" line per row of the (n, 2) array, repr-formatted."""
+    return [f"{x!r} {y!r} 0.0" for x, y in xy.tolist()]
 
 
 # -------------------------------------------------------------- system dump

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import BOUNDARY, INTERIOR, PolygonalMesh, Subdivision
-from .quadrature import edge_rule, map_to_triangles, triangle_rule
+from .quadrature import edge_rule, triangle_rule
 from .reuse import BlockCache
 
 
@@ -197,16 +197,6 @@ class PressureSpace:
     def edge_trace_matrix(self, ts: np.ndarray) -> np.ndarray:
         """Trace values at edge parameters ts: (..., k+1) Lagrange."""
         return lagrange_1d(np.linspace(0.0, 1.0, self.k + 1), ts)
-
-    def interpolate(self, fn) -> np.ndarray:
-        """Nodal interpolation; fn(points (n,2), triangles (n,)) -> values."""
-        nt, nloc = self.tri_dofs.shape
-        tris = np.repeat(np.arange(nt), nloc)
-        pts = self.node_coords[self.tri_dofs.ravel()]
-        vals = np.asarray(fn(pts, tris), dtype=float)
-        out = np.zeros(self.ndof)
-        out[self.tri_dofs.ravel()] = vals
-        return out
 
 
 def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
@@ -392,52 +382,9 @@ class FluxSpace:
         n = Jt.shape[0]
         return (vhat.reshape(n, -1, 2) @ Jt).reshape(vhat.shape)
 
-    def basis_values(self, tris, pts) -> np.ndarray:
-        """Basis fields at physical points; (n, nq, 2) -> (n, nq, nloc, 2)."""
-        m = self.ref_monomials(self.sub.reference_coords(tris, pts))  # (n, nq, s)
-        n, nq, s = m.shape
-        C = self.ref_coeff[tris].reshape(n, s, 2 * self.nloc)
-        vhat = np.swapaxes((m @ C).reshape(n, nq, 2, self.nloc), 2, 3)
-        return self.piola(tris, vhat)
-
-    def basis_divergence(self, tris, pts) -> np.ndarray:
-        """Basis divergences at physical points; (n, nq, 2) -> (n, nq, nloc)."""
-        div = self.ref_divergence(self.sub.reference_coords(tris, pts)) @ self.ref_coeff[tris]
-        return div / (2.0 * self.sub.tri_area[tris])[:, None, None]
-
     def edge_trace_matrix(self, ts: np.ndarray) -> np.ndarray:
         """Normal-trace values at edge parameters ts: (..., k+1) Lagrange."""
         return lagrange_1d(self.gauss_ts, np.asarray(ts, dtype=float))
-
-    def interpolate(self, fn) -> np.ndarray:
-        """Dof-functional interpolation of a vector field fn(pts (...,2)) -> (...,2)."""
-        sub = self.sub
-        out = np.zeros(self.ndof)
-        k1 = self.gauss_ts.shape[0]
-        nt = sub.n_triangles
-        for l in range(3):
-            e = sub.tri_edges[:, l]
-            vals = np.asarray(fn(sub.edge_points(e, self.gauss_ts)))
-            out[self.tri_dofs[:, l * k1 : (l + 1) * k1]] = np.einsum(
-                "tqc,tc->tq", vals, sub.edge_normal[e]
-            )
-        if self.k == 2:
-            rule = triangle_rule(2 * self.k + 2)
-            qp, qw = map_to_triangles(rule, sub.tri_coords)
-            fv = np.asarray(fn(qp.reshape(-1, 2))).reshape(nt, -1, 2)
-            area = sub.tri_area
-            mean = np.einsum("tq,tqc->tc", qw, fv) / area[:, None]
-            curl = self.piola(
-                slice(None), np.broadcast_to(_bubble_curl_ref(rule.points), qp.shape)
-            )
-            mom = np.einsum("tq,tqc,tqc->t", qw, fv, curl) * (
-                sub.tri_diameter / area
-            )
-            base = 3 * k1
-            out[self.tri_dofs[:, base]] = mean[:, 0]
-            out[self.tri_dofs[:, base + 1]] = mean[:, 1]
-            out[self.tri_dofs[:, base + 2]] = mom
-        return out
 
 
 def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
@@ -536,9 +483,6 @@ class FracturePressureSpace:
     ndof: int
     edge_dofs: tuple  # per fracture: (ne, k+1) global ids in arclength order
     dirichlet_mask: np.ndarray  # (ndof,)
-    node_coords: np.ndarray  # (ndof, 2)
-    node_param: np.ndarray  # (ndof,) arclength along the fracture
-    node_fracture: np.ndarray  # (ndof,)
     ref_nodes: np.ndarray = field(repr=False, default=None)  # (k+1,) on [0,1]
 
     @property
@@ -550,12 +494,6 @@ class FracturePressureSpace:
 
     def deriv_ref(self, ts: np.ndarray, order: int = 1) -> np.ndarray:
         return lagrange_1d(self.ref_nodes, ts, order)
-
-    def interpolate(self, fn) -> np.ndarray:
-        """fn(points (n,2), params (n,), fracture (n,)) -> nodal values."""
-        return np.asarray(
-            fn(self.node_coords, self.node_param, self.node_fracture), dtype=float
-        )
 
 
 def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureSpace:
@@ -571,9 +509,6 @@ def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureS
             raise ConfigError(f"tip selector {s} must be 0 (start) or 1 (end)")
 
     edge_dofs = []
-    coords = []
-    params = []
-    fracs = []
     mask = []
     offset = 0
     for fi, fm in enumerate(sub.fracture_meshes):
@@ -582,9 +517,6 @@ def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureS
         ed = np.zeros((ne, k + 1), dtype=int)
         ed[:, 0] = offset + np.arange(ne)
         ed[:, k] = offset + np.arange(1, ne + 1)
-        coords.extend(sub.vertices[fm.vertex_ids].tolist())
-        params.extend(fm.vertex_arclength.tolist())
-        fracs.extend([fi] * nv)
         vmask = [False] * nv
         if (fi, 0) in tips:
             vmask[0] = True
@@ -592,12 +524,8 @@ def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureS
             vmask[-1] = True
         mask.extend(vmask)
         nxt = offset + nv
-        mid, mid_par = sub.fracture_points(fi, ref[1:k])
         for j in range(1, k):
             ed[:, j] = nxt + np.arange(ne)
-            coords.extend(mid[:, j - 1].tolist())
-            params.extend(mid_par[:, j - 1].tolist())
-            fracs.extend([fi] * ne)
             mask.extend([False] * ne)
             nxt += ne
         edge_dofs.append(ed)
@@ -608,8 +536,5 @@ def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureS
         ndof=offset,
         edge_dofs=tuple(edge_dofs),
         dirichlet_mask=np.array(mask, dtype=bool),
-        node_coords=np.array(coords, dtype=float).reshape(offset, 2),
-        node_param=np.array(params, dtype=float),
-        node_fracture=np.array(fracs, dtype=int),
         ref_nodes=ref,
     )

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +20,7 @@ from sdgdarcy.assembly import (
 )
 from sdgdarcy.geometry import FRACTURE, INTERIOR, DomainSpec, Fracture, build_initial_mesh, refine
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
+from sdgdarcy.spaces import _SIDE_NODES, _bubble_curl_ref
 
 
 def make_fracture(points, kappa_n=100.0, kappa_t=100.0, thickness=0.01):
@@ -57,6 +61,114 @@ def two_square_plain():
     return build_initial_mesh(dom, 1.0)
 
 
+# -- mesh views ------------------------------------------------------------
+# cached per mesh, as the loops over polygons in the tests read them often
+
+
+@functools.lru_cache(maxsize=16)
+def polygons(mesh) -> tuple:
+    """Per polygon, the tuple of its cycle's vertex ids."""
+    v, o = mesh.cycles.vertex.tolist(), mesh.cycles.offsets.tolist()
+    return tuple(tuple(v[a:b]) for a, b in zip(o[:-1], o[1:]))
+
+
+@functools.lru_cache(maxsize=16)
+def hanging(mesh) -> tuple:
+    """Per polygon, the frozenset of its absorbed hanging nodes."""
+    v, o, h = mesh.cycles.vertex.tolist(), mesh.cycles.offsets.tolist(), mesh.cycles.hanging.tolist()
+    return tuple(frozenset(itertools.compress(v[a:b], h[a:b])) for a, b in zip(o[:-1], o[1:]))
+
+
+# -- physical bases and interpolants of the spaces --------------------------
+
+
+def flux_basis_values(V, tris, pts):
+    """Flux basis fields at physical points; (n, nq, 2) -> (n, nq, nloc, 2)."""
+    m = V.ref_monomials(V.sub.reference_coords(tris, pts))  # (n, nq, s)
+    n, nq, s = m.shape
+    C = V.ref_coeff[tris].reshape(n, s, 2 * V.nloc)
+    vhat = np.swapaxes((m @ C).reshape(n, nq, 2, V.nloc), 2, 3)
+    return V.piola(tris, vhat)
+
+
+def flux_basis_divergence(V, tris, pts):
+    """Flux basis divergences at physical points; (n, nq, 2) -> (n, nq, nloc)."""
+    div = V.ref_divergence(V.sub.reference_coords(tris, pts)) @ V.ref_coeff[tris]
+    return div / (2.0 * V.sub.tri_area[tris])[:, None, None]
+
+
+def interpolate_pressure(S, fn):
+    """Nodal interpolation in S_h; fn(points (n,2), triangles (n,)) -> values."""
+    nt, nloc = S.tri_dofs.shape
+    tris = np.repeat(np.arange(nt), nloc)
+    pts = S.node_coords[S.tri_dofs.ravel()]
+    vals = np.asarray(fn(pts, tris), dtype=float)
+    out = np.zeros(S.ndof)
+    out[S.tri_dofs.ravel()] = vals
+    return out
+
+
+def interpolate_flux(V, fn):
+    """Dof-functional interpolation in V_h of a vector field fn(pts (...,2)) -> (...,2)."""
+    sub = V.sub
+    out = np.zeros(V.ndof)
+    k1 = V.gauss_ts.shape[0]
+    nt = sub.n_triangles
+    for l in range(3):
+        e = sub.tri_edges[:, l]
+        vals = np.asarray(fn(sub.edge_points(e, V.gauss_ts)))
+        out[V.tri_dofs[:, l * k1 : (l + 1) * k1]] = np.einsum("tqc,tc->tq", vals, sub.edge_normal[e])
+    if V.k == 2:
+        rule = triangle_rule(2 * V.k + 2)
+        qp, qw = map_to_triangles(rule, sub.tri_coords)
+        fv = np.asarray(fn(qp.reshape(-1, 2))).reshape(nt, -1, 2)
+        area = sub.tri_area
+        mean = np.einsum("tq,tqc->tc", qw, fv) / area[:, None]
+        curl = V.piola(slice(None), np.broadcast_to(_bubble_curl_ref(rule.points), qp.shape))
+        mom = np.einsum("tq,tqc,tqc->t", qw, fv, curl) * (sub.tri_diameter / area)
+        base = 3 * k1
+        out[V.tri_dofs[:, base]] = mean[:, 0]
+        out[V.tri_dofs[:, base + 1]] = mean[:, 1]
+        out[V.tri_dofs[:, base + 2]] = mom
+    return out
+
+
+def interpolate_fracture(sub, W, fn):
+    """Nodal interpolation in W_h on the subdivision `sub`; fn(points (n,2),
+    arclength (n,), fracture (n,)) -> values."""
+    out = np.zeros(W.ndof)
+    for fi, dofs in enumerate(W.edge_dofs):
+        pts, par = sub.fracture_points(fi, W.ref_nodes)  # (ne, k+1, 2), (ne, k+1)
+        out[dofs] = np.asarray(fn(pts.reshape(-1, 2), par.ravel(), np.full(dofs.size, fi))).reshape(dofs.shape)
+    return out
+
+
+# -- estimator and error sums ---------------------------------------------
+
+
+def fracture_edge_sq(bd):
+    """Per fracture, the per-edge squared totals of the three edgewise families."""
+    return tuple(a.sum(axis=1) for a in bd.fracture_sq)
+
+
+def total_sq(bd):
+    """The sum of the squared family values of an EstimatorBreakdown."""
+    return float((bd.terms**2).sum())
+
+
+def parts_sq(er):
+    """The sum of the squared components of an ErrorReport."""
+    return (
+        er.err_Q**2
+        + er.v_exchange**2
+        + er.v_jump**2
+        + er.v_grad**2
+        + er.v_fracture**2
+        + er.flux_jump**2
+        + er.flux_avg**2
+    )
+
+
 def assemble_bh_star(sub, V, S):
     """Facewise adjoint pressure-gradient form, the oracle for B^T.
 
@@ -77,7 +189,7 @@ def assemble_bh_star(sub, V, S):
 
     rule = triangle_rule(2 * k + 2)
     qp, qw = map_to_triangles(rule, sub.tri_coords)
-    div = V.basis_divergence(np.arange(sub.n_triangles), qp)  # (nt, nq, nv)
+    div = flux_basis_divergence(V, np.arange(sub.n_triangles), qp)  # (nt, nq, nv)
     sv = S.eval_ref(rule.points)  # (nq, ns)
     add(V.tri_dofs, S.tri_dofs, -np.einsum("tq,tqv,qs->tvs", qw, div, sv))
 
@@ -186,6 +298,95 @@ def bh_matrix(sub, V, S):
     return scatter(S.tri_dofs, V.tri_dofs, assemble_bh(sub, V, S), (S.ndof, V.ndof))
 
 
+def interface_blocks(sub, S, W, spec):
+    """(C_pp, C_pw, C_ww_coupling): the triplets of `assemble_interface`
+    as CSR blocks over the full (p, p_gamma) dof sets."""
+    nS, n = S.ndof, S.ndof + W.ndof
+    C = _coo([assemble_interface(sub, S, W, spec)], (n, n))
+    return C[:nS, :nS], C[:nS, nS:], C[nS:, nS:]
+
+
+def fracture_stiffness_matrix(sub, S, W, spec):
+    """The triplets of `assemble_fracture_stiffness` as a CSR matrix over
+    the full p_gamma dofs."""
+    nS, n = S.ndof, S.ndof + W.ndof
+    return _coo([assemble_fracture_stiffness(sub, S, W, spec)], (n, n))[nS:, nS:]
+
+
+def reduced_system_full_dofs(mesh, spec, config):
+    """The reduced system by the full-dof path, the oracle for the index
+    paths of `assemble_system` without a cache.
+
+    C is the free rows and columns of sp.bmat([[C_pp, C_pw], [C_pw^T,
+    C_ww]]) over all (p, p_gamma) dofs, with C_ww the coupling plus the
+    stiffness, and the (p, p_gamma) rows of the rhs are lifted by that
+    matrix times the full Dirichlet vector.  The polygon blocks are
+    scattered through an owner and a local-index table over all flux dofs.
+    Returns (blocks, C, rhs), with blocks one (polygons, flux, cols, M, G)
+    per triangle count.
+    """
+    sub = mesh.subdivision
+    S, V, W = build_spaces(mesh, spec, config)
+    K_elem = spec.permeability(mesh.element_centroids)
+    C_pp, C_pw, C_ww = interface_blocks(sub, S, W, spec)
+    C_ww = C_ww + fracture_stiffness_matrix(sub, S, W, spec)
+    rhs_full = assemble_rhs(sub, spec, V, S, W)
+    p_dir, w_dir = dirichlet_values(sub, spec, S, W)
+    nV, nS = V.ndof, S.ndof
+    y_free = np.concatenate([np.flatnonzero(~S.dirichlet_mask), nS + np.flatnonzero(~W.dirichlet_mask)])
+    ny = y_free.size
+    ycol = np.full(nS + W.ndof, ny)
+    ycol[y_free] = np.arange(ny)
+
+    k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
+    n_own = V.nloc - 2 * k1
+    primal = _SIDE_NODES[S.k][0]
+    off = np.setdiff1d(np.arange(ns), primal)
+    offsets = mesh.cycles.offsets
+    counts = np.diff(offsets)
+    owner = np.empty(V.ndof, dtype=np.int64)
+    local = np.empty(V.ndof, dtype=np.int64)
+    groups = []
+    for n in np.unique(counts):
+        polys = np.flatnonzero(counts == n)
+        t0 = offsets[polys][:, None]
+        flux = np.hstack([k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)])
+        owner[flux] = polys[:, None]
+        local[flux] = np.arange(flux.shape[1])
+        groups.append((polys, t0 + np.arange(n), flux))
+    assert np.array_equal(owner[V.tri_dofs], np.broadcast_to(sub.tri_polygon[:, None], V.tri_dofs.shape))
+
+    blocks = []
+    lift = np.empty((nt, V.nloc))
+    for polys, tris, flux in groups:
+        npoly, n, b = polys.size, tris.shape[1], flux.shape[1]
+        m = n * ns
+        pcol = np.empty((n, ns), dtype=np.int64)
+        pcol[:, primal] = np.arange(n * k1).reshape(n, k1)
+        pcol[:, off] = n * k1 + np.arange(n * off.size).reshape(n, -1)
+        pdofs = np.empty((npoly, m), dtype=np.int64)
+        pdofs[:, pcol] = S.tri_dofs[tris]
+        M_t = assemble_mass(sub, V, K_elem, tris.ravel())
+        B_t = assemble_bh(sub, V, S, tris.ravel())
+        li = local[V.tri_dofs[tris]]  # (npoly, n, nloc)
+        base = np.arange(npoly)[:, None, None, None] * b
+        M = np.bincount(
+            ((base + li[..., :, None]) * b + li[..., None, :]).ravel(), M_t.ravel(), minlength=npoly * b * b
+        )
+        G = np.bincount(
+            ((base + li[..., None, :]) * m + pcol[:, :, None]).ravel(), B_t.ravel(), minlength=npoly * b * m
+        )
+        G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
+        lift[tris.ravel()] = (p_dir[S.tri_dofs[tris.ravel()]][:, None, :] @ B_t)[:, 0]
+        blocks.append((polys, flux, ycol[pdofs], M.reshape(npoly, b, b), G))
+
+    rhs = np.empty(nV + ny)
+    rhs[:nV] = rhs_full[:nV] - np.bincount(V.tri_dofs.ravel(), lift.ravel(), minlength=nV)
+    C_full = sp.bmat([[C_pp, C_pw], [C_pw.T, C_ww]], format="csr")
+    rhs[nV:] = (rhs_full[nV:] - C_full @ np.concatenate([p_dir, w_dir]))[y_free]
+    return blocks, C_full[y_free][:, y_free], rhs
+
+
 def saddle_system(mesh, spec, config):
     """The reduced saddle system assembled globally, the oracle for the
     polygon blocks of `assemble_system`: [M B^T 0; -B C_pp C_pw; 0 C_pw^T
@@ -195,8 +396,8 @@ def saddle_system(mesh, spec, config):
     S, V, W = build_spaces(mesh, spec, config)
     M = mass_matrix(sub, V, spec.permeability(mesh.element_centroids))
     B = bh_matrix(sub, V, S)
-    C_pp, C_pw, C_ww = assemble_interface(sub, S, W, spec)
-    C_ww = C_ww + assemble_fracture_stiffness(sub, W, spec)
+    C_pp, C_pw, C_ww = interface_blocks(sub, S, W, spec)
+    C_ww = C_ww + fracture_stiffness_matrix(sub, S, W, spec)
     A_full = sp.bmat([[M, B.T, None], [-B, C_pp, C_pw], [None, C_pw.T, C_ww]], format="csr")
     p_dir, w_dir = dirichlet_values(sub, spec, S, W)
     x_dir = np.concatenate([np.zeros(V.ndof), p_dir, w_dir])

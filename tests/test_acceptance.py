@@ -42,7 +42,7 @@ from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 from sdgdarcy.spaces import SpaceConfig, build_S_h, build_V_h, build_W_h
 from sdgdarcy.solve import solve_system
 
-from conftest import assemble_bh_star, bh_matrix
+from conftest import assemble_bh_star, bh_matrix, interpolate_fracture, interpolate_pressure
 
 RATE_TOL = 0.15  # slope window around the target -k/2
 # T2 and T4 (0-based columns of `terms`): the two parts of the discrete
@@ -90,7 +90,7 @@ def case2_six_iterations():
     cfg = AmrConfig(theta=0.5, mode=ADAPTIVE, max_dofs=200_000,
                     max_iterations=6, k=1)
     hist = amr_loop(mesh, spec, cfg)
-    assert hist.failure is None and hist.n_iterations == 6
+    assert hist.failure is None and len(hist.records) == 6
     return spec, hist
 
 
@@ -337,10 +337,8 @@ def constant_solution(mesh, c, k=1):
         S=S,
         W=W,
         u=np.zeros(V.ndof),
-        p=S.interpolate(lambda pts, tris: np.full(pts.shape[:-1], c)),
-        p_gamma=W.interpolate(
-            lambda pts, par, fr: np.full(np.asarray(par).shape, c)
-        ),
+        p=interpolate_pressure(S, lambda pts, tris: np.full(pts.shape[:-1], c)),
+        p_gamma=interpolate_fracture(mesh.subdivision, W, lambda pts, par, fr: np.full(np.asarray(par).shape, c)),
     )
 
 

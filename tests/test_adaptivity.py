@@ -18,6 +18,8 @@ from sdgdarcy.errors import AllZeroIndicators, ConfigError
 from sdgdarcy.geometry import DomainSpec, build_initial_mesh
 from sdgdarcy.problem import DIRICHLET, NEUMANN, BoundaryRule, ProblemSpec, everywhere
 
+from conftest import polygons
+
 
 # ---------------------------------------------------------------- marking
 
@@ -192,7 +194,7 @@ def test_zero_solution_stops_marking():
     spec = ProblemSpec(domain=dom, boundary=(BoundaryRule(DIRICHLET, everywhere),))
     hist = amr_loop(build_initial_mesh(dom, 0.5), spec, AmrConfig(max_iterations=5))
     assert hist.failure is None
-    assert hist.n_iterations == 1
+    assert len(hist.records) == 1
     assert hist.records[0].eta == 0.0
     assert math.isnan(hist.records[0].EI)
 
@@ -204,7 +206,7 @@ def test_identical_runs_identical_records():
     cfg = AmrConfig(theta=0.5, max_iterations=3)
     a = amr_loop(mesh, spec, cfg, exact=exact)
     b = amr_loop(mesh, spec, cfg, exact=exact)
-    assert a.n_iterations == b.n_iterations
+    assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert np.array_equal(ra.terms, rb.terms)
         for name in (
@@ -227,7 +229,7 @@ def case1_adaptive():
 def test_adaptive_run_completes(case1_adaptive):
     hist = case1_adaptive
     assert hist.failure is None
-    assert hist.n_iterations >= 6
+    assert len(hist.records) >= 6
     assert hist.final_mesh is not None
     assert hist.final_breakdown is not None
 
@@ -261,12 +263,12 @@ def test_adaptive_marks_follow_the_boundary_layer():
     mesh = build_initial_mesh(spec.domain, 0.25)
     cfg = AmrConfig(theta=0.5, max_dofs=60_000, max_iterations=6, k=1)
     hist = amr_loop(mesh, spec, cfg, exact=exact)
-    assert hist.n_iterations == 6
+    assert len(hist.records) == 6
 
     m = hist.final_mesh
     marked = dorfler_mark(hist.final_breakdown.element_sq, 0.5)
     touches = []
     for p in marked:
-        xs = m.vertices[np.array(m.polygons[p]), 0]
+        xs = m.vertices[np.array(polygons(m)[p]), 0]
         touches.append(xs.min() <= 1.1 and xs.max() >= 0.9)
     assert np.mean(touches) >= 0.6

@@ -10,8 +10,6 @@ import scipy.sparse as sp
 
 from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.assembly import (
-    assemble_fracture_stiffness,
-    assemble_interface,
     assemble_rhs,
     assemble_system,
     build_spaces,
@@ -40,8 +38,14 @@ from conftest import (
     assemble_bh_star,
     assemble_interface_quadrature,
     bh_matrix,
+    fracture_stiffness_matrix,
+    interface_blocks,
+    interpolate_flux,
+    interpolate_fracture,
+    interpolate_pressure,
     mass_matrix,
     neumann_load_quadrature,
+    reduced_system_full_dofs,
     saddle_system,
 )
 
@@ -79,13 +83,13 @@ def test_mass_constant_flux_energy():
     sub = mesh.subdivision
     V = build_V_h(mesh, SpaceConfig(1))
     M = mass_matrix(sub, V, identity_K(1))
-    u = V.interpolate(lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
+    u = interpolate_flux(V, lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
     assert abs(u @ (M @ u) - 1.0) < 1e-12
 
     M4 = mass_matrix(sub, V, 4.0 * identity_K(1))
     assert abs((M4 - 0.25 * M).toarray()).max() < 1e-14
 
-    u2 = V.interpolate(lambda pts: pts)  # u = (x, y)
+    u2 = interpolate_flux(V, lambda pts: pts)  # u = (x, y)
     assert abs(u2 @ (M @ u2) - 2.0 / 3.0) < 1e-12
 
 
@@ -95,9 +99,7 @@ def test_mass_k2_energy():
     V = build_V_h(mesh, SpaceConfig(2))
     M = mass_matrix(sub, V, identity_K(1))
     # u = (x^2, x*y): integral of x^4 + x^2 y^2 over the unit square
-    u = V.interpolate(
-        lambda pts: np.stack([pts[..., 0] ** 2, pts[..., 0] * pts[..., 1]], axis=-1)
-    )
+    u = interpolate_flux(V, lambda pts: np.stack([pts[..., 0] ** 2, pts[..., 0] * pts[..., 1]], axis=-1))
     assert abs(u @ (M @ u) - (1.0 / 5.0 + 1.0 / 9.0)) < 1e-12
 
 
@@ -131,8 +133,8 @@ def test_bh_volume_oracle():
     V = build_V_h(mesh, SpaceConfig(1))
     S = build_S_h(mesh, SpaceConfig(1))
     B = bh_matrix(sub, V, S)
-    u = V.interpolate(lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
-    q = S.interpolate(lambda pts, tris: pts[:, 0])
+    u = interpolate_flux(V, lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
+    q = interpolate_pressure(S, lambda pts, tris: pts[:, 0])
     assert abs(q @ (B @ u) - 1.0) < 1e-12
 
 
@@ -159,7 +161,7 @@ def test_bh_star_fracture_pairing(two_square_fractured):
     V = build_V_h(mesh, SpaceConfig(1))
     S = build_S_h(mesh, SpaceConfig(1))
     Bstar = assemble_bh_star(sub, V, S)
-    v = V.interpolate(lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
+    v = interpolate_flux(V, lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
     left = np.flatnonzero(mesh.element_centroids[:, 0] < 1.0)
     right = np.flatnonzero(mesh.element_centroids[:, 0] > 1.0)
     p_left = element_indicator(S, sub, set(left))
@@ -185,7 +187,7 @@ def test_interface_oracle(two_square_fractured):
     spec = interface_spec(mesh)
     S = build_S_h(mesh, SpaceConfig(1))
     W = build_W_h(mesh, SpaceConfig(1))
-    C_pp, C_pw, C_ww = assemble_interface(sub, S, W, spec)
+    C_pp, C_pw, C_ww = interface_blocks(sub, S, W, spec)
 
     # eta = 0.01 / 100 = 1e-4; alpha = eta * (0.75/2 - 0.25) = 1.25e-5;
     # one fracture edge of length 1.  One-sided indicator: jump 1, mean 1/2:
@@ -209,7 +211,7 @@ def test_interface_block_psd():
     sub = mesh.subdivision
     S = build_S_h(mesh, SpaceConfig(1))
     W = build_W_h(mesh, SpaceConfig(1))
-    C_pp, C_pw, C_ww = assemble_interface(sub, S, W, spec)
+    C_pp, C_pw, C_ww = interface_blocks(sub, S, W, spec)
     assert abs((C_pp - C_pp.T).toarray()).max() < 1e-10
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -236,8 +238,9 @@ def test_fracture_stiffness_oracle():
         boundary=(BoundaryRule(DIRICHLET, everywhere),),
         fracture_tips=((0.0, 0.0),),
     )
+    S = build_S_h(mesh, SpaceConfig(1))
     W = build_W_h(mesh, SpaceConfig(1), dirichlet_tips=spec.dirichlet_tips())
-    A = assemble_fracture_stiffness(sub, W, spec)
+    A = fracture_stiffness_matrix(sub, S, W, spec)
     free = np.flatnonzero(~W.dirichlet_mask)
     assert free.size == 1
     dense = A.toarray()[np.ix_(free, free)]
@@ -331,9 +334,9 @@ def exact_free_vector(sys, exact):
         flat = pts.reshape(-1, 2)
         return np.asarray(exact.u(flat, None)).reshape(pts.shape)
 
-    u_I = sys.V.interpolate(u_fn)
-    p_I = sys.S.interpolate(p_fn)
-    w_I = sys.W.interpolate(exact.p_gamma)
+    u_I = interpolate_flux(sys.V, u_fn)
+    p_I = interpolate_pressure(sys.S, p_fn)
+    w_I = interpolate_fracture(sys.V.sub, sys.W, exact.p_gamma)
     return np.concatenate([u_I, p_I[sys.s_free], w_I[sys.w_free]]), p_I, w_I
 
 
@@ -437,6 +440,34 @@ def test_system_matches_global_saddle_assembly(name, k):
     ).max()
 
 
+@pytest.mark.parametrize(
+    "name, k, xi",
+    [("case1-a0.1", 2, 0.75), ("case2", 1, 0.75), ("multifrac", 2, 0.75), ("lshape", 1, 0.75), ("case1-a0.1", 1, 1.0)],
+)
+def test_system_bit_equal_to_full_dof_path(name, k, xi):
+    """C (indptr, indices, data), the rhs and every array of every polygon
+    block of `assemble_system` equal those of the full-dof path bit for bit,
+    after two seeded Doerfler refinements that leave hanging nodes.  At
+    xi = 1 the entries of C_pp between the two sides of a fracture edge are
+    exact zeros, which C keeps as stored entries."""
+    spec, exact, h0 = get_benchmark(name)
+    spec = dataclasses.replace(spec, xi=xi)
+    mesh = build_initial_mesh(spec.domain, h0)
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
+    assert mesh.cycles.hanging.any()
+    sys = assemble_system(mesh, spec, SpaceConfig(k))
+    blocks, C, rhs = reduced_system_full_dofs(mesh, spec, SpaceConfig(k))
+    for got, want in ((sys.C.indptr, C.indptr), (sys.C.indices, C.indices), (sys.C.data, C.data), (sys.rhs, rhs)):
+        assert np.array_equal(got, want)
+    assert np.any(C.data == 0) == (xi == 1.0)
+    assert len(sys.blocks) == len(blocks)
+    for g, ref in zip(sys.blocks, blocks):
+        for got, want in zip((g.polygons, g.flux, g.cols, g.M, g.G), ref):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("name", ["case1-a0.1", "case2", "multifrac"])
 def test_interface_and_neumann_match_quadrature(name, k):
@@ -458,7 +489,7 @@ def test_interface_and_neumann_match_quadrature(name, k):
     def coupling(pp, pw, ww):
         return sp.bmat([[pp, pw], [pw.T, ww]], format="csr")
 
-    C = coupling(*assemble_interface(sub, S, W, spec))
+    C = coupling(*interface_blocks(sub, S, W, spec))
     C_ref = coupling(*assemble_interface_quadrature(sub, S, W, spec))
     d = np.sqrt(C_ref.diagonal())
     diff = abs(C - C_ref).tocoo()
@@ -473,7 +504,9 @@ def test_interface_and_neumann_match_quadrature(name, k):
 
 def test_flux_dof_outside_its_polygon_raises():
     """The polygon blocks rely on build_V_h's numbering; a flux numbering
-    that puts a triangle's dof in another polygon's range is rejected."""
+    that puts a triangle's dof in another polygon's range is rejected, and
+    so is one that swaps two dofs of a triangle between its sides, inside
+    its polygon's range."""
     spec, exact, mesh = patch_mesh(h=0.5)
     S, V, W = build_spaces(mesh, spec, SpaceConfig(1))
     last = V.sub.n_triangles - 1
@@ -482,4 +515,11 @@ def test_flux_dof_outside_its_polygon_raises():
     tri_dofs[[0, last], 0] = tri_dofs[[last, 0], 0]
     bad = dataclasses.replace(V, tri_dofs=tri_dofs)
     with pytest.raises(SolverError, match="leaves its polygon"):
+        assemble_system(mesh, spec, SpaceConfig(1), spaces=(S, bad, W))
+
+    # side 0 (columns 0, 1) and side 1 (columns 2, 3) of triangle 0
+    tri_dofs = V.tri_dofs.copy()
+    tri_dofs[0, [0, 2]] = tri_dofs[0, [2, 0]]
+    bad = dataclasses.replace(V, tri_dofs=tri_dofs)
+    with pytest.raises(SolverError, match=f"flux dof {tri_dofs[0, 0]} of triangle 0 leaves its polygon"):
         assemble_system(mesh, spec, SpaceConfig(1), spaces=(S, bad, W))

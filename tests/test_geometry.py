@@ -22,7 +22,7 @@ from sdgdarcy.geometry import (
     subdivide,
 )
 
-from conftest import doerfler_refinements, make_fracture
+from conftest import doerfler_refinements, hanging, make_fracture, polygons
 
 
 def test_two_square_fracture_counts(two_square_fractured):
@@ -80,11 +80,11 @@ def test_refine_creates_pentagon_and_splits_fracture(two_square_fractured):
     m2 = refine(mesh, [0])
     # left square -> 4 quads, right square survives as a pentagon
     assert m2.n_elements == 5
-    sizes = sorted(len(c) for c in m2.polygons)
+    sizes = sorted(len(c) for c in polygons(m2))
     assert sizes == [4, 4, 4, 4, 5]
-    penta = [i for i, c in enumerate(m2.polygons) if len(c) == 5][0]
-    assert len(m2.hanging[penta]) == 1
-    (h,) = m2.hanging[penta]
+    penta = [i for i, c in enumerate(polygons(m2)) if len(c) == 5][0]
+    assert len(hanging(m2)[penta]) == 1
+    (h,) = hanging(m2)[penta]
     assert np.allclose(m2.vertices[h], [1.0, 0.5])
     sub = m2.subdivision
     assert sub.edges_of_kind(FRACTURE).size == 2
@@ -116,7 +116,7 @@ def test_closure_blocks_stacked_hanging_nodes():
     assert m1.n_elements == 6  # 4 children + pentagon B + square C
     # find the child of A with an edge on x = 1 touching the hanging node
     target = None
-    for i, cyc in enumerate(m1.polygons):
+    for i, cyc in enumerate(polygons(m1)):
         pts = m1.vertices[list(cyc)]
         if len(cyc) == 4 and np.all(pts[:, 0] <= 1.0) and np.isclose(pts[:, 0].max(), 1.0):
             if np.isclose(pts[pts[:, 0] == 1.0][:, 1].max(), 0.5):
@@ -269,7 +269,7 @@ def _check_incidence_and_irregularity(mesh):
     assert np.all(sub.edge_kind[sub.tri_edges[:, 1:]] == DUAL)
     # 1-irregularity: at most one hanging node per original side, and it
     # sits at the midpoint of the two corners around it
-    for cyc, hang in zip(mesh.polygons, mesh.hanging):
+    for cyc, hang in zip(polygons(mesh), hanging(mesh)):
         n = len(cyc)
         for i, v in enumerate(cyc):
             if v not in hang:
@@ -300,7 +300,7 @@ def _reference_measures(mesh):
     centroids = np.empty((mesh.n_elements, 2))
     diam = np.empty(mesh.n_elements)
     rho_e = np.inf
-    for i, cyc in enumerate(mesh.polygons):
+    for i, cyc in enumerate(polygons(mesh)):
         pts = mesh.vertices[list(cyc)]
         centroids[i] = pts.mean(axis=0)
         d = pts[:, None, :] - pts[None, :, :]
@@ -319,7 +319,7 @@ def _reference_subdivide(mesh):
     tri_v, tri_poly, tri_primal, ranges = [], [], [], []
     primal = {}  # sorted vertex pair -> edge id
     primal_adj = {}  # sorted vertex pair -> triangles
-    for p, cyc in enumerate(mesh.polygons):
+    for p, cyc in enumerate(polygons(mesh)):
         start = len(tri_v)
         for i in range(len(cyc)):
             a, b = cyc[i], cyc[(i + 1) % len(cyc)]
@@ -425,7 +425,7 @@ def _reference_closure(mesh, marked):
     """Worklist over a vertex-pair adjacency dict: the marked set grown
     until no unmarked neighbour keeps a hanging node on a shared edge."""
     adj = {}
-    for p, cyc in enumerate(mesh.polygons):
+    for p, cyc in enumerate(polygons(mesh)):
         for i in range(len(cyc)):
             a, b = cyc[i], cyc[(i + 1) % len(cyc)]
             adj.setdefault((min(a, b), max(a, b)), []).append(p)
@@ -434,11 +434,11 @@ def _reference_closure(mesh, marked):
     while work:
         nxt = []
         for p in work:
-            cyc = mesh.polygons[p]
+            cyc = polygons(mesh)[p]
             for i in range(len(cyc)):
                 a, b = cyc[i], cyc[(i + 1) % len(cyc)]
                 for q in adj[(min(a, b), max(a, b))]:
-                    if q != p and q not in marked and (a in mesh.hanging[q] or b in mesh.hanging[q]):
+                    if q != p and q not in marked and (a in hanging(mesh)[q] or b in hanging(mesh)[q]):
                         marked.add(q)
                         nxt.append(q)
         work = sorted(set(nxt))
@@ -467,9 +467,9 @@ def _reference_refine(mesh, closed):
     # create all fresh side midpoints of marked polygons first; cycle edges
     # touching an absorbed vertex are halves of a side that splits there
     for p in np.flatnonzero(closed).tolist():
-        cyc = mesh.polygons[p]
+        cyc = polygons(mesh)[p]
         n = len(cyc)
-        hang = mesh.hanging[p]
+        hang = hanging(mesh)[p]
         for i in range(n):
             a, b = cyc[i], cyc[(i + 1) % n]
             if a not in hang and b not in hang:
@@ -477,11 +477,11 @@ def _reference_refine(mesh, closed):
 
     new_polys = []
     new_hang = []
-    for p, cyc in enumerate(mesh.polygons):
+    for p, cyc in enumerate(polygons(mesh)):
         n = len(cyc)
         if not closed[p]:
             out = []
-            extra = set(mesh.hanging[p])
+            extra = set(hanging(mesh)[p])
             for i in range(n):
                 a, b = cyc[i], cyc[(i + 1) % n]
                 out.append(a)
@@ -507,7 +507,7 @@ def _reference_refine(mesh, closed):
                     float(((pts[:, 1] + nxt[:, 1]) * w).sum() / area6),
                 )
             )
-            hang = mesh.hanging[p]
+            hang = hanging(mesh)[p]
             corners = [i for i in range(n) if cyc[i] not in hang]
             m = len(corners)
             splits = []
@@ -548,8 +548,8 @@ def _assert_same_mesh(got, ref):
     assert np.array_equal(got.vertices, ref.vertices)
     for field in ("offsets", "vertex", "hanging"):
         assert np.array_equal(getattr(got.cycles, field), getattr(ref.cycles, field)), field
-    assert got.polygons == ref.polygons
-    assert got.hanging == ref.hanging
+    assert polygons(got) == polygons(ref)
+    assert hanging(got) == hanging(ref)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -558,7 +558,7 @@ def test_geometry_matches_polygon_walk(data):
     """The cycle-table geometry and refinement equal the per-polygon walks
     bit for bit."""
     for mesh, marked in doerfler_refinements(data, _fractured_mesh()):
-        cycles = CycleTable.from_polygons(mesh.polygons, mesh.hanging)
+        cycles = CycleTable.from_polygons(polygons(mesh), hanging(mesh))
         fresh = PolygonalMesh(mesh.vertices, cycles, mesh.fractures, mesh.tolerance)
         centroids, diam, rho_e = _reference_measures(fresh)
         assert np.array_equal(fresh.element_centroids, centroids)
@@ -605,8 +605,8 @@ def test_refine_eight_vertex_cycle_matches_walk():
 def _kept_oracle(old, new):
     """Per new polygon, the id of the old polygon with the same vertex-id
     cycle, or -1."""
-    ids = {cyc: p for p, cyc in enumerate(old.polygons)}
-    return np.array([ids.get(cyc, -1) for cyc in new.polygons])
+    ids = {cyc: p for p, cyc in enumerate(polygons(old))}
+    return np.array([ids.get(cyc, -1) for cyc in polygons(new)])
 
 
 def _eight_vertex_mesh():
@@ -639,7 +639,7 @@ def test_refine_kept_map_matches_cycle_oracle(name):
         assert np.array_equal(new.kept_from, expected)
         assert new.parent is mesh
         kept = np.flatnonzero(expected >= 0)
-        assert [new.hanging[p] for p in kept] == [mesh.hanging[q] for q in expected[kept]]
+        assert [hanging(new)[p] for p in kept] == [hanging(mesh)[q] for q in expected[kept]]
         kept_total += kept.size
         mesh = new
     assert kept_total > 0
@@ -651,9 +651,9 @@ def test_polygon_gaining_a_hanging_midpoint_is_not_kept(two_square_fractured):
     m2 = refine(two_square_fractured, [0])
     assert np.all(m2.kept_from == -1)
     # refining a child of the left square leaves the pentagon alone
-    child = next(p for p, cyc in enumerate(m2.polygons) if 0 in cyc)
+    child = next(p for p, cyc in enumerate(polygons(m2)) if 0 in cyc)
     m3 = refine(m2, [child])
-    penta = next(p for p, cyc in enumerate(m2.polygons) if len(cyc) == 5)
+    penta = next(p for p, cyc in enumerate(polygons(m2)) if len(cyc) == 5)
     assert penta in m3.kept_from
     assert np.array_equal(m3.kept_from, _kept_oracle(m2, m3))
 
@@ -700,3 +700,33 @@ def test_cycle_table_out_of_sync_rejected(table):
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="out of sync"):
         PolygonalMesh(vertices=verts, cycles=CycleTable(**table), fractures=(), tolerance=1e-10)
+
+
+@pytest.mark.parametrize("name", ["case1-a0.1", "multifrac", "lshape"])
+def test_regions_and_params_match_all_segment_distances(name):
+    """`element_regions` and `Fracture.param_of` equal a lookup in the table
+    of distances from every point to every (fracture, segment): the first
+    minimum in (fracture, segment) order wins, bit for bit.  Fracture vertex
+    points are passed with the midpoints of the segments, so that ties at
+    a shared segment end are met."""
+    spec, exact, h0 = get_benchmark(name)
+    mesh = build_initial_mesh(spec.domain, h0)
+    def table(segs, pts):
+        """Per segment and point: distance, clipped projection, gap."""
+        proj = np.stack([np.clip((pts - fr.points[s]) @ fr.seg_tangents[s], 0.0, fr.seg_lengths[s]) for fr, s in segs])
+        feet = np.stack([fr.points[s] + p[:, None] * fr.seg_tangents[s] for (fr, s), p in zip(segs, proj)])
+        gap = pts - feet
+        return np.hypot(gap[..., 0], gap[..., 1]), proj, gap
+
+    segs = [(fr, s) for fr in mesh.fractures for s in range(fr.n_segments)]
+    dist, _, gap = table(segs, mesh.element_centroids)
+    first = np.argmin(dist, axis=0)
+    normal = np.stack([fr.seg_normals[s] for fr, s in segs])[first]
+    side = np.einsum("ec,ec->e", gap[first, np.arange(first.size)], normal)
+    assert np.array_equal(mesh.element_regions, np.where(side <= 0, 1, 2))
+
+    for fr in mesh.fractures:
+        pts = np.concatenate([fr.points, 0.5 * (fr.points[1:] + fr.points[:-1])])
+        dist, proj, _ = table([(fr, s) for s in range(fr.n_segments)], pts)
+        first = np.argmin(dist, axis=0)
+        assert np.array_equal(fr.param_of(pts), fr.arclength[first] + proj[first, np.arange(first.size)])

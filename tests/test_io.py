@@ -24,6 +24,8 @@ from sdgdarcy.io import (
 from sdgdarcy.solve import solve_system
 from sdgdarcy.spaces import SpaceConfig
 
+from conftest import polygons
+
 HEADER = (
     "iteration,N,T1,T2,T3,T4,T5,T6,T7,T8,eta,osc,err_Q,err_V,err_sdg,EI,"
     "n_elements,rho_E,t_solve_ms,t_estimate_ms"
@@ -58,7 +60,7 @@ def test_history_header_is_stable(patch_run, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == HEADER
     assert ",".join(HISTORY_COLUMNS) == HEADER
-    assert len(lines) == 1 + patch_run.n_iterations
+    assert len(lines) == 1 + len(patch_run.records)
 
 
 def test_history_round_trip_is_exact(patch_run, tmp_path):
@@ -115,7 +117,7 @@ def test_mesh_json_schema(case1_solution, tmp_path):
     assert doc["format"] == "sdgdarcy-mesh" and doc["version"] == 1
     assert doc["edge_kinds"] == {"boundary": 0, "interior": 1, "fracture": 2, "dual": 3}
     assert np.array_equal(np.array(doc["vertices"]), mesh.vertices)
-    assert [tuple(c) for c in doc["polygons"]] == list(mesh.polygons)
+    assert [tuple(c) for c in doc["polygons"]] == list(polygons(mesh))
     assert len(doc["hanging"]) == mesh.n_elements
     assert len(doc["fractures"]) == 1
 

@@ -27,7 +27,15 @@ from sdgdarcy.spaces import (
     lagrange_1d,
 )
 
-from conftest import make_fracture, mass_matrix
+from conftest import (
+    flux_basis_divergence,
+    flux_basis_values,
+    interpolate_flux,
+    interpolate_fracture,
+    interpolate_pressure,
+    make_fracture,
+    mass_matrix,
+)
 
 
 @pytest.fixture
@@ -147,7 +155,7 @@ def test_pressure_polynomial_reproduction(fractured_fine, k):
             out = out + 0.5 * x * x - x * y + 2.0 * y * y
         return out
 
-    coeffs = S.interpolate(lambda pts, tris: poly(pts))
+    coeffs = interpolate_pressure(S, lambda pts, tris: poly(pts))
     ref = triangle_rule(5).points
     vals_ref = S.eval_ref(ref)  # (nq, nloc)
     phys = sub.tri_coords[:, 0, None, :] + np.einsum(
@@ -173,7 +181,7 @@ def test_flux_polynomial_reproduction(fractured_fine, k):
             uy = uy + y * y + 0.5 * x * x
         return np.stack([ux, uy], axis=-1)
 
-    coeffs = V.interpolate(poly)
+    coeffs = interpolate_flux(V, poly)
     ref = triangle_rule(5).points
     tris = np.arange(sub.n_triangles)
     phys = sub.tri_coords[:, 0, None, :] + np.einsum(
@@ -181,7 +189,7 @@ def test_flux_polynomial_reproduction(fractured_fine, k):
             [sub.tri_coords[:, 1] - sub.tri_coords[:, 0],
              sub.tri_coords[:, 2] - sub.tri_coords[:, 0]], axis=1)
     )
-    basis = V.basis_values(tris, phys)  # (nt, nq, nloc, 2)
+    basis = flux_basis_values(V, tris, phys)  # (nt, nq, nloc, 2)
     field = np.einsum("tqlc,tl->tqc", basis, coeffs[V.tri_dofs])
     assert np.max(np.abs(field - poly(phys))) < 1e-12
 
@@ -190,7 +198,7 @@ def test_flux_polynomial_reproduction(fractured_fine, k):
 def test_flux_divergence_exact(fractured_fine, k):
     V = build_V_h(fractured_fine, SpaceConfig(k=k))
     sub = fractured_fine.subdivision
-    coeffs = V.interpolate(lambda p: np.stack([p[..., 0], p[..., 1]], axis=-1))
+    coeffs = interpolate_flux(V, lambda p: np.stack([p[..., 0], p[..., 1]], axis=-1))
     ref = triangle_rule(3).points
     tris = np.arange(sub.n_triangles)
     phys = sub.tri_coords[:, 0, None, :] + np.einsum(
@@ -198,7 +206,7 @@ def test_flux_divergence_exact(fractured_fine, k):
             [sub.tri_coords[:, 1] - sub.tri_coords[:, 0],
              sub.tri_coords[:, 2] - sub.tri_coords[:, 0]], axis=1)
     )
-    div = np.einsum("tql,tl->tq", V.basis_divergence(tris, phys), coeffs[V.tri_dofs])
+    div = np.einsum("tql,tl->tq", flux_basis_divergence(V, tris, phys), coeffs[V.tri_dofs])
     assert np.max(np.abs(div - 2.0)) < 1e-12
 
 
@@ -218,7 +226,7 @@ def test_fracture_polynomial_reproduction(k):
             out = out + 3.0 * s * s
         return out
 
-    coeffs = W.interpolate(lambda pts, par, fr: poly(par))
+    coeffs = interpolate_fracture(sub, W, lambda pts, par, fr: poly(par))
     fm = sub.fracture_meshes[0]
     ts = edge_rule(6).points
     vals = W.eval_ref(ts)  # (nq, k+1)
@@ -248,10 +256,10 @@ def test_flux_normal_continuity_random(fractured_fine, k):
     for side_pair in [sub.edge_tris[duals]]:
         t1, t2 = side_pair[:, 0], side_pair[:, 1]
         b1 = np.einsum(
-            "tqlc,tc->tql", V.basis_values(t1, pts), sub.edge_normal[duals]
+            "tqlc,tc->tql", flux_basis_values(V, t1, pts), sub.edge_normal[duals]
         )
         b2 = np.einsum(
-            "tqlc,tc->tql", V.basis_values(t2, pts), sub.edge_normal[duals]
+            "tqlc,tc->tql", flux_basis_values(V, t2, pts), sub.edge_normal[duals]
         )
         for _ in range(100):
             c = rng.standard_normal(V.ndof)
@@ -527,7 +535,7 @@ def test_piola_basis_is_dual_to_dofs(k, mesh):
     sub = PIOLA_MESHES[mesh]()
     V = build_V_h(sub, SpaceConfig(k))
     tris = np.arange(sub.n_triangles)
-    D = _apply_flux_dofs(sub, V, lambda pts: V.basis_values(tris, pts))
+    D = _apply_flux_dofs(sub, V, lambda pts: flux_basis_values(V, tris, pts))
     assert np.max(np.abs(D - np.eye(V.nloc))) < 1e-12
 
 
@@ -547,7 +555,7 @@ def test_mass_blocks_match_physical_quadrature(k, mesh):
     oracle = np.zeros((V.ndof, V.ndof))
     for t in range(sub.n_triangles):
         b = basis(t, qp[t])
-        assert np.max(np.abs(V.basis_values([t], qp[t][None])[0] - b)) < 1e-12
+        assert np.max(np.abs(flux_basis_values(V, [t], qp[t][None])[0] - b)) < 1e-12
         Kinv = np.linalg.inv(K_elem[sub.tri_polygon[t]])
         dofs = V.tri_dofs[t]
         oracle[np.ix_(dofs, dofs)] += np.einsum("q,qlc,cd,qmd->lm", qw[t], b, Kinv, b)
@@ -679,7 +687,7 @@ def test_grad_p_exact_on_interpolated_quadratic(mesh):
 
     sol = DiscreteSolution(
         mesh=sub.mesh, V=V, S=S, W=W,
-        u=np.zeros(V.ndof), p=S.interpolate(lambda pts, tris: poly(pts)), p_gamma=np.zeros(W.ndof),
+        u=np.zeros(V.ndof), p=interpolate_pressure(S, lambda pts, tris: poly(pts)), p_gamma=np.zeros(W.ndof),
     )
     rule = triangle_rule(6)
     exact = grad(map_to_triangles(rule, sub.tri_coords)[0])
