@@ -46,6 +46,19 @@ The cache holds the arrays of one mesh.  On its refinement it keeps the
 rows of the kept polygons and drops the others, so it holds at most one
 iteration's blocks.  A stage called without a cache starts from an empty
 one, which computes every row.
+
+Classes.  Refinement of the uniform initial grid leaves mostly congruent
+squares and a few hanging-node polygons, so among the polygons a stage has
+to compute, many have identical inputs.  `assemble_system` groups each
+computed chunk into classes by the bytes of a key row per polygon: per
+triangle the flip flags and sides, the edge lengths, the Jacobian, area
+and diameter (the inputs of C_t, M_t and B_t), then K and the Dirichlet
+mask and data at the polygon's local pressures.  M_t, B_t, M_P, G_P and
+the lifts are computed for one polygon per class, and the solve condenses
+one polygon per (class, f_P).  By the same row independence as the reuse,
+this is bit-equal to computing every polygon.  A label holds only for the
+chunk it was computed on; a carried chunk mixes rows of several chunks of
+the previous mesh, so there every polygon is its own class.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .errors import SolverError
 from .geometry import PolygonalMesh, Subdivision, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, mapped_weights, triangle_rule
-from .reuse import BlockCache
+from .reuse import BlockCache, group_rows
 from .spaces import (
     FluxSpace,
     FracturePressureSpace,
@@ -267,6 +267,10 @@ class PolygonBlocks:
     pressures: first the n_skeleton = n (k+1) nodes on the primal sides
     (side 0) of its triangles, then the nodes off them, which no other
     polygon shares; each part in triangle order, local node order within.
+
+    Polygons of one class have bit-equal M_P, G_P and lifts, computed once
+    (see `_polygon_blocks`).  A label holds only within its chunk; in a
+    chunk carried from the previous mesh every polygon is its own class.
     """
 
     polygons: np.ndarray  # (npoly,) polygon ids
@@ -275,6 +279,7 @@ class PolygonBlocks:
     M: np.ndarray  # (npoly, b, b) flux mass blocks M_P
     G: np.ndarray  # (npoly, b, m) G_P = B_P^T, zero in constrained columns
     n_skeleton: int  # the primal-side columns come first
+    classes: np.ndarray  # (npoly,) class label of each polygon within this chunk
 
 
 @dataclass(frozen=True)
@@ -485,7 +490,8 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     Its local pressures are the primal-side nodes of its triangles, then
     the rest (see `PolygonBlocks`).  `ycol` maps pressure dofs to their
     index in y.  The triangle blocks, and from them M_P, G_P and the lifts,
-    are computed only for polygons `cache` does not carry.
+    are computed only for polygons `cache` does not carry, and among those
+    once per class of polygons with identical inputs (see `adaptivity`).
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
@@ -493,6 +499,7 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     off = np.setdiff1d(np.arange(ns), primal)
     offsets = sub.mesh.cycles.offsets
     counts = np.diff(offsets)
+    side, flip = _tri_sides(sub)
     out = []
     lift = np.empty((nt, V.nloc))
     for n in np.unique(counts):
@@ -521,20 +528,44 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
             pdofs = np.empty((polys.size, m), dtype=np.int64)
             pdofs[:, pcol] = S.tri_dofs[tris]
 
+            classes = np.arange(polys.size)  # unless gather runs, each polygon its own class
+
             def gather():
-                npoly = polys.size
-                M_t = assemble_mass(sub, V, K_elem, tris.ravel())
-                B_t = assemble_bh(sub, V, S, tris.ravel())
+                # One class per distinct key row, which holds every per-triangle
+                # and per-polygon input the kernels below read, and those of
+                # build_V_h's transforms C_t: any new input of them must join
+                # the key.  The kernels keep each row's bits whatever the rows
+                # beside it (see `adaptivity`), so a class computes once.
+                nonlocal classes
+                t = tris.ravel()
+                geometry = np.hstack([
+                    flip[t],
+                    side[t],
+                    sub.edge_length[sub.tri_edges[t]],
+                    sub.tri_jacobian[t].reshape(-1, 4),
+                    sub.tri_area[t, None],
+                    sub.tri_diameter[t, None],
+                ])
+                key = np.hstack([
+                    geometry.reshape(polys.size, -1),
+                    K_elem[polys].reshape(polys.size, -1),
+                    S.dirichlet_mask[pdofs],
+                    p_dir[pdofs],
+                ])
+                first, classes = group_rows(key)
+                npoly, rep = first.size, tris[first].ravel()
+                M_t = assemble_mass(sub, V, K_elem, rep)
+                B_t = assemble_bh(sub, V, S, rep)
                 base = np.arange(npoly)[:, None, None, None]
                 M = np.bincount((base * (b * b) + mbin).ravel(), M_t.ravel(), minlength=npoly * b * b)
                 G = np.bincount((base * (b * m) + gbin).ravel(), B_t.ravel(), minlength=npoly * b * m)
-                G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
-                lift_t = (p_dir[S.tri_dofs[tris.ravel()]][:, None, :] @ B_t)[:, 0]
-                return M.reshape(npoly, b, b), G, lift_t.reshape(npoly, n, -1)
+                G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs[first]][:, None, :]
+                lift_t = (p_dir[S.tri_dofs[rep]][:, None, :] @ B_t)[:, 0]
+                return M.reshape(npoly, b, b)[classes], G[classes], lift_t.reshape(npoly, n, -1)[classes]
 
             M, G, lift_P = cache.polygons(sub.mesh, "polygon blocks", polys, gather)
             lift[tris.ravel()] = lift_P.reshape(-1, V.nloc)
-            out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1))
+            out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1, classes))
     return out, lift
 
 

@@ -29,7 +29,7 @@ from . import io as artifacts
 from .adaptivity import ADAPTIVE, UNIFORM, AmrConfig, amr_loop
 from .benchmarks import BENCHMARKS, get_benchmark
 from .errors import ConfigError, IoError, MeshError, SingularK, SolverError
-from .geometry import FRACTURE, build_initial_mesh, check_regularity
+from .geometry import FRACTURE, build_initial_mesh, check_regularity, initial_grid
 
 _CONFIG_TYPES = {
     "benchmark": str,
@@ -131,6 +131,17 @@ def _cmd_run(args) -> int:
         k=cfg.k,
     )
     h0 = float(cfg.h0) if cfg.h0 is not None else h_default
+    # build_V_h numbers 2(k+1) + n_int flux dofs per triangle (n_int = 3
+    # interior moments at k=2, none at k=1), and the subdivision splits each
+    # initial square into at least 4 triangles, so N >= 4 cells (2(k+1) +
+    # n_int); checked before any cell of the grid exists
+    cells = initial_grid(spec.domain, h0)[1]
+    least = 4 * cells * (2 * (cfg.k + 1) + (3 if cfg.k == 2 else 0))
+    if least > cfg.max_dofs:
+        raise ConfigError(
+            f"h0={h0} gives at least {cells} initial cells, so at least {least} "
+            f"unknowns, above max_dofs={cfg.max_dofs}"
+        )
     mesh = build_initial_mesh(spec.domain, h0)
     os.makedirs(cfg.out, exist_ok=True)
     callback = _exporter(cfg) if cfg.export_fields or cfg.dump_system else None

@@ -13,6 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 
+def group_rows(key: np.ndarray):
+    """(first, label): the rows of `key` (n, w) grouped by byte equality,
+    so -0.0 and 0.0 stay apart; `first` holds the first row of each class
+    and label[i] is the class of row i, key[first[label]] == key."""
+    rows = np.ascontiguousarray(key).view(np.dtype((np.void, key.dtype.itemsize * key.shape[1])))[:, 0]
+    _, first, label = np.unique(rows, return_index=True, return_inverse=True)
+    return first, label.ravel()
+
+
 class BlockCache:
     """Arrays of one mesh, kept for its refinement.
 

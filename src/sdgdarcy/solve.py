@@ -41,6 +41,16 @@ and only the others are solved and inverted.  The chunks of one triangle
 count add into the skeleton right-hand side with a single bincount, as one
 chunk would.  Each entry of R has at most two terms, so the order of the
 chunks does not change the skeleton matrix.  See `adaptivity`.
+
+Within a chunk, the polygons of one class (`PolygonBlocks.classes`) have
+bit-equal M_P and G_P: `assemble_system` keys a class on every input of
+their blocks, the triangles' geometry, flip flags and sides, K, and the
+Dirichlet mask and data of the local pressures.  One representative per
+distinct (class, f_P) is condensed, and every polygon takes its
+representative's rows.  f_P is keyed too: it is zero inside the domain but
+not on polygons with Dirichlet data.  Each step is a batched solve,
+inverse or matmul, or elementwise, so a row's bits do not depend on the
+rows beside it, and the result equals condensing every polygon.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
 from .errors import NonFinite, SingularSystem, SolverError
-from .reuse import BlockCache
+from .reuse import BlockCache, group_rows
 
 _REFINE_BELOW = 1e-13  # skip refinement once backward error is at roundoff
 _FAIL_ABOVE = 1e-8  # give up if refinement cannot reach this
@@ -123,14 +133,19 @@ class _Condensed:
             m, b = g.G.shape[2], g.n_skeleton
 
             def condense():
+                # once per distinct (class, f_P); then each polygon takes its
+                # representative's rows
+                fP = f[g.flux]
+                first, label = group_rows(np.hstack([g.classes[:, None], fP]))
+                M, G = g.M[first], g.G[first]
                 # one batched solve gives W = M^-1 G and M^-1 f
-                X = np.linalg.solve(g.M, np.concatenate([g.G, f[g.flux][..., None]], axis=2))
+                X = np.linalg.solve(M, np.concatenate([G, fP[first][..., None]], axis=2))
                 W = X[..., :m]
-                SP = _sym(np.swapaxes(g.G, 1, 2) @ W)
+                SP = _sym(np.swapaxes(G, 1, 2) @ W)
                 S_inv = np.linalg.inv(SP[:, b:, b:])  # S_II^-1
                 H = S_inv @ SP[:, b:, :b]
                 R = _sym(SP[:, :b, :b] - SP[:, :b, b:] @ H)
-                return W, X[..., m], S_inv, H, R
+                return tuple(a[label] for a in (W, X[..., m], S_inv, H, R))
 
             W, Wf, S_inv, H, R = cache.polygons(system.mesh, "condensation", g.polygons, condense)
             # an entry of R has at most two terms (the polygons on both sides

@@ -137,6 +137,31 @@ def test_bad_h0_exits_2(tmp_path, capsys, h0):
     assert "h0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_oversized_initial_grid_exits_2_before_building(tmp_path, capsys, monkeypatch, k):
+    """h0 = 1e-9 on the 2 x 1 domain of case1-a0.1 gives 2e18 initial cells;
+    the run stops on the cell count, and no grid is built.  At h0 = 0.25 the
+    bound is met exactly at max_dofs = 4 cells (2(k+1) + n_int)."""
+
+    def build(*args):
+        raise AssertionError("the initial grid was built")
+
+    monkeypatch.setattr("sdgdarcy.cli.build_initial_mesh", build)
+    cfg = write_config(tmp_path, benchmark="case1-a0.1", h0=1e-9, max_dofs=3000, k=k)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "h0=1e-09" in err and "2000000000000000000 initial cells" in err
+
+    # 32 cells at h0 = 0.25: 4 * 32 * 4 = 512 unknowns at least at k=1, 1152 at k=2
+    least = 512 if k == 1 else 1152
+    cfg = write_config(tmp_path, benchmark="case1-a0.1", h0=0.25, max_dofs=least - 1, k=k)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"at least {least} unknowns" in capsys.readouterr().err
+    cfg = write_config(tmp_path, benchmark="case1-a0.1", h0=0.25, max_dofs=least, k=k)
+    with pytest.raises(AssertionError, match="was built"):
+        main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+
+
 def test_load_config_validation(tmp_path):
     cfg = write_config(tmp_path, benchmark="patch", k=2, theta=0.4)
     doc = load_config(cfg)
