@@ -30,6 +30,7 @@ from .adaptivity import ADAPTIVE, UNIFORM, AmrConfig, amr_loop
 from .benchmarks import BENCHMARKS, get_benchmark
 from .errors import ConfigError, IoError, MeshError, SingularK, SolverError
 from .geometry import FRACTURE, build_initial_mesh, check_regularity, initial_grid
+from .spaces import flux_dofs_per_triangle
 
 _CONFIG_TYPES = {
     "benchmark": str,
@@ -131,12 +132,11 @@ def _cmd_run(args) -> int:
         k=cfg.k,
     )
     h0 = float(cfg.h0) if cfg.h0 is not None else h_default
-    # build_V_h numbers 2(k+1) + n_int flux dofs per triangle (n_int = 3
-    # interior moments at k=2, none at k=1), and the subdivision splits each
-    # initial square into at least 4 triangles, so N >= 4 cells (2(k+1) +
-    # n_int); checked before any cell of the grid exists
+    # the subdivision splits each initial square into at least 4 triangles,
+    # so N >= 4 cells times the flux dofs per triangle of build_V_h; checked
+    # before any cell of the grid exists
     cells = initial_grid(spec.domain, h0)[1]
-    least = 4 * cells * (2 * (cfg.k + 1) + (3 if cfg.k == 2 else 0))
+    least = 4 * cells * flux_dofs_per_triangle(cfg.k)
     if least > cfg.max_dofs:
         raise ConfigError(
             f"h0={h0} gives at least {cells} initial cells, so at least {least} "

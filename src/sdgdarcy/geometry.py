@@ -864,61 +864,59 @@ class RegularityReport:
 def check_regularity(mesh: PolygonalMesh) -> RegularityReport:
     """Exact regularity minima over all elements (deterministic)."""
     diam = mesh.element_diameters
+    cycles = np.split(mesh.cycles.vertex, mesh.cycles.offsets[1:-1])
+    rho_s = min(_inscribed_radius(mesh.vertices[cyc], mesh.tolerance) / d for cyc, d in zip(cycles, diam))
     return RegularityReport(
-        rho_S=float((_inscribed_radii(mesh) / diam).min()),
+        rho_S=float(rho_s),
         rho_E=mesh.rho_E,
         h_max=float(diam.max()),
         h_min=float(diam.min()),
     )
 
 
-def _inscribed_radii(mesh: PolygonalMesh) -> np.ndarray:
-    """Largest inscribed ball radius of every (CCW) polygon, (n_elements,).
+def _inscribed_radius(pts: np.ndarray, tol: float) -> float:
+    """Largest inscribed ball radius of a CCW polygon.
 
-    Exact for convex polygons: the optimum of the Chebyshev LP sits on three
-    active edge lines, so all triples of edges are solved, one batched 3x3
-    system per vertex count, and the largest feasible radius is taken.
-    Non-convex elements fall back to a sampled lower bound.
+    Exact for convex polygons (optimum of the Chebyshev LP sits on three
+    active edge lines; all triples are enumerated). Non-convex elements
+    fall back to a sampled lower bound.
     """
-    cyc, tol = mesh.cycles, mesh.tolerance
-    radius = np.zeros(mesh.n_elements)
-    for n in np.unique(cyc.lengths):
-        polys = np.flatnonzero(cyc.lengths == n)
-        pts = mesh.vertices[cyc.vertex[cyc.offsets[polys][:, None] + np.arange(n)]]  # (np, n, 2)
-        e = np.roll(pts, -1, axis=1) - pts
-        elen = np.hypot(e[..., 0], e[..., 1])
-        inward = np.stack([-e[..., 1], e[..., 0]], axis=-1) / elen[..., None]
-        b = np.einsum("pij,pij->pi", inward, pts)
-        cross = e[..., 0] * np.roll(e[..., 1], -1, axis=1) - e[..., 1] * np.roll(e[..., 0], -1, axis=1)
-        convex = np.all(cross >= -tol * elen * np.roll(elen, -1, axis=1), axis=1)
-        for p in np.flatnonzero(~convex):
-            radius[polys[p]] = _sampled_radius(pts[p], e[p], elen[p])
-
-        # A x = b over every edge triple (np, nt, 3, 3); x = (centre, r)
-        triples = np.array(list(itertools.combinations(range(n), 3)))
-        A = np.full((polys.size, triples.shape[0], 3, 3), -1.0)
-        A[..., :2] = inward[:, triples]
-        scale = elen.max(axis=1)[:, None]
-        solvable = convex[:, None] & ~(np.abs(np.linalg.det(A)) < 1e-14 * scale)
-        p, t = np.nonzero(solvable)
-        x = np.linalg.solve(A[p, t], b[p[:, None], triples[t]][..., None])[..., 0]
-        r = x[:, 2]
-        slack = (inward[p] @ x[:, :2, None])[..., 0] - b[p]
-        feasible = (r > 0) & np.all(slack >= (r - 1e-9 * scale[p, 0])[:, None], axis=1)
-        np.maximum.at(radius, polys[p[feasible]], r[feasible])
-    return radius
-
-
-def _sampled_radius(pts: np.ndarray, e: np.ndarray, elen: np.ndarray) -> float:
-    """Lower bound on the inscribed ball radius of a non-convex polygon: the
-    least distance to the boundary segments, maximised over a fan of points
-    between the vertex centroid and the vertices."""
-    c = pts.mean(axis=0)
+    n = pts.shape[0]
+    e = np.roll(pts, -1, axis=0) - pts
+    elen = np.hypot(e[:, 0], e[:, 1])
+    inward = np.column_stack([-e[:, 1], e[:, 0]]) / elen[:, None]
+    b = np.einsum("ij,ij->i", inward, pts)
+    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+    convex = np.all(cross >= -tol * elen * np.roll(elen, -1))
+    if not convex:
+        # sampled lower bound: min distance to boundary segments over a fan
+        # of points between the vertex centroid and the vertices
+        c = pts.mean(axis=0)
+        best = 0.0
+        for lam in np.linspace(0.0, 0.9, 8):
+            for q in c + lam * (pts - c):
+                d = q - pts
+                t = np.clip((d * e).sum(axis=1) / (elen * elen), 0.0, 1.0)
+                foot = pts + t[:, None] * e
+                best = max(best, float(np.hypot(*(q - foot).T).min()))
+        return best
+    scale = elen.max()
     best = 0.0
-    for lam in np.linspace(0.0, 0.9, 8):
-        for q in c + lam * (pts - c):
-            d = q - pts
-            t = np.clip((d * e).sum(axis=1) / (elen * elen), 0.0, 1.0)
-            foot = pts + t[:, None] * e
-            best = max(best, float(np.hypot(*(q - foot).T).min()))
-    return best
+    for i, j, k in itertools.combinations(range(n), 3):
+        A = np.array(
+            [
+                [inward[i, 0], inward[i, 1], -1.0],
+                [inward[j, 0], inward[j, 1], -1.0],
+                [inward[k, 0], inward[k, 1], -1.0],
+            ]
+        )
+        det = np.linalg.det(A)
+        if abs(det) < 1e-14 * scale:
+            continue
+        x = np.linalg.solve(A, np.array([b[i], b[j], b[k]]))
+        r = x[2]
+        if r <= best:
+            continue
+        if np.all(inward @ x[:2] - b >= r - 1e-9 * scale):
+            best = r
+    return float(best)

@@ -387,6 +387,13 @@ class FluxSpace:
         return lagrange_1d(self.gauss_ts, np.asarray(ts, dtype=float))
 
 
+def flux_dofs_per_triangle(k: int) -> int:
+    """Flux dofs per triangle in `build_V_h`'s numbering: the k+1 of its
+    primal side, the k+1 of one dual edge (it has two sides on dual edges,
+    each shared with one neighbour) and the 3 interior moments at k=2."""
+    return 2 * (k + 1) + (3 if k == 2 else 0)
+
+
 def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
     """Number the flux dofs and derive each triangle's transform C_t.
 
@@ -407,7 +414,7 @@ def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
     k = config.k
     k1 = k + 1
     ts = edge_rule(2 * k + 1).points  # the k+1 Gauss points
-    n_int = 3 if k == 2 else 0
+    n_int = flux_dofs_per_triangle(k) - 2 * k1  # interior moments
     nloc = 3 * k1 + n_int
     nt = sub.n_triangles
     n_primal = sub.n_edges - nt  # one dual edge per triangle, numbered last
@@ -423,7 +430,7 @@ def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
             (sub.tri_edges[:, l, None] - n_primal) * k1 + np.arange(k1)
         )
     tri_dofs[:, 3 * k1 :] = own + k1 + np.arange(n_int)
-    ndof = nt * (2 * k1 + n_int)
+    ndof = nt * flux_dofs_per_triangle(k)
     side, flip = _tri_sides(sub)
 
     def transforms(tris):

@@ -80,55 +80,6 @@ def hanging(mesh) -> tuple:
     return tuple(frozenset(itertools.compress(v[a:b], h[a:b])) for a, b in zip(o[:-1], o[1:]))
 
 
-def inscribed_radius(pts, tol):
-    """Largest inscribed ball radius of a CCW polygon, one polygon at a
-    time: the oracle for `geometry._inscribed_radii`.
-
-    Exact for convex polygons (optimum of the Chebyshev LP sits on three
-    active edge lines; all triples are enumerated). Non-convex elements
-    fall back to a sampled lower bound.
-    """
-    n = pts.shape[0]
-    e = np.roll(pts, -1, axis=0) - pts
-    elen = np.hypot(e[:, 0], e[:, 1])
-    inward = np.column_stack([-e[:, 1], e[:, 0]]) / elen[:, None]
-    b = np.einsum("ij,ij->i", inward, pts)
-    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-    convex = np.all(cross >= -tol * elen * np.roll(elen, -1))
-    if not convex:
-        # sampled lower bound: min distance to boundary segments over a fan
-        # of points between the vertex centroid and the vertices
-        c = pts.mean(axis=0)
-        best = 0.0
-        for lam in np.linspace(0.0, 0.9, 8):
-            for q in c + lam * (pts - c):
-                d = q - pts
-                t = np.clip((d * e).sum(axis=1) / (elen * elen), 0.0, 1.0)
-                foot = pts + t[:, None] * e
-                best = max(best, float(np.hypot(*(q - foot).T).min()))
-        return best
-    scale = elen.max()
-    best = 0.0
-    for i, j, k in itertools.combinations(range(n), 3):
-        A = np.array(
-            [
-                [inward[i, 0], inward[i, 1], -1.0],
-                [inward[j, 0], inward[j, 1], -1.0],
-                [inward[k, 0], inward[k, 1], -1.0],
-            ]
-        )
-        det = np.linalg.det(A)
-        if abs(det) < 1e-14 * scale:
-            continue
-        x = np.linalg.solve(A, np.array([b[i], b[j], b[k]]))
-        r = x[2]
-        if r <= best:
-            continue
-        if np.all(inward @ x[:2] - b >= r - 1e-9 * scale):
-            best = r
-    return float(best)
-
-
 # -- physical bases and interpolants of the spaces --------------------------
 
 
@@ -370,10 +321,9 @@ def reduced_system_full_dofs(mesh, spec, config):
     C is the free rows and columns of sp.bmat([[C_pp, C_pw], [C_pw^T,
     C_ww]]) over all (p, p_gamma) dofs, with C_ww the coupling plus the
     stiffness, and the (p, p_gamma) rows of the rhs are lifted by that
-    matrix times the full Dirichlet vector.  The polygon blocks are
-    scattered through an owner and a local-index table over all flux dofs.
-    Returns (blocks, C, rhs), with blocks one (polygons, flux, cols, M, G)
-    per triangle count.
+    matrix times the full Dirichlet vector.  The polygon blocks and the
+    lifts are those of `polygon_blocks_every`.  Returns (blocks, C, rhs),
+    with blocks one (polygons, flux, cols, M, G) per triangle count.
     """
     sub = mesh.subdivision
     S, V, W = build_spaces(mesh, spec, config)
@@ -388,11 +338,26 @@ def reduced_system_full_dofs(mesh, spec, config):
     ycol = np.full(nS + W.ndof, ny)
     ycol[y_free] = np.arange(ny)
 
+    blocks, lift = polygon_blocks_every(sub, V, S, K_elem, p_dir, ycol)
+
+    rhs = np.empty(nV + ny)
+    rhs[:nV] = rhs_full[:nV] - np.bincount(V.tri_dofs.ravel(), lift.ravel(), minlength=nV)
+    C_full = sp.bmat([[C_pp, C_pw], [C_pw.T, C_ww]], format="csr")
+    rhs[nV:] = (rhs_full[nV:] - C_full @ np.concatenate([p_dir, w_dir]))[y_free]
+    return blocks, C_full[y_free][:, y_free], rhs
+
+
+def polygon_blocks_every(sub, V, S, K_elem, p_dir, ycol):
+    """The polygon blocks of `assembly._polygon_blocks` with every polygon
+    computed, no class and no cache, scattered through an owner and a
+    local-index table over all flux dofs: the oracle for its local patterns
+    and its classes.  Returns one (polygons, flux, cols, M, G) per triangle
+    count, and the lifts p_dir^T B_t, (nt, nloc)."""
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
     primal = _SIDE_NODES[S.k][0]
     off = np.setdiff1d(np.arange(ns), primal)
-    offsets = mesh.cycles.offsets
+    offsets = sub.mesh.cycles.offsets
     counts = np.diff(offsets)
     owner = np.empty(V.ndof, dtype=np.int64)
     local = np.empty(V.ndof, dtype=np.int64)
@@ -406,7 +371,7 @@ def reduced_system_full_dofs(mesh, spec, config):
         groups.append((polys, t0 + np.arange(n), flux))
     assert np.array_equal(owner[V.tri_dofs], np.broadcast_to(sub.tri_polygon[:, None], V.tri_dofs.shape))
 
-    blocks = []
+    out = []
     lift = np.empty((nt, V.nloc))
     for polys, tris, flux in groups:
         npoly, n, b = polys.size, tris.shape[1], flux.shape[1]
@@ -426,52 +391,6 @@ def reduced_system_full_dofs(mesh, spec, config):
         G = np.bincount(
             ((base + li[..., None, :]) * m + pcol[:, :, None]).ravel(), B_t.ravel(), minlength=npoly * b * m
         )
-        G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
-        lift[tris.ravel()] = (p_dir[S.tri_dofs[tris.ravel()]][:, None, :] @ B_t)[:, 0]
-        blocks.append((polys, flux, ycol[pdofs], M.reshape(npoly, b, b), G))
-
-    rhs = np.empty(nV + ny)
-    rhs[:nV] = rhs_full[:nV] - np.bincount(V.tri_dofs.ravel(), lift.ravel(), minlength=nV)
-    C_full = sp.bmat([[C_pp, C_pw], [C_pw.T, C_ww]], format="csr")
-    rhs[nV:] = (rhs_full[nV:] - C_full @ np.concatenate([p_dir, w_dir]))[y_free]
-    return blocks, C_full[y_free][:, y_free], rhs
-
-
-def polygon_blocks_every(sub, V, S, K_elem, p_dir, ycol):
-    """The polygon blocks of `assembly._polygon_blocks` with every polygon
-    computed, no class and no cache: the oracle for its classes.  Returns
-    one (polygons, flux, cols, M, G) per triangle count, and the lifts
-    p_dir^T B_t, (nt, nloc)."""
-    k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
-    n_own = V.nloc - 2 * k1
-    primal = _SIDE_NODES[S.k][0]
-    off = np.setdiff1d(np.arange(ns), primal)
-    offsets = sub.mesh.cycles.offsets
-    counts = np.diff(offsets)
-    out = []
-    lift = np.empty((nt, V.nloc))
-    for n in np.unique(counts):
-        i, j = np.arange(n)[:, None], np.arange(k1)
-        own = n * k1 + n_own * i
-        pattern = np.hstack([own + j, k1 * ((i + 1) % n) + j, k1 * i + j, own + k1 + np.arange(n_own - k1)])
-        b, m = n * (k1 + n_own), n * ns
-        pcol = np.empty((n, ns), dtype=np.int64)
-        pcol[:, primal] = np.arange(n * k1).reshape(n, k1)
-        pcol[:, off] = n * k1 + np.arange(n * off.size).reshape(n, -1)
-        mbin = pattern[:, :, None] * b + pattern[:, None, :]
-        gbin = pattern[:, None, :] * m + pcol[:, :, None]
-        polys = np.flatnonzero(counts == n)
-        npoly = polys.size
-        t0 = offsets[polys][:, None]
-        tris = t0 + np.arange(n)
-        flux = np.hstack([k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)])
-        pdofs = np.empty((npoly, m), dtype=np.int64)
-        pdofs[:, pcol] = S.tri_dofs[tris]
-        M_t = assemble_mass(sub, V, K_elem, tris.ravel())
-        B_t = assemble_bh(sub, V, S, tris.ravel())
-        base = np.arange(npoly)[:, None, None, None]
-        M = np.bincount((base * (b * b) + mbin).ravel(), M_t.ravel(), minlength=npoly * b * b)
-        G = np.bincount((base * (b * m) + gbin).ravel(), B_t.ravel(), minlength=npoly * b * m)
         G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs][:, None, :]
         lift[tris.ravel()] = (p_dir[S.tri_dofs[tris.ravel()]][:, None, :] @ B_t)[:, 0]
         out.append((polys, flux, ycol[pdofs], M.reshape(npoly, b, b), G))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.errors import EmptyDomain, FractureNotAligned, MeshError, NotStarShaped
 from sdgdarcy.geometry import (
@@ -17,15 +16,14 @@ from sdgdarcy.geometry import (
     DomainSpec,
     PolygonalMesh,
     _closure,
-    _inscribed_radii,
     build_initial_mesh,
-    initial_grid,
     check_regularity,
+    initial_grid,
     refine,
     subdivide,
 )
 
-from conftest import doerfler_refinements, hanging, inscribed_radius, make_fracture, polygons
+from conftest import doerfler_refinements, hanging, make_fracture, polygons
 
 
 def test_two_square_fracture_counts(two_square_fractured):
@@ -164,41 +162,6 @@ def test_sliver_flagged():
     rep = check_regularity(mesh)
     assert rep.rho_S < 0.2
     assert not rep.ok(rho_S_floor=0.2)
-
-
-@pytest.mark.parametrize("name,times", [("case2", 8), ("multifrac", 4), ("lshape", 4)])
-def test_inscribed_radii_bit_equal_to_polygon_loop(name, times):
-    """The batched inscribed radii, and so rho_S, equal the polygon-by-polygon
-    enumeration bit for bit after seeded Doerfler refinements (case2: the
-    2,150-polygon mesh the loop took 0.7 s on)."""
-    spec, _, h0 = get_benchmark(name)
-    mesh = build_initial_mesh(spec.domain, h0)
-    rng = np.random.default_rng(4)
-    for _ in range(times):
-        mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
-    assert len(set(mesh.cycles.lengths.tolist())) > 2
-    want = [inscribed_radius(mesh.vertices[list(cyc)], mesh.tolerance) for cyc in polygons(mesh)]
-    assert np.array_equal(_inscribed_radii(mesh), want)
-    assert check_regularity(mesh).rho_S == min(r / d for r, d in zip(want, mesh.element_diameters))
-
-
-def test_inscribed_radius_nonconvex_falls_back_to_samples():
-    """A non-convex hexagon takes the sampled lower bound, below its exact
-    radius 2 - sqrt(2), a convex one of the same vertex count the exact
-    radius."""
-    verts = np.array([
-        [0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0],
-        [3.0, 0.0], [4.0, 0.0], [5.0, 1.0], [4.0, 2.0], [3.0, 2.0], [2.5, 1.0],
-    ])
-    mesh = PolygonalMesh(
-        vertices=verts,
-        cycles=CycleTable.from_polygons([range(6), range(6, 12)]),
-        fractures=(),
-        tolerance=1e-10,
-    )
-    want = [inscribed_radius(verts[list(cyc)], mesh.tolerance) for cyc in polygons(mesh)]
-    assert np.array_equal(_inscribed_radii(mesh), want)
-    assert 0.0 < want[0] < 2.0 - math.sqrt(2.0) and want[1] > 0.0
 
 
 def test_initial_grid_bounds_the_union_by_its_largest_rectangle():

@@ -53,16 +53,16 @@ def _check_blocks(args):
 
 @pytest.mark.parametrize("name,k", [("case1-a0.1", 2), ("case2", 1), ("multifrac", 2), ("lshape", 1)])
 def test_classes_bit_equal_to_every_polygon(name, k):
-    """Every `PolygonBlocks` array, the lifts and every condensation output
-    equal the polygon-by-polygon oracle after three seeded Doerfler
-    refinements with hanging nodes; on case1 the classes engage."""
+    """Every condensation output equals the polygon-by-polygon oracle after
+    three seeded Doerfler refinements with hanging nodes; on case1 the
+    classes engage.  The polygon blocks and the lifts are held to the same
+    oracle by `test_system_bit_equal_to_full_dof_path`."""
     spec, mesh = _refined(name)
-    blocks = _check_blocks(_inputs(mesh, spec, k))
-    n_classes = sum(int(g.classes.max()) + 1 for g in blocks)
+    system = assemble_system(mesh, spec, SpaceConfig(k))
+    n_classes = sum(int(g.classes.max()) + 1 for g in system.blocks)
     if name == "case1-a0.1":
         assert n_classes < mesh.n_elements
 
-    system = assemble_system(mesh, spec, SpaceConfig(k))
     cache = BlockCache()
     _Condensed(system, cache)
 
