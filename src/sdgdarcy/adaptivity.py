@@ -7,58 +7,54 @@ by lower element id).  Uniform mode refines every element and ignores theta.
 
 Reuse.  `amr_loop` creates one `BlockCache` and passes it to
 `build_spaces`, `assemble_system`, `solve_system` and `compute_estimator`.
-`refine` copies each polygon that is not marked, not added by closure and
-has no side split into the next mesh unchanged, with the same vertex ids,
-cycle order and hanging flags, and records its old id in `kept_from`.  For
-such a kept polygon the stages take from the cache:
 
-* the flux transforms C_t of its triangles (`build_V_h`);
-* its blocks M_P and G_P, and the Dirichlet lifts p_dir^T B_t of its
-  triangles (`assemble_system`); the triangle blocks M_t and B_t are
-  computed only for the other polygons and are not kept;
-* its whole condensation: M_P^-1 [G_P | f_P], S_II^-1, H and R_P (`solve`);
-* the bulk source at the points of the 2k+2 and 2k+12 rules on its
-  triangles.  The load vector and the estimator share the first; the
-  mapped weights are recomputed, which is as fast as carrying them.
+Per triangle, the cache carries by identity.  `refine` copies each polygon
+that is not marked, not added by closure and has no side split into the
+next mesh unchanged, with the same vertex ids, cycle order and hanging
+flags, and records its old id in `kept_from`.  For the triangles of such a
+kept polygon the stages take from the cache the flux transforms C_t
+(`build_V_h`) and the bulk source at the points of the 2k+2 and 2k+12
+rules; the load vector and the estimator share the first, and the mapped
+weights are recomputed, which is as fast as carrying them.  C_t depends only
+on the triangle's vertex coordinates, the order of their ids (the flip
+flags) and the side of each edge it lies on, which an unchanged cycle fixes:
+an edge's orientation follows its vertex ids, or its fracture segment.  The
+source depends on absolute position, so it is carried by identity only.
 
-The key is the cycle.  Each carried array depends only on the coordinates
-of the polygon's cycle vertices, the order of their ids (the flip flags),
-the side of each edge its triangles lie on, K and the region at its vertex
-centroid, and the Dirichlet data of its boundary edges.  An unchanged
-cycle fixes all of these: an edge's orientation follows its vertex ids, or
-its fracture segment, so the side a triangle lies on follows from the
-triangle's own position, and boundary rules read edge midpoints.
+Per polygon, the cache carries by class.  Refinement of the uniform initial
+grid leaves mostly congruent squares and a few hanging-node polygons, so
+many polygons have identical inputs, on one mesh and from one mesh to the
+next.  `assemble_system` keys every polygon by the bytes of one row: per
+triangle the flip flags and sides, the edge lengths, the Jacobian, area and
+diameter (the inputs of C_t, M_t and B_t), then K and the Dirichlet mask
+and data at the polygon's local pressures.  Polygons of equal rows form a
+class, whose label stays with it from mesh to mesh.  The cache keeps M_P,
+G_P and the lifts p_dir^T B_t of each class the previous mesh used, and
+M_t, B_t and these are computed once for each class it lacks.  The solve
+keys the condensation, M_P^-1 [G_P | f_P], S_II^-1, H and R_P, on (label,
+f_P) the same way.  A kept polygon keeps its row, so its class is found;
+so is a new polygon congruent to one of the previous mesh.  The cache
+holds the arrays it returned, which the system holds anyway, with the
+first row of each class.
 
-The result is bit-equal to building every iteration from scratch.  Each
-carried row comes from elementwise arithmetic, a batched matmul, solve or
-inverse, or a bincount within one polygon, whose result for one item does
-not depend on the other items in the batch.  Global sums keep their order.
-Per-triangle arrays are merged back in triangle order.  Per-polygon arrays
-come in two chunks per triangle count, the carried rows and the new ones,
-and every global sum over them still adds one bincount per triangle count;
-a bincount inside one count adds at most two terms per entry, so the order
-of the rows inside a count does not change it (see `LinearSystem.groups`).
-One batched product is not row-independent: a 2-D GEMM gives the columns
-in the tail of its batch other bits.  So the oscillation carries only its
-source values and projects on all triangles at once.
+The result is bit-equal to computing every polygon on every iteration.
+Each carried or shared row comes from elementwise arithmetic, a batched
+matmul, solve or inverse, or a bincount within one polygon, whose result
+for one item does not depend on the other items in the batch.  Global sums
+keep their order.  Per-triangle arrays are merged back in triangle order.
+The polygons of one triangle count form one block, and every global sum
+over the blocks adds one bincount per count; a bincount inside one count
+adds at most two terms per entry, so the order of the rows inside a count
+does not change it.  One batched product is not row-independent: a 2-D
+GEMM gives the columns in the tail of its batch other bits.  So the
+oscillation carries only its source values and projects on all triangles
+at once.
 
-The cache holds the arrays of one mesh.  On its refinement it keeps the
-rows of the kept polygons and drops the others, so it holds at most one
-iteration's blocks.  A stage called without a cache starts from an empty
-one, which computes every row.
-
-Classes.  Refinement of the uniform initial grid leaves mostly congruent
-squares and a few hanging-node polygons, so among the polygons a stage has
-to compute, many have identical inputs.  `assemble_system` groups each
-computed chunk into classes by the bytes of a key row per polygon: per
-triangle the flip flags and sides, the edge lengths, the Jacobian, area
-and diameter (the inputs of C_t, M_t and B_t), then K and the Dirichlet
-mask and data at the polygon's local pressures.  M_t, B_t, M_P, G_P and
-the lifts are computed for one polygon per class, and the solve condenses
-one polygon per (class, f_P).  By the same row independence as the reuse,
-this is bit-equal to computing every polygon.  A label holds only for the
-chunk it was computed on; a carried chunk mixes rows of several chunks of
-the previous mesh, so there every polygon is its own class.
+The cache holds the per-triangle arrays of one mesh and the classes used on
+it.  On its refinement it keeps the rows of the kept polygons' triangles
+and drops the rest; the classes of the previous mesh stay until the stage
+that uses them replaces them with those of the new one.  A stage called
+without a cache starts from an empty one, which computes every class once.
 """
 
 from __future__ import annotations
@@ -121,8 +117,7 @@ class AmrConfig:
             raise ConfigError(f"theta={self.theta} outside (0, 1]")
         if self.mode not in (ADAPTIVE, UNIFORM):
             raise ConfigError(f"mode={self.mode!r} not one of {ADAPTIVE!r}, {UNIFORM!r}")
-        if self.k < 1:
-            raise ConfigError(f"k={self.k} must be at least 1")
+        SpaceConfig(self.k)  # the supported orders live there
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if self.max_dofs < 1:
@@ -188,10 +183,11 @@ def amr_loop(
     Stops on max_iterations, on a refinement that would exceed max_dofs
     (counted from the spaces, so the over-budget mesh is neither assembled
     nor solved), or on all-zero indicators.  A singular system is recorded
-    in `failure` and halts the loop.  One `BlockCache` carries the blocks
-    of the polygons `refine` keeps from each iteration to the next.  When given, callback(record, mesh,
-    sol, breakdown, system) runs after each record is appended; exporters
-    hook in here.
+    in `failure` and halts the loop.  One `BlockCache` carries the
+    arrays of kept triangles and of the previous mesh's polygon classes from
+    each iteration to the next.  When given, callback(record, mesh, sol,
+    breakdown, system) runs after each record is appended; exporters hook in
+    here.
     """
     history = ConvergenceHistory(config=config)
     nan = float("nan")

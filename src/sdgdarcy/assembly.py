@@ -21,7 +21,6 @@ zero boundary trace.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +31,7 @@ from .errors import SolverError
 from .geometry import PolygonalMesh, Subdivision, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, mapped_weights, triangle_rule
-from .reuse import BlockCache, group_rows
+from .reuse import BlockCache
 from .spaces import (
     FluxSpace,
     FracturePressureSpace,
@@ -44,6 +43,8 @@ from .spaces import (
     _SIDE_NODES,
     _tri_sides,
 )
+
+_SLICE = 256  # polygons per product in `LinearSystem.matvec`
 
 
 def _flat(triplets):
@@ -259,18 +260,17 @@ def dirichlet_values(sub: Subdivision, spec: ProblemSpec, S: PressureSpace, W: F
 
 @dataclass(frozen=True)
 class PolygonBlocks:
-    """Dense flux blocks of a chunk of polygons that have n triangles each.
+    """Dense flux blocks of the polygons that have n triangles each, in
+    ascending order.
 
-    The polygons of one count come in at most two chunks: those carried
-    from the previous mesh, in the cache's order, and the others, ascending.
     Each polygon has b = n (2k + 2 + n_int) flux dofs and m = n ns local
     pressures: first the n_skeleton = n (k+1) nodes on the primal sides
     (side 0) of its triangles, then the nodes off them, which no other
     polygon shares; each part in triangle order, local node order within.
 
     Polygons of one class have bit-equal M_P, G_P and lifts, computed once
-    (see `_polygon_blocks`).  A label holds only within its chunk; in a
-    chunk carried from the previous mesh every polygon is its own class.
+    (see `_polygon_blocks`); a label names one class on every mesh of a
+    loop.
     """
 
     polygons: np.ndarray  # (npoly,) polygon ids
@@ -279,7 +279,7 @@ class PolygonBlocks:
     M: np.ndarray  # (npoly, b, b) flux mass blocks M_P
     G: np.ndarray  # (npoly, b, m) G_P = B_P^T, zero in constrained columns
     n_skeleton: int  # the primal-side columns come first
-    classes: np.ndarray  # (npoly,) class label of each polygon within this chunk
+    classes: np.ndarray  # (npoly,) class label of each polygon
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ class LinearSystem:
     matrix `A` is built from them only when asked for.
     """
 
-    blocks: tuple  # PolygonBlocks, one or two chunks per triangle count, by count
+    blocks: tuple  # PolygonBlocks, one per triangle count, by count
     C: sp.csr_matrix  # interface and fracture block over free y
     rhs: np.ndarray
     offsets: tuple  # (0, nV, nV + nS_free, n_total)
@@ -308,14 +308,6 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.offsets[3]
-
-    @cached_property
-    def groups(self) -> list:
-        """The blocks by triangle count, each a list of chunks.  Global sums
-        over blocks add one bincount per count, as a single chunk per count
-        would: a pressure dof lies in at most two polygons, so the order of
-        the rows within a count does not change a sum."""
-        return [list(g) for _, g in itertools.groupby(self.blocks, key=lambda g: g.n_skeleton)]
 
     @property
     def nnz(self) -> int:
@@ -345,16 +337,19 @@ class LinearSystem:
         out = np.empty_like(x, dtype=float)
         out[nV:] = C @ y
         y0 = np.append(y, 0.0)  # constrained local pressures read zero
-        for group in self.groups:
-            gtu = []
-            for g in group:
-                M, G = (np.abs(g.M), np.abs(g.G)) if absolute else (g.M, g.G)
-                uP = u[g.flux]
-                out[g.flux] = (M @ uP[..., None] + G @ y0[g.cols][..., None])[..., 0]
-                gtu.append((uP[:, None, :] @ G)[:, 0].ravel())
-            out[nV:] += (1.0 if absolute else -1.0) * np.bincount(
-                np.concatenate([g.cols.ravel() for g in group]), np.concatenate(gtu), minlength=ny + 1
-            )[:ny]
+        for g in self.blocks:
+            uP = u[g.flux]
+            gtu = np.empty((uP.shape[0], g.G.shape[2]))
+            # a slice of polygons at a time, so that |M| and |G| are copied in
+            # small pieces; every row's product is its own
+            for s in range(0, uP.shape[0], _SLICE):
+                p = slice(s, s + _SLICE)
+                M, G = (np.abs(g.M[p]), np.abs(g.G[p])) if absolute else (g.M[p], g.G[p])
+                out[g.flux[p]] = (M @ uP[p, :, None] + G @ y0[g.cols[p]][..., None])[..., 0]
+                gtu[p] = (uP[p, None, :] @ G)[:, 0]
+            # a pressure dof lies in at most two polygons, so the row order
+            # of a block does not change a bin's sum
+            out[nV:] += (1.0 if absolute else -1.0) * np.bincount(g.cols.ravel(), gtu.ravel(), minlength=ny + 1)[:ny]
         return out
 
     def expand(self, x: np.ndarray) -> "DiscreteSolution":
@@ -475,7 +470,7 @@ def free_unknowns(spaces) -> int:
 
 
 def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_dir, ycol, cache: BlockCache):
-    """Dense polygon blocks in chunks by size (see `PolygonBlocks`), and
+    """Dense polygon blocks, one `PolygonBlocks` per triangle count, and
     the Dirichlet lifts p_dir^T B_t, (nt, nloc).
 
     Triangle t is cycle slot t, so polygon p owns triangles t0:t1 =
@@ -490,8 +485,8 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     Its local pressures are the primal-side nodes of its triangles, then
     the rest (see `PolygonBlocks`).  `ycol` maps pressure dofs to their
     index in y.  The triangle blocks, and from them M_P, G_P and the lifts,
-    are computed only for polygons `cache` does not carry, and among those
-    once per class of polygons with identical inputs (see `adaptivity`).
+    are computed once per class of polygons with identical inputs, and only
+    for the classes `cache` lacks (see `adaptivity`).
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
@@ -513,59 +508,56 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
         # the bincount bins of the triangle blocks within one polygon
         mbin = pattern[:, :, None] * b + pattern[:, None, :]  # (n, nloc, nloc)
         gbin = pattern[:, None, :] * m + pcol[:, :, None]  # (n, ns, nloc)
-        for polys in cache.split(sub.mesh, "polygon blocks", np.flatnonzero(counts == n)):
-            t0 = offsets[polys][:, None]
-            tris = t0 + np.arange(n)
-            flux = np.hstack([k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)])
-            got, want = V.tri_dofs[tris], flux[:, pattern]
-            stray = np.flatnonzero(got != want)
-            if stray.size:
-                s, t = stray[0], tris.flat[stray[0] // V.nloc]
-                raise SolverError(
-                    f"flux dof {got.flat[s]} of triangle {t} leaves its polygon "
-                    f"{sub.tri_polygon[t]}'s layout, which puts dof {want.flat[s]} there"
-                )
-            pdofs = np.empty((polys.size, m), dtype=np.int64)
-            pdofs[:, pcol] = S.tri_dofs[tris]
+        polys = np.flatnonzero(counts == n)
+        t0 = offsets[polys][:, None]
+        tris = t0 + np.arange(n)
+        flux = np.hstack([k1 * t0 + np.arange(n * k1), nt * k1 + n_own * t0 + np.arange(n * n_own)])
+        got, want = V.tri_dofs[tris], flux[:, pattern]
+        stray = np.flatnonzero(got != want)
+        if stray.size:
+            s, t = stray[0], tris.flat[stray[0] // V.nloc]
+            raise SolverError(
+                f"flux dof {got.flat[s]} of triangle {t} leaves its polygon "
+                f"{sub.tri_polygon[t]}'s layout, which puts dof {want.flat[s]} there"
+            )
+        pdofs = np.empty((polys.size, m), dtype=np.int64)
+        pdofs[:, pcol] = S.tri_dofs[tris]
 
-            classes = np.arange(polys.size)  # unless gather runs, each polygon its own class
+        # One class per distinct key row, which holds every per-triangle and
+        # per-polygon input the kernels below read, and those of build_V_h's
+        # transforms C_t: any new input of them must join the key.  The
+        # kernels keep each row's bits whatever the rows beside it (see
+        # `adaptivity`), so a class computes once.
+        t = tris.ravel()
+        geometry = np.hstack([
+            flip[t],
+            side[t],
+            sub.edge_length[sub.tri_edges[t]],
+            sub.tri_jacobian[t].reshape(-1, 4),
+            sub.tri_area[t, None],
+            sub.tri_diameter[t, None],
+        ])
+        key = np.hstack([
+            geometry.reshape(polys.size, -1),
+            K_elem[polys].reshape(polys.size, -1),
+            S.dirichlet_mask[pdofs],
+            p_dir[pdofs],
+        ])
 
-            def gather():
-                # One class per distinct key row, which holds every per-triangle
-                # and per-polygon input the kernels below read, and those of
-                # build_V_h's transforms C_t: any new input of them must join
-                # the key.  The kernels keep each row's bits whatever the rows
-                # beside it (see `adaptivity`), so a class computes once.
-                nonlocal classes
-                t = tris.ravel()
-                geometry = np.hstack([
-                    flip[t],
-                    side[t],
-                    sub.edge_length[sub.tri_edges[t]],
-                    sub.tri_jacobian[t].reshape(-1, 4),
-                    sub.tri_area[t, None],
-                    sub.tri_diameter[t, None],
-                ])
-                key = np.hstack([
-                    geometry.reshape(polys.size, -1),
-                    K_elem[polys].reshape(polys.size, -1),
-                    S.dirichlet_mask[pdofs],
-                    p_dir[pdofs],
-                ])
-                first, classes = group_rows(key)
-                npoly, rep = first.size, tris[first].ravel()
-                M_t = assemble_mass(sub, V, K_elem, rep)
-                B_t = assemble_bh(sub, V, S, rep)
-                base = np.arange(npoly)[:, None, None, None]
-                M = np.bincount((base * (b * b) + mbin).ravel(), M_t.ravel(), minlength=npoly * b * b)
-                G = np.bincount((base * (b * m) + gbin).ravel(), B_t.ravel(), minlength=npoly * b * m)
-                G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs[first]][:, None, :]
-                lift_t = (p_dir[S.tri_dofs[rep]][:, None, :] @ B_t)[:, 0]
-                return M.reshape(npoly, b, b)[classes], G[classes], lift_t.reshape(npoly, n, -1)[classes]
+        def gather(rows):
+            npoly, rep = rows.size, tris[rows].ravel()
+            M_t = assemble_mass(sub, V, K_elem, rep)
+            B_t = assemble_bh(sub, V, S, rep)
+            base = np.arange(npoly)[:, None, None, None]
+            M = np.bincount((base * (b * b) + mbin).ravel(), M_t.ravel(), minlength=npoly * b * b)
+            G = np.bincount((base * (b * m) + gbin).ravel(), B_t.ravel(), minlength=npoly * b * m)
+            G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs[rows]][:, None, :]
+            lift_t = (p_dir[S.tri_dofs[rep]][:, None, :] @ B_t)[:, 0]
+            return M.reshape(npoly, b, b), G, lift_t.reshape(npoly, n, -1)
 
-            M, G, lift_P = cache.polygons(sub.mesh, "polygon blocks", polys, gather)
-            lift[tris.ravel()] = lift_P.reshape(-1, V.nloc)
-            out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1, classes))
+        classes, (M, G, lift_P) = cache.classes(sub.mesh, f"polygon blocks, {n} triangles", key, gather)
+        lift[t] = lift_P.reshape(-1, V.nloc)
+        out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1, classes))
     return out, lift
 
 
@@ -573,8 +565,8 @@ def assemble_system(
     mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, spaces=None, cache: BlockCache = None
 ) -> LinearSystem:
     """Reduced (u, p, p_gamma) system; `spaces` reuses a `build_spaces`
-    result, and `cache` carries the blocks of kept polygons (see
-    `adaptivity`)."""
+    result, and `cache` carries the blocks of the previous mesh's classes
+    (see `adaptivity`)."""
     sub = mesh.subdivision
     cache = BlockCache() if cache is None else cache
     S, V, W = build_spaces(mesh, spec, config, cache) if spaces is None else spaces

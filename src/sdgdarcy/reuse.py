@@ -1,57 +1,75 @@
-"""Per-triangle and per-polygon data carried from a mesh to its refinement.
+"""Per-triangle and per-class data carried from a mesh to its refinement.
 
 `refine` copies every polygon that it neither refines nor splits a side of
 unchanged into the new mesh, and `PolygonalMesh.kept_from` gives its old id.
-A `BlockCache` holds the arrays the stages computed on the mesh it was last
-used on.  When a stage asks for them on that mesh's refinement, the rows of
-the kept polygons come from the cache and the stage computes the others.
-See `adaptivity` for what is carried and why the result is bit-equal.
+A `BlockCache` holds the per-triangle arrays the stages computed on the mesh
+it was last used on.  When a stage asks for them on that mesh's refinement,
+the rows of the kept polygons' triangles come from the cache and the stage
+computes the others.
+
+Per-polygon arrays are carried by content instead: a stage keys every
+polygon on all inputs of its arrays, polygons of equal keys form a class,
+and the cache holds the arrays of the classes its last call on the previous
+mesh used, so only the classes it lacks are computed.  See `adaptivity` for
+what is carried and why the result is bit-equal.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+def _row_bytes(key: np.ndarray) -> list:
+    """The bytes of each row of `key` (n, w)."""
+    return np.ascontiguousarray(key).view(np.dtype((np.void, key.dtype.itemsize * key.shape[1])))[:, 0].tolist()
 
 
 def group_rows(key: np.ndarray):
     """(first, label): the rows of `key` (n, w) grouped by byte equality,
-    so -0.0 and 0.0 stay apart; `first` holds the first row of each class
-    and label[i] is the class of row i, key[first[label]] == key."""
-    rows = np.ascontiguousarray(key).view(np.dtype((np.void, key.dtype.itemsize * key.shape[1])))[:, 0]
-    _, first, label = np.unique(rows, return_index=True, return_inverse=True)
-    return first, label.ravel()
+    so -0.0 and 0.0 stay apart, with the classes in order of appearance;
+    `first` holds the first row of each class and label[i] is the class of
+    row i, key[first[label]] == key."""
+    index = {}  # hashing the row bytes is faster than sorting them
+    label = np.fromiter((index.setdefault(r, len(index)) for r in _row_bytes(key)), dtype=np.int64, count=key.shape[0])
+    return np.unique(label, return_index=True)[1], label
 
 
 class BlockCache:
     """Arrays of one mesh, kept for its refinement.
 
-    Each name holds a tuple of arrays with one row per triangle, or, per
-    triangle count n, with one row per polygon of a chunk: a list of
-    polygons with n triangles.  On the refinement of the mesh, the rows of
-    the kept polygons of all chunks of one count become one carried chunk,
-    and everything else is dropped.  An empty cache carries nothing.  A name
-    must stand for the same computation on every mesh, so one cache serves
-    one loop: one problem at one order.
+    Each per-triangle name holds a tuple of arrays with one row per
+    triangle; on the refinement of the mesh, the rows of the kept polygons'
+    triangles are carried and the rest dropped.  Each per-class name holds
+    the classes of its last call: their keys, their labels and the arrays
+    that call returned, which the caller holds anyway.  A call replaces
+    them, so a name holds the classes of one mesh.  An empty cache carries
+    nothing.  A name must stand for the same computation on every mesh, so
+    one cache serves one loop: one problem at one order, and a system is
+    solved with the cache it was assembled with, whose labels it holds.
     """
 
     def __init__(self):
         self.mesh = None
         self._kept = None  # (n_elements,) bool: polygon carried from the previous mesh
         self._triangles = {}  # name -> arrays on self.mesh
-        self._chunks = {}  # (name, n) -> [(polygon ids, arrays)] on self.mesh
         self._carried_triangles = {}  # name -> rows of the kept polygons' triangles
-        self._carried_chunks = {}  # (name, n) -> (polygon ids, arrays) of the kept polygons
+        self._classes = {}  # name -> (key bytes -> class, labels, arrays, row of each class in arrays)
+        self._labels = itertools.count()  # a label means one class to this cache only
 
     def _bind(self, mesh) -> None:
-        """Make `mesh` current: carry the rows of its kept polygons, drop the rest."""
+        """Make `mesh` current: carry the rows of its kept polygons' triangles,
+        drop the rest."""
         if mesh is self.mesh:
             return
         old, self.mesh = self.mesh, mesh
         self._kept = mesh.kept_from >= 0
         if old is None or mesh.parent is not old:
             self._kept[:] = False
-        triangles, chunks = self._triangles, self._chunks
-        self._triangles, self._chunks, self._carried_triangles, self._carried_chunks = {}, {}, {}, {}
+        triangles, self._triangles, self._carried_triangles = self._triangles, {}, {}
         if not self._kept.any():
             return
         new_id = np.full(old.n_elements, -1)
@@ -59,20 +77,6 @@ class BlockCache:
         sel = new_id[old.cycles.polygon] >= 0
         for name, arrays in triangles.items():
             self._carried_triangles[name] = tuple(a[sel] for a in arrays)
-        for key, parts in chunks.items():
-            rows = [np.flatnonzero(new_id[ids] >= 0) for ids, _ in parts]
-            ids = np.concatenate([new_id[ids[r]] for (ids, _), r in zip(parts, rows)])
-            if not ids.size:
-                continue
-            carried = []
-            for j, first in enumerate(parts[0][1]):
-                a = np.empty((ids.size,) + first.shape[1:], dtype=first.dtype)
-                end = 0
-                for (_, arrays), r in zip(parts, rows):
-                    np.take(arrays[j], r, axis=0, out=a[end : end + r.size], mode="clip")
-                    end += r.size
-                carried.append(a)
-            self._carried_chunks[key] = (ids, tuple(carried))
 
     def triangles(self, mesh, name: str, compute) -> tuple:
         """The arrays `name`, one row per triangle of `mesh`: rows of kept
@@ -101,30 +105,31 @@ class BlockCache:
         self._triangles[name] = out
         return out
 
-    def split(self, mesh, name: str, polygons: np.ndarray) -> list:
-        """`polygons`, all with one triangle count, as chunks: the ones
-        carried for `name` in the cache's order, then the others."""
+    def classes(self, mesh, name: str, key: np.ndarray, compute) -> tuple:
+        """(labels, arrays) of `name` for the rows of `key` (n, w), whose
+        rows of equal bytes form one class: per row, the label of its class,
+        which stays with the class from call to call, and its class's row of
+        each array.  compute(rows) gives the arrays of the classes the last
+        call lacked, one row each, from one row of `key` per class."""
         self._bind(mesh)
-        carried = self._carried_chunks.get((name, int(mesh.cycles.lengths[polygons[0]])))
-        if carried is None:
-            return [polygons]
-        rest = np.ones(mesh.n_elements, dtype=bool)
-        rest[carried[0]] = False
-        return [c for c in (carried[0], polygons[rest[polygons]]) if c.size]
-
-    def polygons(self, mesh, name: str, ids: np.ndarray, compute) -> tuple:
-        """The arrays `name` of one chunk `ids`, one row per polygon: the
-        carried chunk when `ids` is it, else compute()."""
-        self._bind(mesh)
-        key = (name, int(mesh.cycles.lengths[ids[0]]))
-        chunks = self._chunks.setdefault(key, [])
-        for done, arrays in chunks:
-            if np.array_equal(done, ids):
-                return arrays
-        carried = self._carried_chunks.get(key)
-        if carried is not None and np.array_equal(carried[0], ids):
-            arrays = carried[1]
-        else:
-            arrays = tuple(compute())
-        chunks.append((ids, arrays))
-        return arrays
+        first, label = group_rows(key)
+        reps = _row_bytes(key[first])
+        index, labels, arrays, at = self._classes.get(name, ({}, _NONE, (), _NONE))
+        # only the class representatives are looked up
+        row = np.array([index.get(r, -1) for r in reps], dtype=np.int64)  # class in the store, or -1
+        new = row < 0
+        ids = np.empty(first.size, dtype=np.int64)
+        ids[~new] = labels[row[~new]]
+        parts = [tuple(a[at[row[~new]]] for a in arrays)] if arrays else []
+        if new.any():
+            ids[new] = np.fromiter(self._labels, dtype=np.int64, count=new.sum())
+            parts.append(tuple(compute(first[new])))
+        # one row per class, the stored ones first
+        table = tuple(np.concatenate(p) for p in zip(*parts))
+        order = np.argsort(new, kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        out = tuple(a[place[label]] for a in table)
+        # keep this call's classes, at their first rows of `out`
+        self._classes[name] = (dict(zip(reps, range(first.size))), ids, out, first)
+        return ids[label], out

@@ -35,22 +35,18 @@ is singular, since the constant pressure then lies in the nullspace of R;
 it is rejected before anything is factored.
 
 The condensation of one polygon depends only on its blocks and its flux
-load f_P.  A loop passes its `BlockCache`, so the polygons `refine` kept
-take M_P^-1 [G_P | f_P], S_II^-1, H and R_P from the previous iteration,
-and only the others are solved and inverted.  The chunks of one triangle
-count add into the skeleton right-hand side with a single bincount, as one
-chunk would.  Each entry of R has at most two terms, so the order of the
-chunks does not change the skeleton matrix.  See `adaptivity`.
-
-Within a chunk, the polygons of one class (`PolygonBlocks.classes`) have
+load f_P.  The polygons of one class (`PolygonBlocks.classes`) have
 bit-equal M_P and G_P: `assemble_system` keys a class on every input of
 their blocks, the triangles' geometry, flip flags and sides, K, and the
-Dirichlet mask and data of the local pressures.  One representative per
-distinct (class, f_P) is condensed, and every polygon takes its
-representative's rows.  f_P is keyed too: it is zero inside the domain but
-not on polygons with Dirichlet data.  Each step is a batched solve,
-inverse or matmul, or elementwise, so a row's bits do not depend on the
-rows beside it, and the result equals condensing every polygon.
+Dirichlet mask and data of the local pressures.  So M_P^-1 [G_P | f_P],
+S_II^-1, H and R_P are computed once per distinct (class, f_P), and every
+polygon takes its representative's rows.  f_P is keyed too: it is zero
+inside the domain but not on polygons with Dirichlet data.  A loop passes
+its `BlockCache`, which keeps these rows for the (class, f_P) of the
+previous iteration, so only the ones it lacks are solved and inverted.
+Each step is a batched solve, inverse or matmul, or elementwise, so a row's
+bits do not depend on the rows beside it, and the result equals condensing
+every polygon.  See `adaptivity`.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
 from .errors import NonFinite, SingularSystem, SolverError
-from .reuse import BlockCache, group_rows
+from .reuse import BlockCache
 
 _REFINE_BELOW = 1e-13  # skip refinement once backward error is at roundoff
 _FAIL_ABOVE = 1e-8  # give up if refinement cannot reach this
@@ -128,29 +124,30 @@ class _Condensed:
         pos[self.skeleton] = np.arange(nsk)
         C = system.C.tocoo()
         rows, cols, vals = [pos[C.row]], [pos[C.col]], [C.data]
-        self.parts, uf = [], []  # per chunk: W = M^-1 G, S_II^-1, H, skeleton columns
+        self.parts, uf = [], []  # per block: W = M^-1 G, S_II^-1, H, skeleton columns
         for g in system.blocks:
             m, b = g.G.shape[2], g.n_skeleton
+            fP = f[g.flux]
 
-            def condense():
+            def condense(rows):
                 # once per distinct (class, f_P); then each polygon takes its
                 # representative's rows
-                fP = f[g.flux]
-                first, label = group_rows(np.hstack([g.classes[:, None], fP]))
-                M, G = g.M[first], g.G[first]
+                M, G = g.M[rows], g.G[rows]
                 # one batched solve gives W = M^-1 G and M^-1 f
-                X = np.linalg.solve(M, np.concatenate([G, fP[first][..., None]], axis=2))
+                X = np.linalg.solve(M, np.concatenate([G, fP[rows][..., None]], axis=2))
                 W = X[..., :m]
                 SP = _sym(np.swapaxes(G, 1, 2) @ W)
                 S_inv = np.linalg.inv(SP[:, b:, b:])  # S_II^-1
                 H = S_inv @ SP[:, b:, :b]
                 R = _sym(SP[:, :b, :b] - SP[:, :b, b:] @ H)
-                return tuple(a[label] for a in (W, X[..., m], S_inv, H, R))
+                return W, X[..., m], S_inv, H, R
 
-            W, Wf, S_inv, H, R = cache.polygons(system.mesh, "condensation", g.polygons, condense)
+            key = np.hstack([g.classes[:, None], fP])
+            name = f"condensation, {g.flux.shape[1]} flux dofs"
+            _, (W, Wf, S_inv, H, R) = cache.classes(system.mesh, name, key, condense)
             # an entry of R has at most two terms (the polygons on both sides
             # of an interior primal edge, or one polygon and C on a fracture
-            # edge), so the order of the chunks does not change its sum
+            # edge), so the order of the polygons does not change its sum
             cb = pos[g.cols[:, :b]]
             r = np.broadcast_to(cb[:, :, None], R.shape)
             c = np.broadcast_to(cb[:, None, :], R.shape)
@@ -176,23 +173,19 @@ class _Condensed:
 
     def _back(self, rhs: np.ndarray, uf: list) -> np.ndarray:
         """Skeleton y from R, then the interior y and u = M^-1 f - W y,
-        given M^-1 f per group."""
+        given M^-1 f per block."""
         nV, nsk = self.nV, self.skeleton.size
         f, z = rhs[:nV], rhs[nV:]
         zsk = z[self.skeleton].copy()
         vI = []
-        parts = iter(self.parts)
-        for group in self.system.groups:
-            cbs, zbs = [], []
-            for g, (W, S_inv, H, cb) in zip(group, parts):
-                b = g.n_skeleton
-                wf = (f[g.flux][:, None, :] @ W)[:, 0]  # G^T M^-1 f
-                zI = wf[:, b:] + z[g.cols[:, b:]]
-                # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
-                zbs.append((wf[:, :b] - (zI[:, None, :] @ H)[:, 0]).ravel())
-                cbs.append(cb.ravel())
-                vI.append((S_inv @ zI[..., None])[..., 0])
-            zsk += np.bincount(np.concatenate(cbs), np.concatenate(zbs), minlength=nsk + 1)[:nsk]
+        for g, (W, S_inv, H, cb) in zip(self.system.blocks, self.parts):
+            b = g.n_skeleton
+            wf = (f[g.flux][:, None, :] @ W)[:, 0]  # G^T M^-1 f
+            zI = wf[:, b:] + z[g.cols[:, b:]]
+            # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
+            zb = wf[:, :b] - (zI[:, None, :] @ H)[:, 0]
+            zsk += np.bincount(cb.ravel(), zb.ravel(), minlength=nsk + 1)[:nsk]
+            vI.append((S_inv @ zI[..., None])[..., 0])
         y0 = np.zeros(self.ny + 1)  # constrained local pressures read zero
         y0[self.skeleton] = self.lu.solve(zsk)
         u = np.empty(nV)
@@ -211,7 +204,8 @@ class _Condensed:
 def solve_system(system: LinearSystem, cache: BlockCache = None):
     """Solve a reduced system; returns (DiscreteSolution, SolveReport).
 
-    `cache` carries the condensation of kept polygons (see `adaptivity`)."""
+    `cache` carries the condensation of the previous mesh's classes (see
+    `adaptivity`); it is the cache `system` was assembled with, or None."""
     rhs = np.asarray(system.rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise NonFinite("right-hand side contains non-finite entries")

@@ -398,7 +398,7 @@ def polygon_blocks_every(sub, V, S, K_elem, p_dir, ycol):
 
 
 def condense_every(system):
-    """Per chunk of `system.blocks`, the condensation (W, M^-1 f, S_II^-1,
+    """Per block of `system.blocks`, the condensation (W, M^-1 f, S_II^-1,
     H, R_P) of `solve._Condensed` with every polygon computed: the oracle
     for its classes."""
     f = system.rhs[: system.offsets[1]]

@@ -116,6 +116,7 @@ def test_config_defaults():
         {"k": 0},
         {"max_iterations": 0},
         {"max_dofs": 0},
+        {"k": 3},
     ],
 )
 def test_config_rejects_bad_values(kw):

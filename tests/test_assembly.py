@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sdgdarcy import assembly
 from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.assembly import (
     assemble_rhs,
@@ -392,6 +393,27 @@ def test_system_shapes_and_blocks():
     VS = A[:nV, nV : nV + nSf]
     SV = A[nV : nV + nSf, :nV]
     assert abs(VS + SV.T).max() < 1e-12
+
+
+def test_matvec_slices_keep_every_bit(monkeypatch):
+    """`LinearSystem.matvec` multiplies a slice of polygons at a time; on a
+    mesh with several slices in one triangle count, A x and |A| |x| equal
+    the products over whole blocks bit for bit, and A x the sparse one."""
+    spec, _, h0 = get_benchmark("case2")
+    mesh = build_initial_mesh(spec.domain, h0)
+    for _ in range(2):
+        mesh = refine(mesh, np.arange(mesh.n_elements))
+    system = assemble_system(mesh, spec, SpaceConfig(1))
+    assert max(g.polygons.size for g in system.blocks) > 5 * 100
+    x = np.random.default_rng(3).standard_normal(system.n)
+    monkeypatch.setattr(assembly, "_SLICE", 100)  # the last slice is partial
+    sliced = system.matvec(x), system.matvec(np.abs(x), absolute=True)
+    monkeypatch.setattr(assembly, "_SLICE", system.n)
+    whole = system.matvec(x), system.matvec(np.abs(x), absolute=True)
+    for a, b in zip(sliced, whole):
+        assert np.array_equal(a, b)
+    ref = system.A @ x
+    assert np.abs(sliced[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_dirichlet_values_patch():

@@ -130,6 +130,20 @@ def test_bad_theta_flag_exits_2(capsys):
     assert "theta" in capsys.readouterr().err
 
 
+def test_unsupported_order_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    """k=3 fails as the run's settings are read: no grid is built and no
+    output directory is made."""
+
+    def build(*args):
+        raise AssertionError("the initial grid was built")
+
+    monkeypatch.setattr("sdgdarcy.cli.build_initial_mesh", build)
+    out = tmp_path / "out"
+    assert main(["run", "--benchmark", "patch", "--k", "3", "--out", str(out)]) == 2
+    assert "k=3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("h0", [0, -1, float("nan")], ids=["zero", "negative", "nan"])
 def test_bad_h0_exits_2(tmp_path, capsys, h0):
     cfg = write_config(tmp_path, benchmark="patch", h0=h0)

@@ -1,6 +1,7 @@
 """Polygons whose block inputs are identical form a class, and the polygon
-blocks and the condensation are computed once per class.  Every array must
-equal the one computed polygon by polygon, bit for bit.
+blocks and the condensation are computed once per class, on one mesh and
+across the meshes of a loop.  Every array must equal the one computed
+polygon by polygon, bit for bit.
 """
 
 import dataclasses
@@ -39,6 +40,11 @@ def _inputs(mesh, spec, k):
     return sub, V, S, spec.permeability(mesh.element_centroids), p_dir, ycol
 
 
+def _condensation(g):
+    """The cache name of the condensation of the polygons of block g."""
+    return f"condensation, {g.flux.shape[1]} flux dofs"
+
+
 def _check_blocks(args):
     """The class-keyed blocks and lifts equal the oracle's; returns them."""
     blocks, lift = _polygon_blocks(*args, BlockCache())
@@ -59,18 +65,20 @@ def test_classes_bit_equal_to_every_polygon(name, k):
     oracle by `test_system_bit_equal_to_full_dof_path`."""
     spec, mesh = _refined(name)
     system = assemble_system(mesh, spec, SpaceConfig(k))
-    n_classes = sum(int(g.classes.max()) + 1 for g in system.blocks)
+    n_classes = sum(np.unique(g.classes).size for g in system.blocks)
     if name == "case1-a0.1":
         assert n_classes < mesh.n_elements
 
     cache = BlockCache()
     _Condensed(system, cache)
 
-    def recompute():
+    def recompute(rows):
         raise AssertionError("the condensation was not kept on this mesh")
 
+    f = system.rhs[: system.offsets[1]]
     for g, want in zip(system.blocks, condense_every(system)):
-        got = cache.polygons(system.mesh, "condensation", g.polygons, recompute)
+        key = np.hstack([g.classes[:, None], f[g.flux]])
+        _, got = cache.classes(system.mesh, _condensation(g), key, recompute)
         assert len(got) == len(want)
         for a, w in zip(got, want):
             assert np.array_equal(a, w)
@@ -109,8 +117,8 @@ def test_changed_input_leaves_the_class():
     p1, p2 = g.polygons[[i, j]]
 
     def label_of(blocks, p):
-        chunk = next(c for c in blocks if p in c.polygons)
-        return chunk.classes[np.flatnonzero(chunk.polygons == p)[0]]
+        g = next(g for g in blocks if p in g.polygons)
+        return g.classes[np.flatnonzero(g.polygons == p)[0]]
 
     def parted(args):
         blocks = _check_blocks(args)
@@ -140,9 +148,9 @@ def test_changed_input_leaves_the_class():
 
 
 def test_solve_without_cache_equals_carried_solve():
-    """After one refinement with a loop cache, the system has a carried
-    chunk, whose polygons are each their own class; solving it without the
-    cache recomputes every class and gives the cached solve's bits."""
+    """After one refinement with a loop cache, the system takes classes
+    from the previous mesh; solving it without the cache recomputes every
+    class and gives the cached solve's bits."""
     spec, mesh = _refined("case1-a0.1", times=2)
     config = SpaceConfig(2)
     cache = BlockCache()
@@ -150,10 +158,54 @@ def test_solve_without_cache_equals_carried_solve():
     rng = np.random.default_rng(7)
     mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
     system = assemble_system(mesh, spec, config, cache=cache)
-    assert len(system.blocks) > len(system.groups)
-    carried = [g for group in system.groups if len(group) == 2 for g in group[:1]]
-    assert carried and all(np.array_equal(g.classes, np.arange(g.polygons.size)) for g in carried)
     cached, _ = solve_system(system, cache)
     fresh, _ = solve_system(system)
     for field in ("u", "p", "p_gamma"):
         assert np.array_equal(getattr(fresh, field), getattr(cached, field)), field
+
+
+def test_class_of_the_previous_mesh_is_not_computed_again():
+    """On a refinement, a polygon that `refine` did not keep but whose class
+    the previous mesh used is neither gathered nor condensed again: the
+    compute callbacks of the cache receive one row per class that is new to
+    the loop, fewer than the classes among the polygons not kept."""
+    spec, mesh = _refined("case1-a0.1", times=2)
+    config = SpaceConfig(1)
+    cache = BlockCache()
+    computed = {}
+    lookup = cache.classes
+
+    def counting(mesh, name, key, compute):
+        def count(rows):
+            computed[name] = computed.get(name, 0) + rows.size
+            return compute(rows)
+
+        return lookup(mesh, name, key, count)
+
+    cache.classes = counting
+    first = assemble_system(mesh, spec, config, cache=cache)
+    solve_system(first, cache)
+    rng = np.random.default_rng(7)
+    mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
+    computed.clear()
+    second = assemble_system(mesh, spec, config, cache=cache)
+    solve_system(second, cache)
+
+    def condensation_keys(system):
+        f = system.rhs[: system.offsets[1]]
+        return {(c, f[flux].tobytes()) for g in system.blocks for c, flux in zip(g.classes, g.flux)}
+
+    seen = list({c for g in first.blocks for c in g.classes})
+    fresh = mesh.kept_from < 0
+    new = not_kept = taken = 0
+    for g in second.blocks:
+        n = g.n_skeleton // 2  # k + 1 = 2 primal-side nodes per triangle
+        labels = np.unique(g.classes)
+        count = np.count_nonzero(~np.isin(labels, seen))
+        assert computed.get(f"polygon blocks, {n} triangles", 0) == count
+        new += count
+        not_kept += np.unique(g.classes[fresh[g.polygons]]).size
+        taken += np.count_nonzero(np.isin(g.classes[fresh[g.polygons]], seen))
+    assert taken > 0 and new < not_kept
+    new_keys = condensation_keys(second) - condensation_keys(first)
+    assert sum(computed.get(_condensation(g), 0) for g in second.blocks) == len(new_keys)

@@ -1,5 +1,6 @@
-"""The blocks a loop carries from one mesh to the next equal the blocks
-built from an empty cache, bit for bit.
+"""The arrays a loop carries from one mesh to the next, per kept triangle
+and per polygon class, equal the ones built from an empty cache, bit for
+bit.
 
 Every mesh of a short cached run is rebuilt with fresh stages, each of which
 then starts from an empty `BlockCache`.
@@ -20,13 +21,8 @@ RUNS = [("case1-a0.1", 2, 12_000), ("case2", 1, 12_000), ("multifrac", 2, 8_000)
 
 
 def _by_polygon(system, name):
-    """One block array per triangle count, its chunks joined and the rows in
-    polygon-id order."""
-    out = []
-    for group in system.groups:
-        order = np.argsort(np.concatenate([g.polygons for g in group]))
-        out.append(np.concatenate([getattr(g, name) for g in group])[order])
-    return out
+    """One block array per triangle count, the rows in polygon-id order."""
+    return [getattr(g, name) for g in system.blocks]
 
 
 @pytest.mark.parametrize("name,k,max_dofs", RUNS, ids=[f"{n}-k{k}" for n, k, _ in RUNS])
@@ -39,7 +35,8 @@ def test_cached_run_equals_fresh_rebuild(name, k, max_dofs):
         kept.append(int((mesh.kept_from >= 0).sum()))
         fresh = assemble_system(mesh, spec, config, spaces=build_spaces(mesh, spec, config))
         assert np.array_equal(fresh.V.ref_coeff, system.V.ref_coeff)
-        for field in ("M", "G", "flux", "cols"):
+        assert len(fresh.blocks) == len(system.blocks)
+        for field in ("polygons", "M", "G", "flux", "cols"):
             for a, b in zip(_by_polygon(fresh, field), _by_polygon(system, field)):
                 assert np.array_equal(a, b), field
         assert np.array_equal(fresh.rhs, system.rhs)
