@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -479,3 +480,37 @@ def volume_terms_einsum(mesh, spec, sol, exact):
     err_Q2 = np.einsum("tq,tqc,tcd,tqd->", qw, du, Kinv, du)
     v_grad2 = np.einsum("tq,tqc,tcd,tqd->", qw, dg, K, dg)
     return t1, err_Q2, v_grad2
+
+
+HISTORY_FLOATS = tuple(f"T{i}" for i in range(1, 9)) + ("eta", "osc", "err_sdg")
+
+
+def history_rows(hist):
+    """The per-iteration records of a `ConvergenceHistory` as plain JSON
+    values: N, n_elements, T1..T8, eta, osc and err_sdg."""
+    rows = []
+    for r in hist.records:
+        row = {"N": int(r.N), "n_elements": int(r.n_elements)}
+        row.update({f"T{i + 1}": float(t) for i, t in enumerate(r.terms)})
+        row.update(eta=float(r.eta), osc=float(r.osc), err_sdg=float(r.err_sdg))
+        rows.append(row)
+    return rows
+
+
+def check_history(got, ref, roundoff=False):
+    """`history_rows` of a run against stored ones: N and n_elements
+    exactly, every float within 1e-10 * |ref| + 1e-10 * eta_ref, and a NaN
+    (err_sdg without an exact solution) stays NaN.  The part against eta
+    covers estimator terms at roundoff level, which move by orders of
+    magnitude between two backward-stable solves.  With `roundoff`, for a
+    problem the method solves exactly, every value is roundoff and is held
+    to an absolute 1e-10."""
+    assert [r["N"] for r in got] == [r["N"] for r in ref]
+    assert [r["n_elements"] for r in got] == [r["n_elements"] for r in ref]
+    for it, (g, r) in enumerate(zip(got, ref)):
+        rel, floor = (0.0, 1e-10) if roundoff else (1e-10, 1e-10 * r["eta"])
+        for key in HISTORY_FLOATS:
+            if math.isnan(r[key]):
+                assert math.isnan(g[key]), (it, key)
+                continue
+            assert abs(g[key] - r[key]) <= rel * abs(r[key]) + floor, (it, key, g[key], r[key])
