@@ -28,14 +28,14 @@ next.  `assemble_system` keys every polygon by the bytes of one row: per
 triangle the flip flags and sides, the edge lengths, the Jacobian, area and
 diameter (the inputs of C_t, M_t and B_t), then K and the Dirichlet mask
 and data at the polygon's local pressures.  Polygons of equal rows form a
-class, whose label stays with it from mesh to mesh.  The cache keeps M_P,
-G_P and the lifts p_dir^T B_t of each class the previous mesh used, and
-M_t, B_t and these are computed once for each class it lacks.  The solve
-keys the condensation, M_P^-1 [G_P | f_P], S_II^-1, H and R_P, on (label,
-f_P) the same way.  A kept polygon keeps its row, so its class is found;
-so is a new polygon congruent to one of the previous mesh.  The cache
-holds the arrays it returned, which the system holds anyway, with the
-first row of each class.
+class, whose label is its row in tables that hold M_P, G_P and the lifts
+p_dir^T B_t of every class the loop met; M_t, B_t and these are computed
+once for each class the cache has not met.  The solve keys and stores the
+condensation, M_P^-1 [G_P | f_P], S_II^-1, H and R_P, on (label, f_P) the
+same way.  A kept polygon keeps its key row, so its class is found; so is a
+new polygon congruent to one of an earlier mesh.  Products gather each
+polygon's rows from the tables; only R_P is expanded, for the sparse
+skeleton matrix.
 
 The result is bit-equal to computing every polygon on every iteration.
 Each carried or shared row comes from elementwise arithmetic, a batched
@@ -45,15 +45,15 @@ keep their order.  Per-triangle arrays are merged back in triangle order.
 The polygons of one triangle count form one block, and every global sum
 over the blocks adds one bincount per count; a bincount inside one count
 adds at most two terms per entry, so the order of the rows inside a count
-does not change it.  One batched product is not row-independent: a 2-D
-GEMM gives the columns in the tail of its batch other bits.  So the
-oscillation carries only its source values and projects on all triangles
-at once.
+does not change it.  A gathered row is a copy of its class's computed row,
+so a batched product over gathered rows gives each polygon its own bits.
+One batched product is not row-independent: a 2-D GEMM gives the columns
+in the tail of its batch other bits.  So the oscillation carries only its
+source values and projects on all triangles at once.
 
-The cache holds the per-triangle arrays of one mesh and the classes used on
-it.  On its refinement it keeps the rows of the kept polygons' triangles
-and drops the rest; the classes of the previous mesh stay until the stage
-that uses them replaces them with those of the new one.  A stage called
+The cache holds the per-triangle arrays of one mesh and every class the
+loop met.  On its refinement it keeps the rows of the kept polygons'
+triangles and drops the rest; a class store only grows.  A stage called
 without a cache starts from an empty one, which computes every class once.
 """
 
@@ -183,11 +183,11 @@ def amr_loop(
     Stops on max_iterations, on a refinement that would exceed max_dofs
     (counted from the spaces, so the over-budget mesh is neither assembled
     nor solved), or on all-zero indicators.  A singular system is recorded
-    in `failure` and halts the loop.  One `BlockCache` carries the
-    arrays of kept triangles and of the previous mesh's polygon classes from
-    each iteration to the next.  When given, callback(record, mesh, sol,
-    breakdown, system) runs after each record is appended; exporters hook in
-    here.
+    in `failure` and halts the loop.  One `BlockCache` carries the arrays
+    of kept triangles from each iteration to the next and stores those of
+    every polygon class the loop met.  When given, callback(record, mesh,
+    sol, breakdown, system) runs after each record is appended; exporters
+    hook in here.
     """
     history = ConvergenceHistory(config=config)
     nan = float("nan")

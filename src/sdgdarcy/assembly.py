@@ -269,17 +269,19 @@ class PolygonBlocks:
     polygon shares; each part in triangle order, local node order within.
 
     Polygons of one class have bit-equal M_P, G_P and lifts, computed once
-    (see `_polygon_blocks`); a label names one class on every mesh of a
-    loop.
+    (see `_polygon_blocks`).  M and G are tables with one row per class,
+    and a polygon's class label is its row: M[classes] is M_P of every
+    polygon.  The tables are those of the loop's `BlockCache`, so they may
+    hold classes of earlier meshes that no polygon here uses.
     """
 
     polygons: np.ndarray  # (npoly,) polygon ids
     flux: np.ndarray  # (npoly, b) flux dofs of each polygon, in local order
     cols: np.ndarray  # (npoly, m) index into y = free (p, p_gamma); ny where constrained
-    M: np.ndarray  # (npoly, b, b) flux mass blocks M_P
-    G: np.ndarray  # (npoly, b, m) G_P = B_P^T, zero in constrained columns
+    M: np.ndarray  # (nclass, b, b) flux mass blocks M_P
+    G: np.ndarray  # (nclass, b, m) G_P = B_P^T, zero in constrained columns
     n_skeleton: int  # the primal-side columns come first
-    classes: np.ndarray  # (npoly,) class label of each polygon
+    classes: np.ndarray  # (npoly,) class label of each polygon: its row of M and G
 
 
 @dataclass(frozen=True)
@@ -311,9 +313,11 @@ class LinearSystem:
 
     @property
     def nnz(self) -> int:
-        """Nonzeros of `A`, counted on the blocks."""
-        blocks = (np.count_nonzero(g.M) + 2 * np.count_nonzero(g.G) for g in self.blocks)
-        return int(np.count_nonzero(self.C.data) + sum(blocks))
+        """Nonzeros of `A`, counted per class and weighted by its polygons."""
+        nnz = np.count_nonzero(self.C.data)
+        for g in self.blocks:
+            nnz += (np.count_nonzero(g.M, axis=(1, 2)) + 2 * np.count_nonzero(g.G, axis=(1, 2)))[g.classes].sum()
+        return int(nnz)
 
     @cached_property
     def A(self) -> sp.csr_matrix:
@@ -322,10 +326,11 @@ class LinearSystem:
         C = self.C.tocoo()
         triplets = [(nV + C.row, nV + C.col, C.data)]
         for g in self.blocks:
+            M, G = g.M[g.classes], g.G[g.classes]
             triplets += [
-                _block(g.flux, g.flux, g.M),
-                _block(g.flux, nV + g.cols, g.G),
-                _block(nV + g.cols, g.flux, -np.swapaxes(g.G, 1, 2)),
+                _block(g.flux, g.flux, M),
+                _block(g.flux, nV + g.cols, G),
+                _block(nV + g.cols, g.flux, -np.swapaxes(G, 1, 2)),
             ]
         return _coo([(r[v != 0], c[v != 0], v[v != 0]) for r, c, v in triplets], (self.n, self.n))
 
@@ -340,11 +345,12 @@ class LinearSystem:
         for g in self.blocks:
             uP = u[g.flux]
             gtu = np.empty((uP.shape[0], g.G.shape[2]))
-            # a slice of polygons at a time, so that |M| and |G| are copied in
-            # small pieces; every row's product is its own
+            M_c, G_c = (np.abs(g.M), np.abs(g.G)) if absolute else (g.M, g.G)
+            # the class rows of a slice of polygons at a time, so that the
+            # gathered copies stay small; every row's product is its own
             for s in range(0, uP.shape[0], _SLICE):
                 p = slice(s, s + _SLICE)
-                M, G = (np.abs(g.M[p]), np.abs(g.G[p])) if absolute else (g.M[p], g.G[p])
+                M, G = M_c[g.classes[p]], G_c[g.classes[p]]
                 out[g.flux[p]] = (M @ uP[p, :, None] + G @ y0[g.cols[p]][..., None])[..., 0]
                 gtu[p] = (uP[p, None, :] @ G)[:, 0]
             # a pressure dof lies in at most two polygons, so the row order
@@ -486,7 +492,7 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     the rest (see `PolygonBlocks`).  `ycol` maps pressure dofs to their
     index in y.  The triangle blocks, and from them M_P, G_P and the lifts,
     are computed once per class of polygons with identical inputs, and only
-    for the classes `cache` lacks (see `adaptivity`).
+    for the classes `cache` has not met (see `adaptivity`).
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
@@ -555,8 +561,8 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
             lift_t = (p_dir[S.tri_dofs[rep]][:, None, :] @ B_t)[:, 0]
             return M.reshape(npoly, b, b), G, lift_t.reshape(npoly, n, -1)
 
-        classes, (M, G, lift_P) = cache.classes(sub.mesh, f"polygon blocks, {n} triangles", key, gather)
-        lift[t] = lift_P.reshape(-1, V.nloc)
+        classes, (M, G, lift_P) = cache.classes(f"polygon blocks, {n} triangles", key, gather)
+        lift[t] = lift_P[classes].reshape(-1, V.nloc)
         out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1, classes))
     return out, lift
 
@@ -565,8 +571,8 @@ def assemble_system(
     mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, spaces=None, cache: BlockCache = None
 ) -> LinearSystem:
     """Reduced (u, p, p_gamma) system; `spaces` reuses a `build_spaces`
-    result, and `cache` carries the blocks of the previous mesh's classes
-    (see `adaptivity`)."""
+    result, and `cache` stores the blocks of every class its loop met (see
+    `adaptivity`)."""
     sub = mesh.subdivision
     cache = BlockCache() if cache is None else cache
     S, V, W = build_spaces(mesh, spec, config, cache) if spaces is None else spaces

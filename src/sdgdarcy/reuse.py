@@ -9,18 +9,14 @@ computes the others.
 
 Per-polygon arrays are carried by content instead: a stage keys every
 polygon on all inputs of its arrays, polygons of equal keys form a class,
-and the cache holds the arrays of the classes its last call on the previous
-mesh used, so only the classes it lacks are computed.  See `adaptivity` for
-what is carried and why the result is bit-equal.
+and the cache stores the arrays of every class the loop met, one row per
+class, whose label is that row; only classes it has not met are computed.
+See `adaptivity` for what is carried and why the result is bit-equal.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
-
-_NONE = np.zeros(0, dtype=np.int64)
 
 
 def _row_bytes(key: np.ndarray) -> list:
@@ -39,17 +35,18 @@ def group_rows(key: np.ndarray):
 
 
 class BlockCache:
-    """Arrays of one mesh, kept for its refinement.
+    """Arrays of one mesh, kept for its refinement, and of every class met.
 
     Each per-triangle name holds a tuple of arrays with one row per
     triangle; on the refinement of the mesh, the rows of the kept polygons'
     triangles are carried and the rest dropped.  Each per-class name holds
-    the classes of its last call: their keys, their labels and the arrays
-    that call returned, which the caller holds anyway.  A call replaces
-    them, so a name holds the classes of one mesh.  An empty cache carries
-    nothing.  A name must stand for the same computation on every mesh, so
-    one cache serves one loop: one problem at one order, and a system is
-    solved with the cache it was assembled with, whose labels it holds.
+    a store of every class its calls met: the key bytes of each class and
+    tables with one row per class, which calls only append to, so a label,
+    a row, names one class for the life of the cache.  An empty cache
+    carries nothing.  A name must stand for the same computation on every
+    mesh, so one cache serves one loop: one problem at one order, and a
+    system is solved with the cache it was assembled with, whose labels it
+    holds.
     """
 
     def __init__(self):
@@ -57,8 +54,7 @@ class BlockCache:
         self._kept = None  # (n_elements,) bool: polygon carried from the previous mesh
         self._triangles = {}  # name -> arrays on self.mesh
         self._carried_triangles = {}  # name -> rows of the kept polygons' triangles
-        self._classes = {}  # name -> (key bytes -> class, labels, arrays, row of each class in arrays)
-        self._labels = itertools.count()  # a label means one class to this cache only
+        self._classes = {}  # name -> (key bytes -> label, arrays with one row per label)
 
     def _bind(self, mesh) -> None:
         """Make `mesh` current: carry the rows of its kept polygons' triangles,
@@ -105,31 +101,23 @@ class BlockCache:
         self._triangles[name] = out
         return out
 
-    def classes(self, mesh, name: str, key: np.ndarray, compute) -> tuple:
-        """(labels, arrays) of `name` for the rows of `key` (n, w), whose
-        rows of equal bytes form one class: per row, the label of its class,
-        which stays with the class from call to call, and its class's row of
-        each array.  compute(rows) gives the arrays of the classes the last
-        call lacked, one row each, from one row of `key` per class."""
-        self._bind(mesh)
+    def classes(self, name: str, key: np.ndarray, compute) -> tuple:
+        """(labels, table) of `name` for the rows of `key` (n, w), whose
+        rows of equal bytes form one class: per row the label of its class,
+        which is the class's row of every array of `table` for the life of
+        the cache.  compute(rows) gives the arrays of the classes the store
+        lacks, one row each, from one row of `key` per class; they are
+        appended only once it returns."""
         first, label = group_rows(key)
         reps = _row_bytes(key[first])
-        index, labels, arrays, at = self._classes.get(name, ({}, _NONE, (), _NONE))
+        index, table = self._classes.get(name, ({}, ()))
         # only the class representatives are looked up
-        row = np.array([index.get(r, -1) for r in reps], dtype=np.int64)  # class in the store, or -1
-        new = row < 0
-        ids = np.empty(first.size, dtype=np.int64)
-        ids[~new] = labels[row[~new]]
-        parts = [tuple(a[at[row[~new]]] for a in arrays)] if arrays else []
-        if new.any():
-            ids[new] = np.fromiter(self._labels, dtype=np.int64, count=new.sum())
-            parts.append(tuple(compute(first[new])))
-        # one row per class, the stored ones first
-        table = tuple(np.concatenate(p) for p in zip(*parts))
-        order = np.argsort(new, kind="stable")
-        place = np.empty_like(order)
-        place[order] = np.arange(order.size)
-        out = tuple(a[place[label]] for a in table)
-        # keep this call's classes, at their first rows of `out`
-        self._classes[name] = (dict(zip(reps, range(first.size))), ids, out, first)
-        return ids[label], out
+        row = np.array([index.get(r, -1) for r in reps], dtype=np.int64)
+        new = np.flatnonzero(row < 0)
+        if new.size:
+            fresh = tuple(compute(first[new]))
+            table = tuple(np.concatenate(p) for p in zip(table, fresh)) if table else fresh
+            row[new] = np.arange(len(index), len(index) + new.size)
+            index.update(zip((reps[i] for i in new), row[new].tolist()))
+            self._classes[name] = (index, table)
+        return row[label], table

@@ -39,14 +39,16 @@ load f_P.  The polygons of one class (`PolygonBlocks.classes`) have
 bit-equal M_P and G_P: `assemble_system` keys a class on every input of
 their blocks, the triangles' geometry, flip flags and sides, K, and the
 Dirichlet mask and data of the local pressures.  So M_P^-1 [G_P | f_P],
-S_II^-1, H and R_P are computed once per distinct (class, f_P), and every
-polygon takes its representative's rows.  f_P is keyed too: it is zero
-inside the domain but not on polygons with Dirichlet data.  A loop passes
-its `BlockCache`, which keeps these rows for the (class, f_P) of the
-previous iteration, so only the ones it lacks are solved and inverted.
-Each step is a batched solve, inverse or matmul, or elementwise, so a row's
-bits do not depend on the rows beside it, and the result equals condensing
-every polygon.  See `adaptivity`.
+S_II^-1, H and R_P are computed once per distinct (class, f_P) and kept in
+tables with one row for each; a polygon's products gather its row, and only
+R_P is expanded to every polygon, for the sparse skeleton matrix.  f_P is
+keyed too: it is zero inside the domain but not on polygons with Dirichlet
+data.  A loop passes its `BlockCache`, which stores these rows for every
+(class, f_P) the loop met, so only the ones it has not met are solved and
+inverted.  Each step is a batched solve, inverse or matmul, or elementwise,
+so a row's bits do not depend on the rows beside it; a gathered row is a
+copy of the computed one, and the result equals condensing every polygon.
+See `adaptivity`.
 """
 
 from __future__ import annotations
@@ -124,15 +126,14 @@ class _Condensed:
         pos[self.skeleton] = np.arange(nsk)
         C = system.C.tocoo()
         rows, cols, vals = [pos[C.row]], [pos[C.col]], [C.data]
-        self.parts, uf = [], []  # per block: W = M^-1 G, S_II^-1, H, skeleton columns
+        self.parts, uf = [], []  # per block: W = M^-1 G, S_II^-1, H, rows `at` in them, skeleton columns
         for g in system.blocks:
             m, b = g.G.shape[2], g.n_skeleton
             fP = f[g.flux]
 
             def condense(rows):
-                # once per distinct (class, f_P); then each polygon takes its
-                # representative's rows
-                M, G = g.M[rows], g.G[rows]
+                # once per distinct (class, f_P) new to the cache
+                M, G = g.M[g.classes[rows]], g.G[g.classes[rows]]
                 # one batched solve gives W = M^-1 G and M^-1 f
                 X = np.linalg.solve(M, np.concatenate([G, fP[rows][..., None]], axis=2))
                 W = X[..., :m]
@@ -144,7 +145,8 @@ class _Condensed:
 
             key = np.hstack([g.classes[:, None], fP])
             name = f"condensation, {g.flux.shape[1]} flux dofs"
-            _, (W, Wf, S_inv, H, R) = cache.classes(system.mesh, name, key, condense)
+            at, (W, Wf, S_inv, H, R) = cache.classes(name, key, condense)
+            R = R[at]
             # an entry of R has at most two terms (the polygons on both sides
             # of an interior primal edge, or one polygon and C on a fracture
             # edge), so the order of the polygons does not change its sum
@@ -153,8 +155,8 @@ class _Condensed:
             c = np.broadcast_to(cb[:, None, :], R.shape)
             keep = (r < nsk) & (c < nsk)
             rows.append(r[keep]), cols.append(c[keep]), vals.append(R[keep])
-            self.parts.append((W, S_inv, H, cb))
-            uf.append(Wf)
+            self.parts.append((W, S_inv, H, at, cb))
+            uf.append(Wf[at])
         R = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nsk, nsk),
@@ -177,19 +179,21 @@ class _Condensed:
         nV, nsk = self.nV, self.skeleton.size
         f, z = rhs[:nV], rhs[nV:]
         zsk = z[self.skeleton].copy()
-        vI = []
-        for g, (W, S_inv, H, cb) in zip(self.system.blocks, self.parts):
+        WH, vI = [], []
+        for g, (W, S_inv, H, at, cb) in zip(self.system.blocks, self.parts):
             b = g.n_skeleton
+            W, H = W[at], H[at]
+            WH.append((W, H))
             wf = (f[g.flux][:, None, :] @ W)[:, 0]  # G^T M^-1 f
             zI = wf[:, b:] + z[g.cols[:, b:]]
             # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
             zb = wf[:, :b] - (zI[:, None, :] @ H)[:, 0]
             zsk += np.bincount(cb.ravel(), zb.ravel(), minlength=nsk + 1)[:nsk]
-            vI.append((S_inv @ zI[..., None])[..., 0])
+            vI.append((S_inv[at] @ zI[..., None])[..., 0])
         y0 = np.zeros(self.ny + 1)  # constrained local pressures read zero
         y0[self.skeleton] = self.lu.solve(zsk)
         u = np.empty(nV)
-        for g, (W, _, H, _), v, ufg in zip(self.system.blocks, self.parts, vI, uf):
+        for g, (W, H), v, ufg in zip(self.system.blocks, WH, vI, uf):
             b = g.n_skeleton
             y0[g.cols[:, b:]] = v - (H @ y0[g.cols[:, :b]][..., None])[..., 0]
             u[g.flux] = ufg - (W @ y0[g.cols][..., None])[..., 0]
@@ -197,14 +201,14 @@ class _Condensed:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         f = rhs[: self.nV]
-        uf = [np.linalg.solve(g.M, f[g.flux][..., None])[..., 0] for g in self.system.blocks]
+        uf = [np.linalg.solve(g.M[g.classes], f[g.flux][..., None])[..., 0] for g in self.system.blocks]
         return self._back(rhs, uf)
 
 
 def solve_system(system: LinearSystem, cache: BlockCache = None):
     """Solve a reduced system; returns (DiscreteSolution, SolveReport).
 
-    `cache` carries the condensation of the previous mesh's classes (see
+    `cache` stores the condensation of every class its loop met (see
     `adaptivity`); it is the cache `system` was assembled with, or None."""
     rhs = np.asarray(system.rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):

@@ -398,6 +398,12 @@ def polygon_blocks_every(sub, V, S, K_elem, p_dir, ycol):
     return out, lift
 
 
+def per_polygon(g):
+    """(M, G) of every polygon of the `PolygonBlocks` g, one row each: the
+    rows of its class in the class tables."""
+    return g.M[g.classes], g.G[g.classes]
+
+
 def condense_every(system):
     """Per block of `system.blocks`, the condensation (W, M^-1 f, S_II^-1,
     H, R_P) of `solve._Condensed` with every polygon computed: the oracle
@@ -406,9 +412,10 @@ def condense_every(system):
     out = []
     for g in system.blocks:
         m, b = g.G.shape[2], g.n_skeleton
-        X = np.linalg.solve(g.M, np.concatenate([g.G, f[g.flux][..., None]], axis=2))
+        M, G = per_polygon(g)
+        X = np.linalg.solve(M, np.concatenate([G, f[g.flux][..., None]], axis=2))
         W = X[..., :m]
-        SP = _sym(np.swapaxes(g.G, 1, 2) @ W)
+        SP = _sym(np.swapaxes(G, 1, 2) @ W)
         S_inv = np.linalg.inv(SP[:, b:, b:])
         H = S_inv @ SP[:, b:, :b]
         R = _sym(SP[:, :b, :b] - SP[:, :b, b:] @ H)

@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import condense_every, polygon_blocks_every
+from conftest import condense_every, per_polygon, polygon_blocks_every
 
 from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.assembly import _polygon_blocks, assemble_system, build_spaces, dirichlet_values
@@ -52,7 +52,7 @@ def _check_blocks(args):
     assert np.array_equal(lift, ref_lift)
     assert len(blocks) == len(ref)
     for g, want in zip(blocks, ref):
-        for got, w in zip((g.polygons, g.flux, g.cols, g.M, g.G), want):
+        for got, w in zip((g.polygons, g.flux, g.cols, *per_polygon(g)), want):
             assert np.array_equal(got, w)
     return blocks
 
@@ -78,10 +78,10 @@ def test_classes_bit_equal_to_every_polygon(name, k):
     f = system.rhs[: system.offsets[1]]
     for g, want in zip(system.blocks, condense_every(system)):
         key = np.hstack([g.classes[:, None], f[g.flux]])
-        _, got = cache.classes(system.mesh, _condensation(g), key, recompute)
+        at, got = cache.classes(_condensation(g), key, recompute)
         assert len(got) == len(want)
         for a, w in zip(got, want):
-            assert np.array_equal(a, w)
+            assert np.array_equal(a[at], w)
 
 
 def test_changed_input_leaves_the_class():
@@ -147,65 +147,91 @@ def test_changed_input_leaves_the_class():
     assert parted(_inputs(swapped, spec, k))
 
 
+def _cached_refinement(k, seed=7):
+    """A mesh after two seeded refinements, solved with a loop cache, then
+    refined once more; returns (cache, the system assembled with it)."""
+    spec, mesh = _refined("case1-a0.1", times=2)
+    config = SpaceConfig(k)
+    cache = BlockCache()
+    solve_system(assemble_system(mesh, spec, config, cache=cache), cache)
+    rng = np.random.default_rng(seed)
+    mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
+    return cache, assemble_system(mesh, spec, config, cache=cache)
+
+
 def test_solve_without_cache_equals_carried_solve():
     """After one refinement with a loop cache, the system takes classes
     from the previous mesh; solving it without the cache recomputes every
     class and gives the cached solve's bits."""
-    spec, mesh = _refined("case1-a0.1", times=2)
-    config = SpaceConfig(2)
-    cache = BlockCache()
-    solve_system(assemble_system(mesh, spec, config, cache=cache), cache)
-    rng = np.random.default_rng(7)
-    mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
-    system = assemble_system(mesh, spec, config, cache=cache)
+    cache, system = _cached_refinement(2)
     cached, _ = solve_system(system, cache)
     fresh, _ = solve_system(system)
     for field in ("u", "p", "p_gamma"):
         assert np.array_equal(getattr(fresh, field), getattr(cached, field)), field
 
 
+def test_nnz_counts_the_classes_in_use():
+    """After a cached refinement the class tables hold classes of the
+    previous mesh that no polygon uses; `nnz` counts only the used ones,
+    once per polygon, and equals the stored entries of `A`."""
+    _, system = _cached_refinement(1)
+    assert any(np.unique(g.classes).size < len(g.M) for g in system.blocks)
+    assert system.nnz == system.A.nnz
+
+
 def test_class_of_the_previous_mesh_is_not_computed_again():
-    """On a refinement, a polygon that `refine` did not keep but whose class
-    the previous mesh used is neither gathered nor condensed again: the
-    compute callbacks of the cache receive one row per class that is new to
-    the loop, fewer than the classes among the polygons not kept."""
+    """On the meshes of a loop, a polygon that `refine` did not keep but
+    whose class an earlier mesh used is neither gathered nor condensed
+    again, on the next mesh or later: over three meshes, the compute
+    callbacks of the cache receive one row per class new to the loop,
+    fewer than the classes among the polygons not kept, and the labels of
+    new classes are the next rows of the tables."""
     spec, mesh = _refined("case1-a0.1", times=2)
     config = SpaceConfig(1)
     cache = BlockCache()
     computed = {}
     lookup = cache.classes
 
-    def counting(mesh, name, key, compute):
+    def counting(name, key, compute):
         def count(rows):
             computed[name] = computed.get(name, 0) + rows.size
             return compute(rows)
 
-        return lookup(mesh, name, key, count)
+        return lookup(name, key, count)
 
     cache.classes = counting
-    first = assemble_system(mesh, spec, config, cache=cache)
-    solve_system(first, cache)
     rng = np.random.default_rng(7)
-    mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
-    computed.clear()
-    second = assemble_system(mesh, spec, config, cache=cache)
-    solve_system(second, cache)
+    systems = []
+    for _ in range(3):
+        if systems:
+            mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
+        computed.clear()
+        systems.append(assemble_system(mesh, spec, config, cache=cache))
+        solve_system(systems[-1], cache)
 
+    # a label is a row of the table of one triangle count
     def condensation_keys(system):
         f = system.rhs[: system.offsets[1]]
-        return {(c, f[flux].tobytes()) for g in system.blocks for c, flux in zip(g.classes, g.flux)}
+        return {(g.flux.shape[1], c, f[flux].tobytes()) for g in system.blocks for c, flux in zip(g.classes, g.flux)}
 
-    seen = list({c for g in first.blocks for c in g.classes})
+    def labels(system):
+        return {(g.n_skeleton // 2, c) for g in system.blocks for c in g.classes}  # k + 1 = 2 nodes per side
+
+    last = systems[-1]
+    seen = labels(systems[0]) | labels(systems[1])
     fresh = mesh.kept_from < 0
     new = not_kept = taken = 0
-    for g in second.blocks:
-        n = g.n_skeleton // 2  # k + 1 = 2 primal-side nodes per triangle
-        labels = np.unique(g.classes)
-        count = np.count_nonzero(~np.isin(labels, seen))
-        assert computed.get(f"polygon blocks, {n} triangles", 0) == count
-        new += count
+    for g in last.blocks:
+        n = g.n_skeleton // 2
+        met = np.array([(n, c) in seen for c in g.classes])
+        unseen = np.unique(g.classes[~met])
+        assert computed.get(f"polygon blocks, {n} triangles", 0) == unseen.size
+        assert np.array_equal(unseen, np.arange(len(g.M) - unseen.size, len(g.M)))
+        new += unseen.size
         not_kept += np.unique(g.classes[fresh[g.polygons]]).size
-        taken += np.count_nonzero(np.isin(g.classes[fresh[g.polygons]], seen))
+        taken += np.count_nonzero(met[fresh[g.polygons]])
     assert taken > 0 and new < not_kept
-    new_keys = condensation_keys(second) - condensation_keys(first)
-    assert sum(computed.get(_condensation(g), 0) for g in second.blocks) == len(new_keys)
+    # and one class the second mesh did not use comes back from the first
+    assert labels(last) & (labels(systems[0]) - labels(systems[1]))
+    new_keys = condensation_keys(last) - set().union(*(condensation_keys(s) for s in systems[:-1]))
+    assert sum(computed.get(_condensation(g), 0) for g in last.blocks) == len(new_keys)

@@ -8,21 +8,23 @@ then starts from an empty `BlockCache`.
 
 import numpy as np
 import pytest
+from conftest import per_polygon
 
 from sdgdarcy.adaptivity import AmrConfig, amr_loop
 from sdgdarcy.assembly import assemble_system, build_spaces
 from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.estimator import compute_estimator, true_error
 from sdgdarcy.geometry import build_initial_mesh
+from sdgdarcy.reuse import BlockCache
 from sdgdarcy.solve import solve_system
 from sdgdarcy.spaces import SpaceConfig
 
 RUNS = [("case1-a0.1", 2, 12_000), ("case2", 1, 12_000), ("multifrac", 2, 8_000)]
 
 
-def _by_polygon(system, name):
-    """One block array per triangle count, the rows in polygon-id order."""
-    return [getattr(g, name) for g in system.blocks]
+def _by_polygon(g):
+    """The arrays of the `PolygonBlocks` g with one row per polygon."""
+    return (g.polygons, g.flux, g.cols, *per_polygon(g))
 
 
 @pytest.mark.parametrize("name,k,max_dofs", RUNS, ids=[f"{n}-k{k}" for n, k, _ in RUNS])
@@ -36,9 +38,9 @@ def test_cached_run_equals_fresh_rebuild(name, k, max_dofs):
         fresh = assemble_system(mesh, spec, config, spaces=build_spaces(mesh, spec, config))
         assert np.array_equal(fresh.V.ref_coeff, system.V.ref_coeff)
         assert len(fresh.blocks) == len(system.blocks)
-        for field in ("polygons", "M", "G", "flux", "cols"):
-            for a, b in zip(_by_polygon(fresh, field), _by_polygon(system, field)):
-                assert np.array_equal(a, b), field
+        for a, b in zip(fresh.blocks, system.blocks):
+            for field, x, y in zip(("polygons", "flux", "cols", "M", "G"), _by_polygon(a), _by_polygon(b)):
+                assert np.array_equal(x, y), field
         assert np.array_equal(fresh.rhs, system.rhs)
         fsol, _ = solve_system(fresh)
         for field in ("u", "p", "p_gamma"):
@@ -55,3 +57,43 @@ def test_cached_run_equals_fresh_rebuild(name, k, max_dofs):
     assert len(hist.records) >= 4
     # the comparison is not vacuous: every later mesh reuses polygons
     assert min(kept[1:]) > 0
+
+
+def test_class_store_is_append_only():
+    """`BlockCache.classes` keeps every class a name met: keys {a, b}, then
+    {c}, then {a, c} compute a, b and c once each, a label is a row of the
+    table and stays with its class, and a `compute` that raises leaves the
+    store as it was."""
+    cache = BlockCache()
+    computed = []
+
+    def classes(*keys):
+        key = np.array(keys)[:, None]
+
+        def compute(rows):
+            computed.extend(key[rows, 0].tolist())
+            return (10.0 * key[rows, 0],)
+
+        labels, table = cache.classes("store", key, compute)
+        assert np.array_equal(table[0][labels], 10.0 * key[:, 0])  # every row reads its class's row
+        return labels, table
+
+    a, b, c = 1.0, 2.0, 3.0
+    first, _ = classes(a, b, a)
+    assert computed == [a, b] and first.tolist() == [0, 1, 0]
+    second, _ = classes(c)
+    assert computed == [a, b, c] and second.tolist() == [2]
+    third, table = classes(a, c)
+    assert computed == [a, b, c]
+    assert third.tolist() == [first[0], second[0]]
+
+    def fail(rows):
+        raise RuntimeError("no compute")
+
+    with pytest.raises(RuntimeError, match="no compute"):
+        cache.classes("store", np.array([[4.0], [a]]), fail)
+    labels, after = cache.classes("store", np.array([[a], [b], [c]]), fail)
+    assert labels.tolist() == [0, 1, 2]
+    assert all(x is y for x, y in zip(after, table))
+    fourth, _ = classes(4.0, b)
+    assert computed == [a, b, c, 4.0] and fourth.tolist() == [3, 1]
