@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     EmptyDomain,
     FractureNotAligned,
+    GridTooLarge,
     IoError,
     MeshError,
     NoExactSolution,
@@ -89,6 +90,7 @@ __all__ = [
     "ConfigError",
     "EmptyDomain",
     "FractureNotAligned",
+    "GridTooLarge",
     "IoError",
     "MeshError",
     "NoExactSolution",

@@ -44,7 +44,11 @@ from .spaces import (
     _tri_sides,
 )
 
-_SLICE = 256  # polygons per product in `LinearSystem.matvec`
+_SLICE = 256  # polygons per slice of gathered class rows, in `LinearSystem.matvec` and the solve
+
+
+def _slices(n: int):
+    return (slice(s, s + _SLICE) for s in range(0, n, _SLICE))
 
 
 def _flat(triplets):
@@ -346,12 +350,11 @@ class LinearSystem:
             uP = u[g.flux]
             gtu = np.empty((uP.shape[0], g.G.shape[2]))
             M_c, G_c = (np.abs(g.M), np.abs(g.G)) if absolute else (g.M, g.G)
-            # the class rows of a slice of polygons at a time, so that the
-            # gathered copies stay small; every row's product is its own
-            for s in range(0, uP.shape[0], _SLICE):
-                p = slice(s, s + _SLICE)
-                M, G = M_c[g.classes[p]], G_c[g.classes[p]]
-                out[g.flux[p]] = (M @ uP[p, :, None] + G @ y0[g.cols[p]][..., None])[..., 0]
+            # M is gathered inside the product, so that one slice of it lives at a
+            # time; every row's product is its own
+            for p in _slices(uP.shape[0]):
+                G = G_c[g.classes[p]]
+                out[g.flux[p]] = (M_c[g.classes[p]] @ uP[p, :, None] + G @ y0[g.cols[p]][..., None])[..., 0]
                 gtu[p] = (uP[p, None, :] @ G)[:, 0]
             # a pressure dof lies in at most two polygons, so the row order
             # of a block does not change a bin's sum

@@ -45,5 +45,9 @@ class ConfigError(ValueError):
     """Run configuration is malformed; message names the offending key."""
 
 
+class GridTooLarge(MeshError, ConfigError):
+    """More initial cells than `build_initial_mesh` takes; `sdg run` exits 2."""
+
+
 class IoError(Exception):
     """An artifact file could not be written or parsed."""

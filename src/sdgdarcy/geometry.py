@@ -21,13 +21,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyDomain, FractureNotAligned, MeshError, NotStarShaped
+from .errors import EmptyDomain, FractureNotAligned, GridTooLarge, MeshError, NotStarShaped
 
 # edge kinds
 BOUNDARY = 0  # on the domain boundary, one adjacent triangle
 INTERIOR = 1  # interior primal edge, pressure-continuous
 FRACTURE = 2  # lies on a fracture segment
 DUAL = 3  # centroid-to-vertex edge created by subdivision
+
+MAX_INITIAL_CELLS = 10**6  # build_initial_mesh loops over cells; at k=1 this many already give 3.2e7 unknowns
 
 
 @dataclass(frozen=True)
@@ -516,11 +518,13 @@ def build_initial_mesh(domain: DomainSpec, target_h: float) -> PolygonalMesh:
 
     Every rectangle corner and every fracture segment must land on the
     grid (within the domain tolerance, after snapping); otherwise the
-    build is rejected.
+    build is rejected; so is a grid of more than `MAX_INITIAL_CELLS` cells.
     """
     ranges, n_cells = initial_grid(domain, target_h)
     if n_cells == 0:
         raise EmptyDomain("no cells produced; check rectangles against target_h")
+    if n_cells > MAX_INITIAL_CELLS:
+        raise GridTooLarge(f"h0={target_h} gives at least {n_cells} initial cells, above {MAX_INITIAL_CELLS}")
     h = float(target_h)
     ox, oy = domain.origin
     tol = domain.tolerance

@@ -25,10 +25,13 @@ SuperLU factors only the skeleton matrix
     R = C + sum_P R_P  over the free primal-edge pressures and p_gamma
 
 in symmetric mode (diagonal pivots, minimum-degree ordering of R + R^T).
-The interior pressures, and then u = M^-1 (f - G y), are recovered polygon
-by polygon.  The backward error is computed blockwise on the full system;
-when the first solve is not at roundoff, up to two steps of iterative
-refinement follow, which solve against the stored polygon blocks again.
+R is built in a call of its own, so that its triplets are freed before
+SuperLU runs.  The interior pressures, and then u = M^-1 (f - G y), are
+recovered polygon by polygon.  The backward error is computed blockwise on
+the full system; when the first solve is not at roundoff, up to two steps
+of iterative refinement follow, which solve against the stored polygon
+blocks again.  `SolveReport` keeps the factor until it is dropped and
+counts its fill (L + U nonzeros) only when that is first read.
 
 A system with no constrained pressure dof and no constrained fracture tip
 is singular, since the constant pressure then lies in the nullspace of R;
@@ -40,8 +43,10 @@ bit-equal M_P and G_P: `assemble_system` keys a class on every input of
 their blocks, the triangles' geometry, flip flags and sides, K, and the
 Dirichlet mask and data of the local pressures.  So M_P^-1 [G_P | f_P],
 S_II^-1, H and R_P are computed once per distinct (class, f_P) and kept in
-tables with one row for each; a polygon's products gather its row, and only
-R_P is expanded to every polygon, for the sparse skeleton matrix.  f_P is
+tables with one row for each.  Every product gathers the rows of one slice
+of `_SLICE` polygons at a time, so that beyond the factor the solve holds
+one slice of gathered rows; only R_P is expanded to every polygon, for the
+sparse skeleton matrix.  f_P is
 keyed too: it is zero inside the domain but not on polygons with Dirichlet
 data.  A loop passes its `BlockCache`, which stores these rows for every
 (class, f_P) the loop met, so only the ones it has not met are solved and
@@ -61,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import LinearSystem
+from .assembly import LinearSystem, _slices
 from .errors import NonFinite, SingularSystem, SolverError
 from .reuse import BlockCache
 
@@ -79,14 +84,19 @@ class SolveReport:
     residual: float  # componentwise-normalized backward error
     refinement_steps: int
     t_ms: float
-    fill: int  # L + U nonzeros of the factor of the skeleton matrix R
     n_factored: int  # order of R: free primal-edge pressures and p_gamma
     system: LinearSystem = field(repr=False, compare=False)
+    lu: spla.SuperLU = field(repr=False, compare=False)  # the factor of R, kept with the report
 
     @cached_property
     def nnz(self) -> int:
         """Nonzeros of A, counted on the blocks when first read."""
         return self.system.nnz
+
+    @cached_property
+    def fill(self) -> int:
+        """L + U nonzeros of the factor of R, counted when first read."""
+        return int(self.lu.L.nnz + self.lu.U.nnz)
 
 
 def _backward_error(system: LinearSystem, x, rhs) -> float:
@@ -109,11 +119,21 @@ class _Condensed:
     """
 
     def __init__(self, system: LinearSystem, cache: BlockCache = None):
-        cache = BlockCache() if cache is None else cache
         self.system = system
         self.nV = nV = system.offsets[1]
-        self.ny = ny = system.n - nV
-        f = system.rhs[:nV]
+        try:
+            self.lu = spla.splu(
+                self._skeleton_matrix(system, system.n - nV, BlockCache() if cache is None else cache),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as err:
+            raise SingularSystem(str(err)) from err
+        self.x = self._back(system.rhs, [Wf[at] for W, Wf, S_inv, H, at, cb in self.parts])
+
+    def _skeleton_matrix(self, system: LinearSystem, ny: int, cache: BlockCache) -> sp.csc_matrix:
+        """R = C + sum_P R_P; sets the skeleton and the per-block tables."""
         # the y index of every skeleton unknown, and the skeleton index of
         # every y index; interior and constrained (y index ny) pressures map
         # to nsk, and C has no entry there
@@ -126,10 +146,10 @@ class _Condensed:
         pos[self.skeleton] = np.arange(nsk)
         C = system.C.tocoo()
         rows, cols, vals = [pos[C.row]], [pos[C.col]], [C.data]
-        self.parts, uf = [], []  # per block: W = M^-1 G, S_II^-1, H, rows `at` in them, skeleton columns
+        self.parts = []  # per block: W = M^-1 G, M^-1 f, S_II^-1, H, rows `at` in them, skeleton columns
         for g in system.blocks:
             m, b = g.G.shape[2], g.n_skeleton
-            fP = f[g.flux]
+            fP = system.rhs[g.flux]
 
             def condense(rows):
                 # once per distinct (class, f_P) new to the cache
@@ -155,53 +175,45 @@ class _Condensed:
             c = np.broadcast_to(cb[:, None, :], R.shape)
             keep = (r < nsk) & (c < nsk)
             rows.append(r[keep]), cols.append(c[keep]), vals.append(R[keep])
-            self.parts.append((W, S_inv, H, at, cb))
-            uf.append(Wf[at])
-        R = sp.csc_matrix(
+            self.parts.append((W, Wf, S_inv, H, at, cb))
+        return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nsk, nsk),
         )
-        try:
-            self.lu = spla.splu(
-                R,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as err:
-            raise SingularSystem(str(err)) from err
-        self.fill = int(self.lu.L.nnz + self.lu.U.nnz)
-        self.x = self._back(system.rhs, uf)
 
     def _back(self, rhs: np.ndarray, uf: list) -> np.ndarray:
         """Skeleton y from R, then the interior y and u = M^-1 f - W y,
         given M^-1 f per block."""
         nV, nsk = self.nV, self.skeleton.size
-        f, z = rhs[:nV], rhs[nV:]
+        z = rhs[nV:]
         zsk = z[self.skeleton].copy()
-        WH, vI = [], []
-        for g, (W, S_inv, H, at, cb) in zip(self.system.blocks, self.parts):
+        vI = []
+        for g, (W, Wf, S_inv, H, at, cb) in zip(self.system.blocks, self.parts):
             b = g.n_skeleton
-            W, H = W[at], H[at]
-            WH.append((W, H))
-            wf = (f[g.flux][:, None, :] @ W)[:, 0]  # G^T M^-1 f
-            zI = wf[:, b:] + z[g.cols[:, b:]]
-            # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
-            zb = wf[:, :b] - (zI[:, None, :] @ H)[:, 0]
+            zb, v = np.empty(cb.shape), np.empty((at.size, H.shape[1]))
+            for p in _slices(at.size):
+                wf = (rhs[g.flux[p]][:, None, :] @ W[at[p]])[:, 0]  # G^T M^-1 f
+                zI = wf[:, b:] + z[g.cols[p, b:]]
+                # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
+                zb[p] = wf[:, :b] - (zI[:, None, :] @ H[at[p]])[:, 0]
+                v[p] = (S_inv[at[p]] @ zI[..., None])[..., 0]
             zsk += np.bincount(cb.ravel(), zb.ravel(), minlength=nsk + 1)[:nsk]
-            vI.append((S_inv[at] @ zI[..., None])[..., 0])
-        y0 = np.zeros(self.ny + 1)  # constrained local pressures read zero
+            vI.append(v)
+        y0 = np.zeros(z.size + 1)  # constrained local pressures read zero
         y0[self.skeleton] = self.lu.solve(zsk)
         u = np.empty(nV)
-        for g, (W, H), v, ufg in zip(self.system.blocks, WH, vI, uf):
+        for g, (W, Wf, S_inv, H, at, cb), v, ufg in zip(self.system.blocks, self.parts, vI, uf):
             b = g.n_skeleton
-            y0[g.cols[:, b:]] = v - (H @ y0[g.cols[:, :b]][..., None])[..., 0]
-            u[g.flux] = ufg - (W @ y0[g.cols][..., None])[..., 0]
+            for p in _slices(at.size):
+                y0[g.cols[p, b:]] = v[p] - (H[at[p]] @ y0[g.cols[p, :b]][..., None])[..., 0]
+                u[g.flux[p]] = ufg[p] - (W[at[p]] @ y0[g.cols[p]][..., None])[..., 0]
         return np.concatenate([u, y0[:-1]])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        f = rhs[: self.nV]
-        uf = [np.linalg.solve(g.M[g.classes], f[g.flux][..., None])[..., 0] for g in self.system.blocks]
+        uf = [rhs[g.flux] for g in self.system.blocks]  # M^-1 f, once solved below
+        for g, fP in zip(self.system.blocks, uf):
+            for p in _slices(len(fP)):
+                fP[p] = np.linalg.solve(g.M[g.classes[p]], fP[p, :, None])[..., 0]
         return self._back(rhs, uf)
 
 
@@ -237,8 +249,8 @@ def solve_system(system: LinearSystem, cache: BlockCache = None):
         residual=res,
         refinement_steps=steps,
         t_ms=t_ms,
-        fill=factor.fill,
         n_factored=factor.skeleton.size,
         system=system,
+        lu=factor.lu,
     )
     return system.expand(x), report

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from sdgdarcy import geometry
+from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.cli import RunConfig, load_config, main
 from sdgdarcy.errors import ConfigError
 from sdgdarcy.io import read_history_csv
@@ -174,6 +176,20 @@ def test_oversized_initial_grid_exits_2_before_building(tmp_path, capsys, monkey
     cfg = write_config(tmp_path, benchmark="case1-a0.1", h0=0.25, max_dofs=least, k=k)
     with pytest.raises(AssertionError, match="was built"):
         main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+def test_grid_over_the_cell_bound_exits_2(tmp_path, capsys, monkeypatch):
+    """The `MAX_INITIAL_CELLS` check of `build_initial_mesh` is a
+    configuration error of `sdg run`.  Only the builder's cell bound is
+    faked, one above the limit, on the 32-cell grid at h0 = 0.25."""
+    ranges = geometry.initial_grid(get_benchmark("case1-a0.1")[0].domain, 0.25)[0]
+    monkeypatch.setattr(geometry, "initial_grid", lambda domain, h: (ranges, geometry.MAX_INITIAL_CELLS + 1))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, benchmark="case1-a0.1", h0=0.25)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"h0=0.25 gives at least {geometry.MAX_INITIAL_CELLS + 1} initial cells" in err
+    assert not out.exists()
 
 
 def test_load_config_validation(tmp_path):

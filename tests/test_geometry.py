@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdgdarcy.benchmarks import get_benchmark
-from sdgdarcy.errors import EmptyDomain, FractureNotAligned, MeshError, NotStarShaped
+from sdgdarcy import geometry
+from sdgdarcy.errors import EmptyDomain, FractureNotAligned, GridTooLarge, MeshError, NotStarShaped
 from sdgdarcy.geometry import (
     BOUNDARY,
     DUAL,
     FRACTURE,
     INTERIOR,
+    MAX_INITIAL_CELLS,
     CycleTable,
     DomainSpec,
     PolygonalMesh,
@@ -171,6 +173,22 @@ def test_initial_grid_bounds_the_union_by_its_largest_rectangle():
     ranges, cells = initial_grid(dom, 0.5)
     assert ranges == [(0, 0, 4, 2), (2, 0, 6, 2)] and cells == 8
     assert build_initial_mesh(dom, 0.5).n_elements == 12
+
+
+def test_grid_over_the_cell_bound_is_rejected_before_its_cells(monkeypatch):
+    """`build_initial_mesh` checks the cell bound of `initial_grid` against
+    `MAX_INITIAL_CELLS` before it visits a cell.  The bound is faked one
+    above the limit on the 32-cell grid of case1-a0.1 at h0 = 0.25, so a
+    missing check builds 32 cells, never a million."""
+    spec, _, _ = get_benchmark("case1-a0.1")
+    ranges, cells = initial_grid(spec.domain, 0.25)
+    assert cells == 32
+    monkeypatch.setattr(geometry, "initial_grid", lambda domain, h: (ranges, MAX_INITIAL_CELLS + 1))
+    with pytest.raises(GridTooLarge, match=rf"h0=0.25 gives at least {MAX_INITIAL_CELLS + 1} initial cells") as err:
+        build_initial_mesh(spec.domain, 0.25)
+    assert isinstance(err.value, MeshError)
+    monkeypatch.setattr(geometry, "initial_grid", lambda domain, h: (ranges, MAX_INITIAL_CELLS))
+    assert build_initial_mesh(spec.domain, 0.25).n_elements == 32
 
 
 def test_fracture_misaligned_rejected():

@@ -4,16 +4,19 @@ agreement of the skeleton solve, which condenses the flux and the
 polygon-interior pressures, with a direct LU of the full saddle system."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from sdgdarcy import assembly
 from sdgdarcy.adaptivity import AmrConfig, amr_loop
 from sdgdarcy.assembly import assemble_system
 from sdgdarcy.benchmarks import get_benchmark, linear_patch
 from sdgdarcy.errors import NonFinite, SingularSystem
-from sdgdarcy.geometry import build_initial_mesh
+from sdgdarcy.geometry import build_initial_mesh, refine
 from sdgdarcy.problem import (
     DIRICHLET,
     NEUMANN,
@@ -22,10 +25,11 @@ from sdgdarcy.problem import (
     constant,
     everywhere,
 )
+from sdgdarcy.reuse import BlockCache
 from sdgdarcy.solve import _backward_error, _Condensed, solve_system
 from sdgdarcy.spaces import _SIDE_NODES, SpaceConfig
 
-from conftest import saddle_backward_error
+from conftest import condense_every, saddle_backward_error
 from test_assembly import exact_free_vector
 
 
@@ -230,3 +234,82 @@ def test_loop_never_builds_the_sparse_matrix():
         callback=lambda record, mesh, sol, bd, system: seen.append("A" in vars(system)),
     )
     assert seen == [False] * 4
+
+
+def test_slices_keep_every_bit(monkeypatch):
+    """The solve and `LinearSystem.matvec` gather the class rows of one
+    `_SLICE` of polygons at a time.  With 7 polygons per slice in place of
+    256, on a mesh of two triangle counts whose larger block spans two
+    default slices, x, the residual, the refinement solve and A r, |A| |r|
+    keep every byte."""
+    spec, exact = linear_patch()
+    mesh = build_initial_mesh(spec.domain, 1 / 16)
+    sys = assemble_system(refine(mesh, np.arange(0, mesh.n_elements, 7)), spec, SpaceConfig(2))
+    assert len(sys.blocks) == 2 and max(g.polygons.size for g in sys.blocks) > assembly._SLICE
+    r = np.random.default_rng(5).standard_normal(sys.n)
+
+    def products():
+        x, report = _solve_vector(sys, sys.rhs)
+        return x, report.residual, _Condensed(sys).solve(r), sys.matvec(r), sys.matvec(np.abs(r), absolute=True)
+
+    default = products()
+    monkeypatch.setattr(assembly, "_SLICE", 7)
+    for a, b in zip(products(), default):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _skeleton_matrix(sys):
+    """R = C + sum_P R_P over the free primal-edge pressures and p_gamma,
+    from the condensation of every polygon (`condense_every`), with every
+    entry of each R_P stored."""
+    ny = sys.n - sys.offsets[1]
+    interior = np.zeros(ny + 1, dtype=bool)
+    for g in sys.blocks:
+        interior[g.cols[:, g.n_skeleton :]] = True
+    skeleton = np.flatnonzero(~interior[:ny])
+    pos = np.full(ny + 1, -1)
+    pos[skeleton] = np.arange(skeleton.size)
+    C = sys.C.tocoo()
+    rows, cols, vals = [pos[C.row]], [pos[C.col]], [C.data]
+    for g, (*_, R) in zip(sys.blocks, condense_every(sys)):
+        cb = pos[g.cols[:, : g.n_skeleton]]
+        r, c = np.broadcast_arrays(cb[:, :, None], cb[:, None, :])
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep]), cols.append(c[keep]), vals.append(R[keep])
+    n = skeleton.size
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+
+
+# tracemalloc peak of `solve_system` above its start on the system below,
+# its classes already in the cache as in the adaptive loop: 13,347,923
+# bytes with the skeleton triplets freed before the factor, one slice of
+# gathered rows and no L/U copies; 26,417,579 bytes when every product
+# gathered whole blocks and the solve copied L and U out for the fill.
+# The bound is the first plus 16%.
+_SOLVE_PEAK_BYTES = 15_500_000
+
+
+def test_solve_peak_and_fill_counted_when_read():
+    """Memory guard in requested bytes, the same on every machine, on a k=2
+    grid of 1,152 four-triangle polygons: one block of 4.5 slices.  `fill`
+    is not counted by the solve; read, it equals the L + U nonzeros of the
+    skeleton matrix factored on its own."""
+    spec, exact = linear_patch()
+    cache = BlockCache()
+    sys = assemble_system(build_initial_mesh(spec.domain, 1 / 24), spec, SpaceConfig(2), cache=cache)
+    assert [g.polygons.size for g in sys.blocks] == [1152] and 1152 > 4 * assembly._SLICE
+    solve_system(sys, cache)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sol, report = solve_system(sys, cache)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < _SOLVE_PEAK_BYTES, peak
+    assert "fill" not in vars(report)
+    R = _skeleton_matrix(sys)
+    assert R.shape[0] == report.n_factored
+    lu = spla.splu(R, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    assert report.fill == lu.L.nnz + lu.U.nnz
+    assert "fill" in vars(report)
