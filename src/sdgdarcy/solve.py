@@ -46,14 +46,13 @@ S_II^-1, H and R_P are computed once per distinct (class, f_P) and kept in
 tables with one row for each.  Every product gathers the rows of one slice
 of `_SLICE` polygons at a time, so that beyond the factor the solve holds
 one slice of gathered rows; only R_P is expanded to every polygon, for the
-sparse skeleton matrix.  f_P is
-keyed too: it is zero inside the domain but not on polygons with Dirichlet
-data.  A loop passes its `BlockCache`, which stores these rows for every
-(class, f_P) the loop met, so only the ones it has not met are solved and
-inverted.  Each step is a batched solve, inverse or matmul, or elementwise,
-so a row's bits do not depend on the rows beside it; a gathered row is a
-copy of the computed one, and the result equals condensing every polygon.
-See `adaptivity`.
+sparse skeleton matrix.  f_P is keyed too: it is zero inside the domain but
+not on polygons with Dirichlet data.  A loop passes its `BlockCache`, which
+stores these rows for every (class, f_P) the loop met, so only the ones it
+has not met are solved and inverted.  Each step is a batched solve, inverse
+or matmul, or elementwise, so a row's bits do not depend on the rows beside
+it; a gathered row is a copy of the computed one, and the result equals
+condensing every polygon.  See `adaptivity`.
 """
 
 from __future__ import annotations

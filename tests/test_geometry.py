@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy import geometry
+from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.errors import EmptyDomain, FractureNotAligned, GridTooLarge, MeshError, NotStarShaped
 from sdgdarcy.geometry import (
     BOUNDARY,

@@ -283,7 +283,7 @@ def _skeleton_matrix(sys):
 # tracemalloc peak of `solve_system` above its start on the system below,
 # its classes already in the cache as in the adaptive loop: 13,347,923
 # bytes with the skeleton triplets freed before the factor, one slice of
-# gathered rows and no L/U copies; 26,417,579 bytes when every product
+# gathered rows and no L/U copies; 26,417,515 bytes when every product
 # gathered whole blocks and the solve copied L and U out for the fill.
 # The bound is the first plus 16%.
 _SOLVE_PEAK_BYTES = 15_500_000
@@ -301,6 +301,7 @@ def test_solve_peak_and_fill_counted_when_read():
     solve_system(sys, cache)
     tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         sol, report = solve_system(sys, cache)
         peak = tracemalloc.get_traced_memory()[1] - start
