@@ -6,7 +6,7 @@ of the total, filled greedily from the largest indicator down (ties broken
 by lower element id).  Uniform mode refines every element and ignores theta.
 
 Reuse.  `amr_loop` creates one `BlockCache` and passes it to
-`build_spaces`, `assemble_system`, `solve_system` and `compute_estimator`.
+`build_spaces`, `assemble_system` and `compute_estimator`.
 
 Per triangle, the cache carries by identity.  `refine` copies each polygon
 that is not marked, not added by closure and has no side split into the
@@ -28,14 +28,13 @@ next.  `assemble_system` keys every polygon by the bytes of one row: per
 triangle the flip flags and sides, the edge lengths, the Jacobian, area and
 diameter (the inputs of C_t, M_t and B_t), then K and the Dirichlet mask
 and data at the polygon's local pressures.  Polygons of equal rows form a
-class, whose label is its row in tables that hold M_P, G_P and the lifts
-p_dir^T B_t of every class the loop met; M_t, B_t and these are computed
-once for each class the cache has not met.  The solve keys and stores the
-condensation, M_P^-1 [G_P | f_P], S_II^-1, H and R_P, on (label, f_P) the
-same way.  A kept polygon keeps its key row, so its class is found; so is a
-new polygon congruent to one of an earlier mesh.  Products gather each
-polygon's rows from the tables; only R_P is expanded, for the sparse
-skeleton matrix.
+class, whose label is its row in tables that hold M_P, G_P, the lifts
+p_dir^T B_t and the condensation M_P^-1 G_P, S_II^-1, H and R_P of every
+class the loop met; M_t, B_t and these are computed once for each class
+the cache has not met.  A kept polygon keeps its key row, so its class is
+found; so is a new polygon congruent to one of an earlier mesh.  The solve
+gathers each polygon's rows from the tables and knows nothing of reuse;
+only R_P is expanded, for the sparse skeleton matrix.
 
 The result is bit-equal to computing every polygon on every iteration.
 Each carried or shared row comes from elementwise arithmetic, a batched
@@ -208,7 +207,7 @@ def amr_loop(
         try:
             # drop the report at once: it holds this system, which would
             # otherwise stay alive through the next iteration's solve
-            sol = solve_system(system, cache)[0]
+            sol = solve_system(system)[0]
         except SingularSystem as exc:
             history.failure = str(exc)
             break

@@ -51,6 +51,10 @@ def _slices(n: int):
     return (slice(s, s + _SLICE) for s in range(0, n, _SLICE))
 
 
+def _sym(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + np.swapaxes(A, 1, 2))
+
+
 def _flat(triplets):
     """One (rows, cols, values) of flat arrays from a list of triplets of
     arrays of one shape each."""
@@ -272,11 +276,17 @@ class PolygonBlocks:
     (side 0) of its triangles, then the nodes off them, which no other
     polygon shares; each part in triangle order, local node order within.
 
-    Polygons of one class have bit-equal M_P, G_P and lifts, computed once
-    (see `_polygon_blocks`).  M and G are tables with one row per class,
-    and a polygon's class label is its row: M[classes] is M_P of every
-    polygon.  The tables are those of the loop's `BlockCache`, so they may
-    hold classes of earlier meshes that no polygon here uses.
+    Beside M_P and G_P they hold the static condensation of the polygon
+    (see `solve`): W = M_P^-1 G_P, the Schur block S_P = G_P^T W split
+    into its skeleton (B, the first n_skeleton) and interior (I) columns,
+    S_II^-1, H = S_II^-1 S_IB and R_P = S_BB - S_BI H.
+
+    Polygons of one class have bit-equal blocks, lifts and condensation,
+    computed once (see `_polygon_blocks`).  Every array of blocks is a
+    table with one row per class, and a polygon's class label is its row:
+    M[classes] is M_P of every polygon.  The tables are those of the loop's
+    `BlockCache`, so they may hold classes of earlier meshes that no
+    polygon here uses.
     """
 
     polygons: np.ndarray  # (npoly,) polygon ids
@@ -284,8 +294,12 @@ class PolygonBlocks:
     cols: np.ndarray  # (npoly, m) index into y = free (p, p_gamma); ny where constrained
     M: np.ndarray  # (nclass, b, b) flux mass blocks M_P
     G: np.ndarray  # (nclass, b, m) G_P = B_P^T, zero in constrained columns
+    W: np.ndarray  # (nclass, b, m) M_P^-1 G_P
+    S_inv: np.ndarray  # (nclass, m - n_skeleton, m - n_skeleton) S_II^-1
+    H: np.ndarray  # (nclass, m - n_skeleton, n_skeleton) S_II^-1 S_IB
+    R: np.ndarray  # (nclass, n_skeleton, n_skeleton) the skeleton block R_P
     n_skeleton: int  # the primal-side columns come first
-    classes: np.ndarray  # (npoly,) class label of each polygon: its row of M and G
+    classes: np.ndarray  # (npoly,) class label of each polygon: its row of every table
 
 
 @dataclass(frozen=True)
@@ -293,8 +307,9 @@ class LinearSystem:
     """Reduced system over free dofs, ordered (u, p, p_gamma).
 
     With y = (p, p_gamma) it reads [M G; -G^T C] [u; y] = rhs.  M and G are
-    kept as per-polygon dense blocks and C as a sparse matrix; the sparse
-    matrix `A` is built from them only when asked for.
+    kept as per-polygon dense blocks, with their condensation, and C as a
+    sparse matrix; the sparse matrix `A` is built from them only when asked
+    for.
     """
 
     blocks: tuple  # PolygonBlocks, one per triangle count, by count
@@ -349,12 +364,14 @@ class LinearSystem:
         for g in self.blocks:
             uP = u[g.flux]
             gtu = np.empty((uP.shape[0], g.G.shape[2]))
-            M_c, G_c = (np.abs(g.M), np.abs(g.G)) if absolute else (g.M, g.G)
-            # M is gathered inside the product, so that one slice of it lives at a
-            # time; every row's product is its own
+            # one slice of gathered rows lives at a time; every row's product
+            # is its own
             for p in _slices(uP.shape[0]):
-                G = G_c[g.classes[p]]
-                out[g.flux[p]] = (M_c[g.classes[p]] @ uP[p, :, None] + G @ y0[g.cols[p]][..., None])[..., 0]
+                M, G = g.M[g.classes[p]], g.G[g.classes[p]]
+                if absolute:
+                    np.abs(M, out=M)
+                    np.abs(G, out=G)
+                out[g.flux[p]] = (M @ uP[p, :, None] + G @ y0[g.cols[p]][..., None])[..., 0]
                 gtu[p] = (uP[p, None, :] @ G)[:, 0]
             # a pressure dof lies in at most two polygons, so the row order
             # of a block does not change a bin's sum
@@ -493,9 +510,10 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     one pattern per n, which every triangle's dofs are checked against.
     Its local pressures are the primal-side nodes of its triangles, then
     the rest (see `PolygonBlocks`).  `ycol` maps pressure dofs to their
-    index in y.  The triangle blocks, and from them M_P, G_P and the lifts,
-    are computed once per class of polygons with identical inputs, and only
-    for the classes `cache` has not met (see `adaptivity`).
+    index in y.  The triangle blocks, and from them M_P, G_P, the lifts and
+    the condensation, are computed once per class of polygons with
+    identical inputs, and only for the classes `cache` has not met (see
+    `adaptivity`).
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
@@ -510,7 +528,7 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
         i, j = np.arange(n)[:, None], np.arange(k1)
         own = n * k1 + n_own * i
         pattern = np.hstack([own + j, k1 * ((i + 1) % n) + j, k1 * i + j, own + k1 + np.arange(n_own - k1)])
-        b, m = n * (k1 + n_own), n * ns
+        b, m, nsk = n * (k1 + n_own), n * ns, n * k1
         pcol = np.empty((n, ns), dtype=np.int64)  # local column of each node
         pcol[:, primal] = np.arange(n * k1).reshape(n, k1)
         pcol[:, off] = n * k1 + np.arange(n * off.size).reshape(n, -1)
@@ -562,11 +580,18 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
             G = np.bincount((base * (b * m) + gbin).ravel(), B_t.ravel(), minlength=npoly * b * m)
             G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs[rows]][:, None, :]
             lift_t = (p_dir[S.tri_dofs[rep]][:, None, :] @ B_t)[:, 0]
-            return M.reshape(npoly, b, b), G, lift_t.reshape(npoly, n, -1)
+            M = M.reshape(npoly, b, b)
+            # the condensation: W = M^-1 G, S_II^-1, H and R_P
+            W = np.linalg.solve(M, G)
+            SP = _sym(np.swapaxes(G, 1, 2) @ W)
+            S_inv = np.linalg.inv(SP[:, nsk:, nsk:])
+            H = S_inv @ SP[:, nsk:, :nsk]
+            R = _sym(SP[:, :nsk, :nsk] - SP[:, :nsk, nsk:] @ H)
+            return M, G, lift_t.reshape(npoly, n, -1), W, S_inv, H, R
 
-        classes, (M, G, lift_P) = cache.classes(f"polygon blocks, {n} triangles", key, gather)
+        classes, (M, G, lift_P, W, S_inv, H, R) = cache.classes(f"polygon blocks, {n} triangles", key, gather)
         lift[t] = lift_P[classes].reshape(-1, V.nloc)
-        out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, n * k1, classes))
+        out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, W, S_inv, H, R, nsk, classes))
     return out, lift
 
 

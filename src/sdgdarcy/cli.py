@@ -1,27 +1,11 @@
-"""Command line front end: run benchmarks, list them, audit meshes.
-
-SDG_THREADS caps the BLAS/OpenMP thread pools.  The variables must be in
-the environment before numpy loads, so they are set at import time; a
-process that imported numpy earlier is unaffected (best effort).
-"""
+"""Command line front end: run benchmarks, list them, audit meshes."""
 
 from __future__ import annotations
-
-import os
-
-if os.environ.get("SDG_THREADS"):
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ.setdefault(_var, os.environ["SDG_THREADS"])
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 

@@ -44,9 +44,7 @@ class BlockCache:
     tables with one row per class, which calls only append to, so a label,
     a row, names one class for the life of the cache.  An empty cache
     carries nothing.  A name must stand for the same computation on every
-    mesh, so one cache serves one loop: one problem at one order, and a
-    system is solved with the cache it was assembled with, whose labels it
-    holds.
+    mesh, so one cache serves one loop: one problem at one order.
     """
 
     def __init__(self):

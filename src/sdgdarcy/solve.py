@@ -9,50 +9,39 @@ with the flux mass matrix M, the transposed pressure-gradient form G and
 the interface and fracture blocks C.  Every flux dof lives inside one
 polygon, so M is block diagonal.  `assemble_system` gathers the dense
 polygon blocks M_P and G_P straight from the triangle blocks, grouped by
-triangle count, and keeps C sparse.  One batched solve per group gives
-M_P^-1 [G_P | f_P] and the polygon's symmetric positive definite Schur
-block S_P = G_P^T M_P^-1 G_P.
+triangle count, and keeps C sparse.
 
 Pressure is continuous only across primal edges, so the pressure nodes off
 the primal edge of a triangle (its side 0) belong to one polygon as well,
 and C and the Dirichlet data touch only primal-edge nodes and p_gamma.
 The polygon blocks list the side-0 columns B first and these interior
-columns I after them.  A batched inverse of S_II per group gives
-H = S_II^-1 S_IB and the skeleton block R_P = S_BB - S_BI H, and the
-interior right-hand side z_I enters the skeleton one as -H^T z_I.
-SuperLU factors only the skeleton matrix
+columns I after them.  The condensation of a polygon depends on M_P and
+G_P alone, so `assemble_system` computes it with them, once per class of
+polygons (see `PolygonBlocks`): W = M_P^-1 G_P, the symmetric positive
+definite Schur block S_P = G_P^T W, S_II^-1, H = S_II^-1 S_IB and the
+skeleton block R_P = S_BB - S_BI H.  The interior right-hand side z_I
+enters the skeleton one as -H^T z_I.  SuperLU factors only the skeleton
+matrix
 
     R = C + sum_P R_P  over the free primal-edge pressures and p_gamma
 
 in symmetric mode (diagonal pivots, minimum-degree ordering of R + R^T).
 R is built in a call of its own, so that its triplets are freed before
-SuperLU runs.  The interior pressures, and then u = M^-1 (f - G y), are
-recovered polygon by polygon.  The backward error is computed blockwise on
-the full system; when the first solve is not at roundoff, up to two steps
-of iterative refinement follow, which solve against the stored polygon
-blocks again.  `SolveReport` keeps the factor until it is dropped and
-counts its fill (L + U nonzeros) only when that is first read.
+SuperLU runs.  M^-1 f is solved on the polygons whose f_P is not zero,
+which for the system's own right-hand side are those with Dirichlet data;
+the interior pressures, and then u = M^-1 (f - G y), are recovered
+polygon by polygon.  Every product gathers the class rows of one slice of
+`_SLICE` polygons at a time, so that beyond the factor the solve holds one
+slice of gathered rows; only R_P is expanded to every polygon, for the
+sparse skeleton matrix.  The backward error is computed blockwise on the
+full system; when the first solve is not at roundoff, up to two steps of
+iterative refinement follow, which take the same path.  `SolveReport`
+keeps the factor until it is dropped and counts its fill (L + U nonzeros)
+only when that is first read.
 
 A system with no constrained pressure dof and no constrained fracture tip
 is singular, since the constant pressure then lies in the nullspace of R;
 it is rejected before anything is factored.
-
-The condensation of one polygon depends only on its blocks and its flux
-load f_P.  The polygons of one class (`PolygonBlocks.classes`) have
-bit-equal M_P and G_P: `assemble_system` keys a class on every input of
-their blocks, the triangles' geometry, flip flags and sides, K, and the
-Dirichlet mask and data of the local pressures.  So M_P^-1 [G_P | f_P],
-S_II^-1, H and R_P are computed once per distinct (class, f_P) and kept in
-tables with one row for each.  Every product gathers the rows of one slice
-of `_SLICE` polygons at a time, so that beyond the factor the solve holds
-one slice of gathered rows; only R_P is expanded to every polygon, for the
-sparse skeleton matrix.  f_P is keyed too: it is zero inside the domain but
-not on polygons with Dirichlet data.  A loop passes its `BlockCache`, which
-stores these rows for every (class, f_P) the loop met, so only the ones it
-has not met are solved and inverted.  Each step is a batched solve, inverse
-or matmul, or elementwise, so a row's bits do not depend on the rows beside
-it; a gathered row is a copy of the computed one, and the result equals
-condensing every polygon.  See `adaptivity`.
 """
 
 from __future__ import annotations
@@ -67,7 +56,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem, _slices
 from .errors import NonFinite, SingularSystem, SolverError
-from .reuse import BlockCache
 
 _REFINE_BELOW = 1e-13  # skip refinement once backward error is at roundoff
 _FAIL_ABOVE = 1e-8  # give up if refinement cannot reach this
@@ -105,10 +93,6 @@ def _backward_error(system: LinearSystem, x, rhs) -> float:
     return float(np.linalg.norm(r, np.inf) / max(denom, np.finfo(float).tiny))
 
 
-def _sym(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + np.swapaxes(A, 1, 2))
-
-
 class _Condensed:
     """Factor of the skeleton system left by condensing the flux and the
     polygon-interior pressures.
@@ -117,22 +101,22 @@ class _Condensed:
     to another one.
     """
 
-    def __init__(self, system: LinearSystem, cache: BlockCache = None):
+    def __init__(self, system: LinearSystem):
         self.system = system
         self.nV = nV = system.offsets[1]
         try:
             self.lu = spla.splu(
-                self._skeleton_matrix(system, system.n - nV, BlockCache() if cache is None else cache),
+                self._skeleton_matrix(system, system.n - nV),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as err:
             raise SingularSystem(str(err)) from err
-        self.x = self._back(system.rhs, [Wf[at] for W, Wf, S_inv, H, at, cb in self.parts])
+        self.x = self.solve(system.rhs)
 
-    def _skeleton_matrix(self, system: LinearSystem, ny: int, cache: BlockCache) -> sp.csc_matrix:
-        """R = C + sum_P R_P; sets the skeleton and the per-block tables."""
+    def _skeleton_matrix(self, system: LinearSystem, ny: int) -> sp.csc_matrix:
+        """R = C + sum_P R_P; sets the skeleton and its columns per block."""
         # the y index of every skeleton unknown, and the skeleton index of
         # every y index; interior and constrained (y index ny) pressures map
         # to nsk, and C has no entry there
@@ -145,36 +129,18 @@ class _Condensed:
         pos[self.skeleton] = np.arange(nsk)
         C = system.C.tocoo()
         rows, cols, vals = [pos[C.row]], [pos[C.col]], [C.data]
-        self.parts = []  # per block: W = M^-1 G, M^-1 f, S_II^-1, H, rows `at` in them, skeleton columns
+        self.cb = []  # per block: the skeleton columns of every polygon
         for g in system.blocks:
-            m, b = g.G.shape[2], g.n_skeleton
-            fP = system.rhs[g.flux]
-
-            def condense(rows):
-                # once per distinct (class, f_P) new to the cache
-                M, G = g.M[g.classes[rows]], g.G[g.classes[rows]]
-                # one batched solve gives W = M^-1 G and M^-1 f
-                X = np.linalg.solve(M, np.concatenate([G, fP[rows][..., None]], axis=2))
-                W = X[..., :m]
-                SP = _sym(np.swapaxes(G, 1, 2) @ W)
-                S_inv = np.linalg.inv(SP[:, b:, b:])  # S_II^-1
-                H = S_inv @ SP[:, b:, :b]
-                R = _sym(SP[:, :b, :b] - SP[:, :b, b:] @ H)
-                return W, X[..., m], S_inv, H, R
-
-            key = np.hstack([g.classes[:, None], fP])
-            name = f"condensation, {g.flux.shape[1]} flux dofs"
-            at, (W, Wf, S_inv, H, R) = cache.classes(name, key, condense)
-            R = R[at]
+            R = g.R[g.classes]
             # an entry of R has at most two terms (the polygons on both sides
             # of an interior primal edge, or one polygon and C on a fracture
             # edge), so the order of the polygons does not change its sum
-            cb = pos[g.cols[:, :b]]
+            cb = pos[g.cols[:, : g.n_skeleton]]
             r = np.broadcast_to(cb[:, :, None], R.shape)
             c = np.broadcast_to(cb[:, None, :], R.shape)
             keep = (r < nsk) & (c < nsk)
             rows.append(r[keep]), cols.append(c[keep]), vals.append(R[keep])
-            self.parts.append((W, Wf, S_inv, H, at, cb))
+            self.cb.append(cb)
         return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nsk, nsk),
@@ -187,40 +153,42 @@ class _Condensed:
         z = rhs[nV:]
         zsk = z[self.skeleton].copy()
         vI = []
-        for g, (W, Wf, S_inv, H, at, cb) in zip(self.system.blocks, self.parts):
+        for g, cb in zip(self.system.blocks, self.cb):
             b = g.n_skeleton
-            zb, v = np.empty(cb.shape), np.empty((at.size, H.shape[1]))
-            for p in _slices(at.size):
-                wf = (rhs[g.flux[p]][:, None, :] @ W[at[p]])[:, 0]  # G^T M^-1 f
+            zb, v = np.empty(cb.shape), np.empty((cb.shape[0], g.H.shape[1]))
+            for p in _slices(cb.shape[0]):
+                c = g.classes[p]
+                wf = (rhs[g.flux[p]][:, None, :] @ g.W[c])[:, 0]  # G^T M^-1 f
                 zI = wf[:, b:] + z[g.cols[p, b:]]
                 # S_BI S_II^-1 z_I = H^T z_I, since S_II is symmetric
-                zb[p] = wf[:, :b] - (zI[:, None, :] @ H[at[p]])[:, 0]
-                v[p] = (S_inv[at[p]] @ zI[..., None])[..., 0]
+                zb[p] = wf[:, :b] - (zI[:, None, :] @ g.H[c])[:, 0]
+                v[p] = (g.S_inv[c] @ zI[..., None])[..., 0]
             zsk += np.bincount(cb.ravel(), zb.ravel(), minlength=nsk + 1)[:nsk]
             vI.append(v)
         y0 = np.zeros(z.size + 1)  # constrained local pressures read zero
         y0[self.skeleton] = self.lu.solve(zsk)
         u = np.empty(nV)
-        for g, (W, Wf, S_inv, H, at, cb), v, ufg in zip(self.system.blocks, self.parts, vI, uf):
+        for g, v, ufg in zip(self.system.blocks, vI, uf):
             b = g.n_skeleton
-            for p in _slices(at.size):
-                y0[g.cols[p, b:]] = v[p] - (H[at[p]] @ y0[g.cols[p, :b]][..., None])[..., 0]
-                u[g.flux[p]] = ufg[p] - (W[at[p]] @ y0[g.cols[p]][..., None])[..., 0]
+            for p in _slices(v.shape[0]):
+                c = g.classes[p]
+                y0[g.cols[p, b:]] = v[p] - (g.H[c] @ y0[g.cols[p, :b]][..., None])[..., 0]
+                u[g.flux[p]] = ufg[p] - (g.W[c] @ y0[g.cols[p]][..., None])[..., 0]
         return np.concatenate([u, y0[:-1]])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         uf = [rhs[g.flux] for g in self.system.blocks]  # M^-1 f, once solved below
         for g, fP in zip(self.system.blocks, uf):
-            for p in _slices(len(fP)):
-                fP[p] = np.linalg.solve(g.M[g.classes[p]], fP[p, :, None])[..., 0]
+            # M^-1 0 = 0: only the polygons with a nonzero f_P are solved
+            nonzero = np.flatnonzero(fP.any(axis=1))
+            for p in _slices(nonzero.size):
+                at = nonzero[p]
+                fP[at] = np.linalg.solve(g.M[g.classes[at]], fP[at, :, None])[..., 0]
         return self._back(rhs, uf)
 
 
-def solve_system(system: LinearSystem, cache: BlockCache = None):
-    """Solve a reduced system; returns (DiscreteSolution, SolveReport).
-
-    `cache` stores the condensation of every class its loop met (see
-    `adaptivity`); it is the cache `system` was assembled with, or None."""
+def solve_system(system: LinearSystem):
+    """Solve a reduced system; returns (DiscreteSolution, SolveReport)."""
     rhs = np.asarray(system.rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise NonFinite("right-hand side contains non-finite entries")
@@ -230,7 +198,7 @@ def solve_system(system: LinearSystem, cache: BlockCache = None):
             "constrained, so the constant pressure is in its nullspace"
         )
     t0 = time.perf_counter()
-    factor = _Condensed(system, cache)
+    factor = _Condensed(system)
     x = factor.x
     if not np.all(np.isfinite(x)):
         raise NonFinite("solve produced non-finite values")

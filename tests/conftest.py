@@ -11,6 +11,7 @@ from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.assembly import (
     _block,
     _coo,
+    _sym,
     assemble_bh,
     assemble_fracture_stiffness,
     assemble_interface,
@@ -21,7 +22,6 @@ from sdgdarcy.assembly import (
 )
 from sdgdarcy.geometry import FRACTURE, INTERIOR, DomainSpec, Fracture, build_initial_mesh, refine
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
-from sdgdarcy.solve import _sym
 from sdgdarcy.spaces import _SIDE_NODES, _bubble_curl_ref
 
 
@@ -405,21 +405,19 @@ def per_polygon(g):
 
 
 def condense_every(system):
-    """Per block of `system.blocks`, the condensation (W, M^-1 f, S_II^-1,
-    H, R_P) of `solve._Condensed` with every polygon computed: the oracle
-    for its classes."""
-    f = system.rhs[: system.offsets[1]]
+    """Per block of `system.blocks`, the condensation (W, S_II^-1, H, R_P)
+    of every polygon, computed polygon by polygon from its M_P and G_P: the
+    oracle for the class tables of `PolygonBlocks`."""
     out = []
     for g in system.blocks:
-        m, b = g.G.shape[2], g.n_skeleton
+        b = g.n_skeleton
         M, G = per_polygon(g)
-        X = np.linalg.solve(M, np.concatenate([G, f[g.flux][..., None]], axis=2))
-        W = X[..., :m]
+        W = np.linalg.solve(M, G)
         SP = _sym(np.swapaxes(G, 1, 2) @ W)
         S_inv = np.linalg.inv(SP[:, b:, b:])
         H = S_inv @ SP[:, b:, :b]
         R = _sym(SP[:, :b, :b] - SP[:, :b, b:] @ H)
-        out.append((W, X[..., m], S_inv, H, R))
+        out.append((W, S_inv, H, R))
     return out
 
 

@@ -1,7 +1,6 @@
 """Command line interface: flags, config files, artifacts, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -224,14 +223,3 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "patch" in proc.stdout
-
-
-def test_sdg_threads_env_is_applied():
-    env = dict(os.environ, SDG_THREADS="2")
-    env.pop("OMP_NUM_THREADS", None)
-    code = "import sdgdarcy.cli, os; print(os.environ['OMP_NUM_THREADS'])"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "2"

@@ -1,5 +1,5 @@
 """Polygons whose block inputs are identical form a class, and the polygon
-blocks and the condensation are computed once per class, on one mesh and
+blocks and their condensation are computed once per class, on one mesh and
 across the meshes of a loop.  Every array must equal the one computed
 polygon by polygon, bit for bit.
 """
@@ -16,7 +16,7 @@ from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.geometry import CycleTable, PolygonalMesh, build_initial_mesh, refine
 from sdgdarcy.problem import DIRICHLET, BoundaryRule, constant, everywhere
 from sdgdarcy.reuse import BlockCache, group_rows
-from sdgdarcy.solve import _Condensed, solve_system
+from sdgdarcy.solve import solve_system
 from sdgdarcy.spaces import SpaceConfig
 
 
@@ -40,11 +40,6 @@ def _inputs(mesh, spec, k):
     return sub, V, S, spec.permeability(mesh.element_centroids), p_dir, ycol
 
 
-def _condensation(g):
-    """The cache name of the condensation of the polygons of block g."""
-    return f"condensation, {g.flux.shape[1]} flux dofs"
-
-
 def _check_blocks(args):
     """The class-keyed blocks and lifts equal the oracle's; returns them."""
     blocks, lift = _polygon_blocks(*args, BlockCache())
@@ -59,29 +54,21 @@ def _check_blocks(args):
 
 @pytest.mark.parametrize("name,k", [("case1-a0.1", 2), ("case2", 1), ("multifrac", 2), ("lshape", 1)])
 def test_classes_bit_equal_to_every_polygon(name, k):
-    """Every condensation output equals the polygon-by-polygon oracle after
-    three seeded Doerfler refinements with hanging nodes; on case1 the
-    classes engage.  The polygon blocks and the lifts are held to the same
-    oracle by `test_system_bit_equal_to_full_dof_path`."""
+    """The condensation tables W, S_II^-1, H and R_P, gathered by class,
+    equal the polygon-by-polygon oracle after three seeded Doerfler
+    refinements with hanging nodes; on case1 the classes engage.  The
+    polygon blocks and the lifts are held to the same oracle by
+    `test_system_bit_equal_to_full_dof_path`."""
     spec, mesh = _refined(name)
     system = assemble_system(mesh, spec, SpaceConfig(k))
     n_classes = sum(np.unique(g.classes).size for g in system.blocks)
     if name == "case1-a0.1":
         assert n_classes < mesh.n_elements
 
-    cache = BlockCache()
-    _Condensed(system, cache)
-
-    def recompute(rows):
-        raise AssertionError("the condensation was not kept on this mesh")
-
-    f = system.rhs[: system.offsets[1]]
     for g, want in zip(system.blocks, condense_every(system)):
-        key = np.hstack([g.classes[:, None], f[g.flux]])
-        at, got = cache.classes(_condensation(g), key, recompute)
-        assert len(got) == len(want)
+        got = (g.W, g.S_inv, g.H, g.R)
         for a, w in zip(got, want):
-            assert np.array_equal(a[at], w)
+            assert np.array_equal(a[g.classes], w)
 
 
 def test_changed_input_leaves_the_class():
@@ -148,33 +135,50 @@ def test_changed_input_leaves_the_class():
 
 
 def _cached_refinement(k, seed=7):
-    """A mesh after two seeded refinements, solved with a loop cache, then
-    refined once more; returns (cache, the system assembled with it)."""
+    """A mesh after two seeded refinements, assembled with a loop cache,
+    then refined once more; returns the system assembled with that cache."""
     spec, mesh = _refined("case1-a0.1", times=2)
     config = SpaceConfig(k)
     cache = BlockCache()
-    solve_system(assemble_system(mesh, spec, config, cache=cache), cache)
+    assemble_system(mesh, spec, config, cache=cache)
     rng = np.random.default_rng(seed)
     mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
-    return cache, assemble_system(mesh, spec, config, cache=cache)
+    return assemble_system(mesh, spec, config, cache=cache)
 
 
 def test_solve_without_cache_equals_carried_solve():
     """After one refinement with a loop cache, the system takes classes
-    from the previous mesh; solving it without the cache recomputes every
-    class and gives the cached solve's bits."""
-    cache, system = _cached_refinement(2)
-    cached, _ = solve_system(system, cache)
-    fresh, _ = solve_system(system)
+    from the previous mesh; the system assembled without the cache computes
+    every class, and its solve gives the carried system's bits."""
+    system = _cached_refinement(2)
+    cached, _ = solve_system(system)
+    fresh, _ = solve_system(assemble_system(system.mesh, system.spec, SpaceConfig(2)))
     for field in ("u", "p", "p_gamma"):
         assert np.array_equal(getattr(fresh, field), getattr(cached, field)), field
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_solve_takes_one_path_for_every_right_hand_side(k):
+    """M^-1 f is solved per polygon, not per class, on every right-hand
+    side: on a mesh whose 80 polygons fall into 53 classes, a random x0
+    with f = A x0 nonzero on every polygon is recovered by the first solve,
+    without a refinement step."""
+    spec, mesh = _refined("case1-a0.1", times=2, seed=7)
+    system = assemble_system(mesh, spec, SpaceConfig(k))
+    assert mesh.n_elements == 80
+    assert sum(np.unique(g.classes).size for g in system.blocks) == 53
+    x0 = np.random.default_rng(k).standard_normal(system.n)
+    sol, report = solve_system(dataclasses.replace(system, rhs=system.A @ x0))
+    assert report.refinement_steps == 0
+    x = np.concatenate([sol.u, sol.p[system.s_free], sol.p_gamma[system.w_free]])
+    assert np.linalg.norm(x - x0) <= 1e-11 * np.linalg.norm(x0)
 
 
 def test_nnz_counts_the_classes_in_use():
     """After a cached refinement the class tables hold classes of the
     previous mesh that no polygon uses; `nnz` counts only the used ones,
     once per polygon, and equals the stored entries of `A`."""
-    _, system = _cached_refinement(1)
+    system = _cached_refinement(1)
     assert any(np.unique(g.classes).size < len(g.M) for g in system.blocks)
     assert system.nnz == system.A.nnz
 
@@ -182,10 +186,11 @@ def test_nnz_counts_the_classes_in_use():
 def test_class_of_the_previous_mesh_is_not_computed_again():
     """On the meshes of a loop, a polygon that `refine` did not keep but
     whose class an earlier mesh used is neither gathered nor condensed
-    again, on the next mesh or later: over three meshes, the compute
-    callbacks of the cache receive one row per class new to the loop,
-    fewer than the classes among the polygons not kept, and the labels of
-    new classes are the next rows of the tables."""
+    again, on the next mesh or later: over three meshes, assembled and
+    solved, the class stores of the cache are those of the polygon blocks
+    alone, their compute callbacks receive one row per class new to the
+    loop, fewer than the classes among the polygons not kept, and the
+    labels of new classes are the next rows of the tables."""
     spec, mesh = _refined("case1-a0.1", times=2)
     config = SpaceConfig(1)
     cache = BlockCache()
@@ -207,13 +212,10 @@ def test_class_of_the_previous_mesh_is_not_computed_again():
             mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
         computed.clear()
         systems.append(assemble_system(mesh, spec, config, cache=cache))
-        solve_system(systems[-1], cache)
+        solve_system(systems[-1])
+        assert all(name.startswith("polygon blocks, ") for name in computed)
 
     # a label is a row of the table of one triangle count
-    def condensation_keys(system):
-        f = system.rhs[: system.offsets[1]]
-        return {(g.flux.shape[1], c, f[flux].tobytes()) for g in system.blocks for c, flux in zip(g.classes, g.flux)}
-
     def labels(system):
         return {(g.n_skeleton // 2, c) for g in system.blocks for c in g.classes}  # k + 1 = 2 nodes per side
 
@@ -227,11 +229,10 @@ def test_class_of_the_previous_mesh_is_not_computed_again():
         unseen = np.unique(g.classes[~met])
         assert computed.get(f"polygon blocks, {n} triangles", 0) == unseen.size
         assert np.array_equal(unseen, np.arange(len(g.M) - unseen.size, len(g.M)))
+        assert all(len(table) == len(g.M) for table in (g.G, g.W, g.S_inv, g.H, g.R))
         new += unseen.size
         not_kept += np.unique(g.classes[fresh[g.polygons]]).size
         taken += np.count_nonzero(met[fresh[g.polygons]])
     assert taken > 0 and new < not_kept
     # and one class the second mesh did not use comes back from the first
     assert labels(last) & (labels(systems[0]) - labels(systems[1]))
-    new_keys = condensation_keys(last) - set().union(*(condensation_keys(s) for s in systems[:-1]))
-    assert sum(computed.get(_condensation(g), 0) for g in last.blocks) == len(new_keys)

@@ -25,7 +25,6 @@ from sdgdarcy.problem import (
     constant,
     everywhere,
 )
-from sdgdarcy.reuse import BlockCache
 from sdgdarcy.solve import _backward_error, _Condensed, solve_system
 from sdgdarcy.spaces import _SIDE_NODES, SpaceConfig
 
@@ -281,11 +280,12 @@ def _skeleton_matrix(sys):
 
 
 # tracemalloc peak of `solve_system` above its start on the system below,
-# its classes already in the cache as in the adaptive loop: 13,347,923
-# bytes with the skeleton triplets freed before the factor, one slice of
-# gathered rows and no L/U copies; 26,417,515 bytes when every product
-# gathered whole blocks and the solve copied L and U out for the fill.
-# The bound is the first plus 16%.
+# whose condensation the assembly computed: 12,665,248 bytes with the
+# skeleton triplets freed before the factor, one slice of gathered rows and
+# no L/U copies; 13,347,923 bytes when the solve kept its own condensation
+# store, and 26,417,515 bytes when every product gathered whole blocks and
+# the solve copied L and U out for the fill.  The bound is 13,347,923 plus
+# 16%.
 _SOLVE_PEAK_BYTES = 15_500_000
 
 
@@ -295,15 +295,14 @@ def test_solve_peak_and_fill_counted_when_read():
     is not counted by the solve; read, it equals the L + U nonzeros of the
     skeleton matrix factored on its own."""
     spec, exact = linear_patch()
-    cache = BlockCache()
-    sys = assemble_system(build_initial_mesh(spec.domain, 1 / 24), spec, SpaceConfig(2), cache=cache)
+    sys = assemble_system(build_initial_mesh(spec.domain, 1 / 24), spec, SpaceConfig(2))
     assert [g.polygons.size for g in sys.blocks] == [1152] and 1152 > 4 * assembly._SLICE
-    solve_system(sys, cache)
+    solve_system(sys)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        sol, report = solve_system(sys, cache)
+        sol, report = solve_system(sys)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
