@@ -361,17 +361,19 @@ class LinearSystem:
         out = np.empty_like(x, dtype=float)
         out[nV:] = C @ y
         y0 = np.append(y, 0.0)  # constrained local pressures read zero
+
+        def gather(table, rows):
+            a = table[rows]
+            return np.abs(a, out=a) if absolute else a
+
         for g in self.blocks:
             uP = u[g.flux]
             gtu = np.empty((uP.shape[0], g.G.shape[2]))
-            # one slice of gathered rows lives at a time; every row's product
-            # is its own
+            # M is gathered inside the product, so that one slice of it lives at a
+            # time; every row's product is its own
             for p in _slices(uP.shape[0]):
-                M, G = g.M[g.classes[p]], g.G[g.classes[p]]
-                if absolute:
-                    np.abs(M, out=M)
-                    np.abs(G, out=G)
-                out[g.flux[p]] = (M @ uP[p, :, None] + G @ y0[g.cols[p]][..., None])[..., 0]
+                G = gather(g.G, g.classes[p])
+                out[g.flux[p]] = (gather(g.M, g.classes[p]) @ uP[p, :, None] + G @ y0[g.cols[p]][..., None])[..., 0]
                 gtu[p] = (uP[p, None, :] @ G)[:, 0]
             # a pressure dof lies in at most two polygons, so the row order
             # of a block does not change a bin's sum
