@@ -13,13 +13,14 @@ that is not marked, not added by closure and has no side split into the
 next mesh unchanged, with the same vertex ids, cycle order and hanging
 flags, and records its old id in `kept_from`.  For the triangles of such a
 kept polygon the stages take from the cache the flux transforms C_t
-(`build_V_h`) and the bulk source at the points of the 2k+2 and 2k+12
-rules; the load vector and the estimator share the first, and the mapped
-weights are recomputed, which is as fast as carrying them.  C_t depends only
-on the triangle's vertex coordinates, the order of their ids (the flip
-flags) and the side of each edge it lies on, which an unchanged cycle fixes:
-an edge's orientation follows its vertex ids, or its fracture segment.  The
-source depends on absolute position, so it is carried by identity only.
+(`build_V_h`), the bulk source at the points of the 2k+2 rule, which the
+load vector and the estimator share, and the oscillation residual at the
+2k+12 rule; the mapped weights are recomputed, as fast as carrying them.
+C_t depends only on the triangle's vertex coordinates, the order of their
+ids (the flip flags) and the side of each edge it lies on, which an
+unchanged cycle fixes: an edge's orientation follows its vertex ids, or
+its fracture segment.  The source and the residual depend on absolute
+position, so they are carried by identity only.
 
 Per polygon, the cache carries by class.  Refinement of the uniform initial
 grid leaves mostly congruent squares and a few hanging-node polygons, so
@@ -29,12 +30,12 @@ triangle the flip flags and sides, the edge lengths, the Jacobian, area and
 diameter (the inputs of C_t, M_t and B_t), then K and the Dirichlet mask
 and data at the polygon's local pressures.  Polygons of equal rows form a
 class, whose label is its row in tables that hold M_P, G_P, the lifts
-p_dir^T B_t and the condensation M_P^-1 G_P, S_II^-1, H and R_P of every
-class the loop met; M_t, B_t and these are computed once for each class
-the cache has not met.  A kept polygon keeps its key row, so its class is
-found; so is a new polygon congruent to one of an earlier mesh.  The solve
-gathers each polygon's rows from the tables and knows nothing of reuse;
-only R_P is expanded, for the sparse skeleton matrix.
+p_dir^T B_t and the condensation M_P^-1 G_P, S_II^-1, H and R_P of the
+classes of the current mesh; M_t, B_t and these are computed once for each
+class the previous mesh did not use.  A kept polygon keeps its key row, so
+its class is found; so is a new polygon congruent to one of the previous
+mesh.  The solve gathers each polygon's rows from the tables and knows
+nothing of reuse; only R_P is expanded, for the sparse skeleton matrix.
 
 The result is bit-equal to computing every polygon on every iteration.
 Each carried or shared row comes from elementwise arithmetic, a batched
@@ -46,14 +47,14 @@ over the blocks adds one bincount per count; a bincount inside one count
 adds at most two terms per entry, so the order of the rows inside a count
 does not change it.  A gathered row is a copy of its class's computed row,
 so a batched product over gathered rows gives each polygon its own bits.
-One batched product is not row-independent: a 2-D GEMM gives the columns
-in the tail of its batch other bits.  So the oscillation carries only its
-source values and projects on all triangles at once.
+A 2-D GEMM is not row-independent: the rows in the tail of its batch get
+other bits.  So the oscillation projects f with one stacked product per
+triangle, not with f @ wm over all triangles, and carries its residuals.
 
-The cache holds the per-triangle arrays of one mesh and every class the
-loop met.  On its refinement it keeps the rows of the kept polygons'
-triangles and drops the rest; a class store only grows.  A stage called
-without a cache starts from an empty one, which computes every class once.
+The cache holds the per-triangle arrays and the classes of one mesh.  On
+its refinement it keeps the rows of the kept polygons' triangles until a
+stage merges them; a class that leaves the mesh is dropped.  A stage
+called without a cache starts from an empty one.
 """
 
 from __future__ import annotations
@@ -183,10 +184,9 @@ def amr_loop(
     (counted from the spaces, so the over-budget mesh is neither assembled
     nor solved), or on all-zero indicators.  A singular system is recorded
     in `failure` and halts the loop.  One `BlockCache` carries the arrays
-    of kept triangles from each iteration to the next and stores those of
-    every polygon class the loop met.  When given, callback(record, mesh,
-    sol, breakdown, system) runs after each record is appended; exporters
-    hook in here.
+    of kept triangles and the polygon classes from each iteration to the
+    next.  When given, callback(record, mesh, sol, breakdown, system) runs
+    after each record is appended; exporters hook in here.
     """
     history = ConvergenceHistory(config=config)
     nan = float("nan")

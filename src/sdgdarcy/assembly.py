@@ -284,9 +284,8 @@ class PolygonBlocks:
     Polygons of one class have bit-equal blocks, lifts and condensation,
     computed once (see `_polygon_blocks`).  Every array of blocks is a
     table with one row per class, and a polygon's class label is its row:
-    M[classes] is M_P of every polygon.  The tables are those of the loop's
-    `BlockCache`, so they may hold classes of earlier meshes that no
-    polygon here uses.
+    M[classes] is M_P of every polygon.  The tables are those the loop's
+    `BlockCache` returned for this mesh, and every row is in use.
     """
 
     polygons: np.ndarray  # (npoly,) polygon ids
@@ -514,8 +513,8 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     the rest (see `PolygonBlocks`).  `ycol` maps pressure dofs to their
     index in y.  The triangle blocks, and from them M_P, G_P, the lifts and
     the condensation, are computed once per class of polygons with
-    identical inputs, and only for the classes `cache` has not met (see
-    `adaptivity`).
+    identical inputs, and only for the classes that the previous mesh of
+    `cache` did not use (see `adaptivity`).
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
@@ -601,8 +600,8 @@ def assemble_system(
     mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, spaces=None, cache: BlockCache = None
 ) -> LinearSystem:
     """Reduced (u, p, p_gamma) system; `spaces` reuses a `build_spaces`
-    result, and `cache` stores the blocks of every class its loop met (see
-    `adaptivity`)."""
+    result, and `cache` carries the arrays of kept triangles and the
+    blocks of the previous mesh's polygon classes (see `adaptivity`)."""
     sub = mesh.subdivision
     cache = BlockCache() if cache is None else cache
     S, V, W = build_spaces(mesh, spec, config, cache) if spaces is None else spaces

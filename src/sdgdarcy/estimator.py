@@ -29,7 +29,7 @@ from .assembly import fracture_source_values, source_values
 from .errors import NoExactSolution
 from .geometry import DUAL, INTERIOR, PolygonalMesh, inv_2x2
 from .problem import ProblemSpec
-from .quadrature import edge_rule, map_to_triangles, triangle_rule
+from .quadrature import edge_rule, map_to_triangles, mapped_weights, triangle_rule
 from .reuse import BlockCache
 from .spaces import _monomial_exponents, _monomial_values
 
@@ -51,8 +51,8 @@ class EstimatorBreakdown:
 
 def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockCache = None) -> EstimatorBreakdown:
     """The eight families and their localization on `sol`; `cache` shares
-    the bulk source values with the assembly and carries the source values
-    of the oscillation on kept polygons (see `adaptivity`)."""
+    the bulk source values with the assembly and carries the oscillation
+    residuals of kept polygons' triangles (see `adaptivity`)."""
     sub = mesh.subdivision
     k = sol.S.k
     cache = BlockCache() if cache is None else cache
@@ -60,7 +60,10 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
     Kinv_elem = inv_2x2(K_elem)
 
     rule = triangle_rule(2 * k + 2)
-    qw, f = source_values(sub, spec, 2 * k + 2, cache)
+    if spec.f is None:  # T2 is div u_h alone, the same bits: (0 - d)^2 == d^2
+        qw, f = mapped_weights(rule, sub.tri_jacobian), 0.0
+    else:
+        qw, f = source_values(sub, spec, 2 * k + 2, cache)
 
     # term 1: constitutive residual r = u_h + K grad p_h measured in K^{-1}
     u = sol.u_at_ref(rule.points)
@@ -207,23 +210,32 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: Bloc
     Bulk source against its elementwise L2 projection onto degree-k
     polynomials per triangle (weighted by the triangle diameter), fracture
     source against per-edge 1D projections (weighted by edge length and the
-    fracture thickness).  Returns the square root of the total.  The source
-    values of kept polygons come from `cache`; the projection runs on all
-    triangles at once, because the bits of a GEMM column depend on where it
-    falls in the batch.
+    fracture thickness).  Returns the square root of the total.  The bulk
+    residual of a triangle, before its h_T^2 weight, depends on the source
+    and the triangle alone, so `cache` carries it for the triangles of kept
+    polygons and only new triangles evaluate and project f.
     """
     sub = mesh.subdivision
+    cache = BlockCache() if cache is None else cache
     total = 0.0
 
     if spec.f is not None:
         rule = triangle_rule(2 * k + 12)
-        qw, f = source_values(sub, spec, 2 * k + 12, cache)
         # P_k is affine invariant: project onto the reference monomials,
         # whose Gram matrix on triangle t is |det J| times the reference one
         mono = _monomial_values(_monomial_exponents(k), rule.points)  # (nq, s)
         wm = rule.weights[:, None] * mono
-        c = np.linalg.solve(mono.T @ wm, (f @ wm).T)  # (s, nt)
-        res = np.einsum("tq,tq->t", qw, (f - (mono @ c).T) ** 2)
+        proj = wm @ np.linalg.inv(mono.T @ wm)  # (nq, s): f -> coefficients
+        region = mesh.element_regions[sub.tri_polygon]
+
+        def residuals(tris):
+            qp, qw = map_to_triangles(rule, sub.tri_coords[tris])
+            f = spec.bulk_source(qp.reshape(-1, 2), np.repeat(region[tris], rule.weights.size)).reshape(qw.shape)
+            # stacked, so a triangle's bits do not depend on the others (see `adaptivity`)
+            r = f - ((f[:, None, :] @ proj) @ mono.T)[:, 0]
+            return (np.einsum("tq,tq->t", qw, r**2),)
+
+        (res,) = cache.triangles(sub.mesh, "oscillation residual", residuals)
         total += float((sub.tri_diameter**2 * res).sum())
 
     erule = edge_rule(2 * k + 12)

@@ -9,8 +9,8 @@ computes the others.
 
 Per-polygon arrays are carried by content instead: a stage keys every
 polygon on all inputs of its arrays, polygons of equal keys form a class,
-and the cache stores the arrays of every class the loop met, one row per
-class, whose label is that row; only classes it has not met are computed.
+and the cache stores the arrays of the classes of its last call, one row
+per class, whose label is that row; only the other classes are computed.
 See `adaptivity` for what is carried and why the result is bit-equal.
 """
 
@@ -35,16 +35,17 @@ def group_rows(key: np.ndarray):
 
 
 class BlockCache:
-    """Arrays of one mesh, kept for its refinement, and of every class met.
+    """Arrays of one mesh and of its classes, kept for its refinement.
 
     Each per-triangle name holds a tuple of arrays with one row per
     triangle; on the refinement of the mesh, the rows of the kept polygons'
-    triangles are carried and the rest dropped.  Each per-class name holds
-    a store of every class its calls met: the key bytes of each class and
-    tables with one row per class, which calls only append to, so a label,
-    a row, names one class for the life of the cache.  An empty cache
-    carries nothing.  A name must stand for the same computation on every
-    mesh, so one cache serves one loop: one problem at one order.
+    triangles are carried until the name is asked for, and the rest
+    dropped.  Each per-class name holds a store of the classes of its last
+    call: the key bytes of each class and tables with one row per class,
+    rebuilt on every call, so a label names a class only in the tables
+    returned with it.  An empty cache carries nothing.  A name must stand
+    for the same computation on every mesh, so one cache serves one loop:
+    one problem at one order.
     """
 
     def __init__(self):
@@ -74,12 +75,13 @@ class BlockCache:
 
     def triangles(self, mesh, name: str, compute) -> tuple:
         """The arrays `name`, one row per triangle of `mesh`: rows of kept
-        polygons carried, compute(triangle ids) for the others.  Asked for
-        twice on one mesh, they are computed once."""
+        polygons carried, compute(triangle ids) for the others; the carried
+        rows are dropped once merged.  Asked for twice on one mesh, they
+        are computed once."""
         self._bind(mesh)
         if name in self._triangles:
             return self._triangles[name]
-        carried = self._carried_triangles.get(name)
+        carried = self._carried_triangles.pop(name, None)
         kept = self._kept[mesh.cycles.polygon]
         if carried is None:
             kept[:] = False
@@ -102,20 +104,20 @@ class BlockCache:
     def classes(self, name: str, key: np.ndarray, compute) -> tuple:
         """(labels, table) of `name` for the rows of `key` (n, w), whose
         rows of equal bytes form one class: per row the label of its class,
-        which is the class's row of every array of `table` for the life of
-        the cache.  compute(rows) gives the arrays of the classes the store
-        lacks, one row each, from one row of `key` per class; they are
-        appended only once it returns."""
+        which is the class's row of every array of `table`.  The store of
+        `name` then holds the classes of this call alone: the ones it held
+        first, then those compute(rows) gives, one row each, from one row of
+        `key` per class it lacks; if `compute` raises, the store stays."""
         first, label = group_rows(key)
         reps = _row_bytes(key[first])
         index, table = self._classes.get(name, ({}, ()))
         # only the class representatives are looked up
         row = np.array([index.get(r, -1) for r in reps], dtype=np.int64)
-        new = np.flatnonzero(row < 0)
-        if new.size:
-            fresh = tuple(compute(first[new]))
-            table = tuple(np.concatenate(p) for p in zip(table, fresh)) if table else fresh
-            row[new] = np.arange(len(index), len(index) + new.size)
-            index.update(zip((reps[i] for i in new), row[new].tolist()))
-            self._classes[name] = (index, table)
+        known, new = np.flatnonzero(row >= 0), np.flatnonzero(row < 0)
+        fresh = tuple(compute(first[new])) if new.size else ()
+        kept = tuple(a[row[known]] for a in table) if known.size else ()
+        table = tuple(np.concatenate(p) for p in zip(kept, fresh)) if kept and fresh else kept or fresh
+        order = np.concatenate([known, new])
+        row[order] = np.arange(order.size)
+        self._classes[name] = (dict(zip((reps[i] for i in order), range(order.size))), table)
         return row[label], table

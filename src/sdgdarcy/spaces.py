@@ -241,7 +241,7 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     tri_dofs[:, rest_locals] = rest
 
     tc = sub.tri_coords
-    nodes_xy = tc[:, :1, :] + np.einsum("lj,tjc->tlc", ref_nodes, tc[:, 1:, :] - tc[:, :1, :])
+    nodes_xy = tc[:, :1, :] + ref_nodes @ (tc[:, 1:, :] - tc[:, :1, :])
     coords = np.empty((ndof, 2))
     coords[rest] = nodes_xy[:, rest_locals]
     alone = own & ~interior
@@ -460,9 +460,10 @@ def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
             pinv, null = _edge_pseudoinverse(k)
             NX = null @ np.linalg.inv(R @ null)
             Dinv = np.concatenate([pinv - NX @ (R @ pinv), NX], axis=2)
-        else:
-            Dinv = np.broadcast_to(np.linalg.inv(edge), (m, nloc, nloc))
-        return (np.take_along_axis(Dinv, order[:, None, :], axis=2) * scale[:, None, :],)
+            return (np.take_along_axis(Dinv, order[:, None, :], axis=2) * scale[:, None, :],)
+        # one D~^-1 for all triangles: gather its columns; contiguous, since
+        # the products that read C_t take other bits from a transposed layout
+        return (np.ascontiguousarray(np.swapaxes(np.linalg.inv(edge).T[order], 1, 2)) * scale[:, None, :],)
 
     (coeff,) = cache.triangles(sub.mesh, "flux transforms", transforms)
 

@@ -175,64 +175,70 @@ def test_solve_takes_one_path_for_every_right_hand_side(k):
 
 
 def test_nnz_counts_the_classes_in_use():
-    """After a cached refinement the class tables hold classes of the
-    previous mesh that no polygon uses; `nnz` counts only the used ones,
-    once per polygon, and equals the stored entries of `A`."""
+    """After a cached refinement the class tables hold the classes of the
+    refined mesh alone, every row in use; `nnz` counts each class once per
+    polygon and equals the stored entries of `A`."""
     system = _cached_refinement(1)
-    assert any(np.unique(g.classes).size < len(g.M) for g in system.blocks)
+    for g in system.blocks:
+        assert np.array_equal(np.unique(g.classes), np.arange(len(g.M)))
     assert system.nnz == system.A.nnz
 
 
 def test_class_of_the_previous_mesh_is_not_computed_again():
     """On the meshes of a loop, a polygon that `refine` did not keep but
-    whose class an earlier mesh used is neither gathered nor condensed
-    again, on the next mesh or later: over three meshes, assembled and
-    solved, the class stores of the cache are those of the polygon blocks
-    alone, their compute callbacks receive one row per class new to the
-    loop, fewer than the classes among the polygons not kept, and the
-    labels of new classes are the next rows of the tables."""
+    whose class the previous mesh used is neither gathered nor condensed
+    again: over three meshes, assembled and solved, the class stores of the
+    cache are those of the polygon blocks alone, their compute callbacks
+    receive one row per class the previous mesh did not use, fewer than
+    the classes among the polygons not kept, the labels of those classes
+    are the last rows of the tables, and a class of the first mesh that the
+    second did not use is computed again."""
     spec, mesh = _refined("case1-a0.1", times=2)
     config = SpaceConfig(1)
     cache = BlockCache()
-    computed = {}
     lookup = cache.classes
+    used, computed = [], {}  # per mesh and name: key bytes per polygon, labels
 
-    def counting(name, key, compute):
-        def count(rows):
-            computed[name] = computed.get(name, 0) + rows.size
-            return compute(rows)
+    def recording(name, key, compute):
+        rows = [r.tobytes() for r in key]
 
-        return lookup(name, key, count)
+        def count(new):
+            computed.setdefault(name, []).extend(rows[i] for i in new)
+            return compute(new)
 
-    cache.classes = counting
+        labels, table = lookup(name, key, count)
+        used[-1][name] = (rows, labels)
+        return labels, table
+
+    cache.classes = recording
     rng = np.random.default_rng(7)
-    systems = []
-    for _ in range(3):
-        if systems:
+    for it in range(3):
+        if it:
             mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
         computed.clear()
-        systems.append(assemble_system(mesh, spec, config, cache=cache))
-        solve_system(systems[-1])
+        used.append({})
+        system = assemble_system(mesh, spec, config, cache=cache)
+        solve_system(system)
         assert all(name.startswith("polygon blocks, ") for name in computed)
 
-    # a label is a row of the table of one triangle count
-    def labels(system):
-        return {(g.n_skeleton // 2, c) for g in system.blocks for c in g.classes}  # k + 1 = 2 nodes per side
+    def classes(i, name):
+        return set(used[i].get(name, ((), None))[0])
 
-    last = systems[-1]
-    seen = labels(systems[0]) | labels(systems[1])
     fresh = mesh.kept_from < 0
-    new = not_kept = taken = 0
-    for g in last.blocks:
-        n = g.n_skeleton // 2
-        met = np.array([(n, c) in seen for c in g.classes])
-        unseen = np.unique(g.classes[~met])
-        assert computed.get(f"polygon blocks, {n} triangles", 0) == unseen.size
-        assert np.array_equal(unseen, np.arange(len(g.M) - unseen.size, len(g.M)))
-        assert all(len(table) == len(g.M) for table in (g.G, g.W, g.S_inv, g.H, g.R))
-        new += unseen.size
+    new = not_kept = taken = back = 0
+    for g in system.blocks:
+        name = f"polygon blocks, {g.n_skeleton // 2} triangles"  # k + 1 = 2 nodes per side
+        rows, labels = used[2][name]
+        assert np.array_equal(labels, g.classes)
+        assert all(len(table) == len(classes(2, name)) for table in (g.M, g.G, g.W, g.S_inv, g.H, g.R))
+        unseen = classes(2, name) - classes(1, name)
+        assert sorted(computed.get(name, [])) == sorted(unseen)
+        met = np.array([r not in unseen for r in rows])
+        assert np.array_equal(np.unique(labels[~met]), np.arange(len(g.M) - len(unseen), len(g.M)))
+        new += len(unseen)
         not_kept += np.unique(g.classes[fresh[g.polygons]]).size
         taken += np.count_nonzero(met[fresh[g.polygons]])
+        back += len(unseen & (classes(0, name) - classes(1, name)))
     assert taken > 0 and new < not_kept
-    # and one class the second mesh did not use comes back from the first
-    assert labels(last) & (labels(systems[0]) - labels(systems[1]))
+    # a class the cache dropped is computed again when it comes back
+    assert back > 0

@@ -1,6 +1,6 @@
 """The arrays a loop carries from one mesh to the next, per kept triangle
 and per polygon class, equal the ones built from an empty cache, bit for
-bit.
+bit, and the cache keeps only the rows of the current mesh.
 
 Every mesh of a short cached run is rebuilt with fresh stages, each of which
 then starts from an empty `BlockCache`.
@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from conftest import per_polygon
 
-from sdgdarcy.adaptivity import AmrConfig, amr_loop
+from sdgdarcy.adaptivity import AmrConfig, amr_loop, dorfler_mark
 from sdgdarcy.assembly import assemble_system, build_spaces
 from sdgdarcy.benchmarks import get_benchmark
-from sdgdarcy.estimator import compute_estimator, true_error
-from sdgdarcy.geometry import build_initial_mesh
+from sdgdarcy.estimator import compute_estimator, data_oscillation, true_error
+from sdgdarcy.geometry import build_initial_mesh, refine
 from sdgdarcy.reuse import BlockCache
 from sdgdarcy.solve import solve_system
 from sdgdarcy.spaces import SpaceConfig
@@ -59,11 +59,11 @@ def test_cached_run_equals_fresh_rebuild(name, k, max_dofs):
     assert min(kept[1:]) > 0
 
 
-def test_class_store_is_append_only():
-    """`BlockCache.classes` keeps every class a name met: keys {a, b}, then
-    {c}, then {a, c} compute a, b and c once each, a label is a row of the
-    table and stays with its class, and a `compute` that raises leaves the
-    store as it was."""
+def test_class_store_holds_the_last_call():
+    """`BlockCache.classes` keeps the classes of a name's last call alone:
+    keys {a, b}, then {c}, then {a, c} compute a, b, c and a again, a label
+    is a row of the table, the known classes come first and the new ones
+    last, and a `compute` that raises leaves the store as it was."""
     cache = BlockCache()
     computed = []
 
@@ -76,24 +76,64 @@ def test_class_store_is_append_only():
 
         labels, table = cache.classes("store", key, compute)
         assert np.array_equal(table[0][labels], 10.0 * key[:, 0])  # every row reads its class's row
+        assert np.array_equal(np.unique(labels), np.arange(len(table[0])))  # and every row is in use
         return labels, table
 
     a, b, c = 1.0, 2.0, 3.0
     first, _ = classes(a, b, a)
     assert computed == [a, b] and first.tolist() == [0, 1, 0]
     second, _ = classes(c)
-    assert computed == [a, b, c] and second.tolist() == [2]
+    assert computed == [a, b, c] and second.tolist() == [0]
     third, table = classes(a, c)
-    assert computed == [a, b, c]
-    assert third.tolist() == [first[0], second[0]]
+    assert computed == [a, b, c, a]
+    assert third.tolist() == [1, 0]
 
     def fail(rows):
         raise RuntimeError("no compute")
 
     with pytest.raises(RuntimeError, match="no compute"):
         cache.classes("store", np.array([[4.0], [a]]), fail)
-    labels, after = cache.classes("store", np.array([[a], [b], [c]]), fail)
-    assert labels.tolist() == [0, 1, 2]
-    assert all(x is y for x, y in zip(after, table))
+    labels, after = cache.classes("store", np.array([[c], [a]]), fail)
+    assert labels.tolist() == [0, 1]
+    assert np.array_equal(after[0], table[0])
     fourth, _ = classes(4.0, b)
-    assert computed == [a, b, c, 4.0] and fourth.tolist() == [3, 1]
+    assert computed == [a, b, c, a, 4.0, b] and fourth.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_oscillation_carried_equals_fresh(k):
+    """The loop carries the oscillation residual of kept triangles; at every
+    iteration osc equals `data_oscillation` on an empty cache, bit for bit."""
+    spec, exact, h0 = get_benchmark("case1-a0.1")
+    kept = []
+
+    def fresh(record, mesh, sol, bd, system):
+        kept.append(int((mesh.kept_from >= 0).sum()))
+        assert data_oscillation(mesh, spec, k) == record.osc
+
+    mesh = build_initial_mesh(spec.domain, h0)
+    hist = amr_loop(mesh, spec, AmrConfig(k=k, max_dofs=30_000), callback=fresh)
+    assert len(hist.records) >= 6 and min(kept[1:]) > 0
+
+
+def test_loop_cache_holds_only_live_rows():
+    """After the stages ran on a refined mesh, the cache keeps no copy of
+    the rows it carried, every row of the class tables is used by the
+    system, and the oscillation is carried as one float per triangle."""
+    spec, _, h0 = get_benchmark("case1-a0.1")
+    config = SpaceConfig(2)
+    cache = BlockCache()
+    mesh = build_initial_mesh(spec.domain, h0)
+    for it in range(3):
+        if it:
+            mesh = refine(mesh, dorfler_mark(bd.element_sq, 0.5))
+        system = assemble_system(mesh, spec, config, cache=cache)
+        bd = compute_estimator(mesh, spec, solve_system(system)[0], cache)
+    assert (mesh.kept_from >= 0).any()
+    assert cache.mesh is mesh and not cache._carried_triangles
+    assert sorted(cache._triangles) == ["bulk source, degree 6", "flux transforms", "oscillation residual"]
+    (res,) = cache._triangles["oscillation residual"]
+    assert res.shape == (mesh.subdivision.n_triangles,)
+    for g in system.blocks:
+        for table in (g.M, g.G, g.W, g.S_inv, g.H, g.R):
+            assert np.array_equal(np.unique(g.classes), np.arange(len(table)))
