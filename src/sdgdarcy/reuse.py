@@ -105,9 +105,9 @@ class BlockCache:
         """(labels, table) of `name` for the rows of `key` (n, w), whose
         rows of equal bytes form one class: per row the label of its class,
         which is the class's row of every array of `table`.  The store of
-        `name` then holds the classes of this call alone: the ones it held
-        first, then those compute(rows) gives, one row each, from one row of
-        `key` per class it lacks; if `compute` raises, the store stays."""
+        `name` then holds the classes of this call alone: the known ones,
+        then those compute(rows) gives, one row each, from one row of `key`
+        per class it lacks; if `compute` raises, the store stays."""
         first, label = group_rows(key)
         reps = _row_bytes(key[first])
         index, table = self._classes.get(name, ({}, ()))
