@@ -34,8 +34,8 @@ p_dir^T B_t and the condensation M_P^-1 G_P, S_II^-1, H and R_P of the
 classes of the current mesh; M_t, B_t and these are computed once for each
 class the previous mesh did not use.  A kept polygon keeps its key row, so
 its class is found; so is a new polygon congruent to one of the previous
-mesh.  The solve gathers each polygon's rows from the tables and knows
-nothing of reuse; only R_P is expanded, for the sparse skeleton matrix.
+mesh.  The solve gathers each polygon's rows from the tables, one slice at
+a time, and knows nothing of reuse.
 
 The result is bit-equal to computing every polygon on every iteration.
 Each carried or shared row comes from elementwise arithmetic, a batched
@@ -53,18 +53,20 @@ triangle, not with f @ wm over all triangles, and carries its residuals.
 
 The cache holds the per-triangle arrays and the classes of one mesh.  On
 its refinement it keeps the rows of the kept polygons' triangles until a
-stage merges them; a class that leaves the mesh is dropped.  A stage
-called without a cache starts from an empty one.
+stage merges them; a class that leaves the mesh is dropped, and so is the
+class store of a triangle count that leaves it.  A stage called without a
+cache starts from an empty one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from .assembly import assemble_system, build_spaces, free_unknowns
+from .assembly import DiscreteSolution, assemble_system, build_spaces, free_unknowns
 from .errors import AllZeroIndicators, ConfigError, SingularSystem
 from .estimator import EstimatorBreakdown, compute_estimator, true_error
 from .geometry import PolygonalMesh, refine
@@ -145,7 +147,8 @@ class IterationRecord:
 
 @dataclass
 class ConvergenceHistory:
-    """Per-iteration records plus the last solved state."""
+    """Per-iteration records plus the last solved state; `final_solution`
+    is None while the loop solves the next system (see `amr_loop`)."""
 
     records: list = field(default_factory=list)
     config: AmrConfig = None
@@ -186,12 +189,17 @@ def amr_loop(
     in `failure` and halts the loop.  One `BlockCache` carries the arrays
     of kept triangles and the polygon classes from each iteration to the
     next.  When given, callback(record, mesh, sol, breakdown, system) runs
-    after each record is appended; exporters hook in here.
+    after each record is appended; exporters hook in here.  The loop then
+    drops the system, spaces and solution, and keeps the last solution as
+    its mesh and u, p, p_gamma alone through the next assembly and solve; a
+    singular stop rebuilds its spaces (the same bits without the cache), so
+    `final_*` hold the last solved state.
     """
     history = ConvergenceHistory(config=config)
     nan = float("nan")
     space_config = SpaceConfig(config.k)
     cache = BlockCache()
+    parked = None  # (u, p, p_gamma) of history.final_mesh while the next solve runs
     for it in range(config.max_iterations):
         spaces = build_spaces(mesh, spec, space_config, cache)
         n = free_unknowns(spaces)
@@ -202,6 +210,9 @@ def amr_loop(
                     f"max_dofs={config.max_dofs}"
                 )
             break
+        if history.final_solution is not None:
+            parked = attrgetter("u", "p", "p_gamma")(history.final_solution)
+            history.final_solution = None
         system = assemble_system(mesh, spec, space_config, spaces=spaces, cache=cache)
         t0 = time.perf_counter()
         try:
@@ -210,6 +221,9 @@ def amr_loop(
             sol = solve_system(system)[0]
         except SingularSystem as exc:
             history.failure = str(exc)
+            if parked is not None:
+                S, V, W = build_spaces(history.final_mesh, spec, space_config)
+                history.final_solution = DiscreteSolution(history.final_mesh, V, S, W, *parked)
             break
         t_solve = (time.perf_counter() - t0) * 1e3
 
@@ -246,6 +260,7 @@ def amr_loop(
         history.final_breakdown = bd
         if callback is not None:
             callback(history.records[-1], mesh, sol, bd, system)
+        del system, spaces, sol
 
         if it == config.max_iterations - 1:
             break

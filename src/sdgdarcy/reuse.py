@@ -11,6 +11,7 @@ Per-polygon arrays are carried by content instead: a stage keys every
 polygon on all inputs of its arrays, polygons of equal keys form a class,
 and the cache stores the arrays of the classes of its last call, one row
 per class, whose label is that row; only the other classes are computed.
+A name that one mesh does not call is dropped when the next is bound.
 See `adaptivity` for what is carried and why the result is bit-equal.
 """
 
@@ -43,7 +44,8 @@ class BlockCache:
     dropped.  Each per-class name holds a store of the classes of its last
     call: the key bytes of each class and tables with one row per class,
     rebuilt on every call, so a label names a class only in the tables
-    returned with it.  An empty cache carries nothing.  A name must stand
+    returned with it; binding a mesh drops the stores that the previous
+    mesh did not call.  An empty cache carries nothing.  A name must stand
     for the same computation on every mesh, so one cache serves one loop:
     one problem at one order.
     """
@@ -54,13 +56,16 @@ class BlockCache:
         self._triangles = {}  # name -> arrays on self.mesh
         self._carried_triangles = {}  # name -> rows of the kept polygons' triangles
         self._classes = {}  # name -> (key bytes -> label, arrays with one row per label)
+        self._called = set()  # the per-class names called since self.mesh was bound
 
     def _bind(self, mesh) -> None:
-        """Make `mesh` current: carry the rows of its kept polygons' triangles,
-        drop the rest."""
+        """Make `mesh` current: carry the rows of its kept polygons' triangles
+        and the class stores the previous mesh called, drop the rest."""
         if mesh is self.mesh:
             return
         old, self.mesh = self.mesh, mesh
+        self._classes = {name: self._classes[name] for name in self._called}
+        self._called = set()
         self._kept = mesh.kept_from >= 0
         if old is None or mesh.parent is not old:
             self._kept[:] = False
@@ -120,4 +125,5 @@ class BlockCache:
         order = np.concatenate([known, new])
         row[order] = np.arange(order.size)
         self._classes[name] = (dict(zip((reps[i] for i in order), range(order.size))), table)
+        self._called.add(name)
         return row[label], table

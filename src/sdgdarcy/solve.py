@@ -26,18 +26,18 @@ matrix
     R = C + sum_P R_P  over the free primal-edge pressures and p_gamma
 
 in symmetric mode (diagonal pivots, minimum-degree ordering of R + R^T).
-R is built in a call of its own, so that its triplets are freed before
-SuperLU runs.  M^-1 f is solved on the polygons whose f_P is not zero,
-which for the system's own right-hand side are those with Dirichlet data;
-the interior pressures, and then u = M^-1 (f - G y), are recovered
-polygon by polygon.  Every product gathers the class rows of one slice of
-`_SLICE` polygons at a time, so that beyond the factor the solve holds one
-slice of gathered rows; only R_P is expanded to every polygon, for the
-sparse skeleton matrix.  The backward error is computed blockwise on the
-full system; when the first solve is not at roundoff, up to two steps of
-iterative refinement follow, which take the same path.  `SolveReport`
-keeps the factor until it is dropped and counts its fill (L + U nonzeros)
-only when that is first read.
+R is built in a call of its own, from int32 triplets in buffers sized for
+every entry, which are freed before SuperLU runs.  M^-1 f is solved on the
+polygons whose f_P is not zero, which for the system's own right-hand side
+are those with Dirichlet data; the interior pressures, and then
+u = M^-1 (f - G y), are recovered polygon by polygon.  The build of R and
+every product gather the class rows of one slice of `_SLICE` polygons at a
+time, so that beyond the factor the solve holds one slice of gathered rows.
+The backward error is computed blockwise on the full system; when the
+first solve is not at roundoff, up to two steps of iterative refinement
+follow, which take the same path.  `SolveReport` keeps the factor until it
+is dropped and counts its fill (L + U nonzeros) only when that is first
+read.
 
 A system with no constrained pressure dof and no constrained fracture tip
 is singular, since the constant pressure then lies in the nullspace of R;
@@ -116,7 +116,9 @@ class _Condensed:
         self.x = self.solve(system.rhs)
 
     def _skeleton_matrix(self, system: LinearSystem, ny: int) -> sp.csc_matrix:
-        """R = C + sum_P R_P; sets the skeleton and its columns per block."""
+        """R = C + sum_P R_P; sets the skeleton and its columns per block.
+        The triplets of C, then of the kept entries of R_P, block by block
+        and one slice of polygons at a time, fill one buffer in order."""
         # the y index of every skeleton unknown, and the skeleton index of
         # every y index; interior and constrained (y index ny) pressures map
         # to nsk, and C has no entry there
@@ -125,26 +127,26 @@ class _Condensed:
             interior[g.cols[:, g.n_skeleton :]] = True
         self.skeleton = np.flatnonzero(~interior[:ny])
         nsk = self.skeleton.size
-        pos = np.full(ny + 1, nsk)
+        pos = np.full(ny + 1, nsk, dtype=np.int32)
         pos[self.skeleton] = np.arange(nsk)
         C = system.C.tocoo()
-        rows, cols, vals = [pos[C.row]], [pos[C.col]], [C.data]
+        size = C.nnz + sum(g.classes.size * g.n_skeleton**2 for g in system.blocks)
+        rows, cols, vals = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
+        end = C.nnz
+        rows[:end], cols[:end], vals[:end] = pos[C.row], pos[C.col], C.data
         self.cb = []  # per block: the skeleton columns of every polygon
         for g in system.blocks:
-            R = g.R[g.classes]
             # an entry of R has at most two terms (the polygons on both sides
             # of an interior primal edge, or one polygon and C on a fracture
             # edge), so the order of the polygons does not change its sum
             cb = pos[g.cols[:, : g.n_skeleton]]
-            r = np.broadcast_to(cb[:, :, None], R.shape)
-            c = np.broadcast_to(cb[:, None, :], R.shape)
-            keep = (r < nsk) & (c < nsk)
-            rows.append(r[keep]), cols.append(c[keep]), vals.append(R[keep])
+            for p in _slices(cb.shape[0]):
+                r, c = np.broadcast_arrays(cb[p, :, None], cb[p, None, :])
+                keep = (r < nsk) & (c < nsk)
+                start, end = end, end + np.count_nonzero(keep)
+                rows[start:end], cols[start:end], vals[start:end] = r[keep], c[keep], g.R[g.classes[p]][keep]
             self.cb.append(cb)
-        return sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nsk, nsk),
-        )
+        return sp.csc_matrix((vals[:end], (rows[:end], cols[:end])), shape=(nsk, nsk))
 
     def _back(self, rhs: np.ndarray, uf: list) -> np.ndarray:
         """Skeleton y from R, then the interior y and u = M^-1 f - W y,

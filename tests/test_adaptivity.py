@@ -1,11 +1,14 @@
 """Marking, loop configuration, and the adaptive refinement driver."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from sdgdarcy import adaptivity
 from sdgdarcy.adaptivity import (
     UNIFORM,
     AmrConfig,
@@ -14,7 +17,7 @@ from sdgdarcy.adaptivity import (
     dorfler_mark,
 )
 from sdgdarcy.benchmarks import case1, linear_patch
-from sdgdarcy.errors import AllZeroIndicators, ConfigError
+from sdgdarcy.errors import AllZeroIndicators, ConfigError, SingularSystem
 from sdgdarcy.geometry import DomainSpec, build_initial_mesh
 from sdgdarcy.problem import DIRICHLET, NEUMANN, BoundaryRule, ProblemSpec, everywhere
 
@@ -188,6 +191,68 @@ def test_singular_system_halts_with_failure():
     assert hist.failure is not None and "singular" in hist.failure
     assert hist.records == []
     assert hist.final_mesh is None
+
+
+def test_singular_stop_keeps_the_last_solved_state(monkeypatch):
+    """The loop holds the previous solution as its vectors while the next
+    system is solved; when that solve is singular, the last solved state is
+    rebuilt from them, bit for bit the one of an uninterrupted run."""
+    spec, exact = case1(0.1)
+    cfg = AmrConfig(theta=0.5, max_iterations=4)
+    seen = {}
+
+    def keep(record, mesh, sol, bd, system):
+        seen[record.iteration] = (mesh, sol.u, sol.p, sol.p_gamma, sol.V.ref_coeff, bd.element_sq)
+
+    full = amr_loop(build_initial_mesh(spec.domain, 0.5), spec, cfg, callback=keep)
+    assert full.failure is None and len(full.records) == 4
+    calls = []
+    solve = adaptivity.solve_system
+
+    def singular_third(system):
+        calls.append(system.n)
+        if len(calls) == 3:
+            raise SingularSystem("singular system: injected")
+        return solve(system)
+
+    monkeypatch.setattr(adaptivity, "solve_system", singular_third)
+    hist = amr_loop(build_initial_mesh(spec.domain, 0.5), spec, cfg)
+    assert hist.failure == "singular system: injected" and len(hist.records) == 2
+    mesh, *arrays = seen[1]
+    sol = hist.final_solution
+    assert sol.mesh is hist.final_mesh
+    assert hist.final_mesh.vertices.tobytes() == mesh.vertices.tobytes()
+    for name in ("offsets", "vertex", "hanging"):
+        assert getattr(hist.final_mesh.cycles, name).tobytes() == getattr(mesh.cycles, name).tobytes()
+    got = (sol.u, sol.p, sol.p_gamma, sol.V.ref_coeff, hist.final_breakdown.element_sq)
+    for name, a, b in zip(("u", "p", "p_gamma", "V.ref_coeff", "element_sq"), got, arrays):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_loop_holds_one_iteration(monkeypatch):
+    """The solution and the system of an iteration are freed before the next
+    iteration's solve, by reference counting alone."""
+    spec, exact = case1(0.1)
+    refs, dead = [], []
+    solve = adaptivity.solve_system
+
+    def check(system):
+        dead.append([r() is None for r in refs])
+        return solve(system)
+
+    def keep(record, mesh, sol, bd, system):
+        refs[:] = [weakref.ref(sol), weakref.ref(system)]
+
+    monkeypatch.setattr(adaptivity, "solve_system", check)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hist = amr_loop(build_initial_mesh(spec.domain, 0.5), spec, AmrConfig(max_iterations=4), callback=keep)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(hist.records) == 4
+    assert dead == [[]] + [[True, True]] * 3
 
 
 def test_zero_solution_stops_marking():

@@ -12,7 +12,7 @@ from conftest import per_polygon
 
 from sdgdarcy.adaptivity import AmrConfig, amr_loop, dorfler_mark
 from sdgdarcy.assembly import assemble_system, build_spaces
-from sdgdarcy.benchmarks import get_benchmark
+from sdgdarcy.benchmarks import get_benchmark, linear_patch
 from sdgdarcy.estimator import compute_estimator, data_oscillation, true_error
 from sdgdarcy.geometry import build_initial_mesh, refine
 from sdgdarcy.reuse import BlockCache
@@ -98,6 +98,33 @@ def test_class_store_holds_the_last_call():
     assert np.array_equal(after[0], table[0])
     fourth, _ = classes(4.0, b)
     assert computed == [a, b, c, a, 4.0, b] and fourth.tolist() == [0, 1]
+
+
+def test_class_store_of_a_count_left_out_is_dropped():
+    """Binding a mesh drops the class stores that the previous mesh did not
+    call: the store of a triangle count absent from one mesh is gone after
+    the next bind, and its classes are computed again when it comes back."""
+    spec, _ = linear_patch()
+    cache = BlockCache()
+    computed = []
+
+    def bind():
+        cache.triangles(build_initial_mesh(spec.domain, 0.5), "ids", lambda tris: (tris,))
+
+    def call(n):
+        name = f"polygon blocks, {n} triangles"
+        cache.classes(name, np.ones((3, 1)), lambda rows: computed.append(n) or (np.zeros(rows.size),))
+
+    bind()
+    call(4), call(7)
+    bind()
+    assert sorted(cache._classes) == ["polygon blocks, 4 triangles", "polygon blocks, 7 triangles"]
+    call(4)
+    assert computed == [4, 7]
+    bind()
+    assert sorted(cache._classes) == ["polygon blocks, 4 triangles"]
+    call(4), call(7)
+    assert computed == [4, 7, 7]
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -279,14 +279,39 @@ def _skeleton_matrix(sys):
     return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
+@pytest.mark.parametrize("name,k", [("case2", 1), ("case1-a0.1", 2)])
+def test_skeleton_matrix_equals_the_oracle(monkeypatch, name, k):
+    """The matrix the solve factors is the oracle's R, with the same index
+    arrays and data bytes, on refined meshes with a fracture, Dirichlet data
+    and three triangle counts; also with 7 polygons per slice in place of
+    256, so that every block spans several slices."""
+    spec, exact, h0 = get_benchmark(name)
+    mesh = build_initial_mesh(spec.domain, h0)
+    sys = assemble_system(refine(mesh, np.arange(0, mesh.n_elements, 3)), spec, SpaceConfig(k))
+    assert len(sys.blocks) == 3 and sys.W.n_free > 0 and sys.S.dirichlet_mask.any()
+    want = _skeleton_matrix(sys)
+    factored = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: factored.append(A) or splu(A, **kw))
+    solve_system(sys)
+    monkeypatch.setattr(assembly, "_SLICE", 7)
+    solve_system(sys)
+    assert len(factored) == 2
+    for R in factored:
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(R, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
 # tracemalloc peak of `solve_system` above its start on the system below,
-# whose condensation the assembly computed: 12,665,248 bytes with the
-# skeleton triplets freed before the factor, one slice of gathered rows and
-# no L/U copies; 13,347,923 bytes when the solve kept its own condensation
-# store, and 26,417,515 bytes when every product gathered whole blocks and
-# the solve copied L and U out for the fill.  The bound is 13,347,923 plus
-# 16%.
-_SOLVE_PEAK_BYTES = 15_500_000
+# whose condensation the assembly computed: 7,425,018 bytes with the skeleton
+# triplets built into int32 buffers one slice of R_P at a time; 12,665,248
+# bytes when every R_P was expanded and its int64 triplets concatenated;
+# 13,347,923 bytes when the solve kept its own condensation store, and
+# 26,417,515 bytes when every product gathered whole blocks and the solve
+# copied L and U out for the fill.  The bound is 7,425,018 plus 16%, rounded
+# down.
+_SOLVE_PEAK_BYTES = 8_600_000
 
 
 def test_solve_peak_and_fill_counted_when_read():
