@@ -56,13 +56,22 @@ its refinement it keeps the rows of the kept polygons' triangles until a
 stage merges them; a class that leaves the mesh is dropped, and so is the
 class store of a triangle count that leaves it.  A stage called without a
 cache starts from an empty one.
+
+Memory.  The loop holds one iteration at a time.  After the callback it
+drops the system, the spaces and the solution, and the history keeps only
+the last solved mesh, its estimator breakdown and its u, p and p_gamma
+vectors; `ConvergenceHistory.final_solution` rebuilds the spaces from them
+when first read.  A mesh caches its subdivision and a subdivision refers
+to its mesh weakly, as a refined mesh to its parent, so a mesh the loop has
+refined away and no history holds is freed at once by reference counting,
+not at the next run of the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import cached_property
 
 import numpy as np
 
@@ -147,18 +156,36 @@ class IterationRecord:
 
 @dataclass
 class ConvergenceHistory:
-    """Per-iteration records plus the last solved state; `final_solution`
-    is None while the loop solves the next system (see `amr_loop`)."""
+    """Per-iteration records plus the last solved state.
+
+    The state is `final_mesh`, `final_breakdown` and `final_vectors`, the
+    (u, p, p_gamma) coefficient vectors, all None while nothing is solved.
+    `final_solution` is rebuilt from them, with the spaces of `final_mesh`,
+    on its first read: the same bits as in the loop, which built them with
+    its cache.  That read costs one `build_spaces` without the cache, 25-60
+    ms on the final meshes of case2 at k=1 with a 2e5 budget and of
+    case1-a0.1 at k=2 with 1e5; the history does not keep the spaces of a
+    run that never reads them.
+    """
 
     records: list = field(default_factory=list)
     config: AmrConfig = None
+    spec: ProblemSpec = None
     failure: str = None  # set when the loop halted on a singular system
     final_mesh: PolygonalMesh = None
-    final_solution: object = None
     final_breakdown: EstimatorBreakdown = None
+    final_vectors: tuple = None  # (u, p, p_gamma) on final_mesh
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
+
+    @cached_property
+    def final_solution(self) -> DiscreteSolution:
+        """The last solved state, or None when nothing was solved."""
+        if self.final_mesh is None:
+            return None
+        S, V, W = build_spaces(self.final_mesh, self.spec, SpaceConfig(self.config.k))
+        return DiscreteSolution(self.final_mesh, V, S, W, *self.final_vectors)
 
 
 def convergence_slope(ns, values, last: int = 4) -> float:
@@ -189,17 +216,17 @@ def amr_loop(
     in `failure` and halts the loop.  One `BlockCache` carries the arrays
     of kept triangles and the polygon classes from each iteration to the
     next.  When given, callback(record, mesh, sol, breakdown, system) runs
-    after each record is appended; exporters hook in here.  The loop then
-    drops the system, spaces and solution, and keeps the last solution as
-    its mesh and u, p, p_gamma alone through the next assembly and solve; a
-    singular stop rebuilds its spaces (the same bits without the cache), so
-    `final_*` hold the last solved state.
+    after each record is appended; exporters hook in here.
+
+    The loop then drops the system, the spaces and the solution, so they
+    are freed before the next `build_spaces`; the history keeps the last
+    solved state, on every stop, as its mesh, breakdown and vectors alone
+    (see `ConvergenceHistory` and "Memory" in the module docstring).
     """
-    history = ConvergenceHistory(config=config)
+    history = ConvergenceHistory(config=config, spec=spec)
     nan = float("nan")
     space_config = SpaceConfig(config.k)
     cache = BlockCache()
-    parked = None  # (u, p, p_gamma) of history.final_mesh while the next solve runs
     for it in range(config.max_iterations):
         spaces = build_spaces(mesh, spec, space_config, cache)
         n = free_unknowns(spaces)
@@ -210,9 +237,6 @@ def amr_loop(
                     f"max_dofs={config.max_dofs}"
                 )
             break
-        if history.final_solution is not None:
-            parked = attrgetter("u", "p", "p_gamma")(history.final_solution)
-            history.final_solution = None
         system = assemble_system(mesh, spec, space_config, spaces=spaces, cache=cache)
         t0 = time.perf_counter()
         try:
@@ -221,9 +245,6 @@ def amr_loop(
             sol = solve_system(system)[0]
         except SingularSystem as exc:
             history.failure = str(exc)
-            if parked is not None:
-                S, V, W = build_spaces(history.final_mesh, spec, space_config)
-                history.final_solution = DiscreteSolution(history.final_mesh, V, S, W, *parked)
             break
         t_solve = (time.perf_counter() - t0) * 1e3
 
@@ -256,8 +277,8 @@ def amr_loop(
             )
         )
         history.final_mesh = mesh
-        history.final_solution = sol
         history.final_breakdown = bd
+        history.final_vectors = (sol.u, sol.p, sol.p_gamma)
         if callback is not None:
             callback(history.records[-1], mesh, sol, bd, system)
         del system, spaces, sol

@@ -356,7 +356,10 @@ class LinearSystem:
         """A @ x from the blocks; |A| @ x when `absolute`."""
         nV, ny = self.offsets[1], self.C.shape[0]
         u, y = x[:nV], x[nV:]
-        C = abs(self.C) if absolute else self.C
+        C = self.C
+        if absolute:
+            # |C| shares C's index arrays; duplicate entries add up before |.|
+            C = sp.csr_matrix((np.abs(C.data), C.indices, C.indptr), shape=C.shape) if C.has_canonical_format else abs(C.copy())
         out = np.empty_like(x, dtype=float)
         out[nV:] = C @ y
         y0 = np.append(y, 0.0)  # constrained local pressures read zero

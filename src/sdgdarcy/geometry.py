@@ -399,9 +399,16 @@ class FractureLineMesh:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Simplicial subdivision of a polygonal mesh with its edge families."""
+    """Simplicial subdivision of a polygonal mesh with its edge families.
 
-    mesh: PolygonalMesh
+    The mesh caches its subdivision, so the subdivision refers to its mesh
+    weakly, as a mesh to its `parent`: the two form no reference cycle, and
+    a dropped mesh is freed by reference counting alone.  Keep the mesh
+    alive while its subdivision, or a space built on it, is used; `mesh`
+    raises MeshError once it is freed.
+    """
+
+    _mesh: weakref.ref  # the PolygonalMesh
     vertices: np.ndarray  # mesh vertices followed by polygon centroids
     tri_vertices: np.ndarray  # (nt, 3); [a, b, centroid], (a, b) a cycle edge, CCW
     tri_polygon: np.ndarray  # (nt,) owning polygon
@@ -417,6 +424,13 @@ class Subdivision:
     tri_edges: np.ndarray  # (nt, 3) side l runs tri_vertices[l] -> [(l+1) % 3]; side 0 primal
     fracture_meshes: tuple
     edge_fracture: np.ndarray  # (ne,) fracture index or -1
+
+    @property
+    def mesh(self) -> PolygonalMesh:
+        mesh = self._mesh()
+        if mesh is None:
+            raise MeshError("subdivision outlived its mesh: the PolygonalMesh was freed while its subdivision was in use")
+        return mesh
 
     @property
     def n_triangles(self) -> int:
@@ -691,7 +705,7 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
     fr_meshes = _build_fracture_meshes(mesh, all_vertices, edge_v, edge_kind, edge_frac, edge_seg, edge_len)
 
     return Subdivision(
-        mesh=mesh,
+        _mesh=weakref.ref(mesh),
         vertices=all_vertices,
         tri_vertices=tri_v,
         tri_polygon=cyc.polygon,

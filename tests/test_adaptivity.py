@@ -194,15 +194,15 @@ def test_singular_system_halts_with_failure():
 
 
 def test_singular_stop_keeps_the_last_solved_state(monkeypatch):
-    """The loop holds the previous solution as its vectors while the next
-    system is solved; when that solve is singular, the last solved state is
-    rebuilt from them, bit for bit the one of an uninterrupted run."""
+    """The history holds the last solution as its mesh and vectors;
+    `final_solution` rebuilt from them is bit for bit the one the loop
+    solved, on a normal stop and when the next solve is singular."""
     spec, exact = case1(0.1)
     cfg = AmrConfig(theta=0.5, max_iterations=4)
     seen = {}
 
     def keep(record, mesh, sol, bd, system):
-        seen[record.iteration] = (mesh, sol.u, sol.p, sol.p_gamma, sol.V.ref_coeff, bd.element_sq)
+        seen[record.iteration] = (mesh, sol.u, sol.p, sol.p_gamma, sol.V.ref_coeff, sol.S.node_coords, bd.element_sq)
 
     full = amr_loop(build_initial_mesh(spec.domain, 0.5), spec, cfg, callback=keep)
     assert full.failure is None and len(full.records) == 4
@@ -218,41 +218,60 @@ def test_singular_stop_keeps_the_last_solved_state(monkeypatch):
     monkeypatch.setattr(adaptivity, "solve_system", singular_third)
     hist = amr_loop(build_initial_mesh(spec.domain, 0.5), spec, cfg)
     assert hist.failure == "singular system: injected" and len(hist.records) == 2
-    mesh, *arrays = seen[1]
-    sol = hist.final_solution
-    assert sol.mesh is hist.final_mesh
-    assert hist.final_mesh.vertices.tobytes() == mesh.vertices.tobytes()
-    for name in ("offsets", "vertex", "hanging"):
-        assert getattr(hist.final_mesh.cycles, name).tobytes() == getattr(mesh.cycles, name).tobytes()
-    got = (sol.u, sol.p, sol.p_gamma, sol.V.ref_coeff, hist.final_breakdown.element_sq)
-    for name, a, b in zip(("u", "p", "p_gamma", "V.ref_coeff", "element_sq"), got, arrays):
-        assert a.tobytes() == b.tobytes(), name
+    for h, it in ((full, 3), (hist, 1)):
+        mesh, *arrays = seen[it]
+        sol = h.final_solution
+        assert sol.mesh is h.final_mesh and h.final_solution is sol
+        assert h.final_mesh.vertices.tobytes() == mesh.vertices.tobytes()
+        for name in ("offsets", "vertex", "hanging"):
+            assert getattr(h.final_mesh.cycles, name).tobytes() == getattr(mesh.cycles, name).tobytes()
+        got = (sol.u, sol.p, sol.p_gamma, sol.V.ref_coeff, sol.S.node_coords, h.final_breakdown.element_sq)
+        names = ("u", "p", "p_gamma", "V.ref_coeff", "S.node_coords", "element_sq")
+        for name, a, b in zip(names, got, arrays):
+            assert a.tobytes() == b.tobytes(), (it, name)
 
 
 def test_loop_holds_one_iteration(monkeypatch):
     """The solution and the system of an iteration are freed before the next
-    iteration's solve, by reference counting alone."""
+    iteration's solve, its spaces before the next `build_spaces`, and every
+    mesh the loop made once it is neither refined, solved on nor the last
+    solved one, all by reference counting alone: the loop leaves nothing to
+    the cyclic collector."""
     spec, exact = case1(0.1)
-    refs, dead = [], []
-    solve = adaptivity.solve_system
+    refs, flux, meshes, dead, spaces_dead, meshes_dead = [], [], [], [], [], []
+    solve, build = adaptivity.solve_system, adaptivity.build_spaces
 
     def check(system):
         dead.append([r() is None for r in refs])
+        # the caller holds the initial mesh; the history holds the last one
+        meshes_dead.append([r() is None for r in meshes[1:-1]])
         return solve(system)
+
+    def check_spaces(*args, **kw):
+        spaces_dead.append([r() is None for r in flux])
+        return build(*args, **kw)
 
     def keep(record, mesh, sol, bd, system):
         refs[:] = [weakref.ref(sol), weakref.ref(system)]
+        flux[:] = [weakref.ref(sol.V)]
+        meshes.append(weakref.ref(mesh))
 
     monkeypatch.setattr(adaptivity, "solve_system", check)
+    monkeypatch.setattr(adaptivity, "build_spaces", check_spaces)
     enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
     try:
-        hist = amr_loop(build_initial_mesh(spec.domain, 0.5), spec, AmrConfig(max_iterations=4), callback=keep)
+        hist = amr_loop(build_initial_mesh(spec.domain, 0.5), spec, AmrConfig(max_iterations=5), callback=keep)
+        found = gc.collect()
     finally:
         if enabled:
             gc.enable()
-    assert len(hist.records) == 4
-    assert dead == [[]] + [[True, True]] * 3
+    assert len(hist.records) == 5
+    assert dead == [[]] + [[True, True]] * 4
+    assert spaces_dead == [[]] + [[True]] * 4
+    assert meshes_dead == [[], [], [], [True], [True, True]]
+    assert found == 0
 
 
 def test_zero_solution_stops_marking():

@@ -417,6 +417,23 @@ def test_matvec_slices_keep_every_bit(monkeypatch):
     assert np.abs(sliced[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_absolute_matvec_adds_duplicate_entries_first():
+    """|A| |x| takes |C| of C's summed entries: a C that holds each entry c
+    as 2c and -c, which add up to c exactly, gives the bits of the canonical
+    C, and stays as it was."""
+    spec, _, h0 = get_benchmark("case2")
+    system = assemble_system(build_initial_mesh(spec.domain, h0), spec, SpaceConfig(1))
+    C = system.C
+    assert C.has_canonical_format and C.nnz > 0
+    parts = np.column_stack([2.0 * C.data, -C.data]).ravel()
+    split = sp.csr_matrix((parts, np.repeat(C.indices, 2), 2 * C.indptr), shape=C.shape)
+    assert not split.has_canonical_format
+    x = np.abs(np.random.default_rng(4).standard_normal(system.n))
+    got = dataclasses.replace(system, C=split).matvec(x, absolute=True)
+    assert np.array_equal(got, system.matvec(x, absolute=True))
+    assert split.nnz == 2 * C.nnz and np.array_equal(split.data, parts)
+
+
 def test_dirichlet_values_patch():
     spec, exact, mesh = patch_mesh(h=0.5)
     sub = mesh.subdivision

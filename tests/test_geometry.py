@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +46,27 @@ def test_two_square_plain_counts(two_square_plain):
     assert sub.edges_of_kind(INTERIOR).size == 1
     assert sub.edges_of_kind(FRACTURE).size == 0
     assert sub.edges_of_kind(BOUNDARY).size == 6
+
+
+def test_subdivision_outliving_its_mesh_is_a_mesh_error():
+    """A mesh and its cached subdivision form no reference cycle: dropping
+    the mesh frees it without the cyclic collector, and the subdivision
+    then says so instead of handing out None."""
+    mesh = build_initial_mesh(DomainSpec(((0.0, 0.0, 1.0, 1.0),)), 0.5)
+    sub = mesh.subdivision
+    assert sub.mesh is mesh
+    ref = weakref.ref(mesh)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del mesh
+        freed = ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert freed
+    with pytest.raises(MeshError, match="subdivision outlived its mesh"):
+        sub.mesh
 
 
 def test_every_triangle_has_one_primal_and_two_dual_edges(two_square_fractured):

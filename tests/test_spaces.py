@@ -419,6 +419,11 @@ def test_numbering_matches_triangle_walk(k):
 # the Piola-mapped flux basis against the physical dof functionals
 
 
+# the meshes of the subdivisions below: a Subdivision refers to its mesh
+# weakly, so each mesh is kept here for as long as the module is loaded
+_MESHES = []
+
+
 def _doerfler_fractured_sub():
     """Three Doerfler refinements of the fractured 2x1 mesh, seeded indicators."""
     dom = DomainSpec(
@@ -429,6 +434,7 @@ def _doerfler_fractured_sub():
     rng = np.random.default_rng(5)
     for _ in range(3):
         mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
+    _MESHES.append(mesh)
     return mesh.subdivision
 
 
@@ -439,6 +445,7 @@ def _sliver_sub():
     standard numbering runs with it."""
     verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 0.05], [0.0, 0.05], [2.0, 1.0], [0.0, 1.0]]
     mesh = PolygonalMesh(verts, CycleTable.from_polygons([(0, 1, 2, 3), (3, 2, 4, 5)], [(), ()]), [], 1e-9)
+    _MESHES.append(mesh)
     sub = mesh.subdivision
     nv = sub.vertices.shape[0]
     new_id = nv - 1 - np.arange(nv)
