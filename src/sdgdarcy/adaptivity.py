@@ -60,11 +60,17 @@ cache starts from an empty one.
 Memory.  The loop holds one iteration at a time.  After the callback it
 drops the system, the spaces and the solution, and the history keeps only
 the last solved mesh, its estimator breakdown and its u, p and p_gamma
-vectors; `ConvergenceHistory.final_solution` rebuilds the spaces from them
-when first read.  A mesh caches its subdivision and a subdivision refers
-to its mesh weakly, as a refined mesh to its parent, so a mesh the loop has
-refined away and no history holds is freed at once by reference counting,
-not at the next run of the cyclic garbage collector.
+vectors; `ConvergenceHistory.final_solution` rebuilds the subdivision and
+the spaces from them when first read.  A mesh caches its subdivision and a
+subdivision refers to its mesh weakly, as a refined mesh to its parent, so
+a mesh the loop has refined away and no history holds is freed at once by
+reference counting, not at the next run of the cyclic garbage collector.
+`refine` is the last reader of a solved mesh's subdivision (the cache
+binds a refinement through the cycles alone), so the loop clears that
+cached subdivision right after it, and the final mesh's when it returns:
+the loop holds no subdivision past its iteration, even on a mesh the
+caller or the history holds.  Reading `mesh.subdivision` again subdivides
+anew, with the same bits.
 """
 
 from __future__ import annotations
@@ -160,12 +166,13 @@ class ConvergenceHistory:
 
     The state is `final_mesh`, `final_breakdown` and `final_vectors`, the
     (u, p, p_gamma) coefficient vectors, all None while nothing is solved.
-    `final_solution` is rebuilt from them, with the spaces of `final_mesh`,
-    on its first read: the same bits as in the loop, which built them with
-    its cache.  That read costs one `build_spaces` without the cache, 25-60
-    ms on the final meshes of case2 at k=1 with a 2e5 budget and of
-    case1-a0.1 at k=2 with 1e5; the history does not keep the spaces of a
-    run that never reads them.
+    `final_mesh` keeps no cached subdivision.  `final_solution` is rebuilt
+    from them, with the subdivision and the spaces of `final_mesh`, on its
+    first read: the same bits as in the loop, which built the spaces with
+    its cache.  That read costs one subdivision and one `build_spaces`
+    without the cache, 50-100 ms on the final meshes of case2 at k=1 with a
+    2e5 budget and of case1-a0.1 at k=2 with 1e5; the history does not keep
+    the subdivision and the spaces of a run that never reads them.
     """
 
     records: list = field(default_factory=list)
@@ -220,8 +227,10 @@ def amr_loop(
 
     The loop then drops the system, the spaces and the solution, so they
     are freed before the next `build_spaces`; the history keeps the last
-    solved state, on every stop, as its mesh, breakdown and vectors alone
-    (see `ConvergenceHistory` and "Memory" in the module docstring).
+    solved state, on every stop, as its mesh, breakdown and vectors alone.
+    The cached subdivision of each solved mesh, `mesh` included, is
+    cleared once the mesh is refined or the loop returns (see
+    `ConvergenceHistory` and "Memory" in the module docstring).
     """
     history = ConvergenceHistory(config=config, spec=spec)
     nan = float("nan")
@@ -293,4 +302,8 @@ def amr_loop(
             except AllZeroIndicators:
                 break
         mesh = refine(mesh, marked)
+        # refine was the last reader of the solved mesh's subdivision
+        vars(history.final_mesh).pop("subdivision", None)
+    if history.final_mesh is not None:
+        vars(history.final_mesh).pop("subdivision", None)
     return history

@@ -233,12 +233,15 @@ def test_singular_stop_keeps_the_last_solved_state(monkeypatch):
 
 def test_loop_holds_one_iteration(monkeypatch):
     """The solution and the system of an iteration are freed before the next
-    iteration's solve, its spaces before the next `build_spaces`, and every
-    mesh the loop made once it is neither refined, solved on nor the last
-    solved one, all by reference counting alone: the loop leaves nothing to
-    the cyclic collector."""
+    iteration's solve, its spaces before the next `build_spaces`, its
+    subdivision once the mesh is refined, and every mesh the loop made once
+    it is neither refined, solved on nor the last solved one, all by
+    reference counting alone: the loop leaves nothing to the cyclic
+    collector.  The history keeps no subdivision, and `final_solution`
+    rebuilds the last solved state bit for bit."""
     spec, exact = case1(0.1)
-    refs, flux, meshes, dead, spaces_dead, meshes_dead = [], [], [], [], [], []
+    refs, flux, meshes, subs, dead, spaces_dead, meshes_dead, subs_dead = [], [], [], [], [], [], [], []
+    last = {}
     solve, build = adaptivity.solve_system, adaptivity.build_spaces
 
     def check(system):
@@ -252,9 +255,13 @@ def test_loop_holds_one_iteration(monkeypatch):
         return build(*args, **kw)
 
     def keep(record, mesh, sol, bd, system):
+        subs_dead.append([r() is None for r in subs])
         refs[:] = [weakref.ref(sol), weakref.ref(system)]
         flux[:] = [weakref.ref(sol.V)]
         meshes.append(weakref.ref(mesh))
+        subs.append(weakref.ref(sol.sub))
+        last.update(u=sol.u.tobytes(), p=sol.p.tobytes(), p_gamma=sol.p_gamma.tobytes(),
+                    tri_coords=sol.sub.tri_coords.tobytes())
 
     monkeypatch.setattr(adaptivity, "solve_system", check)
     monkeypatch.setattr(adaptivity, "build_spaces", check_spaces)
@@ -271,7 +278,12 @@ def test_loop_holds_one_iteration(monkeypatch):
     assert dead == [[]] + [[True, True]] * 4
     assert spaces_dead == [[]] + [[True]] * 4
     assert meshes_dead == [[], [], [], [True], [True, True]]
+    assert subs_dead == [[True] * i for i in range(5)]
     assert found == 0
+    assert all(r() is None for r in subs) and "subdivision" not in vars(hist.final_mesh)
+    sol = hist.final_solution
+    got = dict(u=sol.u, p=sol.p, p_gamma=sol.p_gamma, tri_coords=sol.sub.tri_coords)
+    assert {name: a.tobytes() for name, a in got.items()} == last
 
 
 def test_zero_solution_stops_marking():

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sdgdarcy
+from sdgdarcy import quadrature
 from sdgdarcy.geometry import DomainSpec, build_initial_mesh
-from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
+from sdgdarcy.quadrature import MAX_DEGREE, edge_rule, map_to_triangles, triangle_rule
 
 
 def tri_monomial_integral(a, b):
@@ -49,6 +54,42 @@ def test_edge_rule_exactness(degree):
     for a in range(degree + 1):
         val = np.sum(rule.weights * rule.points**a)
         assert abs(val - 1.0 / (a + 1)) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_stored_gauss_rules_are_scipys(n):
+    """The stored tables hold scipy's rules bit for bit (see the module
+    docstring), so replacing the scipy call changed no result."""
+    from scipy.special import roots_jacobi, roots_legendre
+
+    for table, roots in ((quadrature._LEGENDRE, roots_legendre(n)), (quadrature._JACOBI_1_0, roots_jacobi(n, 1.0, 0.0))):
+        for got, want in zip(quadrature._gauss(table, n), roots):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(quadrature._LEGENDRE) == len(quadrature._JACOBI_1_0) == 16 * 17
+
+
+@pytest.mark.parametrize("rule", [triangle_rule, edge_rule])
+def test_degree_beyond_the_stored_rules_is_rejected(rule):
+    assert MAX_DEGREE == 31
+    assert rule(MAX_DEGREE).degree == MAX_DEGREE
+    with pytest.raises(ValueError, match="quadrature degree 32 above 31"):
+        rule(MAX_DEGREE + 1)
+
+
+def test_adaptive_loop_never_imports_scipy_special():
+    script = (
+        "import sys\n"
+        "from sdgdarcy import AmrConfig, amr_loop, build_initial_mesh, get_benchmark\n"
+        "spec, exact, h0 = get_benchmark('case1-a0.1')\n"
+        "hist = amr_loop(build_initial_mesh(spec.domain, h0), spec, AmrConfig(max_iterations=2, k=2), exact=exact)\n"
+        "assert len(hist.records) == 2 and hist.final_solution is not None\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdarcy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_map_to_triangles_area_and_moment():
