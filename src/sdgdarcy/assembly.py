@@ -58,8 +58,6 @@ def _sym(A: np.ndarray) -> np.ndarray:
 def _flat(triplets):
     """One (rows, cols, values) of flat arrays from a list of triplets of
     arrays of one shape each."""
-    if not triplets:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     return tuple(np.concatenate([np.ravel(a) for a in part]) for part in zip(*triplets))
 
 
@@ -134,8 +132,8 @@ def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSp
     """Interface coupling triplets (rows, cols, values) over the stacked
     (p, p_gamma) dofs, p_gamma dof j at S.ndof + j.
 
-    They hold, per fracture, C_pp: <(1/alpha){p},{q}> + <(1/eta)[p],[q]>
-    over its edges; C_pw: the -<(1/alpha) p_gamma, {q}> pairing; its
+    They hold, over the fracture edges, C_pp: <(1/alpha){p},{q}> +
+    <(1/eta)[p],[q]>; C_pw: the -<(1/alpha) p_gamma, {q}> pairing; its
     transpose, which enters the fracture equation; and C_ww: the
     +<(1/alpha) p_gamma, q_gamma> mass.  The traces of p on the two sides
     and p_gamma are P^k in their k+1 edge nodes, so every block is a scaled
@@ -145,28 +143,23 @@ def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSp
     lam = W.eval_ref(erule.points)  # (nq, k+1)
     mass = lam.T @ (erule.weights[:, None] * lam)
     avg, jmp = np.array([0.5, 0.5]), np.array([1.0, -1.0])
-    blocks = []
-    for fi, fr in enumerate(sub.mesh.fractures):
-        fm = sub.fracture_meshes[fi]
-        eta = fr.normal_resistance[fm.edge_segment]
-        alpha = spec.exchange_resistance(fi)[fm.edge_segment]
-        wl = fm.edge_length
-        # the side nodes of both sides, in polyline direction like p_gamma's
-        d = S.edge_side_dofs[fm.edge_ids]  # (ne, 2, k+1)
-        reverse = fm.vertex_ids[:-1] > fm.vertex_ids[1:]
-        d = np.where(reverse[:, None, None], d[..., ::-1], d).reshape(fm.n_edges, -1)
-        sides = np.multiply.outer(wl / alpha, np.outer(avg, avg))
-        sides += np.multiply.outer(wl / eta, np.outer(jmp, jmp))  # (ne, 2, 2)
-        wd = S.ndof + W.edge_dofs[fi]
-        n = d.shape[1]
-        pw = -np.multiply.outer(wl / alpha, np.kron(avg[:, None], mass))
-        blocks += [
-            _block(d, d, np.einsum("eab,ij->eaibj", sides, mass).reshape(-1, n, n)),
-            _block(d, wd, pw),
-            _block(wd, d, np.swapaxes(pw, 1, 2)),
-            _block(wd, wd, np.multiply.outer(wl / alpha, mass)),
-        ]
-    return _flat(blocks)
+    fe = sub.fracture_edges
+    alpha = spec.exchange_resistance(fe.eta)
+    wl = sub.edge_length[fe.edge]
+    # the side nodes of both sides, in polyline direction like p_gamma's
+    n = 2 * (S.k + 1)
+    d = S.edge_side_dofs[fe.edge]  # (n_fe, 2, k+1)
+    d = np.where(fe.descending[:, None, None], d[..., ::-1], d).reshape(fe.n_edges, n)
+    sides = np.multiply.outer(wl / alpha, np.outer(avg, avg))
+    sides += np.multiply.outer(wl / fe.eta, np.outer(jmp, jmp))  # (n_fe, 2, 2)
+    wd = S.ndof + W.edge_dofs
+    pw = -np.multiply.outer(wl / alpha, np.kron(avg[:, None], mass))
+    return _flat([
+        _block(d, d, np.einsum("eab,ij->eaibj", sides, mass).reshape(-1, n, n)),
+        _block(d, wd, pw),
+        _block(wd, d, np.swapaxes(pw, 1, 2)),
+        _block(wd, wd, np.multiply.outer(wl / alpha, mass)),
+    ])
 
 
 def assemble_fracture_stiffness(sub: Subdivision, S: PressureSpace, W: FracturePressureSpace, spec: ProblemSpec):
@@ -174,14 +167,10 @@ def assemble_fracture_stiffness(sub: Subdivision, S: PressureSpace, W: FractureP
     triplets over the stacked dofs of `assemble_interface`."""
     erule = edge_rule(max(2 * W.k - 2, 0))
     dref = W.deriv_ref(erule.points)  # (nq, k+1)
-    blocks = []
-    for fi, fr in enumerate(sub.mesh.fractures):
-        fm = sub.fracture_meshes[fi]
-        Kg = fr.tangential_conductivity[fm.edge_segment]
-        local = np.einsum("q,e,qi,qj->eij", erule.weights, Kg / fm.edge_length, dref, dref)
-        wd = S.ndof + W.edge_dofs[fi]
-        blocks.append(_block(wd, wd, local))
-    return _flat(blocks)
+    fe = sub.fracture_edges
+    local = np.einsum("q,e,qi,qj->eij", erule.weights, fe.K_gamma / sub.edge_length[fe.edge], dref, dref)
+    wd = S.ndof + W.edge_dofs
+    return _flat([_block(wd, wd, local)])
 
 
 def source_values(sub: Subdivision, spec: ProblemSpec, degree: int, cache: BlockCache = None):
@@ -202,13 +191,12 @@ def source_values(sub: Subdivision, spec: ProblemSpec, degree: int, cache: Block
     return mapped_weights(rule, sub.tri_jacobian), f
 
 
-def fracture_source_values(sub: Subdivision, spec: ProblemSpec, fi: int, ts: np.ndarray) -> np.ndarray:
-    """The fracture source f_gamma on every edge of fracture fi at edge
-    parameters ts in polyline direction, (ne, nq)."""
-    pts, par = sub.fracture_points(fi, ts)
-    ne = sub.fracture_meshes[fi].n_edges
-    fg = spec.fracture_source(pts.reshape(-1, 2), par.reshape(-1), np.full(ne * ts.size, fi))
-    return fg.reshape(ne, ts.size)
+def fracture_source_values(sub: Subdivision, spec: ProblemSpec, ts: np.ndarray) -> np.ndarray:
+    """The fracture source f_gamma on every fracture edge at edge
+    parameters ts in polyline direction, (n_fe, nq)."""
+    pts, par = sub.fracture_points(ts)
+    fracture = np.repeat(sub.fracture_edges.fracture, ts.size)
+    return spec.fracture_source(pts.reshape(-1, 2), par.reshape(-1), fracture).reshape(par.shape)
 
 
 def assemble_rhs(
@@ -241,14 +229,10 @@ def assemble_rhs(
     local = -(sub.edge_length[neu][:, None] * ws * g) @ S.edge_trace_matrix(ts)
     np.add.at(sview, S.edge_side_dofs[neu, 0], local)
 
-    for fi, fr in enumerate(sub.mesh.fractures):
-        fm = sub.fracture_meshes[fi]
-        fg = fracture_source_values(sub, spec, fi, ts)
-        wb = W.eval_ref(ts)
-        local = fr.thickness * np.einsum(
-            "q,e,eq,qj->ej", ws, fm.edge_length, fg, wb
-        )
-        np.add.at(wview, W.edge_dofs[fi], local)
+    fe = sub.fracture_edges
+    fg = fracture_source_values(sub, spec, ts)
+    local = np.einsum("q,e,eq,qj->ej", ws, sub.edge_length[fe.edge], fg, W.eval_ref(ts))
+    np.add.at(wview, W.edge_dofs, fe.thickness[:, None] * local)
 
     return rhs
 
@@ -261,8 +245,7 @@ def dirichlet_values(sub: Subdivision, spec: ProblemSpec, S: PressureSpace, W: F
 
     w_dir = np.zeros(W.ndof)
     for fi, end in spec.dirichlet_tips():
-        dof = W.edge_dofs[fi][0, 0] if end == 0 else W.edge_dofs[fi][-1, -1]
-        w_dir[dof] = spec.tip_value(fi, end)
+        w_dir[W.tip_dofs[fi, end]] = spec.tip_value(fi, end)
     return p_dir, w_dir
 
 
@@ -463,25 +446,22 @@ class DiscreteSolution:
         L = self.V.edge_trace_matrix(ts)
         return (L @ self.u[self.V.edge_side_dofs[edges, side]][..., None])[..., 0]
 
-    def fracture_traces(self, fi: int, ts: np.ndarray):
-        """(p1, p2, un1, un2): p_h and u_h.n_e on sides 0 and 1 of every edge
-        of fracture fi at parameters ts in polyline direction, (ne, nq) each."""
-        fm = self.sub.fracture_meshes[fi]
-        s = np.where((fm.vertex_ids[:-1] > fm.vertex_ids[1:])[:, None], 1.0 - ts, ts)
-        return tuple(tr(fm.edge_ids, side, s) for tr in (self.p_trace, self.u_normal_trace) for side in (0, 1))
+    def fracture_traces(self, ts: np.ndarray):
+        """(p1, p2, un1, un2): p_h and u_h.n_e on sides 0 and 1 of every
+        fracture edge at parameters ts in polyline direction, (n_fe, nq)
+        each, in the rows of `fracture_edges`."""
+        fe = self.sub.fracture_edges
+        s = np.where(fe.descending[:, None], 1.0 - ts, ts)
+        return tuple(tr(fe.edge, side, s) for tr in (self.p_trace, self.u_normal_trace) for side in (0, 1))
 
-    def p_gamma_at(self, fi: int, ts: np.ndarray) -> np.ndarray:
-        """Fracture pressure on every edge of fracture fi at parameters ts."""
-        wb = self.W.eval_ref(ts)
-        return np.einsum("qj,ej->eq", wb, self.p_gamma[self.W.edge_dofs[fi]])
+    def p_gamma_at(self, ts: np.ndarray) -> np.ndarray:
+        """p_gamma on every fracture edge, as in `fracture_traces`."""
+        return np.einsum("qj,ej->eq", self.W.eval_ref(ts), self.p_gamma[self.W.edge_dofs])
 
-    def dp_gamma_dt_at(self, fi: int, ts: np.ndarray) -> np.ndarray:
-        fm = self.sub.fracture_meshes[fi]
-        db = self.W.deriv_ref(ts)
-        return (
-            np.einsum("qj,ej->eq", db, self.p_gamma[self.W.edge_dofs[fi]])
-            / fm.edge_length[:, None]
-        )
+    def dp_gamma_dt_at(self, ts: np.ndarray) -> np.ndarray:
+        """dp_gamma/dt along the polyline on every fracture edge, as in `fracture_traces`."""
+        le = self.sub.edge_length[self.sub.fracture_edges.edge]
+        return np.einsum("qj,ej->eq", self.W.deriv_ref(ts), self.p_gamma[self.W.edge_dofs]) / le[:, None]
 
 
 def build_spaces(mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, cache: BlockCache = None):

@@ -36,7 +36,13 @@ from .spaces import _monomial_exponents, _monomial_values
 
 @dataclass(frozen=True)
 class EstimatorBreakdown:
-    """Squared per-entity residual contributions and their aggregates."""
+    """Squared per-entity residual contributions and their aggregates.
+
+    The fracture families follow the rows of the subdivision's
+    `fracture_edges`: terms 5, 7 and 8 one row per fracture edge, term 6 one
+    entry per interior fracture vertex, between rows r and r+1 for r in
+    `fracture_edges.joints`.
+    """
 
     terms: np.ndarray  # (8,) family values, each sqrt of its summed squares
     eta: float  # sum of the eight family values
@@ -45,8 +51,8 @@ class EstimatorBreakdown:
     tri_sq: np.ndarray  # (nt, 2) squared terms 1-2 per triangle
     dual_sq: np.ndarray  # squared term 3 per dual edge
     interior_sq: np.ndarray  # squared term 4 per interior primal edge
-    fracture_sq: tuple  # per fracture: (ne, 3) squared terms 5, 7, 8
-    vertex_sq: tuple  # per fracture: (ne-1,) squared term 6
+    fracture_sq: np.ndarray  # (n_fe, 3) squared terms 5, 7, 8
+    vertex_sq: np.ndarray  # (n_fe - nf,) squared term 6
 
 
 def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockCache = None) -> EstimatorBreakdown:
@@ -89,46 +95,35 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
     jump = sol.u_normal_trace(inner, 0, ts) - sol.u_normal_trace(inner, 1, ts)
     interior_sq = np.einsum("q,eq->e", ws, jump**2) * sub.edge_length[inner] ** 2
 
-    # fracture families
-    fracture_sq = []
-    vertex_sq = []
-    for fi, fr in enumerate(mesh.fractures):
-        fm = sub.fracture_meshes[fi]
-        ne = fm.n_edges
-        out = np.zeros((ne, 3))
-        eta_e = fr.normal_resistance[fm.edge_segment]
-        alpha_e = spec.exchange_resistance(fi)[fm.edge_segment]
-        Kg = fr.tangential_conductivity[fm.edge_segment]
-        le = fm.edge_length
-        p1, p2, un1, un2 = sol.fracture_traces(fi, ts)
-        pg = sol.p_gamma_at(fi, ts)
-        fg = fracture_source_values(sub, spec, fi, ts)
+    # fracture families, one row per fracture edge
+    fe = sub.fracture_edges
+    le = sub.edge_length[fe.edge]
+    p1, p2, un1, un2 = sol.fracture_traces(ts)
+    coef = sol.p_gamma[sol.W.edge_dofs]
+    fracture_sq = np.empty((fe.n_edges, 3))
 
-        # term 5: fracture equation residual; K_gamma is constant per edge
-        d2 = sol.W.deriv_ref(ts, order=2)  # (nq, k+1)
-        pg2 = (
-            np.einsum("qj,ej->eq", d2, sol.p_gamma[sol.W.edge_dofs[fi]])
-            / le[:, None] ** 2
-        )
-        res5 = fr.thickness * fg + Kg[:, None] * pg2 + (un1 - un2)
-        out[:, 0] = le**3 * np.einsum("q,eq->e", ws, res5**2)
+    # term 5: fracture equation residual; K_gamma is constant per edge
+    pg2 = np.einsum("qj,ej->eq", sol.W.deriv_ref(ts, order=2), coef) / le[:, None] ** 2
+    fg = fracture_source_values(sub, spec, ts)
+    res5 = fe.thickness[:, None] * fg + fe.K_gamma[:, None] * pg2 + (un1 - un2)
+    fracture_sq[:, 0] = le**3 * np.einsum("q,eq->e", ws, res5**2)
 
-        # term 7: first interface condition, weight h_e
-        res7 = ((p1 + p2) / 2.0 - pg) / alpha_e[:, None] - (un1 - un2)
-        out[:, 1] = le**2 * np.einsum("q,eq->e", ws, res7**2)
+    # term 7: first interface condition, weight h_e
+    alpha = spec.exchange_resistance(fe.eta)
+    res7 = ((p1 + p2) / 2.0 - sol.p_gamma_at(ts)) / alpha[:, None] - (un1 - un2)
+    fracture_sq[:, 1] = le**2 * np.einsum("q,eq->e", ws, res7**2)
 
-        # term 8: second interface condition, weight h_e
-        res8 = (un1 + un2) / 2.0 - (p1 - p2) / eta_e[:, None]
-        out[:, 2] = le**2 * np.einsum("q,eq->e", ws, res8**2)
-        fracture_sq.append(out)
+    # term 8: second interface condition, weight h_e
+    res8 = (un1 + un2) / 2.0 - (p1 - p2) / fe.eta[:, None]
+    fracture_sq[:, 2] = le**2 * np.einsum("q,eq->e", ws, res8**2)
 
-        # term 6: vertex jumps of K^(1/2) dp/dt along the polyline
-        dref = sol.W.deriv_ref(np.array([0.0, 1.0]))  # (2, k+1)
-        coef = sol.p_gamma[sol.W.edge_dofs[fi]]
-        d_ends = np.einsum("qj,ej->eq", dref, coef) / le[:, None]
-        w = np.sqrt(Kg)
-        jumps = w[:-1] * d_ends[:-1, 1] - w[1:] * d_ends[1:, 0]
-        vertex_sq.append(fm.h_vertex * jumps**2)
+    # term 6: jumps of K_gamma^(1/2) dp/dt at the interior vertices of each
+    # fracture, between rows r and r + 1
+    d_ends = np.einsum("qj,ej->eq", sol.W.deriv_ref(np.array([0.0, 1.0])), coef) / le[:, None]
+    w = np.sqrt(fe.K_gamma)
+    r = fe.joints
+    jumps = w[r] * d_ends[r, 1] - w[r + 1] * d_ends[r + 1, 0]
+    vertex_sq = np.maximum(le[r], le[r + 1]) * jumps**2
 
     tri_sq = np.stack([t1, t2], axis=1)
     sums = np.array(
@@ -137,16 +132,14 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
             t2.sum(),
             dual_sq.sum(),
             interior_sq.sum(),
-            sum(a[:, 0].sum() for a in fracture_sq),
-            sum(a.sum() for a in vertex_sq),
-            sum(a[:, 1].sum() for a in fracture_sq),
-            sum(a[:, 2].sum() for a in fracture_sq),
+            fracture_sq[:, 0].sum(),
+            vertex_sq.sum(),
+            fracture_sq[:, 1].sum(),
+            fracture_sq[:, 2].sum(),
         ]
     )
     terms = np.sqrt(np.maximum(sums, 0.0))
-    element_sq = _localize_raw(
-        mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq
-    )
+    element_sq = _localize_raw(mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq)
     return EstimatorBreakdown(
         terms=terms,
         eta=float(terms.sum()),
@@ -155,8 +148,8 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
         tri_sq=tri_sq,
         dual_sq=dual_sq,
         interior_sq=interior_sq,
-        fracture_sq=tuple(fracture_sq),
-        vertex_sq=tuple(vertex_sq),
+        fracture_sq=fracture_sq,
+        vertex_sq=vertex_sq,
     )
 
 
@@ -189,14 +182,17 @@ def _localize_raw(mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq):
     for side in (0, 1):
         np.add.at(out, sub.tri_polygon[sub.edge_tris[inner, side]], 0.5 * interior_sq)
 
-    for fi, fm in enumerate(sub.fracture_meshes):
-        edge_sq = fracture_sq[fi].sum(axis=1)
-        sides = sub.tri_polygon[sub.edge_tris[fm.edge_ids]]  # (ne, 2)
-        for side in (0, 1):
-            np.add.at(out, sides[:, side], 0.5 * edge_sq)
-        for j, v_sq in enumerate(vertex_sq[fi]):
-            elems = np.unique(sides[j : j + 2].ravel())
-            out[elems] += v_sq / elems.size
+    fe = sub.fracture_edges
+    sides = sub.tri_polygon[sub.edge_tris[fe.edge]]  # (n_fe, 2)
+    edge_sq = fracture_sq.sum(axis=1)
+    for side in (0, 1):
+        np.add.at(out, sides[:, side], 0.5 * edge_sq)
+    # the elements beside the two edges of each interior vertex, each once
+    r = fe.joints
+    elems = np.sort(np.hstack([sides[r], sides[r + 1]]), axis=1)
+    distinct = np.diff(elems, axis=1, prepend=-1) != 0
+    count = distinct.sum(axis=1)
+    np.add.at(out, elems[distinct], np.repeat(vertex_sq / count, count))
     return out
 
 
@@ -240,20 +236,17 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: Bloc
 
     erule = edge_rule(2 * k + 12)
     ts, ws = erule.points, erule.weights
-    for fi, fr in enumerate(mesh.fractures):
-        fm = sub.fracture_meshes[fi]
-        fg = fracture_source_values(sub, spec, fi, ts)
-        if not np.any(fg):
-            continue
+    fg = fracture_source_values(sub, spec, ts)
+    if np.any(fg):
         mono = _monomials_1d(ts, k)  # (nq, k+1)
         G = np.einsum("q,qi,qj->ij", ws, mono, mono)
         b = np.einsum("q,eq,qi->ei", ws, fg, mono)
         c = np.linalg.solve(G, b.T).T
         pf = np.einsum("ei,qi->eq", c, mono)
-        res = np.einsum("q,eq->e", ws, (fg - pf) ** 2) * fm.edge_length
-        total += float(
-            (fm.edge_length**2 * fr.thickness**2 * res).sum()
-        )
+        fe = sub.fracture_edges
+        le = sub.edge_length[fe.edge]
+        res = np.einsum("q,eq->e", ws, (fg - pf) ** 2) * le
+        total += float((le**2 * fe.thickness**2 * res).sum())
     return float(np.sqrt(total))
 
 
@@ -297,39 +290,28 @@ def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> 
 
     erule = edge_rule(2 * k + 4)
     ts, ws = erule.points, erule.weights
-    v_exch2 = v_jump2 = v_frac2 = fj2 = fa2 = 0.0
-    for fi, fr in enumerate(mesh.fractures):
-        fm = sub.fracture_meshes[fi]
-        ne = fm.n_edges
-        eta_e = fr.normal_resistance[fm.edge_segment]
-        alpha_e = spec.exchange_resistance(fi)[fm.edge_segment]
-        Kg = fr.tangential_conductivity[fm.edge_segment]
-        le = fm.edge_length
-        pts, par = sub.fracture_points(fi, ts)
-        flatp = pts.reshape(-1, 2)
-        n = sub.edge_normal[fm.edge_ids]
-        reg1 = np.full(ne * ts.size, 1)
-        reg2 = np.full(ne * ts.size, 2)
-        fidx = np.full(ne * ts.size, fi)
-        p1, p2, un1, un2 = sol.fracture_traces(fi, ts)
+    fe = sub.fracture_edges
+    nq = ts.size
+    pts, par = sub.fracture_points(ts)
+    flatp, par = pts.reshape(-1, 2), par.reshape(-1)
+    reg1, reg2 = np.full(par.size, 1), np.full(par.size, 2)
+    fidx = np.repeat(fe.fracture, nq)
+    n = sub.edge_normal[fe.edge]
+    p1, p2, un1, un2 = sol.fracture_traces(ts)
 
-        dp1 = np.asarray(exact.p(flatp, reg1)).reshape(ne, -1) - p1
-        dp2 = np.asarray(exact.p(flatp, reg2)).reshape(ne, -1) - p2
-        dpg = np.asarray(exact.p_gamma(flatp, par.reshape(-1), fidx)).reshape(
-            ne, -1
-        ) - sol.p_gamma_at(fi, ts)
-        dun1 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg1)).reshape(ne, -1, 2), n) - un1
-        dun2 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg2)).reshape(ne, -1, 2), n) - un2
+    dp1 = np.asarray(exact.p(flatp, reg1)).reshape(-1, nq) - p1
+    dp2 = np.asarray(exact.p(flatp, reg2)).reshape(-1, nq) - p2
+    dpg = np.asarray(exact.p_gamma(flatp, par, fidx)).reshape(-1, nq) - sol.p_gamma_at(ts)
+    dun1 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg1)).reshape(-1, nq, 2), n) - un1
+    dun2 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg2)).reshape(-1, nq, 2), n) - un2
+    ddg = np.asarray(exact.dp_gamma_dt(flatp, par, fidx)).reshape(-1, nq) - sol.dp_gamma_dt_at(ts)
 
-        wl = ws[None, :] * le[:, None]
-        v_exch2 += (((dp1 + dp2) / 2.0 - dpg) ** 2 * wl).sum(axis=1) @ (1.0 / alpha_e)
-        v_jump2 += ((dp1 - dp2) ** 2 * wl).sum(axis=1) @ (1.0 / eta_e)
-        ddg = np.asarray(
-            exact.dp_gamma_dt(flatp, par.reshape(-1), fidx)
-        ).reshape(ne, -1) - sol.dp_gamma_dt_at(fi, ts)
-        v_frac2 += (ddg**2 * wl).sum(axis=1) @ Kg
-        fj2 += float(((dun1 - dun2) ** 2 * wl).sum())
-        fa2 += float((((dun1 + dun2) / 2.0) ** 2 * wl).sum())
+    wl = ws[None, :] * sub.edge_length[fe.edge][:, None]
+    v_exch2 = (((dp1 + dp2) / 2.0 - dpg) ** 2 * wl).sum(axis=1) @ (1.0 / spec.exchange_resistance(fe.eta))
+    v_jump2 = ((dp1 - dp2) ** 2 * wl).sum(axis=1) @ (1.0 / fe.eta)
+    v_frac2 = (ddg**2 * wl).sum(axis=1) @ fe.K_gamma
+    fj2 = float(((dun1 - dun2) ** 2 * wl).sum())
+    fa2 = float((((dun1 + dun2) / 2.0) ** 2 * wl).sum())
 
     err_V2 = v_exch2 + v_jump2 + v_grad2 + v_frac2
     total2 = err_Q2 + err_V2 + fj2 + fa2

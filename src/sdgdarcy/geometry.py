@@ -65,8 +65,11 @@ class Fracture:
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         if np.any(lengths <= 0):
             raise ValueError("fracture polyline has a zero-length segment")
-        if _polyline_self_intersects(pts):
-            raise ValueError("fracture polyline intersects itself")
+        tol = 1e-12 * max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
+        for i, j in itertools.combinations(range(pts.shape[0] - 1), 2):
+            point = _meeting_point(pts[i], pts[i + 1], pts[j], pts[j + 1], tol, joined=j == i + 1)
+            if point is not None:
+                raise ValueError(f"fracture polyline segments {i} and {j} meet at {tuple(point.tolist())}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "kappa_n", kn)
         object.__setattr__(self, "kappa_t", kt)
@@ -101,11 +104,6 @@ class Fracture:
         """thickness / kappa_n per segment: pressure jump per unit average flux."""
         return self.thickness / self.kappa_n
 
-    @property
-    def tangential_conductivity(self) -> np.ndarray:
-        """kappa_t * thickness per segment: effective along-fracture conductivity."""
-        return self.kappa_t * self.thickness
-
     def nearest(self, pts: np.ndarray):
         """(dist, par, offset), (n,) each, of points (n, 2): the distance to
         the nearest segment, the arclength of the nearest point on it and
@@ -130,35 +128,30 @@ class Fracture:
         return self.nearest(np.atleast_2d(pts))[1]
 
 
-def _segments_intersect(p0, p1, q0, q1, tol):
-    """True if closed segments [p0,p1] and [q0,q1] intersect beyond shared endpoints."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q0, q1, p0)
-    d2 = orient(q0, q1, p1)
-    d3 = orient(p0, p1, q0)
-    d4 = orient(p0, p1, q1)
-    return ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and (
-        (d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)
-    )
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _polyline_self_intersects(pts: np.ndarray) -> bool:
-    n = pts.shape[0] - 1
-    scale = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
-    tol = 1e-12 * scale * scale
-    for i in range(n):
-        for j in range(i + 2, n):
-            if _segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1], tol):
-                return True
-    return False
+def _meeting_point(p0, p1, q0, q1, tol, joined=False):
+    """A point where the closed segments [p0, p1] and [q0, q1] meet, or None:
+    an end point of one on the other (a touch or a collinear overlap), else
+    their crossing point.  `joined` segments share p1 = q0, which does not
+    count, so they meet only where one folds back onto the other."""
+    ends = ((p0, q0, q1), (q1, p0, p1)) if joined else ((p0, q0, q1), (p1, q0, q1), (q0, p0, p1), (q1, p0, p1))
+    for c, a, b in ends:  # c within distance tol of [a, b]
+        inside = np.all(np.minimum(a, b) - tol <= c) and np.all(c <= np.maximum(a, b) + tol)
+        if inside and abs(_orient(a, b, c)) <= tol * np.hypot(*(b - a)):
+            return c
+    d0, d1 = _orient(q0, q1, p0), _orient(q0, q1, p1)
+    if d0 * d1 < 0 and _orient(p0, p1, q0) * _orient(p0, p1, q1) < 0:
+        return p0 + d0 / (d0 - d1) * (p1 - p0)
+    return None
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Axis-aligned rectangle union with embedded fracture polylines."""
+    """Axis-aligned rectangle union with embedded fracture polylines, which
+    must be pairwise disjoint as closed sets: no touch, overlap or crossing."""
 
     rectangles: tuple
     fractures: tuple = ()
@@ -174,14 +167,11 @@ class DomainSpec:
                 raise ValueError(f"malformed rectangle {r!r}; expected (x0, y0, x1, y1)")
         fracs = tuple(self.fractures)
         tol = 1e-12 * self._diameter_of(rects)
-        for i, fa in enumerate(fracs):
-            for fb in fracs[i + 1 :]:
-                for s in range(fa.n_segments):
-                    for t in range(fb.n_segments):
-                        if _segments_intersect(
-                            fa.points[s], fa.points[s + 1], fb.points[t], fb.points[t + 1], tol
-                        ):
-                            raise ValueError("fractures must be pairwise non-intersecting")
+        for (a, fa), (b, fb) in itertools.combinations(enumerate(fracs), 2):
+            for s, t in itertools.product(range(fa.n_segments), range(fb.n_segments)):
+                point = _meeting_point(fa.points[s], fa.points[s + 1], fb.points[t], fb.points[t + 1], tol)
+                if point is not None:
+                    raise ValueError(f"fractures {a} and {b} meet at {tuple(point.tolist())}")
         object.__setattr__(self, "rectangles", rects)
         object.__setattr__(self, "fractures", fracs)
 
@@ -376,31 +366,53 @@ class PolygonalMesh:
 
 
 @dataclass(frozen=True)
-class FractureLineMesh:
-    """1D mesh induced on one fracture by the bulk edges lying on it."""
+class FractureEdgeTable:
+    """Every fracture edge in one table, fracture-major, in CSR form.
 
-    fracture_index: int
-    edge_ids: np.ndarray  # (ne,) global edge ids ordered along the polyline
-    vertex_ids: np.ndarray  # (ne+1,) ordered vertex ids, tips first/last
-    edge_segment: np.ndarray  # (ne,) fracture segment index per edge
-    edge_tangent: np.ndarray  # (ne, 2) unit tangent in polyline direction
-    edge_length: np.ndarray  # (ne,)
-    vertex_arclength: np.ndarray  # (ne+1,) arclength at vertex_ids, 0 at the start tip
+    Fracture f owns rows offsets[f]:offsets[f+1], in order along its
+    polyline from the start tip: row r is edge `edge[r]`, run from vertex
+    `ends[r, 0]` to `ends[r, 1]`, on segment `segment[r]` of the fracture,
+    and starts at arclength `arclength[r]`.  The coefficients of the
+    segment are gathered per edge.
+    """
+
+    offsets: np.ndarray  # (nf+1,)
+    edge: np.ndarray  # (n_fe,) global edge id
+    ends: np.ndarray  # (n_fe, 2) vertex ids in polyline direction
+    segment: np.ndarray  # (n_fe,) fracture segment index
+    arclength: np.ndarray  # (n_fe,) arclength at the edge's start, 0 at each start tip
+    thickness: np.ndarray  # (n_fe,)
+    eta: np.ndarray  # (n_fe,) normal resistance thickness / kappa_n
+    K_gamma: np.ndarray  # (n_fe,) tangential conductivity kappa_t * thickness
 
     @property
     def n_edges(self) -> int:
-        return self.edge_ids.shape[0]
+        return self.edge.size
 
-    @property
-    def h_vertex(self) -> np.ndarray:
-        """Per interior vertex: max length of the two adjacent fracture edges."""
-        return np.maximum(self.edge_length[:-1], self.edge_length[1:])
+    @cached_property
+    def fracture(self) -> np.ndarray:
+        """(n_fe,) fracture index per row."""
+        return np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
+
+    @cached_property
+    def descending(self) -> np.ndarray:
+        """(n_fe,) whether the edge runs from its higher vertex id to its
+        lower one, against the order of the edge dofs (see `edge_points`)."""
+        return self.ends[:, 0] > self.ends[:, 1]
+
+    @cached_property
+    def joints(self) -> np.ndarray:
+        """(n_fe - nf,) the rows r whose end vertex is the start of row r+1:
+        one per interior vertex of each fracture, fracture by fracture."""
+        return np.flatnonzero(np.diff(self.fracture) == 0)
 
 
 @dataclass(frozen=True)
 class Subdivision:
     """Simplicial subdivision of a polygonal mesh with its edge families.
 
+    The fracture edges form one `FractureEdgeTable`, which every stage reads
+    in one array pass; `edge_fracture` gives the fracture of every edge.
     The mesh caches its subdivision, so the subdivision refers to its mesh
     weakly, as a mesh to its `parent`: the two form no reference cycle, and
     a dropped mesh is freed by reference counting alone.  Keep the mesh
@@ -422,7 +434,7 @@ class Subdivision:
     edge_length: np.ndarray
     edge_midpoint: np.ndarray
     tri_edges: np.ndarray  # (nt, 3) side l runs tri_vertices[l] -> [(l+1) % 3]; side 0 primal
-    fracture_meshes: tuple
+    fracture_edges: FractureEdgeTable
     edge_fracture: np.ndarray  # (ne,) fracture index or -1
 
     @property
@@ -471,14 +483,14 @@ class Subdivision:
         hi = self.vertices[ev.max(axis=1)]
         return lo[:, None, :] + ts[None, :, None] * (hi - lo)[:, None, :]
 
-    def fracture_points(self, fi: int, ts: np.ndarray):
-        """Points (ne, nq, 2) and arclength parameters (ne, nq) at parameters
-        ts along each edge of fracture fi, in polyline direction."""
-        fm = self.fracture_meshes[fi]
-        a = self.vertices[fm.vertex_ids[:-1]]
-        b = self.vertices[fm.vertex_ids[1:]]
+    def fracture_points(self, ts: np.ndarray):
+        """Points (n_fe, nq, 2) and arclength parameters (n_fe, nq) at
+        parameters ts along every fracture edge, in polyline direction, in
+        the rows of `fracture_edges`."""
+        fe = self.fracture_edges
+        a, b = self.vertices[fe.ends[:, 0]], self.vertices[fe.ends[:, 1]]
         pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
-        par = fm.vertex_arclength[:-1, None] + ts[None, :] * fm.edge_length[:, None]
+        par = fe.arclength[:, None] + ts[None, :] * self.edge_length[fe.edge][:, None]
         return pts, par
 
 
@@ -702,7 +714,7 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
     # b (the next triangle's), side 2 its own dual edge at a
     tri_edges = np.column_stack([tri_primal, n_primal + cyc.next, duals])
 
-    fr_meshes = _build_fracture_meshes(mesh, all_vertices, edge_v, edge_kind, edge_frac, edge_seg, edge_len)
+    fracture_edges = _fracture_edge_table(mesh, all_vertices, edge_v, edge_frac, edge_seg, edge_len)
 
     return Subdivision(
         _mesh=weakref.ref(mesh),
@@ -719,43 +731,35 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
         edge_length=edge_len,
         edge_midpoint=edge_mid,
         tri_edges=tri_edges,
-        fracture_meshes=fr_meshes,
+        fracture_edges=fracture_edges,
         edge_fracture=edge_frac,
     )
 
 
-def _build_fracture_meshes(mesh, all_vertices, edge_v, edge_kind, edge_frac, edge_seg, edge_len):
-    out = []
+def _fracture_edge_table(mesh, all_vertices, edge_v, edge_frac, edge_seg, edge_len) -> FractureEdgeTable:
+    """Order the edges of each fracture along its polyline, orient each one
+    along it and check that they chain from tip to tip."""
+    # an empty block first, so that a mesh without fractures concatenates too
+    rows = [(np.zeros(0, dtype=int), np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int)) + 4 * (np.zeros(0),)]
     for fi, fr in enumerate(mesh.fractures):
-        ids = np.flatnonzero((edge_kind == FRACTURE) & (edge_frac == fi))
+        ids = np.flatnonzero(edge_frac == fi)
         if ids.size == 0:
             raise FractureNotAligned(f"fracture {fi} is not covered by any mesh edge")
         par = fr.param_of(all_vertices[edge_v[ids].ravel()]).reshape(-1, 2)
-        # order the edges along the polyline, orient each one along it and
-        # chain them
         order = np.argsort(par.sum(axis=1), kind="stable")
         ids, par = ids[order], par[order]
-        lo, hi = np.take_along_axis(edge_v[ids], np.argsort(par, axis=1), axis=1).T
-        if np.any(lo[1:] != hi[:-1]):
+        ends = np.take_along_axis(edge_v[ids], np.argsort(par, axis=1), axis=1)
+        if np.any(ends[1:, 0] != ends[:-1, 1]):
             raise FractureNotAligned(f"fracture {fi} mesh edges do not chain contiguously")
-        vids = np.concatenate([lo[:1], hi])
-        if (
-            np.hypot(*(all_vertices[vids[0]] - fr.points[0])) > mesh.tolerance
-            or np.hypot(*(all_vertices[vids[-1]] - fr.points[-1])) > mesh.tolerance
-        ):
+        gap = all_vertices[[ends[0, 0], ends[-1, 1]]] - fr.points[[0, -1]]
+        if np.hypot(*gap.T).max() > mesh.tolerance:
             raise FractureNotAligned(f"fracture {fi} mesh does not span tip to tip")
-        out.append(
-            FractureLineMesh(
-                fracture_index=fi,
-                edge_ids=ids,
-                vertex_ids=vids,
-                edge_segment=edge_seg[ids],
-                edge_tangent=fr.seg_tangents[edge_seg[ids]],
-                edge_length=edge_len[ids],
-                vertex_arclength=np.concatenate([[0.0], np.cumsum(edge_len[ids])]),
-            )
-        )
-    return tuple(out)
+        seg = edge_seg[ids]
+        arclength = np.concatenate([[0.0], np.cumsum(edge_len[ids][:-1])])
+        thickness = np.full(ids.size, fr.thickness)
+        rows.append((ids, ends, seg, arclength, thickness, fr.normal_resistance[seg], fr.kappa_t[seg] * fr.thickness))
+    offsets = np.cumsum([0] + [r[0].size for r in rows[1:]])
+    return FractureEdgeTable(offsets, *(np.concatenate(column) for column in zip(*rows)))
 
 
 def refine(mesh: PolygonalMesh, marked) -> PolygonalMesh:

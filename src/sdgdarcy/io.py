@@ -175,13 +175,10 @@ def export_solution(mesh: PolygonalMesh, sol, prefix) -> list:
     _write_text(bulk_path, "\n".join(lines) + "\n")
     written = [bulk_path]
 
-    if sub.fracture_meshes:
-        fms = sub.fracture_meshes
-        # the two end points of every fracture edge, and p_gamma there
-        ends = np.concatenate([np.stack([fm.vertex_ids[:-1], fm.vertex_ids[1:]], axis=1) for fm in fms])
-        vals = np.concatenate([sol.p_gamma_at(fi, np.array([0.0, 1.0])) for fi in range(len(fms))])
-        frac_of = np.repeat(np.arange(len(fms)), [fm.n_edges for fm in fms])
-        ne = frac_of.size
+    fe = sub.fracture_edges
+    ne = fe.n_edges
+    if ne:
+        # per fracture edge, its two end points, p_gamma there and its fracture
         lines = [
             "# vtk DataFile Version 3.0",
             "fracture pressure",
@@ -189,7 +186,7 @@ def export_solution(mesh: PolygonalMesh, sol, prefix) -> list:
             "DATASET POLYDATA",
             f"POINTS {2 * ne} double",
         ]
-        lines += _xy_lines(sub.vertices[ends.ravel()])
+        lines += _xy_lines(sub.vertices[fe.ends.ravel()])
         lines.append(f"LINES {ne} {3 * ne}")
         lines += [f"2 {a} {a + 1}" for a in range(0, 2 * ne, 2)]
         lines += [
@@ -197,9 +194,9 @@ def export_solution(mesh: PolygonalMesh, sol, prefix) -> list:
             "SCALARS fracture_pressure double 1",
             "LOOKUP_TABLE default",
         ]
-        lines += map(repr, vals.ravel().tolist())
+        lines += map(repr, sol.p_gamma_at(np.array([0.0, 1.0])).ravel().tolist())
         lines += [f"CELL_DATA {ne}", "SCALARS fracture int 1", "LOOKUP_TABLE default"]
-        lines += map(str, frac_of.tolist())
+        lines += map(str, fe.fracture.tolist())
         frac_path = f"{prefix}_fracture.vtk"
         _write_text(frac_path, "\n".join(lines) + "\n")
         written.append(frac_path)

@@ -119,9 +119,8 @@ class ProblemSpec:
             raise SingularK("permeability tensor not positive definite")
         return out
 
-    def exchange_resistance(self, fracture_index: int) -> np.ndarray:
-        """alpha per fracture segment: eta * (xi/2 - 1/4)."""
-        eta = self.domain.fractures[fracture_index].normal_resistance
+    def exchange_resistance(self, eta: np.ndarray) -> np.ndarray:
+        """alpha = eta * (xi/2 - 1/4), elementwise in the normal resistances eta."""
         return eta * (self.xi / 2.0 - 0.25)
 
     # -- sources ----------------------------------------------------------

@@ -485,11 +485,19 @@ def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
 
 @dataclass(frozen=True)
 class FracturePressureSpace:
-    """Continuous piecewise P^k on each fracture polyline."""
+    """Continuous piecewise P^k on each fracture polyline.
+
+    `edge_dofs` has one row per fracture edge, in the rows of the
+    subdivision's `fracture_edges`, and lists the edge's k+1 dofs in
+    polyline direction.  The dofs of fracture f, with n_f edges, start at
+    k offsets[f] + f: its n_f + 1 vertex dofs along the polyline, then for
+    each interior node j = 1..k-1 one dof per edge.
+    """
 
     k: int
     ndof: int
-    edge_dofs: tuple  # per fracture: (ne, k+1) global ids in arclength order
+    edge_dofs: np.ndarray  # (n_fe, k+1) global ids in polyline direction
+    tip_dofs: np.ndarray  # (nf, 2) the dofs at the start and end tip of each fracture
     dirichlet_mask: np.ndarray  # (ndof,)
     ref_nodes: np.ndarray = field(repr=False, default=None)  # (k+1,) on [0,1]
 
@@ -507,42 +515,31 @@ class FracturePressureSpace:
 def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureSpace:
     """dirichlet_tips: iterable of (fracture_index, end) with end 0=start, 1=end."""
     sub = mesh.subdivision if isinstance(mesh, PolygonalMesh) else mesh
-    k = config.k
-    ref = np.linspace(0.0, 1.0, k + 1)
-    tips = set((int(f), int(s)) for f, s in dirichlet_tips)
+    fe = sub.fracture_edges
+    k, nf = config.k, fe.offsets.size - 1
+    tips = np.array(sorted(set((int(f), int(s)) for f, s in dirichlet_tips)), dtype=int).reshape(-1, 2)
     for f, s in tips:
-        if f < 0 or f >= len(sub.fracture_meshes):
+        if f < 0 or f >= nf:
             raise ConfigError(f"fracture index {f} out of range")
         if s not in (0, 1):
             raise ConfigError(f"tip selector {s} must be 0 (start) or 1 (end)")
 
-    edge_dofs = []
-    mask = []
-    offset = 0
-    for fi, fm in enumerate(sub.fracture_meshes):
-        ne = fm.n_edges
-        nv = ne + 1
-        ed = np.zeros((ne, k + 1), dtype=int)
-        ed[:, 0] = offset + np.arange(ne)
-        ed[:, k] = offset + np.arange(1, ne + 1)
-        vmask = [False] * nv
-        if (fi, 0) in tips:
-            vmask[0] = True
-        if (fi, 1) in tips:
-            vmask[-1] = True
-        mask.extend(vmask)
-        nxt = offset + nv
-        for j in range(1, k):
-            ed[:, j] = nxt + np.arange(ne)
-            mask.extend([False] * ne)
-            nxt += ne
-        edge_dofs.append(ed)
-        offset = nxt
-
+    f = fe.fracture
+    ne = np.diff(fe.offsets)[f]
+    i = np.arange(fe.n_edges) - fe.offsets[f]  # position along the fracture
+    first = k * fe.offsets[f] + f  # the fracture's first dof
+    edge_dofs = np.empty((fe.n_edges, k + 1), dtype=int)
+    edge_dofs[:, 0] = first + i
+    edge_dofs[:, k] = first + i + 1
+    edge_dofs[:, 1:k] = (first + ne + 1 + i)[:, None] + ne[:, None] * np.arange(k - 1)
+    tip_dofs = np.column_stack([edge_dofs[fe.offsets[:-1], 0], edge_dofs[fe.offsets[1:] - 1, k]])
+    mask = np.zeros(k * fe.n_edges + nf, dtype=bool)
+    mask[tip_dofs[tips[:, 0], tips[:, 1]]] = True
     return FracturePressureSpace(
         k=k,
-        ndof=offset,
-        edge_dofs=tuple(edge_dofs),
-        dirichlet_mask=np.array(mask, dtype=bool),
-        ref_nodes=ref,
+        ndof=mask.size,
+        edge_dofs=edge_dofs,
+        tip_dofs=tip_dofs,
+        dirichlet_mask=mask,
+        ref_nodes=np.linspace(0.0, 1.0, k + 1),
     )

@@ -138,10 +138,10 @@ def interpolate_flux(V, fn):
 def interpolate_fracture(sub, W, fn):
     """Nodal interpolation in W_h on the subdivision `sub`; fn(points (n,2),
     arclength (n,), fracture (n,)) -> values."""
+    pts, par = sub.fracture_points(W.ref_nodes)  # (n_fe, k+1, 2), (n_fe, k+1)
+    fracture = np.repeat(sub.fracture_edges.fracture, W.ref_nodes.size)
     out = np.zeros(W.ndof)
-    for fi, dofs in enumerate(W.edge_dofs):
-        pts, par = sub.fracture_points(fi, W.ref_nodes)  # (ne, k+1, 2), (ne, k+1)
-        out[dofs] = np.asarray(fn(pts.reshape(-1, 2), par.ravel(), np.full(dofs.size, fi))).reshape(dofs.shape)
+    out[W.edge_dofs] = np.asarray(fn(pts.reshape(-1, 2), par.ravel(), fracture)).reshape(W.edge_dofs.shape)
     return out
 
 
@@ -149,8 +149,8 @@ def interpolate_fracture(sub, W, fn):
 
 
 def fracture_edge_sq(bd):
-    """Per fracture, the per-edge squared totals of the three edgewise families."""
-    return tuple(a.sum(axis=1) for a in bd.fracture_sq)
+    """Per fracture edge, the squared total of the three edgewise families."""
+    return bd.fracture_sq.sum(axis=1)
 
 
 def total_sq(bd):
@@ -230,32 +230,26 @@ def assemble_interface_quadrature(sub, S, W, spec):
     erule = edge_rule(2 * S.k + 2)
     ts, ws = erule.points, erule.weights
     wb = W.eval_ref(ts)  # (nq, k+1)
-    pp, pw, ww = [], [], []
-    for fi, fr in enumerate(sub.mesh.fractures):
-        fm = sub.fracture_meshes[fi]
-        if fm.n_edges == 0:
-            continue
-        eta = fr.normal_resistance[fm.edge_segment]
-        alpha = spec.exchange_resistance(fi)[fm.edge_segment]
-        pts, _ = sub.fracture_points(fi, ts)
-        wl = fm.edge_length
-        t1, t2 = sub.edge_tris[fm.edge_ids].T
-        s1 = S.basis_values(t1, pts)  # (ne, nq, ns)
-        s2 = S.basis_values(t2, pts)
-        # both sides' dofs side by side: average and jump of the traces
-        d = np.hstack([S.tri_dofs[t1], S.tri_dofs[t2]])
-        avg = 0.5 * np.concatenate([s1, s2], axis=2)
-        jmp = np.concatenate([s1, -s2], axis=2)
-        wd = W.edge_dofs[fi]
-        local = np.einsum("q,e,eqs,eqr->esr", ws, wl / alpha, avg, avg)
-        local += np.einsum("q,e,eqs,eqr->esr", ws, wl / eta, jmp, jmp)
-        pp.append(_block(d, d, local))
-        pw.append(_block(d, wd, -np.einsum("q,e,eqs,qj->esj", ws, wl / alpha, avg, wb)))
-        ww.append(_block(wd, wd, np.einsum("q,e,qi,qj->eij", ws, wl / alpha, wb, wb)))
+    fe = sub.fracture_edges
+    # the coefficients from each edge's fracture segment
+    eta = np.array([sub.mesh.fractures[f].normal_resistance[s] for f, s in zip(fe.fracture, fe.segment)])
+    alpha = eta * (spec.xi / 2.0 - 0.25)
+    pts, _ = sub.fracture_points(ts)
+    wl = sub.edge_length[fe.edge]
+    t1, t2 = sub.edge_tris[fe.edge].T
+    s1 = S.basis_values(t1, pts)  # (n_fe, nq, ns)
+    s2 = S.basis_values(t2, pts)
+    # both sides' dofs side by side: average and jump of the traces
+    d = np.hstack([S.tri_dofs[t1], S.tri_dofs[t2]])
+    avg = 0.5 * np.concatenate([s1, s2], axis=2)
+    jmp = np.concatenate([s1, -s2], axis=2)
+    wd = W.edge_dofs
+    local = np.einsum("q,e,eqs,eqr->esr", ws, wl / alpha, avg, avg)
+    local += np.einsum("q,e,eqs,eqr->esr", ws, wl / eta, jmp, jmp)
     return (
-        _coo(pp, (S.ndof, S.ndof)),
-        _coo(pw, (S.ndof, W.ndof)),
-        _coo(ww, (W.ndof, W.ndof)),
+        _coo([_block(d, d, local)], (S.ndof, S.ndof)),
+        _coo([_block(d, wd, -np.einsum("q,e,eqs,qj->esj", ws, wl / alpha, avg, wb))], (S.ndof, W.ndof)),
+        _coo([_block(wd, wd, np.einsum("q,e,qi,qj->eij", ws, wl / alpha, wb, wb))], (W.ndof, W.ndof)),
     )
 
 

@@ -44,7 +44,7 @@ def test_case1_interface_constants():
     fr = spec.domain.fractures[0]
     eta = fr.normal_resistance
     assert np.allclose(eta, 1e-4)
-    assert np.allclose(spec.exchange_resistance(0), 1.25e-5)
+    assert np.allclose(spec.exchange_resistance(eta), 1.25e-5)
 
     pts = np.array([[1.0, 0.3], [1.0, 0.8]])
     ones = np.ones(2, dtype=int)
@@ -171,7 +171,7 @@ def test_multifrac_data():
     assert spec.dirichlet_tips() == [(3, 0)]
     assert spec.tip_value(3, 0) == 0.0
     mesh = build_initial_mesh(spec.domain, 0.25)
-    assert len(mesh.subdivision.fracture_meshes) == 4
+    assert mesh.subdivision.fracture_edges.offsets.size == 5
 
 
 def test_problem_spec_validation():

@@ -23,14 +23,14 @@ from conftest import (
     volume_terms_einsum,
 )
 from sdgdarcy.assembly import DiscreteSolution, assemble_system
-from sdgdarcy.benchmarks import case1, case2, linear_patch
+from sdgdarcy.benchmarks import case1, case2, case4_multifrac, linear_patch
 from sdgdarcy.errors import NoExactSolution
 from sdgdarcy.estimator import (
     compute_estimator,
     data_oscillation,
     true_error,
 )
-from sdgdarcy.geometry import DomainSpec, build_initial_mesh, refine
+from sdgdarcy.geometry import DUAL, INTERIOR, DomainSpec, build_initial_mesh, refine
 from sdgdarcy.problem import (
     DIRICHLET,
     BoundaryRule,
@@ -165,8 +165,7 @@ def test_fracture_edge_families_hand_integration(two_square_fractured):
     mesh = two_square_fractured
     sub = mesh.subdivision
     sol = zero_solution(mesh)
-    fm = sub.fracture_meshes[0]
-    e = fm.edge_ids[0]
+    e = sub.fracture_edges.edge[0]
 
     u = interpolate_flux(sol.V, lambda pts: np.tile([1.0, 0.0], pts.shape[:-1] + (1,)))
     u[sol.V.edge_side_dofs[e, 1]] += 0.5
@@ -192,7 +191,7 @@ def test_fracture_edge_families_hand_integration(two_square_fractured):
     assert bd.osc <= 1e-10  # constant fracture source projects exactly
     assert_partition(bd)
     # edgewise families split half-half between the two adjacent elements
-    edge_share = fracture_edge_sq(bd)[0][0]
+    edge_share = fracture_edge_sq(bd)[0]
     sides = sub.tri_polygon[sub.edge_tris[e]]
     vol = np.zeros(mesh.n_elements)
     np.add.at(vol, sub.tri_polygon, bd.tri_sq.sum(axis=1))
@@ -212,7 +211,7 @@ def test_vertex_jump_oracle():
     mesh = build_initial_mesh(dom, 0.5)
     sol = zero_solution(mesh)
     w = np.zeros(sol.W.ndof)
-    w[sol.W.edge_dofs[0][0, 1]] = 1.0
+    w[sol.W.edge_dofs[0, 1]] = 1.0
     sol = replace(sol, p_gamma=w)
     bd = compute_estimator(mesh, dirichlet_spec(dom), sol)
 
@@ -220,6 +219,55 @@ def test_vertex_jump_oracle():
     # linear fracture pressure and zero sources: no fracture equation residual
     assert bd.terms[FRAC_RESIDUAL] <= 1e-14
     assert_partition(bd)
+
+
+def test_vertex_jumps_stay_within_each_fracture():
+    """On multifrac's four fractures, refined around three of their tips,
+    term 6 has one entry per interior fracture vertex, n_fe - n_f in all,
+    and each equals the jump of K_gamma^(1/2) dp_gamma/dt between two
+    consecutive edges of one fracture, recomputed fracture by fracture from
+    the fracture data; no entry pairs the last edge of one fracture with
+    the first of the next.  The localized indicators equal, bit for bit, a
+    fracture by fracture walk that splits each vertex term among its
+    distinct elements; no element here touches two fractures, so both add
+    in one order."""
+    spec, _ = case4_multifrac()
+    mesh = build_initial_mesh(spec.domain, 0.25)
+    tips = np.array([[1.0, 0.5], [1.5, 0.5], [1.5, -0.5]])
+    dist = np.hypot(*(mesh.element_centroids[:, None, :] - tips).transpose(2, 0, 1))
+    mesh = refine(mesh, np.flatnonzero(dist.min(axis=1) < 0.3))
+    sol, _ = solve_system(assemble_system(mesh, spec, SpaceConfig(2)))
+    bd = compute_estimator(mesh, spec, sol)
+    sub = mesh.subdivision
+    fe = sub.fracture_edges
+    nf = len(mesh.fractures)
+    assert nf == 4 and bd.vertex_sq.shape == (fe.n_edges - nf,)
+
+    jumps, walk = [], np.zeros(mesh.n_elements)
+    np.add.at(walk, sub.tri_polygon, bd.tri_sq.sum(axis=1))
+    duals, inner = sub.edges_of_kind(DUAL), sub.edges_of_kind(INTERIOR)
+    np.add.at(walk, sub.tri_polygon[sub.edge_tris[duals, 0]], bd.dual_sq)
+    for side in (0, 1):
+        np.add.at(walk, sub.tri_polygon[sub.edge_tris[inner, side]], 0.5 * bd.interior_sq)
+    for fi, fr in enumerate(mesh.fractures):
+        rows = np.arange(fe.offsets[fi], fe.offsets[fi + 1])
+        assert np.all(sub.edge_fracture[fe.edge[rows]] == fi)
+        le = sub.edge_length[fe.edge[rows]]
+        coef = sol.p_gamma[sol.W.edge_dofs[rows]]
+        d_ends = coef @ sol.W.deriv_ref(np.array([0.0, 1.0])).T / le[:, None]
+        w = np.sqrt(fr.kappa_t[fe.segment[rows]] * fr.thickness)
+        v_sq = np.maximum(le[:-1], le[1:]) * (w[:-1] * d_ends[:-1, 1] - w[1:] * d_ends[1:, 0]) ** 2
+        jumps.append(v_sq)
+        sides = sub.tri_polygon[sub.edge_tris[fe.edge[rows]]]
+        for side in (0, 1):
+            np.add.at(walk, sides[:, side], 0.5 * bd.fracture_sq[rows].sum(axis=1))
+        # this fracture's vertex terms, after the n_edges - 1 of each earlier one
+        for j, v in enumerate(bd.vertex_sq[fe.offsets[fi] - fi : fe.offsets[fi + 1] - fi - 1]):
+            elems = np.unique(sides[j : j + 2].ravel())
+            walk[elems] += v / elems.size
+    jumps = np.concatenate(jumps)
+    np.testing.assert_allclose(bd.vertex_sq, jumps, rtol=0.0, atol=1e-12 * jumps.max())
+    assert np.array_equal(bd.element_sq, walk)
 
 
 def test_mirrored_tent_equal_indicators(two_square_plain):
@@ -248,9 +296,9 @@ def test_breakdown_invariants(case1_run):
     assert bd.eta == pytest.approx(bd.terms.sum(), rel=1e-15)
     assert bd.eta > 0.0
     assert_partition(bd)
-    fm = mesh.subdivision.fracture_meshes[0]
-    assert fracture_edge_sq(bd)[0].shape == (fm.n_edges,)
-    assert bd.vertex_sq[0].shape == (fm.n_edges - 1,)
+    fe = mesh.subdivision.fracture_edges
+    assert fracture_edge_sq(bd).shape == (fe.n_edges,)
+    assert bd.vertex_sq.shape == (fe.n_edges - 1,)
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)

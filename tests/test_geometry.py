@@ -114,11 +114,11 @@ def test_refine_creates_pentagon_and_splits_fracture(two_square_fractured):
     assert np.allclose(m2.vertices[h], [1.0, 0.5])
     sub = m2.subdivision
     assert sub.edges_of_kind(FRACTURE).size == 2
-    fm = sub.fracture_meshes[0]
-    assert fm.n_edges == 2
-    assert np.allclose(sub.vertices[fm.vertex_ids[0]], [1.0, 0.0])
-    assert np.allclose(sub.vertices[fm.vertex_ids[-1]], [1.0, 1.0])
-    assert abs(fm.edge_length.sum() - 1.0) < 1e-12
+    fe = sub.fracture_edges
+    assert fe.n_edges == 2
+    assert np.allclose(sub.vertices[fe.ends[0, 0]], [1.0, 0.0])
+    assert np.allclose(sub.vertices[fe.ends[-1, 1]], [1.0, 1.0])
+    assert abs(sub.edge_length[fe.edge].sum() - 1.0) < 1e-12
     # each fracture edge still has one triangle per side
     for eid in sub.edges_of_kind(FRACTURE):
         t1, t2 = sub.edge_tris[eid]
@@ -241,6 +241,47 @@ def test_fracture_snapping():
     assert np.allclose(mesh.fractures[0].points, [[1.0, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "first,second,point",
+    [
+        ([[1.0, 0.0], [1.0, 1.0]], [[0.5, 0.5], [1.0, 0.5]], (1.0, 0.5)),  # T-junction
+        ([[1.0, 0.0], [1.0, 0.75]], [[1.0, 0.5], [1.0, 1.0]], (1.0, 0.75)),  # collinear overlap
+        ([[0.5, 0.25], [1.5, 0.75]], [[0.5, 0.75], [1.5, 0.25]], (1.0, 0.5)),  # crossing
+        ([[0.5, 0.5], [1.0, 0.5], [1.0, 1.0]], [[1.0, 0.0], [1.0, 0.5]], (1.0, 0.5)),  # shared tip
+    ],
+    ids=["t-junction", "collinear-overlap", "crossing", "shared-tip"],
+)
+def test_touching_fractures_rejected(first, second, point):
+    """Fractures are closed sets: a touch, a shared point or a collinear
+    overlap is rejected when the domain is made, naming both fractures and
+    a point where they meet."""
+    with pytest.raises(ValueError, match=re.escape(f"fractures 0 and 1 meet at {point}")):
+        DomainSpec(rectangles=[(0.0, 0.0, 2.0, 1.0)], fractures=[make_fracture(first), make_fracture(second)])
+
+
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        ([[0.5, 0.5], [1.5, 0.5], [1.0, 0.5]], "segments 0 and 1 meet at (1.0, 0.5)"),  # folds back
+        ([[1.0, 0.5], [1.0, 0.75], [1.0, 0.25]], "segments 0 and 1 meet at (1.0, 0.5)"),  # folds back past the start
+        ([[0.5, 0.5], [1.0, 0.5], [1.0, 1.0], [0.5, 1.0], [0.5, 0.5]], "segments 0 and 3 meet at (0.5, 0.5)"),  # closed
+        ([[0.5, 0.5], [1.5, 0.5], [1.5, 0.75], [1.0, 0.75], [1.0, 0.25]], "segments 0 and 3 meet at (1.0, 0.5)"),  # crosses itself
+    ],
+    ids=["fold-back", "fold-back-past-start", "closed", "self-crossing"],
+)
+def test_self_touching_polyline_rejected(points, message):
+    with pytest.raises(ValueError, match=re.escape(f"fracture polyline {message}")):
+        make_fracture(points)
+
+
+@pytest.mark.parametrize("name", ["patch", "case1-a0.1", "case1-a0.01", "case2", "lshape", "multifrac"])
+def test_benchmark_fractures_are_accepted(name):
+    """Consecutive segments that continue straight on (case2, lshape) or
+    turn (lshape) share their joint only, and every benchmark builds."""
+    spec, _, h0 = get_benchmark(name)
+    assert build_initial_mesh(spec.domain, h0).subdivision.fracture_edges.n_edges > 0
+
+
 def test_empty_domain_rejected():
     with pytest.raises(EmptyDomain):
         DomainSpec(rectangles=[])
@@ -295,10 +336,11 @@ def test_random_refinement_invariants():
         assert np.all(primal_count == 1)
         assert np.all(dual_count == 2)
         # fracture conformity: edges chain tip to tip with full length
-        fm = sub.fracture_meshes[0]
-        assert abs(fm.edge_length.sum() - 1.0) < 1e-12
-        assert np.allclose(sub.vertices[fm.vertex_ids[0]], [1.0, 0.0], atol=1e-12)
-        assert np.allclose(sub.vertices[fm.vertex_ids[-1]], [1.0, 1.0], atol=1e-12)
+        fe = sub.fracture_edges
+        assert abs(sub.edge_length[fe.edge].sum() - 1.0) < 1e-12
+        assert np.array_equal(fe.ends[1:, 0], fe.ends[:-1, 1])
+        assert np.allclose(sub.vertices[fe.ends[0, 0]], [1.0, 0.0], atol=1e-12)
+        assert np.allclose(sub.vertices[fe.ends[-1, 1]], [1.0, 1.0], atol=1e-12)
         # sanity bound only: arbitrary random marking is harsher than
         # error-driven marking (a cell can keep hanging nodes on several
         # edges while staying unrefined); the 0.2 floor for adaptive runs
@@ -362,8 +404,8 @@ def _reference_measures(mesh):
 
 
 def _reference_subdivide(mesh):
-    """Vertex-pair dict walk over the polygons: every Subdivision array and
-    the fields of each FractureLineMesh, by name."""
+    """Vertex-pair dict walk over the polygons: every Subdivision array, and
+    under "fracture_edges" every field of its FractureEdgeTable, by name."""
     nv = mesh.vertices.shape[0]
     centroids = _reference_measures(mesh)[0]
     all_vertices = np.vstack([mesh.vertices, centroids])
@@ -449,26 +491,33 @@ def _reference_subdivide(mesh):
         edge_fracture=edge_frac,
     )
 
+    # the fracture edges row by row, fracture by fracture, each walked
+    # along its polyline with a running arclength
+    table = {name: [] for name in ("edge", "ends", "segment", "arclength", "thickness", "eta", "K_gamma")}
+    offsets = [0]
     for fi, fr in enumerate(mesh.fractures):
         ids = np.flatnonzero(edge_frac == fi)
         mids = 0.5 * (all_vertices[edge_v[ids, 0]] + all_vertices[edge_v[ids, 1]])
         ids = ids[np.argsort(fr.param_of(mids), kind="stable")]
-        verts = []
+        arclength = 0.0
         for eid in ids:
             a, b = edge_v[eid]
             pa, pb = fr.param_of(all_vertices[[a, b]])
-            lo, hi = (a, b) if pa <= pb else (b, a)
-            assert not verts or verts[-1] == lo
-            verts += [lo, hi] if not verts else [hi]
-        out[f"fracture {fi}"] = dict(
-            fracture_index=fi,
-            edge_ids=ids,
-            vertex_ids=np.array(verts),
-            edge_segment=edge_seg[ids],
-            edge_tangent=fr.seg_tangents[edge_seg[ids]],
-            edge_length=edge_len[ids],
-            vertex_arclength=np.concatenate([[0.0], np.cumsum(edge_len[ids])]),
-        )
+            ends = (a, b) if pa <= pb else (b, a)
+            assert len(table["edge"]) == offsets[-1] or table["ends"][-1][1] == ends[0]
+            s = edge_seg[eid]
+            table["edge"].append(eid)
+            table["ends"].append(ends)
+            table["segment"].append(s)
+            table["arclength"].append(arclength)
+            table["thickness"].append(fr.thickness)
+            table["eta"].append(fr.thickness / fr.kappa_n[s])
+            table["K_gamma"].append(fr.kappa_t[s] * fr.thickness)
+            arclength += edge_len[eid]
+        offsets.append(len(table["edge"]))
+    out["fracture_edges"] = {name: np.array(rows) for name, rows in table.items()}
+    out["fracture_edges"]["ends"] = out["fracture_edges"]["ends"].reshape(-1, 2)
+    out["fracture_edges"]["offsets"] = np.array(offsets)
     return out
 
 
@@ -619,10 +668,9 @@ def test_geometry_matches_polygon_walk(data):
 
         sub = subdivide(fresh)
         for name, ref in _reference_subdivide(fresh).items():
-            if name.startswith("fracture"):
-                fm = sub.fracture_meshes[ref["fracture_index"]]
+            if name == "fracture_edges":
                 for field, value in ref.items():
-                    assert np.array_equal(getattr(fm, field), value), (name, field)
+                    assert np.array_equal(getattr(sub.fracture_edges, field), value), (name, field)
             else:
                 assert np.array_equal(getattr(sub, name), ref), name
 

@@ -8,9 +8,9 @@ import pytest
 
 from sdgdarcy.adaptivity import AmrConfig, amr_loop
 from sdgdarcy.assembly import assemble_system
-from sdgdarcy.benchmarks import case1, case2, linear_patch
+from sdgdarcy.benchmarks import case1, case2, case4_multifrac, linear_patch
 from sdgdarcy.errors import IoError
-from sdgdarcy.geometry import build_initial_mesh
+from sdgdarcy.geometry import build_initial_mesh, refine
 from sdgdarcy.io import (
     HISTORY_COLUMNS,
     TIMING_COLUMNS,
@@ -201,14 +201,35 @@ def test_fracture_vtk_round_trips_exactly(case1_solution, tmp_path):
     sub = mesh.subdivision
     paths = export_solution(mesh, sol, tmp_path / "fields")
     doc = parse_vtk(paths[1])
-    fm = sub.fracture_meshes[0]
 
     assert doc["dataset"] == "POLYDATA"
-    coords = sub.vertices[fm.vertex_ids]
-    want_pts = np.stack([coords[:-1], coords[1:]], axis=1).reshape(-1, 2)
+    want_pts = sub.vertices[sub.fracture_edges.ends].reshape(-1, 2)
     assert np.array_equal(doc["points"][:, :2], want_pts)
-    w = sol.p_gamma_at(0, np.array([0.0, 1.0])).ravel()
+    w = sol.p_gamma_at(np.array([0.0, 1.0])).ravel()
     assert np.array_equal(doc["data"][("POINT_DATA", "fracture_pressure")], w)
+
+
+def test_multifracture_vtk_lists_every_fracture_in_order(tmp_path):
+    """On multifrac's four fractures, refined once around fracture 3's
+    Dirichlet start tip (1.5, -1), the fracture file has two points per
+    fracture edge, its `fracture` cell data runs 0..3 in blocks of each
+    fracture's edge count, and the pressure at that tip is its data 0.0."""
+    spec, _ = case4_multifrac()
+    mesh = build_initial_mesh(spec.domain, 0.25)
+    near_tip = np.hypot(*(mesh.element_centroids - [1.5, -1.0]).T) < 0.25
+    mesh = refine(mesh, np.flatnonzero(near_tip))
+    sol, _ = solve_system(assemble_system(mesh, spec, SpaceConfig(1)))
+    doc = parse_vtk(export_solution(mesh, sol, tmp_path / "fields")[1])
+
+    edge_fracture = mesh.subdivision.edge_fracture
+    counts = np.bincount(edge_fracture[edge_fracture >= 0])
+    assert counts.size == 4 and counts[3] > counts[0]
+    assert doc["points"].shape == (2 * counts.sum(), 3)
+    fracture = doc["data"][("CELL_DATA", "fracture")]
+    assert np.array_equal(fracture, np.repeat(np.arange(4), counts))
+    tip = np.flatnonzero((doc["points"][:, :2] == [1.5, -1.0]).all(axis=1))
+    assert tip.size == 1 and fracture[tip[0] // 2] == 3
+    assert doc["data"][("POINT_DATA", "fracture_pressure")][tip[0]] == 0.0
 
 
 def test_patch_export_pressure_equals_y(tmp_path):

@@ -227,13 +227,13 @@ def test_fracture_polynomial_reproduction(k):
         return out
 
     coeffs = interpolate_fracture(sub, W, lambda pts, par, fr: poly(par))
-    fm = sub.fracture_meshes[0]
+    le = sub.edge_length[sub.fracture_edges.edge]
     ts = edge_rule(6).points
     vals = W.eval_ref(ts)  # (nq, k+1)
-    vparam = np.concatenate([[0.0], np.cumsum(fm.edge_length)])
-    for j in range(fm.n_edges):
-        par = vparam[j] + ts * fm.edge_length[j]
-        approx = vals @ coeffs[W.edge_dofs[0][j]]
+    vparam = np.concatenate([[0.0], np.cumsum(le)])
+    for j in range(le.size):
+        par = vparam[j] + ts * le[j]
+        approx = vals @ coeffs[W.edge_dofs[j]]
         assert np.max(np.abs(approx - poly(par))) < 1e-12
 
 
@@ -605,15 +605,15 @@ def test_edge_traces_match_point_evaluation(k, mesh):
             un = np.einsum("eqc,ec->eq", sol.u_at(tris, pts), sub.edge_normal[edges])
             check(sol.u_normal_trace(edges, side, ts), un)
 
-    for fi, fm in enumerate(sub.fracture_meshes):
-        reverse = fm.vertex_ids[:-1] > fm.vertex_ids[1:]
-        assert reverse.any() and not reverse.all()
-        pts, _ = sub.fracture_points(fi, ts)
-        p1, p2, un1, un2 = sol.fracture_traces(fi, ts)
+    fe = sub.fracture_edges
+    if fe.n_edges:
+        assert fe.descending.any() and not fe.descending.all()
+        pts, _ = sub.fracture_points(ts)
+        p1, p2, un1, un2 = sol.fracture_traces(ts)
         for side, p, un in ((0, p1, un1), (1, p2, un2)):
-            tris = sub.edge_tris[fm.edge_ids, side]
+            tris = sub.edge_tris[fe.edge, side]
             check(p, sol.p_at(tris, pts))
-            check(un, np.einsum("eqc,ec->eq", sol.u_at(tris, pts), sub.edge_normal[fm.edge_ids]))
+            check(un, np.einsum("eqc,ec->eq", sol.u_at(tris, pts), sub.edge_normal[fe.edge]))
 
 
 def test_solution_reads_the_subdivision_of_its_spaces():
