@@ -17,8 +17,8 @@ kept polygon the stages take from the cache the flux transforms C_t
 load vector and the estimator share, and the oscillation residual at the
 2k+12 rule; the mapped weights are recomputed, as fast as carrying them.
 C_t depends only on the triangle's vertex coordinates, the order of their
-ids (the flip flags) and the side of each edge it lies on, which an
-unchanged cycle fixes: an edge's orientation follows its vertex ids, or
+ids (the flip flags, the subdivision's `tri_flip`) and the side of each
+edge it lies on (`tri_side`), which an unchanged cycle fixes: an edge's orientation follows its vertex ids, or
 its fracture segment.  The source and the residual depend on absolute
 position, so they are carried by identity only.
 
@@ -26,9 +26,9 @@ Per polygon, the cache carries by class.  Refinement of the uniform initial
 grid leaves mostly congruent squares and a few hanging-node polygons, so
 many polygons have identical inputs, on one mesh and from one mesh to the
 next.  `assemble_system` keys every polygon by the bytes of one row: per
-triangle the flip flags and sides, the edge lengths, the Jacobian, area and
-diameter (the inputs of C_t, M_t and B_t), then K and the Dirichlet mask
-and data at the polygon's local pressures.  Polygons of equal rows form a
+triangle the rows of `tri_flip` and `tri_side`, the edge lengths, the
+Jacobian, area and diameter (the inputs of C_t, M_t and B_t), then K and
+the Dirichlet mask and data at the polygon's local pressures.  Polygons of equal rows form a
 class, whose label is its row in tables that hold M_P, G_P, the lifts
 p_dir^T B_t and the condensation M_P^-1 G_P, S_II^-1, H and R_P of the
 classes of the current mesh; M_t, B_t and these are computed once for each

@@ -41,7 +41,6 @@ from .spaces import (
     build_V_h,
     build_W_h,
     _SIDE_NODES,
-    _tri_sides,
 )
 
 _SLICE = 256  # polygons per slice of gathered class rows, in `LinearSystem.matvec` and the solve
@@ -119,7 +118,7 @@ def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace, tris=slice(Non
     erule = edge_rule(2 * V.k + 2)
     ts, ws = erule.points, erule.weights
     E = S.edge_trace_matrix(ts).T @ (ws[:, None] * V.edge_trace_matrix(ts))
-    side, flip = (a[tris] for a in _tri_sides(sub))
+    side, flip = sub.tri_side[tris], sub.tri_flip[tris]
     nodes = _SIDE_NODES[S.k]
     for l in (1, 2):
         scale = (1 - 2 * side[:, l]) * sub.edge_length[sub.tri_edges[tris, l]]
@@ -505,7 +504,6 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     off = np.setdiff1d(np.arange(ns), primal)
     offsets = sub.mesh.cycles.offsets
     counts = np.diff(offsets)
-    side, flip = _tri_sides(sub)
     out = []
     lift = np.empty((nt, V.nloc))
     for n in np.unique(counts):
@@ -541,8 +539,8 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
         # `adaptivity`), so a class computes once.
         t = tris.ravel()
         geometry = np.hstack([
-            flip[t],
-            side[t],
+            sub.tri_flip[t],
+            sub.tri_side[t],
             sub.edge_length[sub.tri_edges[t]],
             sub.tri_jacobian[t].reshape(-1, 4),
             sub.tri_area[t, None],

@@ -149,10 +149,8 @@ class ProblemSpec:
             raise ConfigError(
                 f"boundary edge at {mids[j].tolist()} matches no boundary rule"
             )
-        is_dir = np.array(
-            [self.boundary[i].kind == DIRICHLET for i in rule_index], dtype=bool
-        )
-        return BoundaryTable(edges=edges, rule_index=rule_index, is_dirichlet=is_dir)
+        is_dir = np.array([rule.kind == DIRICHLET for rule in self.boundary], dtype=bool)
+        return BoundaryTable(edges=edges, rule_index=rule_index, is_dirichlet=is_dir[rule_index])
 
     def boundary_values(self, sub: Subdivision, edges: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Boundary data at points pts (n, 2) lying on boundary edges (n,).

@@ -16,6 +16,10 @@ Three spaces enter the mixed formulation:
   and consumers multiply C_t with reference tables shared by all triangles.
 * ``FracturePressureSpace``: continuous 1D Lagrange P^k along each fracture
   polyline; tip values can be constrained.
+
+The pressure and flux spaces list each edge side's dofs from the edge's
+lower vertex id, placed and oriented by the subdivision's side table
+``tri_side`` and ``tri_flip``.
 """
 
 from __future__ import annotations
@@ -93,20 +97,10 @@ def _lattice_nodes(k: int) -> np.ndarray:
 _SIDE_NODES = {1: np.array([[0, 1], [1, 2], [2, 0]]), 2: np.array([[0, 3, 1], [1, 4, 2], [2, 5, 0]])}
 
 
-def _tri_sides(sub: Subdivision):
-    """(side, flip), both (nt, 3): triangle t lies on side side[t, l] of edge
-    tri_edges[t, l], and its local side l, from tri_vertices[t, l] to
-    tri_vertices[t, (l+1) % 3], runs against the edge's low-to-high vertex
-    order, the order edge dofs are listed in, where flip[t, l]."""
-    tv = sub.tri_vertices
-    side = sub.edge_tris[sub.tri_edges, 0] != np.arange(sub.n_triangles)[:, None]
-    return side.astype(int), tv > np.roll(tv, -1, axis=1)
-
-
-def _edge_side_table(sub: Subdivision, side: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+def _edge_side_table(sub: Subdivision, dofs: np.ndarray) -> np.ndarray:
     """(ne, 2, k+1) per-side dofs from the triangles' (nt, 3, k+1); -1 where absent."""
     table = np.full((sub.n_edges, 2, dofs.shape[-1]), -1, dtype=int)
-    table[sub.tri_edges, side] = dofs
+    table[sub.tri_edges, sub.tri_side] = dofs
     return table
 
 
@@ -114,26 +108,11 @@ def lagrange_1d(nodes: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray
     """Values (order 0) or derivatives of the 1D Lagrange basis through
     ``nodes`` at parameters ``ts``, shape ts.shape + (len(nodes),), read-only.
 
-    The rows come from a table cached on the nodes, the distinct values of
-    ts and the order: callers pass a few quadrature rules, also flipped
-    (1 - ts) per edge."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.unique(ts)
-    table = _lagrange_table(tuple(np.asarray(nodes, dtype=float).tolist()), tuple(values.tolist()), order)
-    out = np.take(table, np.searchsorted(values, ts), axis=0)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=128)
-def _lagrange_table(nodes: tuple, ts: tuple, order: int) -> np.ndarray:
-    """`lagrange_1d` at the values ts, (len(ts), len(nodes)).
-
     Basis j is the product of (t - x_i) / (x_j - x_i) over i != j; by the
     product rule, each ordered choice of `order` distinct factors to
     differentiate adds one term."""
-    nodes = np.array(nodes)
-    ts = np.array(ts)
+    nodes = np.asarray(nodes, dtype=float)
+    ts = np.asarray(ts, dtype=float)
     m = nodes.shape[0]
     out = np.zeros(ts.shape + (m,))
     for j in range(m):
@@ -217,10 +196,10 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     rest_locals = np.setdiff1d(np.arange(nloc), edge_locals)
     nt = sub.n_triangles
 
-    dirichlet_edges = np.asarray(sorted(set(int(e) for e in dirichlet_edges)), dtype=int)
-    for e in dirichlet_edges:
-        if sub.edge_kind[e] != BOUNDARY:
-            raise ConfigError(f"Dirichlet edge {e} is not a boundary edge")
+    dirichlet_edges = np.unique(np.fromiter(dirichlet_edges, dtype=int))
+    stray = dirichlet_edges[sub.edge_kind[dirichlet_edges] != BOUNDARY]
+    if stray.size:
+        raise ConfigError(f"Dirichlet edge {stray[0]} is not a boundary edge")
 
     tris = np.arange(nt)
     e = sub.tri_edges[:, 0]
@@ -232,9 +211,8 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     first = np.cumsum(count) - count
     ndof = int(count.sum())
 
-    side, flip = _tri_sides(sub)
     j = np.arange(k1)
-    along = np.where((interior & flip[:, 0])[:, None], k - j, j)
+    along = np.where((interior & sub.tri_flip[:, 0])[:, None], k - j, j)
     tri_dofs = np.empty((nt, nloc), dtype=int)
     tri_dofs[:, edge_locals] = first[owner][:, None] + along
     rest = first[:, None] + n_edge[:, None] + np.arange(len(rest_locals))
@@ -250,7 +228,7 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     coords[first[shared][:, None] + j] = sub.edge_points(e[shared], np.linspace(0.0, 1.0, k1))
 
     on_sides = tri_dofs[:, side_nodes]  # (nt, 3, k1), from vertex l to l+1
-    on_sides = np.where(flip[..., None], on_sides[..., ::-1], on_sides)
+    on_sides = np.where(sub.tri_flip[..., None], on_sides[..., ::-1], on_sides)
 
     dof_edge = np.full(ndof, -1, dtype=int)
     on_dir = own & np.isin(e, dirichlet_edges)
@@ -265,7 +243,7 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
         k=k,
         ndof=ndof,
         tri_dofs=tri_dofs,
-        edge_side_dofs=_edge_side_table(sub, side, on_sides),
+        edge_side_dofs=_edge_side_table(sub, on_sides),
         dirichlet_mask=dof_edge >= 0,
         dof_edge=dof_edge,
         node_coords=coords,
@@ -384,7 +362,7 @@ class FluxSpace:
 
     def edge_trace_matrix(self, ts: np.ndarray) -> np.ndarray:
         """Normal-trace values at edge parameters ts: (..., k+1) Lagrange."""
-        return lagrange_1d(self.gauss_ts, np.asarray(ts, dtype=float))
+        return lagrange_1d(self.gauss_ts, ts)
 
 
 def flux_dofs_per_triangle(k: int) -> int:
@@ -431,7 +409,6 @@ def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
         )
     tri_dofs[:, 3 * k1 :] = own + k1 + np.arange(n_int)
     ndof = nt * flux_dofs_per_triangle(k)
-    side, flip = _tri_sides(sub)
 
     def transforms(tris):
         # P_t^-1 as a per-triangle column order and scale; n_e points out of
@@ -439,9 +416,9 @@ def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
         m = tris.size
         j = np.arange(k1)
         order = np.tile(np.arange(nloc), (m, 1))
-        order[:, : 3 * k1] = (k1 * np.arange(3)[:, None] + np.where(flip[tris, :, None], k - j, j)).reshape(m, -1)
+        order[:, : 3 * k1] = (k1 * np.arange(3)[:, None] + np.where(sub.tri_flip[tris, :, None], k - j, j)).reshape(m, -1)
         scale = np.ones((m, nloc))
-        scale[:, : 3 * k1] = np.repeat((1 - 2 * side[tris]) * sub.edge_length[sub.tri_edges[tris]], k1, axis=1)
+        scale[:, : 3 * k1] = np.repeat((1 - 2 * sub.tri_side[tris]) * sub.edge_length[sub.tri_edges[tris]], k1, axis=1)
 
         edge, mean, curl = _reference_flux_dofs(k)
         if n_int:
@@ -472,7 +449,7 @@ def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
         k=k,
         ndof=ndof,
         tri_dofs=tri_dofs,
-        edge_side_dofs=_edge_side_table(sub, side, tri_dofs[:, : 3 * k1].reshape(nt, 3, k1)),
+        edge_side_dofs=_edge_side_table(sub, tri_dofs[:, : 3 * k1].reshape(nt, 3, k1)),
         gauss_ts=ts,
         ref_coeff=coeff,
         _exps=_monomial_exponents(k),

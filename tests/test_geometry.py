@@ -241,6 +241,106 @@ def test_fracture_snapping():
     assert np.allclose(mesh.fractures[0].points, [[1.0, 0.0], [1.0, 1.0]])
 
 
+def _reference_initial_mesh(domain, target_h):
+    """Per-cell walk over a set of covered cells: (vertices, polygons,
+    snapped fractures), the vertices numbered in first use over the cells
+    in sorted order."""
+    ranges, _ = initial_grid(domain, target_h)
+    h = float(target_h)
+    ox, oy = domain.origin
+    tol = domain.tolerance
+    cells = {(i, j) for i0, j0, i1, j1 in ranges for i in range(i0, i1) for j in range(j0, j1)}
+    snapped = [_reference_snap_fracture(fr, h, ox, oy, tol, cells) for fr in domain.fractures]
+    vid, coords, cycles = {}, [], []
+    for i, j in sorted(cells):
+        cycle = []
+        for key in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
+            if key not in vid:
+                vid[key] = len(coords)
+                coords.append((ox + key[0] * h, oy + key[1] * h))
+            cycle.append(vid[key])
+        cycles.append(tuple(cycle))
+    return np.array(coords), cycles, snapped
+
+
+def _reference_snap_fracture(fr, h, ox, oy, tol, cells):
+    """Snap point by point, then look up the two cells beside every grid
+    edge of each segment in the cell set."""
+    pts = fr.points.copy()
+    for p in range(pts.shape[0]):
+        for c, o in ((0, ox), (1, oy)):
+            idx = round((pts[p, c] - o) / h)
+            if abs(o + idx * h - pts[p, c]) > tol:
+                raise FractureNotAligned(f"fracture point {tuple(fr.points[p])} is not on the grid of spacing {h}")
+            pts[p, c] = o + idx * h
+    for s in range(pts.shape[0] - 1):
+        dx, dy = pts[s + 1] - pts[s]
+        if abs(dx) > tol and abs(dy) > tol:
+            raise FractureNotAligned("fracture segments must follow grid lines (axis-aligned)")
+        i0 = round((pts[s, 0] - ox) / h)
+        j0 = round((pts[s, 1] - oy) / h)
+        i1 = round((pts[s + 1, 0] - ox) / h)
+        j1 = round((pts[s + 1, 1] - oy) / h)
+        if abs(dx) <= tol:
+            sides = [((i0 - 1, j), (i0, j)) for j in range(min(j0, j1), max(j0, j1))]
+        else:
+            sides = [((i, j0 - 1), (i, j0)) for i in range(min(i0, i1), max(i0, i1))]
+        if any(a not in cells or b not in cells for a, b in sides):
+            raise FractureNotAligned("fracture segment lies on the domain boundary or outside the domain")
+    return pts
+
+
+_OVERLAPPING = DomainSpec(rectangles=[(0.0, 0.0, 2.0, 1.0), (1.0, 0.0, 3.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "name,refine_h",
+    [(name, r) for name in ("patch", "case1-a0.1", "case1-a0.01", "case2", "lshape", "multifrac") for r in (1, 2, 8)]
+    + [("overlapping", 1)],
+)
+def test_initial_mesh_matches_cell_walk(name, refine_h):
+    """The array-built grid equals the per-cell walk bit for bit: vertices,
+    cycle table and snapped fracture points, on every benchmark at h0,
+    h0/2 and h0/8 and on two overlapping rectangles."""
+    if name == "overlapping":
+        domain, h0 = _OVERLAPPING, 0.5
+    else:
+        spec, _, h0 = get_benchmark(name)
+        domain = spec.domain
+    mesh = build_initial_mesh(domain, h0 / refine_h)
+    vertices, cycles, snapped = _reference_initial_mesh(domain, h0 / refine_h)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.cycles.offsets, 4 * np.arange(len(cycles) + 1))
+    assert np.array_equal(mesh.cycles.vertex, np.ravel(cycles)) and not mesh.cycles.hanging.any()
+    assert mesh.cycles.vertex.dtype == mesh.cycles.offsets.dtype == int
+    assert len(mesh.fractures) == len(snapped)
+    for got, ref in zip(mesh.fractures, snapped):
+        assert np.array_equal(got.points, ref)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[2.0, 0.0], [2.0, 1.0]],  # the far boundary: its right-hand cells are one past the grid
+        [[0.0, 1.0], [2.0, 1.0]],  # the top boundary
+        [[1.0, 0.0], [1.0, 1.0], [2.0, 1.0]],  # turns onto the top boundary
+        [[3.0, 0.0], [3.0, 1.0]],  # outside, one cell past the grid
+        [[-1.5, 0.0], [-1.5, 1.0]],  # outside, three cells before it
+        [[0.5, 1.5], [0.5, 2.0]],  # above it, where key i * rows + j would alias a cell
+    ],
+    ids=["far", "top", "turn-onto-top", "past-end", "before-start", "above"],
+)
+def test_fracture_off_the_interior_rejected_as_the_cell_walk_does(points):
+    """A segment on the boundary or outside the grid raises the cell walk's
+    FractureNotAligned and message, wherever its side cells fall."""
+    dom = DomainSpec(rectangles=[(0.0, 0.0, 2.0, 1.0)], fractures=[make_fracture(points)])
+    with pytest.raises(FractureNotAligned) as ref:
+        _reference_initial_mesh(dom, 0.5)
+    with pytest.raises(FractureNotAligned) as got:
+        build_initial_mesh(dom, 0.5)
+    assert str(got.value) == str(ref.value) == "fracture segment lies on the domain boundary or outside the domain"
+
+
 @pytest.mark.parametrize(
     "first,second,point",
     [
@@ -480,6 +580,13 @@ def _reference_subdivide(mesh):
                 edge_tris[eid] = (t2, t1)
             else:
                 edge_normal[eid] *= -1.0
+    tri_edges = np.column_stack([tri_primal, n_primal + np.array(nxt), n_primal + np.arange(nt)])
+    tri_side = np.zeros((nt, 3), dtype=int)
+    tri_flip = np.zeros((nt, 3), dtype=bool)
+    for t in range(nt):
+        for l in range(3):
+            tri_side[t, l] = list(edge_tris[tri_edges[t, l]]).index(t)
+            tri_flip[t, l] = tri_v[t, l] > tri_v[t, (l + 1) % 3]
     out.update(
         edge_vertices=edge_v,
         edge_kind=edge_kind,
@@ -487,7 +594,9 @@ def _reference_subdivide(mesh):
         edge_normal=edge_normal,
         edge_length=edge_len,
         edge_midpoint=edge_mid,
-        tri_edges=np.column_stack([tri_primal, n_primal + np.array(nxt), n_primal + np.arange(nt)]),
+        tri_edges=tri_edges,
+        tri_side=tri_side,
+        tri_flip=tri_flip,
         edge_fracture=edge_frac,
     )
 
@@ -672,7 +781,7 @@ def test_geometry_matches_polygon_walk(data):
                 for field, value in ref.items():
                     assert np.array_equal(getattr(sub.fracture_edges, field), value), (name, field)
             else:
-                assert np.array_equal(getattr(sub, name), ref), name
+                assert np.array_equal(getattr(sub, name), ref) and getattr(sub, name).dtype == ref.dtype, name
 
         if marked is None:
             continue

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from sdgdarcy.adaptivity import dorfler_mark
 from sdgdarcy.assembly import DiscreteSolution
+from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.errors import ConfigError
 from sdgdarcy.geometry import (
     BOUNDARY,
@@ -23,7 +25,6 @@ from sdgdarcy.spaces import (
     build_S_h,
     build_V_h,
     build_W_h,
-    _lagrange_table,
     lagrange_1d,
 )
 
@@ -323,6 +324,20 @@ def test_dirichlet_rejects_interior_edge(two_square_plain):
         build_S_h(two_square_plain, SpaceConfig(k=1), dirichlet_edges=[int(inner[0])])
 
 
+def test_dirichlet_error_names_the_lowest_stray_edge(two_square_fractured):
+    """Among boundary, repeated and stray edges given in any order, the
+    ConfigError names the lowest edge that is not a boundary edge."""
+    sub = two_square_fractured.subdivision
+    boundary = sub.edges_of_kind(BOUNDARY)
+    stray = np.concatenate([sub.edges_of_kind(kind) for kind in (INTERIOR, FRACTURE, DUAL)])
+    assert stray.size and boundary.min() < stray.min()
+    given = np.concatenate([stray[::-1], boundary, stray[:2]])
+    with pytest.raises(ConfigError, match=rf"^Dirichlet edge {stray.min()} is not a boundary edge$"):
+        build_S_h(two_square_fractured, SpaceConfig(k=1), dirichlet_edges=given)
+    with pytest.raises(ConfigError, match=rf"^Dirichlet edge {stray.max()} is not a boundary edge$"):
+        build_S_h(two_square_fractured, SpaceConfig(k=1), dirichlet_edges=[*boundary.tolist(), stray.max()])
+
+
 # ---------------------------------------------------------------------------
 # dof numbering against a per-triangle reference
 
@@ -449,15 +464,43 @@ def _sliver_sub():
     sub = mesh.subdivision
     nv = sub.vertices.shape[0]
     new_id = nv - 1 - np.arange(nv)
+    tri_vertices = new_id[sub.tri_vertices]
     return replace(
         sub,
         vertices=sub.vertices[::-1],
-        tri_vertices=new_id[sub.tri_vertices],
+        tri_vertices=tri_vertices,
         edge_vertices=new_id[sub.edge_vertices],
+        tri_flip=tri_vertices > np.roll(tri_vertices, -1, axis=1),
     )
 
 
 PIOLA_MESHES = {"doerfler": _doerfler_fractured_sub, "sliver": _sliver_sub}
+
+
+def _tri_sides(sub):
+    """The side table as the spaces and the assembly derived it on every
+    call: (side, flip), both (nt, 3)."""
+    tv = sub.tri_vertices
+    side = sub.edge_tris[sub.tri_edges, 0] != np.arange(sub.n_triangles)[:, None]
+    return side.astype(int), tv > np.roll(tv, -1, axis=1)
+
+
+@pytest.mark.parametrize("name", ["case2", "multifrac"])
+def test_side_table_matches_the_per_call_derivation(name):
+    """`subdivide`'s tri_side and tri_flip equal the per-call derivation, in
+    value and dtype, on a benchmark mesh refined three times, which has
+    hanging nodes and fracture and boundary edges."""
+    spec, _, h0 = get_benchmark(name)
+    mesh = build_initial_mesh(spec.domain, h0)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
+    sub = mesh.subdivision
+    kinds = set(sub.edge_kind[sub.tri_edges].ravel().tolist())
+    assert mesh.cycles.hanging.any() and kinds == {BOUNDARY, INTERIOR, FRACTURE, DUAL}
+    side, flip = _tri_sides(sub)
+    assert np.array_equal(sub.tri_side, side) and sub.tri_side.dtype == side.dtype
+    assert np.array_equal(sub.tri_flip, flip) and sub.tri_flip.dtype == flip.dtype
 
 
 def _side_runs_low_to_high(sub):
@@ -656,21 +699,38 @@ def test_lagrange_1d_derivatives_match_monomial_form(k):
     assert np.array_equal(lagrange_1d(nodes, ts, 2), np.tile(exact, (ts.size, 1)))
 
 
+def _lagrange_value(nodes, t, order):
+    """The product rule at one parameter t, (len(nodes),): basis j is the
+    product of (t - x_i) / (x_j - x_i) over i != j, and each ordered choice
+    of `order` factors to differentiate adds one term."""
+    m = nodes.size
+    out = np.zeros(m)
+    for j in range(m):
+        others = [i for i in range(m) if i != j]
+        for picked in permutations(others, order):
+            term = 1.0 / np.prod(nodes[j] - nodes[list(picked)])
+            for i in others:
+                if i not in picked:
+                    term *= (t - nodes[i]) / (nodes[j] - nodes[i])
+            out[j] += term
+    return out
+
+
+@pytest.mark.parametrize("nodes", ["lattice", "gauss"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_lagrange_1d_cache_is_exact_and_read_only(k):
-    """Tables served from the cache, at shared parameters and at per-edge
-    ones flipped to 1 - t on some edges, are bit-equal to a fresh product
-    rule evaluation on every call, for orders 0-2; writing into one raises."""
-    nodes = np.linspace(0.0, 1.0, k + 1)
+def test_lagrange_1d_is_exact_value_by_value_and_read_only(k, nodes):
+    """Through the pressure's lattice nodes and the flux dofs' Gauss points,
+    at shared parameters and at per-edge ones flipped to 1 - t on some
+    edges, for orders 0-2, every row is bit-equal to the product rule
+    evaluated at its parameter alone; writing into the result raises."""
+    nodes = np.linspace(0.0, 1.0, k + 1) if nodes == "lattice" else edge_rule(2 * k + 1).points
     ts = edge_rule(6).points
     per_edge = np.where(np.array([[False], [True], [True], [False]]), 1.0 - ts, ts)
-    fresh = _lagrange_table.__wrapped__
     for order in range(3):
         for t in (ts, per_edge):
-            ref = fresh(tuple(nodes), tuple(t.ravel()), order).reshape(t.shape + (k + 1,))
-            for _ in range(2):
-                got = lagrange_1d(nodes, t, order)
-                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            ref = np.array([_lagrange_value(nodes, v, order) for v in t.ravel()]).reshape(t.shape + (k + 1,))
+            got = lagrange_1d(nodes, t, order)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = 1.0
 
