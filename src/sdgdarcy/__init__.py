@@ -15,11 +15,10 @@ from .adaptivity import (
     ConvergenceHistory,
     IterationRecord,
     amr_loop,
-    convergence_slope,
     dorfler_mark,
 )
 from .assembly import DiscreteSolution, LinearSystem, assemble_system
-from .benchmarks import BENCHMARKS, get_benchmark, verify_interface
+from .benchmarks import BENCHMARKS, get_benchmark
 from .errors import (
     AllZeroIndicators,
     ConfigError,
@@ -78,14 +77,12 @@ __all__ = [
     "ConvergenceHistory",
     "IterationRecord",
     "amr_loop",
-    "convergence_slope",
     "dorfler_mark",
     "DiscreteSolution",
     "LinearSystem",
     "assemble_system",
     "BENCHMARKS",
     "get_benchmark",
-    "verify_interface",
     "AllZeroIndicators",
     "ConfigError",
     "EmptyDomain",

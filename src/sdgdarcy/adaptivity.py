@@ -22,20 +22,20 @@ edge it lies on (`tri_side`), which an unchanged cycle fixes: an edge's orientat
 its fracture segment.  The source and the residual depend on absolute
 position, so they are carried by identity only.
 
-Per polygon, the cache carries by class.  Refinement of the uniform initial
-grid leaves mostly congruent squares and a few hanging-node polygons, so
-many polygons have identical inputs, on one mesh and from one mesh to the
-next.  `assemble_system` keys every polygon by the bytes of one row: per
+Per polygon, one mesh shares by class, and nothing crosses to the next.
+Refinement of the uniform initial grid leaves mostly congruent squares and a
+few hanging-node polygons, so many polygons of one mesh have identical
+inputs.  `assemble_system` keys every polygon by the bytes of one row: per
 triangle the rows of `tri_flip` and `tri_side`, the edge lengths, the
 Jacobian, area and diameter (the inputs of C_t, M_t and B_t), then K and
-the Dirichlet mask and data at the polygon's local pressures.  Polygons of equal rows form a
-class, whose label is its row in tables that hold M_P, G_P, the lifts
-p_dir^T B_t and the condensation M_P^-1 G_P, S_II^-1, H and R_P of the
-classes of the current mesh; M_t, B_t and these are computed once for each
-class the previous mesh did not use.  A kept polygon keeps its key row, so
-its class is found; so is a new polygon congruent to one of the previous
-mesh.  The solve gathers each polygon's rows from the tables, one slice at
-a time, and knows nothing of reuse.
+the Dirichlet mask at the polygon's local pressures.  Polygons of equal
+rows form a class, whose label is its row in tables that hold M_P, G_P and
+the condensation M_P^-1 G_P, S_II^-1, H and R_P; M_t, B_t and these are
+computed once per class.  The Dirichlet values are not in the key: the
+lifts p_dir^T B_t are computed apart, on the triangles that touch a
+Dirichlet dof, so polygons on non-constant boundary data still share their
+class.  The solve gathers each polygon's rows from the tables, one slice at
+a time, and knows nothing of classes.
 
 The result is bit-equal to computing every polygon on every iteration.
 Each carried or shared row comes from elementwise arithmetic, a batched
@@ -45,17 +45,17 @@ keep their order.  Per-triangle arrays are merged back in triangle order.
 The polygons of one triangle count form one block, and every global sum
 over the blocks adds one bincount per count; a bincount inside one count
 adds at most two terms per entry, so the order of the rows inside a count
-does not change it.  A gathered row is a copy of its class's computed row,
-so a batched product over gathered rows gives each polygon its own bits.
+does not change it.  The lifts left out, on triangles without a Dirichlet
+dof, are +-0, and a bincount that adds +-0 to a sum keeps its bits.  A
+gathered row is a copy of its class's computed row, so a batched product
+over gathered rows gives each polygon its own bits.
 A 2-D GEMM is not row-independent: the rows in the tail of its batch get
 other bits.  So the oscillation projects f with one stacked product per
 triangle, not with f @ wm over all triangles, and carries its residuals.
 
-The cache holds the per-triangle arrays and the classes of one mesh.  On
-its refinement it keeps the rows of the kept polygons' triangles until a
-stage merges them; a class that leaves the mesh is dropped, and so is the
-class store of a triangle count that leaves it.  A stage called without a
-cache starts from an empty one.
+The cache holds the per-triangle arrays of one mesh.  On its refinement
+it keeps the rows of the kept polygons' triangles until a stage merges
+them.  A stage called without a cache starts from an empty one.
 
 Memory.  The loop holds one iteration at a time.  After the callback it
 drops the system, the spaces and the solution, and the history keeps only
@@ -195,19 +195,6 @@ class ConvergenceHistory:
         return DiscreteSolution(self.final_mesh, V, S, W, *self.final_vectors)
 
 
-def convergence_slope(ns, values, last: int = 4) -> float:
-    """Least-squares slope of log(values) against log(ns) over the last
-    `last` points."""
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ns.size < 2:
-        raise ConfigError("slope needs at least two points")
-    n = min(last, ns.size)
-    x = np.log(ns[-n:])
-    y = np.log(values[-n:])
-    return float(np.polyfit(x, y, 1)[0])
-
-
 def amr_loop(
     mesh: PolygonalMesh,
     spec: ProblemSpec,
@@ -221,8 +208,7 @@ def amr_loop(
     (counted from the spaces, so the over-budget mesh is neither assembled
     nor solved), or on all-zero indicators.  A singular system is recorded
     in `failure` and halts the loop.  One `BlockCache` carries the arrays
-    of kept triangles and the polygon classes from each iteration to the
-    next.  When given, callback(record, mesh, sol, breakdown, system) runs
+    of kept triangles from each iteration to the next.  When given, callback(record, mesh, sol, breakdown, system) runs
     after each record is appended; exporters hook in here.
 
     The loop then drops the system, the spaces and the solution, so they

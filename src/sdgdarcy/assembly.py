@@ -31,7 +31,7 @@ from .errors import SolverError
 from .geometry import PolygonalMesh, Subdivision, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, mapped_weights, triangle_rule
-from .reuse import BlockCache
+from .reuse import BlockCache, group_rows
 from .spaces import (
     FluxSpace,
     FracturePressureSpace,
@@ -263,11 +263,10 @@ class PolygonBlocks:
     into its skeleton (B, the first n_skeleton) and interior (I) columns,
     S_II^-1, H = S_II^-1 S_IB and R_P = S_BB - S_BI H.
 
-    Polygons of one class have bit-equal blocks, lifts and condensation,
-    computed once (see `_polygon_blocks`).  Every array of blocks is a
-    table with one row per class, and a polygon's class label is its row:
-    M[classes] is M_P of every polygon.  The tables are those the loop's
-    `BlockCache` returned for this mesh, and every row is in use.
+    Polygons of one class have bit-equal blocks and condensation, computed
+    once (see `_polygon_blocks`).  Every array of blocks is a table with one
+    row per class of this mesh, and a polygon's class label is its row:
+    M[classes] is M_P of every polygon, and every row is in use.
     """
 
     polygons: np.ndarray  # (npoly,) polygon ids
@@ -478,7 +477,7 @@ def free_unknowns(spaces) -> int:
     return V.ndof + S.n_free + W.n_free
 
 
-def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_dir, ycol, cache: BlockCache):
+def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_dir, ycol):
     """Dense polygon blocks, one `PolygonBlocks` per triangle count, and
     the Dirichlet lifts p_dir^T B_t, (nt, nloc).
 
@@ -493,10 +492,11 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     one pattern per n, which every triangle's dofs are checked against.
     Its local pressures are the primal-side nodes of its triangles, then
     the rest (see `PolygonBlocks`).  `ycol` maps pressure dofs to their
-    index in y.  The triangle blocks, and from them M_P, G_P, the lifts and
-    the condensation, are computed once per class of polygons with
-    identical inputs, and only for the classes that the previous mesh of
-    `cache` did not use (see `adaptivity`).
+    index in y.  The triangle blocks, and from them M_P, G_P and the
+    condensation, are computed once per class of the mesh's polygons with
+    identical inputs (see `adaptivity`).  The lifts are computed on the
+    triangles that touch a Dirichlet dof alone; on the others p_dir is zero
+    and so is the lift.
     """
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
@@ -505,7 +505,6 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     offsets = sub.mesh.cycles.offsets
     counts = np.diff(offsets)
     out = []
-    lift = np.empty((nt, V.nloc))
     for n in np.unique(counts):
         i, j = np.arange(n)[:, None], np.arange(k1)
         own = n * k1 + n_own * i
@@ -534,9 +533,11 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
 
         # One class per distinct key row, which holds every per-triangle and
         # per-polygon input the kernels below read, and those of build_V_h's
-        # transforms C_t: any new input of them must join the key.  The
-        # kernels keep each row's bits whatever the rows beside it (see
-        # `adaptivity`), so a class computes once.
+        # transforms C_t: any new input of them must join the key.  G is
+        # masked by the Dirichlet mask, which is in the key; the Dirichlet
+        # values are not, as the lifts are computed apart.  The kernels keep
+        # each row's bits whatever the rows beside it (see `adaptivity`), so
+        # a class computes once.
         t = tris.ravel()
         geometry = np.hstack([
             sub.tri_flip[t],
@@ -550,30 +551,26 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
             geometry.reshape(polys.size, -1),
             K_elem[polys].reshape(polys.size, -1),
             S.dirichlet_mask[pdofs],
-            p_dir[pdofs],
         ])
-
-        def gather(rows):
-            npoly, rep = rows.size, tris[rows].ravel()
-            M_t = assemble_mass(sub, V, K_elem, rep)
-            B_t = assemble_bh(sub, V, S, rep)
-            base = np.arange(npoly)[:, None, None, None]
-            M = np.bincount((base * (b * b) + mbin).ravel(), M_t.ravel(), minlength=npoly * b * b)
-            G = np.bincount((base * (b * m) + gbin).ravel(), B_t.ravel(), minlength=npoly * b * m)
-            G = G.reshape(npoly, b, m) * ~S.dirichlet_mask[pdofs[rows]][:, None, :]
-            lift_t = (p_dir[S.tri_dofs[rep]][:, None, :] @ B_t)[:, 0]
-            M = M.reshape(npoly, b, b)
-            # the condensation: W = M^-1 G, S_II^-1, H and R_P
-            W = np.linalg.solve(M, G)
-            SP = _sym(np.swapaxes(G, 1, 2) @ W)
-            S_inv = np.linalg.inv(SP[:, nsk:, nsk:])
-            H = S_inv @ SP[:, nsk:, :nsk]
-            R = _sym(SP[:, :nsk, :nsk] - SP[:, :nsk, nsk:] @ H)
-            return M, G, lift_t.reshape(npoly, n, -1), W, S_inv, H, R
-
-        classes, (M, G, lift_P, W, S_inv, H, R) = cache.classes(f"polygon blocks, {n} triangles", key, gather)
-        lift[t] = lift_P[classes].reshape(-1, V.nloc)
+        first, classes = group_rows(key)
+        ncls, rep = first.size, tris[first].ravel()
+        M_t = assemble_mass(sub, V, K_elem, rep)
+        B_t = assemble_bh(sub, V, S, rep)
+        base = np.arange(ncls)[:, None, None, None]
+        M = np.bincount((base * (b * b) + mbin).ravel(), M_t.ravel(), minlength=ncls * b * b).reshape(ncls, b, b)
+        G = np.bincount((base * (b * m) + gbin).ravel(), B_t.ravel(), minlength=ncls * b * m)
+        G = G.reshape(ncls, b, m) * ~S.dirichlet_mask[pdofs[first]][:, None, :]
+        # the condensation: W = M^-1 G, S_II^-1, H and R_P
+        W = np.linalg.solve(M, G)
+        SP = _sym(np.swapaxes(G, 1, 2) @ W)
+        S_inv = np.linalg.inv(SP[:, nsk:, nsk:])
+        H = S_inv @ SP[:, nsk:, :nsk]
+        R = _sym(SP[:, :nsk, :nsk] - SP[:, :nsk, nsk:] @ H)
         out.append(PolygonBlocks(polys, flux, ycol[pdofs], M, G, W, S_inv, H, R, nsk, classes))
+
+    lift = np.zeros((nt, V.nloc))
+    dt = np.flatnonzero(S.dirichlet_mask[S.tri_dofs].any(axis=1))
+    lift[dt] = (p_dir[S.tri_dofs[dt]][:, None, :] @ assemble_bh(sub, V, S, dt))[:, 0]
     return out, lift
 
 
@@ -581,8 +578,8 @@ def assemble_system(
     mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, spaces=None, cache: BlockCache = None
 ) -> LinearSystem:
     """Reduced (u, p, p_gamma) system; `spaces` reuses a `build_spaces`
-    result, and `cache` carries the arrays of kept triangles and the
-    blocks of the previous mesh's polygon classes (see `adaptivity`)."""
+    result, and `cache` carries the arrays of kept triangles from the
+    previous mesh (see `adaptivity`)."""
     sub = mesh.subdivision
     cache = BlockCache() if cache is None else cache
     S, V, W = build_spaces(mesh, spec, config, cache) if spaces is None else spaces
@@ -601,7 +598,7 @@ def assemble_system(
     ny = y_free.size
     ycol = np.empty(nS + W.ndof, dtype=np.int64)
     ycol[np.concatenate([y_free, y_fixed])] = np.arange(ycol.size)
-    blocks, lift = _polygon_blocks(sub, V, S, K_elem, p_dir, np.minimum(ycol, ny), cache)
+    blocks, lift = _polygon_blocks(sub, V, S, K_elem, p_dir, np.minimum(ycol, ny))
 
     def free_rows(rows, cols, vals):
         keep = ycol[rows] < ny

@@ -53,7 +53,6 @@ def linear_patch():
         u=lambda pts, region: np.tile([0.0, -1.0], (pts.shape[0], 1)),
         p_gamma=lambda pts, param, fr_: pts[:, 1],
         dp_gamma_dt=lambda pts, param, fr_: np.ones(pts.shape[0]),
-        label="patch",
     )
     return spec, exact
 
@@ -131,15 +130,7 @@ def case1(alpha: float):
         f_gamma=f_gamma,
         fracture_tips=((0.5 + cg, 1.5 + cg),),
     )
-    exact = ExactSolution(
-        p=p,
-        grad_p=grad_p,
-        u=u,
-        p_gamma=p_gamma,
-        dp_gamma_dt=dp_gamma_dt,
-        alpha=alpha,
-        label=f"case1-a{alpha:g}",
-    )
+    exact = ExactSolution(p=p, grad_p=grad_p, u=u, p_gamma=p_gamma, dp_gamma_dt=dp_gamma_dt)
     return spec, exact
 
 
@@ -236,37 +227,6 @@ def case4_multifrac():
         ),
     )
     return spec, None
-
-
-def _interface_samples(fr: Fracture):
-    """(points, arclength, normal, eta) of 100 points along the fracture, at
-    the centres of 100 cells of equal arclength."""
-    params = (np.arange(100) + 0.5) / 100.0 * fr.arclength[-1]
-    seg = np.searchsorted(fr.arclength[1:-1], params, side="right")
-    pts = fr.points[seg] + (params - fr.arclength[seg])[:, None] * fr.seg_tangents[seg]
-    return pts, params, fr.seg_normals[seg], fr.normal_resistance[seg]
-
-
-def verify_interface(exact: ExactSolution, spec: ProblemSpec) -> float:
-    """Max violation of the two interface conditions, sampled along fractures.
-
-    Checks eta*{u.n} = [p] and alpha*[u.n] = {p} - p_gamma at 100 points per
-    fracture, with side 1 the side the fracture normal points out of.
-    """
-    fractures = spec.domain.fractures
-    if not fractures:
-        return 0.0
-    pts, params, nrm, eta = (np.concatenate(a) for a in zip(*map(_interface_samples, fractures)))
-    ones = np.ones(params.size, dtype=int)
-    un1 = np.einsum("nc,nc->n", exact.u(pts, ones), nrm)
-    un2 = np.einsum("nc,nc->n", exact.u(pts, 2 * ones), nrm)
-    p1 = exact.p(pts, ones)
-    p2 = exact.p(pts, 2 * ones)
-    pg = exact.p_gamma(pts, params, np.repeat(np.arange(len(fractures)), 100))
-
-    r1 = eta * 0.5 * (un1 + un2) - (p1 - p2)
-    r2 = spec.exchange_resistance(eta) * (un1 - un2) - (0.5 * (p1 + p2) - pg)
-    return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
 
 
 # name -> (builder, initial mesh size)

@@ -217,20 +217,6 @@ class CycleTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_polygons(cls, polygons, hanging=None) -> "CycleTable":
-        """Table of vertex-id cycles; hanging[p] holds the vertices of
-        cycle p that are absorbed hanging nodes (none when omitted)."""
-        polygons = [list(cyc) for cyc in polygons]
-        hanging = [()] * len(polygons) if hanging is None else [set(h) for h in hanging]
-        if len(hanging) != len(polygons):
-            raise MeshError("hanging bookkeeping out of sync with polygons")
-        return cls(
-            offsets=np.cumsum([0] + [len(cyc) for cyc in polygons]),
-            vertex=[v for cyc in polygons for v in cyc],
-            hanging=[v in h for cyc, h in zip(polygons, hanging) for v in cyc],
-        )
-
     @cached_property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)

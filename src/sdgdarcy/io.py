@@ -123,12 +123,7 @@ def export_mesh_json(mesh: PolygonalMesh, path) -> None:
             "edge_fracture": sub.edge_fracture.tolist(),
         },
     }
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from err
+    _write_text(path, json.dumps(doc) + "\n")
 
 
 # --------------------------------------------------------------- VTK fields

@@ -202,5 +202,3 @@ class ExactSolution:
     u: object  # (pts, region) -> (n, 2)
     p_gamma: object  # (pts, param, fracture) -> values
     dp_gamma_dt: object  # tangential (arclength) derivative, same signature
-    alpha: float = None
-    label: str = ""

@@ -1,4 +1,5 @@
-"""Per-triangle and per-class data carried from a mesh to its refinement.
+"""Per-triangle data carried from a mesh to its refinement, and the
+grouping of polygons into classes.
 
 `refine` copies every polygon that it neither refines nor splits a side of
 unchanged into the new mesh, and `PolygonalMesh.kept_from` gives its old id.
@@ -7,12 +8,11 @@ it was last used on.  When a stage asks for them on that mesh's refinement,
 the rows of the kept polygons' triangles come from the cache and the stage
 computes the others.
 
-Per-polygon arrays are carried by content instead: a stage keys every
-polygon on all inputs of its arrays, polygons of equal keys form a class,
-and the cache stores the arrays of the classes of its last call, one row
-per class, whose label is that row; only the other classes are computed.
-A name that one mesh does not call is dropped when the next is bound.
-See `adaptivity` for what is carried and why the result is bit-equal.
+Per-polygon arrays are shared by content within one mesh instead: a stage
+keys every polygon on all inputs of its arrays, and `group_rows` makes the
+polygons of equal keys one class, computed once.  Nothing per polygon
+crosses from one mesh to the next.  See `adaptivity` for what is carried
+and shared, and why the result is bit-equal.
 """
 
 from __future__ import annotations
@@ -20,34 +20,25 @@ from __future__ import annotations
 import numpy as np
 
 
-def _row_bytes(key: np.ndarray) -> list:
-    """The bytes of each row of `key` (n, w)."""
-    return np.ascontiguousarray(key).view(np.dtype((np.void, key.dtype.itemsize * key.shape[1])))[:, 0].tolist()
-
-
 def group_rows(key: np.ndarray):
     """(first, label): the rows of `key` (n, w) grouped by byte equality,
     so -0.0 and 0.0 stay apart, with the classes in order of appearance;
     `first` holds the first row of each class and label[i] is the class of
     row i, key[first[label]] == key."""
+    rows = np.ascontiguousarray(key).view(np.dtype((np.void, key.dtype.itemsize * key.shape[1])))[:, 0].tolist()
     index = {}  # hashing the row bytes is faster than sorting them
-    label = np.fromiter((index.setdefault(r, len(index)) for r in _row_bytes(key)), dtype=np.int64, count=key.shape[0])
+    label = np.fromiter((index.setdefault(r, len(index)) for r in rows), dtype=np.int64, count=key.shape[0])
     return np.unique(label, return_index=True)[1], label
 
 
 class BlockCache:
-    """Arrays of one mesh and of its classes, kept for its refinement.
+    """Per-triangle arrays of one mesh, kept for its refinement.
 
-    Each per-triangle name holds a tuple of arrays with one row per
-    triangle; on the refinement of the mesh, the rows of the kept polygons'
-    triangles are carried until the name is asked for, and the rest
-    dropped.  Each per-class name holds a store of the classes of its last
-    call: the key bytes of each class and tables with one row per class,
-    rebuilt on every call, so a label names a class only in the tables
-    returned with it; binding a mesh drops the stores that the previous
-    mesh did not call.  An empty cache carries nothing.  A name must stand
-    for the same computation on every mesh, so one cache serves one loop:
-    one problem at one order.
+    Each name holds a tuple of arrays with one row per triangle; on the
+    refinement of the mesh, the rows of the kept polygons' triangles are
+    carried until the name is asked for, and the rest dropped.  An empty
+    cache carries nothing.  A name must stand for the same computation on
+    every mesh, so one cache serves one loop: one problem at one order.
     """
 
     def __init__(self):
@@ -55,17 +46,13 @@ class BlockCache:
         self._kept = None  # (n_elements,) bool: polygon carried from the previous mesh
         self._triangles = {}  # name -> arrays on self.mesh
         self._carried_triangles = {}  # name -> rows of the kept polygons' triangles
-        self._classes = {}  # name -> (key bytes -> label, arrays with one row per label)
-        self._called = set()  # the per-class names called since self.mesh was bound
 
     def _bind(self, mesh) -> None:
-        """Make `mesh` current: carry the rows of its kept polygons' triangles
-        and the class stores the previous mesh called, drop the rest."""
+        """Make `mesh` current: carry the rows of its kept polygons'
+        triangles, drop the rest."""
         if mesh is self.mesh:
             return
         old, self.mesh = self.mesh, mesh
-        self._classes = {name: self._classes[name] for name in self._called}
-        self._called = set()
         self._kept = mesh.kept_from >= 0
         if old is None or mesh.parent is not old:
             self._kept[:] = False
@@ -105,25 +92,3 @@ class BlockCache:
             out = tuple(out)
         self._triangles[name] = out
         return out
-
-    def classes(self, name: str, key: np.ndarray, compute) -> tuple:
-        """(labels, table) of `name` for the rows of `key` (n, w), whose
-        rows of equal bytes form one class: per row the label of its class,
-        which is the class's row of every array of `table`.  The store of
-        `name` then holds the classes of this call alone: the known ones,
-        then those compute(rows) gives, one row each, from one row of `key`
-        per class it lacks; if `compute` raises, the store stays."""
-        first, label = group_rows(key)
-        reps = _row_bytes(key[first])
-        index, table = self._classes.get(name, ({}, ()))
-        # only the class representatives are looked up
-        row = np.array([index.get(r, -1) for r in reps], dtype=np.int64)
-        known, new = np.flatnonzero(row >= 0), np.flatnonzero(row < 0)
-        fresh = tuple(compute(first[new])) if new.size else ()
-        kept = tuple(a[row[known]] for a in table) if known.size else ()
-        table = tuple(np.concatenate(p) for p in zip(kept, fresh)) if kept and fresh else kept or fresh
-        order = np.concatenate([known, new])
-        row[order] = np.arange(order.size)
-        self._classes[name] = (dict(zip((reps[i] for i in order), range(order.size))), table)
-        self._called.add(name)
-        return row[label], table

@@ -20,7 +20,8 @@ from sdgdarcy.assembly import (
     build_spaces,
     dirichlet_values,
 )
-from sdgdarcy.geometry import FRACTURE, INTERIOR, DomainSpec, Fracture, build_initial_mesh, refine
+from sdgdarcy.errors import ConfigError
+from sdgdarcy.geometry import FRACTURE, INTERIOR, CycleTable, DomainSpec, Fracture, build_initial_mesh, refine
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 from sdgdarcy.spaces import _SIDE_NODES, _bubble_curl_ref
 
@@ -79,6 +80,65 @@ def hanging(mesh) -> tuple:
     """Per polygon, the frozenset of its absorbed hanging nodes."""
     v, o, h = mesh.cycles.vertex.tolist(), mesh.cycles.offsets.tolist(), mesh.cycles.hanging.tolist()
     return tuple(frozenset(itertools.compress(v[a:b], h[a:b])) for a, b in zip(o[:-1], o[1:]))
+
+
+def cycle_table(cycles, hang=None) -> CycleTable:
+    """The `CycleTable` of hand-written vertex-id cycles; hang[p] holds the
+    vertices of cycle p that are absorbed hanging nodes (none when omitted)."""
+    cycles = [list(cyc) for cyc in cycles]
+    hang = [()] * len(cycles) if hang is None else [set(h) for h in hang]
+    assert len(hang) == len(cycles), "hanging bookkeeping out of sync with the cycles"
+    return CycleTable(
+        offsets=np.cumsum([0] + [len(cyc) for cyc in cycles]),
+        vertex=[v for cyc in cycles for v in cyc],
+        hanging=[v in h for cyc, h in zip(cycles, hang) for v in cyc],
+    )
+
+
+# -- rates and exact interface conditions ------------------------------------
+
+
+def convergence_slope(ns, values, last: int = 4) -> float:
+    """Least-squares slope of log(values) against log(ns) over the last
+    `last` points."""
+    ns = np.asarray(ns, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if ns.size < 2:
+        raise ConfigError("slope needs at least two points")
+    n = min(last, ns.size)
+    return float(np.polyfit(np.log(ns[-n:]), np.log(values[-n:]), 1)[0])
+
+
+def _interface_samples(fr: Fracture):
+    """(points, arclength, normal, eta) of 100 points along the fracture, at
+    the centres of 100 cells of equal arclength."""
+    params = (np.arange(100) + 0.5) / 100.0 * fr.arclength[-1]
+    seg = np.searchsorted(fr.arclength[1:-1], params, side="right")
+    pts = fr.points[seg] + (params - fr.arclength[seg])[:, None] * fr.seg_tangents[seg]
+    return pts, params, fr.seg_normals[seg], fr.normal_resistance[seg]
+
+
+def verify_interface(exact, spec) -> float:
+    """Max violation of the two interface conditions by an exact solution,
+    sampled along the fractures of `spec`.
+
+    Checks eta*{u.n} = [p] and alpha*[u.n] = {p} - p_gamma at 100 points per
+    fracture, with side 1 the side the fracture normal points out of.
+    """
+    fractures = spec.domain.fractures
+    if not fractures:
+        return 0.0
+    pts, params, nrm, eta = (np.concatenate(a) for a in zip(*map(_interface_samples, fractures)))
+    ones = np.ones(params.size, dtype=int)
+    un1 = np.einsum("nc,nc->n", exact.u(pts, ones), nrm)
+    un2 = np.einsum("nc,nc->n", exact.u(pts, 2 * ones), nrm)
+    p1 = exact.p(pts, ones)
+    p2 = exact.p(pts, 2 * ones)
+    pg = exact.p_gamma(pts, params, np.repeat(np.arange(len(fractures)), 100))
+
+    r1 = eta * 0.5 * (un1 + un2) - (p1 - p2)
+    r2 = spec.exchange_resistance(eta) * (un1 - un2) - (0.5 * (p1 + p2) - pg)
+    return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
 
 
 # -- physical bases and interpolants of the spaces --------------------------

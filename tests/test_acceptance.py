@@ -23,14 +23,13 @@ from sdgdarcy.adaptivity import (
     UNIFORM,
     AmrConfig,
     amr_loop,
-    convergence_slope,
     dorfler_mark,
 )
 from sdgdarcy.assembly import (
     DiscreteSolution,
     assemble_system,
 )
-from sdgdarcy.benchmarks import case1, get_benchmark, linear_patch, verify_interface
+from sdgdarcy.benchmarks import case1, get_benchmark, linear_patch
 from sdgdarcy.estimator import compute_estimator, true_error
 from sdgdarcy.geometry import (
     BOUNDARY,
@@ -49,9 +48,11 @@ from conftest import (
     assemble_bh_star,
     bh_matrix,
     check_history,
+    convergence_slope,
     history_rows,
     interpolate_fracture,
     interpolate_pressure,
+    verify_interface,
 )
 
 RATE_TOL = 0.15  # slope window around the target -k/2

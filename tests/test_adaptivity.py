@@ -13,7 +13,6 @@ from sdgdarcy.adaptivity import (
     UNIFORM,
     AmrConfig,
     amr_loop,
-    convergence_slope,
     dorfler_mark,
 )
 from sdgdarcy.benchmarks import case1, linear_patch
@@ -21,7 +20,7 @@ from sdgdarcy.errors import AllZeroIndicators, ConfigError, SingularSystem
 from sdgdarcy.geometry import DomainSpec, build_initial_mesh
 from sdgdarcy.problem import DIRICHLET, NEUMANN, BoundaryRule, ProblemSpec, everywhere
 
-from conftest import polygons
+from conftest import convergence_slope, polygons
 
 
 # ---------------------------------------------------------------- marking

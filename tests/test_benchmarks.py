@@ -12,7 +12,6 @@ from sdgdarcy.benchmarks import (
     case4_multifrac,
     get_benchmark,
     linear_patch,
-    verify_interface,
 )
 from sdgdarcy.errors import ConfigError, SingularK
 from sdgdarcy.geometry import build_initial_mesh
@@ -24,6 +23,8 @@ from sdgdarcy.problem import (
     everywhere,
 )
 from sdgdarcy.spaces import SpaceConfig
+
+from conftest import verify_interface
 
 
 def test_registry_names():

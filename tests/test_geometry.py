@@ -27,7 +27,7 @@ from sdgdarcy.geometry import (
     subdivide,
 )
 
-from conftest import doerfler_refinements, hanging, make_fracture, polygons
+from conftest import cycle_table, doerfler_refinements, hanging, make_fracture, polygons
 
 
 def test_two_square_fracture_counts(two_square_fractured):
@@ -180,7 +180,7 @@ def test_sliver_flagged():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.02], [0.0, 0.02]])
     mesh = PolygonalMesh(
         vertices=verts,
-        cycles=CycleTable.from_polygons([(0, 1, 2, 3)], [frozenset()]),
+        cycles=cycle_table([(0, 1, 2, 3)], [frozenset()]),
         fractures=(),
         tolerance=1e-10,
     )
@@ -398,7 +398,7 @@ def test_not_star_shaped_rejected():
     verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5], [0.0, 2.0]])
     mesh = PolygonalMesh(
         vertices=verts,
-        cycles=CycleTable.from_polygons([(0, 1, 2, 3)], [frozenset()]),
+        cycles=cycle_table([(0, 1, 2, 3)], [frozenset()]),
         fractures=(),
         tolerance=1e-10,
     )
@@ -747,7 +747,7 @@ def _reference_refine(mesh, closed):
 
     return PolygonalMesh(
         vertices=np.array(coords, dtype=float),
-        cycles=CycleTable.from_polygons(new_polys, new_hang),
+        cycles=cycle_table(new_polys, new_hang),
         fractures=mesh.fractures,
         tolerance=mesh.tolerance,
     )
@@ -767,7 +767,7 @@ def test_geometry_matches_polygon_walk(data):
     """The cycle-table geometry and refinement equal the per-polygon walks
     bit for bit."""
     for mesh, marked in doerfler_refinements(data, _fractured_mesh()):
-        cycles = CycleTable.from_polygons(polygons(mesh), hanging(mesh))
+        cycles = cycle_table(polygons(mesh), hanging(mesh))
         fresh = PolygonalMesh(mesh.vertices, cycles, mesh.fractures, mesh.tolerance)
         centroids, diam, rho_e = _reference_measures(fresh)
         assert np.array_equal(fresh.element_centroids, centroids)
@@ -802,7 +802,7 @@ def test_refine_eight_vertex_cycle_matches_walk():
         mids = 0.5 * (corners + np.roll(corners, -1, axis=0))
         mesh = PolygonalMesh(
             vertices=np.vstack([corners, mids]),
-            cycles=CycleTable.from_polygons([(0, 4, 1, 5, 2, 6, 3, 7)], [{4, 5, 6, 7}]),
+            cycles=cycle_table([(0, 4, 1, 5, 2, 6, 3, 7)], [{4, 5, 6, 7}]),
             fractures=(),
             tolerance=1e-10,
         )
@@ -822,7 +822,7 @@ def _eight_vertex_mesh():
     mids = 0.5 * (corners + np.roll(corners, -1, axis=0))
     return PolygonalMesh(
         vertices=np.vstack([corners, mids]),
-        cycles=CycleTable.from_polygons([(0, 4, 1, 5, 2, 6, 3, 7)], [{4, 5, 6, 7}]),
+        cycles=cycle_table([(0, 4, 1, 5, 2, 6, 3, 7)], [{4, 5, 6, 7}]),
         fractures=(),
         tolerance=1e-10,
     )
@@ -889,7 +889,7 @@ def test_malformed_cycle_rejected(cycle):
     with pytest.raises(MeshError, match="polygon 1 "):
         PolygonalMesh(
             vertices=verts,
-            cycles=CycleTable.from_polygons([(0, 1, 2, 3), cycle], [frozenset(), frozenset()]),
+            cycles=cycle_table([(0, 1, 2, 3), cycle], [frozenset(), frozenset()]),
             fractures=(),
             tolerance=1e-10,
         )

@@ -1,7 +1,7 @@
-"""Polygons whose block inputs are identical form a class, and the polygon
-blocks and their condensation are computed once per class, on one mesh and
-across the meshes of a loop.  Every array must equal the one computed
-polygon by polygon, bit for bit.
+"""Polygons of one mesh whose block inputs are identical form a class, and
+the polygon blocks and their condensation are computed once per class.
+Every array, and the Dirichlet lifts computed apart, must equal the ones
+computed polygon by polygon, bit for bit.
 """
 
 import dataclasses
@@ -42,7 +42,7 @@ def _inputs(mesh, spec, k):
 
 def _check_blocks(args):
     """The class-keyed blocks and lifts equal the oracle's; returns them."""
-    blocks, lift = _polygon_blocks(*args, BlockCache())
+    blocks, lift = _polygon_blocks(*args)
     ref, ref_lift = polygon_blocks_every(*args)
     assert np.array_equal(lift, ref_lift)
     assert len(blocks) == len(ref)
@@ -73,9 +73,10 @@ def test_classes_bit_equal_to_every_polygon(name, k):
 
 def test_changed_input_leaves_the_class():
     """Two congruent polygons of one class, the second on the Dirichlet
-    boundary; changing the K, one Dirichlet value or the vertex-id order of
-    the second parts them, and the blocks still equal the oracle's.  Byte
-    equality keeps -0.0 and 0.0 apart."""
+    boundary; changing the K or the vertex-id order of the second parts
+    them, changing one of its Dirichlet values does not, as the lifts are
+    computed apart, and the blocks and lifts still equal the oracle's.
+    Byte equality keeps -0.0 and 0.0 apart."""
     _, label = group_rows(np.array([[0.0], [-0.0], [0.0]]))
     assert label[0] == label[2] != label[1]
 
@@ -119,7 +120,7 @@ def test_changed_input_leaves_the_class():
     node = S.tri_dofs[tris][S.dirichlet_mask[S.tri_dofs[tris]]][0]
     moved = p_dir.copy()
     moved[node] = 2.0
-    assert parted((sub, V, S, K_elem, moved, ycol))
+    assert not parted((sub, V, S, K_elem, moved, ycol))
 
     # swap the ids of two consecutive vertices of p2: the geometry stays
     a, b = cyc.vertex[cyc.offsets[p2] : cyc.offsets[p2] + 2]
@@ -147,9 +148,10 @@ def _cached_refinement(k, seed=7):
 
 
 def test_solve_without_cache_equals_carried_solve():
-    """After one refinement with a loop cache, the system takes classes
-    from the previous mesh; the system assembled without the cache computes
-    every class, and its solve gives the carried system's bits."""
+    """After one refinement with a loop cache, the system takes the flux
+    transforms and the source of kept triangles from the previous mesh; the
+    system assembled without the cache computes them all, and its solve
+    gives the carried system's bits."""
     system = _cached_refinement(2)
     cached, _ = solve_system(system)
     fresh, _ = solve_system(assemble_system(system.mesh, system.spec, SpaceConfig(2)))
@@ -160,13 +162,13 @@ def test_solve_without_cache_equals_carried_solve():
 @pytest.mark.parametrize("k", [1, 2])
 def test_solve_takes_one_path_for_every_right_hand_side(k):
     """M^-1 f is solved per polygon, not per class, on every right-hand
-    side: on a mesh whose 80 polygons fall into 53 classes, a random x0
+    side: on a mesh whose 80 polygons fall into 43 classes, a random x0
     with f = A x0 nonzero on every polygon is recovered by the first solve,
     without a refinement step."""
     spec, mesh = _refined("case1-a0.1", times=2, seed=7)
     system = assemble_system(mesh, spec, SpaceConfig(k))
     assert mesh.n_elements == 80
-    assert sum(np.unique(g.classes).size for g in system.blocks) == 53
+    assert sum(np.unique(g.classes).size for g in system.blocks) == 43
     x0 = np.random.default_rng(k).standard_normal(system.n)
     sol, report = solve_system(dataclasses.replace(system, rhs=system.A @ x0))
     assert report.refinement_steps == 0
@@ -176,69 +178,10 @@ def test_solve_takes_one_path_for_every_right_hand_side(k):
 
 def test_nnz_counts_the_classes_in_use():
     """After a cached refinement the class tables hold the classes of the
-    refined mesh alone, every row in use; `nnz` counts each class once per
+    refined mesh, every row in use; `nnz` counts each class once per
     polygon and equals the stored entries of `A`."""
     system = _cached_refinement(1)
     for g in system.blocks:
         assert np.array_equal(np.unique(g.classes), np.arange(len(g.M)))
     assert system.nnz == system.A.nnz
 
-
-def test_class_of_the_previous_mesh_is_not_computed_again():
-    """On the meshes of a loop, a polygon that `refine` did not keep but
-    whose class the previous mesh used is neither gathered nor condensed
-    again: over three meshes, assembled and solved, the class stores of the
-    cache are those of the polygon blocks alone, their compute callbacks
-    receive one row per class the previous mesh did not use, fewer than
-    the classes among the polygons not kept, the labels of those classes
-    are the last rows of the tables, and a class of the first mesh that the
-    second did not use is computed again."""
-    spec, mesh = _refined("case1-a0.1", times=2)
-    config = SpaceConfig(1)
-    cache = BlockCache()
-    lookup = cache.classes
-    used, computed = [], {}  # per mesh and name: key bytes per polygon, labels
-
-    def recording(name, key, compute):
-        rows = [r.tobytes() for r in key]
-
-        def count(new):
-            computed.setdefault(name, []).extend(rows[i] for i in new)
-            return compute(new)
-
-        labels, table = lookup(name, key, count)
-        used[-1][name] = (rows, labels)
-        return labels, table
-
-    cache.classes = recording
-    rng = np.random.default_rng(7)
-    for it in range(3):
-        if it:
-            mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
-        computed.clear()
-        used.append({})
-        system = assemble_system(mesh, spec, config, cache=cache)
-        solve_system(system)
-        assert all(name.startswith("polygon blocks, ") for name in computed)
-
-    def classes(i, name):
-        return set(used[i].get(name, ((), None))[0])
-
-    fresh = mesh.kept_from < 0
-    new = not_kept = taken = back = 0
-    for g in system.blocks:
-        name = f"polygon blocks, {g.n_skeleton // 2} triangles"  # k + 1 = 2 nodes per side
-        rows, labels = used[2][name]
-        assert np.array_equal(labels, g.classes)
-        assert all(len(table) == len(classes(2, name)) for table in (g.M, g.G, g.W, g.S_inv, g.H, g.R))
-        unseen = classes(2, name) - classes(1, name)
-        assert sorted(computed.get(name, [])) == sorted(unseen)
-        met = np.array([r not in unseen for r in rows])
-        assert np.array_equal(np.unique(labels[~met]), np.arange(len(g.M) - len(unseen), len(g.M)))
-        new += len(unseen)
-        not_kept += np.unique(g.classes[fresh[g.polygons]]).size
-        taken += np.count_nonzero(met[fresh[g.polygons]])
-        back += len(unseen & (classes(0, name) - classes(1, name)))
-    assert taken > 0 and new < not_kept
-    # a class the cache dropped is computed again when it comes back
-    assert back > 0

@@ -1,6 +1,6 @@
-"""The arrays a loop carries from one mesh to the next, per kept triangle
-and per polygon class, equal the ones built from an empty cache, bit for
-bit, and the cache keeps only the rows of the current mesh.
+"""The arrays a loop carries from one mesh to the next, per kept triangle,
+and the polygon classes of each mesh give the bits of a build from an empty
+cache, and the cache keeps only the rows of the current mesh.
 
 Every mesh of a short cached run is rebuilt with fresh stages, each of which
 then starts from an empty `BlockCache`.
@@ -12,7 +12,7 @@ from conftest import per_polygon
 
 from sdgdarcy.adaptivity import AmrConfig, amr_loop, dorfler_mark
 from sdgdarcy.assembly import assemble_system, build_spaces
-from sdgdarcy.benchmarks import get_benchmark, linear_patch
+from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.estimator import compute_estimator, data_oscillation, true_error
 from sdgdarcy.geometry import build_initial_mesh, refine
 from sdgdarcy.reuse import BlockCache
@@ -57,74 +57,6 @@ def test_cached_run_equals_fresh_rebuild(name, k, max_dofs):
     assert len(hist.records) >= 4
     # the comparison is not vacuous: every later mesh reuses polygons
     assert min(kept[1:]) > 0
-
-
-def test_class_store_holds_the_last_call():
-    """`BlockCache.classes` keeps the classes of a name's last call alone:
-    keys {a, b}, then {c}, then {a, c} compute a, b, c and a again, a label
-    is a row of the table, the known classes come first and the new ones
-    last, and a `compute` that raises leaves the store as it was."""
-    cache = BlockCache()
-    computed = []
-
-    def classes(*keys):
-        key = np.array(keys)[:, None]
-
-        def compute(rows):
-            computed.extend(key[rows, 0].tolist())
-            return (10.0 * key[rows, 0],)
-
-        labels, table = cache.classes("store", key, compute)
-        assert np.array_equal(table[0][labels], 10.0 * key[:, 0])  # every row reads its class's row
-        assert np.array_equal(np.unique(labels), np.arange(len(table[0])))  # and every row is in use
-        return labels, table
-
-    a, b, c = 1.0, 2.0, 3.0
-    first, _ = classes(a, b, a)
-    assert computed == [a, b] and first.tolist() == [0, 1, 0]
-    second, _ = classes(c)
-    assert computed == [a, b, c] and second.tolist() == [0]
-    third, table = classes(a, c)
-    assert computed == [a, b, c, a]
-    assert third.tolist() == [1, 0]
-
-    def fail(rows):
-        raise RuntimeError("no compute")
-
-    with pytest.raises(RuntimeError, match="no compute"):
-        cache.classes("store", np.array([[4.0], [a]]), fail)
-    labels, after = cache.classes("store", np.array([[c], [a]]), fail)
-    assert labels.tolist() == [0, 1]
-    assert np.array_equal(after[0], table[0])
-    fourth, _ = classes(4.0, b)
-    assert computed == [a, b, c, a, 4.0, b] and fourth.tolist() == [0, 1]
-
-
-def test_class_store_of_a_count_left_out_is_dropped():
-    """Binding a mesh drops the class stores that the previous mesh did not
-    call: the store of a triangle count absent from one mesh is gone after
-    the next bind, and its classes are computed again when it comes back."""
-    spec, _ = linear_patch()
-    cache = BlockCache()
-    computed = []
-
-    def bind():
-        cache.triangles(build_initial_mesh(spec.domain, 0.5), "ids", lambda tris: (tris,))
-
-    def call(n):
-        name = f"polygon blocks, {n} triangles"
-        cache.classes(name, np.ones((3, 1)), lambda rows: computed.append(n) or (np.zeros(rows.size),))
-
-    bind()
-    call(4), call(7)
-    bind()
-    assert sorted(cache._classes) == ["polygon blocks, 4 triangles", "polygon blocks, 7 triangles"]
-    call(4)
-    assert computed == [4, 7]
-    bind()
-    assert sorted(cache._classes) == ["polygon blocks, 4 triangles"]
-    call(4), call(7)
-    assert computed == [4, 7, 7]
 
 
 @pytest.mark.parametrize("k", [1, 2])

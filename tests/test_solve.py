@@ -11,11 +11,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sdgdarcy import assembly
+from sdgdarcy import assembly, solve
 from sdgdarcy.adaptivity import AmrConfig, amr_loop
 from sdgdarcy.assembly import assemble_system
 from sdgdarcy.benchmarks import get_benchmark, linear_patch
-from sdgdarcy.errors import NonFinite, SingularSystem
+from sdgdarcy.errors import NonFinite, SingularSystem, SolverError
 from sdgdarcy.geometry import build_initial_mesh, refine
 from sdgdarcy.problem import (
     DIRICHLET,
@@ -59,6 +59,27 @@ def test_recovers_random_vectors(patch_system):
         x, report = _solve_vector(sys, sys.A @ x0)
         assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
         assert report.residual <= 1e-13
+
+
+def test_refinement_steps_keep_the_solution(patch_system, monkeypatch):
+    """With no backward error counted as roundoff, the solve takes both
+    refinement steps, and they keep x0."""
+    monkeypatch.setattr(solve, "_REFINE_BELOW", 0.0)
+    sys, _ = patch_system
+    x0 = np.random.default_rng(3).standard_normal(sys.n)
+    x, report = _solve_vector(sys, sys.A @ x0)
+    assert report.refinement_steps == 2
+    assert np.linalg.norm(x - x0) <= 1e-11 * np.linalg.norm(x0)
+
+
+def test_refinement_that_cannot_reach_the_bound_raises(patch_system, monkeypatch):
+    """A backward error above `_FAIL_ABOVE` after the refinement steps is a
+    SolverError that names them."""
+    monkeypatch.setattr(solve, "_REFINE_BELOW", 0.0)
+    monkeypatch.setattr(solve, "_FAIL_ABOVE", 0.0)
+    sys, _ = patch_system
+    with pytest.raises(SolverError, match="after 2 refinement steps"):
+        _solve_vector(sys, sys.A @ np.random.default_rng(3).standard_normal(sys.n))
 
 
 def test_report_matches_recomputation(patch_system):

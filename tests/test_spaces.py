@@ -13,7 +13,6 @@ from sdgdarcy.geometry import (
     DUAL,
     FRACTURE,
     INTERIOR,
-    CycleTable,
     DomainSpec,
     PolygonalMesh,
     build_initial_mesh,
@@ -29,6 +28,7 @@ from sdgdarcy.spaces import (
 )
 
 from conftest import (
+    cycle_table,
     flux_basis_divergence,
     flux_basis_values,
     interpolate_flux,
@@ -459,7 +459,7 @@ def _sliver_sub():
     first and every side runs against its edge's low-to-high order where the
     standard numbering runs with it."""
     verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 0.05], [0.0, 0.05], [2.0, 1.0], [0.0, 1.0]]
-    mesh = PolygonalMesh(verts, CycleTable.from_polygons([(0, 1, 2, 3), (3, 2, 4, 5)], [(), ()]), [], 1e-9)
+    mesh = PolygonalMesh(verts, cycle_table([(0, 1, 2, 3), (3, 2, 4, 5)], [(), ()]), [], 1e-9)
     _MESHES.append(mesh)
     sub = mesh.subdivision
     nv = sub.vertices.shape[0]
