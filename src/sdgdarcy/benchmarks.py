@@ -59,8 +59,8 @@ def linear_patch():
 
 def case1(alpha: float):
     """Single vertical fracture with a tanh layer; Dirichlet everywhere."""
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
+    if not alpha > 0:
+        raise ConfigError(f"alpha={alpha} is not positive")
     kappa = 100.0
     thickness = 0.01
     fr = Fracture(
@@ -77,23 +77,20 @@ def case1(alpha: float):
     c2 = 3.0 * eta / (8.0 * alpha)  # offset of the right-side pressure
     cg = 3.0 * eta / (16.0 * alpha) + alpha_g / (4.0 * alpha)
 
+    def _width(pts, region):
+        # w = 1 on side 1 and 2 on side 2, and s = (x - 1)/(w alpha): each
+        # factor taken from w is a power of two, so both sides keep the bits
+        # of their own closed form, computed once per point
+        w = np.where(np.asarray(region) == 2, 2.0, 1.0)
+        return w, (pts[:, 0] - 1.0) / (w * alpha)
+
     def p(pts, region):
-        x, y = pts[:, 0], pts[:, 1]
-        s1 = (x - 1.0) / alpha
-        s2 = (x - 1.0) / (2.0 * alpha)
-        p1 = y + 0.5 * np.tanh(s1) + 0.5
-        p2 = y + 0.5 * np.tanh(s2) + 0.5 + c2
-        side2 = np.asarray(region) == 2
-        return np.where(side2, p2, p1)
+        w, s = _width(pts, region)
+        return pts[:, 1] + 0.5 * np.tanh(s) + 0.5 + (w - 1.0) * c2
 
     def grad_p(pts, region):
-        x = pts[:, 0]
-        s1 = (x - 1.0) / alpha
-        s2 = (x - 1.0) / (2.0 * alpha)
-        gx1 = 0.5 / alpha / np.cosh(s1) ** 2
-        gx2 = 0.25 / alpha / np.cosh(s2) ** 2
-        side2 = np.asarray(region) == 2
-        gx = np.where(side2, gx2, gx1)
+        w, s = _width(pts, region)
+        gx = 0.5 / w / alpha / np.cosh(s) ** 2
         return np.stack([gx, np.ones_like(gx)], axis=-1)
 
     def u(pts, region):
@@ -106,12 +103,8 @@ def case1(alpha: float):
         return np.ones(np.asarray(pts).shape[0])
 
     def f(pts, region):
-        x = pts[:, 0]
-        s1 = (x - 1.0) / alpha
-        s2 = (x - 1.0) / (2.0 * alpha)
-        f1 = np.tanh(s1) / np.cosh(s1) ** 2 / alpha**2
-        f2 = 0.25 * np.tanh(s2) / np.cosh(s2) ** 2 / alpha**2
-        return np.where(np.asarray(region) == 2, f2, f1)
+        w, s = _width(pts, region)
+        return np.tanh(s) / w**2 / np.cosh(s) ** 2 / alpha**2
 
     def f_gamma(pts, param, fr_):
         # l*f_g = -div_t(K_g dp_g/dt) - [u.n] = 0 + 1/(4 alpha)

@@ -7,7 +7,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from . import io as artifacts
 from .adaptivity import ADAPTIVE, UNIFORM, AmrConfig, amr_loop
@@ -16,42 +17,28 @@ from .errors import ConfigError, IoError, MeshError, SingularK, SolverError
 from .geometry import FRACTURE, build_initial_mesh, check_regularity, initial_grid
 from .spaces import flux_dofs_per_triangle
 
-_CONFIG_TYPES = {
-    "benchmark": str,
-    "k": int,
-    "mode": str,
-    "theta": (int, float),
-    "max_dofs": int,
-    "max_iterations": int,
-    "h0": (int, float),
-    "out": str,
-    "export_fields": bool,
-    "dump_system": bool,
-}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one `run` invocation."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(AmrConfig):
+    """Validated inputs of one `run` invocation: the loop's `AmrConfig`
+    and what the command line adds to it.  Its fields are the keys of a
+    config file."""
 
     benchmark: str
-    k: int = 1
-    mode: str = ADAPTIVE
-    theta: float = 0.5
-    max_dofs: int = 200_000
-    max_iterations: int = 30
     h0: float = None  # None: the benchmark's default mesh size
     out: str = "out"
     export_fields: bool = False
     dump_system: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.h0 is not None and not (math.isfinite(self.h0) and self.h0 > 0):
             raise ConfigError(f"h0={self.h0} is not a positive finite mesh size")
 
 
 def load_config(path) -> dict:
-    """Parse a JSON config file; unknown or mistyped keys are rejected."""
+    """Parse a JSON config file.  Each key must be a `RunConfig` field, of
+    the field's type: a `float` takes an int too, and a bool is no int."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -61,10 +48,11 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    types = get_type_hints(RunConfig)
     for key, value in doc.items():
-        if key not in _CONFIG_TYPES:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        want = _CONFIG_TYPES[key]
+        want = (int, float) if types[key] is float else types[key]
         bad = isinstance(value, bool) and want is not bool
         if bad or not isinstance(value, want):
             raise ConfigError(
@@ -75,19 +63,9 @@ def load_config(path) -> dict:
 
 def _resolve_run_config(args) -> RunConfig:
     doc = load_config(args.config) if args.config else {}
-    overrides = {
-        "benchmark": args.benchmark,
-        "k": args.k,
-        "mode": args.mode,
-        "theta": args.theta,
-        "max_dofs": args.max_dofs,
-        "out": args.out,
-        "export_fields": args.export_fields,
-        "dump_system": args.dump_system,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
+    for f in fields(RunConfig):  # a flag, where one is given, overrides the file
+        if getattr(args, f.name, None) is not None:
+            doc[f.name] = getattr(args, f.name)
     if "benchmark" not in doc:
         raise ConfigError("no benchmark selected; pass --benchmark or a config file")
     return RunConfig(**doc)
@@ -108,13 +86,6 @@ def _exporter(cfg: RunConfig):
 def _cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
     spec, exact, h_default = get_benchmark(cfg.benchmark)
-    amr = AmrConfig(
-        theta=float(cfg.theta),
-        mode=cfg.mode,
-        max_dofs=cfg.max_dofs,
-        max_iterations=cfg.max_iterations,
-        k=cfg.k,
-    )
     h0 = float(cfg.h0) if cfg.h0 is not None else h_default
     # the subdivision splits each initial square into at least 4 triangles,
     # so N >= 4 cells times the flux dofs per triangle of build_V_h; checked
@@ -127,14 +98,17 @@ def _cmd_run(args) -> int:
             f"unknowns, above max_dofs={cfg.max_dofs}"
         )
     mesh = build_initial_mesh(spec.domain, h0)
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as err:
+        raise IoError(f"cannot make output directory {cfg.out}: {err}") from err
     callback = _exporter(cfg) if cfg.export_fields or cfg.dump_system else None
-    hist = amr_loop(mesh, spec, amr, exact=exact, callback=callback)
+    hist = amr_loop(mesh, spec, cfg, exact=exact, callback=callback)
 
     artifacts.write_history_csv(hist, os.path.join(cfg.out, "history.csv"))
     if hist.records and float(hist.column("eta").max()) > 0.0:
         artifacts.write_convergence_svg(
-            hist, amr.k, os.path.join(cfg.out, "convergence.svg"), title=cfg.benchmark
+            hist, cfg.k, os.path.join(cfg.out, "convergence.svg"), title=cfg.benchmark
         )
     for r in hist.records:
         err = "" if math.isnan(r.err_sdg) else f"  err={r.err_sdg:.4e}  EI={r.EI:.3f}"

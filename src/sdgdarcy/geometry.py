@@ -52,19 +52,20 @@ class Fracture:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("fracture needs at least two polyline points of shape (m+1, 2)")
+            raise ValueError(f"fracture needs at least two polyline points of shape (m+1, 2), got shape {pts.shape}")
         kn = np.broadcast_to(np.asarray(self.kappa_n, dtype=float), (pts.shape[0] - 1,)).copy()
         kt = np.broadcast_to(np.asarray(self.kappa_t, dtype=float), (pts.shape[0] - 1,)).copy()
-        if not (np.all(np.isfinite(kn)) and np.all(kn > 0)):
-            raise ValueError("kappa_n must be positive and finite per segment")
-        if not (np.all(np.isfinite(kt)) and np.all(kt > 0)):
-            raise ValueError("kappa_t must be positive and finite per segment")
+        for name, kappa in (("kappa_n", kn), ("kappa_t", kt)):
+            bad = np.flatnonzero(~(np.isfinite(kappa) & (kappa > 0)))
+            if bad.size:
+                raise ValueError(f"{name}={kappa[bad[0]]} of fracture segment {bad[0]} is not positive and finite")
         if not (np.isfinite(self.thickness) and self.thickness > 0):
-            raise ValueError("fracture thickness must be positive")
+            raise ValueError(f"fracture thickness {self.thickness} is not positive and finite")
         seg = pts[1:] - pts[:-1]
         lengths = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(lengths <= 0):
-            raise ValueError("fracture polyline has a zero-length segment")
+        zero = np.flatnonzero(lengths <= 0)
+        if zero.size:
+            raise ValueError(f"fracture polyline segment {zero[0]} has zero length, at {tuple(pts[zero[0]].tolist())}")
         tol = 1e-12 * max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
         for i, j in itertools.combinations(range(pts.shape[0] - 1), 2):
             point = _meeting_point(pts[i], pts[i + 1], pts[j], pts[j + 1], tol, joined=j == i + 1)
@@ -506,7 +507,7 @@ def initial_grid(domain: DomainSpec, target_h: float):
     tolerance); otherwise the grid is rejected.
     """
     if not (np.isfinite(target_h) and target_h > 0):
-        raise ValueError("target_h must be positive")
+        raise ValueError(f"target_h={target_h} is not a positive finite mesh size")
     h = float(target_h)
     ox, oy = domain.origin
     tol = domain.tolerance
@@ -590,14 +591,16 @@ def _snap_fracture(fr: Fracture, h, origin, tol, cells, top) -> Fracture:
     pts = origin + idx * h
     off = np.flatnonzero((np.abs(pts - fr.points) > tol).any(axis=1))
     if off.size:
-        raise FractureNotAligned(f"fracture point {tuple(fr.points[off[0]])} is not on the grid of spacing {h}")
+        point = tuple(fr.points[off[0]].tolist())
+        raise FractureNotAligned(f"fracture point {point} is not on the grid of spacing {h}")
     idx = idx.astype(int).tolist()
     rows = top[1] + 1
     outside = "fracture segment lies on the domain boundary or outside the domain"
     for s in range(pts.shape[0] - 1):
         dx, dy = pts[s + 1] - pts[s]
         if abs(dx) > tol and abs(dy) > tol:
-            raise FractureNotAligned("fracture segments must follow grid lines (axis-aligned)")
+            a, b = tuple(fr.points[s].tolist()), tuple(fr.points[s + 1].tolist())
+            raise FractureNotAligned(f"fracture segment from {a} to {b} does not follow a grid line (axis-aligned)")
         # interior check: every covered grid edge must separate two cells.
         # On the grid's points, a side cell one past its end (index -1 or
         # top) has a key no cell has.
@@ -654,7 +657,11 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
     n_primal = first.size
     count = np.bincount(tri_primal)
     if count.max() > 2:
-        raise MeshError("an edge is shared by more than two polygons")
+        slots = np.flatnonzero(tri_primal == np.argmax(count > 2))
+        raise MeshError(
+            f"edge ({lo[slots[0]]}, {hi[slots[0]]}) is shared by polygons "
+            f"{cyc.polygon[slots].tolist()}, more than two"
+        )
 
     ne = n_primal + tris.size  # one dual edge per (polygon, cycle vertex) == one per triangle
     edge_v = np.empty((ne, 2), dtype=int)
@@ -696,8 +703,12 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
             par = d @ t
             on_seg = (off <= tol) & (par >= -tol) & (par <= fr.seg_lengths[s] + tol)
             ids = np.flatnonzero(on_seg.all(axis=0))
-            if np.any(edge_kind[ids] == BOUNDARY):
-                raise FractureNotAligned("fracture edge lacks a bulk element on one side")
+            lone = ids[edge_kind[ids] == BOUNDARY]
+            if lone.size:
+                raise FractureNotAligned(
+                    f"fracture {fi} edge {lone[0]} ({edge_v[lone[0], 0]}, {edge_v[lone[0], 1]}) "
+                    "lacks a bulk element on one side"
+                )
             edge_kind[ids] = FRACTURE
             edge_frac[ids] = fi
             edge_seg[ids] = s
@@ -885,9 +896,6 @@ class RegularityReport:
     rho_E: float  # min cycle-edge length / element diameter
     h_max: float
     h_min: float
-
-    def ok(self, rho_S_floor: float = 0.0, rho_E_floor: float = 0.0) -> bool:
-        return self.rho_S >= rho_S_floor and self.rho_E >= rho_E_floor
 
 
 def check_regularity(mesh: PolygonalMesh) -> RegularityReport:

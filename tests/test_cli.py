@@ -1,16 +1,20 @@
 """Command line interface: flags, config files, artifacts, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdgdarcy import geometry
+from sdgdarcy.adaptivity import AmrConfig
 from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.cli import RunConfig, load_config, main
-from sdgdarcy.errors import ConfigError
+from sdgdarcy.errors import ConfigError, SingularSystem
 from sdgdarcy.io import read_history_csv
 
 
@@ -223,3 +227,52 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "patch" in proc.stdout
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_on_a_file_exits_1(tmp_path, capsys, under):
+    """An --out that names a file, or a path under one, is an output error
+    that names the path, not a traceback."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    assert main(["run", "--benchmark", "patch", "--max-dofs", "1000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot make output directory") and str(out) in err
+
+
+def test_singular_system_halts_with_exit_1(tmp_path, capsys, monkeypatch):
+    def singular(system):
+        raise SingularSystem("zero pivot in column 7")
+
+    monkeypatch.setattr("sdgdarcy.adaptivity.solve_system", singular)
+    out = tmp_path / "out"
+    assert main(["run", "--benchmark", "patch", "--out", str(out)]) == 1
+    assert "halted: zero pivot in column 7" in capsys.readouterr().err
+    assert (out / "history.csv").read_text().count("\n") == 1  # the header alone
+
+
+def test_loop_option_is_checked_before_the_benchmark(capsys):
+    assert main(["run", "--benchmark", "nope", "--theta", "0"]) == 2
+    assert "theta=0.0" in capsys.readouterr().err
+
+
+def test_readme_config_names_every_field(tmp_path):
+    """The README's example config loads, and its keys are the fields of
+    `RunConfig`: the loop's `AmrConfig` and what the command line adds."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "run.json"
+    path.write_text(example)
+    doc = load_config(path)
+    assert set(doc) == {f.name for f in fields(RunConfig)}
+    assert issubclass(RunConfig, AmrConfig)
+    RunConfig(**doc)
+
+
+def test_float_keys_take_an_int(tmp_path):
+    cfg = write_config(tmp_path, benchmark="patch", theta=1, h0=1)
+    assert RunConfig(**load_config(cfg)) == RunConfig(benchmark="patch", theta=1.0, h0=1.0)
+    cfg = write_config(tmp_path, benchmark="patch", max_dofs=1.5)
+    with pytest.raises(ConfigError, match="max_dofs"):
+        load_config(cfg)

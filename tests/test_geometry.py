@@ -164,7 +164,7 @@ def test_regularity_unit_squares(two_square_fractured):
     assert abs(rep.rho_E - 1.0 / math.sqrt(2.0)) < 1e-12
     assert abs(rep.rho_S - 0.5 / math.sqrt(2.0)) < 1e-12
     assert abs(rep.h_max - math.sqrt(2.0)) < 1e-12
-    assert rep.ok(0.2, 0.2)
+    assert rep.rho_S >= 0.2 and rep.rho_E >= 0.2
 
 
 def test_regularity_pentagon_with_flat_vertex(two_square_fractured):
@@ -185,8 +185,7 @@ def test_sliver_flagged():
         tolerance=1e-10,
     )
     rep = check_regularity(mesh)
-    assert rep.rho_S < 0.2
-    assert not rep.ok(rho_S_floor=0.2)
+    assert rep.rho_S < 0.2 and rep.rho_E < 0.2
 
 
 def test_initial_grid_bounds_the_union_by_its_largest_rectangle():
