@@ -76,7 +76,7 @@ anew, with the same bits.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,7 +88,7 @@ from .geometry import PolygonalMesh, refine
 from .problem import ProblemSpec
 from .reuse import BlockCache
 from .solve import solve_system
-from .spaces import SpaceConfig
+from .spaces import SpaceConfig, check_integer
 
 ADAPTIVE = "adaptive"
 UNIFORM = "uniform"
@@ -119,17 +119,24 @@ def dorfler_mark(indicators, theta: float) -> np.ndarray:
     return np.sort(order[: cut + 1])
 
 
+def option(default=MISSING, *, help: str):
+    """A config field whose `help` is the help text of its `sdg run` flag."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class AmrConfig:
     """Knobs of one refinement run."""
 
-    theta: float = 0.5
-    mode: str = ADAPTIVE
-    max_dofs: int = 200_000
-    max_iterations: int = 30
-    k: int = 1
+    theta: float = option(0.5, help="Dorfler bulk fraction, in (0, 1]")
+    mode: str = option(ADAPTIVE, help=f"refinement mode: {ADAPTIVE} or {UNIFORM}")
+    max_dofs: int = option(200_000, help="budget of free unknowns")
+    max_iterations: int = option(30, help="most solves in the loop")
+    k: int = option(1, help="polynomial order (1 or 2)")
 
     def __post_init__(self):
+        check_integer("max_dofs", self.max_dofs)  # k is checked by SpaceConfig
+        check_integer("max_iterations", self.max_iterations)
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta={self.theta} outside (0, 1]")
         if self.mode not in (ADAPTIVE, UNIFORM):
@@ -143,7 +150,10 @@ class AmrConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One row of the convergence history."""
+    """One row of the convergence history; its fields, in order, are the
+    columns of `history.csv` (`terms` as T1..T8).  The `t_*` fields are
+    wall times in milliseconds, and the only columns that differ between
+    two runs of the same settings."""
 
     iteration: int
     N: int  # free unknowns of the solved system

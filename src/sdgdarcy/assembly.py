@@ -304,7 +304,6 @@ class LinearSystem:
     p_dir: np.ndarray
     w_dir: np.ndarray
     mesh: PolygonalMesh
-    spec: ProblemSpec
 
     @property
     def n(self) -> int:
@@ -635,5 +634,4 @@ def assemble_system(
         p_dir=p_dir,
         w_dir=w_dir,
         mesh=mesh,
-        spec=spec,
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from . import io as artifacts
-from .adaptivity import ADAPTIVE, UNIFORM, AmrConfig, amr_loop
+from .adaptivity import AmrConfig, amr_loop, option
 from .benchmarks import BENCHMARKS, get_benchmark
 from .errors import ConfigError, IoError, MeshError, SingularK, SolverError
 from .geometry import FRACTURE, build_initial_mesh, check_regularity, initial_grid
@@ -21,14 +21,15 @@ from .spaces import flux_dofs_per_triangle
 @dataclass(frozen=True, kw_only=True)
 class RunConfig(AmrConfig):
     """Validated inputs of one `run` invocation: the loop's `AmrConfig`
-    and what the command line adds to it.  Its fields are the keys of a
-    config file."""
+    and what the command line adds to it.  Each field is a key of a config
+    file and a flag of `sdg run` (`max_dofs` as `--max-dofs`), with the
+    help text of its `option`."""
 
-    benchmark: str
-    h0: float = None  # None: the benchmark's default mesh size
-    out: str = "out"
-    export_fields: bool = False
-    dump_system: bool = False
+    benchmark: str = option(help="benchmark name (see list-benchmarks)")
+    h0: float = option(None, help="initial mesh size (default: the benchmark's)")
+    out: str = option("out", help="output directory (default: out)")
+    export_fields: bool = option(False, help="write per-iteration mesh JSON and VTK field files")
+    dump_system: bool = option(False, help="write the full (u, p, p_gamma) system over free dofs per iteration")
 
     def __post_init__(self):
         super().__post_init__()
@@ -64,7 +65,7 @@ def load_config(path) -> dict:
 def _resolve_run_config(args) -> RunConfig:
     doc = load_config(args.config) if args.config else {}
     for f in fields(RunConfig):  # a flag, where one is given, overrides the file
-        if getattr(args, f.name, None) is not None:
+        if getattr(args, f.name) is not None:
             doc[f.name] = getattr(args, f.name)
     if "benchmark" not in doc:
         raise ConfigError("no benchmark selected; pass --benchmark or a config file")
@@ -155,28 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="run a benchmark and write artifacts")
     run.add_argument("--config", help="JSON config file (schema in the README)")
-    run.add_argument("--benchmark", help="benchmark name (see list-benchmarks)")
-    run.add_argument("--k", type=int, default=None, help="polynomial order (1 or 2)")
-    run.add_argument("--mode", choices=(ADAPTIVE, UNIFORM), default=None)
-    run.add_argument("--theta", type=float, default=None, help="Dorfler bulk fraction")
-    run.add_argument("--max-dofs", type=int, default=None, dest="max_dofs")
-    run.add_argument("--out", default=None, help="output directory (default: out)")
-    run.add_argument(
-        "--export-fields",
-        action="store_const",
-        const=True,
-        default=None,
-        dest="export_fields",
-        help="write per-iteration mesh JSON and VTK field files",
-    )
-    run.add_argument(
-        "--dump-system",
-        action="store_const",
-        const=True,
-        default=None,
-        dest="dump_system",
-        help="write the full (u, p, p_gamma) system over free dofs per iteration",
-    )
+    types = get_type_hints(RunConfig)
+    for f in fields(RunConfig):  # a flag not given is None: the file or the default holds
+        t = types[f.name]
+        kind = dict(action="store_const", const=True) if t is bool else dict(type=t)
+        run.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=f.metadata["help"], **kind)
     run.set_defaults(func=_cmd_run)
 
     ls = subs.add_parser("list-benchmarks", help="print the available benchmarks")

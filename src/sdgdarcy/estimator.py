@@ -31,7 +31,7 @@ from .geometry import DUAL, INTERIOR, PolygonalMesh, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, mapped_weights, triangle_rule
 from .reuse import BlockCache
-from .spaces import _monomial_exponents, _monomial_values
+from .spaces import _monomial_exponents, _monomial_values, _powers
 
 
 @dataclass(frozen=True)
@@ -196,10 +196,6 @@ def _localize_raw(mesh, tri_sq, dual_sq, interior_sq, fracture_sq, vertex_sq):
     return out
 
 
-def _monomials_1d(ts, k):
-    return np.stack([(ts - 0.5) ** m for m in range(k + 1)], axis=-1)
-
-
 def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: BlockCache = None) -> float:
     """Weighted distance of the source data to piecewise polynomials.
 
@@ -238,7 +234,7 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: Bloc
     ts, ws = erule.points, erule.weights
     fg = fracture_source_values(sub, spec, ts)
     if np.any(fg):
-        mono = _monomials_1d(ts, k)  # (nq, k+1)
+        mono = _powers(ts - 0.5, k)  # (nq, k+1)
         G = np.einsum("q,qi,qj->ij", ws, mono, mono)
         b = np.einsum("q,eq,qi->ei", ws, fg, mono)
         c = np.linalg.solve(G, b.T).T

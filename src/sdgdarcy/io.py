@@ -2,44 +2,30 @@
 
 Every format is deterministic plain text.  Floats are written with repr,
 the shortest digit string that round-trips the double exactly, so files
-from identical runs are bitwise equal except for the two wall-clock
-timing columns of the history CSV.
+from identical runs are bitwise equal except for the wall-clock timing
+columns of the history CSV.  That CSV's columns are the fields of
+`IterationRecord` in order, `terms` as T1..T8, each written by its type.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
+from .adaptivity import IterationRecord
 from .errors import IoError
 from .geometry import BOUNDARY, DUAL, FRACTURE, INTERIOR, PolygonalMesh
 
-HISTORY_COLUMNS = (
-    "iteration",
-    "N",
-    "T1",
-    "T2",
-    "T3",
-    "T4",
-    "T5",
-    "T6",
-    "T7",
-    "T8",
-    "eta",
-    "osc",
-    "err_Q",
-    "err_V",
-    "err_sdg",
-    "EI",
-    "n_elements",
-    "rho_E",
-    "t_solve_ms",
-    "t_estimate_ms",
+_RECORD = fields(IterationRecord)
+_TYPES = get_type_hints(IterationRecord)
+HISTORY_COLUMNS = tuple(
+    c for f in _RECORD for c in ([f"T{j}" for j in range(1, 9)] if f.name == "terms" else [f.name])
 )
-_INT_COLUMNS = ("iteration", "N", "n_elements")
-TIMING_COLUMNS = ("t_solve_ms", "t_estimate_ms")
+TIMING_COLUMNS = tuple(f.name for f in _RECORD if f.name.startswith("t_"))
 
 
 def _write_text(path, text: str) -> None:
@@ -56,16 +42,24 @@ def _f(x) -> str:
 
 # -------------------------------------------------------------- history CSV
 
+def _cells(name: str, value) -> list:
+    """The CSV cells of one `IterationRecord` field, by its type: an int in
+    decimal, a float by repr, an array one such float per entry; a wall
+    time in milliseconds to the microsecond."""
+    if name in TIMING_COLUMNS:
+        return [f"{value:.3f}"]
+    if _TYPES[name] is int:
+        return [str(int(value))]
+    if _TYPES[name] is np.ndarray:
+        return [_f(v) for v in value]
+    return [_f(value)]
+
+
 def write_history_csv(history, path) -> None:
     """One row per AMR iteration; columns are HISTORY_COLUMNS in order."""
     lines = [",".join(HISTORY_COLUMNS)]
     for r in history.records:
-        row = [str(int(r.iteration)), str(int(r.N))]
-        row += [_f(t) for t in r.terms]
-        row += [_f(v) for v in (r.eta, r.osc, r.err_Q, r.err_V, r.err_sdg, r.EI)]
-        row += [str(int(r.n_elements)), _f(r.rho_E)]
-        row += [f"{r.t_solve_ms:.3f}", f"{r.t_estimate_ms:.3f}"]
-        lines.append(",".join(row))
+        lines.append(",".join(c for f in _RECORD for c in _cells(f.name, getattr(r, f.name))))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -82,11 +76,8 @@ def read_history_csv(path) -> dict:
     for name in HISTORY_COLUMNS:
         if name not in rows[0]:
             raise IoError(f"{path} lacks history column {name!r}")
-        vals = [row[name] for row in rows]
-        if name in _INT_COLUMNS:
-            out[name] = np.array([int(v) for v in vals])
-        else:
-            out[name] = np.array([float(v) for v in vals])
+        parse = int if _TYPES.get(name) is int else float
+        out[name] = np.array([parse(row[name]) for row in rows])
     return out
 
 

@@ -12,6 +12,8 @@ Conventions used by every callable here:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +92,14 @@ class ProblemSpec:
             tips = tuple((None, None) for _ in range(nf))
         if len(tips) != nf:
             raise ConfigError("fracture_tips length does not match fracture count")
+        for fi, pair in enumerate(tips):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ConfigError(f"fracture {fi}: tips {pair!r} are not a (start, end) pair")
+            for end, v in zip(("start", "end"), pair):
+                if v is not None and (
+                    isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+                ):
+                    raise ConfigError(f"fracture {fi}: {end} tip value {v!r} is neither None nor a finite real")
         object.__setattr__(self, "fracture_tips", tips)
 
     # -- coefficients -----------------------------------------------------

@@ -46,7 +46,6 @@ it is rejected before anything is factored.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -70,7 +69,6 @@ class SolveReport:
     n: int
     residual: float  # componentwise-normalized backward error
     refinement_steps: int
-    t_ms: float
     n_factored: int  # order of R: free primal-edge pressures and p_gamma
     system: LinearSystem = field(repr=False, compare=False)
     lu: spla.SuperLU = field(repr=False, compare=False)  # the factor of R, kept with the report
@@ -199,7 +197,6 @@ def solve_system(system: LinearSystem):
             "singular system: no pressure dof and no fracture tip is "
             "constrained, so the constant pressure is in its nullspace"
         )
-    t0 = time.perf_counter()
     factor = _Condensed(system)
     x = factor.x
     if not np.all(np.isfinite(x)):
@@ -212,12 +209,10 @@ def solve_system(system: LinearSystem):
         res = _backward_error(system, x, rhs)
     if res > _FAIL_ABOVE or not np.all(np.isfinite(x)):
         raise SolverError(f"backward error {res:.3e} after {steps} refinement steps")
-    t_ms = (time.perf_counter() - t0) * 1e3
     report = SolveReport(
         n=system.n,
         residual=res,
         refinement_steps=steps,
-        t_ms=t_ms,
         n_factored=factor.skeleton.size,
         system=system,
         lu=factor.lu,

@@ -24,6 +24,7 @@ lower vertex id, placed and oriented by the subdivision's side table
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -43,8 +44,15 @@ class SpaceConfig:
     k: int = 1
 
     def __post_init__(self):
+        check_integer("k", self.k)
         if self.k not in (1, 2):
             raise ConfigError(f"order k={self.k} not supported; use 1 or 2")
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError unless `value` is an integer; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}={value!r} is not an integer")
 
 
 def _monomial_exponents(k: int) -> np.ndarray:
@@ -178,7 +186,7 @@ class PressureSpace:
         return lagrange_1d(np.linspace(0.0, 1.0, self.k + 1), ts)
 
 
-def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
+def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     """Number the pressure nodes in triangle order.
 
     Each triangle numbers its new nodes in turn: first the k+1 nodes of its
@@ -186,7 +194,7 @@ def build_S_h(mesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
     interior primal edge the lower-numbered triangle creates the shared
     nodes, ordered from the lower vertex id; the other triangle reuses them.
     """
-    sub = mesh.subdivision if isinstance(mesh, PolygonalMesh) else mesh
+    sub = mesh.subdivision
     k = config.k
     k1 = k + 1
     ref_nodes = _lattice_nodes(k)
@@ -372,7 +380,7 @@ def flux_dofs_per_triangle(k: int) -> int:
     return 2 * (k + 1) + (3 if k == 2 else 0)
 
 
-def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
+def build_V_h(mesh: PolygonalMesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
     """Number the flux dofs and derive each triangle's transform C_t.
 
     The dof functionals of triangle t applied to the Piola-mapped reference
@@ -387,7 +395,7 @@ def build_V_h(mesh, config: SpaceConfig, cache: BlockCache = None) -> FluxSpace:
     inverse per triangle.  C_t of the triangles of kept polygons comes from
     `cache`.
     """
-    sub = mesh.subdivision if isinstance(mesh, PolygonalMesh) else mesh
+    sub = mesh.subdivision
     cache = BlockCache() if cache is None else cache
     k = config.k
     k1 = k + 1
@@ -489,9 +497,9 @@ class FracturePressureSpace:
         return lagrange_1d(self.ref_nodes, ts, order)
 
 
-def build_W_h(mesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureSpace:
+def build_W_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureSpace:
     """dirichlet_tips: iterable of (fracture_index, end) with end 0=start, 1=end."""
-    sub = mesh.subdivision if isinstance(mesh, PolygonalMesh) else mesh
+    sub = mesh.subdivision
     fe = sub.fracture_edges
     k, nf = config.k, fe.offsets.size - 1
     tips = np.array(sorted(set((int(f), int(s)) for f, s in dirichlet_tips)), dtype=int).reshape(-1, 2)

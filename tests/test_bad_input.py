@@ -1,6 +1,7 @@
 """Bad input fails early, with the right error class and a message that
 names the culprit: one case per reachable raise of the library."""
 
+import dataclasses
 import math
 import re
 
@@ -23,6 +24,7 @@ from sdgdarcy.geometry import (
 )
 from sdgdarcy.io import read_history_csv, write_convergence_svg
 from sdgdarcy.problem import BoundaryRule, everywhere
+from sdgdarcy.spaces import SpaceConfig
 
 from conftest import cycle_table, make_fracture
 
@@ -56,6 +58,11 @@ def _three_on_one_edge():
 def _fractured(points, mesh=_SQUARES):
     verts, cycles, *hang = mesh
     return subdivide(_hand_mesh(verts, cycles, [make_fracture(points)], *hang))
+
+
+def _tips(pair):
+    """case2, one fracture, with the given (start, end) tip values."""
+    return dataclasses.replace(get_benchmark("case2")[0], fracture_tips=(pair,))
 
 
 CASES = {
@@ -132,6 +139,12 @@ CASES = {
     "quadrature-degree": (lambda: quadrature.edge_rule(-1), ValueError, "degree -1 is negative"),
     "alpha-zero": (lambda: case1(0.0), ConfigError, "alpha=0.0"),
     "alpha-nan": (lambda: case1(float("nan")), ConfigError, "alpha=nan"),
+    "tip-nan": (lambda: _tips((float("nan"), None)), ConfigError, "fracture 0: start tip value nan"),
+    "tip-inf": (lambda: _tips((None, float("inf"))), ConfigError, "fracture 0: end tip value inf"),
+    "tip-text": (lambda: _tips(("a", None)), ConfigError, "fracture 0: start tip value 'a'"),
+    "tip-bool": (lambda: _tips((None, True)), ConfigError, "fracture 0: end tip value True"),
+    "tip-one-entry": (lambda: _tips((1.0,)), ConfigError, "fracture 0: tips (1.0,) are not a (start, end) pair"),
+    "tip-no-pair": (lambda: _tips(1.0), ConfigError, "fracture 0: tips 1.0 are not a (start, end) pair"),
 }
 
 
@@ -140,6 +153,34 @@ def test_bad_input_names_its_culprit(case):
     make, error, culprit = CASES[case]
     with pytest.raises(error, match=re.escape(culprit)):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (AmrConfig, "max_dofs", float("nan")),
+        (AmrConfig, "max_dofs", 1500.0),
+        (AmrConfig, "max_iterations", 2.5),
+        (AmrConfig, "max_iterations", True),
+        (AmrConfig, "k", 1.0),
+        (AmrConfig, "k", True),
+        (SpaceConfig, "k", 2.0),
+        (SpaceConfig, "k", False),
+    ],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_loop_option_must_be_an_integer(make, field, value):
+    """A float or a bool where the loop takes an integer is a ConfigError
+    that names the field and the value, raised as the config is made."""
+    with pytest.raises(ConfigError, match=re.escape(f"{field}={value!r} is not an integer")):
+        make(**{field: value})
+
+
+def test_numpy_integers_are_loop_options():
+    spec, exact, h0 = get_benchmark("patch")
+    config = AmrConfig(k=np.int64(2), max_dofs=np.int64(5000), max_iterations=np.int32(2))
+    hist = amr_loop(build_initial_mesh(spec.domain, h0), spec, config, exact=exact)
+    assert len(hist.records) == 2 and SpaceConfig(np.int64(1)).k == 1
 
 
 def test_missing_and_empty_files_are_named(tmp_path):

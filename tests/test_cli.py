@@ -1,5 +1,6 @@
 """Command line interface: flags, config files, artifacts, exit codes."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -13,9 +14,9 @@ import pytest
 from sdgdarcy import geometry
 from sdgdarcy.adaptivity import AmrConfig
 from sdgdarcy.benchmarks import get_benchmark
-from sdgdarcy.cli import RunConfig, load_config, main
+from sdgdarcy.cli import RunConfig, _resolve_run_config, build_parser, load_config, main
 from sdgdarcy.errors import ConfigError, SingularSystem
-from sdgdarcy.io import read_history_csv
+from sdgdarcy.io import TIMING_COLUMNS, read_history_csv
 
 
 def write_config(tmp_path, **doc):
@@ -276,3 +277,71 @@ def test_float_keys_take_an_int(tmp_path):
     cfg = write_config(tmp_path, benchmark="patch", max_dofs=1.5)
     with pytest.raises(ConfigError, match="max_dofs"):
         load_config(cfg)
+
+
+def _run_options():
+    """The `sdg run` subparser's optional arguments, by dest."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subs.choices["run"]._actions}
+
+
+# a value other than the default for each `RunConfig` field
+_SAMPLE = {
+    "theta": 0.25,
+    "mode": "uniform",
+    "max_dofs": 1234,
+    "max_iterations": 2,
+    "k": 2,
+    "benchmark": "case2",
+    "h0": 0.25,
+    "out": "elsewhere",
+    "export_fields": True,
+    "dump_system": True,
+}
+
+
+def test_run_flags_are_the_config_fields():
+    """`sdg run` has --help, --config and one flag per `RunConfig` field,
+    each named after it and with help text."""
+    options = _run_options()
+    assert set(options) == {"help", "config"} | {f.name for f in fields(RunConfig)}
+    for f in fields(RunConfig):
+        assert options[f.name].option_strings == ["--" + f.name.replace("_", "-")]
+        assert options[f.name].help
+
+
+def _as_flags(doc):
+    """The `sdg run` flags that set the keys of a config document."""
+    return [a for k, v in doc.items() for a in ["--" + k.replace("_", "-")] + ([] if v is True else [str(v)])]
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_flag_sets_its_field_as_the_config_file_does(tmp_path, name):
+    doc = {"benchmark": "patch", name: _SAMPLE[name]}
+    by_flag = _resolve_run_config(build_parser().parse_args(["run", *_as_flags(doc)]))
+    by_file = _resolve_run_config(build_parser().parse_args(["run", "--config", write_config(tmp_path, **doc)]))
+    assert by_flag == by_file
+    assert getattr(by_flag, name) == _SAMPLE[name] != getattr(RunConfig(benchmark="patch"), name)
+
+
+def test_flag_only_run_writes_the_files_of_its_config_twin(tmp_path):
+    """The same settings by flags alone and by a config file give the same
+    files, byte for byte outside the timing columns of history.csv."""
+    settings = dict(benchmark="patch", theta=1, h0=0.5, max_iterations=2, export_fields=True, dump_system=True)
+    by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+    assert main(["run", "--config", write_config(tmp_path, **settings), "--out", str(by_file)]) == 0
+    assert main(["run", *_as_flags(settings), "--out", str(by_flags)]) == 0
+    names = sorted(p.name for p in by_file.iterdir())
+    assert names == sorted(p.name for p in by_flags.iterdir()) and "system_0001.txt" in names
+    n_time = len(TIMING_COLUMNS)
+    for name in names:
+        a, b = (by_file / name).read_text(), (by_flags / name).read_text()
+        if name == "history.csv":
+            a, b = ([row.split(",")[:-n_time] for row in t.splitlines()] for t in (a, b))
+        assert a == b, name
+
+
+def test_bad_mode_flag_exits_2(capsys):
+    assert main(["run", "--benchmark", "patch", "--mode", "sideways"]) == 2
+    assert "mode='sideways'" in capsys.readouterr().err

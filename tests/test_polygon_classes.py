@@ -154,7 +154,8 @@ def test_solve_without_cache_equals_carried_solve():
     gives the carried system's bits."""
     system = _cached_refinement(2)
     cached, _ = solve_system(system)
-    fresh, _ = solve_system(assemble_system(system.mesh, system.spec, SpaceConfig(2)))
+    spec = get_benchmark("case1-a0.1")[0]  # the spec of `_cached_refinement`
+    fresh, _ = solve_system(assemble_system(system.mesh, spec, SpaceConfig(2)))
     for field in ("u", "p", "p_gamma"):
         assert np.array_equal(getattr(fresh, field), getattr(cached, field)), field
 

@@ -91,7 +91,6 @@ def test_report_matches_recomputation(patch_system):
     assert abs(report.residual - recomputed) <= 1e-14
     assert report.n == sys.n
     assert report.nnz == sys.A.nnz
-    assert report.t_ms > 0
     assert report.fill > 0
 
 

@@ -457,7 +457,8 @@ def _sliver_sub():
     """A 2 x 0.05 strip under a 2 x 0.95 block: the strip's long sides give
     obtuse slivers.  Vertex ids are reversed, so the polygon centroids come
     first and every side runs against its edge's low-to-high order where the
-    standard numbering runs with it."""
+    standard numbering runs with it.  The mesh caches the reversed
+    subdivision in place of its own."""
     verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 0.05], [0.0, 0.05], [2.0, 1.0], [0.0, 1.0]]
     mesh = PolygonalMesh(verts, cycle_table([(0, 1, 2, 3), (3, 2, 4, 5)], [(), ()]), [], 1e-9)
     _MESHES.append(mesh)
@@ -465,13 +466,15 @@ def _sliver_sub():
     nv = sub.vertices.shape[0]
     new_id = nv - 1 - np.arange(nv)
     tri_vertices = new_id[sub.tri_vertices]
-    return replace(
+    sliver = replace(
         sub,
         vertices=sub.vertices[::-1],
         tri_vertices=tri_vertices,
         edge_vertices=new_id[sub.edge_vertices],
         tri_flip=tri_vertices > np.roll(tri_vertices, -1, axis=1),
     )
+    vars(mesh)["subdivision"] = sliver  # the spaces of `mesh` are built on it
+    return sliver
 
 
 PIOLA_MESHES = {"doerfler": _doerfler_fractured_sub, "sliver": _sliver_sub}
@@ -583,7 +586,8 @@ def _physical_dual_basis(sub, V):
 @pytest.mark.parametrize("k", [1, 2])
 def test_piola_basis_is_dual_to_dofs(k, mesh):
     sub = PIOLA_MESHES[mesh]()
-    V = build_V_h(sub, SpaceConfig(k))
+    V = build_V_h(sub.mesh, SpaceConfig(k))
+    assert V.sub is sub
     tris = np.arange(sub.n_triangles)
     D = _apply_flux_dofs(sub, V, lambda pts: flux_basis_values(V, tris, pts))
     assert np.max(np.abs(D - np.eye(V.nloc))) < 1e-12
@@ -596,7 +600,7 @@ def test_mass_blocks_match_physical_quadrature(k, mesh):
     one triangle at a time, with an anisotropic K on every element; entries
     are compared relative to sqrt(M_ii M_jj)."""
     sub = PIOLA_MESHES[mesh]()
-    V = build_V_h(sub, SpaceConfig(k))
+    V = build_V_h(sub.mesh, SpaceConfig(k))
     rng = np.random.default_rng(3)
     A = rng.standard_normal((sub.mesh.n_elements, 2, 2))
     K_elem = A @ np.swapaxes(A, 1, 2) + np.eye(2)
@@ -627,7 +631,7 @@ def test_edge_traces_match_point_evaluation(k, mesh):
     coefficients, compared relative to the largest value."""
     sub = PIOLA_MESHES[mesh]()
     config = SpaceConfig(k)
-    S, V, W = build_S_h(sub, config), build_V_h(sub, config), build_W_h(sub, config)
+    S, V, W = build_S_h(sub.mesh, config), build_V_h(sub.mesh, config), build_W_h(sub.mesh, config)
     rng = np.random.default_rng(7)
     sol = DiscreteSolution(
         mesh=sub.mesh, V=V, S=S, W=W,
@@ -665,9 +669,10 @@ def test_solution_reads_the_subdivision_of_its_spaces():
     agrees with the edge traces there; pressure and flux spaces on two
     different subdivisions are rejected."""
     sub = _sliver_sub()
-    assert sub is not sub.mesh.subdivision
     config = SpaceConfig(2)
-    S, V, W = build_S_h(sub, config), build_V_h(sub, config), build_W_h(sub, config)
+    S, V, W = build_S_h(sub.mesh, config), build_V_h(sub.mesh, config), build_W_h(sub.mesh, config)
+    vars(sub.mesh).pop("subdivision")  # the mesh subdivides anew, with its own ids
+    assert sub is not sub.mesh.subdivision
     rng = np.random.default_rng(11)
     values = dict(u=rng.standard_normal(V.ndof), p=rng.standard_normal(S.ndof), p_gamma=np.zeros(W.ndof))
     sol = DiscreteSolution(mesh=sub.mesh, V=V, S=S, W=W, **values)
@@ -678,7 +683,7 @@ def test_solution_reads_the_subdivision_of_its_spaces():
     un = np.einsum("eqc,ec->eq", sol.u_at(tris, sub.edge_points(edges, ts)), sub.edge_normal[edges])
     assert np.max(np.abs(sol.u_normal_trace(edges, 0, ts) - un)) <= 1e-13 * np.max(np.abs(un))
 
-    other = build_S_h(sub.mesh.subdivision, config)
+    other = build_S_h(sub.mesh, config)
     with pytest.raises(ValueError, match="different subdivisions"):
         DiscreteSolution(mesh=sub.mesh, V=V, S=other, W=W, **values)
 
@@ -742,7 +747,7 @@ def test_grad_p_exact_on_interpolated_quadratic(mesh):
     triangle and on a subset of them."""
     sub = PIOLA_MESHES[mesh]()
     config = SpaceConfig(2)
-    S, V, W = build_S_h(sub, config), build_V_h(sub, config), build_W_h(sub, config)
+    S, V, W = build_S_h(sub.mesh, config), build_V_h(sub.mesh, config), build_W_h(sub.mesh, config)
 
     def poly(p):
         x, y = p[..., 0], p[..., 1]
