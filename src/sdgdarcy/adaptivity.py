@@ -8,6 +8,19 @@ by lower element id).  Uniform mode refines every element and ignores theta.
 Reuse.  `amr_loop` creates one `BlockCache` and passes it to
 `build_spaces`, `assemble_system` and `compute_estimator`.
 
+Per order, the tables that depend on no mesh are built once per process,
+on the first iteration, by `spaces.reference(k)`, and every later
+iteration and loop reads them: the pressure basis's nodes and inverse
+Vandermonde, the monomial and basis tables at the triangle rules of degree
+2k+2, 2k+4 and 2k+12, the 1D Lagrange tables at the edge rules of degree
+2k+1, 2k+2, 2k+4, 2k+12 and max(2k-2, 0) and at the end points {0, 1}, the
+flux dof matrices and their (pseudo)inverse, the reference mass M^, B^ with
+its edge coupling E, the interface edge mass and the oscillation's
+projectors.  Each is computed by the expression its consumer used per call,
+so the bits are the same.  Points that are not a stored rule (export's
+physical points, the per-edge reversed parameters of `fracture_traces`)
+are evaluated directly.
+
 Per triangle, the cache carries by identity.  `refine` copies each polygon
 that is not marked, not added by closure and has no side split into the
 next mesh unchanged, with the same vertex ids, cycle order and hanging
@@ -88,7 +101,7 @@ from .geometry import PolygonalMesh, refine
 from .problem import ProblemSpec
 from .reuse import BlockCache
 from .solve import solve_system
-from .spaces import SpaceConfig, check_integer
+from .spaces import SpaceConfig, check_fraction, check_integer
 
 ADAPTIVE = "adaptive"
 UNIFORM = "uniform"
@@ -102,8 +115,7 @@ def dorfler_mark(indicators, theta: float) -> np.ndarray:
     shortest such prefix; zero-indicator elements are never marked.  A
     NaN, infinite or negative indicator is a ValueError naming its element.
     """
-    if not 0.0 < theta <= 1.0:
-        raise ConfigError(f"theta={theta} outside (0, 1]")
+    check_fraction("theta", theta)
     ind = np.asarray(indicators, dtype=float)
     bad = np.flatnonzero(~(np.isfinite(ind) & (ind >= 0.0)))
     if bad.size:
@@ -137,8 +149,7 @@ class AmrConfig:
     def __post_init__(self):
         check_integer("max_dofs", self.max_dofs)  # k is checked by SpaceConfig
         check_integer("max_iterations", self.max_iterations)
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigError(f"theta={self.theta} outside (0, 1]")
+        check_fraction("theta", self.theta)
         if self.mode not in (ADAPTIVE, UNIFORM):
             raise ConfigError(f"mode={self.mode!r} not one of {ADAPTIVE!r}, {UNIFORM!r}")
         SpaceConfig(self.k)  # the supported orders live there

@@ -40,6 +40,7 @@ from .spaces import (
     build_S_h,
     build_V_h,
     build_W_h,
+    reference,
     _SIDE_NODES,
 )
 
@@ -82,9 +83,7 @@ def assemble_mass(sub: Subdivision, V: FluxSpace, K_elem: np.ndarray, tris=slice
     G_t = J^T K^-1 J / det J, the Piola map's weight on the two vector
     components.
     """
-    rule = triangle_rule(2 * V.k + 2)
-    m = V.ref_monomials(rule.points)  # (nq, s)
-    mhat = m.T @ (rule.weights[:, None] * m)
+    mhat = reference(V.k).mass
     J = sub.tri_jacobian[tris]
     Kinv = inv_2x2(K_elem[sub.tri_polygon[tris]])
     G = np.swapaxes(J, 1, 2) @ Kinv @ J / (2.0 * sub.tri_area[tris])[:, None, None]
@@ -104,20 +103,15 @@ def assemble_bh(sub: Subdivision, V: FluxSpace, S: PressureSpace, tris=slice(Non
     in the block of the triangle it is taken from.
     """
     k1 = V.k + 1
+    ref = reference(V.k)
     # grad q . J phi / det J = grad^ q . phi / det J, so the volume term is
-    # one reference matrix times C_t
-    rule = triangle_rule(2 * V.k + 2)
-    gref = S.grad_ref(rule.points)  # (nq, ns, 2)
-    m = V.ref_monomials(rule.points)  # (nq, s)
-    bhat = np.einsum("q,qsc,qi->sic", rule.weights, gref, m).reshape(S.nloc, -1)
-    local = bhat @ V.ref_coeff[tris]
+    # one reference matrix B^ times C_t
+    local = ref.bh @ V.ref_coeff[tris]
 
     # <u.n, q> on a side is |e| E between its k+1 pressure side nodes and
     # its k+1 flux dofs, both listed from the lower vertex id; the sign is
     # + on the side n_e points out of
-    erule = edge_rule(2 * V.k + 2)
-    ts, ws = erule.points, erule.weights
-    E = S.edge_trace_matrix(ts).T @ (ws[:, None] * V.edge_trace_matrix(ts))
+    E = ref.bh_edge
     side, flip = sub.tri_side[tris], sub.tri_flip[tris]
     nodes = _SIDE_NODES[S.k]
     for l in (1, 2):
@@ -138,9 +132,7 @@ def assemble_interface(sub: Subdivision, S: PressureSpace, W: FracturePressureSp
     and p_gamma are P^k in their k+1 edge nodes, so every block is a scaled
     copy of the edge mass matrix Lambda^T diag(w) Lambda on [0, 1].
     """
-    erule = edge_rule(2 * S.k + 2)
-    lam = W.eval_ref(erule.points)  # (nq, k+1)
-    mass = lam.T @ (erule.weights[:, None] * lam)
+    mass = reference(S.k).edge_mass
     avg, jmp = np.array([0.5, 0.5]), np.array([1.0, -1.0])
     fe = sub.fracture_edges
     alpha = spec.exchange_resistance(fe.eta)
@@ -165,7 +157,7 @@ def assemble_fracture_stiffness(sub: Subdivision, S: PressureSpace, W: FractureP
     """Tangential stiffness <K_gamma dp/dt, dq/dt> along each fracture, as
     triplets over the stacked dofs of `assemble_interface`."""
     erule = edge_rule(max(2 * W.k - 2, 0))
-    dref = W.deriv_ref(erule.points)  # (nq, k+1)
+    dref = W.deriv_ref(erule)  # (nq, k+1)
     fe = sub.fracture_edges
     local = np.einsum("q,e,qi,qj->eij", erule.weights, fe.K_gamma / sub.edge_length[fe.edge], dref, dref)
     wd = S.ndof + W.edge_dofs
@@ -213,9 +205,8 @@ def assemble_rhs(
     wview = rhs[V.ndof + S.ndof :]
 
     if spec.f is not None:
-        rule = triangle_rule(2 * k + 2)
         qw, fvals = source_values(sub, spec, 2 * k + 2, cache)
-        sv = S.eval_ref(rule.points)
+        sv = S.eval_ref(triangle_rule(2 * k + 2))
         local = np.einsum("tq,tq,qs->ts", qw, fvals, sv)
         np.add.at(sview, S.tri_dofs, local)
 
@@ -225,12 +216,12 @@ def assemble_rhs(
     neu = table.neumann_edges
     pts = sub.edge_points(neu, ts)
     g = spec.boundary_values(sub, np.repeat(neu, ts.size), pts.reshape(-1, 2)).reshape(neu.size, ts.size)
-    local = -(sub.edge_length[neu][:, None] * ws * g) @ S.edge_trace_matrix(ts)
+    local = -(sub.edge_length[neu][:, None] * ws * g) @ S.edge_trace_matrix(erule)
     np.add.at(sview, S.edge_side_dofs[neu, 0], local)
 
     fe = sub.fracture_edges
     fg = fracture_source_values(sub, spec, ts)
-    local = np.einsum("q,e,eq,qj->ej", ws, sub.edge_length[fe.edge], fg, W.eval_ref(ts))
+    local = np.einsum("q,e,eq,qj->ej", ws, sub.edge_length[fe.edge], fg, W.eval_ref(erule))
     np.add.at(wview, W.edge_dofs, fe.thickness[:, None] * local)
 
     return rhs
@@ -410,55 +401,59 @@ class DiscreteSolution:
     def u_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return self.u_at_ref(self.sub.reference_coords(tris, pts), tris)
 
-    # The *_at_ref evaluators take reference points and return the field at
-    # their images: grad_p_at_ref (nq, 2) points shared by all triangles in
-    # tris; u_at_ref and div_u_at_ref also (n, nq, 2) points per triangle.
+    # The *_at_ref evaluators take reference points, or a triangle rule whose
+    # tables `spaces.reference` stores, and return the field at their
+    # images: grad_p_at_ref (nq, 2) points shared by all triangles in tris;
+    # u_at_ref and div_u_at_ref also (n, nq, 2) points per triangle.  The
+    # edge evaluators take parameters or a stored edge rule alike.
 
-    def grad_p_at_ref(self, ref_pts: np.ndarray, tris=slice(None)) -> np.ndarray:
-        gref = self.S.grad_ref(ref_pts)  # (nq, ns, 2)
+    def grad_p_at_ref(self, at, tris=slice(None)) -> np.ndarray:
+        gref = self.S.grad_ref(at)  # (nq, ns, 2)
         nq = gref.shape[0]
         # one GEMM of the coefficients (n, ns) against the (ns, nq 2) table
         table = np.swapaxes(gref, 0, 1).reshape(self.S.nloc, 2 * nq)
         ghat = (self.p[self.S.tri_dofs[tris]] @ table).reshape(-1, nq, 2)
         return ghat @ self.sub.tri_jacobian_inv[tris]
 
-    def u_at_ref(self, ref_pts: np.ndarray, tris=slice(None)) -> np.ndarray:
+    def u_at_ref(self, at, tris=slice(None)) -> np.ndarray:
         a = self._u_hat[tris]
-        uhat = self.V.ref_monomials(ref_pts) @ a.reshape(a.shape[0], -1, 2)
+        uhat = self.V.ref_monomials(at) @ a.reshape(a.shape[0], -1, 2)
         return self.V.piola(tris, uhat)
 
-    def div_u_at_ref(self, ref_pts: np.ndarray, tris=slice(None)) -> np.ndarray:
-        div = self.V.ref_divergence(ref_pts) @ self._u_hat[tris][:, :, None]
+    def div_u_at_ref(self, at, tris=slice(None)) -> np.ndarray:
+        div = self.V.ref_divergence(at) @ self._u_hat[tris][:, :, None]
         return div[..., 0] / (2.0 * self.sub.tri_area[tris])[:, None]
 
-    def p_trace(self, edges: np.ndarray, side: int, ts: np.ndarray) -> np.ndarray:
+    def p_trace(self, edges: np.ndarray, side: int, at) -> np.ndarray:
         """p_h on the given side of edges, from the side's k+1 dofs, at
-        parameters ts from the lower vertex id, (nq,) or one row per edge;
-        (ne, nq).  `u_normal_trace` reads u_h.n_e the same way."""
-        L = self.S.edge_trace_matrix(ts)
+        parameters from the lower vertex id, (nq,) or one row per edge, or
+        at the points of a stored edge rule; (ne, nq).  `u_normal_trace`
+        reads u_h.n_e the same way."""
+        L = self.S.edge_trace_matrix(at)
         return (L @ self.p[self.S.edge_side_dofs[edges, side]][..., None])[..., 0]
 
-    def u_normal_trace(self, edges: np.ndarray, side: int, ts: np.ndarray) -> np.ndarray:
+    def u_normal_trace(self, edges: np.ndarray, side: int, at) -> np.ndarray:
         """u_h.n_e on the given side of edges; see `p_trace`."""
-        L = self.V.edge_trace_matrix(ts)
+        L = self.V.edge_trace_matrix(at)
         return (L @ self.u[self.V.edge_side_dofs[edges, side]][..., None])[..., 0]
 
     def fracture_traces(self, ts: np.ndarray):
         """(p1, p2, un1, un2): p_h and u_h.n_e on sides 0 and 1 of every
         fracture edge at parameters ts in polyline direction, (n_fe, nq)
-        each, in the rows of `fracture_edges`."""
+        each, in the rows of `fracture_edges`.  The parameters are reversed
+        on descending edges, so they are evaluated directly."""
         fe = self.sub.fracture_edges
         s = np.where(fe.descending[:, None], 1.0 - ts, ts)
         return tuple(tr(fe.edge, side, s) for tr in (self.p_trace, self.u_normal_trace) for side in (0, 1))
 
-    def p_gamma_at(self, ts: np.ndarray) -> np.ndarray:
+    def p_gamma_at(self, at) -> np.ndarray:
         """p_gamma on every fracture edge, as in `fracture_traces`."""
-        return np.einsum("qj,ej->eq", self.W.eval_ref(ts), self.p_gamma[self.W.edge_dofs])
+        return np.einsum("qj,ej->eq", self.W.eval_ref(at), self.p_gamma[self.W.edge_dofs])
 
-    def dp_gamma_dt_at(self, ts: np.ndarray) -> np.ndarray:
+    def dp_gamma_dt_at(self, at) -> np.ndarray:
         """dp_gamma/dt along the polyline on every fracture edge, as in `fracture_traces`."""
         le = self.sub.edge_length[self.sub.fracture_edges.edge]
-        return np.einsum("qj,ej->eq", self.W.deriv_ref(ts), self.p_gamma[self.W.edge_dofs]) / le[:, None]
+        return np.einsum("qj,ej->eq", self.W.deriv_ref(at), self.p_gamma[self.W.edge_dofs]) / le[:, None]
 
 
 def build_spaces(mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, cache: BlockCache = None):

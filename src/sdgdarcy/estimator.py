@@ -31,7 +31,7 @@ from .geometry import DUAL, INTERIOR, PolygonalMesh, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, mapped_weights, triangle_rule
 from .reuse import BlockCache
-from .spaces import _monomial_exponents, _monomial_values, _powers
+from .spaces import reference
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,13 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
         qw, f = source_values(sub, spec, 2 * k + 2, cache)
 
     # term 1: constitutive residual r = u_h + K grad p_h measured in K^{-1}
-    u = sol.u_at_ref(rule.points)
-    gp = sol.grad_p_at_ref(rule.points)
+    u = sol.u_at_ref(rule)
+    gp = sol.grad_p_at_ref(rule)
     r = u + gp @ np.swapaxes(K_elem, 1, 2)[sub.tri_polygon]
     t1 = _weighted_sq(qw, r, Kinv_elem[sub.tri_polygon])
 
     # term 2: bulk source residual
-    div = sol.div_u_at_ref(rule.points)
+    div = sol.div_u_at_ref(rule)
     t2 = sub.tri_diameter**2 * np.einsum("tq,tq->t", qw, (f - div) ** 2)
 
     erule = edge_rule(2 * k + 2)
@@ -87,12 +87,12 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
     # term 3: pressure jumps across dual edges, weight 1/h_e; the edge
     # length from the norm cancels against the weight
     duals = sub.edges_of_kind(DUAL)
-    jump = sol.p_trace(duals, 0, ts) - sol.p_trace(duals, 1, ts)
+    jump = sol.p_trace(duals, 0, erule) - sol.p_trace(duals, 1, erule)
     dual_sq = np.einsum("q,eq->e", ws, jump**2)
 
     # term 4: normal flux jumps across interior primal edges, weight h_e
     inner = sub.edges_of_kind(INTERIOR)
-    jump = sol.u_normal_trace(inner, 0, ts) - sol.u_normal_trace(inner, 1, ts)
+    jump = sol.u_normal_trace(inner, 0, erule) - sol.u_normal_trace(inner, 1, erule)
     interior_sq = np.einsum("q,eq->e", ws, jump**2) * sub.edge_length[inner] ** 2
 
     # fracture families, one row per fracture edge
@@ -103,14 +103,14 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
     fracture_sq = np.empty((fe.n_edges, 3))
 
     # term 5: fracture equation residual; K_gamma is constant per edge
-    pg2 = np.einsum("qj,ej->eq", sol.W.deriv_ref(ts, order=2), coef) / le[:, None] ** 2
+    pg2 = np.einsum("qj,ej->eq", sol.W.deriv_ref(erule, order=2), coef) / le[:, None] ** 2
     fg = fracture_source_values(sub, spec, ts)
     res5 = fe.thickness[:, None] * fg + fe.K_gamma[:, None] * pg2 + (un1 - un2)
     fracture_sq[:, 0] = le**3 * np.einsum("q,eq->e", ws, res5**2)
 
     # term 7: first interface condition, weight h_e
     alpha = spec.exchange_resistance(fe.eta)
-    res7 = ((p1 + p2) / 2.0 - sol.p_gamma_at(ts)) / alpha[:, None] - (un1 - un2)
+    res7 = ((p1 + p2) / 2.0 - sol.p_gamma_at(erule)) / alpha[:, None] - (un1 - un2)
     fracture_sq[:, 1] = le**2 * np.einsum("q,eq->e", ws, res7**2)
 
     # term 8: second interface condition, weight h_e
@@ -119,7 +119,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
 
     # term 6: jumps of K_gamma^(1/2) dp/dt at the interior vertices of each
     # fracture, between rows r and r + 1
-    d_ends = np.einsum("qj,ej->eq", sol.W.deriv_ref(np.array([0.0, 1.0])), coef) / le[:, None]
+    d_ends = np.einsum("qj,ej->eq", reference(k).ends.p[1], coef) / le[:, None]
     w = np.sqrt(fe.K_gamma)
     r = fe.joints
     jumps = w[r] * d_ends[r, 1] - w[r + 1] * d_ends[r + 1, 0]
@@ -211,13 +211,10 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: Bloc
     cache = BlockCache() if cache is None else cache
     total = 0.0
 
+    ref = reference(k)
     if spec.f is not None:
         rule = triangle_rule(2 * k + 12)
-        # P_k is affine invariant: project onto the reference monomials,
-        # whose Gram matrix on triangle t is |det J| times the reference one
-        mono = _monomial_values(_monomial_exponents(k), rule.points)  # (nq, s)
-        wm = rule.weights[:, None] * mono
-        proj = wm @ np.linalg.inv(mono.T @ wm)  # (nq, s): f -> coefficients
+        mono, proj = ref.at(rule).mono, ref.osc_proj  # (nq, s) each
         region = mesh.element_regions[sub.tri_polygon]
 
         def residuals(tris):
@@ -234,8 +231,7 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: Bloc
     ts, ws = erule.points, erule.weights
     fg = fracture_source_values(sub, spec, ts)
     if np.any(fg):
-        mono = _powers(ts - 0.5, k)  # (nq, k+1)
-        G = np.einsum("q,qi,qj->ij", ws, mono, mono)
+        mono, G = ref.osc_mono_1d, ref.osc_gram_1d  # (nq, k+1), (k+1, k+1)
         b = np.einsum("q,eq,qi->ei", ws, fg, mono)
         c = np.linalg.solve(G, b.T).T
         pf = np.einsum("ei,qi->eq", c, mono)
@@ -276,12 +272,10 @@ def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> 
     region = np.repeat(mesh.element_regions[sub.tri_polygon], nq)
     flat = qp.reshape(-1, 2)
 
-    du = np.asarray(exact.u(flat, region)).reshape(nt, nq, 2) - sol.u_at_ref(rule.points)
+    du = np.asarray(exact.u(flat, region)).reshape(nt, nq, 2) - sol.u_at_ref(rule)
     err_Q2 = _weighted_sq(qw, du, Kinv_elem[sub.tri_polygon]).sum()
 
-    dg = np.asarray(exact.grad_p(flat, region)).reshape(nt, nq, 2) - sol.grad_p_at_ref(
-        rule.points
-    )
+    dg = np.asarray(exact.grad_p(flat, region)).reshape(nt, nq, 2) - sol.grad_p_at_ref(rule)
     v_grad2 = _weighted_sq(qw, dg, K_elem[sub.tri_polygon]).sum()
 
     erule = edge_rule(2 * k + 4)
@@ -297,10 +291,10 @@ def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> 
 
     dp1 = np.asarray(exact.p(flatp, reg1)).reshape(-1, nq) - p1
     dp2 = np.asarray(exact.p(flatp, reg2)).reshape(-1, nq) - p2
-    dpg = np.asarray(exact.p_gamma(flatp, par, fidx)).reshape(-1, nq) - sol.p_gamma_at(ts)
+    dpg = np.asarray(exact.p_gamma(flatp, par, fidx)).reshape(-1, nq) - sol.p_gamma_at(erule)
     dun1 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg1)).reshape(-1, nq, 2), n) - un1
     dun2 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg2)).reshape(-1, nq, 2), n) - un2
-    ddg = np.asarray(exact.dp_gamma_dt(flatp, par, fidx)).reshape(-1, nq) - sol.dp_gamma_dt_at(ts)
+    ddg = np.asarray(exact.dp_gamma_dt(flatp, par, fidx)).reshape(-1, nq) - sol.dp_gamma_dt_at(erule)
 
     wl = ws[None, :] * sub.edge_length[fe.edge][:, None]
     v_exch2 = (((dp1 + dp2) / 2.0 - dpg) ** 2 * wl).sum(axis=1) @ (1.0 / spec.exchange_resistance(fe.eta))

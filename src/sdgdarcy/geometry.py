@@ -29,7 +29,7 @@ INTERIOR = 1  # interior primal edge, pressure-continuous
 FRACTURE = 2  # lies on a fracture segment
 DUAL = 3  # centroid-to-vertex edge created by subdivision
 
-MAX_INITIAL_CELLS = 10**6  # at k=1 this many cells already give 3.2e7 unknowns
+MAX_INITIAL_CELLS = 300_000  # keeps `build_initial_mesh` under 1 GiB; see there
 
 
 @dataclass(frozen=True)
@@ -535,16 +535,20 @@ def build_initial_mesh(domain: DomainSpec, target_h: float) -> PolygonalMesh:
 
     Every rectangle corner and every fracture segment must land on the
     grid (within the domain tolerance, after snapping); otherwise the
-    build is rejected; so is a grid of more than `MAX_INITIAL_CELLS` cells.
+    build is rejected; so is a grid of more than `MAX_INITIAL_CELLS` cells,
+    before any of it is built.
 
     The cells are listed in (i, j) order and the vertices numbered in
     order of first use, each cycle running (i, j), (i+1, j), (i+1, j+1),
     (i, j+1), all in array passes over the cells.  Measured on a 2-core
     machine (Python 3.11.7, numpy 2.4.6) on the domain of case1, median of
     3 fresh processes: the mesh with its validating subdivision takes
-    0.10 s at 20,000 cells (8 ms of it the grid) and 0.53 s at 125,000
-    (66 ms), and the process peaks at 116 MB and 394 MB `ru_maxrss`, of
-    which the imports take 62 MB.
+    0.10 s at 20,000 cells (8 ms of it the grid) and 0.47 s at 125,000,
+    and the process peaks at 146.1, 229.2 and 394.0 MiB `ru_maxrss` at
+    31,250, 62,658 and 125,000 cells, of which the imports take 61.5 MiB.
+    A line through these, 63.5 MiB + 2.64 MiB per 1,000 cells, fits them
+    within 0.04 MiB and gives 857 MiB at the bound of 300,000 cells: the
+    bound keeps the build under 1 GiB.
     """
     ranges, n_cells = initial_grid(domain, target_h)
     if n_cells == 0:

@@ -20,6 +20,17 @@ Three spaces enter the mixed formulation:
 The pressure and flux spaces list each edge side's dofs from the edge's
 lower vertex id, placed and oriented by the subdivision's side table
 ``tri_side`` and ``tri_flip``.
+
+Every mesh-independent table is built once per order, on first use, by
+``reference(k)``: the Lagrange nodes and the inverse Vandermonde of the
+pressure basis; the monomial, divergence and pressure basis tables at the
+triangle rules of degree 2k+2, 2k+4 and 2k+12; the 1D Lagrange tables of
+the pressure traces (with two derivatives) and of the flux normal traces at
+the edge rules of degree 2k+1, 2k+2, 2k+4, 2k+12 and max(2k-2, 0) and at
+the end points {0, 1}; the flux dof matrices with E^-1 (k=1) or E^+ and
+null(E) (k=2); M^, B^ and its edge coupling E, the interface edge mass; and
+the oscillation's projectors.  The space evaluators take reference points,
+evaluated directly, or one of those rules, whose stored table they return.
 """
 
 from __future__ import annotations
@@ -28,12 +39,13 @@ import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import BOUNDARY, INTERIOR, PolygonalMesh, Subdivision
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import QuadratureRule, edge_rule, triangle_rule
 from .reuse import BlockCache
 
 
@@ -53,6 +65,12 @@ def check_integer(name: str, value) -> None:
     """Raise ConfigError unless `value` is an integer; a bool is none."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name}={value!r} is not an integer")
+
+
+def check_fraction(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a real number in (0, 1]; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
+        raise ConfigError(f"{name}={value!r} is not a real number in (0, 1]")
 
 
 def _monomial_exponents(k: int) -> np.ndarray:
@@ -83,6 +101,13 @@ def _monomial_gradients(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
     gx = np.where(a > 0, a * xp[..., np.maximum(a - 1, 0)] * yp[..., b], 0.0)
     gy = np.where(b > 0, b * xp[..., a] * yp[..., np.maximum(b - 1, 0)], 0.0)
     return np.stack([gx, gy], axis=-1)
+
+
+def _monomial_divergences(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """d m_i / d x_c at pts on a flat last axis (..., 2s): the reference
+    divergences of the vector monomials phi_{2i+c} = m_i e_c."""
+    g = _monomial_gradients(exps, pts)
+    return g.reshape(g.shape[:-2] + (-1,))
 
 
 def _lattice_nodes(k: int) -> np.ndarray:
@@ -136,6 +161,197 @@ def lagrange_1d(nodes: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# reference tables
+
+
+def _pressure_values(exps: np.ndarray, coeff: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    return _monomial_values(exps, pts) @ coeff
+
+
+def _pressure_gradients(exps: np.ndarray, coeff: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    return np.einsum("...mc,ml->...lc", _monomial_gradients(exps, pts), coeff)
+
+
+def _bubble_curl_ref(pts: np.ndarray) -> np.ndarray:
+    """R grad(l0*l1*l2) at reference points (..., 2), with R(a, b) = (b, -a).
+
+    The physical curl of the bubble is J (R grad b) / det J, because
+    R J^-T = J R / det J."""
+    x, y = pts[..., 0], pts[..., 1]
+    l0 = 1.0 - x - y
+    return np.stack([x * (l0 - y), -y * (l0 - x)], axis=-1)
+
+
+def _reference_flux_dofs(k: int):
+    """The flux dof functionals applied to the reference vector monomials.
+
+    Returns (edge, mean, curl).  ``edge`` (3(k+1), 2s) holds u.nu at the
+    Gauss points of each reference side l, from vertex l to vertex l+1,
+    where nu is that side's outward normal scaled by its length.  For k=2,
+    ``mean`` (2, 2s) holds the reference means and ``curl`` (2, 2, 2s) the
+    integrals of u_a (R grad b)_b over the reference triangle; both are None
+    for k=1.
+    """
+    exps = _monomial_exponents(k)
+    s = exps.shape[0]
+    ts = edge_rule(2 * k + 1).points  # the k+1 Gauss points
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    rows = []
+    for l in range(3):
+        a, b = verts[l], verts[(l + 1) % 3]
+        m = _monomial_values(exps, a + ts[:, None] * (b - a))  # (k+1, s)
+        nu = np.array([b[1] - a[1], a[0] - b[0]])
+        rows.append((m[:, :, None] * nu).reshape(k + 1, 2 * s))
+    edge = np.concatenate(rows)
+    if k == 1:
+        return edge, None, None
+    rule = triangle_rule(2 * k + 2)
+    m = _monomial_values(exps, rule.points)  # (nq, s)
+    eye = np.eye(2)
+    mean = np.einsum("ac,i->aic", eye, 2.0 * rule.weights @ m).reshape(2, 2 * s)
+    moment = np.einsum("q,qi,qb->ib", rule.weights, m, _bubble_curl_ref(rule.points))
+    curl = np.einsum("ac,ib->abic", eye, moment).reshape(2, 2, 2 * s)
+    return edge, mean, curl
+
+
+def _edge_pseudoinverse(edge: np.ndarray):
+    """(E^+, N) for the edge rows E of `_reference_flux_dofs`: its
+    pseudoinverse (2s, 3(k+1)) and an orthonormal basis of its null space
+    (2s, 2s - 3(k+1))."""
+    _, _, vt = np.linalg.svd(edge)
+    return np.linalg.pinv(edge), vt[edge.shape[0] :].T.copy()
+
+
+@dataclass(frozen=True)
+class TriangleTables:
+    """The reference bases at the points of one triangle rule."""
+
+    mono: np.ndarray  # (nq, s) scalar monomials m_i
+    div: np.ndarray  # (nq, 2s) d m_i / d x_c, the reference divergence of phi_{2i+c}
+    p: np.ndarray  # (nq, ns) pressure basis values
+    grad_p: np.ndarray  # (nq, ns, 2) pressure basis reference gradients
+
+
+@dataclass(frozen=True)
+class EdgeTables:
+    """The 1D Lagrange bases at parameters of [0, 1], (nq, k+1) each."""
+
+    p: tuple  # through 0, 1/k, .., 1 (pressure traces, p_gamma): values, 1st and 2nd derivatives
+    u: np.ndarray  # through the k+1 Gauss points (flux normal traces): values
+
+
+@dataclass(frozen=True)
+class Reference:
+    """The mesh-independent tables of order k; see `reference`.
+
+    `triangles` and `edges` hold the basis tables at the points of the
+    triangle and edge rules the loop uses, by degree: triangles 2k+2
+    (assembly, estimator), 2k+4 (true error) and 2k+12 (oscillation);
+    edges 2k+1 (the flux dofs' Gauss points), 2k+2, 2k+4, 2k+12 and
+    max(2k-2, 0) (fracture stiffness).  `ends` holds them at t = 0 and 1.
+    """
+
+    k: int
+    exps: np.ndarray  # (s, 2) exponents of the scalar monomials
+    nodes: np.ndarray  # (ns, 2) pressure Lagrange nodes
+    coeff: np.ndarray  # (ns, ns) inverse Vandermonde: monomial coefficients of the pressure basis
+    edge_nodes: np.ndarray  # (k+1,) 0, 1/k, .., 1
+    gauss_ts: np.ndarray  # (k+1,) the flux edge dofs' parameters, Gauss points of degree 2k+1
+    flux_mean: np.ndarray  # (2, 2s) the mean rows of `_reference_flux_dofs` at k=2, else None
+    flux_curl: np.ndarray  # (2, 2, 2s) its curl tensor at k=2, else None
+    flux_inv: np.ndarray  # (2s, 2s) E^-1 of its edge rows E at k=1, else None
+    flux_pinv: np.ndarray  # (2s, 3(k+1)) E^+ at k=2, else None
+    flux_null: np.ndarray  # (2s, 2s - 3(k+1)) orthonormal basis of null(E) at k=2, else None
+    mass: np.ndarray  # (s, s) M^, the monomials' mass matrix
+    bh: np.ndarray  # (ns, 2s) B^, (grad^ q, phi) of the pressure basis and the vector monomials
+    bh_edge: np.ndarray  # (k+1, k+1) E of `assemble_bh`, pressure against flux traces on one side
+    edge_mass: np.ndarray  # (k+1, k+1) the mass matrix of the pressure traces on [0, 1]
+    osc_proj: np.ndarray  # (nq, s) f at the 2k+12 triangle rule -> its monomial coefficients
+    osc_mono_1d: np.ndarray  # (nq, k+1) (t - 1/2)^j at the 2k+12 edge rule
+    osc_gram_1d: np.ndarray  # (k+1, k+1) their Gram matrix
+    triangles: MappingProxyType  # degree -> TriangleTables
+    edges: MappingProxyType  # degree -> EdgeTables
+    ends: EdgeTables
+
+    def at(self, rule: QuadratureRule):
+        """The tables of a triangle or edge rule of `triangle_rule` or
+        `edge_rule`, by its kind and degree."""
+        kind, tables = ("triangle", self.triangles) if rule.points.ndim == 2 else ("edge", self.edges)
+        if rule.degree not in tables:
+            raise KeyError(f"no tables of the {kind} rule of degree {rule.degree} at k={self.k}")
+        return tables[rule.degree]
+
+
+@lru_cache(maxsize=None)
+def reference(k: int) -> Reference:
+    """The reference tables of order k, built on first use and then shared
+    by every mesh, iteration and loop.  Each is computed as its consumer
+    computed it per call, so every array downstream keeps its bits.  All
+    arrays are read-only."""
+    exps = _monomial_exponents(k)
+    nodes = _lattice_nodes(k)
+    coeff = np.linalg.inv(_monomial_values(exps, nodes))
+    edge_nodes = np.linspace(0.0, 1.0, k + 1)
+    gauss_ts = edge_rule(2 * k + 1).points
+
+    def triangle_tables(pts):
+        return TriangleTables(
+            mono=_monomial_values(exps, pts),
+            div=_monomial_divergences(exps, pts),
+            p=_pressure_values(exps, coeff, pts),
+            grad_p=_pressure_gradients(exps, coeff, pts),
+        )
+
+    def edge_tables(ts):
+        return EdgeTables(p=tuple(lagrange_1d(edge_nodes, ts, order) for order in range(3)), u=lagrange_1d(gauss_ts, ts))
+
+    triangles = {d: triangle_tables(triangle_rule(d).points) for d in (2 * k + 2, 2 * k + 4, 2 * k + 12)}
+    edges = {d: edge_tables(edge_rule(d).points) for d in (2 * k + 1, 2 * k + 2, 2 * k + 4, 2 * k + 12, max(2 * k - 2, 0))}
+
+    rule, erule, t, e = triangle_rule(2 * k + 2), edge_rule(2 * k + 2), triangles[2 * k + 2], edges[2 * k + 2]
+    ws = erule.weights[:, None]
+    bh = np.einsum("q,qsc,qi->sic", rule.weights, t.grad_p, t.mono).reshape(nodes.shape[0], -1)
+
+    # the oscillation's L2 projections: P_k is affine invariant, so the bulk
+    # one projects onto the reference monomials, whose Gram matrix on
+    # triangle t is |det J| times the reference one
+    orule, oerule, mono = triangle_rule(2 * k + 12), edge_rule(2 * k + 12), triangles[2 * k + 12].mono
+    wm = orule.weights[:, None] * mono
+    mono_1d = _powers(oerule.points - 0.5, k)
+
+    edge, mean, curl = _reference_flux_dofs(k)
+    pinv, null = _edge_pseudoinverse(edge) if k == 2 else (None, None)
+    out = Reference(
+        k=k,
+        exps=exps,
+        nodes=nodes,
+        coeff=coeff,
+        edge_nodes=edge_nodes,
+        gauss_ts=gauss_ts,
+        flux_mean=mean,
+        flux_curl=curl,
+        flux_inv=np.linalg.inv(edge) if k == 1 else None,
+        flux_pinv=pinv,
+        flux_null=null,
+        mass=t.mono.T @ (rule.weights[:, None] * t.mono),
+        bh=bh,
+        bh_edge=e.p[0].T @ (ws * e.u),
+        edge_mass=e.p[0].T @ (ws * e.p[0]),
+        osc_proj=wm @ np.linalg.inv(mono.T @ wm),
+        osc_mono_1d=mono_1d,
+        osc_gram_1d=np.einsum("q,qi,qj->ij", oerule.weights, mono_1d, mono_1d),
+        triangles=MappingProxyType(triangles),
+        edges=MappingProxyType(edges),
+        ends=edge_tables(np.array([0.0, 1.0])),
+    )
+    # the edge tables come read-only from lagrange_1d
+    for a in [*(a for t in triangles.values() for a in vars(t).values()), *vars(out).values()]:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # pressure space S_h
 
 
@@ -156,9 +372,6 @@ class PressureSpace:
     dirichlet_mask: np.ndarray  # (ndof,) bool
     dof_edge: np.ndarray  # (ndof,) boundary edge owning a Dirichlet node, else -1
     node_coords: np.ndarray  # (ndof, 2)
-    ref_nodes: np.ndarray = field(repr=False, default=None)
-    _coeff: np.ndarray = field(repr=False, default=None)  # monomial coeffs (nloc, nloc)
-    _exps: np.ndarray = field(repr=False, default=None)
 
     @property
     def nloc(self) -> int:
@@ -168,22 +381,27 @@ class PressureSpace:
     def n_free(self) -> int:
         return int(self.ndof - self.dirichlet_mask.sum())
 
-    def eval_ref(self, ref_pts: np.ndarray) -> np.ndarray:
-        """Basis values at reference points, shape (..., nloc)."""
-        return _monomial_values(self._exps, ref_pts) @ self._coeff
+    # The reference evaluators take reference points, or a rule of
+    # `triangle_rule` or `edge_rule` whose tables `reference` stores.
 
-    def grad_ref(self, ref_pts: np.ndarray) -> np.ndarray:
+    def eval_ref(self, at) -> np.ndarray:
+        """Basis values at reference points, shape (..., nloc)."""
+        ref = reference(self.k)
+        return ref.at(at).p if isinstance(at, QuadratureRule) else _pressure_values(ref.exps, ref.coeff, at)
+
+    def grad_ref(self, at) -> np.ndarray:
         """Reference gradients, shape (..., nloc, 2)."""
-        g = _monomial_gradients(self._exps, ref_pts)
-        return np.einsum("...mc,ml->...lc", g, self._coeff)
+        ref = reference(self.k)
+        return ref.at(at).grad_p if isinstance(at, QuadratureRule) else _pressure_gradients(ref.exps, ref.coeff, at)
 
     def basis_values(self, tris, pts) -> np.ndarray:
         """Basis values at physical points; (n, nq, 2) -> (n, nq, nloc)."""
         return self.eval_ref(self.sub.reference_coords(tris, pts))
 
-    def edge_trace_matrix(self, ts: np.ndarray) -> np.ndarray:
+    def edge_trace_matrix(self, at) -> np.ndarray:
         """Trace values at edge parameters ts: (..., k+1) Lagrange."""
-        return lagrange_1d(np.linspace(0.0, 1.0, self.k + 1), ts)
+        ref = reference(self.k)
+        return ref.at(at).p[0] if isinstance(at, QuadratureRule) else lagrange_1d(ref.edge_nodes, at)
 
 
 def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
@@ -197,8 +415,8 @@ def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> P
     sub = mesh.subdivision
     k = config.k
     k1 = k + 1
-    ref_nodes = _lattice_nodes(k)
-    nloc = ref_nodes.shape[0]
+    ref = reference(k)
+    nloc = ref.nodes.shape[0]
     side_nodes = _SIDE_NODES[k]
     edge_locals = side_nodes[0]
     rest_locals = np.setdiff1d(np.arange(nloc), edge_locals)
@@ -227,13 +445,13 @@ def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> P
     tri_dofs[:, rest_locals] = rest
 
     tc = sub.tri_coords
-    nodes_xy = tc[:, :1, :] + ref_nodes @ (tc[:, 1:, :] - tc[:, :1, :])
+    nodes_xy = tc[:, :1, :] + ref.nodes @ (tc[:, 1:, :] - tc[:, :1, :])
     coords = np.empty((ndof, 2))
     coords[rest] = nodes_xy[:, rest_locals]
     alone = own & ~interior
     coords[first[alone][:, None] + j] = nodes_xy[alone][:, edge_locals]
     shared = own & interior
-    coords[first[shared][:, None] + j] = sub.edge_points(e[shared], np.linspace(0.0, 1.0, k1))
+    coords[first[shared][:, None] + j] = sub.edge_points(e[shared], ref.edge_nodes)
 
     on_sides = tri_dofs[:, side_nodes]  # (nt, 3, k1), from vertex l to l+1
     on_sides = np.where(sub.tri_flip[..., None], on_sides[..., ::-1], on_sides)
@@ -241,10 +459,6 @@ def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> P
     dof_edge = np.full(ndof, -1, dtype=int)
     on_dir = own & np.isin(e, dirichlet_edges)
     dof_edge[first[on_dir][:, None] + j] = e[on_dir][:, None]
-
-    exps = _monomial_exponents(k)
-    vand = _monomial_values(exps, ref_nodes)
-    coeff = np.linalg.inv(vand)
 
     return PressureSpace(
         sub=sub,
@@ -255,73 +469,11 @@ def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> P
         dirichlet_mask=dof_edge >= 0,
         dof_edge=dof_edge,
         node_coords=coords,
-        ref_nodes=ref_nodes,
-        _coeff=coeff,
-        _exps=exps,
     )
 
 
 # ---------------------------------------------------------------------------
 # flux space V_h
-
-
-def _bubble_curl_ref(pts: np.ndarray) -> np.ndarray:
-    """R grad(l0*l1*l2) at reference points (..., 2), with R(a, b) = (b, -a).
-
-    The physical curl of the bubble is J (R grad b) / det J, because
-    R J^-T = J R / det J."""
-    x, y = pts[..., 0], pts[..., 1]
-    l0 = 1.0 - x - y
-    return np.stack([x * (l0 - y), -y * (l0 - x)], axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _reference_flux_dofs(k: int):
-    """The flux dof functionals applied to the reference vector monomials.
-
-    Returns (edge, mean, curl).  ``edge`` (3(k+1), 2s) holds u.nu at the
-    Gauss points of each reference side l, from vertex l to vertex l+1,
-    where nu is that side's outward normal scaled by its length.  For k=2,
-    ``mean`` (2, 2s) holds the reference means and ``curl`` (2, 2, 2s) the
-    integrals of u_a (R grad b)_b over the reference triangle; both are None
-    for k=1.
-    """
-    exps = _monomial_exponents(k)
-    s = exps.shape[0]
-    ts = edge_rule(2 * k + 1).points  # the k+1 Gauss points
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    rows = []
-    for l in range(3):
-        a, b = verts[l], verts[(l + 1) % 3]
-        m = _monomial_values(exps, a + ts[:, None] * (b - a))  # (k+1, s)
-        nu = np.array([b[1] - a[1], a[0] - b[0]])
-        rows.append((m[:, :, None] * nu).reshape(k + 1, 2 * s))
-    edge = np.concatenate(rows)
-    edge.setflags(write=False)
-    if k == 1:
-        return edge, None, None
-    rule = triangle_rule(2 * k + 2)
-    m = _monomial_values(exps, rule.points)  # (nq, s)
-    eye = np.eye(2)
-    mean = np.einsum("ac,i->aic", eye, 2.0 * rule.weights @ m).reshape(2, 2 * s)
-    moment = np.einsum("q,qi,qb->ib", rule.weights, m, _bubble_curl_ref(rule.points))
-    curl = np.einsum("ac,ib->abic", eye, moment).reshape(2, 2, 2 * s)
-    mean.setflags(write=False)
-    curl.setflags(write=False)
-    return edge, mean, curl
-
-
-@lru_cache(maxsize=None)
-def _edge_pseudoinverse(k: int):
-    """(E^+, N) for the edge rows E of `_reference_flux_dofs`: its
-    pseudoinverse (2s, 3(k+1)) and an orthonormal basis of its null space
-    (2s, 2s - 3(k+1))."""
-    edge = _reference_flux_dofs(k)[0]
-    _, _, vt = np.linalg.svd(edge)
-    out = np.linalg.pinv(edge), vt[edge.shape[0] :].T.copy()
-    for a in out:
-        a.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -344,22 +496,24 @@ class FluxSpace:
     ndof: int
     tri_dofs: np.ndarray  # (nt, nloc)
     edge_side_dofs: np.ndarray  # (ne, 2, k+1); -1 where side absent
-    gauss_ts: np.ndarray  # (k+1,) edge dof parameters in (0,1)
     ref_coeff: np.ndarray = field(repr=False, default=None)  # (nt, 2s, nloc)
-    _exps: np.ndarray = field(repr=False, default=None)
 
     @property
     def nloc(self) -> int:
         return self.tri_dofs.shape[1]
 
-    def ref_monomials(self, ref_pts: np.ndarray) -> np.ndarray:
-        """Scalar monomials m_i at reference points, (..., s)."""
-        return _monomial_values(self._exps, ref_pts)
+    # The reference evaluators take points or a stored rule, as
+    # `PressureSpace`'s do.
 
-    def ref_divergence(self, ref_pts: np.ndarray) -> np.ndarray:
+    def ref_monomials(self, at) -> np.ndarray:
+        """Scalar monomials m_i at reference points, (..., s)."""
+        ref = reference(self.k)
+        return ref.at(at).mono if isinstance(at, QuadratureRule) else _monomial_values(ref.exps, at)
+
+    def ref_divergence(self, at) -> np.ndarray:
         """Reference divergences of phi_{2i+c}, d m_i / d x_c, (..., 2s)."""
-        g = _monomial_gradients(self._exps, ref_pts)
-        return g.reshape(g.shape[:-2] + (-1,))
+        ref = reference(self.k)
+        return ref.at(at).div if isinstance(at, QuadratureRule) else _monomial_divergences(ref.exps, at)
 
     def piola(self, tris, vhat: np.ndarray) -> np.ndarray:
         """J vhat / det J on triangles tris; vhat (n, ..., 2)."""
@@ -368,9 +522,10 @@ class FluxSpace:
         n = Jt.shape[0]
         return (vhat.reshape(n, -1, 2) @ Jt).reshape(vhat.shape)
 
-    def edge_trace_matrix(self, ts: np.ndarray) -> np.ndarray:
+    def edge_trace_matrix(self, at) -> np.ndarray:
         """Normal-trace values at edge parameters ts: (..., k+1) Lagrange."""
-        return lagrange_1d(self.gauss_ts, ts)
+        ref = reference(self.k)
+        return ref.at(at).u if isinstance(at, QuadratureRule) else lagrange_1d(ref.gauss_ts, at)
 
 
 def flux_dofs_per_triangle(k: int) -> int:
@@ -399,7 +554,7 @@ def build_V_h(mesh: PolygonalMesh, config: SpaceConfig, cache: BlockCache = None
     cache = BlockCache() if cache is None else cache
     k = config.k
     k1 = k + 1
-    ts = edge_rule(2 * k + 1).points  # the k+1 Gauss points
+    ref = reference(k)
     n_int = flux_dofs_per_triangle(k) - 2 * k1  # interior moments
     nloc = 3 * k1 + n_int
     nt = sub.n_triangles
@@ -428,7 +583,6 @@ def build_V_h(mesh: PolygonalMesh, config: SpaceConfig, cache: BlockCache = None
         scale = np.ones((m, nloc))
         scale[:, : 3 * k1] = np.repeat((1 - 2 * sub.tri_side[tris]) * sub.edge_length[sub.tri_edges[tris]], k1, axis=1)
 
-        edge, mean, curl = _reference_flux_dofs(k)
         if n_int:
             # D~_t = [E; R_t] with the edge rows E shared by all triangles, so
             # D~_t^-1 = [(I - N X_t R_t) E^+ | N X_t], N spanning null(E) and
@@ -437,18 +591,18 @@ def build_V_h(mesh: PolygonalMesh, config: SpaceConfig, cache: BlockCache = None
             area = sub.tri_area[tris]
             det = 2.0 * area
             R = np.empty((m, n_int, nloc))
-            R[:, :2] = (J / det[:, None, None]) @ mean
+            R[:, :2] = (J / det[:, None, None]) @ ref.flux_mean
             JtJ = np.swapaxes(J, 1, 2) @ J
             R[:, 2] = (sub.tri_diameter[tris] / (area * det))[:, None] * (
-                JtJ.reshape(m, 4) @ curl.reshape(4, nloc)
+                JtJ.reshape(m, 4) @ ref.flux_curl.reshape(4, nloc)
             )
-            pinv, null = _edge_pseudoinverse(k)
+            pinv, null = ref.flux_pinv, ref.flux_null
             NX = null @ np.linalg.inv(R @ null)
             Dinv = np.concatenate([pinv - NX @ (R @ pinv), NX], axis=2)
             return (np.take_along_axis(Dinv, order[:, None, :], axis=2) * scale[:, None, :],)
         # one D~^-1 for all triangles: gather its columns; contiguous, since
         # the products that read C_t take other bits from a transposed layout
-        return (np.ascontiguousarray(np.swapaxes(np.linalg.inv(edge).T[order], 1, 2)) * scale[:, None, :],)
+        return (np.ascontiguousarray(np.swapaxes(ref.flux_inv.T[order], 1, 2)) * scale[:, None, :],)
 
     (coeff,) = cache.triangles(sub.mesh, "flux transforms", transforms)
 
@@ -458,9 +612,7 @@ def build_V_h(mesh: PolygonalMesh, config: SpaceConfig, cache: BlockCache = None
         ndof=ndof,
         tri_dofs=tri_dofs,
         edge_side_dofs=_edge_side_table(sub, tri_dofs[:, : 3 * k1].reshape(nt, 3, k1)),
-        gauss_ts=ts,
         ref_coeff=coeff,
-        _exps=_monomial_exponents(k),
     )
 
 
@@ -484,17 +636,20 @@ class FracturePressureSpace:
     edge_dofs: np.ndarray  # (n_fe, k+1) global ids in polyline direction
     tip_dofs: np.ndarray  # (nf, 2) the dofs at the start and end tip of each fracture
     dirichlet_mask: np.ndarray  # (ndof,)
-    ref_nodes: np.ndarray = field(repr=False, default=None)  # (k+1,) on [0,1]
 
     @property
     def n_free(self) -> int:
         return int(self.ndof - self.dirichlet_mask.sum())
 
-    def eval_ref(self, ts: np.ndarray) -> np.ndarray:
-        return lagrange_1d(self.ref_nodes, ts)
+    # The evaluators take parameters or a stored edge rule, as
+    # `PressureSpace`'s do.
 
-    def deriv_ref(self, ts: np.ndarray, order: int = 1) -> np.ndarray:
-        return lagrange_1d(self.ref_nodes, ts, order)
+    def eval_ref(self, at) -> np.ndarray:
+        return self.deriv_ref(at, 0)
+
+    def deriv_ref(self, at, order: int = 1) -> np.ndarray:
+        ref = reference(self.k)
+        return ref.at(at).p[order] if isinstance(at, QuadratureRule) else lagrange_1d(ref.edge_nodes, at, order)
 
 
 def build_W_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureSpace:
@@ -526,5 +681,4 @@ def build_W_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_tips=()) -> Fr
         edge_dofs=edge_dofs,
         tip_dofs=tip_dofs,
         dirichlet_mask=mask,
-        ref_nodes=np.linspace(0.0, 1.0, k + 1),
     )

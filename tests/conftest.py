@@ -174,11 +174,12 @@ def interpolate_flux(V, fn):
     """Dof-functional interpolation in V_h of a vector field fn(pts (...,2)) -> (...,2)."""
     sub = V.sub
     out = np.zeros(V.ndof)
-    k1 = V.gauss_ts.shape[0]
+    k1 = V.k + 1
+    ts = edge_rule(2 * V.k + 1).points  # the k+1 Gauss points of the edge dofs
     nt = sub.n_triangles
     for l in range(3):
         e = sub.tri_edges[:, l]
-        vals = np.asarray(fn(sub.edge_points(e, V.gauss_ts)))
+        vals = np.asarray(fn(sub.edge_points(e, ts)))
         out[V.tri_dofs[:, l * k1 : (l + 1) * k1]] = np.einsum("tqc,tc->tq", vals, sub.edge_normal[e])
     if V.k == 2:
         rule = triangle_rule(2 * V.k + 2)
@@ -198,8 +199,9 @@ def interpolate_flux(V, fn):
 def interpolate_fracture(sub, W, fn):
     """Nodal interpolation in W_h on the subdivision `sub`; fn(points (n,2),
     arclength (n,), fracture (n,)) -> values."""
-    pts, par = sub.fracture_points(W.ref_nodes)  # (n_fe, k+1, 2), (n_fe, k+1)
-    fracture = np.repeat(sub.fracture_edges.fracture, W.ref_nodes.size)
+    nodes = np.linspace(0.0, 1.0, W.k + 1)
+    pts, par = sub.fracture_points(nodes)  # (n_fe, k+1, 2), (n_fe, k+1)
+    fracture = np.repeat(sub.fracture_edges.fracture, nodes.size)
     out = np.zeros(W.ndof)
     out[W.edge_dofs] = np.asarray(fn(pts.reshape(-1, 2), par.ravel(), fracture)).reshape(W.edge_dofs.shape)
     return out

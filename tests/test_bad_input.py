@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sdgdarcy import quadrature
-from sdgdarcy.adaptivity import AmrConfig, ConvergenceHistory, IterationRecord, amr_loop
+from sdgdarcy.adaptivity import AmrConfig, ConvergenceHistory, IterationRecord, amr_loop, dorfler_mark
 from sdgdarcy.benchmarks import case1, get_benchmark
 from sdgdarcy.cli import load_config
 from sdgdarcy.errors import ConfigError, FractureNotAligned, IoError, MeshError, SingularSystem
@@ -174,6 +174,22 @@ def test_loop_option_must_be_an_integer(make, field, value):
     that names the field and the value, raised as the config is made."""
     with pytest.raises(ConfigError, match=re.escape(f"{field}={value!r} is not an integer")):
         make(**{field: value})
+
+
+@pytest.mark.parametrize("mark", [False, True], ids=["AmrConfig", "dorfler_mark"])
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None, float("nan"), 0.0, -0.5, 1.5], ids=repr)
+def test_theta_must_be_a_real_fraction(mark, value):
+    """A theta that is a bool, not a real number or outside (0, 1] is a
+    ConfigError that names theta and the value, in the config and in the
+    marking alike; a bool would otherwise run as theta = 1."""
+    with pytest.raises(ConfigError, match=re.escape(f"theta={value!r} is not a real number in (0, 1]")):
+        dorfler_mark([1.0, 2.0], value) if mark else AmrConfig(theta=value)
+
+
+@pytest.mark.parametrize("theta", [1, np.float32(0.5), np.float64(0.25)], ids=repr)
+def test_real_thetas_are_taken(theta):
+    assert AmrConfig(theta=theta).theta == theta
+    assert dorfler_mark([1.0, 3.0], theta).tolist() == ([0, 1] if theta == 1 else [1])
 
 
 def test_numpy_integers_are_loop_options():

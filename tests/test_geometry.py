@@ -197,11 +197,24 @@ def test_initial_grid_bounds_the_union_by_its_largest_rectangle():
     assert build_initial_mesh(dom, 0.5).n_elements == 12
 
 
+def test_measured_cell_bound_rejects_the_first_grid_above_1_gib():
+    """`MAX_INITIAL_CELLS` comes from a measured 2.64 MiB per 1,000 cells
+    (see `build_initial_mesh`): 300,000 cells, under 1 GiB.  case1-a0.1's
+    domain at h0 = 1/400 has 320,000 cells, which the line puts at 910 MiB
+    and the bound rejects; the counts are checked before the build, so a
+    raised bound fails here without building a cell."""
+    spec, _, _ = get_benchmark("case1-a0.1")
+    cells = initial_grid(spec.domain, 1 / 400)[1]
+    assert MAX_INITIAL_CELLS == 300_000 and cells == 320_000 > MAX_INITIAL_CELLS
+    with pytest.raises(GridTooLarge, match=re.escape(f"h0={1 / 400} gives at least 320000 initial cells, above 300000")):
+        build_initial_mesh(spec.domain, 1 / 400)
+
+
 def test_grid_over_the_cell_bound_is_rejected_before_its_cells(monkeypatch):
     """`build_initial_mesh` checks the cell bound of `initial_grid` against
     `MAX_INITIAL_CELLS` before it visits a cell.  The bound is faked one
     above the limit on the 32-cell grid of case1-a0.1 at h0 = 0.25, so a
-    missing check builds 32 cells, never a million."""
+    missing check builds 32 cells, never the limit's count."""
     spec, _, _ = get_benchmark("case1-a0.1")
     ranges, cells = initial_grid(spec.domain, 0.25)
     assert cells == 32

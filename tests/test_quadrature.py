@@ -59,12 +59,16 @@ def test_edge_rule_exactness(degree):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_stored_gauss_rules_are_scipys(n):
     """The stored tables hold scipy's rules bit for bit (see the module
-    docstring), so replacing the scipy call changed no result."""
+    docstring), so replacing the scipy call changed no result.  A failure
+    names the installed scipy, as the tables were made with scipy 1.17.1."""
+    import scipy
     from scipy.special import roots_jacobi, roots_legendre
 
     for table, roots in ((quadrature._LEGENDRE, roots_legendre(n)), (quadrature._JACOBI_1_0, roots_jacobi(n, 1.0, 0.0))):
         for got, want in zip(quadrature._gauss(table, n), roots):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                f"the stored {n}-point rule differs from the installed scipy {scipy.__version__}'s"
+            )
     assert len(quadrature._LEGENDRE) == len(quadrature._JACOBI_1_0) == 16 * 17
 
 

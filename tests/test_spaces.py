@@ -1,10 +1,11 @@
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from itertools import permutations
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from sdgdarcy.adaptivity import dorfler_mark
+from sdgdarcy.adaptivity import AmrConfig, amr_loop, dorfler_mark
 from sdgdarcy.assembly import DiscreteSolution
 from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.errors import ConfigError
@@ -21,10 +22,17 @@ from sdgdarcy.geometry import (
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
 from sdgdarcy.spaces import (
     SpaceConfig,
+    _lattice_nodes,
+    _monomial_exponents,
+    _monomial_gradients,
+    _monomial_values,
+    _powers,
+    _reference_flux_dofs,
     build_S_h,
     build_V_h,
     build_W_h,
     lagrange_1d,
+    reference,
 )
 
 from conftest import (
@@ -419,7 +427,7 @@ def test_numbering_matches_triangle_walk(k):
     # every node of a triangle sits at its lattice point
     ref = S.node_coords[S.tri_dofs]
     lattice = sub.tri_coords[:, :1] + np.einsum(
-        "lj,tjc->tlc", S.ref_nodes, sub.tri_coords[:, 1:] - sub.tri_coords[:, :1]
+        "lj,tjc->tlc", _lattice_nodes(S.k), sub.tri_coords[:, 1:] - sub.tri_coords[:, :1]
     )
     assert np.allclose(ref, lattice, atol=1e-14)
 
@@ -535,7 +543,7 @@ def _apply_flux_dofs(sub, V, fields):
     rows = []
     for l in range(3):
         e = sub.tri_edges[:, l]
-        vals = fields(sub.edge_points(e, V.gauss_ts))
+        vals = fields(sub.edge_points(e, edge_rule(2 * V.k + 1).points))
         rows.append(np.einsum("tqmc,tc->tqm", vals, sub.edge_normal[e]))
     if V.k == 2:
         rule = triangle_rule(6)
@@ -766,3 +774,122 @@ def test_grad_p_exact_on_interpolated_quadratic(mesh):
     for tris in (slice(None), np.arange(1, sub.n_triangles, 2)):
         got = sol.grad_p_at_ref(rule.points, tris)
         assert np.max(np.abs(got - exact[tris])) <= 1e-12 * np.max(np.abs(exact))
+
+
+# ---------------------------------------------------------------------------
+# reference tables
+
+
+def _per_call_tables(k):
+    """Every table of `reference(k)` as its consumers derived it on each
+    call before the tables were stored: the oracle for `reference`."""
+    exps = _monomial_exponents(k)
+    nodes = _lattice_nodes(k)
+    coeff = np.linalg.inv(_monomial_values(exps, nodes))
+    lattice = np.linspace(0.0, 1.0, k + 1)
+    gauss = edge_rule(2 * k + 1).points
+    edge, mean, curl = _reference_flux_dofs(k)
+    out = {
+        "exps": exps, "nodes": nodes, "coeff": coeff, "edge_nodes": lattice, "gauss_ts": gauss,
+        "flux_mean": mean, "flux_curl": curl,
+        "flux_inv": np.linalg.inv(edge) if k == 1 else None,
+    }
+    # _edge_pseudoinverse, at k=2
+    _, _, vt = np.linalg.svd(edge)
+    out["flux_pinv"], out["flux_null"] = (np.linalg.pinv(edge), vt[edge.shape[0] :].T.copy()) if k == 2 else (None, None)
+    for d in (2 * k + 2, 2 * k + 4, 2 * k + 12):
+        pts = triangle_rule(d).points
+        g = _monomial_gradients(exps, pts)
+        out[f"triangles[{d}].mono"] = _monomial_values(exps, pts)
+        out[f"triangles[{d}].div"] = g.reshape(g.shape[:-2] + (-1,))
+        out[f"triangles[{d}].p"] = _monomial_values(exps, pts) @ coeff
+        out[f"triangles[{d}].grad_p"] = np.einsum("...mc,ml->...lc", g, coeff)
+    for d, ts in [(d, edge_rule(d).points) for d in (2 * k + 1, 2 * k + 2, 2 * k + 4, 2 * k + 12, max(2 * k - 2, 0))] + [
+        ("ends", np.array([0.0, 1.0]))
+    ]:
+        name = "ends" if d == "ends" else f"edges[{d}]"
+        for order in range(3):
+            out[f"{name}.p[{order}]"] = lagrange_1d(lattice, ts, order)
+        out[f"{name}.u"] = lagrange_1d(gauss, ts)
+    # assemble_mass's M^ and assemble_bh's B^ and E
+    rule, erule = triangle_rule(2 * k + 2), edge_rule(2 * k + 2)
+    m = _monomial_values(exps, rule.points)
+    gref = np.einsum("...mc,ml->...lc", _monomial_gradients(exps, rule.points), coeff)
+    out["mass"] = m.T @ (rule.weights[:, None] * m)
+    out["bh"] = np.einsum("q,qsc,qi->sic", rule.weights, gref, m).reshape(nodes.shape[0], -1)
+    ts, ws = erule.points, erule.weights
+    out["bh_edge"] = lagrange_1d(lattice, ts).T @ (ws[:, None] * lagrange_1d(gauss, ts))
+    # assemble_interface's edge mass
+    lam = lagrange_1d(lattice, ts)
+    out["edge_mass"] = lam.T @ (ws[:, None] * lam)
+    # data_oscillation's projections
+    rule, erule = triangle_rule(2 * k + 12), edge_rule(2 * k + 12)
+    mono = _monomial_values(exps, rule.points)
+    wm = rule.weights[:, None] * mono
+    out["osc_proj"] = wm @ np.linalg.inv(mono.T @ wm)
+    mono = _powers(erule.points - 0.5, k)
+    out["osc_mono_1d"] = mono
+    out["osc_gram_1d"] = np.einsum("q,qi,qj->ij", erule.weights, mono, mono)
+    return out
+
+
+def _leaves(value, name=""):
+    """(name, array or None) of every table in a `Reference`, named as
+    `_per_call_tables` names them."""
+    if is_dataclass(value):
+        for field, v in vars(value).items():
+            yield from _leaves(v, f"{name}.{field}" if name else field)
+    elif isinstance(value, (MappingProxyType, tuple)):
+        for key, v in value.items() if isinstance(value, MappingProxyType) else enumerate(value):
+            yield from _leaves(v, f"{name}[{key}]")
+    elif value is None or isinstance(value, np.ndarray):
+        yield name, value
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_reference_tables_are_the_per_call_derivations(k):
+    """`reference(k)` stores exactly the per-call derivations, each with its
+    bits, shape and dtype, and read-only."""
+    stored, oracle = dict(_leaves(reference(k))), _per_call_tables(k)
+    assert stored.keys() == oracle.keys()
+    for name, want in oracle.items():
+        got = stored[name]
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_spaces_read_the_tables_of_a_stored_rule(fractured_fine, k):
+    """The space evaluators give a stored rule's tables, with the bits of
+    evaluating at its points; a rule that `reference` does not store is a
+    KeyError that names its kind and degree."""
+    config = SpaceConfig(k)
+    S, V, W = build_S_h(fractured_fine, config), build_V_h(fractured_fine, config), build_W_h(fractured_fine, config)
+    rule, erule = triangle_rule(2 * k + 4), edge_rule(2 * k + 2)
+    pairs = [
+        (S.eval_ref, rule), (S.grad_ref, rule), (V.ref_monomials, rule), (V.ref_divergence, rule),
+        (S.edge_trace_matrix, erule), (V.edge_trace_matrix, erule), (W.eval_ref, erule), (W.deriv_ref, erule),
+    ]
+    for fn, r in pairs:
+        got, want = fn(r), fn(r.points)
+        assert got is fn(r) and got.tobytes() == want.tobytes() and got.shape == want.shape
+    with pytest.raises(KeyError, match=f"triangle rule of degree 30 at k={k}"):
+        S.eval_ref(triangle_rule(30))
+    with pytest.raises(KeyError, match=f"edge rule of degree 30 at k={k}"):
+        V.edge_trace_matrix(edge_rule(30))
+
+
+def test_reference_is_built_once_per_order():
+    """One adaptive loop builds the tables of its order once, on first use;
+    a second loop builds none."""
+    spec, exact, h0 = get_benchmark("case1-a0.1")
+    config = AmrConfig(k=2, max_iterations=4)
+    reference.cache_clear()
+    history = amr_loop(build_initial_mesh(spec.domain, h0), spec, config, exact=exact)
+    assert len(history.records) == 4
+    assert reference.cache_info().misses == 1
+    amr_loop(build_initial_mesh(spec.domain, h0), spec, config, exact=exact)
+    assert reference.cache_info().misses == 1
