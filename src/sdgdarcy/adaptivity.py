@@ -9,17 +9,14 @@ Reuse.  `amr_loop` creates one `BlockCache` and passes it to
 `build_spaces`, `assemble_system` and `compute_estimator`.
 
 Per order, the tables that depend on no mesh are built once per process,
-on the first iteration, by `spaces.reference(k)`, and every later
-iteration and loop reads them: the pressure basis's nodes and inverse
-Vandermonde, the monomial and basis tables at the triangle rules of degree
-2k+2, 2k+4 and 2k+12, the 1D Lagrange tables at the edge rules of degree
-2k+1, 2k+2, 2k+4, 2k+12 and max(2k-2, 0) and at the end points {0, 1}, the
-flux dof matrices and their (pseudo)inverse, the reference mass M^, B^ with
-its edge coupling E, the interface edge mass and the oscillation's
-projectors.  Each is computed by the expression its consumer used per call,
-so the bits are the same.  Points that are not a stored rule (export's
-physical points, the per-edge reversed parameters of `fracture_traces`)
-are evaluated directly.
+on the first iteration, by `spaces.reference(k)` (its docstring lists
+them), and every later iteration and loop reads them.  Each is computed by
+the expression its consumer used per call, so the bits are the same.  The
+loop's stages pass stored rules to `spaces.triangle_tables` and
+`spaces.edge_tables`.  Raw points, which those two tabulate on each call,
+serve export and checks; in the loop only the two parameter rows of
+`fracture_traces` (ts and 1 - ts) and the fracture ends of the estimator's
+term 6 are raw, a few values each.
 
 Per triangle, the cache carries by identity.  `refine` copies each polygon
 that is not marked, not added by closure and has no side split into the
@@ -95,13 +92,13 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import DiscreteSolution, assemble_system, build_spaces, free_unknowns
-from .errors import AllZeroIndicators, ConfigError, SingularSystem
+from .errors import AllZeroIndicators, ConfigError, SingularSystem, check_fraction, check_integer
 from .estimator import EstimatorBreakdown, compute_estimator, true_error
 from .geometry import PolygonalMesh, refine
 from .problem import ProblemSpec
 from .reuse import BlockCache
 from .solve import solve_system
-from .spaces import SpaceConfig, check_fraction, check_integer
+from .spaces import SpaceConfig
 
 ADAPTIVE = "adaptive"
 UNIFORM = "uniform"

@@ -40,7 +40,9 @@ from .spaces import (
     build_S_h,
     build_V_h,
     build_W_h,
+    edge_tables,
     reference,
+    triangle_tables,
     _SIDE_NODES,
 )
 
@@ -157,7 +159,7 @@ def assemble_fracture_stiffness(sub: Subdivision, S: PressureSpace, W: FractureP
     """Tangential stiffness <K_gamma dp/dt, dq/dt> along each fracture, as
     triplets over the stacked dofs of `assemble_interface`."""
     erule = edge_rule(max(2 * W.k - 2, 0))
-    dref = W.deriv_ref(erule)  # (nq, k+1)
+    dref = edge_tables(W.k, erule).p[1]  # (nq, k+1)
     fe = sub.fracture_edges
     local = np.einsum("q,e,qi,qj->eij", erule.weights, fe.K_gamma / sub.edge_length[fe.edge], dref, dref)
     wd = S.ndof + W.edge_dofs
@@ -206,22 +208,23 @@ def assemble_rhs(
 
     if spec.f is not None:
         qw, fvals = source_values(sub, spec, 2 * k + 2, cache)
-        sv = S.eval_ref(triangle_rule(2 * k + 2))
+        sv = triangle_tables(k, triangle_rule(2 * k + 2)).p
         local = np.einsum("tq,tq,qs->ts", qw, fvals, sv)
         np.add.at(sview, S.tri_dofs, local)
 
     table = spec.boundary_table(sub)
     erule = edge_rule(2 * k + 2)
     ts, ws = erule.points, erule.weights
+    trace = edge_tables(k, erule).p[0]  # of p on a side and of p_gamma
     neu = table.neumann_edges
     pts = sub.edge_points(neu, ts)
     g = spec.boundary_values(sub, np.repeat(neu, ts.size), pts.reshape(-1, 2)).reshape(neu.size, ts.size)
-    local = -(sub.edge_length[neu][:, None] * ws * g) @ S.edge_trace_matrix(erule)
+    local = -(sub.edge_length[neu][:, None] * ws * g) @ trace
     np.add.at(sview, S.edge_side_dofs[neu, 0], local)
 
     fe = sub.fracture_edges
     fg = fracture_source_values(sub, spec, ts)
-    local = np.einsum("q,e,eq,qj->ej", ws, sub.edge_length[fe.edge], fg, W.eval_ref(erule))
+    local = np.einsum("q,e,eq,qj->ej", ws, sub.edge_length[fe.edge], fg, trace)
     np.add.at(wview, W.edge_dofs, fe.thickness[:, None] * local)
 
     return rhs
@@ -391,24 +394,23 @@ class DiscreteSolution:
         """C_t u_t: the pulled-back flux in the reference monomials, (nt, 2s)."""
         return (self.V.ref_coeff @ self.u[self.V.tri_dofs][..., None])[..., 0]
 
-    # p_at and u_at evaluate at physical points (n, nq, 2) on triangles tris
-    # (n,), pulled back one by one; they serve export and checks
+    # The evaluators read `triangle_tables` and `edge_tables`, which return
+    # a stored rule's tables and tabulate raw points on each call; raw
+    # points come from export and checks.  p_at and u_at take physical
+    # points (n, nq, 2) on triangles tris (n,), pulled back one by one.  The *_at_ref evaluators take a triangle rule or reference
+    # points and return the field at their images: grad_p_at_ref (nq, 2)
+    # points shared by all triangles in tris; u_at_ref and div_u_at_ref
+    # also (n, nq, 2) points per triangle.
 
     def p_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        vals = self.S.basis_values(tris, pts)
+        vals = triangle_tables(self.S.k, self.sub.reference_coords(tris, pts)).p
         return np.einsum("eqs,es->eq", vals, self.p[self.S.tri_dofs[tris]])
 
     def u_at(self, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return self.u_at_ref(self.sub.reference_coords(tris, pts), tris)
 
-    # The *_at_ref evaluators take reference points, or a triangle rule whose
-    # tables `spaces.reference` stores, and return the field at their
-    # images: grad_p_at_ref (nq, 2) points shared by all triangles in tris;
-    # u_at_ref and div_u_at_ref also (n, nq, 2) points per triangle.  The
-    # edge evaluators take parameters or a stored edge rule alike.
-
     def grad_p_at_ref(self, at, tris=slice(None)) -> np.ndarray:
-        gref = self.S.grad_ref(at)  # (nq, ns, 2)
+        gref = triangle_tables(self.S.k, at).grad_p  # (nq, ns, 2)
         nq = gref.shape[0]
         # one GEMM of the coefficients (n, ns) against the (ns, nq 2) table
         table = np.swapaxes(gref, 0, 1).reshape(self.S.nloc, 2 * nq)
@@ -417,11 +419,11 @@ class DiscreteSolution:
 
     def u_at_ref(self, at, tris=slice(None)) -> np.ndarray:
         a = self._u_hat[tris]
-        uhat = self.V.ref_monomials(at) @ a.reshape(a.shape[0], -1, 2)
+        uhat = triangle_tables(self.V.k, at).mono @ a.reshape(a.shape[0], -1, 2)
         return self.V.piola(tris, uhat)
 
     def div_u_at_ref(self, at, tris=slice(None)) -> np.ndarray:
-        div = self.V.ref_divergence(at) @ self._u_hat[tris][:, :, None]
+        div = triangle_tables(self.V.k, at).div @ self._u_hat[tris][:, :, None]
         return div[..., 0] / (2.0 * self.sub.tri_area[tris])[:, None]
 
     def p_trace(self, edges: np.ndarray, side: int, at) -> np.ndarray:
@@ -429,31 +431,36 @@ class DiscreteSolution:
         parameters from the lower vertex id, (nq,) or one row per edge, or
         at the points of a stored edge rule; (ne, nq).  `u_normal_trace`
         reads u_h.n_e the same way."""
-        L = self.S.edge_trace_matrix(at)
+        L = edge_tables(self.S.k, at).p[0]
         return (L @ self.p[self.S.edge_side_dofs[edges, side]][..., None])[..., 0]
 
     def u_normal_trace(self, edges: np.ndarray, side: int, at) -> np.ndarray:
         """u_h.n_e on the given side of edges; see `p_trace`."""
-        L = self.V.edge_trace_matrix(at)
+        L = edge_tables(self.V.k, at).u
         return (L @ self.u[self.V.edge_side_dofs[edges, side]][..., None])[..., 0]
 
     def fracture_traces(self, ts: np.ndarray):
         """(p1, p2, un1, un2): p_h and u_h.n_e on sides 0 and 1 of every
         fracture edge at parameters ts in polyline direction, (n_fe, nq)
-        each, in the rows of `fracture_edges`.  The parameters are reversed
-        on descending edges, so they are evaluated directly."""
+        each, in the rows of `fracture_edges`.  The side dofs run from the
+        lower vertex id, so a descending edge reads the tables at 1 - ts."""
         fe = self.sub.fracture_edges
-        s = np.where(fe.descending[:, None], 1.0 - ts, ts)
-        return tuple(tr(fe.edge, side, s) for tr in (self.p_trace, self.u_normal_trace) for side in (0, 1))
+        tables = edge_tables(self.S.k, np.stack([ts, 1.0 - ts]))
+        rows = fe.descending.astype(int)
+        return tuple(
+            (L[rows] @ x[dofs[fe.edge, side]][..., None])[..., 0]
+            for L, x, dofs in ((tables.p[0], self.p, self.S.edge_side_dofs), (tables.u, self.u, self.V.edge_side_dofs))
+            for side in (0, 1)
+        )
 
-    def p_gamma_at(self, at) -> np.ndarray:
-        """p_gamma on every fracture edge, as in `fracture_traces`."""
-        return np.einsum("qj,ej->eq", self.W.eval_ref(at), self.p_gamma[self.W.edge_dofs])
-
-    def dp_gamma_dt_at(self, at) -> np.ndarray:
-        """dp_gamma/dt along the polyline on every fracture edge, as in `fracture_traces`."""
-        le = self.sub.edge_length[self.sub.fracture_edges.edge]
-        return np.einsum("qj,ej->eq", self.W.deriv_ref(at), self.p_gamma[self.W.edge_dofs]) / le[:, None]
+    def p_gamma_at(self, at, order: int = 0) -> np.ndarray:
+        """p_gamma (order 0) or its 1st or 2nd derivative along the polyline
+        on every fracture edge, (n_fe, nq), at parameters ts (nq,) in
+        polyline direction or at the points of a stored edge rule."""
+        vals = np.einsum("qj,ej->eq", edge_tables(self.W.k, at).p[order], self.p_gamma[self.W.edge_dofs])
+        if order == 0:
+            return vals
+        return vals / self.sub.edge_length[self.sub.fracture_edges.edge][:, None] ** order
 
 
 def build_spaces(mesh: PolygonalMesh, spec: ProblemSpec, config: SpaceConfig, cache: BlockCache = None):

@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the checks of run options
+that raise `ConfigError`."""
+
+import numbers
 
 
 class MeshError(Exception):
@@ -51,3 +54,20 @@ class GridTooLarge(MeshError, ConfigError):
 
 class IoError(Exception):
     """An artifact file could not be written or parsed."""
+
+
+def is_real(value) -> bool:
+    """A real number, numpy's included, that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError unless `value` is an integer; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}={value!r} is not an integer")
+
+
+def check_fraction(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a real number in (0, 1]."""
+    if not is_real(value) or not 0.0 < value <= 1.0:
+        raise ConfigError(f"{name}={value!r} is not a real number in (0, 1]")

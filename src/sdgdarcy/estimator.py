@@ -31,7 +31,7 @@ from .geometry import DUAL, INTERIOR, PolygonalMesh, inv_2x2
 from .problem import ProblemSpec
 from .quadrature import edge_rule, map_to_triangles, mapped_weights, triangle_rule
 from .reuse import BlockCache
-from .spaces import reference
+from .spaces import reference, triangle_tables
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,11 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
     fe = sub.fracture_edges
     le = sub.edge_length[fe.edge]
     p1, p2, un1, un2 = sol.fracture_traces(ts)
-    coef = sol.p_gamma[sol.W.edge_dofs]
     fracture_sq = np.empty((fe.n_edges, 3))
 
     # term 5: fracture equation residual; K_gamma is constant per edge
-    pg2 = np.einsum("qj,ej->eq", sol.W.deriv_ref(erule, order=2), coef) / le[:, None] ** 2
     fg = fracture_source_values(sub, spec, ts)
-    res5 = fe.thickness[:, None] * fg + fe.K_gamma[:, None] * pg2 + (un1 - un2)
+    res5 = fe.thickness[:, None] * fg + fe.K_gamma[:, None] * sol.p_gamma_at(erule, order=2) + (un1 - un2)
     fracture_sq[:, 0] = le**3 * np.einsum("q,eq->e", ws, res5**2)
 
     # term 7: first interface condition, weight h_e
@@ -119,7 +117,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
 
     # term 6: jumps of K_gamma^(1/2) dp/dt at the interior vertices of each
     # fracture, between rows r and r + 1
-    d_ends = np.einsum("qj,ej->eq", reference(k).ends.p[1], coef) / le[:, None]
+    d_ends = sol.p_gamma_at(np.array([0.0, 1.0]), order=1)
     w = np.sqrt(fe.K_gamma)
     r = fe.joints
     jumps = w[r] * d_ends[r, 1] - w[r + 1] * d_ends[r + 1, 0]
@@ -214,7 +212,7 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: Bloc
     ref = reference(k)
     if spec.f is not None:
         rule = triangle_rule(2 * k + 12)
-        mono, proj = ref.at(rule).mono, ref.osc_proj  # (nq, s) each
+        mono, proj = triangle_tables(k, rule).mono, ref.osc_proj  # (nq, s) each
         region = mesh.element_regions[sub.tri_polygon]
 
         def residuals(tris):
@@ -294,7 +292,7 @@ def true_error(mesh: PolygonalMesh, spec: ProblemSpec, sol, exact, eta=None) -> 
     dpg = np.asarray(exact.p_gamma(flatp, par, fidx)).reshape(-1, nq) - sol.p_gamma_at(erule)
     dun1 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg1)).reshape(-1, nq, 2), n) - un1
     dun2 = np.einsum("eqc,ec->eq", np.asarray(exact.u(flatp, reg2)).reshape(-1, nq, 2), n) - un2
-    ddg = np.asarray(exact.dp_gamma_dt(flatp, par, fidx)).reshape(-1, nq) - sol.dp_gamma_dt_at(erule)
+    ddg = np.asarray(exact.dp_gamma_dt(flatp, par, fidx)).reshape(-1, nq) - sol.p_gamma_at(erule, order=1)
 
     wl = ws[None, :] * sub.edge_length[fe.edge][:, None]
     v_exch2 = (((dp1 + dp2) / 2.0 - dpg) ** 2 * wl).sum(axis=1) @ (1.0 / spec.exchange_resistance(fe.eta))

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyDomain, FractureNotAligned, GridTooLarge, MeshError, NotStarShaped
+from .errors import EmptyDomain, FractureNotAligned, GridTooLarge, MeshError, NotStarShaped, is_real
 
 # edge kinds
 BOUNDARY = 0  # on the domain boundary, one adjacent triangle
@@ -53,27 +53,29 @@ class Fracture:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError(f"fracture needs at least two polyline points of shape (m+1, 2), got shape {pts.shape}")
-        kn = np.broadcast_to(np.asarray(self.kappa_n, dtype=float), (pts.shape[0] - 1,)).copy()
-        kt = np.broadcast_to(np.asarray(self.kappa_t, dtype=float), (pts.shape[0] - 1,)).copy()
-        for name, kappa in (("kappa_n", kn), ("kappa_t", kt)):
+        m = pts.shape[0] - 1
+        for name in ("kappa_n", "kappa_t"):
+            kappa = np.asarray(getattr(self, name), dtype=float)
+            if kappa.ndim > 1 or kappa.size not in (1, m):
+                raise ValueError(f"{name} has {kappa.size} values for {m} fracture segments")
+            kappa = np.broadcast_to(kappa, (m,)).copy()
             bad = np.flatnonzero(~(np.isfinite(kappa) & (kappa > 0)))
             if bad.size:
                 raise ValueError(f"{name}={kappa[bad[0]]} of fracture segment {bad[0]} is not positive and finite")
-        if not (np.isfinite(self.thickness) and self.thickness > 0):
-            raise ValueError(f"fracture thickness {self.thickness} is not positive and finite")
+            object.__setattr__(self, name, kappa)
+        if not (is_real(self.thickness) and np.isfinite(self.thickness) and self.thickness > 0):
+            raise ValueError(f"fracture thickness {self.thickness!r} is not a positive finite real number")
         seg = pts[1:] - pts[:-1]
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         zero = np.flatnonzero(lengths <= 0)
         if zero.size:
             raise ValueError(f"fracture polyline segment {zero[0]} has zero length, at {tuple(pts[zero[0]].tolist())}")
         tol = 1e-12 * max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
-        for i, j in itertools.combinations(range(pts.shape[0] - 1), 2):
+        for i, j in itertools.combinations(range(m), 2):
             point = _meeting_point(pts[i], pts[i + 1], pts[j], pts[j + 1], tol, joined=j == i + 1)
             if point is not None:
                 raise ValueError(f"fracture polyline segments {i} and {j} meet at {tuple(point.tolist())}")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "kappa_n", kn)
-        object.__setattr__(self, "kappa_t", kt)
 
     @property
     def n_segments(self) -> int:

@@ -13,12 +13,11 @@ Conventions used by every callable here:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingularK
+from .errors import ConfigError, SingularK, is_real
 from .geometry import BOUNDARY, DomainSpec, Subdivision
 
 DIRICHLET = "dirichlet"
@@ -83,8 +82,8 @@ class ProblemSpec:
     fracture_tips: tuple = ()  # per fracture: (start, end), None=Neumann, float=Dirichlet
 
     def __post_init__(self):
-        if not (0.5 < self.xi <= 1.0):
-            raise ConfigError(f"xi={self.xi} outside (1/2, 1]")
+        if not is_real(self.xi) or not 0.5 < self.xi <= 1.0:
+            raise ConfigError(f"xi={self.xi!r} is not a real number in (1/2, 1]")
         object.__setattr__(self, "boundary", tuple(self.boundary))
         nf = len(self.domain.fractures)
         tips = tuple(self.fracture_tips)
@@ -96,9 +95,7 @@ class ProblemSpec:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ConfigError(f"fracture {fi}: tips {pair!r} are not a (start, end) pair")
             for end, v in zip(("start", "end"), pair):
-                if v is not None and (
-                    isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
-                ):
+                if v is not None and not (is_real(v) and math.isfinite(v)):
                     raise ConfigError(f"fracture {fi}: {end} tip value {v!r} is neither None nor a finite real")
         object.__setattr__(self, "fracture_tips", tips)
 

@@ -21,21 +21,14 @@ The pressure and flux spaces list each edge side's dofs from the edge's
 lower vertex id, placed and oriented by the subdivision's side table
 ``tri_side`` and ``tri_flip``.
 
-Every mesh-independent table is built once per order, on first use, by
-``reference(k)``: the Lagrange nodes and the inverse Vandermonde of the
-pressure basis; the monomial, divergence and pressure basis tables at the
-triangle rules of degree 2k+2, 2k+4 and 2k+12; the 1D Lagrange tables of
-the pressure traces (with two derivatives) and of the flux normal traces at
-the edge rules of degree 2k+1, 2k+2, 2k+4, 2k+12 and max(2k-2, 0) and at
-the end points {0, 1}; the flux dof matrices with E^-1 (k=1) or E^+ and
-null(E) (k=2); M^, B^ and its edge coupling E, the interface edge mass; and
-the oscillation's projectors.  The space evaluators take reference points,
-evaluated directly, or one of those rules, whose stored table they return.
+The spaces are dof maps.  Their bases are read from reference tables:
+``triangle_tables(k, at)`` and ``edge_tables(k, at)`` give the tables of a
+triangle or edge rule that ``reference(k)`` stores (its docstring lists
+them), or tabulate raw points.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -43,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .geometry import BOUNDARY, INTERIOR, PolygonalMesh, Subdivision
 from .quadrature import QuadratureRule, edge_rule, triangle_rule
 from .reuse import BlockCache
@@ -59,18 +52,6 @@ class SpaceConfig:
         check_integer("k", self.k)
         if self.k not in (1, 2):
             raise ConfigError(f"order k={self.k} not supported; use 1 or 2")
-
-
-def check_integer(name: str, value) -> None:
-    """Raise ConfigError unless `value` is an integer; a bool is none."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name}={value!r} is not an integer")
-
-
-def check_fraction(name: str, value) -> None:
-    """Raise ConfigError unless `value` is a real number in (0, 1]; a bool is none."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
-        raise ConfigError(f"{name}={value!r} is not a real number in (0, 1]")
 
 
 def _monomial_exponents(k: int) -> np.ndarray:
@@ -101,13 +82,6 @@ def _monomial_gradients(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
     gx = np.where(a > 0, a * xp[..., np.maximum(a - 1, 0)] * yp[..., b], 0.0)
     gy = np.where(b > 0, b * xp[..., a] * yp[..., np.maximum(b - 1, 0)], 0.0)
     return np.stack([gx, gy], axis=-1)
-
-
-def _monomial_divergences(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """d m_i / d x_c at pts on a flat last axis (..., 2s): the reference
-    divergences of the vector monomials phi_{2i+c} = m_i e_c."""
-    g = _monomial_gradients(exps, pts)
-    return g.reshape(g.shape[:-2] + (-1,))
 
 
 def _lattice_nodes(k: int) -> np.ndarray:
@@ -164,14 +138,6 @@ def lagrange_1d(nodes: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray
 # reference tables
 
 
-def _pressure_values(exps: np.ndarray, coeff: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return _monomial_values(exps, pts) @ coeff
-
-
-def _pressure_gradients(exps: np.ndarray, coeff: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return np.einsum("...mc,ml->...lc", _monomial_gradients(exps, pts), coeff)
-
-
 def _bubble_curl_ref(pts: np.ndarray) -> np.ndarray:
     """R grad(l0*l1*l2) at reference points (..., 2), with R(a, b) = (b, -a).
 
@@ -224,32 +190,36 @@ def _edge_pseudoinverse(edge: np.ndarray):
 
 @dataclass(frozen=True)
 class TriangleTables:
-    """The reference bases at the points of one triangle rule."""
+    """The reference bases at triangle points."""
 
-    mono: np.ndarray  # (nq, s) scalar monomials m_i
-    div: np.ndarray  # (nq, 2s) d m_i / d x_c, the reference divergence of phi_{2i+c}
-    p: np.ndarray  # (nq, ns) pressure basis values
-    grad_p: np.ndarray  # (nq, ns, 2) pressure basis reference gradients
+    mono: np.ndarray  # (..., s) scalar monomials m_i
+    div: np.ndarray  # (..., 2s) d m_i / d x_c, the reference divergence of phi_{2i+c}
+    p: np.ndarray  # (..., ns) pressure basis values
+    grad_p: np.ndarray  # (..., ns, 2) pressure basis reference gradients
 
 
 @dataclass(frozen=True)
 class EdgeTables:
-    """The 1D Lagrange bases at parameters of [0, 1], (nq, k+1) each."""
+    """The 1D Lagrange bases at parameters of [0, 1], (..., k+1) each."""
 
     p: tuple  # through 0, 1/k, .., 1 (pressure traces, p_gamma): values, 1st and 2nd derivatives
     u: np.ndarray  # through the k+1 Gauss points (flux normal traces): values
 
 
+def _tabulate_triangle(exps: np.ndarray, coeff: np.ndarray, pts: np.ndarray) -> TriangleTables:
+    mono, g = _monomial_values(exps, pts), _monomial_gradients(exps, pts)
+    return TriangleTables(
+        mono=mono, div=g.reshape(g.shape[:-2] + (-1,)), p=mono @ coeff, grad_p=np.einsum("...mc,ml->...lc", g, coeff)
+    )
+
+
+def _tabulate_edge(edge_nodes: np.ndarray, gauss_ts: np.ndarray, ts: np.ndarray) -> EdgeTables:
+    return EdgeTables(p=tuple(lagrange_1d(edge_nodes, ts, order) for order in range(3)), u=lagrange_1d(gauss_ts, ts))
+
+
 @dataclass(frozen=True)
 class Reference:
-    """The mesh-independent tables of order k; see `reference`.
-
-    `triangles` and `edges` hold the basis tables at the points of the
-    triangle and edge rules the loop uses, by degree: triangles 2k+2
-    (assembly, estimator), 2k+4 (true error) and 2k+12 (oscillation);
-    edges 2k+1 (the flux dofs' Gauss points), 2k+2, 2k+4, 2k+12 and
-    max(2k-2, 0) (fracture stiffness).  `ends` holds them at t = 0 and 1.
-    """
+    """The mesh-independent tables of order k; see `reference`."""
 
     k: int
     exps: np.ndarray  # (s, 2) exponents of the scalar monomials
@@ -271,42 +241,38 @@ class Reference:
     osc_gram_1d: np.ndarray  # (k+1, k+1) their Gram matrix
     triangles: MappingProxyType  # degree -> TriangleTables
     edges: MappingProxyType  # degree -> EdgeTables
-    ends: EdgeTables
-
-    def at(self, rule: QuadratureRule):
-        """The tables of a triangle or edge rule of `triangle_rule` or
-        `edge_rule`, by its kind and degree."""
-        kind, tables = ("triangle", self.triangles) if rule.points.ndim == 2 else ("edge", self.edges)
-        if rule.degree not in tables:
-            raise KeyError(f"no tables of the {kind} rule of degree {rule.degree} at k={self.k}")
-        return tables[rule.degree]
 
 
 @lru_cache(maxsize=None)
 def reference(k: int) -> Reference:
-    """The reference tables of order k, built on first use and then shared
-    by every mesh, iteration and loop.  Each is computed as its consumer
-    computed it per call, so every array downstream keeps its bits.  All
-    arrays are read-only."""
+    """The mesh-independent tables of order k, built on first use and then
+    shared by every mesh, iteration and loop:
+
+    * the pressure basis's Lagrange nodes and inverse Vandermonde, the edge
+      nodes 0, 1/k, .., 1 and the flux dofs' Gauss points;
+    * `TriangleTables` at the triangle rules of degree 2k+2 (assembly,
+      estimator), 2k+4 (true error) and 2k+12 (oscillation);
+    * `EdgeTables` at the edge rules of degree 2k+1 (the flux dofs' Gauss
+      points), 2k+2, 2k+4, 2k+12 and max(2k-2, 0) (fracture stiffness);
+    * the flux dof mean and curl rows with E^-1 (k=1) or E^+ and null(E)
+      (k=2);
+    * M^, B^ with its edge coupling E, and the interface edge mass;
+    * the oscillation's bulk projector and 1D monomials with their Gram
+      matrix.
+
+    Each is computed as its consumer computed it per call, so every array
+    downstream keeps its bits.  All arrays are read-only."""
     exps = _monomial_exponents(k)
     nodes = _lattice_nodes(k)
     coeff = np.linalg.inv(_monomial_values(exps, nodes))
     edge_nodes = np.linspace(0.0, 1.0, k + 1)
     gauss_ts = edge_rule(2 * k + 1).points
 
-    def triangle_tables(pts):
-        return TriangleTables(
-            mono=_monomial_values(exps, pts),
-            div=_monomial_divergences(exps, pts),
-            p=_pressure_values(exps, coeff, pts),
-            grad_p=_pressure_gradients(exps, coeff, pts),
-        )
-
-    def edge_tables(ts):
-        return EdgeTables(p=tuple(lagrange_1d(edge_nodes, ts, order) for order in range(3)), u=lagrange_1d(gauss_ts, ts))
-
-    triangles = {d: triangle_tables(triangle_rule(d).points) for d in (2 * k + 2, 2 * k + 4, 2 * k + 12)}
-    edges = {d: edge_tables(edge_rule(d).points) for d in (2 * k + 1, 2 * k + 2, 2 * k + 4, 2 * k + 12, max(2 * k - 2, 0))}
+    triangles = {d: _tabulate_triangle(exps, coeff, triangle_rule(d).points) for d in (2 * k + 2, 2 * k + 4, 2 * k + 12)}
+    edges = {
+        d: _tabulate_edge(edge_nodes, gauss_ts, edge_rule(d).points)
+        for d in (2 * k + 1, 2 * k + 2, 2 * k + 4, 2 * k + 12, max(2 * k - 2, 0))
+    }
 
     rule, erule, t, e = triangle_rule(2 * k + 2), edge_rule(2 * k + 2), triangles[2 * k + 2], edges[2 * k + 2]
     ws = erule.weights[:, None]
@@ -342,13 +308,38 @@ def reference(k: int) -> Reference:
         osc_gram_1d=np.einsum("q,qi,qj->ij", oerule.weights, mono_1d, mono_1d),
         triangles=MappingProxyType(triangles),
         edges=MappingProxyType(edges),
-        ends=edge_tables(np.array([0.0, 1.0])),
     )
     # the edge tables come read-only from lagrange_1d
     for a in [*(a for t in triangles.values() for a in vars(t).values()), *vars(out).values()]:
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
     return out
+
+
+def _stored(tables, kind: str, rule: QuadratureRule, k: int):
+    if rule.degree not in tables:
+        raise KeyError(f"no tables of the {kind} rule of degree {rule.degree} at k={k}")
+    return tables[rule.degree]
+
+
+def triangle_tables(k: int, at) -> TriangleTables:
+    """The order-k `TriangleTables` of a rule of `triangle_rule`, as
+    `reference(k)` stores them (a KeyError names an unstored degree), or
+    tabulated at reference points (..., 2)."""
+    ref = reference(k)
+    if isinstance(at, QuadratureRule):
+        return _stored(ref.triangles, "triangle", at, k)
+    return _tabulate_triangle(ref.exps, ref.coeff, at)
+
+
+def edge_tables(k: int, at) -> EdgeTables:
+    """The order-k `EdgeTables` of a rule of `edge_rule`, as `reference(k)`
+    stores them (a KeyError names an unstored degree), or tabulated at
+    parameters ts of any shape."""
+    ref = reference(k)
+    if isinstance(at, QuadratureRule):
+        return _stored(ref.edges, "edge", at, k)
+    return _tabulate_edge(ref.edge_nodes, ref.gauss_ts, at)
 
 
 # ---------------------------------------------------------------------------
@@ -380,28 +371,6 @@ class PressureSpace:
     @property
     def n_free(self) -> int:
         return int(self.ndof - self.dirichlet_mask.sum())
-
-    # The reference evaluators take reference points, or a rule of
-    # `triangle_rule` or `edge_rule` whose tables `reference` stores.
-
-    def eval_ref(self, at) -> np.ndarray:
-        """Basis values at reference points, shape (..., nloc)."""
-        ref = reference(self.k)
-        return ref.at(at).p if isinstance(at, QuadratureRule) else _pressure_values(ref.exps, ref.coeff, at)
-
-    def grad_ref(self, at) -> np.ndarray:
-        """Reference gradients, shape (..., nloc, 2)."""
-        ref = reference(self.k)
-        return ref.at(at).grad_p if isinstance(at, QuadratureRule) else _pressure_gradients(ref.exps, ref.coeff, at)
-
-    def basis_values(self, tris, pts) -> np.ndarray:
-        """Basis values at physical points; (n, nq, 2) -> (n, nq, nloc)."""
-        return self.eval_ref(self.sub.reference_coords(tris, pts))
-
-    def edge_trace_matrix(self, at) -> np.ndarray:
-        """Trace values at edge parameters ts: (..., k+1) Lagrange."""
-        ref = reference(self.k)
-        return ref.at(at).p[0] if isinstance(at, QuadratureRule) else lagrange_1d(ref.edge_nodes, at)
 
 
 def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> PressureSpace:
@@ -502,30 +471,12 @@ class FluxSpace:
     def nloc(self) -> int:
         return self.tri_dofs.shape[1]
 
-    # The reference evaluators take points or a stored rule, as
-    # `PressureSpace`'s do.
-
-    def ref_monomials(self, at) -> np.ndarray:
-        """Scalar monomials m_i at reference points, (..., s)."""
-        ref = reference(self.k)
-        return ref.at(at).mono if isinstance(at, QuadratureRule) else _monomial_values(ref.exps, at)
-
-    def ref_divergence(self, at) -> np.ndarray:
-        """Reference divergences of phi_{2i+c}, d m_i / d x_c, (..., 2s)."""
-        ref = reference(self.k)
-        return ref.at(at).div if isinstance(at, QuadratureRule) else _monomial_divergences(ref.exps, at)
-
     def piola(self, tris, vhat: np.ndarray) -> np.ndarray:
         """J vhat / det J on triangles tris; vhat (n, ..., 2)."""
         sub = self.sub
         Jt = np.swapaxes(sub.tri_jacobian[tris], 1, 2) / (2.0 * sub.tri_area[tris])[:, None, None]
         n = Jt.shape[0]
         return (vhat.reshape(n, -1, 2) @ Jt).reshape(vhat.shape)
-
-    def edge_trace_matrix(self, at) -> np.ndarray:
-        """Normal-trace values at edge parameters ts: (..., k+1) Lagrange."""
-        ref = reference(self.k)
-        return ref.at(at).u if isinstance(at, QuadratureRule) else lagrange_1d(ref.gauss_ts, at)
 
 
 def flux_dofs_per_triangle(k: int) -> int:
@@ -640,16 +591,6 @@ class FracturePressureSpace:
     @property
     def n_free(self) -> int:
         return int(self.ndof - self.dirichlet_mask.sum())
-
-    # The evaluators take parameters or a stored edge rule, as
-    # `PressureSpace`'s do.
-
-    def eval_ref(self, at) -> np.ndarray:
-        return self.deriv_ref(at, 0)
-
-    def deriv_ref(self, at, order: int = 1) -> np.ndarray:
-        ref = reference(self.k)
-        return ref.at(at).p[order] if isinstance(at, QuadratureRule) else lagrange_1d(ref.edge_nodes, at, order)
 
 
 def build_W_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_tips=()) -> FracturePressureSpace:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from sdgdarcy.assembly import (
 from sdgdarcy.errors import ConfigError
 from sdgdarcy.geometry import FRACTURE, INTERIOR, CycleTable, DomainSpec, Fracture, build_initial_mesh, refine
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
-from sdgdarcy.spaces import _SIDE_NODES, _bubble_curl_ref
+from sdgdarcy.spaces import _SIDE_NODES, _bubble_curl_ref, edge_tables, triangle_tables
 
 
 def make_fracture(points, kappa_n=100.0, kappa_t=100.0, thickness=0.01):
@@ -144,9 +145,14 @@ def verify_interface(exact, spec) -> float:
 # -- physical bases and interpolants of the spaces --------------------------
 
 
+def pressure_basis_values(S, tris, pts):
+    """Pressure basis values at physical points; (n, nq, 2) -> (n, nq, nloc)."""
+    return triangle_tables(S.k, S.sub.reference_coords(tris, pts)).p
+
+
 def flux_basis_values(V, tris, pts):
     """Flux basis fields at physical points; (n, nq, 2) -> (n, nq, nloc, 2)."""
-    m = V.ref_monomials(V.sub.reference_coords(tris, pts))  # (n, nq, s)
+    m = triangle_tables(V.k, V.sub.reference_coords(tris, pts)).mono  # (n, nq, s)
     n, nq, s = m.shape
     C = V.ref_coeff[tris].reshape(n, s, 2 * V.nloc)
     vhat = np.swapaxes((m @ C).reshape(n, nq, 2, V.nloc), 2, 3)
@@ -155,7 +161,7 @@ def flux_basis_values(V, tris, pts):
 
 def flux_basis_divergence(V, tris, pts):
     """Flux basis divergences at physical points; (n, nq, 2) -> (n, nq, nloc)."""
-    div = V.ref_divergence(V.sub.reference_coords(tris, pts)) @ V.ref_coeff[tris]
+    div = triangle_tables(V.k, V.sub.reference_coords(tris, pts)).div @ V.ref_coeff[tris]
     return div / (2.0 * V.sub.tri_area[tris])[:, None, None]
 
 
@@ -254,12 +260,12 @@ def assemble_bh_star(sub, V, S):
     rule = triangle_rule(2 * k + 2)
     qp, qw = map_to_triangles(rule, sub.tri_coords)
     div = flux_basis_divergence(V, np.arange(sub.n_triangles), qp)  # (nt, nq, nv)
-    sv = S.eval_ref(rule.points)  # (nq, ns)
+    sv = triangle_tables(k, rule.points).p  # (nq, ns)
     add(V.tri_dofs, S.tri_dofs, -np.einsum("tq,tqv,qs->tvs", qw, div, sv))
 
     erule = edge_rule(2 * k + 2)
     ts, ws = erule.points, erule.weights
-    L = V.edge_trace_matrix(ts)
+    L = edge_tables(k, ts).u
     # p is single valued across interior edges but each side's triangle
     # expands it in its own dofs, so traces and test dofs are taken per
     # side; on fracture edges the jump and average terms collapse to the
@@ -272,7 +278,7 @@ def assemble_bh_star(sub, V, S):
         wl = sub.edge_length[edges]
         for side, sign in ((0, 1.0), (1, -1.0)):
             t = sub.edge_tris[edges, side]
-            sb = S.basis_values(t, pts)
+            sb = pressure_basis_values(S, t, pts)
             local = sign * np.einsum("q,e,qj,eqs->ejs", ws, wl, L, sb)
             add(V.edge_side_dofs[edges, side], S.tri_dofs[t], local)
 
@@ -291,7 +297,7 @@ def assemble_interface_quadrature(sub, S, W, spec):
     """
     erule = edge_rule(2 * S.k + 2)
     ts, ws = erule.points, erule.weights
-    wb = W.eval_ref(ts)  # (nq, k+1)
+    wb = edge_tables(W.k, ts).p[0]  # (nq, k+1)
     fe = sub.fracture_edges
     # the coefficients from each edge's fracture segment
     eta = np.array([sub.mesh.fractures[f].normal_resistance[s] for f, s in zip(fe.fracture, fe.segment)])
@@ -299,8 +305,8 @@ def assemble_interface_quadrature(sub, S, W, spec):
     pts, _ = sub.fracture_points(ts)
     wl = sub.edge_length[fe.edge]
     t1, t2 = sub.edge_tris[fe.edge].T
-    s1 = S.basis_values(t1, pts)  # (n_fe, nq, ns)
-    s2 = S.basis_values(t2, pts)
+    s1 = pressure_basis_values(S, t1, pts)  # (n_fe, nq, ns)
+    s2 = pressure_basis_values(S, t2, pts)
     # both sides' dofs side by side: average and jump of the traces
     d = np.hstack([S.tri_dofs[t1], S.tri_dofs[t2]])
     avg = 0.5 * np.concatenate([s1, s2], axis=2)
@@ -327,7 +333,7 @@ def neumann_load_quadrature(sub, spec, S):
     if neu.size:
         pts = sub.edge_points(neu, ts)
         t1 = sub.edge_tris[neu, 0]
-        sb = S.basis_values(t1, pts)
+        sb = pressure_basis_values(S, t1, pts)
         wl = sub.edge_length[neu]
         g = spec.boundary_values(
             sub, np.repeat(neu, ts.size), pts.reshape(-1, 2)
@@ -510,7 +516,7 @@ def grad_p_at_ref_einsum(sol, ref_pts, tris=slice(None)):
     """grad p_h at the images of reference points (nq, 2) by a broadcast
     einsum against the reference gradients: the oracle for
     `DiscreteSolution.grad_p_at_ref`, (n, nq, 2)."""
-    gref = sol.S.grad_ref(ref_pts)  # (nq, ns, 2)
+    gref = triangle_tables(sol.S.k, ref_pts).grad_p  # (nq, ns, 2)
     p = sol.p[sol.S.tri_dofs[tris]]
     ghat = np.einsum("...sr,...s->...r", gref, p[:, None, :])
     return ghat @ sol.sub.tri_jacobian_inv[tris]
@@ -558,15 +564,37 @@ def history_rows(hist):
     return rows
 
 
-def check_history(got, ref, roundoff=False):
+def _count_mismatch(got_n, ref_n, cuts):
+    """Where two N lists part and, with `cuts`, how near a tie the stored
+    cut before that iteration was, with the library versions."""
+    it = next((i for i, (g, r) in enumerate(zip(got_n, ref_n)) if g != r), min(len(got_n), len(ref_n)))
+    msg = f"N first differs at iteration {it}"
+    if cuts is None:
+        return msg
+    if it == 0:
+        msg += ", the initial mesh, before any Dörfler cut"
+    else:
+        msg += f"; the stored Dörfler cut before it had a relative margin of {cuts['margins'][it - 1]:.1e}"
+    return (
+        f"{msg}; installed numpy {np.__version__} and scipy {scipy.__version__}, "
+        f"the stored margins computed with numpy {cuts['numpy']} and scipy {cuts['scipy']}"
+    )
+
+
+def check_history(got, ref, roundoff=False, cuts=None):
     """`history_rows` of a run against stored ones: N and n_elements
     exactly, every float within 1e-10 * |ref| + 1e-10 * eta_ref, and a NaN
     (err_sdg without an exact solution) stays NaN.  The part against eta
     covers estimator terms at roundoff level, which move by orders of
     magnitude between two backward-stable solves.  With `roundoff`, for a
     problem the method solves exactly, every value is roundoff and is held
-    to an absolute 1e-10."""
-    assert [r["N"] for r in got] == [r["N"] for r in ref]
+    to an absolute 1e-10.  `cuts`, stored beside a history, holds the
+    `dorfler_margin` of each iteration's cut and the numpy and scipy
+    versions that made it; an N mismatch then names the first differing
+    iteration, the margin of the cut before it and both sets of versions,
+    so a flipped near-tie shows as one."""
+    got_n, ref_n = [r["N"] for r in got], [r["N"] for r in ref]
+    assert got_n == ref_n, _count_mismatch(got_n, ref_n, cuts)
     assert [r["n_elements"] for r in got] == [r["n_elements"] for r in ref]
     for it, (g, r) in enumerate(zip(got, ref)):
         rel, floor = (0.0, 1e-10) if roundoff else (1e-10, 1e-10 * r["eta"])

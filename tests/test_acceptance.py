@@ -12,11 +12,13 @@ import functools
 import itertools
 import json
 import pathlib
+import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from sdgdarcy.adaptivity import (
     ADAPTIVE,
@@ -62,12 +64,12 @@ MASS_BALANCE_TERMS = (1, 3)
 EI_BAND = (1.2, 2.0)
 
 
-def adaptive_run(name, k, max_dofs, theta=0.5, max_iterations=60):
+def adaptive_run(name, k, max_dofs, theta=0.5, max_iterations=60, callback=None):
     spec, exact, h0 = get_benchmark(name)
     mesh = build_initial_mesh(spec.domain, h0)
     cfg = AmrConfig(theta=theta, mode=ADAPTIVE, max_dofs=max_dofs,
                     max_iterations=max_iterations, k=k)
-    hist = amr_loop(mesh, spec, cfg, exact=exact)
+    hist = amr_loop(mesh, spec, cfg, exact=exact, callback=callback)
     assert hist.failure is None
     return hist
 
@@ -262,6 +264,8 @@ def test_convergence_rates(request, k):
 
 
 FULL_HISTORIES = pathlib.Path(__file__).parent / "data" / "full_histories.json"
+# per run, the margin of each iteration's Doerfler cut and the library versions
+FULL_HISTORY_CUTS = FULL_HISTORIES.with_name("full_history_cuts.json")
 # the benchmark workloads: (benchmark, k, dof budget), and the fixture that runs each
 FULL_RUNS = {
     "case1-k1": ("case1-a0.1", 1, 100_000, "run_a01_k1"),
@@ -279,15 +283,19 @@ def test_full_history_matches_reference(request, run):
     marking flip that changes the counts fails here and names its
     iteration.  One between two elements whose indicators differ by
     roundoff, such as mirror images on a symmetric mesh, can keep the
-    counts and move the values by roundoff only, and then passes.  The
-    case1 runs are the ones `test_convergence_rates` reads.
+    counts and move the values by roundoff only, and then passes.  A count
+    mismatch also names the stored margin of the cut before it and the
+    library versions, so a flipped near-tie shows as one.  The case1 runs
+    are the ones `test_convergence_rates` reads.
 
-    Regenerate the stored file only from code whose behaviour is known good:
+    Regenerate the stored files only from code whose behaviour is known
+    good (`cuts` writes the margins and versions alone):
 
-        PYTHONPATH=src python tests/test_acceptance.py
+        PYTHONPATH=src python tests/test_acceptance.py [cuts]
     """
     hist = request.getfixturevalue(FULL_RUNS[run][3])
-    check_history(history_rows(hist), json.loads(FULL_HISTORIES.read_text())[run])
+    cuts = json.loads(FULL_HISTORY_CUTS.read_text())[run]
+    check_history(history_rows(hist), json.loads(FULL_HISTORIES.read_text())[run], cuts=cuts)
 
 
 @pytest.mark.parametrize("name", ["case1-a0.1", "case1-a0.01"])
@@ -501,6 +509,41 @@ def test_marking_matches_exhaustive_search():
                 )
 
 
+def dorfler_margin(indicators, theta):
+    """How near the cut of `dorfler_mark(indicators, theta)` is to a tie,
+    in its order: the smaller of the relative gap between the last marked
+    and the first unmarked indicator, and the relative gaps between theta *
+    total and the cumulative sums at and before the cut.  A change of the
+    indicators by less than this in relative terms keeps the marked set."""
+    ind = np.asarray(indicators, dtype=float)
+    target = theta * ind.sum()
+    order = np.lexsort((np.arange(ind.size), -ind))
+    order = order[ind[order] > 0.0]
+    csum = np.cumsum(ind[order])
+    cut = min(int(np.searchsorted(csum, target, side="left")), order.size - 1)
+    gaps = [abs(csum[cut] - target) / target]
+    if cut > 0:
+        gaps.append(abs(target - csum[cut - 1]) / target)
+    if cut + 1 < order.size:
+        gaps.append((ind[order[cut]] - ind[order[cut + 1]]) / ind[order[cut]])
+    return float(min(gaps))
+
+
+def cut_margins(name, k, budget):
+    """The `dorfler_margin` of each iteration's cut in `adaptive_run`,
+    with the numpy and scipy versions that computed them."""
+    margins = []
+
+    def record(rec, mesh, sol, bd, system):
+        margins.append(dorfler_margin(bd.element_sq, 0.5))
+
+    adaptive_run(name, k, budget, callback=record)
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "margins": margins}
+
+
 if __name__ == "__main__":
-    out = {run: history_rows(adaptive_run(name, k, budget)) for run, (name, k, budget, _) in FULL_RUNS.items()}
-    FULL_HISTORIES.write_text(json.dumps(out, indent=1) + "\n")
+    if sys.argv[1:] != ["cuts"]:
+        out = {run: history_rows(adaptive_run(name, k, budget)) for run, (name, k, budget, _) in FULL_RUNS.items()}
+        FULL_HISTORIES.write_text(json.dumps(out, indent=1) + "\n")
+    out = {run: cut_margins(name, k, budget) for run, (name, k, budget, _) in FULL_RUNS.items()}
+    FULL_HISTORY_CUTS.write_text(json.dumps(out, indent=1) + "\n")

@@ -65,6 +65,11 @@ def _tips(pair):
     return dataclasses.replace(get_benchmark("case2")[0], fracture_tips=(pair,))
 
 
+def _xi(xi):
+    """case2 with the given xi."""
+    return dataclasses.replace(get_benchmark("case2")[0], xi=xi)
+
+
 CASES = {
     "fracture-shape": (
         lambda: Fracture(points=[[0.0, 0.0]], kappa_n=1.0, kappa_t=1.0, thickness=0.01),
@@ -82,6 +87,14 @@ CASES = {
         "kappa_t=nan of fracture segment 0",
     ),
     "thickness": (lambda: make_fracture([[0, 0], [1, 0]], thickness=-0.5), ValueError, "thickness -0.5"),
+    "thickness-bool": (lambda: make_fracture([[0, 0], [1, 0]], thickness=True), ValueError, "thickness True"),
+    "thickness-none": (lambda: make_fracture([[0, 0], [1, 0]], thickness=None), ValueError, "thickness None"),
+    "thickness-text": (lambda: make_fracture([[0, 0], [1, 0]], thickness="a"), ValueError, "thickness 'a'"),
+    "kappa_n-count": (
+        lambda: make_fracture([[0, 0], [1, 0], [2, 0], [3, 0]], kappa_n=[1.0, 2.0]),
+        ValueError,
+        "kappa_n has 2 values for 3 fracture segments",
+    ),
     "zero-length-segment": (
         lambda: make_fracture([[0, 0], [1, 0], [1, 0]]),
         ValueError,
@@ -145,6 +158,9 @@ CASES = {
     "tip-bool": (lambda: _tips((None, True)), ConfigError, "fracture 0: end tip value True"),
     "tip-one-entry": (lambda: _tips((1.0,)), ConfigError, "fracture 0: tips (1.0,) are not a (start, end) pair"),
     "tip-no-pair": (lambda: _tips(1.0), ConfigError, "fracture 0: tips 1.0 are not a (start, end) pair"),
+    "xi-bool": (lambda: _xi(True), ConfigError, "xi=True is not a real number in (1/2, 1]"),
+    "xi-text": (lambda: _xi("0.75"), ConfigError, "xi='0.75' is not a real number in (1/2, 1]"),
+    "xi-half": (lambda: _xi(0.5), ConfigError, "xi=0.5 is not a real number in (1/2, 1]"),
 }
 
 

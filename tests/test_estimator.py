@@ -41,7 +41,7 @@ from sdgdarcy.problem import (
 )
 from sdgdarcy.quadrature import map_to_triangles, triangle_rule
 from sdgdarcy.solve import solve_system
-from sdgdarcy.spaces import SpaceConfig, build_S_h, build_V_h, build_W_h
+from sdgdarcy.spaces import SpaceConfig, build_S_h, build_V_h, build_W_h, edge_tables
 
 # term indices in EstimatorBreakdown.terms
 CONSTITUTIVE, SOURCE, DUAL_JUMP, FLUX_JUMP = 0, 1, 2, 3
@@ -254,7 +254,7 @@ def test_vertex_jumps_stay_within_each_fracture():
         assert np.all(sub.edge_fracture[fe.edge[rows]] == fi)
         le = sub.edge_length[fe.edge[rows]]
         coef = sol.p_gamma[sol.W.edge_dofs[rows]]
-        d_ends = coef @ sol.W.deriv_ref(np.array([0.0, 1.0])).T / le[:, None]
+        d_ends = coef @ edge_tables(2, np.array([0.0, 1.0])).p[1].T / le[:, None]
         w = np.sqrt(fr.kappa_t[fe.segment[rows]] * fr.thickness)
         v_sq = np.maximum(le[:-1], le[1:]) * (w[:-1] * d_ends[:-1, 1] - w[1:] * d_ends[1:, 0]) ** 2
         jumps.append(v_sq)

@@ -31,8 +31,10 @@ from sdgdarcy.spaces import (
     build_S_h,
     build_V_h,
     build_W_h,
+    edge_tables,
     lagrange_1d,
     reference,
+    triangle_tables,
 )
 
 from conftest import (
@@ -147,8 +149,8 @@ def test_edge_sides_orientation(two_square_fractured):
 @pytest.mark.parametrize("k", [1, 2])
 def test_partition_of_unity(fractured_fine, k):
     S = build_S_h(fractured_fine, SpaceConfig(k=k))
-    pts = triangle_rule(2 * k + 2).points
-    vals = S.eval_ref(pts)
+    vals = triangle_tables(k, triangle_rule(2 * k + 2).points).p
+    assert vals.shape[-1] == S.nloc
     assert np.max(np.abs(vals.sum(axis=-1) - 1.0)) < 1e-13
 
 
@@ -166,7 +168,7 @@ def test_pressure_polynomial_reproduction(fractured_fine, k):
 
     coeffs = interpolate_pressure(S, lambda pts, tris: poly(pts))
     ref = triangle_rule(5).points
-    vals_ref = S.eval_ref(ref)  # (nq, nloc)
+    vals_ref = triangle_tables(k, ref).p  # (nq, nloc)
     phys = sub.tri_coords[:, 0, None, :] + np.einsum(
         "qr,trc->tqc", ref, np.stack(
             [sub.tri_coords[:, 1] - sub.tri_coords[:, 0],
@@ -238,7 +240,7 @@ def test_fracture_polynomial_reproduction(k):
     coeffs = interpolate_fracture(sub, W, lambda pts, par, fr: poly(par))
     le = sub.edge_length[sub.fracture_edges.edge]
     ts = edge_rule(6).points
-    vals = W.eval_ref(ts)  # (nq, k+1)
+    vals = edge_tables(k, ts).p[0]  # (nq, k+1)
     vparam = np.concatenate([[0.0], np.cumsum(le)])
     for j in range(le.size):
         par = vparam[j] + ts * le[j]
@@ -294,8 +296,8 @@ def test_pressure_trace_continuity_random(plain_fine, k):
     t2 = sub.edge_tris[inner, 1]
     r1 = sub.reference_coords(t1, pts)
     r2 = sub.reference_coords(t2, pts)
-    b1 = S.eval_ref(r1)  # (ne, nq, nloc)
-    b2 = S.eval_ref(r2)
+    b1 = triangle_tables(k, r1).p  # (ne, nq, nloc)
+    b2 = triangle_tables(k, r2).p
     worst = 0.0
     for _ in range(100):
         c = rng.standard_normal(S.ndof)
@@ -804,13 +806,11 @@ def _per_call_tables(k):
         out[f"triangles[{d}].div"] = g.reshape(g.shape[:-2] + (-1,))
         out[f"triangles[{d}].p"] = _monomial_values(exps, pts) @ coeff
         out[f"triangles[{d}].grad_p"] = np.einsum("...mc,ml->...lc", g, coeff)
-    for d, ts in [(d, edge_rule(d).points) for d in (2 * k + 1, 2 * k + 2, 2 * k + 4, 2 * k + 12, max(2 * k - 2, 0))] + [
-        ("ends", np.array([0.0, 1.0]))
-    ]:
-        name = "ends" if d == "ends" else f"edges[{d}]"
+    for d in (2 * k + 1, 2 * k + 2, 2 * k + 4, 2 * k + 12, max(2 * k - 2, 0)):
+        ts = edge_rule(d).points
         for order in range(3):
-            out[f"{name}.p[{order}]"] = lagrange_1d(lattice, ts, order)
-        out[f"{name}.u"] = lagrange_1d(gauss, ts)
+            out[f"edges[{d}].p[{order}]"] = lagrange_1d(lattice, ts, order)
+        out[f"edges[{d}].u"] = lagrange_1d(gauss, ts)
     # assemble_mass's M^ and assemble_bh's B^ and E
     rule, erule = triangle_rule(2 * k + 2), edge_rule(2 * k + 2)
     m = _monomial_values(exps, rule.points)
@@ -862,24 +862,69 @@ def test_reference_tables_are_the_per_call_derivations(k):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_spaces_read_the_tables_of_a_stored_rule(fractured_fine, k):
-    """The space evaluators give a stored rule's tables, with the bits of
-    evaluating at its points; a rule that `reference` does not store is a
-    KeyError that names its kind and degree."""
-    config = SpaceConfig(k)
-    S, V, W = build_S_h(fractured_fine, config), build_V_h(fractured_fine, config), build_W_h(fractured_fine, config)
-    rule, erule = triangle_rule(2 * k + 4), edge_rule(2 * k + 2)
-    pairs = [
-        (S.eval_ref, rule), (S.grad_ref, rule), (V.ref_monomials, rule), (V.ref_divergence, rule),
-        (S.edge_trace_matrix, erule), (V.edge_trace_matrix, erule), (W.eval_ref, erule), (W.deriv_ref, erule),
-    ]
-    for fn, r in pairs:
-        got, want = fn(r), fn(r.points)
-        assert got is fn(r) and got.tobytes() == want.tobytes() and got.shape == want.shape
+def test_spaces_read_the_tables_of_a_stored_rule(k):
+    """`triangle_tables` and `edge_tables` give a stored rule's tables, with
+    the bits of tabulating its points; a rule that `reference` does not
+    store is a KeyError that names its kind and degree."""
+    for tables, rule in ((triangle_tables, triangle_rule(2 * k + 4)), (edge_tables, edge_rule(2 * k + 2))):
+        got, want = tables(k, rule), tables(k, rule.points)
+        assert got is tables(k, rule)
+        for (name, g), (_, w) in zip(_leaves(got), _leaves(want), strict=True):
+            assert g.tobytes() == w.tobytes() and g.shape == w.shape, name
     with pytest.raises(KeyError, match=f"triangle rule of degree 30 at k={k}"):
-        S.eval_ref(triangle_rule(30))
+        triangle_tables(k, triangle_rule(30))
     with pytest.raises(KeyError, match=f"edge rule of degree 30 at k={k}"):
-        V.edge_trace_matrix(edge_rule(30))
+        edge_tables(k, edge_rule(30))
+
+
+def _random_solution(mesh, k, seed):
+    config = SpaceConfig(k)
+    V, S, W = build_V_h(mesh, config), build_S_h(mesh, config), build_W_h(mesh, config)
+    rng = np.random.default_rng(seed)
+    return DiscreteSolution(
+        mesh=mesh, V=V, S=S, W=W, u=rng.standard_normal(V.ndof), p=rng.standard_normal(S.ndof),
+        p_gamma=rng.standard_normal(W.ndof),
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fracture_traces_read_the_reversed_row_bit_for_bit(k):
+    """`fracture_traces` picks the row of 1 - ts on descending edges from
+    one table of two rows; the oracle evaluates each edge's own parameters,
+    reversed where the edge descends, and gets the same bits.  lshape's
+    initial mesh has edges of both directions."""
+    spec, _, h0 = get_benchmark("lshape")
+    sol = _random_solution(build_initial_mesh(spec.domain, h0), k, seed=5)
+    fe = sol.sub.fracture_edges
+    assert 0 < fe.descending.sum() < fe.n_edges
+    ts = edge_rule(2 * k + 4).points
+    s = np.where(fe.descending[:, None], 1.0 - ts, ts)
+    ref = reference(k)
+    want = [
+        (lagrange_1d(nodes, s) @ x[dofs[fe.edge, side]][..., None])[..., 0]
+        for nodes, x, dofs in ((ref.edge_nodes, sol.p, sol.S.edge_side_dofs), (ref.gauss_ts, sol.u, sol.V.edge_side_dofs))
+        for side in (0, 1)
+    ]
+    for got, w in zip(sol.fracture_traces(ts), want, strict=True):
+        assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_p_gamma_at_orders_match_the_einsums(k):
+    """`p_gamma_at(at, order)` has the bits of the per-order einsums it
+    replaced: the value, dp/dt over the edge length and d2p/dt2 over its
+    square, at a stored rule and at the fracture ends."""
+    spec, _, h0 = get_benchmark("lshape")
+    sol = _random_solution(build_initial_mesh(spec.domain, h0), k, seed=6)
+    coef = sol.p_gamma[sol.W.edge_dofs]
+    le = sol.sub.edge_length[sol.sub.fracture_edges.edge]
+    nodes = reference(k).edge_nodes
+    erule, ends = edge_rule(2 * k + 2), np.array([0.0, 1.0])
+    for at, ts, order in [(erule, erule.points, 0), (erule, erule.points, 1), (erule, erule.points, 2), (ends, ends, 1)]:
+        want = np.einsum("qj,ej->eq", lagrange_1d(nodes, ts, order), coef)
+        want = want / le[:, None] ** 2 if order == 2 else want / le[:, None] if order == 1 else want
+        got = sol.p_gamma_at(at, order)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), order
 
 
 def test_reference_is_built_once_per_order():
