@@ -71,10 +71,11 @@ Memory.  The loop holds one iteration at a time.  After the callback it
 drops the system, the spaces and the solution, and the history keeps only
 the last solved mesh, its estimator breakdown and its u, p and p_gamma
 vectors; `ConvergenceHistory.final_solution` rebuilds the subdivision and
-the spaces from them when first read.  A mesh caches its subdivision and a
-subdivision refers to its mesh weakly, as a refined mesh to its parent, so
-a mesh the loop has refined away and no history holds is freed at once by
-reference counting, not at the next run of the cyclic garbage collector.
+the spaces from them when first read.  A mesh caches its subdivision, which
+holds no reference back to it, and a refined mesh refers to its parent
+weakly, so a mesh the loop has refined away and no history holds is freed
+at once by reference counting, not at the next run of the cyclic garbage
+collector; nothing built on a subdivision needs its mesh alive.
 `refine` is the last reader of a solved mesh's subdivision (the cache
 binds a refinement through the cycles alone), so the loop clears that
 cached subdivision right after it, and the final mesh's when it returns:
@@ -210,7 +211,7 @@ class ConvergenceHistory:
         if self.final_mesh is None:
             return None
         S, V, W = build_spaces(self.final_mesh, self.spec, SpaceConfig(self.config.k))
-        return DiscreteSolution(self.final_mesh, V, S, W, *self.final_vectors)
+        return DiscreteSolution(V, S, W, *self.final_vectors)
 
 
 def amr_loop(

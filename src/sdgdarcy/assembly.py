@@ -166,13 +166,14 @@ def assemble_fracture_stiffness(sub: Subdivision, S: PressureSpace, W: FractureP
     return _flat([_block(wd, wd, local)])
 
 
-def source_values(sub: Subdivision, spec: ProblemSpec, degree: int, cache: BlockCache = None):
+def source_values(mesh: PolygonalMesh, spec: ProblemSpec, degree: int, cache: BlockCache = None):
     """(qw, f), (nt, nq) each: the weights of the triangle rule of `degree`
     mapped to every triangle and the bulk source at its points.  The values
     of f on kept polygons come from `cache`, which also lets the load vector
     and the estimator share them."""
     rule = triangle_rule(degree)
-    region = sub.mesh.element_regions[sub.tri_polygon]
+    sub = mesh.subdivision
+    region = mesh.element_regions[sub.tri_polygon]
 
     def values(tris):
         qp = map_to_triangles(rule, sub.tri_coords[tris])[0]
@@ -180,7 +181,7 @@ def source_values(sub: Subdivision, spec: ProblemSpec, degree: int, cache: Block
         return (spec.bulk_source(qp.reshape(-1, 2), np.repeat(region[tris], nq)).reshape(tris.size, nq),)
 
     cache = BlockCache() if cache is None else cache
-    (f,) = cache.triangles(sub.mesh, f"bulk source, degree {degree}", values)
+    (f,) = cache.triangles(mesh, f"bulk source, degree {degree}", values)
     return mapped_weights(rule, sub.tri_jacobian), f
 
 
@@ -193,7 +194,7 @@ def fracture_source_values(sub: Subdivision, spec: ProblemSpec, ts: np.ndarray) 
 
 
 def assemble_rhs(
-    sub: Subdivision, spec: ProblemSpec, V: FluxSpace, S: PressureSpace, W: FracturePressureSpace, cache: BlockCache = None
+    mesh: PolygonalMesh, spec: ProblemSpec, V: FluxSpace, S: PressureSpace, W: FracturePressureSpace, cache: BlockCache = None
 ) -> np.ndarray:
     """Source and Neumann-data vector over the full (u, p, p_gamma) dofs.
 
@@ -201,13 +202,13 @@ def assemble_rhs(
     fracture block carries <l_gamma f_gamma, q_gamma>.  Dirichlet lifting is
     applied by ``assemble_system`` during reduction.
     """
-    k = S.k
+    sub, k = mesh.subdivision, S.k
     rhs = np.zeros(V.ndof + S.ndof + W.ndof)
     sview = rhs[V.ndof : V.ndof + S.ndof]
     wview = rhs[V.ndof + S.ndof :]
 
     if spec.f is not None:
-        qw, fvals = source_values(sub, spec, 2 * k + 2, cache)
+        qw, fvals = source_values(mesh, spec, 2 * k + 2, cache)
         sv = triangle_tables(k, triangle_rule(2 * k + 2)).p
         local = np.einsum("tq,tq,qs->ts", qw, fvals, sv)
         np.add.at(sview, S.tri_dofs, local)
@@ -231,10 +232,12 @@ def assemble_rhs(
 
 
 def dirichlet_values(sub: Subdivision, spec: ProblemSpec, S: PressureSpace, W: FracturePressureSpace):
-    """Full-length (p, p_gamma) vectors holding boundary data on constrained dofs."""
+    """Full-length (p, p_gamma) vectors holding boundary data on constrained
+    dofs; p at the nodes of the Dirichlet edges."""
     p_dir = np.zeros(S.ndof)
-    dofs = np.flatnonzero(S.dirichlet_mask)
-    p_dir[dofs] = spec.boundary_values(sub, S.dof_edge[dofs], S.node_coords[dofs])
+    edges = spec.boundary_table(sub).dirichlet_edges
+    pts = sub.edge_points(edges, reference(S.k).edge_nodes)
+    p_dir[S.edge_side_dofs[edges, 0].ravel()] = spec.boundary_values(sub, np.repeat(edges, S.k + 1), pts.reshape(-1, 2))
 
     w_dir = np.zeros(W.ndof)
     for fi, end in spec.dirichlet_tips():
@@ -297,7 +300,6 @@ class LinearSystem:
     w_free: np.ndarray
     p_dir: np.ndarray
     w_dir: np.ndarray
-    mesh: PolygonalMesh
 
     @property
     def n(self) -> int:
@@ -363,16 +365,13 @@ class LinearSystem:
         p[self.s_free] = x[nV : self.offsets[2]]
         pg = self.w_dir.copy()
         pg[self.w_free] = x[self.offsets[2] :]
-        return DiscreteSolution(
-            mesh=self.mesh, V=self.V, S=self.S, W=self.W, u=u, p=p, p_gamma=pg
-        )
+        return DiscreteSolution(V=self.V, S=self.S, W=self.W, u=u, p=p, p_gamma=pg)
 
 
 @dataclass(frozen=True)
 class DiscreteSolution:
     """Full coefficient vectors of one discrete solution."""
 
-    mesh: PolygonalMesh
     V: FluxSpace
     S: PressureSpace
     W: FracturePressureSpace
@@ -478,7 +477,7 @@ def free_unknowns(spaces) -> int:
     return V.ndof + S.n_free + W.n_free
 
 
-def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_dir, ycol):
+def _polygon_blocks(mesh: PolygonalMesh, V: FluxSpace, S: PressureSpace, K_elem, p_dir, ycol):
     """Dense polygon blocks, one `PolygonBlocks` per triangle count, and
     the Dirichlet lifts p_dir^T B_t, (nt, nloc).
 
@@ -499,11 +498,12 @@ def _polygon_blocks(sub: Subdivision, V: FluxSpace, S: PressureSpace, K_elem, p_
     triangles that touch a Dirichlet dof alone; on the others p_dir is zero
     and so is the lift.
     """
+    sub = mesh.subdivision
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
     primal = _SIDE_NODES[S.k][0]
     off = np.setdiff1d(np.arange(ns), primal)
-    offsets = sub.mesh.cycles.offsets
+    offsets = mesh.cycles.offsets
     counts = np.diff(offsets)
     out = []
     for n in np.unique(counts):
@@ -586,7 +586,7 @@ def assemble_system(
     S, V, W = build_spaces(mesh, spec, config, cache) if spaces is None else spaces
 
     K_elem = spec.permeability(mesh.element_centroids)
-    rhs_full = assemble_rhs(sub, spec, V, S, W, cache)
+    rhs_full = assemble_rhs(mesh, spec, V, S, W, cache)
     p_dir, w_dir = dirichlet_values(sub, spec, S, W)
 
     # y = (p, p_gamma) over free dofs; every (p, p_gamma) dof has its index
@@ -599,7 +599,7 @@ def assemble_system(
     ny = y_free.size
     ycol = np.empty(nS + W.ndof, dtype=np.int64)
     ycol[np.concatenate([y_free, y_fixed])] = np.arange(ycol.size)
-    blocks, lift = _polygon_blocks(sub, V, S, K_elem, p_dir, np.minimum(ycol, ny))
+    blocks, lift = _polygon_blocks(mesh, V, S, K_elem, p_dir, np.minimum(ycol, ny))
 
     def free_rows(rows, cols, vals):
         keep = ycol[rows] < ny
@@ -635,5 +635,4 @@ def assemble_system(
         w_free=w_free,
         p_dir=p_dir,
         w_dir=w_dir,
-        mesh=mesh,
     )

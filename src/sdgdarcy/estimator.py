@@ -69,7 +69,7 @@ def compute_estimator(mesh: PolygonalMesh, spec: ProblemSpec, sol, cache: BlockC
     if spec.f is None:  # T2 is div u_h alone, the same bits: (0 - d)^2 == d^2
         qw, f = mapped_weights(rule, sub.tri_jacobian), 0.0
     else:
-        qw, f = source_values(sub, spec, 2 * k + 2, cache)
+        qw, f = source_values(mesh, spec, 2 * k + 2, cache)
 
     # term 1: constitutive residual r = u_h + K grad p_h measured in K^{-1}
     u = sol.u_at_ref(rule)
@@ -222,7 +222,7 @@ def data_oscillation(mesh: PolygonalMesh, spec: ProblemSpec, k: int, cache: Bloc
             r = f - ((f[:, None, :] @ proj) @ mono.T)[:, 0]
             return (np.einsum("tq,tq->t", qw, r**2),)
 
-        (res,) = cache.triangles(sub.mesh, "oscillation residual", residuals)
+        (res,) = cache.triangles(mesh, "oscillation residual", residuals)
         total += float((sub.tri_diameter**2 * res).sum())
 
     erule = edge_rule(2 * k + 12)

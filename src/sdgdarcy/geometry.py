@@ -404,14 +404,13 @@ class Subdivision:
     in one array pass; `edge_fracture` gives the fracture of every edge.
     `tri_side` and `tri_flip` form the side table that the spaces and the
     assembly read, derived once by `subdivide`.
-    The mesh caches its subdivision, so the subdivision refers to its mesh
-    weakly, as a mesh to its `parent`: the two form no reference cycle, and
-    a dropped mesh is freed by reference counting alone.  Keep the mesh
-    alive while its subdivision, or a space built on it, is used; `mesh`
-    raises MeshError once it is freed.
+    The mesh caches its subdivision, which holds no reference back to the
+    mesh: the two form no reference cycle, a dropped mesh is freed by
+    reference counting alone, and a subdivision, or anything built on it,
+    stays usable after its mesh is freed.  A stage that reads the mesh
+    takes it as an argument.
     """
 
-    _mesh: weakref.ref  # the PolygonalMesh
     vertices: np.ndarray  # mesh vertices followed by polygon centroids
     tri_vertices: np.ndarray  # (nt, 3); [a, b, centroid], (a, b) a cycle edge, CCW
     tri_polygon: np.ndarray  # (nt,) owning polygon
@@ -429,13 +428,6 @@ class Subdivision:
     tri_flip: np.ndarray  # (nt, 3) bool: side l runs from the edge's higher vertex id to its lower
     fracture_edges: FractureEdgeTable
     edge_fracture: np.ndarray  # (ne,) fracture index or -1
-
-    @property
-    def mesh(self) -> PolygonalMesh:
-        mesh = self._mesh()
-        if mesh is None:
-            raise MeshError("subdivision outlived its mesh: the PolygonalMesh was freed while its subdivision was in use")
-        return mesh
 
     @property
     def n_triangles(self) -> int:
@@ -739,7 +731,6 @@ def subdivide(mesh: PolygonalMesh) -> Subdivision:
     fracture_edges = _fracture_edge_table(mesh, all_vertices, edge_v, edge_frac, edge_seg, edge_len)
 
     return Subdivision(
-        _mesh=weakref.ref(mesh),
         vertices=all_vertices,
         tri_vertices=tri_v,
         tri_polygon=cyc.polygon,

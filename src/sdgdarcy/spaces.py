@@ -361,8 +361,6 @@ class PressureSpace:
     tri_dofs: np.ndarray  # (nt, nloc)
     edge_side_dofs: np.ndarray  # (ne, 2, k+1); -1 where side absent
     dirichlet_mask: np.ndarray  # (ndof,) bool
-    dof_edge: np.ndarray  # (ndof,) boundary edge owning a Dirichlet node, else -1
-    node_coords: np.ndarray  # (ndof, 2)
 
     @property
     def nloc(self) -> int:
@@ -384,8 +382,7 @@ def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> P
     sub = mesh.subdivision
     k = config.k
     k1 = k + 1
-    ref = reference(k)
-    nloc = ref.nodes.shape[0]
+    nloc = reference(k).nodes.shape[0]
     side_nodes = _SIDE_NODES[k]
     edge_locals = side_nodes[0]
     rest_locals = np.setdiff1d(np.arange(nloc), edge_locals)
@@ -410,34 +407,21 @@ def build_S_h(mesh: PolygonalMesh, config: SpaceConfig, dirichlet_edges=()) -> P
     along = np.where((interior & sub.tri_flip[:, 0])[:, None], k - j, j)
     tri_dofs = np.empty((nt, nloc), dtype=int)
     tri_dofs[:, edge_locals] = first[owner][:, None] + along
-    rest = first[:, None] + n_edge[:, None] + np.arange(len(rest_locals))
-    tri_dofs[:, rest_locals] = rest
-
-    tc = sub.tri_coords
-    nodes_xy = tc[:, :1, :] + ref.nodes @ (tc[:, 1:, :] - tc[:, :1, :])
-    coords = np.empty((ndof, 2))
-    coords[rest] = nodes_xy[:, rest_locals]
-    alone = own & ~interior
-    coords[first[alone][:, None] + j] = nodes_xy[alone][:, edge_locals]
-    shared = own & interior
-    coords[first[shared][:, None] + j] = sub.edge_points(e[shared], ref.edge_nodes)
+    tri_dofs[:, rest_locals] = first[:, None] + n_edge[:, None] + np.arange(len(rest_locals))
 
     on_sides = tri_dofs[:, side_nodes]  # (nt, 3, k1), from vertex l to l+1
     on_sides = np.where(sub.tri_flip[..., None], on_sides[..., ::-1], on_sides)
-
-    dof_edge = np.full(ndof, -1, dtype=int)
-    on_dir = own & np.isin(e, dirichlet_edges)
-    dof_edge[first[on_dir][:, None] + j] = e[on_dir][:, None]
+    edge_side_dofs = _edge_side_table(sub, on_sides)
+    dirichlet_mask = np.zeros(ndof, dtype=bool)
+    dirichlet_mask[edge_side_dofs[dirichlet_edges, 0]] = True
 
     return PressureSpace(
         sub=sub,
         k=k,
         ndof=ndof,
         tri_dofs=tri_dofs,
-        edge_side_dofs=_edge_side_table(sub, on_sides),
-        dirichlet_mask=dof_edge >= 0,
-        dof_edge=dof_edge,
-        node_coords=coords,
+        edge_side_dofs=edge_side_dofs,
+        dirichlet_mask=dirichlet_mask,
     )
 
 
@@ -555,7 +539,7 @@ def build_V_h(mesh: PolygonalMesh, config: SpaceConfig, cache: BlockCache = None
         # the products that read C_t take other bits from a transposed layout
         return (np.ascontiguousarray(np.swapaxes(ref.flux_inv.T[order], 1, 2)) * scale[:, None, :],)
 
-    (coeff,) = cache.triangles(sub.mesh, "flux transforms", transforms)
+    (coeff,) = cache.triangles(mesh, "flux transforms", transforms)
 
     return FluxSpace(
         sub=sub,

@@ -22,9 +22,19 @@ from sdgdarcy.assembly import (
     dirichlet_values,
 )
 from sdgdarcy.errors import ConfigError
-from sdgdarcy.geometry import FRACTURE, INTERIOR, CycleTable, DomainSpec, Fracture, build_initial_mesh, refine
+from sdgdarcy.geometry import (
+    BOUNDARY,
+    FRACTURE,
+    INTERIOR,
+    CycleTable,
+    DomainSpec,
+    Fracture,
+    PolygonalMesh,
+    build_initial_mesh,
+    refine,
+)
 from sdgdarcy.quadrature import edge_rule, map_to_triangles, triangle_rule
-from sdgdarcy.spaces import _SIDE_NODES, _bubble_curl_ref, edge_tables, triangle_tables
+from sdgdarcy.spaces import _SIDE_NODES, _bubble_curl_ref, edge_tables, reference, triangle_tables
 
 
 def make_fracture(points, kappa_n=100.0, kappa_t=100.0, thickness=0.01):
@@ -47,6 +57,22 @@ def doerfler_refinements(data, mesh):
         yield mesh, marked
         mesh = refine(mesh, marked)
     yield mesh, None
+
+
+def jittered(mesh, amp, seed):
+    """mesh with every vertex off the boundary and the fractures moved by a
+    seeded uniform draw in [-amp h, amp h]^2, h the shortest cycle edge:
+    general quadrilaterals in place of squares, on the same boundary and
+    fractures."""
+    cyc = mesh.cycles
+    v = mesh.vertices
+    h = np.hypot(*(v[cyc.vertex[cyc.next]] - v[cyc.vertex]).T).min()
+    sub = mesh.subdivision
+    fixed = sub.edge_vertices[np.isin(sub.edge_kind, (BOUNDARY, FRACTURE))].ravel()
+    free = np.setdiff1d(np.arange(v.shape[0]), fixed)
+    moved = v.copy()
+    moved[free] += np.random.default_rng(seed).uniform(-amp * h, amp * h, (free.size, 2))
+    return PolygonalMesh(moved, mesh.cycles, mesh.fractures, mesh.tolerance)
 
 
 @pytest.fixture
@@ -166,10 +192,12 @@ def flux_basis_divergence(V, tris, pts):
 
 
 def interpolate_pressure(S, fn):
-    """Nodal interpolation in S_h; fn(points (n,2), triangles (n,)) -> values."""
+    """Nodal interpolation in S_h; fn(points (n,2), triangles (n,)) -> values.
+    Each triangle maps the reference nodes to its own node points."""
     nt, nloc = S.tri_dofs.shape
     tris = np.repeat(np.arange(nt), nloc)
-    pts = S.node_coords[S.tri_dofs.ravel()]
+    tc = S.sub.tri_coords
+    pts = (tc[:, :1, :] + reference(S.k).nodes @ (tc[:, 1:, :] - tc[:, :1, :])).reshape(-1, 2)
     vals = np.asarray(fn(pts, tris), dtype=float)
     out = np.zeros(S.ndof)
     out[S.tri_dofs.ravel()] = vals
@@ -286,7 +314,7 @@ def assemble_bh_star(sub, V, S):
     return sp.coo_matrix((v, (r, c)), shape=(V.ndof, S.ndof)).tocsr()
 
 
-def assemble_interface_quadrature(sub, S, W, spec):
+def assemble_interface_quadrature(mesh, S, W, spec):
     """Interface coupling blocks (C_pp, C_pw, C_ww_coupling) by quadrature
     at physical fracture points, with the full pressure basis of each side's
     triangle pulled back: the oracle for `assemble_interface`.
@@ -295,12 +323,13 @@ def assemble_interface_quadrature(sub, S, W, spec):
     C_pw the -<(1/alpha) p_gamma, {q}> pairing (its transpose enters the
     fracture equation), C_ww the +<(1/alpha) p_gamma, q_gamma> mass.
     """
+    sub = mesh.subdivision
     erule = edge_rule(2 * S.k + 2)
     ts, ws = erule.points, erule.weights
     wb = edge_tables(W.k, ts).p[0]  # (nq, k+1)
     fe = sub.fracture_edges
     # the coefficients from each edge's fracture segment
-    eta = np.array([sub.mesh.fractures[f].normal_resistance[s] for f, s in zip(fe.fracture, fe.segment)])
+    eta = np.array([mesh.fractures[f].normal_resistance[s] for f, s in zip(fe.fracture, fe.segment)])
     alpha = eta * (spec.xi / 2.0 - 0.25)
     pts, _ = sub.fracture_points(ts)
     wl = sub.edge_length[fe.edge]
@@ -393,7 +422,7 @@ def reduced_system_full_dofs(mesh, spec, config):
     K_elem = spec.permeability(mesh.element_centroids)
     C_pp, C_pw, C_ww = interface_blocks(sub, S, W, spec)
     C_ww = C_ww + fracture_stiffness_matrix(sub, S, W, spec)
-    rhs_full = assemble_rhs(sub, spec, V, S, W)
+    rhs_full = assemble_rhs(mesh, spec, V, S, W)
     p_dir, w_dir = dirichlet_values(sub, spec, S, W)
     nV, nS = V.ndof, S.ndof
     y_free = np.concatenate([np.flatnonzero(~S.dirichlet_mask), nS + np.flatnonzero(~W.dirichlet_mask)])
@@ -401,7 +430,7 @@ def reduced_system_full_dofs(mesh, spec, config):
     ycol = np.full(nS + W.ndof, ny)
     ycol[y_free] = np.arange(ny)
 
-    blocks, lift = polygon_blocks_every(sub, V, S, K_elem, p_dir, ycol)
+    blocks, lift = polygon_blocks_every(mesh, V, S, K_elem, p_dir, ycol)
 
     rhs = np.empty(nV + ny)
     rhs[:nV] = rhs_full[:nV] - np.bincount(V.tri_dofs.ravel(), lift.ravel(), minlength=nV)
@@ -410,17 +439,18 @@ def reduced_system_full_dofs(mesh, spec, config):
     return blocks, C_full[y_free][:, y_free], rhs
 
 
-def polygon_blocks_every(sub, V, S, K_elem, p_dir, ycol):
+def polygon_blocks_every(mesh, V, S, K_elem, p_dir, ycol):
     """The polygon blocks of `assembly._polygon_blocks` with every polygon
     computed, no class and no cache, scattered through an owner and a
     local-index table over all flux dofs: the oracle for its local patterns
     and its classes.  Returns one (polygons, flux, cols, M, G) per triangle
     count, and the lifts p_dir^T B_t, (nt, nloc)."""
+    sub = mesh.subdivision
     k1, nt, ns = V.k + 1, sub.n_triangles, S.nloc
     n_own = V.nloc - 2 * k1
     primal = _SIDE_NODES[S.k][0]
     off = np.setdiff1d(np.arange(ns), primal)
-    offsets = sub.mesh.cycles.offsets
+    offsets = mesh.cycles.offsets
     counts = np.diff(offsets)
     owner = np.empty(V.ndof, dtype=np.int64)
     local = np.empty(V.ndof, dtype=np.int64)
@@ -502,7 +532,7 @@ def saddle_system(mesh, spec, config):
         V.ndof + np.flatnonzero(~S.dirichlet_mask),
         V.ndof + S.ndof + np.flatnonzero(~W.dirichlet_mask),
     ])
-    rhs = assemble_rhs(sub, spec, V, S, W) - A_full @ x_dir
+    rhs = assemble_rhs(mesh, spec, V, S, W) - A_full @ x_dir
     return A_full[free][:, free].tocsr(), rhs[free]
 
 

@@ -420,7 +420,6 @@ def constant_solution(mesh, c, k=1):
     S = build_S_h(mesh, SpaceConfig(k))
     W = build_W_h(mesh, SpaceConfig(k))
     return DiscreteSolution(
-        mesh=mesh,
         V=V,
         S=S,
         W=W,

@@ -1,9 +1,11 @@
-"""The contract between the program and the traced benchmark run.
+"""The contract between the program and the benchmark.
 
 `amrbench/spans.py` wraps public functions of the package by module and
 name; a refactor that renames or moves one of them breaks the traced run.
-These tests read that file without importing it as a module of the
-repository, so they write nothing under `amrbench/`.
+`amrbench/checks.py` reads the final system and solution of a run through
+the package's API to decide whether a run is correct.  These tests read
+those files without importing them as modules of the repository, so they
+write nothing under `amrbench/`.
 """
 
 import importlib
@@ -18,15 +20,25 @@ from sdgdarcy.adaptivity import ADAPTIVE, AmrConfig, amr_loop
 from sdgdarcy.benchmarks import get_benchmark
 from sdgdarcy.geometry import build_initial_mesh
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "amrbench" / "spans.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "amrbench"
+
+
+def _load(name):
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    module = types.ModuleType("bench_spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
-    return module
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _load("checks")
 
 
 def test_every_target_resolves_to_a_callable(spans):
@@ -77,3 +89,30 @@ def test_traced_loop_is_bit_equal_and_every_target_is_restored(spans):
     for got, want in zip(traced.final_vectors, plain.final_vectors):
         assert np.array_equal(got, want)
     assert np.array_equal(traced.final_breakdown.element_sq, plain.final_breakdown.element_sq)
+
+
+# the checks that hold on any run, however short: the others (effectivity,
+# rates, the barrier jumps) need the benchmark's budget
+BUDGET_FREE = ("final system size", "backward error", "N increases", "within budget")
+
+
+@pytest.mark.parametrize(
+    "name, k, max_dofs, own",
+    [("case1-a0.1", 1, 100_000, "mass balance"), ("case1-a0.1", 2, 100_000, "mass balance"),
+     ("case2", 1, 200_000, "outflow = inflow")],
+    ids=["case1-k1", "case1-k2", "case2-k1"],
+)
+def test_budget_free_checks_pass_on_a_short_loop(checks, name, k, max_dofs, own):
+    """The benchmark's correctness checks read the program's final system
+    and solution; on a 3-iteration loop of each benchmark the checks that do
+    not depend on the budget pass."""
+    spec, exact, h0 = get_benchmark(name)
+    config = AmrConfig(theta=0.5, mode=ADAPTIVE, max_dofs=max_dofs, max_iterations=3, k=k)
+    history = amr_loop(build_initial_mesh(spec.domain, h0), spec, config, exact=exact)
+    assert len(history.records) == 3
+    system, x = checks.final_system(history, spec, k)
+    results = checks.check_common(history, system, x, max_dofs)
+    results += checks.check_case2(history, k) if name == "case2" else checks.check_case1(history, spec, k)
+    picked = {check: (ok, detail) for check, ok, detail in results if check in BUDGET_FREE + (own,)}
+    assert sorted(picked) == sorted(BUDGET_FREE + (own,))
+    assert {check: detail for check, (ok, detail) in picked.items() if not ok} == {}

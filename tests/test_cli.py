@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -228,6 +229,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "patch" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_1_quietly(unbuffered):
+    """Output into a pipe whose reader is gone is an output failure: exit
+    status 1 and nothing on stderr, whether the write fails in a `print`
+    or in the flush at the end."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdgdarcy.cli", "list-benchmarks"], stdout=write, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])

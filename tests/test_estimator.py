@@ -58,7 +58,6 @@ def zero_solution(mesh, k=1):
     S = build_S_h(mesh, SpaceConfig(k))
     W = build_W_h(mesh, SpaceConfig(k))
     return DiscreteSolution(
-        mesh=mesh,
         V=V,
         S=S,
         W=W,

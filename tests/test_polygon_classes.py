@@ -32,12 +32,11 @@ def _refined(name, times=3, seed=4):
 
 def _inputs(mesh, spec, k):
     """The arguments `assemble_system` passes to `_polygon_blocks`."""
-    sub = mesh.subdivision
     S, V, W = build_spaces(mesh, spec, SpaceConfig(k))
-    p_dir, _ = dirichlet_values(sub, spec, S, W)
+    p_dir, _ = dirichlet_values(mesh.subdivision, spec, S, W)
     free = ~np.concatenate([S.dirichlet_mask, W.dirichlet_mask])
     ycol = np.where(free, np.cumsum(free) - 1, free.sum())  # index in y; ny where constrained
-    return sub, V, S, spec.permeability(mesh.element_centroids), p_dir, ycol
+    return mesh, V, S, spec.permeability(mesh.element_centroids), p_dir, ycol
 
 
 def _check_blocks(args):
@@ -84,7 +83,8 @@ def test_changed_input_leaves_the_class():
     spec = dataclasses.replace(spec, boundary=(BoundaryRule(DIRICHLET, everywhere, constant(1.0)),))
     k = 1
     args = _inputs(mesh, spec, k)
-    sub, V, S, K_elem, p_dir, ycol = args
+    _, V, S, K_elem, p_dir, ycol = args
+    sub = mesh.subdivision
     blocks = _check_blocks(args)
 
     # two polygons of one class that share no vertex, the second with a
@@ -114,13 +114,13 @@ def test_changed_input_leaves_the_class():
 
     K = K_elem.copy()
     K[p2] = 2.0 * K[p2]
-    assert parted((sub, V, S, K, p_dir, ycol))
+    assert parted((mesh, V, S, K, p_dir, ycol))
 
     tris = np.flatnonzero(sub.tri_polygon == p2)
     node = S.tri_dofs[tris][S.dirichlet_mask[S.tri_dofs[tris]]][0]
     moved = p_dir.copy()
     moved[node] = 2.0
-    assert not parted((sub, V, S, K_elem, moved, ycol))
+    assert not parted((mesh, V, S, K_elem, moved, ycol))
 
     # swap the ids of two consecutive vertices of p2: the geometry stays
     a, b = cyc.vertex[cyc.offsets[p2] : cyc.offsets[p2] + 2]
@@ -137,14 +137,15 @@ def test_changed_input_leaves_the_class():
 
 def _cached_refinement(k, seed=7):
     """A mesh after two seeded refinements, assembled with a loop cache,
-    then refined once more; returns the system assembled with that cache."""
+    then refined once more; returns that mesh and the system assembled
+    on it with that cache."""
     spec, mesh = _refined("case1-a0.1", times=2)
     config = SpaceConfig(k)
     cache = BlockCache()
     assemble_system(mesh, spec, config, cache=cache)
     rng = np.random.default_rng(seed)
     mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
-    return assemble_system(mesh, spec, config, cache=cache)
+    return mesh, assemble_system(mesh, spec, config, cache=cache)
 
 
 def test_solve_without_cache_equals_carried_solve():
@@ -152,10 +153,10 @@ def test_solve_without_cache_equals_carried_solve():
     transforms and the source of kept triangles from the previous mesh; the
     system assembled without the cache computes them all, and its solve
     gives the carried system's bits."""
-    system = _cached_refinement(2)
+    mesh, system = _cached_refinement(2)
     cached, _ = solve_system(system)
     spec = get_benchmark("case1-a0.1")[0]  # the spec of `_cached_refinement`
-    fresh, _ = solve_system(assemble_system(system.mesh, spec, SpaceConfig(2)))
+    fresh, _ = solve_system(assemble_system(mesh, spec, SpaceConfig(2)))
     for field in ("u", "p", "p_gamma"):
         assert np.array_equal(getattr(fresh, field), getattr(cached, field)), field
 
@@ -181,7 +182,7 @@ def test_nnz_counts_the_classes_in_use():
     """After a cached refinement the class tables hold the classes of the
     refined mesh, every row in use; `nnz` counts each class once per
     polygon and equals the stored entries of `A`."""
-    system = _cached_refinement(1)
+    _, system = _cached_refinement(1)
     for g in system.blocks:
         assert np.array_equal(np.unique(g.classes), np.arange(len(g.M)))
     assert system.nnz == system.A.nnz

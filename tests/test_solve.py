@@ -16,6 +16,7 @@ from sdgdarcy.adaptivity import AmrConfig, amr_loop
 from sdgdarcy.assembly import assemble_system
 from sdgdarcy.benchmarks import get_benchmark, linear_patch
 from sdgdarcy.errors import NonFinite, SingularSystem, SolverError
+from sdgdarcy.estimator import compute_estimator, true_error
 from sdgdarcy.geometry import build_initial_mesh, refine
 from sdgdarcy.problem import (
     DIRICHLET,
@@ -28,7 +29,7 @@ from sdgdarcy.problem import (
 from sdgdarcy.solve import _backward_error, _Condensed, solve_system
 from sdgdarcy.spaces import _SIDE_NODES, SpaceConfig
 
-from conftest import condense_every, saddle_backward_error
+from conftest import condense_every, jittered, saddle_backward_error
 from test_assembly import exact_free_vector
 
 
@@ -184,13 +185,23 @@ def test_case2_k2_passes_the_old_pivot_failure():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_patch_solved_exactly(k):
-    spec, exact, mesh = _patch(0.5)
-    sys = assemble_system(mesh, spec, SpaceConfig(k))
-    sol, report = solve_system(sys)
-    x_exact, p_I, w_I = exact_free_vector(sys, exact)
-    assert abs(sol.p - p_I).max() < 1e-9
-    assert abs(sol.p_gamma - w_I).max() < 1e-9
-    assert abs(sol.u - x_exact[: sys.V.ndof]).max() < 1e-9
+    """The linear patch is solved exactly, its error and its estimator
+    vanish to round-off, on the square grid, on a jittered grid of general
+    quadrilaterals and on that grid refined at every third element, whose
+    hanging nodes then sit on non-square polygons."""
+    spec, exact, square = _patch(0.5)
+    quads = jittered(_patch(0.25)[2], amp=0.3, seed=11)
+    hanging = refine(quads, np.arange(0, quads.n_elements, 3))
+    assert hanging.cycles.hanging.any()
+    for mesh in (square, quads, hanging):
+        sys = assemble_system(mesh, spec, SpaceConfig(k))
+        sol, report = solve_system(sys)
+        x_exact, p_I, w_I = exact_free_vector(sys, mesh, exact)
+        assert abs(sol.p - p_I).max() < 1e-9
+        assert abs(sol.p_gamma - w_I).max() < 1e-9
+        assert abs(sol.u - x_exact[: sys.V.ndof]).max() < 1e-9
+        assert true_error(mesh, spec, sol, exact).err_sdg < 1e-10
+        assert compute_estimator(mesh, spec, sol).eta < 1e-10
 
 
 def test_patch_neumann_solved_exactly():
@@ -209,7 +220,7 @@ def test_patch_neumann_solved_exactly():
     )
     sys = assemble_system(mesh, spec, SpaceConfig(1))
     sol, report = solve_system(sys)
-    x_exact, p_I, w_I = exact_free_vector(sys, exact)
+    x_exact, p_I, w_I = exact_free_vector(sys, mesh, exact)
     assert abs(sol.p - p_I).max() < 1e-9
     assert abs(sol.u - x_exact[: sys.V.ndof]).max() < 1e-9
 

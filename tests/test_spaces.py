@@ -322,8 +322,13 @@ def test_dirichlet_node_marking(two_square_fractured):
     S = build_S_h(two_square_fractured, SpaceConfig(k=1), dirichlet_edges=bottom)
     marked = np.flatnonzero(S.dirichlet_mask)
     assert marked.size == 4
-    assert np.max(np.abs(S.node_coords[marked, 1])) < 1e-12
-    assert set(S.dof_edge[marked].tolist()) == set(bottom)
+    assert np.array_equal(marked, np.sort(S.edge_side_dofs[bottom, 0].ravel()))
+    # the marked nodes of every triangle sit on the bottom side
+    tc = sub.tri_coords
+    nodes = tc[:, :1] + _lattice_nodes(1) @ (tc[:, 1:] - tc[:, :1])
+    on = S.dirichlet_mask[S.tri_dofs]
+    assert set(S.tri_dofs[on].tolist()) == set(marked.tolist())
+    assert np.max(np.abs(nodes[on][:, 1])) < 1e-12
     assert S.n_free == S.ndof - 4
 
 
@@ -423,15 +428,19 @@ def test_numbering_matches_triangle_walk(k):
     S = build_S_h(mesh, SpaceConfig(k), dirichlet_edges=dirichlet)
     tri_dofs, dof_edge = _reference_S_numbering(sub, k, dirichlet)
     assert np.array_equal(S.tri_dofs, tri_dofs)
-    assert np.array_equal(S.dof_edge, dof_edge)
     assert np.array_equal(S.dirichlet_mask, dof_edge >= 0)
     assert S.ndof == dof_edge.size
-    # every node of a triangle sits at its lattice point
-    ref = S.node_coords[S.tri_dofs]
+    edges = np.array(sorted(dirichlet))
+    got_edge = np.full(S.ndof, -1)
+    got_edge[S.edge_side_dofs[edges, 0]] = edges[:, None]
+    assert np.array_equal(got_edge, dof_edge)
+    # the triangles that share a node put it at the same lattice point
     lattice = sub.tri_coords[:, :1] + np.einsum(
         "lj,tjc->tlc", _lattice_nodes(S.k), sub.tri_coords[:, 1:] - sub.tri_coords[:, :1]
     )
-    assert np.allclose(ref, lattice, atol=1e-14)
+    node = np.empty((S.ndof, 2))
+    node[S.tri_dofs] = lattice
+    assert np.allclose(node[S.tri_dofs], lattice, atol=1e-14)
 
     V = build_V_h(mesh, SpaceConfig(k))
     tri_dofs, edge_side_dofs, ndof = _reference_V_numbering(sub, k)
@@ -444,12 +453,7 @@ def test_numbering_matches_triangle_walk(k):
 # the Piola-mapped flux basis against the physical dof functionals
 
 
-# the meshes of the subdivisions below: a Subdivision refers to its mesh
-# weakly, so each mesh is kept here for as long as the module is loaded
-_MESHES = []
-
-
-def _doerfler_fractured_sub():
+def _doerfler_fractured_mesh():
     """Three Doerfler refinements of the fractured 2x1 mesh, seeded indicators."""
     dom = DomainSpec(
         rectangles=[(0.0, 0.0, 2.0, 1.0)],
@@ -459,11 +463,10 @@ def _doerfler_fractured_sub():
     rng = np.random.default_rng(5)
     for _ in range(3):
         mesh = refine(mesh, dorfler_mark(rng.random(mesh.n_elements) ** 4, 0.5))
-    _MESHES.append(mesh)
-    return mesh.subdivision
+    return mesh
 
 
-def _sliver_sub():
+def _sliver_mesh():
     """A 2 x 0.05 strip under a 2 x 0.95 block: the strip's long sides give
     obtuse slivers.  Vertex ids are reversed, so the polygon centroids come
     first and every side runs against its edge's low-to-high order where the
@@ -471,7 +474,6 @@ def _sliver_sub():
     subdivision in place of its own."""
     verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 0.05], [0.0, 0.05], [2.0, 1.0], [0.0, 1.0]]
     mesh = PolygonalMesh(verts, cycle_table([(0, 1, 2, 3), (3, 2, 4, 5)], [(), ()]), [], 1e-9)
-    _MESHES.append(mesh)
     sub = mesh.subdivision
     nv = sub.vertices.shape[0]
     new_id = nv - 1 - np.arange(nv)
@@ -484,10 +486,10 @@ def _sliver_sub():
         tri_flip=tri_vertices > np.roll(tri_vertices, -1, axis=1),
     )
     vars(mesh)["subdivision"] = sliver  # the spaces of `mesh` are built on it
-    return sliver
+    return mesh
 
 
-PIOLA_MESHES = {"doerfler": _doerfler_fractured_sub, "sliver": _sliver_sub}
+PIOLA_MESHES = {"doerfler": _doerfler_fractured_mesh, "sliver": _sliver_mesh}
 
 
 def _tri_sides(sub):
@@ -522,10 +524,10 @@ def _side_runs_low_to_high(sub):
 
 
 def test_piola_meshes_cover_both_side_orientations():
-    seen = np.concatenate([_side_runs_low_to_high(make()) for make in PIOLA_MESHES.values()])
+    seen = np.concatenate([_side_runs_low_to_high(make().subdivision) for make in PIOLA_MESHES.values()])
     for l in range(3):
         assert seen[:, l].any() and not seen[:, l].all(), l
-    sliver = _sliver_sub()
+    sliver = _sliver_mesh().subdivision
     angles = []
     for tri in sliver.tri_coords:
         e = np.roll(tri, -1, axis=0) - tri
@@ -592,27 +594,29 @@ def _physical_dual_basis(sub, V):
     return lambda t, pts: np.einsum("qmc,ml->qlc", monomials(t, pts), coeff[t])
 
 
-@pytest.mark.parametrize("mesh", sorted(PIOLA_MESHES))
+@pytest.mark.parametrize("name", sorted(PIOLA_MESHES))
 @pytest.mark.parametrize("k", [1, 2])
-def test_piola_basis_is_dual_to_dofs(k, mesh):
-    sub = PIOLA_MESHES[mesh]()
-    V = build_V_h(sub.mesh, SpaceConfig(k))
+def test_piola_basis_is_dual_to_dofs(k, name):
+    mesh = PIOLA_MESHES[name]()
+    sub = mesh.subdivision
+    V = build_V_h(mesh, SpaceConfig(k))
     assert V.sub is sub
     tris = np.arange(sub.n_triangles)
     D = _apply_flux_dofs(sub, V, lambda pts: flux_basis_values(V, tris, pts))
     assert np.max(np.abs(D - np.eye(V.nloc))) < 1e-12
 
 
-@pytest.mark.parametrize("mesh", sorted(PIOLA_MESHES))
+@pytest.mark.parametrize("name", sorted(PIOLA_MESHES))
 @pytest.mark.parametrize("k", [1, 2])
-def test_mass_blocks_match_physical_quadrature(k, mesh):
+def test_mass_blocks_match_physical_quadrature(k, name):
     """assemble_mass against quadrature of the brute-force physical basis,
     one triangle at a time, with an anisotropic K on every element; entries
     are compared relative to sqrt(M_ii M_jj)."""
-    sub = PIOLA_MESHES[mesh]()
-    V = build_V_h(sub.mesh, SpaceConfig(k))
+    mesh = PIOLA_MESHES[name]()
+    sub = mesh.subdivision
+    V = build_V_h(mesh, SpaceConfig(k))
     rng = np.random.default_rng(3)
-    A = rng.standard_normal((sub.mesh.n_elements, 2, 2))
+    A = rng.standard_normal((mesh.n_elements, 2, 2))
     K_elem = A @ np.swapaxes(A, 1, 2) + np.eye(2)
     basis = _physical_dual_basis(sub, V)
     qp, qw = map_to_triangles(triangle_rule(2 * k + 2), sub.tri_coords)
@@ -632,19 +636,20 @@ def test_mass_blocks_match_physical_quadrature(k, mesh):
 # edge traces read from the edge dofs against point evaluation
 
 
-@pytest.mark.parametrize("mesh", sorted(PIOLA_MESHES))
+@pytest.mark.parametrize("name", sorted(PIOLA_MESHES))
 @pytest.mark.parametrize("k", [1, 2])
-def test_edge_traces_match_point_evaluation(k, mesh):
+def test_edge_traces_match_point_evaluation(k, name):
     """p_trace and u_normal_trace, read from the k+1 dofs on one side of an
     edge, against p_at and u_at . n_e at the edge points, on both sides of
     every edge kind, and the fracture traces in polyline direction; random
     coefficients, compared relative to the largest value."""
-    sub = PIOLA_MESHES[mesh]()
+    mesh = PIOLA_MESHES[name]()
+    sub = mesh.subdivision
     config = SpaceConfig(k)
-    S, V, W = build_S_h(sub.mesh, config), build_V_h(sub.mesh, config), build_W_h(sub.mesh, config)
+    S, V, W = build_S_h(mesh, config), build_V_h(mesh, config), build_W_h(mesh, config)
     rng = np.random.default_rng(7)
     sol = DiscreteSolution(
-        mesh=sub.mesh, V=V, S=S, W=W,
+        V=V, S=S, W=W,
         u=rng.standard_normal(V.ndof), p=rng.standard_normal(S.ndof), p_gamma=np.zeros(W.ndof),
     )
     ts = edge_rule(2 * k + 2).points
@@ -652,7 +657,7 @@ def test_edge_traces_match_point_evaluation(k, mesh):
     def check(got, ref):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    for kind in (DUAL, INTERIOR, BOUNDARY) + ((FRACTURE,) if sub.mesh.fractures else ()):
+    for kind in (DUAL, INTERIOR, BOUNDARY) + ((FRACTURE,) if mesh.fractures else ()):
         edges = sub.edges_of_kind(kind)
         assert edges.size
         pts = sub.edge_points(edges, ts)
@@ -678,14 +683,15 @@ def test_solution_reads_the_subdivision_of_its_spaces():
     subdivision from them, not from its mesh, and its point evaluation
     agrees with the edge traces there; pressure and flux spaces on two
     different subdivisions are rejected."""
-    sub = _sliver_sub()
+    mesh = _sliver_mesh()
+    sub = mesh.subdivision
     config = SpaceConfig(2)
-    S, V, W = build_S_h(sub.mesh, config), build_V_h(sub.mesh, config), build_W_h(sub.mesh, config)
-    vars(sub.mesh).pop("subdivision")  # the mesh subdivides anew, with its own ids
-    assert sub is not sub.mesh.subdivision
+    S, V, W = build_S_h(mesh, config), build_V_h(mesh, config), build_W_h(mesh, config)
+    vars(mesh).pop("subdivision")  # the mesh subdivides anew, with its own ids
+    assert sub is not mesh.subdivision
     rng = np.random.default_rng(11)
     values = dict(u=rng.standard_normal(V.ndof), p=rng.standard_normal(S.ndof), p_gamma=np.zeros(W.ndof))
-    sol = DiscreteSolution(mesh=sub.mesh, V=V, S=S, W=W, **values)
+    sol = DiscreteSolution(V=V, S=S, W=W, **values)
     assert sol.sub is sub
     ts = edge_rule(6).points
     edges = np.arange(sub.n_edges)
@@ -693,9 +699,9 @@ def test_solution_reads_the_subdivision_of_its_spaces():
     un = np.einsum("eqc,ec->eq", sol.u_at(tris, sub.edge_points(edges, ts)), sub.edge_normal[edges])
     assert np.max(np.abs(sol.u_normal_trace(edges, 0, ts) - un)) <= 1e-13 * np.max(np.abs(un))
 
-    other = build_S_h(sub.mesh, config)
+    other = build_S_h(mesh, config)
     with pytest.raises(ValueError, match="different subdivisions"):
-        DiscreteSolution(mesh=sub.mesh, V=V, S=other, W=W, **values)
+        DiscreteSolution(V=V, S=other, W=W, **values)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -750,14 +756,15 @@ def test_lagrange_1d_is_exact_value_by_value_and_read_only(k, nodes):
                 got[0] = 1.0
 
 
-@pytest.mark.parametrize("mesh", sorted(PIOLA_MESHES))
-def test_grad_p_exact_on_interpolated_quadratic(mesh):
+@pytest.mark.parametrize("name", sorted(PIOLA_MESHES))
+def test_grad_p_exact_on_interpolated_quadratic(name):
     """grad_p_at_ref of the k=2 interpolant of a quadratic pressure is the
     exact gradient at the images of shared reference points, on every
     triangle and on a subset of them."""
-    sub = PIOLA_MESHES[mesh]()
+    mesh = PIOLA_MESHES[name]()
+    sub = mesh.subdivision
     config = SpaceConfig(2)
-    S, V, W = build_S_h(sub.mesh, config), build_V_h(sub.mesh, config), build_W_h(sub.mesh, config)
+    S, V, W = build_S_h(mesh, config), build_V_h(mesh, config), build_W_h(mesh, config)
 
     def poly(p):
         x, y = p[..., 0], p[..., 1]
@@ -768,7 +775,7 @@ def test_grad_p_exact_on_interpolated_quadratic(mesh):
         return np.stack([2.0 + x - y, -3.0 - x + 4.0 * y], axis=-1)
 
     sol = DiscreteSolution(
-        mesh=sub.mesh, V=V, S=S, W=W,
+        V=V, S=S, W=W,
         u=np.zeros(V.ndof), p=interpolate_pressure(S, lambda pts, tris: poly(pts)), p_gamma=np.zeros(W.ndof),
     )
     rule = triangle_rule(6)
@@ -882,7 +889,7 @@ def _random_solution(mesh, k, seed):
     V, S, W = build_V_h(mesh, config), build_S_h(mesh, config), build_W_h(mesh, config)
     rng = np.random.default_rng(seed)
     return DiscreteSolution(
-        mesh=mesh, V=V, S=S, W=W, u=rng.standard_normal(V.ndof), p=rng.standard_normal(S.ndof),
+        V=V, S=S, W=W, u=rng.standard_normal(V.ndof), p=rng.standard_normal(S.ndof),
         p_gamma=rng.standard_normal(W.ndof),
     )
 
